@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-accuracy bench-micro bench-ingest bench-baseline bench-query bench-query-baseline bench-query-api bench-query-scale bench-sim bench-sim-baseline bench-mirror bench-mirror-baseline perf-gate fuzz-seed vet stream-demo ops-smoke
+.PHONY: build test test-short test-race bench bench-accuracy bench-micro bench-ingest bench-baseline bench-query bench-query-baseline bench-query-api bench-query-scale bench-sim bench-sim-baseline bench-mirror bench-mirror-baseline bench-admit perf-gate fuzz-seed vet stream-demo ops-smoke
 
 build:
 	$(GO) build ./...
@@ -175,14 +175,27 @@ bench-mirror-baseline:
 	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 2s -count 5 \
 		./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer | tee bench-mirror.base.txt
 
-# CI performance gate: re-run the mirror-datapath, ops-API, and
-# fleet-scale query benchmarks (shorter settings than their bench-*
+# Report datapath on the collector side (ns/op, MB/s, allocs): DecodeBytes
+# and AppendEncode on one report, NewQueryable's index build, and a whole
+# 125-host epoch through Collector.AddEncoded, each at the fleet geometry
+# (3×1024 basic) and the Table 1 full sketch. Writes BENCH_admit.json (via
+# benchjson), the committed perf-gate baseline for seal/encode and admit;
+# refresh it here after a deliberate perf change.
+ADMIT_BENCH = ^Benchmark(Decode|AppendEncode|NewQueryable|AdmitEpoch)$$
+bench-admit:
+	$(GO) test -run XXX -bench '$(ADMIT_BENCH)' -benchmem -benchtime 1s -count 5 \
+		./internal/report ./internal/collect | tee bench-admit.txt
+	$(GO) run ./cmd/benchjson -o BENCH_admit.json bench-admit.txt
+
+# CI performance gate: re-run the mirror-datapath, ops-API, fleet-scale
+# query and report-admit benchmarks (shorter settings than their bench-*
 # targets — the 25% threshold absorbs the extra noise), convert to
 # benchjson, and fail if any benchmark named in the committed
-# BENCH_mirror.json / BENCH_query.json baselines regressed in ns/op by
-# more than PERF_GATE_THRESHOLD percent or went missing. Refresh the
-# baselines with `make bench-mirror`, `make bench-query-api`, and
-# `make bench-query-scale` after a deliberate perf change. The over-HTTP
+# BENCH_mirror.json / BENCH_query.json / BENCH_admit.json baselines
+# regressed in ns/op by more than PERF_GATE_THRESHOLD percent or went
+# missing. Refresh the baselines with `make bench-mirror`,
+# `make bench-query-api`, `make bench-query-scale` and `make bench-admit`
+# after a deliberate perf change. The over-HTTP
 # ops-API benchmarks ride the full loopback TCP stack and swing far more
 # run-to-run than the in-process ones, so they get their own wider
 # threshold.
@@ -200,6 +213,10 @@ perf-gate:
 	$(GO) run ./cmd/benchjson -o bench-query-gate.json bench-query-gate.txt
 	$(GO) run ./cmd/benchgate -old BENCH_query.json -new bench-query-gate.json -bench 'API$$' -threshold $(PERF_GATE_API_THRESHOLD)
 	$(GO) run ./cmd/benchgate -old BENCH_query.json -new bench-query-gate.json -bench QueryScale -threshold $(PERF_GATE_THRESHOLD)
+	$(GO) test -run XXX -bench '$(ADMIT_BENCH)' -benchmem -benchtime 1s -count 3 \
+		./internal/report ./internal/collect | tee bench-admit-gate.txt
+	$(GO) run ./cmd/benchjson -o bench-admit-gate.json bench-admit-gate.txt
+	$(GO) run ./cmd/benchgate -old BENCH_admit.json -new bench-admit-gate.json -threshold $(PERF_GATE_THRESHOLD)
 
 # End-to-end streaming demo: simulate an incast on the dumbbell while the
 # hosts seal epoch-rotated reports into one framed stream, then run the

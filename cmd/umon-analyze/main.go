@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -226,7 +225,7 @@ func ingestReports(a *analyzer.Analyzer, path string, decodeBudget int) (int, er
 		if err != nil {
 			return err
 		}
-		rep, err := report.Decode(bytes.NewReader(raw))
+		rep, err := report.DecodeBytes(raw)
 		if err != nil {
 			return fmt.Errorf("decoding %s: %w", entries[i], err)
 		}

@@ -20,7 +20,6 @@
 package collect
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -228,7 +227,7 @@ func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.E
 
 // AddEncoded decodes one framed report payload and admits it.
 func (c *Collector) AddEncoded(epoch uint64, payload []byte) error {
-	rep, err := report.Decode(bytes.NewReader(payload))
+	rep, err := report.DecodeBytes(payload)
 	if err != nil {
 		return err
 	}

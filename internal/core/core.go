@@ -7,7 +7,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"umon/internal/analyzer"
@@ -52,9 +51,12 @@ type HostMonitor struct {
 	started     bool
 	reportBytes int64
 	reports     int
+	encodeBuf   []byte // reused across periods
 }
 
-// NewHostMonitor builds a monitor; emit receives each encoded report.
+// NewHostMonitor builds a monitor; emit receives each encoded report. The
+// bytes are the monitor's reused encode buffer, valid only for the
+// duration of the call: an emit that keeps them must copy them.
 func NewHostMonitor(host int, cfg HostMonitorConfig, emit func(host int, encoded []byte)) (*HostMonitor, error) {
 	if cfg.PeriodNs <= 0 {
 		return nil, fmt.Errorf("core: PeriodNs must be positive, got %d", cfg.PeriodNs)
@@ -94,26 +96,22 @@ func (m *HostMonitor) flushPeriod() error {
 	sealedAt := unixNow()
 	m.sketch.Seal()
 	rep := report.FromFull(m.host, m.periodStart>>m.cfg.WindowShift, m.sketch)
-	var buf bytes.Buffer
-	n, err := rep.Encode(&buf)
-	if err != nil {
-		return fmt.Errorf("core: encoding host %d report: %w", m.host, err)
-	}
-	m.reportBytes += n
+	m.encodeBuf = rep.AppendEncode(m.encodeBuf[:0])
+	m.reportBytes += int64(len(m.encodeBuf))
 	m.reports++
 	if m.sink != nil {
 		err := m.sink.Ship(SealedReport{
 			Host:          m.host,
 			Epoch:         uint64(m.periodStart / m.cfg.PeriodNs),
 			PeriodStartNs: m.periodStart,
-			Encoded:       buf.Bytes(),
+			Encoded:       m.encodeBuf,
 			SealedAtNs:    sealedAt,
 		})
 		if err != nil {
 			return fmt.Errorf("core: shipping host %d report: %w", m.host, err)
 		}
 	} else if m.emit != nil {
-		m.emit(m.host, buf.Bytes())
+		m.emit(m.host, m.encodeBuf)
 	}
 	m.sketch.Reset()
 	m.periodStart += m.cfg.PeriodNs
@@ -229,7 +227,7 @@ func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System
 	s := &System{cfg: cfg, Analyzer: analyzer.New()}
 	for h := 0; h < topo.Hosts; h++ {
 		hm, err := NewHostMonitor(h, cfg.Host, func(_ int, encoded []byte) {
-			rep, err := report.Decode(bytes.NewReader(encoded))
+			rep, err := report.DecodeBytes(encoded)
 			if err != nil {
 				s.decodeErr = err
 				return

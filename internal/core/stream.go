@@ -10,7 +10,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -81,7 +80,7 @@ type StreamHostMonitor struct {
 	sealCh  chan sealJob
 	wg      sync.WaitGroup
 
-	encodeBuf bytes.Buffer // owned by the sealer (or the caller when !Async)
+	encodeBuf []byte // owned by the sealer (or the caller when !Async)
 	stats     HostStreamStats
 
 	periodStart int64
@@ -180,19 +179,14 @@ func (m *StreamHostMonitor) sealAndShip(sk *wavesketch.Full, periodStart int64) 
 	sealedAt := unixNow()
 	sk.Seal()
 	rep := report.FromFull(m.host, periodStart>>m.cfg.WindowShift, sk)
-	m.encodeBuf.Reset()
-	n, err := rep.Encode(&m.encodeBuf)
-	if err != nil {
-		span()
-		return fmt.Errorf("core: encoding host %d epoch report: %w", m.host, err)
-	}
-	m.reportBytes.Add(n)
+	m.encodeBuf = rep.AppendEncode(m.encodeBuf[:0])
+	m.reportBytes.Add(int64(len(m.encodeBuf)))
 	m.reports.Add(1)
-	err = m.sink.Ship(SealedReport{
+	err := m.sink.Ship(SealedReport{
 		Host:          m.host,
 		Epoch:         uint64(periodStart / m.cfg.PeriodNs),
 		PeriodStartNs: periodStart,
-		Encoded:       m.encodeBuf.Bytes(),
+		Encoded:       m.encodeBuf,
 		SealedAtNs:    sealedAt,
 	})
 	span()

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -99,5 +101,103 @@ func BenchmarkNewQueryable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewQueryable(rep)
+	}
+}
+
+// fleetReport is one report of the fleet geometry the collector benchmarks
+// use: a 3×1024 basic sketch, L=8, K=1, 128 distinct flows — some 360
+// non-empty buckets of one approximation value and at most one detail.
+func fleetReport(tb testing.TB, host int) *HostReport {
+	tb.Helper()
+	s, err := wavesketch.NewBasic(wavesketch.Config{Rows: 3, Width: 1024, Levels: 8, K: 1, Seed: 0x5eed0f})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(host) + 1))
+	for f := 0; f < 128; f++ {
+		s.Update(key(host*128+f), int64(rng.Intn(32)), int64(64+rng.Intn(1400)))
+	}
+	s.Seal()
+	return FromBasic(host, 0, s)
+}
+
+// table1Report is one report of the paper's Table 1 full sketch (h=256
+// heavy slots, 1×256 light part, L=8, K=64) under a mix of steady heavy
+// flows and mice.
+func table1Report(tb testing.TB, host int) *HostReport {
+	tb.Helper()
+	full, err := wavesketch.NewFull(wavesketch.DefaultFull())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(host) + 1))
+	for w := int64(0); w < 512; w++ {
+		for f := 0; f < 96; f++ {
+			full.Update(key(host*1000+f), w, int64(500+rng.Intn(1000)))
+		}
+		if w%4 == 0 {
+			for f := 0; f < 32; f++ {
+				full.Update(key(host*1000+500+f), w, 80)
+			}
+		}
+	}
+	full.Seal()
+	return FromFull(host, 0, full)
+}
+
+var benchReports = []struct {
+	name  string
+	build func(testing.TB, int) *HostReport
+}{{"fleet3x1024", fleetReport}, {"table1", table1Report}}
+
+// BenchmarkDecode measures DecodeBytes on one encoded report.
+func BenchmarkDecode(b *testing.B) {
+	for _, c := range benchReports {
+		b.Run(c.name, func(b *testing.B) {
+			enc := c.build(b, 0).AppendEncode(nil)
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeBytes(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppendEncode measures encoding into a reused buffer, the way
+// the host monitors seal.
+func BenchmarkAppendEncode(b *testing.B) {
+	for _, c := range benchReports {
+		b.Run(c.name, func(b *testing.B) {
+			rep := c.build(b, 0)
+			buf := rep.AppendEncode(nil)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = rep.AppendEncode(buf[:0])
+			}
+		})
+	}
+}
+
+// BenchmarkOracleDecode is the replaced decoder on the same inputs, for
+// reading BenchmarkDecode against.
+func BenchmarkOracleDecode(b *testing.B) {
+	for _, c := range benchReports {
+		b.Run(c.name, func(b *testing.B) {
+			enc := c.build(b, 0).AppendEncode(nil)
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := oracleDecode(bytes.NewReader(enc)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

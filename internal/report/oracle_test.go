@@ -1,0 +1,376 @@
+package report
+
+// The implementations the flat datapath replaced, kept here as
+// differential oracles: the streaming encoder and decoder of the wire
+// format and the map-indexed Queryable. Nothing outside tests refers to
+// them.
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+
+	"umon/internal/flowkey"
+	"umon/internal/wavelet"
+	"umon/internal/wavesketch"
+)
+
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// oracleEncode is the encoder AppendEncode replaced, kept as the golden
+// reference: the wire bytes must never change.
+func oracleEncode(r *HostReport, w io.Writer) (int64, error) {
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	var scratch [binary.MaxVarintLen64]byte
+	putUvarint := func(v uint64) error {
+		n := binary.PutUvarint(scratch[:], v)
+		_, err := bw.Write(scratch[:n])
+		return err
+	}
+	putVarint := func(v int64) error {
+		n := binary.PutVarint(scratch[:], v)
+		_, err := bw.Write(scratch[:n])
+		return err
+	}
+
+	if err := binary.Write(bw, binary.LittleEndian, uint32(magic)); err != nil {
+		return cw.n, err
+	}
+	header := []uint64{
+		version, uint64(r.Host), uint64(r.PeriodStart), uint64(r.WindowShift),
+		uint64(r.Meta.Rows), uint64(r.Meta.Width), uint64(r.Meta.Levels), r.Meta.Seed,
+		uint64(len(r.Buckets)), uint64(len(r.Heavy)),
+	}
+	for _, v := range header {
+		if err := putUvarint(v); err != nil {
+			return cw.n, err
+		}
+	}
+	writeCurve := func(w0 int64, length int, approx []int64, details []wavelet.DetailRef) error {
+		if err := putVarint(w0); err != nil {
+			return err
+		}
+		if err := putUvarint(uint64(length)); err != nil {
+			return err
+		}
+		if err := putUvarint(uint64(len(approx))); err != nil {
+			return err
+		}
+		for _, a := range approx {
+			if err := putVarint(a); err != nil {
+				return err
+			}
+		}
+		if err := putUvarint(uint64(len(details))); err != nil {
+			return err
+		}
+		for _, d := range details {
+			if err := putUvarint(uint64(d.Level)); err != nil {
+				return err
+			}
+			if err := putUvarint(uint64(d.Index)); err != nil {
+				return err
+			}
+			if err := putVarint(d.Val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, b := range r.Buckets {
+		if err := putUvarint(uint64(b.Row)); err != nil {
+			return cw.n, err
+		}
+		if err := putUvarint(uint64(b.Index)); err != nil {
+			return cw.n, err
+		}
+		if err := writeCurve(b.W0, b.Len, b.Approx, b.Details); err != nil {
+			return cw.n, err
+		}
+	}
+	for _, h := range r.Heavy {
+		k := h.Key
+		for _, v := range []uint64{uint64(k.SrcIP), uint64(k.DstIP), uint64(k.SrcPort), uint64(k.DstPort), uint64(k.Proto)} {
+			if err := putUvarint(v); err != nil {
+				return cw.n, err
+			}
+		}
+		if err := writeCurve(h.W0, h.Len, h.Approx, h.Details); err != nil {
+			return cw.n, err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return cw.n, err
+	}
+	return cw.n, nil
+}
+
+// oracleDecode is the bufio/closure decoder DecodeBytes replaced. It knows
+// nothing of the bucket position rule; oracleAccepts adds it.
+func oracleDecode(rd io.Reader) (*HostReport, error) {
+	br := bufio.NewReader(rd)
+	var m uint32
+	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
+		return nil, fmt.Errorf("report: short magic: %w", err)
+	}
+	if m != magic {
+		return nil, fmt.Errorf("report: bad magic %#08x", m)
+	}
+	u := func() (uint64, error) { return binary.ReadUvarint(br) }
+	v := func() (int64, error) { return binary.ReadVarint(br) }
+
+	var hdr [10]uint64
+	for i := range hdr {
+		x, err := u()
+		if err != nil {
+			return nil, fmt.Errorf("report: truncated header: %w", err)
+		}
+		hdr[i] = x
+	}
+	if hdr[0] != version {
+		return nil, fmt.Errorf("report: unsupported version %d", hdr[0])
+	}
+	r := &HostReport{
+		Host:        int(hdr[1]),
+		PeriodStart: int64(hdr[2]),
+		WindowShift: uint8(hdr[3]),
+		Meta:        SketchMeta{Rows: int(hdr[4]), Width: int(hdr[5]), Levels: int(hdr[6]), Seed: hdr[7]},
+	}
+	nBuckets, nHeavy := hdr[8], hdr[9]
+	const sane = 1 << 24
+	if nBuckets > sane || nHeavy > sane {
+		return nil, fmt.Errorf("report: implausible counts %d/%d", nBuckets, nHeavy)
+	}
+	// Bound the sketch shape: reconstruction allocates O(len(A)·2^Levels),
+	// so a corrupted Levels field must be rejected, not obeyed.
+	if r.Meta.Levels < 1 || r.Meta.Levels > 24 {
+		return nil, fmt.Errorf("report: implausible wavelet depth %d", r.Meta.Levels)
+	}
+	if r.Meta.Rows < 1 || r.Meta.Rows > 64 || r.Meta.Width < 1 || r.Meta.Width > sane {
+		return nil, fmt.Errorf("report: implausible sketch shape %d×%d", r.Meta.Rows, r.Meta.Width)
+	}
+	readCurve := func() (int64, int, []int64, []wavelet.DetailRef, error) {
+		w0, err := v()
+		if err != nil {
+			return 0, 0, nil, nil, err
+		}
+		length, err := u()
+		if err != nil {
+			return 0, 0, nil, nil, err
+		}
+		na, err := u()
+		if err != nil || na > sane {
+			return 0, 0, nil, nil, fmt.Errorf("report: bad approx count: %w", err)
+		}
+		// Reconstruction expands approximations by 2^Levels: bound the
+		// product so corrupted inputs cannot force huge allocations.
+		if na<<uint(r.Meta.Levels) > 1<<28 || length > 1<<28 {
+			return 0, 0, nil, nil, fmt.Errorf("report: implausible curve size (%d approx, len %d)", na, length)
+		}
+		approx := make([]int64, na)
+		for i := range approx {
+			if approx[i], err = v(); err != nil {
+				return 0, 0, nil, nil, err
+			}
+		}
+		nd, err := u()
+		if err != nil || nd > sane {
+			return 0, 0, nil, nil, fmt.Errorf("report: bad detail count: %w", err)
+		}
+		details := make([]wavelet.DetailRef, nd)
+		for i := range details {
+			lv, err := u()
+			if err != nil {
+				return 0, 0, nil, nil, err
+			}
+			ix, err := u()
+			if err != nil {
+				return 0, 0, nil, nil, err
+			}
+			val, err := v()
+			if err != nil {
+				return 0, 0, nil, nil, err
+			}
+			details[i] = wavelet.DetailRef{Level: int(lv), Index: int(ix), Val: val}
+		}
+		return w0, int(length), approx, details, nil
+	}
+	for i := uint64(0); i < nBuckets; i++ {
+		row, err := u()
+		if err != nil {
+			return nil, err
+		}
+		idx, err := u()
+		if err != nil {
+			return nil, err
+		}
+		w0, length, approx, details, err := readCurve()
+		if err != nil {
+			return nil, fmt.Errorf("report: bucket %d: %w", i, err)
+		}
+		r.Buckets = append(r.Buckets, wavesketch.BucketExport{
+			Row: int(row), Index: int(idx), W0: w0, Len: length, Approx: approx, Details: details,
+		})
+	}
+	for i := uint64(0); i < nHeavy; i++ {
+		var parts [5]uint64
+		for j := range parts {
+			x, err := u()
+			if err != nil {
+				return nil, err
+			}
+			parts[j] = x
+		}
+		w0, length, approx, details, err := readCurve()
+		if err != nil {
+			return nil, fmt.Errorf("report: heavy %d: %w", i, err)
+		}
+		r.Heavy = append(r.Heavy, wavesketch.HeavyExport{
+			Key: flowkey.Key{
+				SrcIP: uint32(parts[0]), DstIP: uint32(parts[1]),
+				SrcPort: uint16(parts[2]), DstPort: uint16(parts[3]), Proto: uint8(parts[4]),
+			},
+			W0: w0, Len: length, Approx: approx, Details: details,
+		})
+	}
+	return r, nil
+}
+
+// oracleQueryable is the index NewQueryable replaced, less its curve
+// cache: every bucket in a map keyed by (row, index), every heavy entry
+// in a map keyed by flow, colocated heavy keys listed per bucket. It
+// answers with the same float operations in the same order, so answers
+// must be bit-equal.
+type oracleQueryable struct {
+	rep       *HostReport
+	seeds     []uint64
+	width     uint64
+	buckets   map[[2]int]*oracleBucket
+	heavy     map[flowkey.Key]*wavesketch.HeavyExport
+	heavyKeys []flowkey.Key
+	rowBits   [][]uint64
+}
+
+type oracleBucket struct {
+	exp       *wavesketch.BucketExport
+	colocated []flowkey.Key
+}
+
+func newOracleQueryable(r *HostReport) *oracleQueryable {
+	q := &oracleQueryable{
+		rep:     r,
+		width:   uint64(r.Meta.Width),
+		buckets: make(map[[2]int]*oracleBucket, len(r.Buckets)),
+		heavy:   make(map[flowkey.Key]*wavesketch.HeavyExport, len(r.Heavy)),
+	}
+	q.seeds = make([]uint64, r.Meta.Rows)
+	for i := range q.seeds {
+		q.seeds[i] = flowkey.RowSeed(r.Meta.Seed, i)
+	}
+	words := (r.Meta.Width + 63) / 64
+	q.rowBits = make([][]uint64, r.Meta.Rows)
+	for i := range q.rowBits {
+		q.rowBits[i] = make([]uint64, words)
+	}
+	for i := range r.Buckets {
+		b := &r.Buckets[i]
+		q.buckets[[2]int{b.Row, b.Index}] = &oracleBucket{exp: b}
+		if b.Row >= 0 && b.Row < len(q.rowBits) && b.Index >= 0 && b.Index < r.Meta.Width {
+			q.rowBits[b.Row][b.Index>>6] |= 1 << (b.Index & 63)
+		}
+	}
+	for i := range r.Heavy {
+		h := &r.Heavy[i]
+		if _, dup := q.heavy[h.Key]; !dup {
+			q.heavyKeys = append(q.heavyKeys, h.Key)
+		}
+		q.heavy[h.Key] = h
+	}
+	for _, k := range q.heavyKeys {
+		for r := range q.seeds {
+			if e := q.buckets[[2]int{r, int(k.Hash(q.seeds[r]) % q.width)}]; e != nil {
+				e.colocated = append(e.colocated, k)
+			}
+		}
+	}
+	return q
+}
+
+func (q *oracleQueryable) IsHeavy(f flowkey.Key) bool { return q.heavy[f] != nil }
+
+func (q *oracleQueryable) MightSee(f flowkey.Key) bool {
+	if q.heavy[f] != nil {
+		return true
+	}
+	if len(q.rowBits) == 0 {
+		return false
+	}
+	for r := range q.seeds {
+		idx := int(f.Hash(q.seeds[r]) % q.width)
+		if q.rowBits[r][idx>>6]&(1<<(idx&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (q *oracleQueryable) curve(approx []int64, details []wavelet.DetailRef, length int) []float64 {
+	return wavelet.Reconstruct(approx, details, q.rep.Meta.Levels, length)
+}
+
+func (q *oracleQueryable) QueryRange(f flowkey.Key, from, to int64) []float64 {
+	out := make([]float64, to-from)
+	if h := q.heavy[f]; h != nil {
+		sliceInto(out, h.W0, q.curve(h.Approx, h.Details, h.Len), from, to)
+		if w0 := h.W0; w0 > from {
+			cut := min(w0, to)
+			q.lightInto(out[:cut-from], f, from, cut)
+		}
+		return out
+	}
+	q.lightInto(out, f, from, to)
+	return out
+}
+
+func (q *oracleQueryable) lightInto(out []float64, f flowkey.Key, from, to int64) {
+	for i := range out {
+		out[i] = 0
+	}
+	scratch := make([]float64, to-from)
+	for r := range q.seeds {
+		e := q.buckets[[2]int{r, int(f.Hash(q.seeds[r]) % q.width)}]
+		if e == nil {
+			for i := range out {
+				out[i] = 0
+			}
+			return
+		}
+		sliceInto(scratch, e.exp.W0, q.curve(e.exp.Approx, e.exp.Details, e.exp.Len), from, to)
+		for _, hk := range e.colocated {
+			if hk == f {
+				continue
+			}
+			h := q.heavy[hk]
+			addInto(scratch, h.W0, q.curve(h.Approx, h.Details, h.Len), from, to, -1)
+		}
+		for i, v := range scratch {
+			if v < 0 {
+				v = 0
+			}
+			if r == 0 || v < out[i] {
+				out[i] = v
+			}
+		}
+	}
+}

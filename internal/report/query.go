@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -21,14 +22,13 @@ type curveCache struct {
 }
 
 // bucketEntry is one light-part bucket with its lazily-decoded curve and
-// the inverted colocation index: the heavy keys that hash into this bucket,
-// in report order. Light queries subtract exactly these — no per-query scan
-// over the full heavy set.
+// its slice of the inverted colocation index: the heavy entries whose keys
+// hash into this bucket, in report order. Light queries subtract exactly
+// these — no per-query scan over the full heavy set.
 type bucketEntry struct {
-	exp       *wavesketch.BucketExport
-	colocated []flowkey.Key
-	ncol      int // colocation count from the index build's first pass
-	cache     curveCache
+	exp            *wavesketch.BucketExport
+	colOff, colLen uint32 // q.coloc[colOff : colOff+colLen]
+	cache          curveCache
 }
 
 // heavyEntry is one heavy-part entry with its lazily-decoded curve.
@@ -43,28 +43,38 @@ type heavyEntry struct {
 // per-window minimum. All indexes are built once at NewQueryable; after
 // that the Queryable is safe for concurrent queries.
 type Queryable struct {
-	rep       *HostReport
-	seeds     []uint64
-	width     uint64
-	buckets   map[[2]int]*bucketEntry
-	heavy     map[flowkey.Key]*heavyEntry
-	heavyKeys []flowkey.Key // report order
-	// rowBits[r] is a bitmap of non-empty bucket indices in row r. A flow
+	rep   *HostReport
+	seeds []uint64
+	width uint64
+	// The light part is indexed by rank, with no hash table: rowBits holds one
+	// bitmap of non-empty bucket indices per row (words words each), rank
+	// the number of buckets before each bitmap word in (row, index) order,
+	// and entries the buckets in that order — so bucket (r, idx), if its
+	// bit is set, is entries[rank[word] + popcount(bits below idx)]. A flow
 	// whose bucket is empty in any row has an identically-zero Count-Min
-	// estimate, so the analyzer can route queries past this report.
-	rowBits [][]uint64
+	// estimate, so the same bitmaps route queries past this report.
+	words   int
+	rowBits []uint64
+	rank    []uint32
+	entries []bucketEntry
+	// heavy maps a flow to its entry in hentries (the last one, should a
+	// report repeat a key); nil for a report without a heavy part.
+	heavy     map[flowkey.Key]int32
+	hentries  []heavyEntry
+	heavyKeys []flowkey.Key // report order
+	coloc     []int32       // colocation lists (hentries indices), sliced per bucketEntry
 	// stats is a value copy of the optional decode telemetry (zero value =
 	// disabled; every handle nil-checks itself).
 	stats QueryStats
 	// Decode residency budget: with decodeBudget > 0 at most that many
 	// reconstructed curves stay resident, evicted by a clock (second
-	// chance) sweep over clockEntries. 0 keeps every curve forever (the
-	// historical behaviour — but unbounded: a long-lived analyzer querying
-	// many reports holds every curve it ever decoded).
+	// chance) sweep over the curve slots: entries, then hentries. 0 keeps
+	// every curve forever (the historical behaviour — but unbounded: a
+	// long-lived analyzer querying many reports holds every curve it ever
+	// decoded).
 	decodeMu     sync.Mutex
 	decodeBudget int
 	decodeCount  int // resident curves; guarded by decodeMu
-	clockEntries []*curveCache
 	clockHand    int
 }
 
@@ -86,6 +96,14 @@ func (q *Queryable) SetDecodeBudget(n int) {
 	q.decodeMu.Unlock()
 }
 
+// slot returns curve slot i of the clock rotation.
+func (q *Queryable) slot(i int) *curveCache {
+	if i < len(q.entries) {
+		return &q.entries[i].cache
+	}
+	return &q.hentries[i-len(q.entries)].cache
+}
+
 // ResidentCurves reports how many reconstructed curves are currently
 // resident. With a decode budget set this is exact (the clock sweep's
 // count); unbounded Queryables count their slots directly.
@@ -96,89 +114,102 @@ func (q *Queryable) ResidentCurves() int {
 		return q.decodeCount
 	}
 	n := 0
-	for _, c := range q.clockEntries {
-		if c.curve.Load() != nil {
+	for i := 0; i < len(q.entries)+len(q.hentries); i++ {
+		if q.slot(i).curve.Load() != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// NewQueryable indexes a decoded report.
+// NewQueryable indexes a decoded report. Buckets outside the declared
+// sketch shape can never be hashed to and are left out; of two buckets at
+// one position the later wins (DecodeBytes admits neither).
 func NewQueryable(r *HostReport) *Queryable {
-	q := &Queryable{
-		rep:     r,
-		width:   uint64(r.Meta.Width),
-		buckets: make(map[[2]int]*bucketEntry, len(r.Buckets)),
-		heavy:   make(map[flowkey.Key]*heavyEntry, len(r.Heavy)),
+	q := &Queryable{rep: r, width: uint64(r.Meta.Width)}
+	rows := r.Meta.Rows
+	if rows < 0 || r.Meta.Width <= 0 {
+		rows = 0 // no light part: every light estimate is zero
 	}
-	q.seeds = make([]uint64, r.Meta.Rows)
+	q.seeds = make([]uint64, rows)
 	for i := range q.seeds {
 		q.seeds[i] = flowkey.RowSeed(r.Meta.Seed, i)
 	}
-	words := (r.Meta.Width + 63) / 64
-	if words > 0 && r.Meta.Rows > 0 {
-		q.rowBits = make([][]uint64, r.Meta.Rows)
-		flat := make([]uint64, r.Meta.Rows*words)
-		for i := range q.rowBits {
-			q.rowBits[i] = flat[i*words : (i+1)*words]
-		}
+	q.words = (r.Meta.Width + 63) / 64
+	q.rowBits = make([]uint64, rows*q.words)
+	q.rank = make([]uint32, rows*q.words)
+	inShape := func(b *wavesketch.BucketExport) bool {
+		return uint(b.Row) < uint(rows) && uint(b.Index) < uint(r.Meta.Width)
 	}
-	entries := make([]bucketEntry, len(r.Buckets))
 	for i := range r.Buckets {
-		b := &r.Buckets[i]
-		entries[i].exp = b
-		q.buckets[[2]int{b.Row, b.Index}] = &entries[i]
-		if b.Row >= 0 && b.Row < len(q.rowBits) && b.Index >= 0 && b.Index < r.Meta.Width {
-			q.rowBits[b.Row][b.Index>>6] |= 1 << (b.Index & 63)
+		if b := &r.Buckets[i]; inShape(b) {
+			q.rowBits[b.Row*q.words+b.Index>>6] |= 1 << (b.Index & 63)
 		}
 	}
-	hentries := make([]heavyEntry, len(r.Heavy))
+	n := 0
+	for w, word := range q.rowBits {
+		q.rank[w] = uint32(n)
+		n += bits.OnesCount64(word)
+	}
+	q.entries = make([]bucketEntry, n)
+	for i := range r.Buckets {
+		if b := &r.Buckets[i]; inShape(b) {
+			q.bucket(b.Row, b.Index).exp = b
+		}
+	}
+	if len(r.Heavy) == 0 {
+		return q
+	}
+	q.hentries = make([]heavyEntry, len(r.Heavy))
+	q.heavy = make(map[flowkey.Key]int32, len(r.Heavy))
 	q.heavyKeys = make([]flowkey.Key, 0, len(r.Heavy))
 	for i := range r.Heavy {
 		h := &r.Heavy[i]
-		hentries[i].exp = h
+		q.hentries[i].exp = h
 		if _, dup := q.heavy[h.Key]; !dup {
 			q.heavyKeys = append(q.heavyKeys, h.Key)
 		}
-		q.heavy[h.Key] = &hentries[i]
-	}
-	// The clock sweep's fixed rotation order over every curve slot.
-	q.clockEntries = make([]*curveCache, 0, len(entries)+len(hentries))
-	for i := range entries {
-		q.clockEntries = append(q.clockEntries, &entries[i].cache)
-	}
-	for i := range hentries {
-		q.clockEntries = append(q.clockEntries, &hentries[i].cache)
+		q.heavy[h.Key] = int32(i)
 	}
 	// Inverted colocation index: for every heavy flow, mark the light
 	// buckets it hashes into. Built once here — the per-query cost of a
-	// light estimate no longer depends on the heavy-set size. Two passes
-	// share one backing array: count, then fill in report order.
-	type colPair struct {
-		e *bucketEntry
-		k flowkey.Key
-	}
-	var pairs []colPair
+	// light estimate does not depend on the heavy-set size. Two passes
+	// over the (heavy flow, row) hits: count per bucket, then fill each
+	// bucket's stretch of one flat array in report order.
+	hits := make([]*bucketEntry, 0, len(q.heavyKeys)*rows)
 	for _, k := range q.heavyKeys {
 		for r := range q.seeds {
-			idx := int(k.Hash(q.seeds[r]) % q.width)
-			if e := q.buckets[[2]int{r, idx}]; e != nil {
-				e.ncol++
-				pairs = append(pairs, colPair{e, k})
+			e := q.bucket(r, int(k.Hash(q.seeds[r])%q.width))
+			if e != nil {
+				e.colLen++
 			}
+			hits = append(hits, e)
 		}
 	}
-	flat := make([]flowkey.Key, 0, len(pairs))
-	for _, p := range pairs {
-		if p.e.colocated == nil {
-			start := len(flat)
-			flat = flat[:start+p.e.ncol]
-			p.e.colocated = flat[start : start : start+p.e.ncol]
+	total := uint32(0)
+	for i := range q.entries {
+		e := &q.entries[i]
+		e.colOff, e.colLen, total = total, 0, total+e.colLen
+	}
+	q.coloc = make([]int32, total)
+	for i, e := range hits {
+		if e != nil {
+			q.coloc[e.colOff+e.colLen] = q.heavy[q.heavyKeys[i/rows]]
+			e.colLen++
 		}
-		p.e.colocated = append(p.e.colocated, p.k)
 	}
 	return q
+}
+
+// bucket returns the entry of light bucket (r, idx), nil when the report
+// has none there. r and idx must lie inside the sketch shape.
+func (q *Queryable) bucket(r, idx int) *bucketEntry {
+	w := r*q.words + idx>>6
+	word, bit := q.rowBits[w], uint64(1)<<(idx&63)
+	if word&bit == 0 {
+		return nil
+	}
+	return &q.entries[int(q.rank[w])+bits.OnesCount64(word&(bit-1))]
 }
 
 // Host returns the reporting host.
@@ -202,10 +233,10 @@ func (q *Queryable) Geometry() Geometry {
 // RowBits returns row r's non-empty-bucket bitmap (nil when the report has
 // no light part). The slice is shared and must be treated as read-only.
 func (q *Queryable) RowBits(r int) []uint64 {
-	if r < 0 || r >= len(q.rowBits) {
+	if r < 0 || r >= len(q.seeds) {
 		return nil
 	}
-	return q.rowBits[r]
+	return q.rowBits[r*q.words : (r+1)*q.words : (r+1)*q.words]
 }
 
 // IsHeavy reports whether the flow has a dedicated heavy entry.
@@ -230,17 +261,14 @@ func (q *Queryable) MightSee(f flowkey.Key) bool {
 	if _, ok := q.heavy[f]; ok {
 		return true
 	}
-	if len(q.rowBits) == 0 {
-		// No rows: the light estimate is identically zero.
-		return false
-	}
 	for r := range q.seeds {
 		idx := int(f.Hash(q.seeds[r]) % q.width)
-		if q.rowBits[r][idx>>6]&(1<<(idx&63)) == 0 {
+		if q.rowBits[r*q.words+idx>>6]&(1<<(idx&63)) == 0 {
 			return false
 		}
 	}
-	return true
+	// No rows: the light estimate is identically zero.
+	return len(q.seeds) > 0
 }
 
 func (q *Queryable) heavyCurve(h *heavyEntry) []float64 {
@@ -285,8 +313,8 @@ func (q *Queryable) install(c *curveCache, curve *[]float64) {
 		return // another query installed it while we decoded
 	}
 	for q.decodeCount >= q.decodeBudget {
-		victim := q.clockEntries[q.clockHand]
-		q.clockHand = (q.clockHand + 1) % len(q.clockEntries)
+		victim := q.slot(q.clockHand)
+		q.clockHand = (q.clockHand + 1) % (len(q.entries) + len(q.hentries))
 		if victim == c || victim.curve.Load() == nil {
 			continue
 		}
@@ -360,7 +388,8 @@ func (q *Queryable) QueryRangeInto(dst []float64, f flowkey.Key, from, to int64)
 		dst = append(dst, make([]float64, n)...)
 	}
 	out := dst[base : base+n]
-	if h := q.heavy[f]; h != nil {
+	if hi, ok := q.heavy[f]; ok {
+		h := &q.hentries[hi]
 		sliceInto(out, h.exp.W0, q.heavyCurve(h), from, to)
 		if w0 := h.exp.W0; w0 > from {
 			cut := w0
@@ -397,8 +426,7 @@ func (q *Queryable) lightInto(out []float64, f flowkey.Key, from, to int64) {
 	scratch = scratch[:n]
 	first := true
 	for r := 0; r < rows; r++ {
-		idx := int(f.Hash(q.seeds[r]) % q.width)
-		e := q.buckets[[2]int{r, idx}]
+		e := q.bucket(r, int(f.Hash(q.seeds[r])%q.width))
 		if e == nil {
 			// An absent bucket means zero traffic hashed there: the min is 0.
 			for i := range out {
@@ -409,12 +437,10 @@ func (q *Queryable) lightInto(out []float64, f flowkey.Key, from, to int64) {
 		sliceInto(scratch, e.exp.W0, q.bucketCurve(e), from, to)
 		// Subtract co-located heavy flows (§4.2) — only the ones the
 		// inverted index recorded for this bucket.
-		for _, hk := range e.colocated {
-			if hk == f {
-				continue
+		for _, hi := range q.coloc[e.colOff : e.colOff+e.colLen] {
+			if h := &q.hentries[hi]; h.exp.Key != f {
+				addInto(scratch, h.exp.W0, q.heavyCurve(h), from, to, -1)
 			}
-			h := q.heavy[hk]
-			addInto(scratch, h.exp.W0, q.heavyCurve(h), from, to, -1)
 		}
 		if first {
 			for i, v := range scratch {

@@ -9,6 +9,7 @@ import (
 
 	"umon/internal/flowkey"
 	"umon/internal/telemetry"
+	"umon/internal/wavelet"
 	"umon/internal/wavesketch"
 )
 
@@ -107,7 +108,7 @@ func TestQueryableMatchesFullSketchProperty(t *testing.T) {
 		// The workload must actually exercise the mid-flow election
 		// fallback: a heavy entry whose curve starts after window 0.
 		for _, f := range flows {
-			if h := q.heavy[f]; h != nil && h.exp.W0 > 0 {
+			if hi, ok := q.heavy[f]; ok && q.hentries[hi].exp.W0 > 0 {
 				midFlow++
 			}
 		}
@@ -181,8 +182,9 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewQueryable(dec)
-	if len(q.clockEntries) < 8 {
-		t.Fatalf("degenerate report: only %d curve slots", len(q.clockEntries))
+	slots := len(q.entries) + len(q.hentries)
+	if slots < 8 {
+		t.Fatalf("degenerate report: only %d curve slots", slots)
 	}
 	const budget = 4
 	q.SetDecodeBudget(budget)
@@ -209,8 +211,8 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 		t.Errorf("resident curves = %d, budget = %d", q.decodeCount, budget)
 	}
 	resident := 0
-	for _, c := range q.clockEntries {
-		if c.curve.Load() != nil {
+	for i := 0; i < slots; i++ {
+		if q.slot(i).curve.Load() != nil {
 			resident++
 		}
 	}
@@ -262,4 +264,108 @@ func TestDecodeBudgetConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// randomReport draws a hand-built report: any shape (widths that are not
+// multiples of 64, rows left empty, a single bucket), lossy curves with
+// out-of-range detail references, and heavy entries whose keys come from
+// the same small pool the queries use, so heavies collide with light
+// buckets and with each other's buckets all the time.
+func randomReport(rng *rand.Rand, pool []flowkey.Key) *HostReport {
+	r := &HostReport{Meta: SketchMeta{
+		Rows:   1 + rng.Intn(4),
+		Width:  []int{1, 7, 63, 64, 65, 100, 256}[rng.Intn(7)],
+		Levels: 1 + rng.Intn(4),
+		Seed:   rng.Uint64(),
+	}}
+	curve := func() (w0 int64, length int, approx []int64, details []wavelet.DetailRef) {
+		approx = make([]int64, 1+rng.Intn(3))
+		for i := range approx {
+			approx[i] = rng.Int63n(1 << 20)
+		}
+		n := len(approx) << r.Meta.Levels
+		details = make([]wavelet.DetailRef, rng.Intn(6))
+		for i := range details {
+			details[i] = wavelet.DetailRef{Level: rng.Intn(r.Meta.Levels + 1), Index: rng.Intn(n), Val: rng.Int63n(1<<18) - 1<<17}
+		}
+		return int64(rng.Intn(24)), 1 + rng.Intn(n), approx, details
+	}
+	fill := []float64{0, 0.02, 0.5, 1}[rng.Intn(4)]
+	for row := 0; row < r.Meta.Rows; row++ {
+		if rng.Intn(4) == 0 {
+			continue // an empty row
+		}
+		for idx := 0; idx < r.Meta.Width; idx++ {
+			if rng.Float64() < fill || fill == 0 && len(r.Buckets) == 0 {
+				b := wavesketch.BucketExport{Row: row, Index: idx}
+				b.W0, b.Len, b.Approx, b.Details = curve()
+				r.Buckets = append(r.Buckets, b)
+			}
+		}
+	}
+	for _, i := range rng.Perm(len(pool))[:rng.Intn(len(pool)/2)] {
+		h := wavesketch.HeavyExport{Key: pool[i]}
+		h.W0, h.Len, h.Approx, h.Details = curve()
+		r.Heavy = append(r.Heavy, h)
+	}
+	return r
+}
+
+// TestQueryableMatchesMapOracle is the differential property of the rank
+// index: over random basic and full reports, QueryRange, MightSee and
+// IsHeavy answer bit for bit what the map-indexed Queryable it replaced
+// answers — for reports as DecodeBytes delivers them and for hand-built
+// ones whose buckets come shuffled, repeated or outside the shape.
+func TestQueryableMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pool := make([]flowkey.Key, 24)
+	for i := range pool {
+		pool[i] = key(i)
+	}
+	for trial := 0; trial < 300; trial++ {
+		rep := randomReport(rng, pool)
+		switch trial % 3 {
+		case 1: // through the wire
+			dec, err := DecodeBytes(rep.AppendEncode(nil))
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			rep = dec
+		case 2: // not as Export would emit them
+			rng.Shuffle(len(rep.Buckets), func(i, j int) { rep.Buckets[i], rep.Buckets[j] = rep.Buckets[j], rep.Buckets[i] })
+			if n := len(rep.Buckets); n > 0 {
+				dup := rep.Buckets[rng.Intn(n)]
+				dup.W0 += 3
+				stray := rep.Buckets[rng.Intn(n)]
+				stray.Row, stray.Index = rep.Meta.Rows, rep.Meta.Width
+				rep.Buckets = append(rep.Buckets, dup, stray)
+			}
+			if n := len(rep.Heavy); n > 0 {
+				dup := rep.Heavy[rng.Intn(n)]
+				dup.W0++
+				rep.Heavy = append(rep.Heavy, dup)
+			}
+		}
+		q, oracle := NewQueryable(rep), newOracleQueryable(rep)
+		for _, f := range pool {
+			if got, want := q.IsHeavy(f), oracle.IsHeavy(f); got != want {
+				t.Fatalf("trial %d flow %s: IsHeavy = %v, oracle %v", trial, f, got, want)
+			}
+			if got, want := q.MightSee(f), oracle.MightSee(f); got != want {
+				t.Fatalf("trial %d flow %s: MightSee = %v, oracle %v", trial, f, got, want)
+			}
+			from := int64(rng.Intn(16))
+			to := from + int64(rng.Intn(48))
+			got, want := q.QueryRange(f, from, to), oracle.QueryRange(f, from, to)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d flow %s: %d windows, oracle %d", trial, f, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d (%d×%d, %d buckets, %d heavy) flow %s window %d: %v, oracle %v",
+						trial, rep.Meta.Rows, rep.Meta.Width, len(rep.Buckets), len(rep.Heavy), f, from+int64(i), got[i], want[i])
+				}
+			}
+		}
+	}
 }

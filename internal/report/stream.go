@@ -127,7 +127,7 @@ func (f *Frame) Report() (*HostReport, error) {
 	if f.Version != 0 {
 		return nil, fmt.Errorf("report: unknown report payload version %d", f.Version)
 	}
-	return Decode(bytes.NewReader(f.Payload))
+	return DecodeBytes(f.Payload)
 }
 
 // Stamp decodes the frame's payload as an EpochStamp.
@@ -214,11 +214,7 @@ func (sw *StreamWriter) WriteStamp(epoch uint64, host int, st EpochStamp) error 
 
 // WriteReport encodes r and frames it under epoch.
 func (sw *StreamWriter) WriteReport(epoch uint64, r *HostReport) error {
-	var buf bytes.Buffer
-	if _, err := r.Encode(&buf); err != nil {
-		return err
-	}
-	return sw.WriteEncoded(epoch, r.Host, buf.Bytes())
+	return sw.WriteEncoded(epoch, r.Host, r.AppendEncode(nil))
 }
 
 // Frames reports how many report frames have been written.

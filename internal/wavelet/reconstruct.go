@@ -1,10 +1,25 @@
 package wavelet
 
+import "sync"
+
+// detailScratch pools the dense detail array Reconstruct scatters the
+// retained coefficients into.
+var detailScratch = sync.Pool{New: func() any { return new([]int64) }}
+
+// maxPooledDetails bounds the scratch kept between calls (64 Ki values,
+// 512 KB): larger reconstructions allocate theirs and let it go.
+const maxPooledDetails = 1 << 16
+
 // Reconstruct rebuilds a rate curve from deepest-level approximation sums
 // and a sparse set of retained detail coefficients (Algorithm 2, performed on
 // the analyzer). Missing detail coefficients are treated as zero. The result
 // is truncated to `length` samples; if length ≤ 0 the full padded
 // reconstruction is returned.
+//
+// The curve is expanded in place in its one output allocation: level by
+// level, each back to front, so a pair is written only after the value it
+// splits was read. Per element these are Inverse's operations in Inverse's
+// order, so the two agree bit for bit.
 func Reconstruct(approx []int64, kept []DetailRef, levels, length int) []float64 {
 	if len(approx) == 0 {
 		if length <= 0 {
@@ -12,24 +27,39 @@ func Reconstruct(approx []int64, kept []DetailRef, levels, length int) []float64
 		}
 		return make([]float64, length)
 	}
-	c := &Coeffs{Levels: levels, Approx: approx, Details: make([][]int64, levels)}
-	// Size each level to cover the approximation span.
+	// Level l holds n>>(l+1) details, stored at det[n-n>>l:]: level 0 in
+	// the first half, level 1 in the next quarter, and so on.
 	n := len(approx) << levels
-	for l := 0; l < levels; l++ {
-		c.Details[l] = make([]int64, n>>(l+1))
+	sp := detailScratch.Get().(*[]int64)
+	det := *sp
+	if cap(det) < n-len(approx) {
+		det = make([]int64, n-len(approx))
 	}
+	det = det[:n-len(approx)]
+	clear(det)
 	for _, r := range kept {
-		if r.Level >= 0 && r.Level < levels && r.Index >= 0 && r.Index < len(c.Details[r.Level]) {
-			c.Details[r.Level][r.Index] = r.Val
+		if r.Level >= 0 && r.Level < levels && r.Index >= 0 && r.Index < n>>(r.Level+1) {
+			det[n-n>>r.Level+r.Index] = r.Val
 		}
 	}
-	rec := Inverse(c)
+	out := make([]float64, max(n, length))
+	for i, a := range approx {
+		out[i] = float64(a)
+	}
+	for l, m := levels-1, len(approx); l >= 0; l, m = l-1, 2*m {
+		d := det[n-n>>l:]
+		for i := m - 1; i >= 0; i-- {
+			c, di := out[i], float64(d[i])
+			out[2*i] = (c + di) / 2
+			out[2*i+1] = (c - di) / 2
+		}
+	}
+	if cap(det) <= maxPooledDetails {
+		*sp = det
+	}
+	detailScratch.Put(sp)
 	if length > 0 {
-		if len(rec) > length {
-			rec = rec[:length]
-		} else if len(rec) < length {
-			rec = append(rec, make([]float64, length-len(rec))...)
-		}
+		out = out[:length]
 	}
-	return rec
+	return out
 }

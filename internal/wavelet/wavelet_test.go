@@ -409,6 +409,78 @@ func TestReconstructPadsShortLength(t *testing.T) {
 	}
 }
 
+// inverseReconstruct is Reconstruct as it was before it expanded in place:
+// scatter the kept details into dense per-level slices, run Inverse, cut
+// or pad to length. The reference for the property below.
+func inverseReconstruct(approx []int64, kept []DetailRef, levels, length int) []float64 {
+	if len(approx) == 0 {
+		if length <= 0 {
+			return nil
+		}
+		return make([]float64, length)
+	}
+	c := &Coeffs{Levels: levels, Approx: approx, Details: make([][]int64, levels)}
+	n := len(approx) << levels
+	for l := 0; l < levels; l++ {
+		c.Details[l] = make([]int64, n>>(l+1))
+	}
+	for _, r := range kept {
+		if r.Level >= 0 && r.Level < levels && r.Index >= 0 && r.Index < len(c.Details[r.Level]) {
+			c.Details[r.Level][r.Index] = r.Val
+		}
+	}
+	rec := Inverse(c)
+	if length > 0 {
+		if len(rec) > length {
+			rec = rec[:length]
+		} else if len(rec) < length {
+			rec = append(rec, make([]float64, length-len(rec))...)
+		}
+	}
+	return rec
+}
+
+// TestReconstructMatchesInverse pins the in-place expansion bit for bit
+// to Inverse over random coefficient sets: odd approximation counts,
+// lossy detail sets with out-of-range and repeated references, lengths
+// below, at and beyond the padded span.
+func TestReconstructMatchesInverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		levels := 1 + rng.Intn(9)
+		approx := make([]int64, rng.Intn(5))
+		for i := range approx {
+			approx[i] = rng.Int63n(1<<40) - 1<<39
+		}
+		n := len(approx) << levels
+		kept := make([]DetailRef, rng.Intn(40))
+		for i := range kept {
+			kept[i] = DetailRef{Level: rng.Intn(levels+2) - 1, Index: rng.Intn(n+2) - 1, Val: rng.Int63n(1<<41) - 1<<40}
+		}
+		length := []int{0, -1, 1, n / 2, n, n + 7}[rng.Intn(6)]
+		want := inverseReconstruct(approx, kept, levels, length)
+		got := Reconstruct(approx, kept, levels, length)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: len %d, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (L=%d |A|=%d len=%d): sample %d = %v, want %v", trial, levels, len(approx), length, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestReconstructAllocations pins the cold decode at its output slice (and
+// at most a refill of the pooled detail scratch).
+func TestReconstructAllocations(t *testing.T) {
+	approx := []int64{900, 40, 7}
+	kept := []DetailRef{{Level: 0, Index: 5, Val: 3}, {Level: 7, Index: 1, Val: -20}, {Level: 3, Index: 2, Val: 9}}
+	if got := testing.AllocsPerRun(200, func() { Reconstruct(approx, kept, 8, 700) }); got > 2 {
+		t.Errorf("Reconstruct allocates %v times per call, want ≤ 2", got)
+	}
+}
+
 func TestCompressionRatioFormula(t *testing.T) {
 	// §4.2: with L=8, K=32, α=1.5, n=2000 the expected ratio is ≈0.028.
 	n, L, K, alpha := 2000.0, 8.0, 32.0, 1.5

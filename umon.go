@@ -117,7 +117,9 @@ type HostMonitorConfig = core.HostMonitorConfig
 // SwitchMonitorConfig parameterizes switch-side event capture.
 type SwitchMonitorConfig = core.SwitchMonitorConfig
 
-// NewHostMonitor builds a standalone host monitor.
+// NewHostMonitor builds a standalone host monitor. emit receives each
+// encoded report in the monitor's reused buffer: the bytes are valid only
+// during the call.
 func NewHostMonitor(host int, cfg HostMonitorConfig, emit func(host int, encoded []byte)) (*HostMonitor, error) {
 	return core.NewHostMonitor(host, cfg, emit)
 }
