@@ -130,8 +130,8 @@ func (c *client) status() error {
 	fmt.Fprintf(w, "ingested    %d reports, %d mirrors\n", st.ReportsIngested, st.MirrorsIngested)
 	fmt.Fprintf(w, "events      %d emitted\n", st.EventsEmitted)
 	fmt.Fprintf(w, "hosts       %d reporting, %d epochs traced\n", len(st.Hosts), st.TracedEpochs)
-	fmt.Fprintf(w, "snapshot    v%d, published %.3fms\n",
-		st.SnapshotVersion, float64(st.SnapshotPublishNs)/1_000_000)
+	fmt.Fprintf(w, "snapshot    v%d, published %.3fms, windows [%d, %d)\n",
+		st.SnapshotVersion, float64(st.SnapshotPublishNs)/1_000_000, st.WindowSpan[0], st.WindowSpan[1])
 	if total := st.ReportsRouted + st.ReportsRouteSkipped; total > 0 {
 		fmt.Fprintf(w, "routing     %d/%d reports visited (%.1f%% selectivity)\n",
 			st.ReportsRouted, total, 100*float64(st.ReportsRouted)/float64(total))

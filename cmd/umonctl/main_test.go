@@ -86,7 +86,7 @@ func TestCtlStatus(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
 	for _, want := range []string{"window", "6 reports", "watermark   0.200ms", "events      1 emitted", "2 reporting",
-		"snapshot    v", "routing     no flow queries yet"} {
+		"snapshot    v", "windows [10, 11)", "routing     no flow queries yet"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("status output missing %q:\n%s", want, out)
 		}

@@ -231,7 +231,7 @@ func (a *Analyzer) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 	a.stats.Queries.Inc()
 	out := make([]float64, to-from)
 	ip := routeIDsPool.Get().(*[]int)
-	ids := a.routeFlow(f, (*ip)[:0])
+	ids := a.routeFlow(f, from, to, (*ip)[:0])
 	bp := curvePool.Get().(*[]float64)
 	buf := *bp
 	for _, ri := range ids {

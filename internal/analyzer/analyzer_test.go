@@ -8,6 +8,7 @@ import (
 	"umon/internal/measure"
 	"umon/internal/netsim"
 	"umon/internal/report"
+	"umon/internal/telemetry"
 	"umon/internal/uevent"
 	"umon/internal/wavesketch"
 )
@@ -160,6 +161,45 @@ func TestQueryFlowMergesReports(t *testing.T) {
 	}
 	if got := a.QueryFlow(key(9), 5, 3); len(got) != 0 {
 		t.Errorf("inverted range should be empty")
+	}
+}
+
+// TestQueryFlowRoutesByTime pins the batch plane's share of time routing:
+// four reports that all might see the flow, a period apart; a query of one
+// period visits that report alone and answers what the merge over every
+// report answers, bit for bit.
+func TestQueryFlowRoutesByTime(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	a := New()
+	a.SetStats(NewPlaneStats(reg))
+	f := key(1)
+	for h := 0; h < 4; h++ {
+		s, _ := wavesketch.NewBasic(wavesketch.Default(16))
+		s.Update(f, int64(256*h+10), int64(100*(h+1)))
+		s.Seal()
+		a.AddReport(report.FromBasic(h, 0, s))
+	}
+	if n := a.RoutedReports(f); n != 4 {
+		t.Fatalf("RoutedReports = %d, want all 4 over all of time", n)
+	}
+	visited := reg.Value("umon_analyzer_reports_visited_total")
+	for _, r := range [][2]int64{{512, 768}, {500, 530}, {0, 1024}, {2000, 2100}, {700, 700}} {
+		want := make([]float64, r[1]-r[0])
+		for _, q := range a.reports {
+			for i, v := range q.QueryRange(f, r[0], r[1]) {
+				want[i] = max(want[i], v)
+			}
+		}
+		got := a.QueryFlow(f, r[0], r[1])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("[%d, %d) window %d: %v, un-routed merge %v", r[0], r[1], r[0]+int64(i), got[i], want[i])
+			}
+		}
+	}
+	// One report each for the first two ranges, all four for the third.
+	if got := reg.Value("umon_analyzer_reports_visited_total") - visited; got != 1+1+4 {
+		t.Errorf("five queries visited %d reports, want 6", got)
 	}
 }
 

@@ -455,8 +455,10 @@ type Status struct {
 	GapNs        int64 `json:"gap_ns"`
 	DecodeBudget int   `json:"decode_budget"`
 
-	// Window occupancy.
+	// Window occupancy. WindowSpan is the range [lo, hi) of window ids the
+	// resident curves cover — what a flow query can hit.
 	Epochs          []uint64     `json:"epochs"`
+	WindowSpan      [2]int64     `json:"window_span"`
 	ResidentReports int          `json:"resident_reports"`
 	ResidentCurves  int          `json:"resident_curves"`
 	EvictionFloor   uint64       `json:"eviction_floor"`
@@ -500,6 +502,7 @@ func (c *Collector) Status() Status {
 		ReportsRouted:       c.routeVisited.Load(),
 		ReportsRouteSkipped: c.routeSkipped.Load(),
 	}
+	st.WindowSpan[0], st.WindowSpan[1] = s.Span()
 	if wm := c.watermark.Load(); wm != math.MinInt64 {
 		st.HasWatermark = true
 		st.WatermarkNs = wm

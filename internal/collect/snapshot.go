@@ -14,7 +14,9 @@ package collect
 // concurrency-safe and shared by every snapshot that references them.
 //
 // Each epochIndex carries a report.RouteGroups: the window-global routing
-// index that sends a query only to the reports whose MightSee is true.
+// index that sends a query only to the reports whose MightSee is true and
+// whose curves meet the queried windows — an epoch whose span misses the
+// range costs one comparison, no hash.
 // Routing can only exclude reports whose estimate is identically zero, and
 // QueryFlow's max-merge starts from zero and folds non-negative estimates,
 // so skipped reports cannot change any answer — routed results are
@@ -71,8 +73,8 @@ func (ei *epochIndex) withReport(host int, q *report.Queryable) (ni *epochIndex,
 	}
 	ni = &epochIndex{
 		epoch:  ei.epoch,
-		hosts:  append(append([]int(nil), ei.hosts...), host),
-		qs:     append(append([]*report.Queryable(nil), ei.qs...), q),
+		hosts:  append(append(make([]int, 0, len(ei.hosts)+1), ei.hosts...), host),
+		qs:     append(append(make([]*report.Queryable, 0, len(ei.qs)+1), ei.qs...), q),
 		routes: ei.routes.CloneAdd(q),
 	}
 	return ni, true
@@ -136,6 +138,23 @@ func (s *Snapshot) Events() []analyzer.Event {
 	return evs
 }
 
+// Span returns the hull [lo, hi) of the resident reports' curve spans in
+// window ids — the range a query can hit; lo == hi when nothing resident
+// carries a sample.
+func (s *Snapshot) Span() (lo, hi int64) {
+	for _, ei := range s.eps {
+		l, h := ei.routes.Span()
+		if l >= h {
+			continue
+		}
+		if lo >= hi {
+			lo, hi = l, h
+		}
+		lo, hi = min(lo, l), max(hi, h)
+	}
+	return lo, hi
+}
+
 // ResidentCurves totals decoded curves across the snapshot's window.
 func (s *Snapshot) ResidentCurves() int {
 	n := 0
@@ -174,7 +193,7 @@ func (s *Snapshot) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 	ip := idsPool.Get().(*[]int)
 	ids := *ip
 	for _, ei := range s.eps {
-		ids = ei.routes.Route(f, ids[:0])
+		ids = ei.routes.Route(f, from, to, ids[:0])
 		for _, li := range ids {
 			routed = append(routed, ei.qs[li])
 		}

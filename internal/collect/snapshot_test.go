@@ -12,20 +12,21 @@ import (
 	"umon/internal/wavesketch"
 )
 
-// mkFullReport builds a full-version report for host: bulk flows drive the
-// light part, and one dominant flow is hammered hard enough to win a heavy
-// slot, so the window carries heavy postings.
-func mkFullReport(t testing.TB, host int, dominant flowkey.Key, bulk []flowkey.Key) *report.HostReport {
+// mkFullReport builds a full-version report for host over windows
+// [w0, w0+64): bulk flows drive the light part, and one dominant flow is
+// hammered hard enough to win a heavy slot, so the window carries heavy
+// postings.
+func mkFullReport(t testing.TB, host int, w0 int64, dominant flowkey.Key, bulk []flowkey.Key) *report.HostReport {
 	t.Helper()
 	f, err := wavesketch.NewFull(wavesketch.DefaultFull())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := int64(0); w < 64; w++ {
-		f.Update(dominant, w, 10_000)
+		f.Update(dominant, w0+w, 10_000)
 	}
 	for i, k := range bulk {
-		f.Update(k, int64(i%32), int64(100*(i+1)))
+		f.Update(k, w0+int64(i%32), int64(100*(i+1)))
 	}
 	f.Seal()
 	return report.FromFull(host, 0, f)
@@ -33,18 +34,20 @@ func mkFullReport(t testing.TB, host int, dominant flowkey.Key, bulk []flowkey.K
 
 // TestSnapshotQueryMatchesScan is the routing property test: for a window
 // mixing light-only and full (heavy-carrying) reports across several
-// epochs, the routed QueryFlow answer must be reflect.DeepEqual — bit-
-// identical floats — to the pre-change linear scan over every resident
-// report (queryFlowScan, the mutex-era implementation kept as oracle).
+// epochs laid out in time (epoch e in windows [100e, 100e+64)), the routed
+// QueryFlow answer must be reflect.DeepEqual — bit-identical floats — to
+// the linear scan over every resident report, whatever the range
+// (queryFlowScan, the mutex-era implementation kept as oracle).
 func TestSnapshotQueryMatchesScan(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := New(Config{WindowEpochs: 6, Stats: NewStats(reg)})
 	var probes []flowkey.Key
 	for e := uint64(0); e < 6; e++ {
+		w0 := 100 * int64(e)
 		for h := 0; h < 3; h++ {
 			f := key(int(e)*10 + h)
 			probes = append(probes, f)
-			c.Add(e, mkReport(h, f, int64(e)+10, int64(100*(h+1))))
+			c.Add(e, mkReport(h, f, w0+10, int64(100*(h+1))))
 		}
 		var bulk []flowkey.Key
 		for j := 0; j < 12; j++ {
@@ -52,7 +55,7 @@ func TestSnapshotQueryMatchesScan(t *testing.T) {
 		}
 		probes = append(probes, key(900+int(e)))
 		probes = append(probes, bulk...)
-		c.Add(e, mkFullReport(t, 9, key(900+int(e)), bulk))
+		c.Add(e, mkFullReport(t, 9, w0, key(900+int(e)), bulk))
 	}
 
 	snap := c.Snapshot()
@@ -66,11 +69,20 @@ func TestSnapshotQueryMatchesScan(t *testing.T) {
 			t.Fatalf("QueryFlow(%s, %d, %d) = %v, want scan answer %v", f, from, to, got, want)
 		}
 	}
+	if st := c.Status(); st.WindowSpan != [2]int64{0, 564} {
+		t.Fatalf("window span = %v, want [0 564)", st.WindowSpan)
+	}
 	rng := rand.New(rand.NewSource(42))
 	for _, f := range probes {
-		check(f, 0, 40)
-		from := int64(rng.Intn(30))
-		check(f, from, from+int64(rng.Intn(20)))
+		e := int64(rng.Intn(6))
+		from := 100*e + int64(rng.Intn(30))
+		check(f, from, from+int64(rng.Intn(20))) // inside one epoch
+		check(f, 100*e+50, 100*e+120)            // straddling two
+		check(f, -60, int64(rng.Intn(2))-1)      // before the window, or up to its first sample
+		check(f, 563+int64(rng.Intn(2)), 700)    // after it, or from its last sample
+		check(f, -10, 600)                       // covering it
+		check(f, from, from)                     // empty
+		check(f, from, from-5)                   // reversed
 	}
 	for i := 0; i < 200; i++ { // flows the window never saw
 		check(flowkey.Key{
@@ -90,7 +102,7 @@ func TestSnapshotQueryMatchesScan(t *testing.T) {
 	if visited != st.ReportsRouted || skipped != st.ReportsRouteSkipped {
 		t.Fatalf("telemetry %d/%d disagrees with status %d/%d", visited, skipped, st.ReportsRouted, st.ReportsRouteSkipped)
 	}
-	queries := int64(len(probes)*2 + 200)
+	queries := int64(len(probes)*7 + 200)
 	if total := st.ReportsRouted + st.ReportsRouteSkipped; total != queries*int64(st.ResidentReports) {
 		t.Fatalf("visited+skipped = %d, want queries×resident = %d", total, queries*int64(st.ResidentReports))
 	}
@@ -169,5 +181,70 @@ func TestSnapshotHeldDuringIngest(t *testing.T) {
 	}
 	if epochs, _ := held.Window(); epochs[0] != 0 {
 		t.Errorf("held window slid: %v", epochs)
+	}
+}
+
+// TestQueryTouchesOnlyOverlappingEpochs pins time as a routing dimension:
+// on a 16-epoch window in which every report might see the flow, a query
+// over one epoch's windows visits and decodes that epoch's reports only,
+// a query outside every span touches nothing, and a host re-admission
+// recomputes the epoch's span.
+func TestQueryTouchesOnlyOverlappingEpochs(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := New(Config{WindowEpochs: 16, Stats: NewStats(reg)})
+	f := key(1)
+	for e := uint64(0); e < 16; e++ {
+		for h := 0; h < 2; h++ {
+			c.Add(e, mkReport(h, f, 256*int64(e)+7, int64(100*(h+1))))
+		}
+	}
+	snap := c.Snapshot()
+	counters := func() (visited, cold, hits int64) {
+		return reg.Value("umon_collect_query_reports_visited_total"),
+			reg.Value("umon_decode_cold_total"), reg.Value("umon_decode_cache_hits_total")
+	}
+
+	if got := snap.QueryFlow(f, 256*3, 256*4); got[7] != 200 {
+		t.Fatalf("epoch 3 answer at window 7 = %v, want 200", got[7])
+	}
+	visited, cold, _ := counters()
+	if visited != 2 {
+		t.Errorf("one-epoch query visited %d reports, want epoch 3's 2 of 32", visited)
+	}
+	for i, ei := range snap.eps {
+		curves := 0
+		for _, q := range ei.qs {
+			curves += q.ResidentCurves()
+		}
+		if (curves > 0) != (snap.epochs[i] == 3) {
+			t.Errorf("epoch %d holds %d decoded curves after a query of epoch 3", snap.epochs[i], curves)
+		}
+	}
+	if resident := int64(snap.ResidentCurves()); cold != resident || cold == 0 {
+		t.Errorf("%d cold decodes, %d resident curves", cold, resident)
+	}
+
+	// Past the window, before it, in the gap between two epochs' curves,
+	// empty and reversed: nothing routed, no curve looked at.
+	for _, r := range [][2]int64{{256 * 16, 256 * 17}, {-100, 0}, {256*3 + 8, 256 * 4}, {256*3 + 7, 256*3 + 7}, {256 * 4, 256 * 3}} {
+		for _, v := range snap.QueryFlow(f, r[0], r[1]) {
+			if v != 0 {
+				t.Errorf("[%d, %d) answered %v outside every span", r[0], r[1], v)
+			}
+		}
+	}
+	if v, c2, h2 := counters(); v != visited || c2 != cold || h2 != 0 {
+		t.Errorf("queries outside every span: visited %d→%d, cold %d→%d, hits %d", visited, v, cold, c2, h2)
+	}
+
+	c.Add(3, mkReport(0, f, 256*3+200, 50))
+	if got := c.QueryFlow(f, 256*3+8, 256*4); got[192] != 50 {
+		t.Errorf("re-admitted report at window 968 answers %v, want 50", got[192])
+	}
+	if got := c.QueryFlow(f, 256*3, 256*3+8); got[7] != 200 {
+		t.Errorf("host 1's report of epoch 3 answers %v after host 0's re-admission, want 200", got[7])
+	}
+	if v, _, _ := counters(); v != visited+2 {
+		t.Errorf("after re-admission two queries visited %d reports, want one each", v-visited)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"umon/internal/analyzer"
 	"umon/internal/collect"
 	"umon/internal/flowkey"
+	"umon/internal/measure"
 	"umon/internal/telemetry"
 )
 
@@ -121,6 +122,11 @@ func (a *API) handleHosts(w http.ResponseWriter, r *http.Request) {
 	}{hosts})
 }
 
+// maxQueryWindows bounds the windows one request may ask for (≈8.6 s of
+// 8.192 µs windows, far past any resident window): the answer is allocated
+// at that size, so a remote caller must not choose it freely.
+const maxQueryWindows = 1 << 20
+
 // QueryFlowResponse answers /api/query/flow.
 type QueryFlowResponse struct {
 	Flow    string    `json:"flow"`
@@ -140,6 +146,10 @@ func (a *API) handleQueryFlow(w http.ResponseWriter, r *http.Request) {
 	to, err2 := strconv.ParseInt(q.Get("to"), 10, 64)
 	if err1 != nil || err2 != nil {
 		http.Error(w, "from/to must be window ids", http.StatusBadRequest)
+		return
+	}
+	if to < from || uint64(to-from) > maxQueryWindows {
+		http.Error(w, fmt.Sprintf("to-from must be in [0, %d] windows", maxQueryWindows), http.StatusBadRequest)
 		return
 	}
 	windows := a.col.QueryFlow(f, from, to)
@@ -177,7 +187,15 @@ func (a *API) handleReplay(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("event %d of %d", idx, len(events)), http.StatusNotFound)
 		return
 	}
-	view := snap.Replay(events[idx], marginUs*1000)
+	// A replay spans the event plus the margin on both sides. The first
+	// bound keeps the second from overflowing.
+	ev := events[idx]
+	if marginUs < 0 || marginUs > maxQueryWindows*measure.WindowNanos/1000 ||
+		(ev.DurationNs()+2*marginUs*1000)/measure.WindowNanos+4 > maxQueryWindows {
+		http.Error(w, fmt.Sprintf("margin-us widens the replay past %d windows", maxQueryWindows), http.StatusBadRequest)
+		return
+	}
+	view := snap.Replay(ev, marginUs*1000)
 	resp := ReplayResponse{
 		Event:       NewEventJSON(idx, view.Event),
 		WindowStart: view.WindowStart,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +129,10 @@ func TestStatusMatchesInProcess(t *testing.T) {
 	}
 	if got.ResidentReports != 6 || len(got.Hosts) != 2 || !got.HasWatermark {
 		t.Errorf("implausible status %+v", got)
+	}
+	// Epoch e's reports carry one sample at window 10+e.
+	if got.WindowSpan != [2]int64{10, 13} {
+		t.Errorf("window_span = %v, want [10 13)", got.WindowSpan)
 	}
 }
 
@@ -397,6 +402,59 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != want {
 			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestHostileRangesRejectedBeforeAllocation pins the remote-sized
+// allocation fix: a caller cannot make the daemon allocate an answer of
+// the size it names. Every such request is a 400, and serving them all
+// allocates less than one honest answer would.
+func TestHostileRangesRejectedBeforeAllocation(t *testing.T) {
+	fx := newFixture(t)
+	flow := url.QueryEscape(key(0).String())
+	hostile := []string{
+		"/api/query/flow?flow=" + flow + "&from=0&to=1099511627776",
+		"/api/query/flow?flow=" + flow + "&from=0&to=1048577",
+		"/api/query/flow?flow=" + flow + "&from=5&to=3",
+		"/api/query/flow?flow=" + flow + "&from=-9223372036854775808&to=9223372036854775807",
+		"/api/query/flow?flow=" + flow + "&from=9223372036854775807&to=-9223372036854775808",
+		"/api/replay?event=0&margin-us=4400000", // 2 × 4.4 s is past 2^20 windows of 8.192 µs
+		"/api/replay?event=0&margin-us=9223372036854775807",
+		"/api/replay?event=0&margin-us=9223372036854775",
+		"/api/replay?event=0&margin-us=-1",
+	}
+	handler := fx.srv.Config.Handler
+	reqs := make([]*http.Request, len(hostile)) // built outside the measurement
+	recs := make([]*httptest.ResponseRecorder, len(hostile))
+	for i, path := range hostile {
+		reqs[i], recs[i] = httptest.NewRequest(http.MethodGet, path, nil), httptest.NewRecorder()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range reqs {
+		handler.ServeHTTP(recs[i], reqs[i])
+	}
+	runtime.ReadMemStats(&after)
+	for i, path := range hostile {
+		if recs[i].Code != http.StatusBadRequest {
+			t.Errorf("GET %s = %d, want 400", path, recs[i].Code)
+		}
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d hostile requests allocated %d bytes", len(hostile), got)
+	if got >= 64<<10 {
+		t.Errorf("allocated %d bytes, want < 64 KB", got)
+	}
+	// The largest range and margin still served.
+	for _, path := range []string{
+		"/api/query/flow?flow=" + flow + "&from=-1048570&to=6",
+		"/api/replay?event=0&margin-us=4000000",
+	} {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, rec.Code)
 		}
 	}
 }

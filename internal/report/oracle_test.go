@@ -330,6 +330,9 @@ func (q *oracleQueryable) curve(approx []int64, details []wavelet.DetailRef, len
 }
 
 func (q *oracleQueryable) QueryRange(f flowkey.Key, from, to int64) []float64 {
+	if to < from {
+		to = from
+	}
 	out := make([]float64, to-from)
 	if h := q.heavy[f]; h != nil {
 		sliceInto(out, h.W0, q.curve(h.Approx, h.Details, h.Len), from, to)

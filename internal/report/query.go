@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -63,6 +64,9 @@ type Queryable struct {
 	hentries  []heavyEntry
 	heavyKeys []flowkey.Key // report order
 	coloc     []int32       // colocation lists (hentries indices), sliced per bucketEntry
+	// [lo, hi) is the hull of every indexed curve's windows [W0, W0+n);
+	// lo > hi when the report carries no sample.
+	lo, hi int64
 	// stats is a value copy of the optional decode telemetry (zero value =
 	// disabled; every handle nil-checks itself).
 	stats QueryStats
@@ -157,6 +161,15 @@ func NewQueryable(r *HostReport) *Queryable {
 			q.bucket(b.Row, b.Index).exp = b
 		}
 	}
+	q.lo, q.hi = math.MaxInt64, math.MinInt64
+	for i := range q.entries {
+		b := q.entries[i].exp
+		q.cover(b.W0, q.curveLen(b.Len, b.Approx))
+	}
+	for i := range r.Heavy {
+		h := &r.Heavy[i]
+		q.cover(h.W0, q.curveLen(h.Len, h.Approx))
+	}
 	if len(r.Heavy) == 0 {
 		return q
 	}
@@ -211,6 +224,38 @@ func (q *Queryable) bucket(r, idx int) *bucketEntry {
 	}
 	return &q.entries[int(q.rank[w])+bits.OnesCount64(word&(bit-1))]
 }
+
+// curveLen is len(wavelet.Reconstruct(approx, _, Levels, length)) without
+// the decode: length when positive, else the padded reconstruction.
+func (q *Queryable) curveLen(length int, approx []int64) int64 {
+	if length > 0 {
+		return int64(length)
+	}
+	return int64(len(approx)) << uint(q.rep.Meta.Levels)
+}
+
+// cover widens the report's span by a curve of n samples from window w0.
+func (q *Queryable) cover(w0, n int64) {
+	if n > 0 {
+		q.lo, q.hi = min(q.lo, w0), max(q.hi, w0+n)
+	}
+}
+
+// overlaps reports whether windows [lo, hi) and the non-empty range
+// [from, to) share a window.
+func overlaps(lo, hi, from, to int64) bool { return lo < to && hi > from }
+
+// meets reports whether the curve exported as (w0, length, approx) has a
+// sample in [from, to). One that has none contributes exactly nothing to
+// an estimate over the range, so it need not be decoded.
+func (q *Queryable) meets(w0 int64, length int, approx []int64, from, to int64) bool {
+	return overlaps(w0, w0+q.curveLen(length, approx), from, to)
+}
+
+// Span returns the hull [lo, hi) of the windows this report's curves
+// cover: QueryRange is identically zero outside it. lo > hi for a report
+// without a sample.
+func (q *Queryable) Span() (lo, hi int64) { return q.lo, q.hi }
 
 // Host returns the reporting host.
 func (q *Queryable) Host() int { return q.rep.Host }
@@ -390,7 +435,11 @@ func (q *Queryable) QueryRangeInto(dst []float64, f flowkey.Key, from, to int64)
 	out := dst[base : base+n]
 	if hi, ok := q.heavy[f]; ok {
 		h := &q.hentries[hi]
-		sliceInto(out, h.exp.W0, q.heavyCurve(h), from, to)
+		if q.meets(h.exp.W0, h.exp.Len, h.exp.Approx, from, to) {
+			sliceInto(out, h.exp.W0, q.heavyCurve(h), from, to)
+		} else {
+			clear(out)
+		}
 		if w0 := h.exp.W0; w0 > from {
 			cut := w0
 			if cut > to {
@@ -434,11 +483,19 @@ func (q *Queryable) lightInto(out []float64, f flowkey.Key, from, to int64) {
 			}
 			break
 		}
-		sliceInto(scratch, e.exp.W0, q.bucketCurve(e), from, to)
+		// Only curves that meet the range are decoded. A bucket that misses
+		// it starts the row at zero, but its co-located heavies are still
+		// subtracted: reconstructed samples can be negative.
+		if q.meets(e.exp.W0, e.exp.Len, e.exp.Approx, from, to) {
+			sliceInto(scratch, e.exp.W0, q.bucketCurve(e), from, to)
+		} else {
+			clear(scratch)
+		}
 		// Subtract co-located heavy flows (§4.2) — only the ones the
 		// inverted index recorded for this bucket.
 		for _, hi := range q.coloc[e.colOff : e.colOff+e.colLen] {
-			if h := &q.hentries[hi]; h.exp.Key != f {
+			h := &q.hentries[hi]
+			if h.exp.Key != f && q.meets(h.exp.W0, h.exp.Len, h.exp.Approx, from, to) {
 				addInto(scratch, h.exp.W0, q.heavyCurve(h), from, to, -1)
 			}
 		}

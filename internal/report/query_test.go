@@ -288,7 +288,11 @@ func randomReport(rng *rand.Rand, pool []flowkey.Key) *HostReport {
 		for i := range details {
 			details[i] = wavelet.DetailRef{Level: rng.Intn(r.Meta.Levels + 1), Index: rng.Intn(n), Val: rng.Int63n(1<<18) - 1<<17}
 		}
-		return int64(rng.Intn(24)), 1 + rng.Intn(n), approx, details
+		length = 1 + rng.Intn(n)
+		if rng.Intn(8) == 0 {
+			length = 0 // the padded reconstruction, len(approx)<<Levels samples
+		}
+		return int64(rng.Intn(24)), length, approx, details
 	}
 	fill := []float64{0, 0.02, 0.5, 1}[rng.Intn(4)]
 	for row := 0; row < r.Meta.Rows; row++ {
@@ -312,10 +316,13 @@ func randomReport(rng *rand.Rand, pool []flowkey.Key) *HostReport {
 }
 
 // TestQueryableMatchesMapOracle is the differential property of the rank
-// index: over random basic and full reports, QueryRange, MightSee and
-// IsHeavy answer bit for bit what the map-indexed Queryable it replaced
-// answers — for reports as DecodeBytes delivers them and for hand-built
-// ones whose buckets come shuffled, repeated or outside the shape.
+// index and of the time pruning: over random basic and full reports,
+// QueryRange, MightSee and IsHeavy answer bit for bit what the map-indexed
+// Queryable it replaced — which decodes every curve it meets, whatever the
+// range — answers, for reports as DecodeBytes delivers them and for
+// hand-built ones whose buckets come shuffled, repeated or outside the
+// shape, over ranges inside, before, after and covering the curves, empty
+// and reversed.
 func TestQueryableMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pool := make([]flowkey.Key, 24)
@@ -356,6 +363,18 @@ func TestQueryableMatchesMapOracle(t *testing.T) {
 			}
 			from := int64(rng.Intn(16))
 			to := from + int64(rng.Intn(48))
+			switch rng.Intn(8) {
+			case 0: // before every curve
+				from, to = from-60, to-60
+			case 1: // after every curve (W0 < 24, at most 48 samples)
+				from, to = from+72, to+72
+			case 2: // covering them all
+				from, to = -4, 80
+			case 3: // empty
+				to = from
+			case 4: // reversed
+				to = from - 1 - int64(rng.Intn(8))
+			}
 			got, want := q.QueryRange(f, from, to), oracle.QueryRange(f, from, to)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d flow %s: %d windows, oracle %d", trial, f, len(got), len(want))
@@ -364,6 +383,95 @@ func TestQueryableMatchesMapOracle(t *testing.T) {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("trial %d (%d×%d, %d buckets, %d heavy) flow %s window %d: %v, oracle %v",
 						trial, rep.Meta.Rows, rep.Meta.Width, len(rep.Buckets), len(rep.Heavy), f, from+int64(i), got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestQueryablePruningTraps pins, on hand-built one-bucket reports where
+// every flow collides, the cases in which "this curve misses the range"
+// does not mean "this term is zero": each answers bit for bit what the
+// un-pruned oracle answers over every range of a sweep, reports the span
+// its curves cover, and decodes only the curves that meet the range.
+func TestQueryablePruningTraps(t *testing.T) {
+	meta := SketchMeta{Rows: 1, Width: 1, Levels: 3, Seed: 7}
+	light, heavy := key(1), key(2)
+	// Details big enough that the reconstructed samples change sign.
+	swing := []wavelet.DetailRef{{Level: 2, Index: 0, Val: 4000}, {Level: 0, Index: 1, Val: -900}}
+	cases := []struct {
+		name   string
+		rep    *HostReport
+		lo, hi int64
+		// One query of flow f over [from, to): the curves it must decode,
+		// and whether the answer has a non-zero sample.
+		f        flowkey.Key
+		from, to int64
+		cold     int64
+		nonZero  bool
+	}{
+		{
+			// Len 0 is the padded reconstruction, len(Approx)<<Levels = 16
+			// samples; the range lies past what a Len-based span would cover.
+			name: "padded curve",
+			rep: &HostReport{Meta: meta, Buckets: []wavesketch.BucketExport{
+				{W0: 10, Len: 0, Approx: []int64{800, 1600}},
+			}},
+			lo: 10, hi: 26, f: light, from: 20, to: 26, cold: 1, nonZero: true,
+		},
+		{
+			// A heavy entry elected mid-flow: windows before its W0 answer
+			// from the light part, though its own curve misses the range.
+			name: "heavy curve after the range",
+			rep: &HostReport{Meta: meta,
+				Buckets: []wavesketch.BucketExport{{W0: 4, Len: 8, Approx: []int64{4000}}},
+				Heavy:   []wavesketch.HeavyExport{{Key: heavy, W0: 40, Len: 8, Approx: []int64{9000}}},
+			},
+			lo: 4, hi: 48, f: heavy, from: 6, to: 30, cold: 1, nonZero: true,
+		},
+		{
+			// The bucket misses the range, a co-located heavy meets it with
+			// negative samples: zero minus negative is a positive estimate.
+			name: "bucket misses, colocated heavy swings negative",
+			rep: &HostReport{Meta: meta,
+				Buckets: []wavesketch.BucketExport{{W0: 0, Len: 8, Approx: []int64{4000}}},
+				Heavy:   []wavesketch.HeavyExport{{Key: heavy, W0: 20, Len: 8, Approx: []int64{100}, Details: swing}},
+			},
+			lo: 0, hi: 28, f: light, from: 20, to: 28, cold: 1, nonZero: true,
+		},
+		{
+			name: "no sample at all",
+			rep:  &HostReport{Meta: meta},
+			lo:   math.MaxInt64, hi: math.MinInt64, f: light, from: 0, to: 8,
+		},
+	}
+	for _, tc := range cases {
+		reg := telemetry.NewRegistry()
+		q, oracle := NewQueryable(tc.rep), newOracleQueryable(tc.rep)
+		q.SetStats(NewQueryStats(reg))
+		if lo, hi := q.Span(); lo != tc.lo || hi != tc.hi {
+			t.Errorf("%s: span = [%d, %d), want [%d, %d)", tc.name, lo, hi, tc.lo, tc.hi)
+		}
+		got := q.QueryRange(tc.f, tc.from, tc.to)
+		if cold := reg.Value("umon_decode_cold_total"); cold != tc.cold {
+			t.Errorf("%s: %d curves decoded for [%d, %d), want %d", tc.name, cold, tc.from, tc.to, tc.cold)
+		}
+		nonZero := false
+		for _, v := range got {
+			nonZero = nonZero || v != 0
+		}
+		if nonZero != tc.nonZero {
+			t.Errorf("%s: [%d, %d) = %v, want a non-zero sample: %v", tc.name, tc.from, tc.to, got, tc.nonZero)
+		}
+		for _, f := range []flowkey.Key{light, heavy} {
+			for from := int64(-4); from < 56; from++ {
+				for to := from; to < 56; to++ {
+					got, want := q.QueryRange(f, from, to), oracle.QueryRange(f, from, to)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: flow %s [%d, %d) window %d: %v, oracle %v", tc.name, f, from, to, from+int64(i), got[i], want[i])
+						}
+					}
 				}
 			}
 		}

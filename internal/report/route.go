@@ -7,8 +7,9 @@ package report
 // report. Members are dense ids 0..n-1 in admission order; Route returns
 // exactly the members whose MightSee(f) is true — light-part membership is
 // decided by the same bitmaps MightSee reads, heavy membership by exact
-// postings — so consumers that max-merge routed reports answer identically
-// to a full scan.
+// postings — and whose curve span meets the queried windows, so consumers
+// that max-merge routed reports answer identically to a full scan: every
+// member left out estimates identically zero over the range.
 //
 // Reports are grouped by hash Geometry: within a group the queried flow is
 // hashed once per row, and the per-bucket occupancy of all members is held
@@ -58,15 +59,29 @@ type RouteGroups struct {
 	resWords int // (n+63)/64, result-bitmap sizing for Route
 	groups   []*routeGroup
 	postings []heavyPosting
+	// Time dimension: spans[id] is member id's curve span {lo, hi}, and
+	// [lo, hi) the hull of them all (lo >= hi: no member has a sample).
+	spans  [][2]int64
+	lo, hi int64
 }
 
 // Len reports how many members have been added.
 func (g *RouteGroups) Len() int { return g.n }
 
+// Span returns the hull [lo, hi) of the members' curve spans — the windows
+// a query can hit; lo >= hi when no member has a sample.
+func (g *RouteGroups) Span() (lo, hi int64) { return g.lo, g.hi }
+
 // Append adds q as the next member, mutating the index in place. Not safe
 // to race with Route; copy-on-write publishers use CloneAdd instead.
 func (g *RouteGroups) Append(q *Queryable) {
 	id := g.n
+	lo, hi := q.Span()
+	if id == 0 {
+		g.lo, g.hi = lo, hi
+	}
+	g.lo, g.hi = min(g.lo, lo), max(g.hi, hi)
+	g.spans = append(g.spans, [2]int64{lo, hi})
 	g.n++
 	g.resWords = (g.n + 63) / 64
 	geom := q.Geometry()
@@ -140,6 +155,9 @@ func (g *RouteGroups) CloneAdd(q *Queryable) *RouteGroups {
 		resWords: g.resWords,
 		groups:   make([]*routeGroup, len(g.groups)),
 		postings: append([]heavyPosting(nil), g.postings...),
+		spans:    append(make([][2]int64, 0, g.n+1), g.spans...), // room for q: one allocation
+		lo:       g.lo,
+		hi:       g.hi,
 	}
 	geom := q.Geometry()
 	for i, c := range g.groups {
@@ -150,7 +168,7 @@ func (g *RouteGroups) CloneAdd(q *Queryable) *RouteGroups {
 		}
 		ng.groups[i] = &routeGroup{
 			geom: c.geom, rowWords: c.rowWords, stride: c.stride,
-			members: append([]int(nil), c.members...),
+			members: append(make([]int, 0, len(c.members)+1), c.members...),
 			union:   append([]uint64(nil), c.union...),
 			bits:    append([]uint64(nil), c.bits...),
 		}
@@ -174,11 +192,13 @@ func (grp *routeGroup) grow() {
 var routeScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Route appends to dst the ids, ascending, of exactly the members whose
-// MightSee(f) is true: every member holding a heavy entry for f, plus
-// every member whose row bitmaps cover f's bucket in all rows. Safe for
+// MightSee(f) is true — every member holding a heavy entry for f, plus
+// every member whose row bitmaps cover f's bucket in all rows — and whose
+// span meets the windows [from, to). A range the hull misses returns
+// before f is hashed; all-time callers pass the full int64 range. Safe for
 // concurrent use (against an index no longer being Appended to).
-func (g *RouteGroups) Route(f flowkey.Key, dst []int) []int {
-	if g.n == 0 {
+func (g *RouteGroups) Route(f flowkey.Key, from, to int64, dst []int) []int {
+	if g.n == 0 || from >= to || !overlaps(g.lo, g.hi, from, to) {
 		return dst
 	}
 	maxStride := 0
@@ -242,8 +262,11 @@ func (g *RouteGroups) Route(f flowkey.Key, dst []int) []int {
 	}
 	for w, word := range res {
 		for word != 0 {
-			dst = append(dst, w<<6+bits.TrailingZeros64(word))
+			id := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
+			if span := g.spans[id]; overlaps(span[0], span[1], from, to) {
+				dst = append(dst, id)
+			}
 		}
 	}
 	*sp = scratch
