@@ -60,14 +60,21 @@ bench-accuracy:
 bench-micro:
 	$(GO) test -bench 'WaveletStreamPush|GroundTruthUpdate|EngineEventLoop' -benchtime 2s
 
-# Ingest datapath throughput (ns/op, Mpps, allocs). Pinned -benchtime and
-# -count so runs are comparable across commits; compares against the saved
-# baseline with benchstat when it is installed and a baseline exists
-# (create one with `make bench-baseline`).
-INGEST_BENCH = BasicUpdate|FullUpdate|BasicUpdateBatch|ShardedIngest|TelemetryNoop
+# Ingest datapath throughput (ns/op, Mpps, allocs): the seeded key hash,
+# the sketch update paths, and the host packet path at the packet→answer
+# benchmark's working set (16 time-interleaved StreamHostMonitors, sealing
+# as epochs roll). Pinned -benchtime and -count so runs are comparable
+# across commits. Writes BENCH_ingest.json (via benchjson), the committed
+# perf-gate baseline for the packet path; refresh it here after a
+# deliberate perf change. Compares against the saved baseline with
+# benchstat when it is installed and a baseline exists (create one with
+# `make bench-baseline`).
+INGEST_BENCH = KeyHash|BasicUpdate|FullUpdate|BasicUpdateBatch|StreamHostMonitorOnPacket|ShardedIngest|TelemetryNoop
+INGEST_PKGS = ./internal/flowkey ./internal/wavesketch ./internal/core ./internal/telemetry
 bench-ingest:
 	$(GO) test -run XXX -bench '$(INGEST_BENCH)' -benchtime 2s -count 5 \
-		./internal/wavesketch ./internal/telemetry | tee bench-ingest.txt
+		$(INGEST_PKGS) | tee bench-ingest.txt
+	$(GO) run ./cmd/benchjson -o BENCH_ingest.json bench-ingest.txt
 	@if command -v benchstat >/dev/null 2>&1 && [ -f bench-ingest.base.txt ]; then \
 		benchstat bench-ingest.base.txt bench-ingest.txt; \
 	else \
@@ -77,7 +84,7 @@ bench-ingest:
 # Save the current ingest numbers as the comparison baseline.
 bench-baseline:
 	$(GO) test -run XXX -bench '$(INGEST_BENCH)' -benchtime 2s -count 5 \
-		./internal/wavesketch ./internal/telemetry | tee bench-ingest.base.txt
+		$(INGEST_PKGS) | tee bench-ingest.base.txt
 
 # Query-plane latency (ns/op, allocs): report-side range queries and light
 # estimation plus full analyzer event replay. Same benchstat-compatible
@@ -188,19 +195,22 @@ bench-admit:
 	$(GO) run ./cmd/benchjson -o BENCH_admit.json bench-admit.txt
 
 # CI performance gate: re-run the mirror-datapath, ops-API, fleet-scale
-# query and report-admit benchmarks (shorter settings than their bench-*
-# targets — the 25% threshold absorbs the extra noise), convert to
-# benchjson, and fail if any benchmark named in the committed
-# BENCH_mirror.json / BENCH_query.json / BENCH_admit.json baselines
-# regressed in ns/op by more than PERF_GATE_THRESHOLD percent or went
-# missing. Refresh the baselines with `make bench-mirror`,
-# `make bench-query-api`, `make bench-query-scale` and `make bench-admit`
-# after a deliberate perf change. The over-HTTP
-# ops-API benchmarks ride the full loopback TCP stack and swing far more
-# run-to-run than the in-process ones, so they get their own wider
-# threshold.
+# query, report-admit and packet-path benchmarks (shorter settings than
+# their bench-* targets — the 25% threshold absorbs the extra noise),
+# convert to benchjson, and fail if any benchmark named in the committed
+# BENCH_mirror.json / BENCH_query.json / BENCH_admit.json /
+# BENCH_ingest.json baselines regressed in ns/op by more than
+# PERF_GATE_THRESHOLD percent or went missing. Refresh the baselines with
+# `make bench-mirror`, `make bench-query-api`, `make bench-query-scale`,
+# `make bench-admit` and `make bench-ingest` after a deliberate perf
+# change. The over-HTTP ops-API benchmarks ride the full loopback TCP stack
+# and swing far more run-to-run than the in-process ones, so they get
+# their own wider threshold. Of the ingest set the gate runs the
+# single-goroutine packet path only: the sharded front-end's numbers are
+# goroutine scheduling and the telemetry no-ops are sub-nanosecond.
 PERF_GATE_THRESHOLD ?= 25
 PERF_GATE_API_THRESHOLD ?= 60
+INGEST_GATE_BENCH = KeyHash|BasicUpdate|FullUpdate|StreamHostMonitorOnPacket
 perf-gate:
 	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 1s -count 3 \
 		./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer | tee bench-gate.txt
@@ -217,6 +227,10 @@ perf-gate:
 		./internal/report ./internal/collect | tee bench-admit-gate.txt
 	$(GO) run ./cmd/benchjson -o bench-admit-gate.json bench-admit-gate.txt
 	$(GO) run ./cmd/benchgate -old BENCH_admit.json -new bench-admit-gate.json -threshold $(PERF_GATE_THRESHOLD)
+	$(GO) test -run XXX -bench '$(INGEST_GATE_BENCH)' -benchtime 1s -count 3 \
+		$(INGEST_PKGS) | tee bench-ingest-gate.txt
+	$(GO) run ./cmd/benchjson -o bench-ingest-gate.json bench-ingest-gate.txt
+	$(GO) run ./cmd/benchgate -old BENCH_ingest.json -new bench-ingest-gate.json -bench '$(INGEST_GATE_BENCH)' -threshold $(PERF_GATE_THRESHOLD)
 
 # End-to-end streaming demo: simulate an incast on the dumbbell while the
 # hosts seal epoch-rotated reports into one framed stream, then run the

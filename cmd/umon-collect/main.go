@@ -385,7 +385,8 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 	// them), then the hub closes and streaming clients get their end frame
 	// before the server shuts down gracefully.
 	mu.Lock()
-	events := c.Drain()
+	events := c.Drain() // the newest collect.EventLogCap of them
+	detected := c.Status().EventsEmitted
 	mu.Unlock()
 	epochs, resident := c.Window()
 	hub.Close()
@@ -394,13 +395,13 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 		reportsIn, badReports, mirrorsIn, badMirrors)
 	fmt.Fprintf(opt.out, "window        %d epochs resident (%d reports), %d evicted\n",
 		len(epochs), resident, reg.Value("umon_collect_evictions_total"))
-	fmt.Fprintf(opt.out, "events        %d detected (gap %dus)\n", len(events), opt.gapNs/1000)
+	fmt.Fprintf(opt.out, "events        %d detected (gap %dus)\n", detected, opt.gapNs/1000)
 	if n := stats.DetectLagNs.Count(); n > 0 {
 		fmt.Fprintf(opt.out, "detect lag    %.0fus mean over %d online emissions\n",
 			float64(stats.DetectLagNs.Sum())/float64(n)/1000, n)
 	}
 	sum := runSummary{
-		Events:          len(events),
+		Events:          detected,
 		ReportsIngested: reportsIn,
 		BadReports:      badReports,
 		MirrorsIngested: mirrorsIn,

@@ -14,8 +14,11 @@
 package analyzer
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"umon/internal/flowkey"
 	"umon/internal/measure"
@@ -196,20 +199,33 @@ func lessPort(a, b netsim.PortID) bool {
 	return a.Port < b.Port
 }
 
+// rankFlows orders the flows of a cluster: most packets first, ties by
+// the printed key. A key is printed only if its count ties, and once (a
+// comparator that prints is 7–10 % of a mirror-heavy ingest).
 func rankFlows(pkts map[flowkey.Key]int) []flowkey.Key {
 	type fc struct {
-		k flowkey.Key
-		n int
+		k    flowkey.Key
+		n, i int32 // count, index into printed: the element stays 24 bytes
 	}
 	fs := make([]fc, 0, len(pkts))
 	for k, n := range pkts {
-		fs = append(fs, fc{k, n})
+		fs = append(fs, fc{k, int32(n), int32(len(fs))})
 	}
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].n != fs[j].n {
-			return fs[i].n > fs[j].n
+	var printed []string
+	str := func(f fc) string {
+		if printed == nil {
+			printed = make([]string, len(fs))
 		}
-		return fs[i].k.String() < fs[j].k.String()
+		if printed[f.i] == "" {
+			printed[f.i] = f.k.String()
+		}
+		return printed[f.i]
+	}
+	slices.SortFunc(fs, func(a, b fc) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
+		}
+		return strings.Compare(str(a), str(b))
 	})
 	out := make([]flowkey.Key, len(fs))
 	for i, f := range fs {

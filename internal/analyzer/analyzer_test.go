@@ -2,6 +2,9 @@ package analyzer
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -450,5 +453,35 @@ func TestImbalanceEndToEnd(t *testing.T) {
 	findings := a.DetectImbalanceWithPorts(32, 2, ports)
 	if len(findings) == 0 {
 		t.Fatal("polarized ECMP congestion not flagged as imbalance")
+	}
+}
+
+// TestRankFlowsOrder pins Event.Flows order — packets descending, ties by
+// the printed key (a string order: ":1000" sorts before ":999") — against
+// the comparator that printed both keys on every tie.
+func TestRankFlowsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 50; round++ {
+		pkts := make(map[flowkey.Key]int)
+		for i, n := 0, 1+rng.Intn(200); i < n; i++ {
+			k := flowkey.Key{
+				SrcIP: 0x0a000000 | uint32(rng.Intn(300)), DstIP: 0x0a000100 | uint32(rng.Intn(4)),
+				SrcPort: uint16(990 + rng.Intn(20)), DstPort: flowkey.RoCEPort, Proto: flowkey.ProtoUDP,
+			}
+			pkts[k] = 1 + rng.Intn(4) // few distinct counts: most comparisons tie
+		}
+		want := make([]flowkey.Key, 0, len(pkts))
+		for k := range pkts {
+			want = append(want, k)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if pkts[want[i]] != pkts[want[j]] {
+				return pkts[want[i]] > pkts[want[j]]
+			}
+			return want[i].String() < want[j].String()
+		})
+		if got := rankFlows(pkts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: rankFlows order differs from the printed-key order", round)
+		}
 	}
 }

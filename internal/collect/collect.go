@@ -74,6 +74,10 @@ type Config struct {
 // defaultTraceCap bounds the lifecycle ring when the caller does not.
 const defaultTraceCap = 4096
 
+// EventLogCap bounds the emission log: Events covers the newest
+// EventLogCap events. opsapi.Hub keeps the same number.
+const EventLogCap = 1 << 16
+
 // Collector is the long-lived analysis daemon state.
 type Collector struct {
 	cfg   Config
@@ -92,10 +96,13 @@ type Collector struct {
 	draining  bool
 	trimNs    int64
 	sincePoll int
-	// events is the mutator-owned emission log. It is append-only and its
-	// header is copied into each published Snapshot, so readers see a
-	// stable prefix without copying.
-	events []analyzer.Event
+	// events is the mutator-owned emission log and emitted the count of
+	// events ever logged. The log's array is only ever appended to, and each
+	// published Snapshot holds a header into it, so readers see a stable
+	// stretch without copying.
+	events   []analyzer.Event
+	emitted  int
+	eventCap int // EventLogCap; a field so that a test can shrink it
 
 	// traces is the bounded epoch-lifecycle ring (nil when disabled),
 	// guarded by traceMu now that Traces/Status read concurrently with
@@ -122,9 +129,10 @@ func New(cfg Config) *Collector {
 		cfg.GapNs = 50_000
 	}
 	c := &Collector{
-		cfg: cfg,
-		an:  analyzer.New(),
-		now: cfg.Now,
+		cfg:      cfg,
+		an:       analyzer.New(),
+		now:      cfg.Now,
+		eventCap: EventLogCap,
 	}
 	c.watermark.Store(math.MinInt64)
 	if c.now == nil {
@@ -147,13 +155,15 @@ func New(cfg Config) *Collector {
 	return c
 }
 
-// publish stamps and stores ns as the live snapshot. Mutator-only; nowNs
-// is the wall stamp already taken by the mutation (admit or detect), so
-// publication adds no extra clock reads.
+// publish stamps and stores ns, with the retained events, as the live
+// snapshot. Mutator-only; nowNs is the wall stamp already taken by the
+// mutation (admit or detect), so publication adds no extra clock reads.
 func (c *Collector) publish(ns *Snapshot, nowNs int64) {
 	c.version++
 	ns.version = c.version
 	ns.publishNs = nowNs
+	ns.events = c.events[max(0, len(c.events)-c.eventCap):]
+	ns.emitted = c.emitted
 	ns.visited = &c.routeVisited
 	ns.skipped = &c.routeSkipped
 	ns.stats = c.stats
@@ -195,7 +205,6 @@ func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.E
 		resident: cur.resident,
 		epochs:   append([]uint64(nil), cur.epochs...),
 		eps:      append([]*epochIndex(nil), cur.eps...),
-		events:   c.events,
 	}
 	i := sort.Search(len(ns.epochs), func(i int) bool { return ns.epochs[i] >= epoch })
 	if i < len(ns.epochs) && ns.epochs[i] == epoch {
@@ -381,7 +390,7 @@ func (c *Collector) Poll() int {
 		if ev.EndNs > closedBelow {
 			continue
 		}
-		c.events = append(c.events, ev)
+		c.logEvent(ev)
 		emitted++
 		c.stats.EventsEmitted.Inc()
 		if !c.draining {
@@ -407,16 +416,29 @@ func (c *Collector) Poll() int {
 			resident: cur.resident,
 			epochs:   cur.epochs,
 			eps:      cur.eps,
-			events:   c.events,
 		}, detectNs)
 	}
 	return emitted
 }
 
+// logEvent appends ev to the emission log, which retains the newest
+// EventLogCap events. Published snapshots read the log's array, so the
+// log is trimmed by moving its tail to a fresh array, an eighth longer
+// than the bound so that the move is paid once per EventLogCap/8 events.
+func (c *Collector) logEvent(ev analyzer.Event) {
+	if n := c.eventCap; len(c.events) >= n+n/8 {
+		tail := make([]analyzer.Event, n-1, n+n/8)
+		copy(tail, c.events[len(c.events)-(n-1):])
+		c.events = tail
+	}
+	c.events = append(c.events, ev)
+	c.emitted++
+}
+
 // Drain closes every still-open event (end of input: nothing can extend
-// them) and returns the full emitted event list, sorted like the batch
+// them) and returns the retained emitted events, sorted like the batch
 // analyzer's DetectEvents. After ingesting the same ordered feeds, Drain's
-// result is identical to the batch pipeline's.
+// result is identical to the batch pipeline's (up to EventLogCap events).
 func (c *Collector) Drain() []analyzer.Event {
 	c.watermark.Store(math.MaxInt64 - c.cfg.GapNs)
 	c.draining = true
@@ -424,8 +446,8 @@ func (c *Collector) Drain() []analyzer.Event {
 	return c.Events()
 }
 
-// Events returns the events emitted so far, sorted by (start, port).
-// Lock-free: reads the published snapshot.
+// Events returns the retained events (the newest EventLogCap emitted so
+// far), sorted by (start, port). Lock-free: reads the published snapshot.
 func (c *Collector) Events() []analyzer.Event {
 	return c.snap.Load().Events()
 }
@@ -496,7 +518,7 @@ func (c *Collector) Status() Status {
 		EvictionFloor:       s.floor,
 		ReportsIngested:     c.reportsIn.Load(),
 		MirrorsIngested:     c.mirrorsIn.Load(),
-		EventsEmitted:       len(s.events),
+		EventsEmitted:       s.emitted,
 		SnapshotVersion:     s.version,
 		SnapshotPublishNs:   s.publishNs,
 		ReportsRouted:       c.routeVisited.Load(),

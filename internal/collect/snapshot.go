@@ -99,7 +99,8 @@ type Snapshot struct {
 	resident  int
 	epochs    []uint64 // ascending, parallel to eps
 	eps       []*epochIndex
-	events    []analyzer.Event // emission order
+	events    []analyzer.Event // retained, emission order
+	emitted   int              // events ever emitted, retained or not
 
 	// Routing selectivity accounting, shared with the owning collector so
 	// queries against held snapshots keep counting.
@@ -120,8 +121,8 @@ func (s *Snapshot) Window() (epochs []uint64, resident int) {
 	return append([]uint64(nil), s.epochs...), s.resident
 }
 
-// Events returns the events emitted up to this snapshot, sorted by
-// (start, port).
+// Events returns the events retained at this snapshot — the newest
+// EventLogCap emitted up to it — sorted by (start, port).
 func (s *Snapshot) Events() []analyzer.Event {
 	evs := make([]analyzer.Event, len(s.events))
 	copy(evs, s.events)

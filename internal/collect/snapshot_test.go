@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"umon/internal/analyzer"
 	"umon/internal/flowkey"
 	"umon/internal/report"
 	"umon/internal/telemetry"
@@ -246,5 +247,48 @@ func TestQueryTouchesOnlyOverlappingEpochs(t *testing.T) {
 	}
 	if v, _, _ := counters(); v != visited+2 {
 		t.Errorf("after re-admission two queries visited %d reports, want one each", v-visited)
+	}
+}
+
+// TestEventLogBounded shrinks the log's bound and emits three times as
+// many events, one per poll, holding a snapshot at every step: Events keeps
+// exactly the newest, Status counts every event ever emitted, and every held
+// snapshot — taken before, at and after each trim of the log — still reads
+// the events it was published with.
+func TestEventLogBounded(t *testing.T) {
+	for _, logCap := range []int{1, 4, 16} { // 16: the log trims with slack (n/8 > 0)
+		var all []analyzer.Event
+		c := New(Config{GapNs: 50_000, OnEvent: func(ev analyzer.Event) { all = append(all, ev) }})
+		c.eventCap = logCap
+		type held struct {
+			snap *Snapshot
+			want []analyzer.Event
+		}
+		var holds []held
+		retained := func() []analyzer.Event { return all[max(0, len(all)-logCap):] }
+		for i := 0; i <= 3*logCap; i++ {
+			// Event i: two mirrors; they close event i-1 (a gap and more ago).
+			t0 := int64(i) * 1_000_000
+			c.AddMirror(mirrorAt(0, int16(i%3), t0+1_000, key(i)))
+			c.AddMirror(mirrorAt(0, int16(i%3), t0+2_000, key(i)))
+			if i > 0 && c.Poll() != 1 {
+				t.Fatalf("cap %d: poll %d did not emit exactly event %d", logCap, i, i-1)
+			}
+			holds = append(holds, held{c.Snapshot(), append([]analyzer.Event(nil), retained()...)})
+		}
+		if len(all) != 3*logCap {
+			t.Fatalf("cap %d: emitted %d events, want %d", logCap, len(all), 3*logCap)
+		}
+		if got := c.Status().EventsEmitted; got != 3*logCap {
+			t.Errorf("cap %d: Status.EventsEmitted = %d, want %d", logCap, got, 3*logCap)
+		}
+		if got := c.Events(); !reflect.DeepEqual(got, retained()) {
+			t.Errorf("cap %d: Events() = %d events %v, want the newest %d", logCap, len(got), got, logCap)
+		}
+		for i, h := range holds {
+			if got := h.snap.Events(); len(got) != len(h.want) || (len(got) > 0 && !reflect.DeepEqual(got, h.want)) {
+				t.Fatalf("cap %d: snapshot held since poll %d reads %v, was published with %v", logCap, i, got, h.want)
+			}
+		}
 	}
 }

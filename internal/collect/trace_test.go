@@ -2,6 +2,9 @@ package collect
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"umon/internal/report"
@@ -267,5 +270,99 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.ReportsIngested != 10 || st.MirrorsIngested != 2 || st.EventsEmitted != 1 {
 		t.Errorf("counters = %d/%d/%d, want 10/2/1",
 			st.ReportsIngested, st.MirrorsIngested, st.EventsEmitted)
+	}
+}
+
+// oracleNoteDetect is the detection stamp as it was before the pending
+// lists: a scan of the whole ring per emitted event.
+func oracleNoteDetect(c *Collector, startNs, endNs, detectNs int64) {
+	e0 := epochOf(startNs, c.cfg.EpochNs)
+	e1 := epochOf(endNs, c.cfg.EpochNs)
+	for i := range c.traces.buf {
+		tr := &c.traces.buf[i]
+		if tr.DetectNs != 0 || tr.Epoch < e0 || tr.Epoch > e1 {
+			continue
+		}
+		tr.DetectNs = detectNs
+		c.stats.AdmitDetectNs.Observe(detectNs - tr.AdmitNs)
+		if tr.SealNs != 0 {
+			c.stats.SealDetectNs.Observe(detectNs - tr.SealNs)
+		}
+	}
+}
+
+// TestNoteDetectMatchesRingScan drives two collectors through one random
+// schedule of admits, re-admits, ring overwrites, late stamps and events —
+// one stamping through the pending lists, one through the full-ring scan —
+// and requires identical lifecycle rings and tail-stage histograms after
+// every step, and the pending lists to hold exactly the undetected records.
+func TestNoteDetectMatchesRingScan(t *testing.T) {
+	const epochNs = 1000
+	for _, traceCap := range []int{1, 5, 32, 4096} {
+		rng := rand.New(rand.NewSource(int64(traceCap)))
+		stNew, stOld := NewStats(telemetry.NewRegistry()), NewStats(telemetry.NewRegistry())
+		got := New(Config{TraceCap: traceCap, EpochNs: epochNs, Stats: stNew})
+		want := New(Config{TraceCap: traceCap, EpochNs: epochNs, Stats: stOld})
+		clock, head := int64(1), uint64(0)
+		for step := 0; step < 4000; step++ {
+			clock += int64(1 + rng.Intn(50))
+			switch op := rng.Intn(10); {
+			case op < 5: // admit near the head epoch (old epochs: re-admits)
+				if rng.Intn(4) == 0 {
+					head++
+				}
+				host, epoch := rng.Intn(6), head-min(head, uint64(rng.Intn(4)))
+				var st report.EpochStamp
+				if rng.Intn(2) == 0 {
+					st = report.EpochStamp{SealNs: clock - 20, ShipNs: clock - 10}
+				}
+				got.noteAdmit(host, epoch, st, clock)
+				want.noteAdmit(host, epoch, st, clock)
+			case op < 6: // late stamp
+				host, epoch := rng.Intn(6), head-min(head, uint64(rng.Intn(4)))
+				st := report.EpochStamp{SealNs: clock - 20, ShipNs: clock - 10}
+				got.noteStamp(host, epoch, st)
+				want.noteStamp(host, epoch, st)
+			default: // event: inside an epoch, across a few, across all, reversed, before time 0
+				start := int64(head)*epochNs - int64(rng.Intn(5*epochNs))
+				end := start + int64(rng.Intn(3*epochNs))
+				switch rng.Intn(12) {
+				case 0:
+					start, end = -5, 1<<40
+				case 1:
+					start, end = end+epochNs, start
+				}
+				detectNs := clock
+				if rng.Intn(25) == 0 {
+					detectNs = 0 // a zero clock reading stamps nothing durable
+				}
+				got.noteDetect(start, end, detectNs)
+				oracleNoteDetect(want, start, end, detectNs)
+			}
+			if g, w := got.Traces(), want.Traces(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("cap %d step %d: rings differ\n got %+v\nwant %+v", traceCap, step, g, w)
+			}
+			pending := map[uint64][]int{}
+			for slot, tr := range got.traces.buf {
+				if tr.DetectNs == 0 {
+					pending[tr.Epoch] = append(pending[tr.Epoch], slot)
+				}
+			}
+			for _, slots := range got.traces.pending {
+				sort.Ints(slots) // order within an epoch carries no meaning
+			}
+			if !reflect.DeepEqual(got.traces.pending, pending) {
+				t.Fatalf("cap %d step %d: pending = %v, undetected records = %v", traceCap, step, got.traces.pending, pending)
+			}
+		}
+		for _, h := range [][2]*telemetry.Histogram{
+			{stNew.AdmitDetectNs, stOld.AdmitDetectNs}, {stNew.SealDetectNs, stOld.SealDetectNs},
+			{stNew.SealShipNs, stOld.SealShipNs}, {stNew.ShipAdmitNs, stOld.ShipAdmitNs},
+		} {
+			if h[0].Count() != h[1].Count() || h[0].Sum() != h[1].Sum() || h[0].Count() == 0 {
+				t.Errorf("cap %d: histogram count/sum %d/%d, ring scan observed %d/%d",
+					traceCap, h[0].Count(), h[0].Sum(), h[1].Count(), h[1].Sum())
+			}
+		}
 	}
 }

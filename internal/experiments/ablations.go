@@ -234,46 +234,3 @@ func AblationHeavy(c *Cache) (*Table, error) {
 	t.AddNote("the heavy part gives elephants collision-free curves (replay queries them); a basic sketch of equal memory mixes them with mice")
 	return t, nil
 }
-
-// AblationIndexing validates the one-hash ingest gate: double-hashing row
-// indices out of a single 128-bit hash changes bucket placement, so it
-// must stay within the usual Count-Min accuracy envelope of the paper's
-// per-row hashing before it can be enabled for speed.
-func AblationIndexing(c *Cache) (*Table, error) {
-	sim, err := c.Sim(SimKey{"FacebookHadoop", 0.15})
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID: "ablation-indexing", Title: "Row indexing: per-row hashing vs one-hash double hashing (D=3, W=128, K=32)",
-		Header: []string{"indexing", "memory(KB)", "ARE", "cosine", "euclidean(Gbps)"},
-	}
-	for _, mode := range []struct {
-		name string
-		idx  wavesketch.Indexing
-	}{{"per-row", wavesketch.IndexPerRow}, {"one-hash", wavesketch.IndexOneHash}} {
-		cfg := wavesketch.Config{Rows: 3, Width: 128, Levels: 8, K: 32, Seed: 5, Indexing: mode.idx}
-		run := hostRun{name: mode.name, instances: make([]measure.SeriesEstimator, len(sim.Trace.HostPackets))}
-		for h := range run.instances {
-			inst, err := wavesketch.NewBasic(cfg)
-			if err != nil {
-				return nil, err
-			}
-			run.instances[h] = inst
-		}
-		for h, recs := range sim.Trace.HostPackets {
-			for _, rec := range recs {
-				run.instances[h].Update(rec.Flow, measure.WindowOf(rec.Ns), int64(rec.Size))
-			}
-		}
-		var memKB float64
-		for _, inst := range run.instances {
-			inst.Seal()
-			memKB += float64(inst.MemoryBytes()) / 1024
-		}
-		sum := gradeRun(sim, run, 1, 0)
-		t.AddRow(mode.name, fmtF(memKB/float64(len(run.instances))), fmtF(sum.ARE), fmtF(sum.Cosine), fmtF(sum.Euclidean))
-	}
-	t.AddNote("both modes hash into the same geometry; placement differs, so metrics differ within sketch noise — one-hash is the fast path, per-row the figure-compatible default")
-	return t, nil
-}

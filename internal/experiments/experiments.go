@@ -292,7 +292,6 @@ func All() []struct {
 		{"ablation-depth", AblationDepth},
 		{"ablation-rows", AblationRows},
 		{"ablation-heavy", AblationHeavy},
-		{"ablation-indexing", AblationIndexing},
 		{"ext-pfc", ExtPFCStorms},
 		{"ext-loss", ExtLossForensics},
 		{"ext-dedup", ExtDedupBatch},

@@ -4,6 +4,7 @@
 package flowkey
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"net/netip"
@@ -92,19 +93,11 @@ func parseEndpoint(s string) (ip uint32, port uint16, err error) {
 // key sets a deterministic total order, which the experiment harness needs
 // for byte-identical output at any worker count.
 func (k Key) Compare(o Key) int {
-	a1, b1 := k.pack()
-	a2, b2 := o.pack()
-	switch {
-	case a1 < a2:
-		return -1
-	case a1 > a2:
-		return 1
-	case b1 < b2:
-		return -1
-	case b1 > b2:
-		return 1
+	p, q := k.Pack(), o.Pack()
+	if p.a != q.a {
+		return cmp.Compare(p.a, q.a)
 	}
-	return 0
+	return cmp.Compare(p.b, q.b)
 }
 
 // Reverse returns the key of the opposite direction (used for ACKs/CNPs).
@@ -112,39 +105,63 @@ func (k Key) Reverse() Key {
 	return Key{SrcIP: k.DstIP, DstIP: k.SrcIP, SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}
 }
 
-// pack encodes the key into two words for hashing.
-func (k Key) pack() (uint64, uint64) {
-	a := uint64(k.SrcIP)<<32 | uint64(k.DstIP)
-	b := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
-	return a, b
+// Packed is a key as the two words every hash and comparison works on. A
+// caller that hashes one key under several seeds (a sketch update: one
+// seed per row) packs once and hashes the words.
+type Packed struct{ a, b uint64 }
+
+// Pack encodes the key into its two words. The receiver is a pointer so
+// that the inlined body reads each field where it already lies: a Key has
+// one field too many for the compiler to keep it in registers, so a value
+// receiver is copied through the stack — stored field by field, reloaded
+// 16 bytes wide, a store-forwarding stall on every hash.
+func (k *Key) Pack() Packed {
+	return Packed{
+		a: uint64(k.SrcIP)<<32 | uint64(k.DstIP),
+		b: uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto),
+	}
 }
 
-// Hash mixes the key with the given seed using two rounds of a
+// Hash mixes the packed key with the given seed using two rounds of a
 // splitmix64-style finalizer. Distinct seeds give effectively independent
 // hash functions, which is all the Count-Min analysis needs in practice.
-func (k Key) Hash(seed uint64) uint64 {
-	a, b := k.pack()
-	h := mix64(a ^ seed)
-	h = mix64(h ^ b ^ (seed * 0x9e3779b97f4a7c15))
-	return h
+func (p Packed) Hash(seed uint64) uint64 {
+	h := mix64(p.a ^ seed)
+	return mix64(h ^ p.b ^ (seed * 0x9e3779b97f4a7c15))
 }
 
-// Hash128 mixes the key with the seed into two independent 64-bit digests
-// in a single pass. h1 is identical in strength to Hash; h2 costs one more
-// finalizer round instead of the two a second Hash call would spend. A
-// sketch can derive every row index plus a heavy-part index from one
-// Hash128 via double hashing (h1 + r·h2) instead of D+1 full hash calls.
-func (k Key) Hash128(seed uint64) (h1, h2 uint64) {
-	a, b := k.pack()
-	h1 = mix64(a ^ seed)
-	h1 = mix64(h1 ^ b ^ (seed * 0x9e3779b97f4a7c15))
-	h2 = mix64(h1 ^ a ^ 0xd6e8feb86659fd93)
-	return h1, h2
+// Hash is Pack().Hash(seed).
+func (k Key) Hash(seed uint64) uint64 { return k.Pack().Hash(seed) }
+
+// Reducer maps a 64-bit hash onto the bucket indices [0, n) as h % n
+// does, without the hardware divide when n is a power of two (every
+// shipped sketch geometry is: 128, 256 or 1024 buckets per row).
+type Reducer struct {
+	mask uint64 // n-1 when n is a power of two, and then div is 0
+	div  uint64 // n otherwise
+}
+
+// NewReducer returns the reducer onto [0, n), for n below 1 onto the
+// single index 0.
+func NewReducer(n int) Reducer {
+	u := uint64(max(n, 1))
+	if u&(u-1) != 0 {
+		return Reducer{div: u}
+	}
+	return Reducer{mask: u - 1}
+}
+
+// Index returns h % n.
+func (r Reducer) Index(h uint64) int {
+	if r.div == 0 {
+		return int(h & r.mask)
+	}
+	return int(h % r.div)
 }
 
 // FastRange maps a 64-bit hash uniformly onto [0, n) with a multiply-shift
 // (Lemire's fast alternative to the modulo reduction): the high word of
-// h×n. One multiply instead of a hardware divide on the per-packet path.
+// h×n.
 func FastRange(h uint64, n uint64) uint64 {
 	hi, _ := bits.Mul64(h, n)
 	return hi

@@ -46,9 +46,10 @@ type Config struct {
 	// Collector is the live window the API answers from. Its read plane is
 	// lock-free, so the API needs no serialization with the ingest loop.
 	Collector *collect.Collector
-	// Hub, when set, backs /api/events with the live stream (lossless
-	// follow). Without it, /api/events serves the collector's emitted list
-	// and ?follow= is rejected.
+	// Hub, when set, backs /api/events with the live stream and names the
+	// events /api/replay takes by emission index. Without it, /api/events
+	// and /api/replay index the collector's retained events, sorted by
+	// (start, port), and ?follow= is rejected.
 	Hub *Hub
 	// Stats, when set, adds per-stage latency summaries to
 	// /api/trace/epochs.
@@ -179,17 +180,30 @@ func (a *API) handleReplay(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// One snapshot serves both the event lookup and the replay, so the
-	// replayed event is consistent with the cursor even while ingest runs.
+	// The id names what /api/events lists under it: the hub's event of that
+	// emission index, or without a hub the idx-th retained event of the
+	// snapshot that also serves the replay.
 	snap := a.col.Snapshot()
-	events := snap.Events()
-	if idx < 0 || idx >= len(events) {
-		http.Error(w, fmt.Sprintf("event %d of %d", idx, len(events)), http.StatusNotFound)
+	var ev analyzer.Event
+	first, next := 0, 0
+	if a.hub != nil {
+		ev, first, next = a.hub.Event(idx)
+	} else {
+		events := snap.Events()
+		if next = len(events); idx >= 0 && idx < next {
+			ev = events[idx]
+		}
+	}
+	if idx < first || idx >= next {
+		code := http.StatusNotFound
+		if idx >= 0 && idx < first {
+			code = http.StatusGone // dropped from the bounded backlog
+		}
+		http.Error(w, fmt.Sprintf("event %d not in [%d, %d)", idx, first, next), code)
 		return
 	}
 	// A replay spans the event plus the margin on both sides. The first
 	// bound keeps the second from overflowing.
-	ev := events[idx]
 	if marginUs < 0 || marginUs > maxQueryWindows*measure.WindowNanos/1000 ||
 		(ev.DurationNs()+2*marginUs*1000)/measure.WindowNanos+4 > maxQueryWindows {
 		http.Error(w, fmt.Sprintf("margin-us widens the replay past %d windows", maxQueryWindows), http.StatusBadRequest)
@@ -244,7 +258,7 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		resp = EventsResponse{Next: next, Open: open}
 		for i, ev := range evs {
-			resp.Events = append(resp.Events, NewEventJSON(since+i, ev))
+			resp.Events = append(resp.Events, NewEventJSON(next-len(evs)+i, ev))
 		}
 	} else {
 		events := a.col.Events()
@@ -281,11 +295,12 @@ func (a *API) followEvents(w http.ResponseWriter, r *http.Request, cursor int) {
 	for {
 		evs, next, open := a.hub.Wait(r.Context(), cursor)
 		for i, ev := range evs {
-			b, err := json.Marshal(NewEventJSON(cursor+i, ev))
+			id := next - len(evs) + i // past cursor if the hub dropped events
+			b, err := json.Marshal(NewEventJSON(id, ev))
 			if err != nil {
 				return
 			}
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", cursor+i+1, b)
+			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", id+1, b)
 		}
 		if len(evs) > 0 {
 			fl.Flush()

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -389,7 +390,7 @@ func TestEventsLongPoll(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	fx := newFixture(t)
 	for path, want := range map[string]int{
-		"/api/query/flow?flow=bogus&from=0&to=1": http.StatusBadRequest,
+		"/api/query/flow?flow=bogus&from=0&to=1":                   http.StatusBadRequest,
 		"/api/query/flow?flow=" + url.QueryEscape(key(0).String()): http.StatusBadRequest, // no from/to
 		"/api/replay?event=notanint":                               http.StatusBadRequest,
 		"/api/replay?event=99":                                     http.StatusNotFound,
@@ -585,5 +586,61 @@ func TestHubLossless(t *testing.T) {
 	h.Publish(analyzer.Event{StartNs: 999})
 	if h.Len() != total {
 		t.Errorf("closed hub grew to %d", h.Len())
+	}
+}
+
+// TestHubBoundedIdsStable shrinks the hub's bound and publishes three
+// times as many events: ids stay emission indices across every trim, a
+// dropped id is reported as outside [first, next), a stale cursor resumes at
+// the oldest kept event with its true id, and /api/replay answers 410 for a
+// dropped id, 404 past the end, and the hub's own event for a kept one.
+func TestHubBoundedIdsStable(t *testing.T) {
+	for _, keep := range []int{1, 4, 16} { // 16: trimmed with slack (keep/8 > 0)
+		fx := newFixture(t) // the fixture's one event has id 0
+		fx.hub.keep = keep
+		total := 3 * keep
+		for id := 1; id < total; id++ {
+			fx.hub.Publish(analyzer.Event{StartNs: int64(id) * 1000, EndNs: int64(id)*1000 + 500})
+			_, first, next := fx.hub.Event(id)
+			if next != id+1 || next-first < min(keep, id+1) || next-first > keep+keep/8 {
+				t.Fatalf("keep %d: after event %d the hub keeps [%d, %d)", keep, id, first, next)
+			}
+		}
+		_, first, next := fx.hub.Event(0)
+		if fx.hub.Len() != total || next != total || first == 0 {
+			t.Fatalf("keep %d: Len %d, kept [%d, %d), want %d published and event 0 dropped", keep, fx.hub.Len(), first, next, total)
+		}
+		for id := first; id < next; id++ {
+			if ev, _, _ := fx.hub.Event(id); ev.StartNs != int64(id)*1000 {
+				t.Errorf("keep %d: Event(%d) starts at %d", keep, id, ev.StartNs)
+			}
+		}
+		var got EventsResponse
+		fx.getJSON(t, "/api/events?since=0", &got)
+		if got.Next != total || len(got.Events) != next-first || got.Events[0].Seq != first || got.Events[0].StartNs != int64(first)*1000 {
+			t.Errorf("keep %d: stale cursor read %d events from seq %d, next %d; want [%d, %d)",
+				keep, len(got.Events), got.Events[0].Seq, got.Next, first, next)
+		}
+		var rep ReplayResponse
+		fx.getJSON(t, "/api/replay?event="+strconv.Itoa(next-1), &rep)
+		if rep.Event.Seq != next-1 || rep.Event.StartNs != int64(next-1)*1000 {
+			t.Errorf("keep %d: replay of %d echoes %+v", keep, next-1, rep.Event)
+		}
+		for path, want := range map[string]int{
+			"/api/replay?event=0":                        http.StatusGone,
+			"/api/replay?event=" + strconv.Itoa(first-1): http.StatusGone,
+			"/api/replay?event=" + strconv.Itoa(first):   http.StatusOK,
+			"/api/replay?event=" + strconv.Itoa(next):    http.StatusNotFound,
+			"/api/replay?event=-1":                       http.StatusNotFound,
+		} {
+			resp, err := http.Get(fx.srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("keep %d, kept [%d, %d): GET %s = %d, want %d", keep, first, next, path, resp.StatusCode, want)
+			}
+		}
 	}
 }

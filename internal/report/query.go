@@ -46,7 +46,7 @@ type heavyEntry struct {
 type Queryable struct {
 	rep   *HostReport
 	seeds []uint64
-	width uint64
+	width flowkey.Reducer // hash → bucket index within a row
 	// The light part is indexed by rank, with no hash table: rowBits holds one
 	// bitmap of non-empty bucket indices per row (words words each), rank
 	// the number of buckets before each bitmap word in (row, index) order,
@@ -130,7 +130,7 @@ func (q *Queryable) ResidentCurves() int {
 // sketch shape can never be hashed to and are left out; of two buckets at
 // one position the later wins (DecodeBytes admits neither).
 func NewQueryable(r *HostReport) *Queryable {
-	q := &Queryable{rep: r, width: uint64(r.Meta.Width)}
+	q := &Queryable{rep: r, width: flowkey.NewReducer(r.Meta.Width)}
 	rows := r.Meta.Rows
 	if rows < 0 || r.Meta.Width <= 0 {
 		rows = 0 // no light part: every light estimate is zero
@@ -191,8 +191,9 @@ func NewQueryable(r *HostReport) *Queryable {
 	// bucket's stretch of one flat array in report order.
 	hits := make([]*bucketEntry, 0, len(q.heavyKeys)*rows)
 	for _, k := range q.heavyKeys {
+		p := k.Pack()
 		for r := range q.seeds {
-			e := q.bucket(r, int(k.Hash(q.seeds[r])%q.width))
+			e := q.bucket(r, q.width.Index(p.Hash(q.seeds[r])))
 			if e != nil {
 				e.colLen++
 			}
@@ -272,7 +273,7 @@ type Geometry struct {
 
 // Geometry returns the report's hash layout.
 func (q *Queryable) Geometry() Geometry {
-	return Geometry{Seed: q.rep.Meta.Seed, Rows: len(q.seeds), Width: int(q.width)}
+	return Geometry{Seed: q.rep.Meta.Seed, Rows: len(q.seeds), Width: q.rep.Meta.Width}
 }
 
 // RowBits returns row r's non-empty-bucket bitmap (nil when the report has
@@ -306,8 +307,9 @@ func (q *Queryable) MightSee(f flowkey.Key) bool {
 	if _, ok := q.heavy[f]; ok {
 		return true
 	}
+	p := f.Pack()
 	for r := range q.seeds {
-		idx := int(f.Hash(q.seeds[r]) % q.width)
+		idx := q.width.Index(p.Hash(q.seeds[r]))
 		if q.rowBits[r*q.words+idx>>6]&(1<<(idx&63)) == 0 {
 			return false
 		}
@@ -474,8 +476,9 @@ func (q *Queryable) lightInto(out []float64, f flowkey.Key, from, to int64) {
 	}
 	scratch = scratch[:n]
 	first := true
+	p := f.Pack()
 	for r := 0; r < rows; r++ {
-		e := q.bucket(r, int(f.Hash(q.seeds[r])%q.width))
+		e := q.bucket(r, q.width.Index(p.Hash(q.seeds[r])))
 		if e == nil {
 			// An absent bucket means zero traffic hashed there: the min is 0.
 			for i := range out {

@@ -42,9 +42,10 @@ type heavyPosting struct {
 // routeGroup indexes the members sharing one Geometry.
 type routeGroup struct {
 	geom     Geometry
-	rowWords int   // words per row bitmap: (Width+63)/64
-	members  []int // global member ids, ascending (admission order)
-	stride   int   // words per member bitset
+	width    flowkey.Reducer // hash → bucket index within a row
+	rowWords int             // words per row bitmap: (Width+63)/64
+	members  []int           // global member ids, ascending (admission order)
+	stride   int             // words per member bitset
 	// union[r*rowWords+w] ORs every member's row-r occupancy bitmap.
 	union []uint64
 	// bits holds the transposed member sets: for bucket position (r, idx),
@@ -93,7 +94,7 @@ func (g *RouteGroups) Append(q *Queryable) {
 		}
 	}
 	if grp == nil {
-		grp = &routeGroup{geom: geom, rowWords: (geom.Width + 63) / 64, stride: 1}
+		grp = &routeGroup{geom: geom, width: flowkey.NewReducer(geom.Width), rowWords: (geom.Width + 63) / 64, stride: 1}
 		if geom.Rows > 0 && geom.Width > 0 {
 			grp.union = make([]uint64, geom.Rows*grp.rowWords)
 			grp.bits = make([]uint64, geom.Rows*geom.Width*grp.stride)
@@ -167,7 +168,7 @@ func (g *RouteGroups) CloneAdd(q *Queryable) *RouteGroups {
 			continue
 		}
 		ng.groups[i] = &routeGroup{
-			geom: c.geom, rowWords: c.rowWords, stride: c.stride,
+			geom: c.geom, width: c.width, rowWords: c.rowWords, stride: c.stride,
 			members: append(make([]int, 0, len(c.members)+1), c.members...),
 			union:   append([]uint64(nil), c.union...),
 			bits:    append([]uint64(nil), c.bits...),
@@ -216,6 +217,7 @@ func (g *RouteGroups) Route(f flowkey.Key, from, to int64, dst []int) []int {
 	for i := range res {
 		res[i] = 0
 	}
+	p := f.Pack()
 	for _, grp := range g.groups {
 		if grp.geom.Rows <= 0 || grp.geom.Width <= 0 || len(grp.members) == 0 {
 			continue
@@ -223,7 +225,7 @@ func (g *RouteGroups) Route(f flowkey.Key, from, to int64, dst []int) []int {
 		acc := scratch[g.resWords : g.resWords+grp.stride]
 		live := true
 		for r := 0; r < grp.geom.Rows; r++ {
-			idx := int(f.Hash(flowkey.RowSeed(grp.geom.Seed, r)) % uint64(grp.geom.Width))
+			idx := grp.width.Index(p.Hash(flowkey.RowSeed(grp.geom.Seed, r)))
 			if grp.union[r*grp.rowWords+idx>>6]&(1<<(idx&63)) == 0 {
 				live = false
 				break

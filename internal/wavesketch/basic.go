@@ -25,25 +25,6 @@ func (v Variant) String() string {
 	return "WaveSketch-Ideal"
 }
 
-// Indexing selects how a key is mapped to its D row buckets.
-type Indexing int
-
-const (
-	// IndexPerRow hashes the key once per row with a row-specific seed and
-	// reduces by modulo — the layout every figure of the paper evaluation
-	// was rendered with. It is the default so existing results stay
-	// byte-identical.
-	IndexPerRow Indexing = iota
-	// IndexOneHash derives all row indices (and, in the full version, the
-	// heavy-part index) from a single 128-bit hash by double hashing
-	// (h1 + r·h2) with a multiply-shift range reduction: one hash and zero
-	// divides per packet instead of D+1 hashes and D+1 divides. Bucket
-	// placement differs from IndexPerRow, so estimates differ within the
-	// usual Count-Min envelope (the ablation-indexing experiment tracks
-	// the accuracy delta).
-	IndexOneHash
-)
-
 // Config parameterizes a WaveSketch.
 type Config struct {
 	Rows   int // D: number of hash rows (paper default 3)
@@ -51,10 +32,6 @@ type Config struct {
 	Levels int // L: wavelet decomposition depth (paper default 8)
 	K      int // detail coefficients retained per bucket (32–256)
 	Seed   uint64
-
-	// Indexing gates the one-hash ingest datapath; the zero value keeps
-	// the paper-compatible per-row hashing.
-	Indexing Indexing
 
 	Variant Variant
 	// Hardware-variant thresholds on the shifted coefficient magnitude,
@@ -94,11 +71,14 @@ func (c *Config) newSink() coeffSink {
 //
 // The buckets live in one contiguous slab indexed r·W + w, so per-packet
 // updates walk cache-local state instead of chasing per-bucket pointers,
-// and building the array is a single allocation.
+// and building the array is a single allocation. A key's bucket in row r
+// is Hash(RowSeed(Seed, r)) mod W — the placement the report plane
+// (report.Queryable, report.RouteGroups) recomputes on the analyzer.
 type Basic struct {
 	cfg     Config
 	buckets []Bucket // slab: bucket (r, w) is buckets[r*cfg.Width+w]
 	seeds   []uint64
+	width   flowkey.Reducer // hash → bucket index within a row
 	updates int64
 	sealed  bool
 }
@@ -108,7 +88,7 @@ func NewBasic(cfg Config) (*Basic, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Basic{cfg: cfg}
+	s := &Basic{cfg: cfg, width: flowkey.NewReducer(cfg.Width)}
 	s.buckets = make([]Bucket, cfg.Rows*cfg.Width)
 	for i := range s.buckets {
 		s.buckets[i].Init(cfg.Levels, cfg.newSink())
@@ -128,52 +108,26 @@ func (s *Basic) Config() Config { return s.cfg }
 
 // Update implements measure.SeriesEstimator.
 func (s *Basic) Update(f flowkey.Key, w int64, v int64) {
-	s.updates++
-	if s.cfg.Indexing == IndexOneHash {
-		h1, h2 := f.Hash128(s.cfg.Seed)
-		s.updateOneHash(h1, h2, w, v)
-		return
-	}
-	width := uint64(s.cfg.Width)
-	for r, seed := range s.seeds {
-		idx := f.Hash(seed) % width
-		s.buckets[r*s.cfg.Width+int(idx)].Update(w, v)
-	}
+	s.updatePacked(f.Pack(), w, v)
 }
 
-// updateOneHash is the hashed-once row walk: double hashing h1 + r·h2
-// (h2 forced odd so consecutive rows never stride by zero) with a
-// multiply-shift reduction into each row's slab segment.
-func (s *Basic) updateOneHash(h1, h2 uint64, w int64, v int64) {
-	width := uint64(s.cfg.Width)
-	step := h2 | 1
-	h := h1
-	for base := 0; base < len(s.buckets); base += s.cfg.Width {
-		s.buckets[base+int(flowkey.FastRange(h, width))].Update(w, v)
-		h += step
+// updatePacked is Update on a key packed once by the caller, hashed once
+// per row.
+func (s *Basic) updatePacked(p flowkey.Packed, w int64, v int64) {
+	s.updates++
+	for r, seed := range s.seeds {
+		s.buckets[r*s.cfg.Width+s.width.Index(p.Hash(seed))].Update(w, v)
 	}
 }
 
 // UpdateBatch implements measure.BatchUpdater: it is equivalent to calling
 // Update for every sample in slice order, with the per-call overhead
-// (interface dispatch, counter increments, config re-reads) paid once per
-// batch instead of once per packet. The batched path allocates nothing.
+// (interface dispatch, config re-reads) paid once per batch instead of
+// once per packet. The batched path allocates nothing.
 func (s *Basic) UpdateBatch(batch []measure.Sample) {
-	s.updates += int64(len(batch))
-	if s.cfg.Indexing == IndexOneHash {
-		for i := range batch {
-			h1, h2 := batch[i].Key.Hash128(s.cfg.Seed)
-			s.updateOneHash(h1, h2, batch[i].Window, batch[i].Bytes)
-		}
-		return
-	}
-	width := uint64(s.cfg.Width)
 	for i := range batch {
 		sm := &batch[i]
-		for r, seed := range s.seeds {
-			idx := sm.Key.Hash(seed) % width
-			s.buckets[r*s.cfg.Width+int(idx)].Update(sm.Window, sm.Bytes)
-		}
+		s.updatePacked(sm.Key.Pack(), sm.Window, sm.Bytes)
 	}
 }
 
@@ -190,11 +144,7 @@ func (s *Basic) Seal() {
 
 // bucketIndex returns the slab index of flow f's bucket in row r.
 func (s *Basic) bucketIndex(f flowkey.Key, r int) int {
-	if s.cfg.Indexing == IndexOneHash {
-		h1, h2 := f.Hash128(s.cfg.Seed)
-		return r*s.cfg.Width + int(flowkey.FastRange(h1+uint64(r)*(h2|1), uint64(s.cfg.Width)))
-	}
-	return r*s.cfg.Width + int(f.Hash(s.seeds[r])%uint64(s.cfg.Width))
+	return r*s.cfg.Width + s.width.Index(f.Hash(s.seeds[r]))
 }
 
 // bucketsFor returns the D buckets flow f maps to.

@@ -24,41 +24,26 @@ func reportMpps(b *testing.B, packets int) {
 	b.ReportMetric(float64(packets)/b.Elapsed().Seconds()/1e6, "Mpps")
 }
 
-func benchIndexing(name string, f func(b *testing.B, idx Indexing)) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.Run("per-row", func(b *testing.B) { f(b, IndexPerRow) })
-		b.Run("one-hash", func(b *testing.B) { f(b, IndexOneHash) })
-	}
-}
-
 func BenchmarkBasicUpdate(b *testing.B) {
-	benchIndexing("basic", func(b *testing.B, idx Indexing) {
-		cfg := Default(64)
-		cfg.Indexing = idx
-		s, _ := NewBasic(cfg)
-		keys := benchKeys(64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Update(keys[i%len(keys)], int64(i/len(keys)), 1500)
-		}
-		reportMpps(b, b.N)
-	})(b)
+	s, _ := NewBasic(Default(64))
+	keys := benchKeys(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Update(keys[i%len(keys)], int64(i/len(keys)), 1500)
+	}
+	reportMpps(b, b.N)
 }
 
 func BenchmarkFullUpdate(b *testing.B) {
-	benchIndexing("full", func(b *testing.B, idx Indexing) {
-		cfg := DefaultFull()
-		cfg.Light.Indexing = idx
-		s, _ := NewFull(cfg)
-		keys := benchKeys(64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Update(keys[i%len(keys)], int64(i/len(keys)), 1500)
-		}
-		reportMpps(b, b.N)
-	})(b)
+	s, _ := NewFull(DefaultFull())
+	keys := benchKeys(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Update(keys[i%len(keys)], int64(i/len(keys)), 1500)
+	}
+	reportMpps(b, b.N)
 }
 
 // benchBatch pre-builds one reusable batch with the same key/window mix
@@ -73,18 +58,14 @@ func benchBatch(size int) []measure.Sample {
 }
 
 func BenchmarkBasicUpdateBatch(b *testing.B) {
-	benchIndexing("basic-batch", func(b *testing.B, idx Indexing) {
-		cfg := Default(64)
-		cfg.Indexing = idx
-		s, _ := NewBasic(cfg)
-		batch := benchBatch(1024)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.UpdateBatch(batch)
-		}
-		reportMpps(b, b.N*len(batch))
-	})(b)
+	s, _ := NewBasic(Default(64))
+	batch := benchBatch(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.UpdateBatch(batch)
+	}
+	reportMpps(b, b.N*len(batch))
 }
 
 // BenchmarkShardedIngest drives the concurrent front-end end to end:

@@ -37,6 +37,7 @@ type heavySlot struct {
 type Full struct {
 	cfg    FullConfig
 	heavy  []heavySlot
+	slots  flowkey.Reducer // onto heavy
 	light  *Basic
 	sealed bool
 }
@@ -50,7 +51,7 @@ func NewFull(cfg FullConfig) (*Full, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Full{cfg: cfg, light: light}
+	f := &Full{cfg: cfg, light: light, slots: flowkey.NewReducer(cfg.HeavyRows)}
 	f.heavy = make([]heavySlot, cfg.HeavyRows)
 	for i := range f.heavy {
 		f.heavy[i].bucket.Init(cfg.Light.Levels, cfg.Light.newSink())
@@ -65,34 +66,14 @@ func (f *Full) Name() string { return f.cfg.Light.Variant.String() + "-Full" }
 // build an identically-shaped spare sketch for swap-and-reset sealing).
 func (f *Full) Config() FullConfig { return f.cfg }
 
-// heavyIdx maps a key to its heavy slot. Each entry point (Update and the
-// query path) computes it exactly once and passes it down — the heavy-part
-// hash used to be recomputed by both. In one-hash mode the index is
-// derived from the second word of the same Hash128 that indexes the light
-// rows, so the whole full-version update costs a single hash.
-func (f *Full) heavyIdx(k flowkey.Key) int {
-	if f.cfg.Light.Indexing == IndexOneHash {
-		_, h2 := k.Hash128(f.cfg.Light.Seed)
-		return int(flowkey.FastRange(h2, uint64(len(f.heavy))))
-	}
-	return int(k.Hash(f.cfg.HeavySeed) % uint64(len(f.heavy)))
-}
-
 // Update implements measure.SeriesEstimator. Per §4.2, the light part is
 // updated for *every* packet (so evicting a heavy candidate loses nothing),
-// while the heavy slot tracks the current majority-vote candidate.
+// while the heavy slot tracks the current majority-vote candidate. The key
+// is packed once and hashed D+1 times: per light row and for the slot.
 func (f *Full) Update(k flowkey.Key, w int64, v int64) {
-	if f.cfg.Light.Indexing == IndexOneHash {
-		// One hash for the whole sketch: light rows from (h1, h2), heavy
-		// slot from h2.
-		h1, h2 := k.Hash128(f.cfg.Light.Seed)
-		f.light.updates++
-		f.light.updateOneHash(h1, h2, w, v)
-		f.updateHeavy(k, int(flowkey.FastRange(h2, uint64(len(f.heavy)))), w, v)
-		return
-	}
-	f.light.Update(k, w, v)
-	f.updateHeavy(k, f.heavyIdx(k), w, v)
+	p := k.Pack()
+	f.light.updatePacked(p, w, v)
+	f.updateHeavy(k, f.slots.Index(p.Hash(f.cfg.HeavySeed)), w, v)
 }
 
 // UpdateBatch implements measure.BatchUpdater; it is equivalent to calling
@@ -147,7 +128,7 @@ func (f *Full) Seal() {
 
 // heavyFor returns the heavy slot currently owned by k, if any.
 func (f *Full) heavyFor(k flowkey.Key) *heavySlot {
-	slot := &f.heavy[f.heavyIdx(k)]
+	slot := &f.heavy[f.slots.Index(k.Hash(f.cfg.HeavySeed))]
 	if slot.valid && slot.key == k {
 		return slot
 	}

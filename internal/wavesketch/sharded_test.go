@@ -1,7 +1,6 @@
 package wavesketch
 
 import (
-	"fmt"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -75,60 +74,53 @@ func requireEqualEstimates(t *testing.T, want, got measure.SeriesEstimator, flow
 }
 
 // TestBasicUpdateBatchMatchesUpdate: the batched path must be equivalent
-// to per-packet updates in slice order, for both indexing modes.
+// to per-packet updates in slice order.
 func TestBasicUpdateBatchMatchesUpdate(t *testing.T) {
 	trace := traceFor(20000, 300, 7)
 	flows := distinctFlows(trace)
 	from, to := windowSpan(trace)
-	for _, idx := range []Indexing{IndexPerRow, IndexOneHash} {
-		cfg := Default(32)
-		cfg.Indexing = idx
-		seq, err := NewBasic(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bat, err := NewBasic(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range trace {
-			seq.Update(trace[i].Key, trace[i].Window, trace[i].Bytes)
-		}
-		bat.UpdateBatch(trace)
-		if seq.Updates() != bat.Updates() {
-			t.Fatalf("indexing %d: updates %d != %d", idx, seq.Updates(), bat.Updates())
-		}
-		seq.Seal()
-		bat.Seal()
-		requireEqualEstimates(t, seq, bat, flows, from, to, fmt.Sprintf("basic batch (indexing %d)", idx))
+	cfg := Default(32)
+	seq, err := NewBasic(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	bat, err := NewBasic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trace {
+		seq.Update(trace[i].Key, trace[i].Window, trace[i].Bytes)
+	}
+	bat.UpdateBatch(trace)
+	if seq.Updates() != bat.Updates() {
+		t.Fatalf("updates %d != %d", seq.Updates(), bat.Updates())
+	}
+	seq.Seal()
+	bat.Seal()
+	requireEqualEstimates(t, seq, bat, flows, from, to, "basic batch")
 }
 
-// TestFullUpdateBatchMatchesUpdate: same equivalence for the full version,
-// whose batch path also exercises the hoisted heavy-part hash.
+// TestFullUpdateBatchMatchesUpdate: same equivalence for the full version.
 func TestFullUpdateBatchMatchesUpdate(t *testing.T) {
 	trace := traceFor(20000, 300, 11)
 	flows := distinctFlows(trace)
 	from, to := windowSpan(trace)
-	for _, idx := range []Indexing{IndexPerRow, IndexOneHash} {
-		cfg := DefaultFull()
-		cfg.Light.Indexing = idx
-		seq, err := NewFull(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bat, err := NewFull(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range trace {
-			seq.Update(trace[i].Key, trace[i].Window, trace[i].Bytes)
-		}
-		bat.UpdateBatch(trace)
-		seq.Seal()
-		bat.Seal()
-		requireEqualEstimates(t, seq, bat, flows, from, to, fmt.Sprintf("full batch (indexing %d)", idx))
+	cfg := DefaultFull()
+	seq, err := NewFull(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	bat, err := NewFull(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trace {
+		seq.Update(trace[i].Key, trace[i].Window, trace[i].Bytes)
+	}
+	bat.UpdateBatch(trace)
+	seq.Seal()
+	bat.Seal()
+	requireEqualEstimates(t, seq, bat, flows, from, to, "full batch")
 }
 
 // TestShardedOneProducerMatchesInline: with a single producer every shard
@@ -274,42 +266,5 @@ func TestShardedSealIdempotent(t *testing.T) {
 	}
 	if g.MemoryBytes() <= 0 || g.Name() == "" {
 		t.Fatal("accessors broke")
-	}
-}
-
-// TestOneHashSingleFlowExact: in one-hash mode a lone flow must be
-// recovered exactly (update and query paths must agree on placement).
-func TestOneHashSingleFlowExact(t *testing.T) {
-	cfg := Default(64)
-	cfg.Indexing = IndexOneHash
-	s, err := NewBasic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fcfg := DefaultFull()
-	fcfg.Light.Indexing = IndexOneHash
-	f, err := NewFull(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := flowkey.Key{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1234, DstPort: 80, Proto: 6}
-	truth := map[int64]float64{}
-	for w := int64(100); w < 140; w++ {
-		v := (w % 7) * 100
-		s.Update(k, w, v)
-		f.Update(k, w, v)
-		truth[w] = float64(v)
-	}
-	s.Seal()
-	f.Seal()
-	if !f.IsHeavy(k) {
-		t.Fatal("lone flow should be elected heavy")
-	}
-	for _, est := range [][]float64{s.QueryRange(k, 100, 140), f.QueryRange(k, 100, 140)} {
-		for i, v := range est {
-			if v != truth[100+int64(i)] {
-				t.Fatalf("window %d: got %v want %v", 100+int64(i), v, truth[100+int64(i)])
-			}
-		}
 	}
 }

@@ -306,16 +306,6 @@ type BatchUpdater = measure.BatchUpdater
 // one, and sample-by-sample otherwise.
 func UpdateAll(e SeriesEstimator, batch []Sample) { measure.UpdateAll(e, batch) }
 
-// Row-indexing modes for SketchConfig.Indexing.
-const (
-	// IndexPerRow hashes once per row (the paper-compatible default).
-	IndexPerRow = wavesketch.IndexPerRow
-	// IndexOneHash derives all row indices from a single 128-bit hash —
-	// the fast ingest path; placement differs from IndexPerRow within the
-	// usual Count-Min accuracy envelope.
-	IndexOneHash = wavesketch.IndexOneHash
-)
-
 // ShardedIngest partitions flows across independent sketch shards fed by
 // bounded per-producer rings — the concurrent ingest front-end.
 type ShardedIngest = wavesketch.ShardedIngest
