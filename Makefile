@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-accuracy bench-micro bench-ingest bench-baseline bench-query bench-query-baseline bench-query-api bench-query-scale bench-sim bench-sim-baseline bench-mirror bench-mirror-baseline bench-admit perf-gate fuzz-seed vet stream-demo ops-smoke
+.PHONY: build test test-short test-race bench bench-accuracy bench-micro bench-ingest bench-query bench-sim bench-mirror bench-admit perf-gate fuzz-seed vet loc stream-demo ops-smoke
 
 build:
 	$(GO) build ./...
@@ -13,8 +13,7 @@ test-short:
 	$(GO) test -short ./...
 
 # Race coverage for the concurrent surfaces: the parallel evaluation
-# harness, the singleflight sim cache, the sharded ingest front-end
-# (rings, shard workers, Seal barrier), the analyzer query plane
+# harness, the singleflight sim cache, the analyzer query plane
 # (memoized reconstruction caches, routing index, parallel replay), the
 # telemetry plane (atomic counters/histograms, registry, tracer), the
 # netsim event engine (timing wheel vs heap-oracle determinism), and the
@@ -24,7 +23,6 @@ test-short:
 test-race:
 	$(GO) test -race ./internal/parallel
 	$(GO) test -race ./internal/experiments -run TestParallel
-	$(GO) test -race ./internal/wavesketch -run 'TestSharded'
 	$(GO) test -race ./internal/report -run 'TestQueryable|TestDecodeBudget'
 	$(GO) test -race ./internal/analyzer -run 'TestAnalyzerConcurrent|TestDetectEventsIncremental'
 	$(GO) test -race ./internal/telemetry
@@ -49,6 +47,15 @@ fuzz-seed:
 vet:
 	$(GO) vet ./...
 
+# The size ratchet: non-test Go outside bench/ may shrink, not grow past
+# LOC_CEILING. Lower the ceiling when a PR deletes code; raising it needs a
+# reason in the PR.
+LOC_CEILING = 18900
+loc:
+	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'); \
+	echo "$$n non-test Go lines outside bench/ (ceiling $(LOC_CEILING))"; \
+	test $$n -le $(LOC_CEILING)
+
 # Full evaluation suite (paper-scale 20 ms traces). UMON_WORKERS bounds the
 # worker pool; UMON_BENCH_MS scales the traces.
 bench:
@@ -66,82 +73,39 @@ bench-micro:
 # as epochs roll). Pinned -benchtime and -count so runs are comparable
 # across commits. Writes BENCH_ingest.json (via benchjson), the committed
 # perf-gate baseline for the packet path; refresh it here after a
-# deliberate perf change. Compares against the saved baseline with
-# benchstat when it is installed and a baseline exists (create one with
-# `make bench-baseline`).
-INGEST_BENCH = KeyHash|BasicUpdate|FullUpdate|BasicUpdateBatch|StreamHostMonitorOnPacket|ShardedIngest|TelemetryNoop
+# deliberate perf change.
+INGEST_BENCH = KeyHash|BasicUpdate|FullUpdate|BasicUpdateBatch|StreamHostMonitorOnPacket|TelemetryNoop
 INGEST_PKGS = ./internal/flowkey ./internal/wavesketch ./internal/core ./internal/telemetry
 bench-ingest:
 	$(GO) test -run XXX -bench '$(INGEST_BENCH)' -benchtime 2s -count 5 \
 		$(INGEST_PKGS) | tee bench-ingest.txt
 	$(GO) run ./cmd/benchjson -o BENCH_ingest.json bench-ingest.txt
-	@if command -v benchstat >/dev/null 2>&1 && [ -f bench-ingest.base.txt ]; then \
-		benchstat bench-ingest.base.txt bench-ingest.txt; \
-	else \
-		echo "(benchstat or bench-ingest.base.txt missing — raw numbers above)"; \
-	fi
 
-# Save the current ingest numbers as the comparison baseline.
-bench-baseline:
-	$(GO) test -run XXX -bench '$(INGEST_BENCH)' -benchtime 2s -count 5 \
-		$(INGEST_PKGS) | tee bench-ingest.base.txt
-
-# Query-plane latency (ns/op, allocs): report-side range queries and light
-# estimation plus full analyzer event replay. Same benchstat-compatible
-# shape as bench-ingest (create a baseline with `make bench-query-baseline`).
-QUERY_BENCH = QueryRange|LightEstimate|NewQueryable|Replay
-bench-query:
-	$(GO) test -run XXX -bench '$(QUERY_BENCH)' -benchtime 2s -count 5 \
-		./internal/report ./internal/analyzer | tee bench-query.txt
-	@if command -v benchstat >/dev/null 2>&1 && [ -f bench-query.base.txt ]; then \
-		benchstat bench-query.base.txt bench-query.txt; \
-	else \
-		echo "(benchstat or bench-query.base.txt missing — raw numbers above)"; \
-	fi
-
-# Save the current query-plane numbers as the comparison baseline.
-bench-query-baseline:
-	$(GO) test -run XXX -bench '$(QUERY_BENCH)' -benchtime 2s -count 5 \
-		./internal/report ./internal/analyzer | tee bench-query.base.txt
-
-# Ops-API sustained QPS: concurrent /api/query/flow, /api/replay and
-# /api/status over real HTTP against a populated multi-epoch window —
-# the remote query path a dashboard or umonctl drives while ingest runs.
-# Writes BENCH_query.json (via benchjson) as the committed perf-gate
-# baseline; refresh it here after a deliberate perf change.
+# Query-plane latency and throughput, one file: the ops API's sustained QPS
+# (concurrent /api/query/flow, /api/replay and /api/status over real HTTP
+# against a populated multi-epoch window — the remote query path a
+# dashboard or umonctl drives while ingest runs) and the fleet-scale
+# fixture (2,000 (host,epoch) reports holding >1M distinct flow keys,
+# queried concurrently through the routing index — QueryScaleFlow — and
+# the linear-scan baseline — QueryScaleFlowScan — plus event replay and a
+# mixed read/write run with ingest republishing snapshots mid-query; each
+# reports p50-ns/p99-ns/qps via b.ReportMetric, which benchjson folds into
+# a metrics map). Writes BENCH_query.json (via benchjson), the committed
+# perf-gate baseline; refresh it here after a deliberate perf change.
 QUERY_API_BENCH = QueryFlowAPI|ReplayAPI|StatusAPI
-bench-query-api:
-	$(GO) test -run XXX -bench '$(QUERY_API_BENCH)' -benchtime 2s -count 5 \
-		./internal/opsapi | tee bench-query-api.txt
-	@if [ -f bench-query-scale.txt ]; then \
-		$(GO) run ./cmd/benchjson -o BENCH_query.json bench-query-api.txt bench-query-scale.txt; \
-	else \
-		$(GO) run ./cmd/benchjson -o BENCH_query.json bench-query-api.txt; \
-	fi
-
-# Fleet-scale query-plane benchmarks: 2,000 (host,epoch) reports holding
-# >1M distinct flow keys, queried concurrently through the routing index
-# (QueryScaleFlow) and the linear-scan baseline (QueryScaleFlowScan), plus
-# event replay and a mixed read/write run with ingest republishing
-# snapshots mid-query. Each benchmark reports p50-ns/p99-ns/qps via
-# b.ReportMetric; benchjson folds them into BENCH_query.json alongside the
-# ops-API numbers (metrics map). Refresh together with bench-query-api.
 QUERY_SCALE_BENCH = QueryScale
-bench-query-scale:
+bench-query:
+	$(GO) test -run XXX -bench '$(QUERY_API_BENCH)' -benchtime 2s -count 5 \
+		./internal/opsapi | tee bench-query.txt
 	$(GO) test -run XXX -bench '$(QUERY_SCALE_BENCH)' -benchtime 1s -count 3 \
-		./internal/collect | tee bench-query-scale.txt
-	@if [ -f bench-query-api.txt ]; then \
-		$(GO) run ./cmd/benchjson -o BENCH_query.json bench-query-api.txt bench-query-scale.txt; \
-	else \
-		$(GO) run ./cmd/benchjson -o BENCH_query.json bench-query-scale.txt; \
-	fi
+		./internal/collect | tee -a bench-query.txt
+	$(GO) run ./cmd/benchjson -o BENCH_query.json bench-query.txt
 
 # Event-engine scheduling latency (ns/op, allocs): timing wheel vs the
 # in-tree heap oracle at several pending-event counts, the typed DCQCN
-# rearm path, and a full dumbbell simulation. Same benchstat-compatible
-# shape as bench-ingest (create a baseline with `make bench-sim-baseline`).
-# The FabricSim pass is the serial-vs-sharded matrix (fat-tree k=4/k=8 at
-# 1/2/4 shards); BENCH_sim.json aggregates everything for CI tracking.
+# rearm path, and a full dumbbell simulation. The FabricSim pass is the
+# serial-vs-sharded matrix (fat-tree k=4/k=8 at 1/2/4 shards);
+# BENCH_sim.json aggregates everything for CI tracking.
 SIM_BENCH = EngineSchedule|EngineEventLoopTyped|EngineDCQCNTimerRearm|EngineArmTimers|DumbbellSim
 bench-sim:
 	$(GO) test -run XXX -bench '$(SIM_BENCH)' -benchtime 1s -count 5 \
@@ -149,38 +113,16 @@ bench-sim:
 	$(GO) test -run XXX -bench FabricSim -benchtime 3x -count 3 \
 		./internal/netsim | tee -a bench-sim.txt
 	$(GO) run ./cmd/benchjson -o BENCH_sim.json bench-sim.txt
-	@if command -v benchstat >/dev/null 2>&1 && [ -f bench-sim.base.txt ]; then \
-		benchstat bench-sim.base.txt bench-sim.txt; \
-	else \
-		echo "(benchstat or bench-sim.base.txt missing — raw numbers above)"; \
-	fi
-
-# Save the current event-engine numbers as the comparison baseline.
-bench-sim-baseline:
-	$(GO) test -run XXX -bench '$(SIM_BENCH)' -benchtime 1s -count 5 \
-		./internal/netsim | tee bench-sim.base.txt
 
 # Mirror-datapath throughput (ns/op, MB/s, allocs): pooled buffer cycling,
 # batched pcap read/write, in-place mirror decode, and the end-to-end
-# read→decode→cluster ingest. Writes BENCH_mirror.json (via benchjson) so
-# CI and scripts can consume the numbers; compares against the saved
-# baseline with benchstat when available (create one with
-# `make bench-mirror-baseline`).
+# read→decode→cluster ingest. Writes BENCH_mirror.json (via benchjson),
+# the committed perf-gate baseline for the mirror path.
 MIRROR_BENCH = MbufPool|PcapRead|PcapWrite|DecodeMirror|EncodeMirror|AppendMirror|MirrorReadDecode|MirrorIngestE2E
 bench-mirror:
 	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 2s -count 5 \
 		./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer | tee bench-mirror.txt
 	$(GO) run ./cmd/benchjson -o BENCH_mirror.json bench-mirror.txt
-	@if command -v benchstat >/dev/null 2>&1 && [ -f bench-mirror.base.txt ]; then \
-		benchstat bench-mirror.base.txt bench-mirror.txt; \
-	else \
-		echo "(benchstat or bench-mirror.base.txt missing — raw numbers above)"; \
-	fi
-
-# Save the current mirror-datapath numbers as the comparison baseline.
-bench-mirror-baseline:
-	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 2s -count 5 \
-		./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer | tee bench-mirror.base.txt
 
 # Report datapath on the collector side (ns/op, MB/s, allocs): DecodeBytes
 # and AppendEncode on one report, NewQueryable's index build, and a whole
@@ -201,13 +143,11 @@ bench-admit:
 # BENCH_mirror.json / BENCH_query.json / BENCH_admit.json /
 # BENCH_ingest.json baselines regressed in ns/op by more than
 # PERF_GATE_THRESHOLD percent or went missing. Refresh the baselines with
-# `make bench-mirror`, `make bench-query-api`, `make bench-query-scale`,
-# `make bench-admit` and `make bench-ingest` after a deliberate perf
-# change. The over-HTTP ops-API benchmarks ride the full loopback TCP stack
+# `make bench-mirror`, `make bench-query`, `make bench-admit` and
+# `make bench-ingest` after a deliberate perf change. The over-HTTP ops-API benchmarks ride the full loopback TCP stack
 # and swing far more run-to-run than the in-process ones, so they get
-# their own wider threshold. Of the ingest set the gate runs the
-# single-goroutine packet path only: the sharded front-end's numbers are
-# goroutine scheduling and the telemetry no-ops are sub-nanosecond.
+# their own wider threshold. Of the ingest set the gate leaves out the
+# telemetry no-ops, which are sub-nanosecond.
 PERF_GATE_THRESHOLD ?= 25
 PERF_GATE_API_THRESHOLD ?= 60
 INGEST_GATE_BENCH = KeyHash|BasicUpdate|FullUpdate|StreamHostMonitorOnPacket
@@ -237,7 +177,7 @@ perf-gate:
 # collector daemon over the stream + mirror feed exactly as a deployment
 # would (bounded window, online detection, telemetry summary).
 stream-demo:
-	$(GO) run ./cmd/umon-sim -workload hadoop -ms 20 -stream -epoch-ms 2 \
+	$(GO) run ./cmd/umon-sim -workload hadoop -ms 20 -epoch-ms 2 \
 		-sample-bits 1 -out out/stream-demo
 	$(GO) run ./cmd/umon-collect -reports out/stream-demo/reports.umstream \
 		-mirrors out/stream-demo/mirrors.pcap -window 8 -epoch-ms 2 -telemetry-dump

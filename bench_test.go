@@ -143,7 +143,7 @@ func BenchmarkQueryThroughput(b *testing.B) {
 // BenchmarkHostMonitorPipeline measures the full host-side path: sketch
 // update plus periodic report encoding.
 func BenchmarkHostMonitorPipeline(b *testing.B) {
-	m, err := umon.NewHostMonitor(0, umon.DefaultHostMonitor(), nil)
+	m, err := umon.NewHostMonitor(0, umon.DefaultHostMonitor(), func(int, []byte) {})
 	if err != nil {
 		b.Fatal(err)
 	}

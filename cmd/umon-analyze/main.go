@@ -1,15 +1,16 @@
 // umon-analyze is the offline µMon analyzer CLI: it ingests a mirror pcap
-// (VLAN-tagged CE packets with switch timestamps) and a directory of host
-// WaveSketch reports, detects congestion events, prints their
-// distribution, and replays the most significant event.
+// (VLAN-tagged CE packets with switch timestamps) and the hosts' WaveSketch
+// reports as framed .umstream files, detects congestion events, prints
+// their distribution, and replays the most significant event.
 //
 // Usage:
 //
 //	umon-analyze -mirrors out/mirrors.pcap -reports out/ [-gap-us 50] [-top 10]
 //	             [-workers N]
 //
-// Reports are decoded and indexed in parallel and handed to the analyzer
-// in path order, so the output is identical at any worker count.
+// -reports takes one stream file or a directory holding some (umon-sim's
+// -out directory). Frames reach the analyzer in file order, so the output
+// is identical at any worker count.
 package main
 
 import (
@@ -32,7 +33,7 @@ import (
 
 func main() {
 	mirrors := flag.String("mirrors", "", "mirror pcap from umon-sim (required)")
-	reports := flag.String("reports", "", "directory of .umon host reports")
+	reports := flag.String("reports", "", "host reports: a .umstream file from umon-sim, or a directory holding some")
 	gapUs := flag.Int64("gap-us", 50, "event clustering gap in microseconds")
 	top := flag.Int("top", 10, "events to list")
 	replayMarginUs := flag.Int64("replay-margin-us", 250, "replay margin around the event")
@@ -95,23 +96,21 @@ func run(mirrorPath, reportDir string, gapNs int64, top int, replayMarginNs int6
 	var badMirror int
 	span := tracer.Start("mirror_ingest")
 	var batch pcapio.Batch
-	for {
-		n, err := rd.ReadBatch(&batch, pcapio.DefaultBatchSize)
+	var readErr error
+	for readErr == nil {
+		var n int
+		n, readErr = rd.ReadBatch(&batch, pcapio.DefaultBatchSize)
 		for _, p := range batch.Pkts[:n] {
 			if err := a.AddMirrorPacket(p.Data); err != nil {
 				badMirror++
 			}
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			span.End()
-			return fmt.Errorf("reading %s: %w", mirrorPath, err)
-		}
 	}
 	batch.Release()
 	span.End()
+	if readErr != io.EOF {
+		return fmt.Errorf("reading %s: %w", mirrorPath, readErr)
+	}
 	fmt.Printf("mirrors       %d packets ingested, %d unparseable\n", a.Mirrors(), badMirror)
 
 	if reportDir != "" {
@@ -197,11 +196,9 @@ func run(mirrorPath, reportDir string, gapNs int64, top int, replayMarginNs int6
 	return nil
 }
 
-// ingestReports feeds host reports from path into the analyzer. Path may
-// be a directory holding legacy per-period .umon files and/or framed
-// .umstream files, or one stream file directly. Legacy files decode in
-// parallel and land in path order; stream frames land in file order — both
-// deterministic at any worker count.
+// ingestReports feeds host reports from path into the analyzer: one
+// .umstream file, or a directory whose .umstream files are ingested in
+// name order.
 func ingestReports(a *analyzer.Analyzer, path string, decodeBudget int) (int, error) {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -210,45 +207,18 @@ func ingestReports(a *analyzer.Analyzer, path string, decodeBudget int) (int, er
 	if !st.IsDir() {
 		return ingestStreamFile(a, path, decodeBudget)
 	}
-	entries, err := filepath.Glob(filepath.Join(path, "*.umon"))
-	if err != nil {
-		return 0, err
-	}
-	sort.Strings(entries)
-	// Decode and index the legacy reports in parallel (building the query
-	// indexes — colocation, routing bitmaps — is per-report work), then
-	// hand them to the analyzer in path order so its routing index is
-	// deterministic.
-	queryables := make([]*report.Queryable, len(entries))
-	err = parallel.ForEachErr(len(entries), func(i int) error {
-		raw, err := os.ReadFile(entries[i])
-		if err != nil {
-			return err
-		}
-		rep, err := report.DecodeBytes(raw)
-		if err != nil {
-			return fmt.Errorf("decoding %s: %w", entries[i], err)
-		}
-		q := report.NewQueryable(rep)
-		if decodeBudget > 0 {
-			q.SetDecodeBudget(decodeBudget)
-		}
-		queryables[i] = q
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	for _, q := range queryables {
-		a.AddQueryable(q)
-	}
-	ingested := len(entries)
-
 	streams, err := filepath.Glob(filepath.Join(path, "*.umstream"))
 	if err != nil {
-		return ingested, err
+		return 0, err
+	}
+	if len(streams) == 0 {
+		if legacy, _ := filepath.Glob(filepath.Join(path, "*.umon")); len(legacy) > 0 {
+			return 0, fmt.Errorf("%s holds %d per-period .umon report files and no .umstream: the per-period format was removed, re-run umon-sim to get reports.umstream", path, len(legacy))
+		}
+		return 0, fmt.Errorf("no .umstream report file in %s", path)
 	}
 	sort.Strings(streams)
+	ingested := 0
 	for _, sf := range streams {
 		n, err := ingestStreamFile(a, sf, decodeBudget)
 		ingested += n

@@ -3,9 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"bytes"
 
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
@@ -94,10 +93,33 @@ func TestAnalyzeGarbageCapture(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFramedReports feeds the analyzer the same report payloads as
-// per-period .umon files and as one framed .umstream, plus a direct file
-// path — all three input shapes must ingest cleanly alongside a mirror
-// capture.
+// TestAnalyzeTruncatedCapture cuts the capture mid-record: the run must
+// fail with the read error and still hand every pooled buffer back.
+func TestAnalyzeTruncatedCapture(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mirrors.pcap")
+	writeMirrorPcap(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	if err := run(path, "", 50_000, 5, 100_000, 0, reg); err == nil {
+		t.Fatal("truncated capture must fail")
+	}
+	got := reg.Value("umon_mbuf_alloc_hits_total") + reg.Value("umon_mbuf_alloc_misses_total")
+	if recycled := reg.Value("umon_mbuf_recycled_total"); got == 0 || recycled != got {
+		t.Errorf("%d pooled buffers allocated, %d recycled", got, recycled)
+	}
+}
+
+// TestAnalyzeFramedReports feeds the analyzer a framed .umstream through
+// a directory and through a direct file path — both must ingest cleanly
+// alongside a mirror capture — and checks the directories it must refuse:
+// one with no stream in it, and one holding only the removed per-period
+// .umon files, which the error must name.
 func TestAnalyzeFramedReports(t *testing.T) {
 	mk := func(host int, w int64, v int64) *report.HostReport {
 		s, err := wavesketch.NewBasic(wavesketch.Default(16))
@@ -109,18 +131,9 @@ func TestAnalyzeFramedReports(t *testing.T) {
 		return report.FromBasic(host, 0, s)
 	}
 
-	legacyDir := t.TempDir()
-	pcap := filepath.Join(legacyDir, "mirrors.pcap")
-	writeMirrorPcap(t, pcap)
-	var raw bytes.Buffer
-	if _, err := mk(0, 12, 100).Encode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(legacyDir, "report-h00-000.umon"), raw.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	streamDir := t.TempDir()
+	pcap := filepath.Join(streamDir, "mirrors.pcap")
+	writeMirrorPcap(t, pcap)
 	sf, err := os.Create(filepath.Join(streamDir, "reports.umstream"))
 	if err != nil {
 		t.Fatal(err)
@@ -141,27 +154,28 @@ func TestAnalyzeFramedReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Legacy directory, framed directory, and direct stream-file path.
-	if err := run(pcap, legacyDir, 50_000, 5, 100_000, 0, nil); err != nil {
-		t.Fatalf("legacy dir: %v", err)
-	}
 	if err := run(pcap, streamDir, 50_000, 5, 100_000, 0, nil); err != nil {
 		t.Fatalf("stream dir: %v", err)
 	}
 	if err := run(pcap, filepath.Join(streamDir, "reports.umstream"), 50_000, 5, 100_000, 2, nil); err != nil {
 		t.Fatalf("stream file: %v", err)
 	}
-
-	// Mixed directory: legacy + framed side by side.
-	if err := os.WriteFile(filepath.Join(streamDir, "report-h09-000.umon"), raw.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	a := analyzer.New()
-	n, err := ingestReports(a, streamDir, 0)
-	if err != nil {
+	if n, err := ingestReports(a, streamDir, 0); err != nil || n != 3 || a.Reports() != 3 {
+		t.Fatalf("stream dir ingested %d (analyzer %d, err %v), want 3", n, a.Reports(), err)
+	}
+
+	emptyDir := t.TempDir()
+	err = run(pcap, emptyDir, 50_000, 5, 100_000, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), emptyDir) {
+		t.Errorf("directory without a stream: err = %v, want one naming %s", err, emptyDir)
+	}
+	if err := os.WriteFile(filepath.Join(emptyDir, "report-h00-000.umon"), mk(0, 12, 100).AppendEncode(nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 || a.Reports() != 4 {
-		t.Fatalf("mixed dir ingested %d (analyzer %d), want 4", n, a.Reports())
+	err = run(pcap, emptyDir, 50_000, 5, 100_000, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), emptyDir) ||
+		!strings.Contains(err.Error(), "format was removed") || !strings.Contains(err.Error(), "umon-sim") {
+		t.Errorf("legacy directory: err = %v, want one naming %s, the removed format and umon-sim", err, emptyDir)
 	}
 }

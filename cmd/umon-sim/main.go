@@ -1,14 +1,16 @@
 // umon-sim runs a µMon-instrumented data-center simulation and exports
-// its artifacts: the mirrored event packets as a pcap capture, the host
-// WaveSketch reports as files, and a summary of the run.
+// its artifacts: the mirrored event packets as a pcap capture
+// (mirrors.pcap), the host WaveSketch reports as one epoch-rotated framed
+// stream (reports.umstream), and a summary of the run.
 //
 // Usage:
 //
 //	umon-sim -workload hadoop -load 0.15 -ms 20 -out out/
 //
-// The outputs feed umon-analyze:
+// The outputs feed umon-analyze and umon-collect:
 //
 //	umon-analyze -mirrors out/mirrors.pcap -reports out/
+//	umon-collect -mirrors out/mirrors.pcap -reports out/reports.umstream
 package main
 
 import (
@@ -28,7 +30,6 @@ import (
 	"umon/internal/pcapio"
 	"umon/internal/telemetry"
 	"umon/internal/uevent"
-	"umon/internal/wavesketch"
 	"umon/internal/workload"
 )
 
@@ -40,7 +41,6 @@ func main() {
 	sampleBits := flag.Uint("sample-bits", 6, "event sampling: probability 1/2^bits")
 	shards := flag.Int("shards", 0, "simulation engine shards (0: UMON_WORKERS or 1; the trace is identical at any count)")
 	outDir := flag.String("out", "umon-out", "output directory")
-	stream := flag.Bool("stream", false, "ship host reports as one epoch-rotated stream (reports.umstream) instead of per-period files")
 	epochMs := flag.Int64("epoch-ms", 0, "host sealing period in milliseconds (0: one period spanning the whole run)")
 	tracePcap := flag.Bool("trace-pcap", false, "also dump host egress traffic (headers) as traffic.pcap")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry on this address (/metrics Prometheus, /vars JSON, /debug/pprof)")
@@ -67,7 +67,7 @@ func main() {
 			*shards = 1
 		}
 	}
-	err := run(*wl, *load, *ms, *seed, *sampleBits, *shards, *outDir, *stream, *epochMs, *tracePcap, reg)
+	err := run(*wl, *load, *ms, *seed, *sampleBits, *shards, *outDir, *epochMs, *tracePcap, reg)
 	if *telemetryDump {
 		reg.WriteSummary(os.Stderr)
 	}
@@ -77,7 +77,7 @@ func main() {
 	}
 }
 
-func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, outDir string, stream bool, epochMs int64, tracePcap bool, reg *telemetry.Registry) error {
+func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, outDir string, epochMs int64, tracePcap bool, reg *telemetry.Registry) error {
 	var dist *workload.Distribution
 	switch strings.ToLower(wl) {
 	case "hadoop":
@@ -105,13 +105,10 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	cfg.Stats = netsim.NewSimStats(reg)
 	cfg.Shards = shards
 	// Register the full µMon metric surface up front so a scrape during the
-	// run covers every family: the ingest vec counts per-host sketch
-	// samples live; the analyzer-plane series (decode cache, MightSee
-	// routing) exist at zero until an analyzer runs in-process.
-	var ingStats wavesketch.IngestStats
-	if s := wavesketch.NewIngestStats(reg, topo.Hosts); s != nil {
-		ingStats = *s
-	}
+	// run covers every family: the host vec counts per-host sketch samples
+	// live; the analyzer-plane series (decode cache, MightSee routing)
+	// exist at zero until an analyzer runs in-process.
+	hostSamples := reg.CounterVec("umon_host_samples_total", "packets fed to each host's sketch", "host", topo.Hosts)
 	_ = analyzer.NewPlaneStats(reg)
 	tracer := telemetry.NewTracer(reg)
 	flows, err := workload.Generate(workload.Config{
@@ -126,7 +123,7 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 		return err
 	}
 
-	// Deploy µMon: reports to files, mirrors to pcap.
+	// Deploy µMon: reports to the stream file, mirrors to pcap.
 	mirrorFile, err := os.Create(filepath.Join(outDir, "mirrors.pcap"))
 	if err != nil {
 		return err
@@ -141,27 +138,21 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	}
 	sysCfg.Switch.Rule = uevent.ACLRule{SampleBits: sampleBits}
 
-	// Streaming mode ships every host's sealed epochs into one framed,
-	// seekable stream file instead of per-period report files — the input
-	// shape umon-collect tails. The sink serializes concurrent Ship calls,
-	// so it is safe at any shard count.
-	var streamSink *core.StreamSink
-	if stream {
-		sf, err := os.Create(filepath.Join(outDir, "reports.umstream"))
-		if err != nil {
-			return err
-		}
-		defer sf.Close()
-		streamSink, err = core.NewStreamSink(sf)
-		if err != nil {
-			return err
-		}
+	// Every host's sealed epochs go into one framed, seekable stream file
+	// — the input umon-analyze reads and umon-collect tails. The sink
+	// serializes concurrent Ship calls, so it is safe at any shard count.
+	sf, err := os.Create(filepath.Join(outDir, "reports.umstream"))
+	if err != nil {
+		return err
+	}
+	defer sf.Close()
+	streamSink, err := core.NewStreamSink(sf)
+	if err != nil {
+		return err
 	}
 
 	// With shards > 1 the netsim callbacks fire concurrently (serialized
-	// per host/switch, not globally): the error slot takes a mutex, and
-	// report files are numbered per host, which both keeps the naming
-	// deterministic at any shard count and needs no cross-host lock.
+	// per host/switch, not globally), so the error slot takes a mutex.
 	var errMu sync.Mutex
 	var pipelineErr error
 	setErr := func(err error) {
@@ -174,21 +165,12 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 		}
 		errMu.Unlock()
 	}
-	hostSeq := make([]int, topo.Hosts)
-	hosts := make([]*core.HostMonitor, topo.Hosts)
-	for h := 0; h < topo.Hosts; h++ {
-		hm, err := core.NewHostMonitor(h, sysCfg.Host, func(host int, encoded []byte) {
-			name := filepath.Join(outDir, fmt.Sprintf("report-h%02d-%03d.umon", host, hostSeq[host]))
-			hostSeq[host]++
-			setErr(os.WriteFile(name, encoded, 0o644))
-		})
+	hosts := make([]*core.StreamHostMonitor, topo.Hosts)
+	for h := range hosts {
+		hosts[h], err = core.NewStreamHostMonitor(h, core.StreamMonitorConfig{HostMonitorConfig: sysCfg.Host}, streamSink)
 		if err != nil {
 			return err
 		}
-		if streamSink != nil {
-			hm.SetSink(streamSink)
-		}
-		hosts[h] = hm
 	}
 	switches := make([]*core.SwitchMonitor, topo.Switches)
 	for sw := 0; sw < topo.Switches; sw++ {
@@ -196,7 +178,7 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	}
 	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
 		setErr(hosts[host].OnPacket(pkt.Flow, now, int(pkt.Size)))
-		ingStats.Samples.At(host).Inc()
+		hostSamples.At(host).Inc()
 	}
 	// One scratch buffer serves every mirror encode: WritePacket copies the
 	// record into the writer's pooled block before returning, so the bytes
@@ -282,7 +264,7 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	}
 	span = tracer.Start("host_flush")
 	for _, hm := range hosts {
-		if err := hm.Flush(); err != nil {
+		if err := hm.Close(); err != nil {
 			return err
 		}
 	}
@@ -295,10 +277,11 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 			return err
 		}
 	}
-	if streamSink != nil {
-		if err := streamSink.Close(); err != nil {
-			return err
-		}
+	if err := streamSink.Close(); err != nil {
+		return err
+	}
+	if err := sf.Close(); err != nil {
+		return err
 	}
 	if pipelineErr != nil {
 		return pipelineErr
@@ -311,18 +294,9 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	}
 	fmt.Printf("workload      %s %.0f%% load, %d flows, %d packets\n", dist.Name, load*100, len(flows), tr.TotalPackets())
 	fmt.Printf("events        %d ground-truth episodes, %d CE observations\n", len(tr.Episodes), len(tr.CELog))
-	if streamSink != nil {
-		fmt.Printf("reports       %d framed epochs in reports.umstream, %d bytes (%.2f Mbps/host avg)\n",
-			streamSink.Frames(), reportBytes,
-			float64(reportBytes)*8/float64(horizon)*1e9/1e6/float64(topo.Hosts))
-	} else {
-		reportFiles := 0
-		for _, s := range hostSeq {
-			reportFiles += s
-		}
-		fmt.Printf("reports       %d files, %d bytes (%.2f Mbps/host avg)\n", reportFiles, reportBytes,
-			float64(reportBytes)*8/float64(horizon)*1e9/1e6/float64(topo.Hosts))
-	}
+	fmt.Printf("reports       %d framed epochs in reports.umstream, %d bytes (%.2f Mbps/host avg)\n",
+		streamSink.Frames(), reportBytes,
+		float64(reportBytes)*8/float64(horizon)*1e9/1e6/float64(topo.Hosts))
 	fmt.Printf("output        %s\n", outDir)
 	return nil
 }

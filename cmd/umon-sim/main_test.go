@@ -17,7 +17,7 @@ import (
 
 func TestRunProducesArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, false, 0, true, nil); err != nil {
+	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 0, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Mirror pcap exists and parses.
@@ -37,10 +37,9 @@ func TestRunProducesArtifacts(t *testing.T) {
 	if len(pkts) == 0 {
 		t.Error("no mirrored packets captured")
 	}
-	// Reports exist.
-	reports, _ := filepath.Glob(filepath.Join(dir, "*.umon"))
-	if len(reports) == 0 {
-		t.Error("no report files written")
+	// Reports exist: every fat-tree host sealed at least one.
+	if reports := readReports(t, dir); len(reports) < 16 {
+		t.Errorf("%d reports in reports.umstream, want at least one per host (16)", len(reports))
 	}
 	// Traffic pcap exists and parses.
 	tf, err := os.Open(filepath.Join(dir, "traffic.pcap"))
@@ -62,7 +61,7 @@ func TestRunProducesArtifacts(t *testing.T) {
 }
 
 func TestRunRejectsUnknownWorkload(t *testing.T) {
-	if err := run("netflix", 0.15, 1, 7, 4, 1, t.TempDir(), false, 0, false, nil); err == nil {
+	if err := run("netflix", 0.15, 1, 7, 4, 1, t.TempDir(), 0, false, nil); err == nil {
 		t.Error("unknown workload must fail")
 	}
 }
@@ -73,15 +72,14 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 // present at zero.
 func TestRunTelemetryCoversAcceptanceFamilies(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	if err := run("hadoop", 0.15, 1, 7, 4, 1, t.TempDir(), false, 0, false, reg); err != nil {
+	if err := run("hadoop", 0.15, 1, 7, 4, 1, t.TempDir(), 0, false, reg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
 	out := buf.String()
 	for _, fam := range []string{
-		"umon_ingest_samples_total",
-		"umon_ingest_ring_full_total",
+		"umon_host_samples_total",
 		"umon_netsim_events_total",
 		"umon_decode_cold_total",
 		"umon_decode_cache_hits_total",
@@ -96,41 +94,73 @@ func TestRunTelemetryCoversAcceptanceFamilies(t *testing.T) {
 	if reg.Value("umon_netsim_events_total") == 0 {
 		t.Error("netsim events counter not live")
 	}
-	if reg.Value(`umon_ingest_samples_total{shard="0"}`) == 0 {
-		t.Error("per-host ingest samples counter not live")
+	if reg.Value(`umon_host_samples_total{host="0"}`) == 0 {
+		t.Error("per-host samples counter not live")
+	}
+	if strings.Contains(out, "umon_ingest_") {
+		t.Error("exposition still carries the sharded-ingest families")
 	}
 }
 
-// TestRunShardedMatchesSerialArtifacts runs the same short simulation with
-// the serial engine and with 3 shards: the host report files must be
-// byte-identical (each host's egress stream is identical at any shard
-// count), the mirror record multiset must match, and -trace-pcap must be
-// refused under sharding.
-func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
-	serialDir, shardDir := t.TempDir(), t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, serialDir, false, 0, false, nil); err != nil {
+// readReports decodes dir's reports.umstream into encoded payloads keyed by
+// "host/epoch" — frame order and the FrameStamp wall times left out, which
+// are what legitimately differs between two runs of one simulation.
+func readReports(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "reports.umstream"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run("hadoop", 0.15, 2, 7, 4, 3, shardDir, false, 0, false, nil); err != nil {
+	reports, bad, err := report.ReadStream(bytes.NewReader(raw))
+	if err != nil || bad != 0 {
+		t.Fatalf("stream decode: %v (bad %d)", err, bad)
+	}
+	idx, err := report.ReadIndex(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != len(reports) {
+		t.Errorf("index has %d entries for %d frames", len(idx), len(reports))
+	}
+	out := make(map[string][]byte, len(reports))
+	for _, er := range reports {
+		k := fmt.Sprintf("%d/%d", er.Report.Host, er.Epoch)
+		if _, dup := out[k]; dup {
+			t.Errorf("(host/epoch) %s framed twice", k)
+		}
+		out[k] = er.Report.AppendEncode(nil)
+	}
+	return out
+}
+
+// TestRunShardedMatchesSerialArtifacts runs the same short simulation with
+// the serial engine and with 3 shards: the report payloads must be
+// byte-identical per (host, epoch) (each host's egress stream is identical
+// at any shard count; the shared sink interleaves hosts as they seal), the
+// mirror record multiset must match, and -trace-pcap must be refused under
+// sharding.
+func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
+	serialDir, shardDir := t.TempDir(), t.TempDir()
+	if err := run("hadoop", 0.15, 2, 7, 4, 1, serialDir, 1, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("hadoop", 0.15, 2, 7, 4, 3, shardDir, 1, false, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reports: same file names, same bytes.
-	serialReports, _ := filepath.Glob(filepath.Join(serialDir, "*.umon"))
-	if len(serialReports) == 0 {
-		t.Fatal("serial run wrote no reports")
+	want, got := readReports(t, serialDir), readReports(t, shardDir)
+	// 16 fat-tree hosts × (-ms 2 split into 1 ms epochs + final partial).
+	if len(want) < 32 {
+		t.Fatalf("serial run framed %d epoch reports, want >= 32", len(want))
 	}
-	for _, sr := range serialReports {
-		want, err := os.ReadFile(sr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(shardDir, filepath.Base(sr)))
-		if err != nil {
-			t.Fatalf("sharded run missing report %s: %v", filepath.Base(sr), err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("report %s differs between serial and sharded run", filepath.Base(sr))
+	if len(got) != len(want) {
+		t.Fatalf("report count differs: serial %d, sharded %d", len(want), len(got))
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok {
+			t.Errorf("sharded run missing report (host/epoch) %s", k)
+		} else if !bytes.Equal(w, g) {
+			t.Errorf("report (host/epoch) %s differs between serial and sharded run", k)
 		}
 	}
 
@@ -171,75 +201,29 @@ func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
 		}
 	}
 
-	if err := run("hadoop", 0.15, 1, 7, 4, 2, t.TempDir(), false, 0, true, nil); err == nil {
+	if err := run("hadoop", 0.15, 1, 7, 4, 2, t.TempDir(), 0, true, nil); err == nil {
 		t.Error("-trace-pcap with shards > 1 must be refused")
 	}
 }
 
-// TestRunStreamMode runs the sim in streaming mode: sealed epochs land in
-// one framed reports.umstream (decodable, indexed) instead of per-period
-// files, and the result is identical at any shard count.
+// TestRunStreamMode: host reports land in one framed reports.umstream —
+// decodable, indexed, one frame per (host, epoch) — and nowhere else.
 func TestRunStreamMode(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, true, 1, false, nil); err != nil {
+	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 1, false, nil); err != nil {
 		t.Fatal(err)
-	}
-	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.umon")); len(legacy) != 0 {
-		t.Errorf("stream mode still wrote %d per-period files", len(legacy))
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "reports.umstream"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, bad, err := report.ReadStream(bytes.NewReader(raw))
-	if err != nil || bad != 0 {
-		t.Fatalf("stream decode: %v (bad %d)", err, bad)
 	}
 	// 16 fat-tree hosts × (-ms 2 split into 1 ms epochs + final partial).
-	if len(reports) < 32 {
+	if reports := readReports(t, dir); len(reports) < 32 {
 		t.Fatalf("streamed %d epoch reports, want >= 32", len(reports))
 	}
-	idx, err := report.ReadIndex(bytes.NewReader(raw))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != len(reports) {
-		t.Errorf("index has %d entries for %d frames", len(idx), len(reports))
-	}
-
-	// Sharded streaming produces the same epoch payload set (frame order
-	// may differ: hosts flush concurrently).
-	shardDir := t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 3, shardDir, true, 1, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	raw2, err := os.ReadFile(filepath.Join(shardDir, "reports.umstream"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports2, bad2, err := report.ReadStream(bytes.NewReader(raw2))
-	if err != nil || bad2 != 0 {
-		t.Fatalf("sharded stream decode: %v (bad %d)", err, bad2)
-	}
-	canon := func(rs []report.EpochReport) []string {
-		out := make([]string, len(rs))
-		for i, er := range rs {
-			var buf bytes.Buffer
-			if _, err := er.Report.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			out[i] = fmt.Sprintf("%d|%d|%s", er.Epoch, er.Report.Host, buf.String())
-		}
-		sort.Strings(out)
-		return out
-	}
-	a, b := canon(reports), canon(reports2)
-	if len(a) != len(b) {
-		t.Fatalf("epoch count differs: serial %d, sharded %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("epoch payload %d differs between serial and sharded streaming run", i)
+	for _, e := range entries {
+		if e.Name() != "reports.umstream" && e.Name() != "mirrors.pcap" {
+			t.Errorf("unexpected artifact %s", e.Name())
 		}
 	}
 }

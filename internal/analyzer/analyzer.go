@@ -5,17 +5,18 @@
 // flows involved around the event window — the Figure 10 workflow.
 //
 // The query plane is indexed so replay scales with the event, not the
-// deployment: a flow→report routing index (heavy membership plus per-report
-// non-empty-bucket bitmaps) sends each query only to the reports that can
-// answer it, mirrors fold into per-port events as they arrive (DetectEvents
-// snapshots instead of re-sorting), and Replay fans the event's flows out
-// over the worker pool. Ingest everything first, then query; queries are
-// safe to run concurrently.
+// deployment: the reports sit in a report.RoutedSet, whose routing index
+// sends each query only to the reports that can answer it, mirrors fold
+// into per-port events as they arrive (DetectEvents snapshots instead of
+// re-sorting), and ReplayWith fans the event's flows out over the worker
+// pool. Ingest everything first, then query; queries are safe to run
+// concurrently.
 package analyzer
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -52,12 +53,10 @@ func (e *Event) String() string {
 
 // Analyzer accumulates measurement inputs.
 type Analyzer struct {
-	reports []*report.Queryable
-	// routes is the window-global flow→report routing index: exact heavy
-	// postings plus the merged non-empty-bucket bitmaps of every report,
-	// grouped by sketch geometry (see report.RouteGroups). Built in place
-	// on AddQueryable — ingest everything first, then query.
-	routes *report.RouteGroups
+	// reports holds every ingested report behind the flow→report routing
+	// index, built in place on AddQueryable — ingest everything first,
+	// then query.
+	reports report.RoutedSet
 	// clusters folds the mirror stream into per-port events as it arrives.
 	clusters    map[netsim.PortID]*portClusterer
 	mirrorCount int
@@ -75,7 +74,6 @@ type Analyzer struct {
 // New returns an empty analyzer.
 func New() *Analyzer {
 	return &Analyzer{
-		routes:        &report.RouteGroups{},
 		clusters:      make(map[netsim.PortID]*portClusterer),
 		gapNs:         defaultGapNs,
 		switchOffsets: make(map[int16]int64),
@@ -107,12 +105,11 @@ func (a *Analyzer) AddReport(r *report.HostReport) {
 // folds it into the flow→report routing index.
 func (a *Analyzer) AddQueryable(q *report.Queryable) {
 	q.SetStats(a.stats.Decode)
-	a.reports = append(a.reports, q)
-	a.routes.Append(q)
+	a.reports.Append(q)
 }
 
 // Reports reports how many host reports have been ingested.
-func (a *Analyzer) Reports() int { return len(a.reports) }
+func (a *Analyzer) Reports() int { return a.reports.Len() }
 
 // AddMirror ingests one mirror record, folding it into the per-port event
 // clusters.
@@ -235,34 +232,26 @@ func rankFlows(pkts map[flowkey.Key]int) []flowkey.Key {
 }
 
 // QueryFlow estimates flow f's per-window byte counts over [from, to)
-// windows by merging the host reports that plausibly saw the flow (a flow
-// is measured at its sender, so the maximum across reports selects the one
-// that actually saw it while staying robust to empty reports). The routing
-// index skips reports whose estimate is provably zero, so the cost scales
-// with the flow's footprint, not the deployment size.
+// windows by max-merging the host reports the routing index selects (see
+// report.RoutedSet): the cost scales with the flow's footprint, not the
+// deployment size.
 func (a *Analyzer) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 	if to < from {
 		to = from
 	}
 	a.stats.Queries.Inc()
 	out := make([]float64, to-from)
-	ip := routeIDsPool.Get().(*[]int)
-	ids := a.routeFlow(f, from, to, (*ip)[:0])
-	bp := curvePool.Get().(*[]float64)
-	buf := *bp
-	for _, ri := range ids {
-		buf = a.reports[ri].QueryRangeInto(buf[:0], f, from, to)
-		for i, v := range buf {
-			if v > out[i] {
-				out[i] = v
-			}
-		}
-	}
-	*bp = buf
-	curvePool.Put(bp)
-	*ip = ids
-	routeIDsPool.Put(ip)
+	visited := int64(a.reports.MergeFlow(out, f, from, to))
+	a.stats.ReportsVisited.Add(visited)
+	a.stats.ReportsSkipped.Add(int64(a.reports.Len()) - visited)
 	return out
+}
+
+// RoutedReports reports how many host reports a query for f over all of
+// time would touch — the routing index's selectivity, for observability
+// and experiments.
+func (a *Analyzer) RoutedReports(f flowkey.Key) int {
+	return len(a.reports.Route(f, math.MinInt64, math.MaxInt64, nil))
 }
 
 // ReplayView is the Figure 10c artifact: the rate curves of an event's
@@ -277,10 +266,19 @@ type ReplayView struct {
 
 // Replay queries every flow involved in the event over the event span
 // extended by marginNs on both sides (§6.1: "the rate of several windows
-// before and after the event can be queried"). The per-flow queries fan
-// out over the worker pool; results are collected index-addressed, so the
-// view is identical at any pool width.
+// before and after the event can be queried").
 func (a *Analyzer) Replay(ev Event, marginNs int64) *ReplayView {
+	a.stats.Replays.Inc()
+	a.stats.ReplayFanout.Observe(int64(len(ev.Flows)))
+	return ReplayWith(ev, marginNs, a.QueryFlow)
+}
+
+// ReplayWith builds the replay view of ev from any flow-rate query (the
+// analyzer's own, or a collector snapshot's). The per-flow queries fan out
+// over the worker pool, so query must be safe for concurrent use; results
+// are collected index-addressed, so the view is identical at any pool
+// width.
+func ReplayWith(ev Event, marginNs int64, query func(f flowkey.Key, from, to int64) []float64) *ReplayView {
 	from := measure.WindowOf(ev.StartNs-marginNs) - 1
 	if from < 0 {
 		from = 0
@@ -292,11 +290,9 @@ func (a *Analyzer) Replay(ev Event, marginNs int64) *ReplayView {
 		Windows:     int(to - from),
 		Curves:      make(map[flowkey.Key][]float64, len(ev.Flows)),
 	}
-	a.stats.Replays.Inc()
-	a.stats.ReplayFanout.Observe(int64(len(ev.Flows)))
 	curves := make([][]float64, len(ev.Flows))
 	parallel.ForEach(len(ev.Flows), func(i int) {
-		curves[i] = a.QueryFlow(ev.Flows[i], from, to)
+		curves[i] = query(ev.Flows[i], from, to)
 	})
 	for i, f := range ev.Flows {
 		view.Curves[f] = curves[i]

@@ -188,7 +188,7 @@ func TestQueryFlowRoutesByTime(t *testing.T) {
 	visited := reg.Value("umon_analyzer_reports_visited_total")
 	for _, r := range [][2]int64{{512, 768}, {500, 530}, {0, 1024}, {2000, 2100}, {700, 700}} {
 		want := make([]float64, r[1]-r[0])
-		for _, q := range a.reports {
+		for _, q := range a.reports.Queryables() {
 			for i, v := range q.QueryRange(f, r[0], r[1]) {
 				want[i] = max(want[i], v)
 			}

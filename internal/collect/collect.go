@@ -256,7 +256,7 @@ func (c *Collector) Stamp(host int, epoch uint64, st report.EpochStamp) {
 // an over-budget window.
 func (c *Collector) evictOldest(ns *Snapshot) {
 	oldest := ns.epochs[0]
-	n := len(ns.eps[0].qs)
+	n := ns.eps[0].set.Len()
 	ns.eps[0] = nil // release before re-slicing: don't pin the evicted index
 	ns.epochs = ns.epochs[1:]
 	ns.eps = ns.eps[1:]

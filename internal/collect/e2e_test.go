@@ -16,9 +16,10 @@ import (
 
 // TestStreamingPipelineMatchesBatch is the end-to-end streaming smoke
 // test: one simulated workload feeds both deployment planes at once —
-// the batch plane (HostMonitor uploads + analyzer) and the streaming
-// plane (StreamHostMonitor sealing epochs through a framed StreamSink,
-// mirrors ingested online by a windowed Collector). The collector's
+// the batch plane (synchronous host monitors handing every report to an
+// analyzer) and the streaming plane (async host monitors sealing epochs
+// through a framed StreamSink, mirrors ingested online by a windowed
+// Collector). The collector's
 // drained event list must equal the batch analyzer's DetectEvents, and
 // replayed flow curves must agree.
 func TestStreamingPipelineMatchesBatch(t *testing.T) {
@@ -40,16 +41,17 @@ func TestStreamingPipelineMatchesBatch(t *testing.T) {
 	batch := analyzer.New()
 	hostCfg := core.DefaultHostMonitor()
 	hostCfg.PeriodNs = periodNs
-	var batchHosts []*core.HostMonitor
+	var batchHosts []*core.StreamHostMonitor
+	toBatch := core.FuncSink(func(r core.SealedReport) error {
+		rep, err := report.DecodeBytes(r.Encoded)
+		if err != nil {
+			return err
+		}
+		batch.AddReport(rep)
+		return nil
+	})
 	for h := 0; h < topo.Hosts; h++ {
-		hm, err := core.NewHostMonitor(h, hostCfg, func(_ int, encoded []byte) {
-			rep, err := report.Decode(bytes.NewReader(encoded))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			batch.AddReport(rep)
-		})
+		hm, err := core.NewStreamHostMonitor(h, core.StreamMonitorConfig{HostMonitorConfig: hostCfg}, toBatch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +120,7 @@ func TestStreamingPipelineMatchesBatch(t *testing.T) {
 	n.Run(simNs)
 
 	for _, hm := range batchHosts {
-		if err := hm.Flush(); err != nil {
+		if err := hm.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -136,7 +136,7 @@ func newScaleFixture(stride int64) *scaleFixture {
 	parallel.ForEach(scaleProbes, func(n int) {
 		id := scaleProbe(int64(n))
 		from, to := fx.probeRange(id)
-		snap.queryFlowScan(scaleKey(id), from, to)
+		queryFlowScan(snap, scaleKey(id), from, to)
 	})
 	fx.mirrorNs.Store(600_000)
 	return fx
@@ -188,7 +188,7 @@ func scaleSelectivity(t *testing.T, build func(testing.TB) *scaleFixture) float6
 		}
 		if i%50 == 0 {
 			// Spot-check exactness against the full scan at this scale too.
-			if want := snap.queryFlowScan(scaleKey(id), from, to); !reflect.DeepEqual(got, want) {
+			if want := queryFlowScan(snap, scaleKey(id), from, to); !reflect.DeepEqual(got, want) {
 				t.Fatalf("flow %d: routed answer diverges from scan", id)
 			}
 		}
@@ -275,7 +275,7 @@ func BenchmarkQueryScaleFlowScan(b *testing.B) {
 		for pb.Next() {
 			id := scaleProbe(seq.Add(1))
 			start := time.Now()
-			snap.queryFlowScan(scaleKey(id), 0, scaleWindowsMax)
+			queryFlowScan(snap, scaleKey(id), 0, scaleWindowsMax)
 			local = append(local, time.Since(start))
 		}
 		lc.add(local)

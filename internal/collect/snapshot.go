@@ -13,36 +13,29 @@ package collect
 // never mutated), and the Queryables themselves are internally
 // concurrency-safe and shared by every snapshot that references them.
 //
-// Each epochIndex carries a report.RouteGroups: the window-global routing
-// index that sends a query only to the reports whose MightSee is true and
-// whose curves meet the queried windows — an epoch whose span misses the
-// range costs one comparison, no hash.
-// Routing can only exclude reports whose estimate is identically zero, and
-// QueryFlow's max-merge starts from zero and folds non-negative estimates,
-// so skipped reports cannot change any answer — routed results are
-// bit-identical to a full scan (queryFlowScan below stays as the oracle
-// and benchmark baseline).
+// Each epochIndex carries a report.RoutedSet — the same routed max-merge
+// the batch analyzer answers from: a query visits only the reports whose
+// MightSee is true and whose curves meet the queried windows, and an epoch
+// whose span misses the range costs one comparison, no hash. Skipped
+// reports estimate identically zero, so routed answers are bit-identical
+// to a scan of the whole window.
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
-	"umon/internal/measure"
-	"umon/internal/parallel"
 	"umon/internal/report"
 )
 
 // epochIndex is one epoch's immutable resident set: reports in admission
-// order plus the epoch's routing index. Published epochIndexes are never
+// order behind the epoch's routing index. Published epochIndexes are never
 // mutated; admits produce a successor via withReport.
 type epochIndex struct {
-	epoch  uint64
-	hosts  []int // parallel to qs, admission order
-	qs     []*report.Queryable
-	routes *report.RouteGroups
+	epoch uint64
+	hosts []int // parallel to set's members, admission order
+	set   *report.RoutedSet
 }
 
 func (ei *epochIndex) find(host int) int {
@@ -59,31 +52,27 @@ func (ei *epochIndex) find(host int) int {
 // replaces the previous report and rebuilds this epoch's routing index).
 func (ei *epochIndex) withReport(host int, q *report.Queryable) (ni *epochIndex, added bool) {
 	if i := ei.find(host); i >= 0 {
-		ni = &epochIndex{
-			epoch:  ei.epoch,
-			hosts:  append([]int(nil), ei.hosts...),
-			qs:     append([]*report.Queryable(nil), ei.qs...),
-			routes: &report.RouteGroups{},
-		}
-		ni.qs[i] = q
-		for _, qq := range ni.qs {
-			ni.routes.Append(qq)
+		ni = &epochIndex{epoch: ei.epoch, hosts: append([]int(nil), ei.hosts...), set: &report.RoutedSet{}}
+		for j, qq := range ei.set.Queryables() {
+			if j == i {
+				qq = q
+			}
+			ni.set.Append(qq)
 		}
 		return ni, false
 	}
 	ni = &epochIndex{
-		epoch:  ei.epoch,
-		hosts:  append(append(make([]int, 0, len(ei.hosts)+1), ei.hosts...), host),
-		qs:     append(append(make([]*report.Queryable, 0, len(ei.qs)+1), ei.qs...), q),
-		routes: ei.routes.CloneAdd(q),
+		epoch: ei.epoch,
+		hosts: append(append(make([]int, 0, len(ei.hosts)+1), ei.hosts...), host),
+		set:   ei.set.CloneAdd(q),
 	}
 	return ni, true
 }
 
 // newEpochIndex starts an epoch with its first report.
 func newEpochIndex(epoch uint64, host int, q *report.Queryable) *epochIndex {
-	ei := &epochIndex{epoch: epoch, hosts: []int{host}, qs: []*report.Queryable{q}, routes: &report.RouteGroups{}}
-	ei.routes.Append(q)
+	ei := &epochIndex{epoch: epoch, hosts: []int{host}, set: &report.RoutedSet{}}
+	ei.set.Append(q)
 	return ei
 }
 
@@ -144,7 +133,7 @@ func (s *Snapshot) Events() []analyzer.Event {
 // carries a sample.
 func (s *Snapshot) Span() (lo, hi int64) {
 	for _, ei := range s.eps {
-		l, h := ei.routes.Span()
+		l, h := ei.set.Span()
 		if l >= h {
 			continue
 		}
@@ -160,28 +149,15 @@ func (s *Snapshot) Span() (lo, hi int64) {
 func (s *Snapshot) ResidentCurves() int {
 	n := 0
 	for _, ei := range s.eps {
-		for _, q := range ei.qs {
+		for _, q := range ei.set.Queryables() {
 			n += q.ResidentCurves()
 		}
 	}
 	return n
 }
 
-// parallelRouteThreshold is the routed-report count past which QueryFlow
-// fans the merge out over the worker pool. Below it the per-chunk buffers
-// cost more than they save.
-const parallelRouteThreshold = 64
-
-var (
-	// Pools backing the alloc-lean merge loop: routed-report lists, routing
-	// id scratch, and per-report result buffers.
-	routedPool = sync.Pool{New: func() any { return new([]*report.Queryable) }}
-	idsPool    = sync.Pool{New: func() any { return new([]int) }}
-	mergePool  = sync.Pool{New: func() any { return new([]float64) }}
-)
-
 // QueryFlow estimates flow f's per-window byte counts over [from, to) by
-// max-merging exactly the resident reports the routing index selects —
+// folding every resident epoch's routed max-merge into one answer —
 // bit-identical to scanning the whole window, at a cost that scales with
 // the flow's footprint instead of (window × hosts).
 func (s *Snapshot) QueryFlow(f flowkey.Key, from, to int64) []float64 {
@@ -189,128 +165,22 @@ func (s *Snapshot) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 		to = from
 	}
 	out := make([]float64, to-from)
-	rp := routedPool.Get().(*[]*report.Queryable)
-	routed := (*rp)[:0]
-	ip := idsPool.Get().(*[]int)
-	ids := *ip
+	visited := 0
 	for _, ei := range s.eps {
-		ids = ei.routes.Route(f, from, to, ids[:0])
-		for _, li := range ids {
-			routed = append(routed, ei.qs[li])
-		}
+		visited += ei.set.MergeFlow(out, f, from, to)
 	}
-	*ip = ids
-	idsPool.Put(ip)
 	if s.visited != nil {
-		s.visited.Add(int64(len(routed)))
-		s.skipped.Add(int64(s.resident - len(routed)))
+		s.visited.Add(int64(visited))
+		s.skipped.Add(int64(s.resident - visited))
 	}
-	s.stats.RouteVisited.Add(int64(len(routed)))
-	s.stats.RouteSkipped.Add(int64(s.resident - len(routed)))
-
-	if len(routed) < parallelRouteThreshold || len(out) == 0 {
-		bp := mergePool.Get().(*[]float64)
-		buf := *bp
-		for _, q := range routed {
-			buf = q.QueryRangeInto(buf[:0], f, from, to)
-			for i, v := range buf {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-		*bp = buf
-		mergePool.Put(bp)
-	} else {
-		// Wide query: chunk the routed reports over the worker pool. Max is
-		// commutative and exact on non-negative floats, so the fold order
-		// cannot change the result — answers are deterministic at any width.
-		chunks := parallel.Workers()
-		if chunks > len(routed) {
-			chunks = len(routed)
-		}
-		per := (len(routed) + chunks - 1) / chunks
-		parts := make([][]float64, chunks)
-		parallel.ForEach(chunks, func(ci int) {
-			lo := ci * per
-			hi := min(lo+per, len(routed))
-			part := make([]float64, len(out))
-			bp := mergePool.Get().(*[]float64)
-			buf := *bp
-			for _, q := range routed[lo:hi] {
-				buf = q.QueryRangeInto(buf[:0], f, from, to)
-				for i, v := range buf {
-					if v > part[i] {
-						part[i] = v
-					}
-				}
-			}
-			*bp = buf
-			mergePool.Put(bp)
-			parts[ci] = part
-		})
-		for _, part := range parts {
-			for i, v := range part {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-	}
-	for i := range routed {
-		routed[i] = nil // don't pin evicted reports through the pool
-	}
-	*rp = routed[:0]
-	routedPool.Put(rp)
-	return out
-}
-
-// queryFlowScan is the pre-routing linear scan — every resident report
-// probed with MightSee, positives queried and max-merged. Kept as the
-// property-test oracle (routed answers must equal it exactly) and as the
-// benchmark baseline the routing speedup is measured against.
-func (s *Snapshot) queryFlowScan(f flowkey.Key, from, to int64) []float64 {
-	if to < from {
-		to = from
-	}
-	out := make([]float64, to-from)
-	for _, ei := range s.eps {
-		for _, q := range ei.qs {
-			if !q.MightSee(f) {
-				continue
-			}
-			for i, v := range q.QueryRange(f, from, to) {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-	}
+	s.stats.RouteVisited.Add(int64(visited))
+	s.stats.RouteSkipped.Add(int64(s.resident - visited))
 	return out
 }
 
 // Replay queries every flow of an emitted event over the event span plus
-// margin, fanning out over the worker pool. All per-flow queries read this
-// one snapshot, so the view is internally consistent even while ingest
-// keeps publishing successors.
+// margin. All per-flow queries read this one snapshot, so the view is
+// internally consistent even while ingest keeps publishing successors.
 func (s *Snapshot) Replay(ev analyzer.Event, marginNs int64) *analyzer.ReplayView {
-	from := measure.WindowOf(ev.StartNs-marginNs) - 1
-	if from < 0 {
-		from = 0
-	}
-	to := measure.WindowOf(ev.EndNs+marginNs) + 2
-	view := &analyzer.ReplayView{
-		Event:       ev,
-		WindowStart: from,
-		Windows:     int(to - from),
-		Curves:      make(map[flowkey.Key][]float64, len(ev.Flows)),
-	}
-	curves := make([][]float64, len(ev.Flows))
-	parallel.ForEach(len(ev.Flows), func(i int) {
-		curves[i] = s.QueryFlow(ev.Flows[i], from, to)
-	})
-	for i, f := range ev.Flows {
-		view.Curves[f] = curves[i]
-	}
-	return view
+	return analyzer.ReplayWith(ev, marginNs, s.QueryFlow)
 }

@@ -33,22 +33,54 @@ func mkFullReport(t testing.TB, host int, w0 int64, dominant flowkey.Key, bulk [
 	return report.FromFull(host, 0, f)
 }
 
+// queryFlowScan is the pre-routing linear scan — every resident report
+// probed with MightSee, positives queried and max-merged: the oracle routed
+// answers must equal exactly, and the baseline the routing speedup is
+// measured against (BenchmarkQueryScaleFlowScan).
+func queryFlowScan(s *Snapshot, f flowkey.Key, from, to int64) []float64 {
+	if to < from {
+		to = from
+	}
+	out := make([]float64, to-from)
+	for _, ei := range s.eps {
+		for _, q := range ei.set.Queryables() {
+			if !q.MightSee(f) {
+				continue
+			}
+			for i, v := range q.QueryRange(f, from, to) {
+				if v > out[i] {
+					out[i] = v
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestSnapshotQueryMatchesScan is the routing property test: for a window
 // mixing light-only and full (heavy-carrying) reports across several
-// epochs laid out in time (epoch e in windows [100e, 100e+64)), the routed
-// QueryFlow answer must be reflect.DeepEqual — bit-identical floats — to
-// the linear scan over every resident report, whatever the range
-// (queryFlowScan, the mutex-era implementation kept as oracle).
+// epochs laid out in time (epoch e in windows [100e, 100e+64)), the
+// collector's routed QueryFlow answer and the batch analyzer's over the
+// same reports must both be reflect.DeepEqual — bit-identical floats — to
+// the linear scan over every resident report, whatever the range. One
+// flow sits in 11 more hosts' reports of every epoch, so a covering query
+// for it merges more than 64 reports.
 func TestSnapshotQueryMatchesScan(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := New(Config{WindowEpochs: 6, Stats: NewStats(reg)})
-	var probes []flowkey.Key
+	a := analyzer.New()
+	add := func(e uint64, rep *report.HostReport) {
+		c.Add(e, rep)
+		a.AddReport(rep)
+	}
+	wide := key(7777)
+	probes := []flowkey.Key{wide}
 	for e := uint64(0); e < 6; e++ {
 		w0 := 100 * int64(e)
 		for h := 0; h < 3; h++ {
 			f := key(int(e)*10 + h)
 			probes = append(probes, f)
-			c.Add(e, mkReport(h, f, w0+10, int64(100*(h+1))))
+			add(e, mkReport(h, f, w0+10, int64(100*(h+1))))
 		}
 		var bulk []flowkey.Key
 		for j := 0; j < 12; j++ {
@@ -56,7 +88,13 @@ func TestSnapshotQueryMatchesScan(t *testing.T) {
 		}
 		probes = append(probes, key(900+int(e)))
 		probes = append(probes, bulk...)
-		c.Add(e, mkFullReport(t, 9, w0, key(900+int(e)), bulk))
+		add(e, mkFullReport(t, 9, w0, key(900+int(e)), bulk))
+		for h := 20; h < 31; h++ {
+			add(e, mkReport(h, wide, w0+int64(h), int64(h)))
+		}
+	}
+	if n := a.RoutedReports(wide); n <= 64 {
+		t.Fatalf("the wide flow routes to %d reports, want more than 64", n)
 	}
 
 	snap := c.Snapshot()
@@ -65,9 +103,12 @@ func TestSnapshotQueryMatchesScan(t *testing.T) {
 	}
 	check := func(f flowkey.Key, from, to int64) {
 		t.Helper()
-		want := snap.queryFlowScan(f, from, to)
+		want := queryFlowScan(snap, f, from, to)
 		if got := c.QueryFlow(f, from, to); !reflect.DeepEqual(got, want) {
 			t.Fatalf("QueryFlow(%s, %d, %d) = %v, want scan answer %v", f, from, to, got, want)
+		}
+		if got := a.QueryFlow(f, from, to); !reflect.DeepEqual(got, want) {
+			t.Fatalf("analyzer QueryFlow(%s, %d, %d) = %v, want scan answer %v", f, from, to, got, want)
 		}
 	}
 	if st := c.Status(); st.WindowSpan != [2]int64{0, 564} {
@@ -214,7 +255,7 @@ func TestQueryTouchesOnlyOverlappingEpochs(t *testing.T) {
 	}
 	for i, ei := range snap.eps {
 		curves := 0
-		for _, q := range ei.qs {
+		for _, q := range ei.set.Queryables() {
 			curves += q.ResidentCurves()
 		}
 		if (curves > 0) != (snap.epochs[i] == 3) {

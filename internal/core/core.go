@@ -1,14 +1,13 @@
 // Package core assembles the three µMon components of Figure 4 into a
-// deployable system: host monitors running WaveSketch with periodic report
-// uploads, switch monitors matching-and-mirroring CE packets through the
-// real wire encoding, and the analyzer consuming both. Deploy wires a full
+// deployable system: host monitors running WaveSketch and shipping one
+// sealed report per epoch through a sink (stream.go, sink.go), switch
+// monitors matching-and-mirroring CE packets through the real wire
+// encoding, and the analyzer consuming both. Deploy wires a full
 // µMon instance into a running simulation; the same monitor types work
 // standalone over any packet feed (e.g. pcap traces).
 package core
 
 import (
-	"fmt"
-
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
 	"umon/internal/measure"
@@ -36,108 +35,6 @@ func DefaultHostMonitor() HostMonitorConfig {
 		PeriodNs:    20_000_000,
 		WindowShift: measure.DefaultWindowShift,
 	}
-}
-
-// HostMonitor measures every packet a host emits and uploads one encoded
-// report per measurement period.
-type HostMonitor struct {
-	host   int
-	cfg    HostMonitorConfig
-	sketch *wavesketch.Full
-	emit   func(host int, encoded []byte)
-	sink   ReportSink // optional: ships SealedReports instead of emit
-
-	periodStart int64 // ns, start of the open period
-	started     bool
-	reportBytes int64
-	reports     int
-	encodeBuf   []byte // reused across periods
-}
-
-// NewHostMonitor builds a monitor; emit receives each encoded report. The
-// bytes are the monitor's reused encode buffer, valid only for the
-// duration of the call: an emit that keeps them must copy them.
-func NewHostMonitor(host int, cfg HostMonitorConfig, emit func(host int, encoded []byte)) (*HostMonitor, error) {
-	if cfg.PeriodNs <= 0 {
-		return nil, fmt.Errorf("core: PeriodNs must be positive, got %d", cfg.PeriodNs)
-	}
-	if cfg.WindowShift == 0 {
-		cfg.WindowShift = measure.DefaultWindowShift
-	}
-	sk, err := wavesketch.NewFull(cfg.Sketch)
-	if err != nil {
-		return nil, err
-	}
-	return &HostMonitor{host: host, cfg: cfg, sketch: sk, emit: emit}, nil
-}
-
-// SetSink routes sealed reports through a ReportSink (with the period's
-// epoch attached) instead of the raw emit callback. Call before the first
-// packet.
-func (m *HostMonitor) SetSink(s ReportSink) { m.sink = s }
-
-// OnPacket records one egress packet. Packets must arrive in time order;
-// crossing a period boundary seals and uploads the open period first.
-func (m *HostMonitor) OnPacket(f flowkey.Key, ns int64, size int) error {
-	if !m.started {
-		m.started = true
-		m.periodStart = ns - ns%m.cfg.PeriodNs
-	}
-	for ns >= m.periodStart+m.cfg.PeriodNs {
-		if err := m.flushPeriod(); err != nil {
-			return err
-		}
-	}
-	m.sketch.Update(f, ns>>m.cfg.WindowShift, int64(size))
-	return nil
-}
-
-func (m *HostMonitor) flushPeriod() error {
-	sealedAt := unixNow()
-	m.sketch.Seal()
-	rep := report.FromFull(m.host, m.periodStart>>m.cfg.WindowShift, m.sketch)
-	m.encodeBuf = rep.AppendEncode(m.encodeBuf[:0])
-	m.reportBytes += int64(len(m.encodeBuf))
-	m.reports++
-	if m.sink != nil {
-		err := m.sink.Ship(SealedReport{
-			Host:          m.host,
-			Epoch:         uint64(m.periodStart / m.cfg.PeriodNs),
-			PeriodStartNs: m.periodStart,
-			Encoded:       m.encodeBuf,
-			SealedAtNs:    sealedAt,
-		})
-		if err != nil {
-			return fmt.Errorf("core: shipping host %d report: %w", m.host, err)
-		}
-	} else if m.emit != nil {
-		m.emit(m.host, m.encodeBuf)
-	}
-	m.sketch.Reset()
-	m.periodStart += m.cfg.PeriodNs
-	return nil
-}
-
-// Flush uploads the final partial period.
-func (m *HostMonitor) Flush() error {
-	if !m.started {
-		return nil
-	}
-	return m.flushPeriod()
-}
-
-// Stats reports upload accounting: total report bytes and report count.
-func (m *HostMonitor) Stats() (bytes int64, reports int) {
-	return m.reportBytes, m.reports
-}
-
-// BandwidthBps returns the average upload bandwidth given the monitored
-// duration.
-func (m *HostMonitor) BandwidthBps(durationNs int64) float64 {
-	if durationNs <= 0 {
-		return 0
-	}
-	return float64(m.reportBytes) * 8 / float64(durationNs) * 1e9
 }
 
 // SwitchMonitorConfig parameterizes µEvent capture on one switch.
@@ -214,7 +111,7 @@ func DefaultSystem() SystemConfig {
 type System struct {
 	cfg       SystemConfig
 	Analyzer  *analyzer.Analyzer
-	hosts     []*HostMonitor
+	hosts     []*StreamHostMonitor
 	switches  []*SwitchMonitor
 	decodeErr error
 }
@@ -225,15 +122,16 @@ type System struct {
 // are decoded again on arrival — exercising the full pipeline.
 func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System, error) {
 	s := &System{cfg: cfg, Analyzer: analyzer.New()}
+	toAnalyzer := FuncSink(func(r SealedReport) error {
+		rep, err := report.DecodeBytes(r.Encoded)
+		if err != nil {
+			return err
+		}
+		s.Analyzer.AddReport(rep)
+		return nil
+	})
 	for h := 0; h < topo.Hosts; h++ {
-		hm, err := NewHostMonitor(h, cfg.Host, func(_ int, encoded []byte) {
-			rep, err := report.DecodeBytes(encoded)
-			if err != nil {
-				s.decodeErr = err
-				return
-			}
-			s.Analyzer.AddReport(rep)
-		})
+		hm, err := NewStreamHostMonitor(h, StreamMonitorConfig{HostMonitorConfig: cfg.Host}, toAnalyzer)
 		if err != nil {
 			return nil, err
 		}
@@ -257,11 +155,11 @@ func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System
 	return s, nil
 }
 
-// Finish flushes the final reporting periods and surfaces any pipeline
+// Finish seals the final reporting periods and surfaces any pipeline
 // error.
 func (s *System) Finish() error {
 	for _, hm := range s.hosts {
-		if err := hm.Flush(); err != nil {
+		if err := hm.Close(); err != nil {
 			return err
 		}
 	}
@@ -270,14 +168,15 @@ func (s *System) Finish() error {
 
 // HostBandwidthBps averages the hosts' report-upload bandwidth.
 func (s *System) HostBandwidthBps(durationNs int64) float64 {
-	if len(s.hosts) == 0 {
+	if len(s.hosts) == 0 || durationNs <= 0 {
 		return 0
 	}
-	var sum float64
+	var sum int64
 	for _, hm := range s.hosts {
-		sum += hm.BandwidthBps(durationNs)
+		b, _ := hm.Stats()
+		sum += b
 	}
-	return sum / float64(len(s.hosts))
+	return float64(sum) * 8 / float64(durationNs) * 1e9 / float64(len(s.hosts))
 }
 
 // MirrorStats totals the switches' mirror accounting.

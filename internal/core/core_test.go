@@ -16,11 +16,15 @@ func testKey(i int) flowkey.Key {
 	}
 }
 
+// countSink counts shipped reports and discards them.
+type countSink struct{ reports int }
+
+func (c *countSink) Ship(SealedReport) error { c.reports++; return nil }
+func (c *countSink) Close() error            { return nil }
+
 func TestHostMonitorPeriods(t *testing.T) {
-	var got [][]byte
-	cfg := DefaultHostMonitor()
-	cfg.PeriodNs = 1_000_000 // 1 ms
-	m, err := NewHostMonitor(0, cfg, func(_ int, b []byte) { got = append(got, b) })
+	var got countSink
+	m, err := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,47 +35,43 @@ func TestHostMonitorPeriods(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(got) != 2 {
-		t.Fatalf("reports emitted mid-stream = %d, want 2", len(got))
+	if got.reports != 2 {
+		t.Fatalf("reports shipped mid-stream = %d, want 2", got.reports)
 	}
-	if err := m.Flush(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("reports after flush = %d, want 3", len(got))
+	if got.reports != 3 {
+		t.Fatalf("reports after close = %d, want 3", got.reports)
 	}
 	bytes, reports := m.Stats()
 	if reports != 3 || bytes <= 0 {
 		t.Errorf("stats = %d bytes / %d reports", bytes, reports)
 	}
-	if m.BandwidthBps(2_500_000) <= 0 {
-		t.Error("bandwidth must be positive")
-	}
-	if m.BandwidthBps(0) != 0 {
-		t.Error("zero duration bandwidth must be 0")
-	}
 }
 
 func TestHostMonitorValidation(t *testing.T) {
-	if _, err := NewHostMonitor(0, HostMonitorConfig{}, nil); err == nil {
+	if _, err := NewStreamHostMonitor(0, StreamMonitorConfig{}, &countSink{}); err == nil {
 		t.Error("PeriodNs=0 must be rejected")
 	}
-	m, _ := NewHostMonitor(0, DefaultHostMonitor(), nil)
-	if err := m.Flush(); err != nil {
-		t.Errorf("flush before any packet: %v", err)
+	var got countSink
+	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
+	if err := m.Close(); err != nil {
+		t.Errorf("close before any packet: %v", err)
+	}
+	if got.reports != 0 {
+		t.Errorf("a monitor that saw no packet shipped %d reports", got.reports)
 	}
 }
 
 func TestHostMonitorIdleGapSkipsPeriods(t *testing.T) {
-	var reports int
-	cfg := DefaultHostMonitor()
-	cfg.PeriodNs = 1_000_000
-	m, _ := NewHostMonitor(0, cfg, func(int, []byte) { reports++ })
+	var got countSink
+	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
 	m.OnPacket(testKey(1), 100, 1000)
-	// Next packet 5 periods later: all intervening periods flush.
+	// Next packet 5 periods later: all intervening periods seal.
 	m.OnPacket(testKey(1), 5_100_000, 1000)
-	if reports != 5 {
-		t.Errorf("reports across idle gap = %d, want 5", reports)
+	if got.reports != 5 {
+		t.Errorf("reports across idle gap = %d, want 5", got.reports)
 	}
 }
 
@@ -129,6 +129,9 @@ func TestDeployEndToEnd(t *testing.T) {
 	if bw := sys.HostBandwidthBps(5_000_000); bw <= 0 {
 		t.Error("host bandwidth must be positive")
 	}
+	if sys.HostBandwidthBps(0) != 0 {
+		t.Error("zero duration bandwidth must be 0")
+	}
 	if p, b := sys.MirrorStats(); p == 0 || b == 0 {
 		t.Error("mirror stats must be positive")
 	}
@@ -182,10 +185,8 @@ func TestDeployReportsAreQueryable(t *testing.T) {
 }
 
 func TestDutyCycledMonitor(t *testing.T) {
-	var reports int
-	cfg := DefaultHostMonitor()
-	cfg.PeriodNs = 1_000_000
-	inner, _ := NewHostMonitor(0, cfg, func(int, []byte) { reports++ })
+	var got countSink
+	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
 	d := NewDutyCycledMonitor(inner, 1, 4) // measure 1 ms out of every 4
 	f := testKey(1)
 	for ns := int64(0); ns < 8_000_000; ns += 10_000 {
@@ -193,16 +194,16 @@ func TestDutyCycledMonitor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Flush(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if c := d.Coverage(); c < 0.2 || c > 0.3 {
 		t.Errorf("coverage = %v, want ≈0.25", c)
 	}
 	// Reports come only from active epochs (2 active out of 8 periods,
-	// plus catch-up flushes of skipped periods which carry empty sketches).
+	// plus catch-up seals of skipped periods which carry empty sketches).
 	bytes, _ := d.Inner().Stats()
-	if bytes <= 0 || reports == 0 {
+	if bytes <= 0 || got.reports == 0 {
 		t.Error("duty-cycled monitor produced no reports")
 	}
 	if !d.Active(0) || d.Active(1_500_000) {
@@ -211,7 +212,7 @@ func TestDutyCycledMonitor(t *testing.T) {
 }
 
 func TestDutyCycleClamping(t *testing.T) {
-	inner, _ := NewHostMonitor(0, DefaultHostMonitor(), nil)
+	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &countSink{})
 	d := NewDutyCycledMonitor(inner, 9, 4)
 	if d.activePeriods != 4 {
 		t.Errorf("active clamped to %d, want 4", d.activePeriods)

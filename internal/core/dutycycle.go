@@ -10,7 +10,7 @@ import "umon/internal/flowkey"
 // report bandwidth proportionally while keeping full microsecond fidelity
 // inside the active epochs.
 type DutyCycledMonitor struct {
-	inner         *HostMonitor
+	inner         *StreamHostMonitor
 	periodNs      int64
 	activePeriods int64
 	cyclePeriods  int64
@@ -20,7 +20,7 @@ type DutyCycledMonitor struct {
 
 // NewDutyCycledMonitor wraps a host monitor. active must be in
 // [1, cycle]; active == cycle is continuous monitoring.
-func NewDutyCycledMonitor(inner *HostMonitor, active, cycle int64) *DutyCycledMonitor {
+func NewDutyCycledMonitor(inner *StreamHostMonitor, active, cycle int64) *DutyCycledMonitor {
 	if cycle < 1 {
 		cycle = 1
 	}
@@ -53,8 +53,8 @@ func (d *DutyCycledMonitor) OnPacket(f flowkey.Key, ns int64, size int) error {
 	return d.inner.OnPacket(f, ns, size)
 }
 
-// Flush drains the inner monitor.
-func (d *DutyCycledMonitor) Flush() error { return d.inner.Flush() }
+// Close seals the inner monitor's final period.
+func (d *DutyCycledMonitor) Close() error { return d.inner.Close() }
 
 // Coverage reports the fraction of observed packets that were measured.
 func (d *DutyCycledMonitor) Coverage() float64 {
@@ -65,4 +65,4 @@ func (d *DutyCycledMonitor) Coverage() float64 {
 }
 
 // Inner exposes the wrapped monitor (for stats).
-func (d *DutyCycledMonitor) Inner() *HostMonitor { return d.inner }
+func (d *DutyCycledMonitor) Inner() *StreamHostMonitor { return d.inner }

@@ -1,8 +1,7 @@
-// Streaming host deployment: hosts seal the live WaveSketch at every
-// epoch boundary and ship the encoded report through a pluggable sink —
-// the continuous counterpart of HostMonitor's one-shot emit callback.
+// The host monitor: a host seals its live WaveSketch at every epoch
+// boundary and ships the encoded report through a pluggable sink.
 //
-// The sealer is double-buffered: two identically-configured sketches
+// In Async mode the sealer is double-buffered: two identically-configured sketches
 // alternate between the ingest path and the seal/encode/ship path, so at
 // an epoch boundary ingest swaps to the pre-reset spare and continues
 // immediately while the sealed sketch drains in the background — no
@@ -49,7 +48,7 @@ func NewHostStreamStats(reg *telemetry.Registry) *HostStreamStats {
 	}
 }
 
-// StreamMonitorConfig parameterizes a streaming host monitor.
+// StreamMonitorConfig parameterizes a host monitor.
 type StreamMonitorConfig struct {
 	HostMonitorConfig
 	// Async runs seal/encode/ship on a background goroutine. Synchronous
@@ -92,7 +91,7 @@ type StreamHostMonitor struct {
 	err         error
 }
 
-// NewStreamHostMonitor builds a streaming monitor shipping into sink.
+// NewStreamHostMonitor builds a host monitor shipping into sink.
 func NewStreamHostMonitor(host int, cfg StreamMonitorConfig, sink ReportSink) (*StreamHostMonitor, error) {
 	if cfg.PeriodNs <= 0 {
 		return nil, fmt.Errorf("core: PeriodNs must be positive, got %d", cfg.PeriodNs)

@@ -32,27 +32,14 @@ func feedPackets(t *testing.T, on func(ns int64) error) {
 	}
 }
 
-// TestStreamMonitorMatchesBatchMonitor proves the streaming monitor's
-// sealed epochs carry exactly the bytes the classic HostMonitor uploads
-// for the same packet stream, in both sync and async mode — the batch and
-// streaming planes measure identically.
+// TestStreamMonitorMatchesBatchMonitor proves the streaming deployment
+// shape (Async: seal, encode and ship on a background goroutine,
+// double-buffered sketches) ships exactly the bytes the synchronous monitor
+// — the one batch replays, Deploy and umon-sim run — does for the same
+// packet stream, epoch for epoch.
 func TestStreamMonitorMatchesBatchMonitor(t *testing.T) {
-	cfg := DefaultHostMonitor()
-	cfg.PeriodNs = 1_000_000
-	var want [][]byte
-	batch, err := NewHostMonitor(3, cfg, func(_ int, b []byte) {
-		want = append(want, append([]byte(nil), b...))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	f := testKey(1)
-	feedPackets(t, func(ns int64) error { return batch.OnPacket(f, ns, 1058) })
-	if err := batch.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, async := range []bool{false, true} {
+	sealed := func(async bool) []SealedReport {
 		sink := NewChanSink(16)
 		m, err := NewStreamHostMonitor(3, streamCfg(1_000_000, async), sink)
 		if err != nil {
@@ -67,20 +54,23 @@ func TestStreamMonitorMatchesBatchMonitor(t *testing.T) {
 		for sr := range sink.C() {
 			got = append(got, sr)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("async=%v: %d sealed epochs, want %d", async, len(got), len(want))
+		if b, n := m.Stats(); n != len(got) || b <= 0 {
+			t.Errorf("async=%v stats = %d bytes / %d reports, shipped %d", async, b, n, len(got))
 		}
-		for i, sr := range got {
+		return got
+	}
+	want, got := sealed(false), sealed(true)
+	if len(want) != 3 || len(got) != len(want) {
+		t.Fatalf("sealed epochs: sync %d, async %d, want 3 each", len(want), len(got))
+	}
+	for i := range want {
+		for _, sr := range []SealedReport{want[i], got[i]} {
 			if sr.Host != 3 || sr.Epoch != uint64(i) {
-				t.Errorf("async=%v epoch %d: host=%d epoch=%d", async, i, sr.Host, sr.Epoch)
-			}
-			if !bytes.Equal(sr.Encoded, want[i]) {
-				t.Errorf("async=%v epoch %d: encoded bytes differ from batch monitor", async, i)
+				t.Errorf("epoch %d shipped as host=%d epoch=%d", i, sr.Host, sr.Epoch)
 			}
 		}
-		b, n := m.Stats()
-		if n != len(want) || b <= 0 {
-			t.Errorf("async=%v stats = %d bytes / %d reports", async, b, n)
+		if !bytes.Equal(got[i].Encoded, want[i].Encoded) {
+			t.Errorf("epoch %d: async encoded bytes differ from sync", i)
 		}
 	}
 }
@@ -128,8 +118,8 @@ func TestStreamMonitorThroughStreamSink(t *testing.T) {
 	}
 }
 
-// TestStreamMonitorIdleGapSealsEveryEpoch mirrors the batch monitor's
-// idle-gap semantics: skipped epochs still seal (empty) reports, so the
+// TestStreamMonitorIdleGapSealsEveryEpoch: skipped epochs still seal
+// (empty) reports, in order and under their own epoch numbers, so the
 // collector's window advances even through silence.
 func TestStreamMonitorIdleGapSealsEveryEpoch(t *testing.T) {
 	sink := NewChanSink(16)

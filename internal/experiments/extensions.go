@@ -205,9 +205,9 @@ func ExtDutyCycle(c *Cache) (*Table, error) {
 		var coverage float64
 		hosts := len(sim.Trace.HostPackets)
 		for h, recs := range sim.Trace.HostPackets {
-			hmCfg := core.DefaultHostMonitor()
+			hmCfg := core.StreamMonitorConfig{HostMonitorConfig: core.DefaultHostMonitor()}
 			hmCfg.PeriodNs = 2_000_000
-			inner, err := core.NewHostMonitor(h, hmCfg, nil)
+			inner, err := core.NewStreamHostMonitor(h, hmCfg, core.FuncSink(func(core.SealedReport) error { return nil }))
 			if err != nil {
 				return nil, err
 			}
@@ -217,7 +217,7 @@ func ExtDutyCycle(c *Cache) (*Table, error) {
 					return nil, err
 				}
 			}
-			if err := d.Flush(); err != nil {
+			if err := d.Close(); err != nil {
 				return nil, err
 			}
 			b, _ := inner.Stats()

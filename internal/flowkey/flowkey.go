@@ -6,7 +6,6 @@ package flowkey
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -157,14 +156,6 @@ func (r Reducer) Index(h uint64) int {
 		return int(h & r.mask)
 	}
 	return int(h % r.div)
-}
-
-// FastRange maps a 64-bit hash uniformly onto [0, n) with a multiply-shift
-// (Lemire's fast alternative to the modulo reduction): the high word of
-// h×n.
-func FastRange(h uint64, n uint64) uint64 {
-	hi, _ := bits.Mul64(h, n)
-	return hi
 }
 
 func mix64(z uint64) uint64 {

@@ -271,25 +271,3 @@ func BenchmarkKeyHash(b *testing.B) {
 	}
 	sinkHash = h
 }
-
-func TestFastRange(t *testing.T) {
-	for _, n := range []uint64{1, 2, 3, 7, 256, 1000} {
-		if got := FastRange(0, n); got != 0 {
-			t.Errorf("FastRange(0, %d) = %d", n, got)
-		}
-		if got := FastRange(^uint64(0), n); got != n-1 {
-			t.Errorf("FastRange(max, %d) = %d, want %d", n, got, n-1)
-		}
-	}
-	// Uniformity over a simple sweep.
-	counts := make([]int, 8)
-	for i := 0; i < 1<<14; i++ {
-		k := Key{SrcIP: uint32(i), DstIP: 1, SrcPort: 2, DstPort: 3, Proto: 6}
-		counts[FastRange(k.Hash(5), 8)]++
-	}
-	for b, c := range counts {
-		if c < (1<<14)/8*65/100 || c > (1<<14)/8*135/100 {
-			t.Errorf("FastRange bin %d count %d far from uniform", b, c)
-		}
-	}
-}

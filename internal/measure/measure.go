@@ -45,32 +45,12 @@ type SeriesEstimator interface {
 	ReportBytes() int64
 }
 
-// Sample is one (flow, window, bytes) update in batch form. Batched and
-// ring-buffered ingest paths move Samples instead of making one virtual
-// call per packet.
+// Sample is one (flow, window, bytes) update in batch form: the sketches'
+// UpdateBatch paths move Samples instead of making one call per packet.
 type Sample struct {
 	Key    flowkey.Key
 	Window int64
 	Bytes  int64
-}
-
-// BatchUpdater is implemented by estimators with a dedicated batch ingest
-// path. UpdateBatch must be equivalent to calling Update for each sample
-// in slice order.
-type BatchUpdater interface {
-	UpdateBatch(batch []Sample)
-}
-
-// UpdateAll feeds a batch to an estimator through its batch path when it
-// has one, and sample-by-sample otherwise.
-func UpdateAll(e SeriesEstimator, batch []Sample) {
-	if b, ok := e.(BatchUpdater); ok {
-		b.UpdateBatch(batch)
-		return
-	}
-	for _, s := range batch {
-		e.Update(s.Key, s.Window, s.Bytes)
-	}
 }
 
 // Series is a dense per-window count sequence starting at window Start.

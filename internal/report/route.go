@@ -149,9 +149,11 @@ func (g *RouteGroups) addPostings(id int, keys []flowkey.Key) {
 }
 
 // CloneAdd returns a new index with q appended, leaving g untouched — the
-// copy-on-write admit path. The receiver may keep serving Route calls.
-func (g *RouteGroups) CloneAdd(q *Queryable) *RouteGroups {
-	ng := &RouteGroups{
+// copy-on-write admit path. The receiver may keep serving Route calls. The
+// result is a value so that a RoutedSet embeds it without a second
+// allocation.
+func (g *RouteGroups) CloneAdd(q *Queryable) RouteGroups {
+	ng := RouteGroups{
 		n:        g.n,
 		resWords: g.resWords,
 		groups:   make([]*routeGroup, len(g.groups)),
@@ -189,6 +191,12 @@ func (grp *routeGroup) grow() {
 	grp.bits, grp.stride = nb, ns
 }
 
+// misses reports whether no member can have a sample in [from, to): an
+// empty index, an empty range, or one outside the hull of the spans.
+func (g *RouteGroups) misses(from, to int64) bool {
+	return g.n == 0 || from >= to || !overlaps(g.lo, g.hi, from, to)
+}
+
 // routeScratch pools Route's working bitmaps (result + group accumulator).
 var routeScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
@@ -199,7 +207,7 @@ var routeScratch = sync.Pool{New: func() any { return new([]uint64) }}
 // before f is hashed; all-time callers pass the full int64 range. Safe for
 // concurrent use (against an index no longer being Appended to).
 func (g *RouteGroups) Route(f flowkey.Key, from, to int64, dst []int) []int {
-	if g.n == 0 || from >= to || !overlaps(g.lo, g.hi, from, to) {
+	if g.misses(from, to) {
 		return dst
 	}
 	maxStride := 0

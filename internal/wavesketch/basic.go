@@ -120,10 +120,10 @@ func (s *Basic) updatePacked(p flowkey.Packed, w int64, v int64) {
 	}
 }
 
-// UpdateBatch implements measure.BatchUpdater: it is equivalent to calling
-// Update for every sample in slice order, with the per-call overhead
-// (interface dispatch, config re-reads) paid once per batch instead of
-// once per packet. The batched path allocates nothing.
+// UpdateBatch is equivalent to calling Update for every sample in slice
+// order, with the per-call overhead (interface dispatch, config re-reads)
+// paid once per batch instead of once per packet. The batched path
+// allocates nothing.
 func (s *Basic) UpdateBatch(batch []measure.Sample) {
 	for i := range batch {
 		sm := &batch[i]

@@ -76,8 +76,8 @@ func (f *Full) Update(k flowkey.Key, w int64, v int64) {
 	f.updateHeavy(k, f.slots.Index(p.Hash(f.cfg.HeavySeed)), w, v)
 }
 
-// UpdateBatch implements measure.BatchUpdater; it is equivalent to calling
-// Update for every sample in slice order and allocates nothing.
+// UpdateBatch is equivalent to calling Update for every sample in slice
+// order and allocates nothing.
 func (f *Full) UpdateBatch(batch []measure.Sample) {
 	for i := range batch {
 		sm := &batch[i]

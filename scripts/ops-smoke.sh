@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ops-smoke.sh — end-to-end smoke of the collector ops plane.
 #
-# Generates a streamed simulation run, starts umon-collect in follow mode
+# Generates a simulation run, starts umon-collect in follow mode
 # with the introspection server, and drives it the way an operator would:
 # umonctl health polls readiness (no fixed sleeps), umonctl events -follow
 # streams live events over SSE while ingest runs, umonctl status/trace
@@ -21,8 +21,8 @@ $GO build -o bin/umon-sim ./cmd/umon-sim
 $GO build -o bin/umon-collect ./cmd/umon-collect
 $GO build -o bin/umonctl ./cmd/umonctl
 
-# A streamed run: epoch-rotated host reports + the mirror pcap feed.
-./bin/umon-sim -workload hadoop -ms 20 -stream -epoch-ms 2 -sample-bits 1 \
+# The run: epoch-rotated host reports + the mirror pcap feed.
+./bin/umon-sim -workload hadoop -ms 20 -epoch-ms 2 -sample-bits 1 \
     -out "$OUT" >"$OUT/sim.log"
 
 # The daemon tails both inputs until SIGTERM, serving the ops API.

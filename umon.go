@@ -5,13 +5,12 @@
 //
 // The facade re-exports the pieces a downstream user composes:
 //
-//   - WaveSketch (basic and full) and its Config — measure per-flow rate
+//   - WaveSketch and its Config — measure per-flow rate
 //     curves at 8.192 µs windows under a fixed memory budget.
-//   - HostMonitor / SwitchMonitor / System — a deployable µMon instance:
-//     periodic report uploads from hosts, CE match-sample-mirror at
-//     switches, one Analyzer consuming both.
-//   - Analyzer — congestion event detection, flow-rate queries and event
-//     replay.
+//   - HostMonitor / System — a deployable µMon instance: one sealed
+//     report per period from every host, CE match-sample-mirror at the
+//     switches, and the System's Analyzer consuming both (congestion event
+//     detection, flow-rate queries, event replay).
 //   - The discrete-event data-center simulator used by the examples and
 //     the paper-reproduction benchmarks.
 //
@@ -47,37 +46,16 @@ func WindowOf(ns int64) int64 { return measure.WindowOf(ns) }
 // retained coefficients).
 type SketchConfig = wavesketch.Config
 
-// FullSketchConfig parameterizes the heavy/light full version.
-type FullSketchConfig = wavesketch.FullConfig
-
 // WaveSketch is the basic-version sketch: a Count-Min array of wavelet
 // buckets.
 type WaveSketch = wavesketch.Basic
 
-// FullWaveSketch adds the majority-vote heavy part for per-flow curves of
-// heavy hitters.
-type FullWaveSketch = wavesketch.Full
-
 // NewWaveSketch builds a basic sketch.
 func NewWaveSketch(cfg SketchConfig) (*WaveSketch, error) { return wavesketch.NewBasic(cfg) }
-
-// NewFullWaveSketch builds a full sketch.
-func NewFullWaveSketch(cfg FullSketchConfig) (*FullWaveSketch, error) {
-	return wavesketch.NewFull(cfg)
-}
 
 // DefaultSketch returns the paper's evaluation configuration (D=3, W=256,
 // L=8) with the given coefficient budget K.
 func DefaultSketch(k int) SketchConfig { return wavesketch.Default(k) }
-
-// DefaultFullSketch returns the Table 1 full-version configuration.
-func DefaultFullSketch() FullSketchConfig { return wavesketch.DefaultFull() }
-
-// CalibrateHardware derives the PISA-variant thresholds from sample
-// counter sequences (§4.3).
-func CalibrateHardware(samples [][]int64, levels, k int) (thrEven, thrOdd int64) {
-	return wavesketch.Calibrate(samples, levels, k)
-}
 
 // Haar transform primitives, for users composing their own compression.
 type WaveletCoeffs = wavelet.Coeffs
@@ -99,11 +77,9 @@ func WaveletReconstruct(approx []int64, kept []DetailRef, levels, length int) []
 
 // --- µMon system ---
 
-// HostMonitor measures one host's egress and uploads periodic reports.
-type HostMonitor = core.HostMonitor
-
-// SwitchMonitor runs the CE match-sample-mirror pipeline of one switch.
-type SwitchMonitor = core.SwitchMonitor
+// HostMonitor measures one host's egress, sealing and shipping one report
+// per period; Close ships the final partial period.
+type HostMonitor = core.StreamHostMonitor
 
 // System is a full µMon deployment over a simulated network.
 type System = core.System
@@ -114,19 +90,15 @@ type SystemConfig = core.SystemConfig
 // HostMonitorConfig parameterizes host-side measurement.
 type HostMonitorConfig = core.HostMonitorConfig
 
-// SwitchMonitorConfig parameterizes switch-side event capture.
-type SwitchMonitorConfig = core.SwitchMonitorConfig
-
 // NewHostMonitor builds a standalone host monitor. emit receives each
 // encoded report in the monitor's reused buffer: the bytes are valid only
 // during the call.
 func NewHostMonitor(host int, cfg HostMonitorConfig, emit func(host int, encoded []byte)) (*HostMonitor, error) {
-	return core.NewHostMonitor(host, cfg, emit)
-}
-
-// NewSwitchMonitor builds a standalone switch monitor.
-func NewSwitchMonitor(sw int16, cfg SwitchMonitorConfig, emit func(encoded []byte)) *SwitchMonitor {
-	return core.NewSwitchMonitor(sw, cfg, emit)
+	sink := core.FuncSink(func(r core.SealedReport) error {
+		emit(r.Host, r.Encoded)
+		return nil
+	})
+	return core.NewStreamHostMonitor(host, core.StreamMonitorConfig{HostMonitorConfig: cfg}, sink)
 }
 
 // Deploy attaches a µMon instance to a simulated network.
@@ -142,18 +114,6 @@ func DefaultHostMonitor() HostMonitorConfig { return core.DefaultHostMonitor() }
 
 // --- analyzer ---
 
-// Analyzer performs network-wide synchronized analysis.
-type Analyzer = analyzer.Analyzer
-
-// Event is a detected congestion event.
-type Event = analyzer.Event
-
-// ReplayView is the rate-curve replay of an event's flows.
-type ReplayView = analyzer.ReplayView
-
-// NewAnalyzer returns an empty analyzer.
-func NewAnalyzer() *Analyzer { return analyzer.New() }
-
 // RateGbps converts per-window byte counts to Gbps.
 func RateGbps(bytesPerWindow float64) float64 { return analyzer.RateGbps(bytesPerWindow) }
 
@@ -162,13 +122,6 @@ type HostReport = report.HostReport
 
 // DecodeReport parses an encoded host report.
 var DecodeReport = report.Decode
-
-// Queryable is a decoded host report indexed for concurrent flow-rate
-// queries (inverted colocation index, memoized reconstructions).
-type Queryable = report.Queryable
-
-// NewQueryable indexes a decoded report for querying.
-func NewQueryable(r *HostReport) *Queryable { return report.NewQueryable(r) }
 
 // ACLRule is the switch sampling rule (match CE + PSN low bits).
 type ACLRule = uevent.ACLRule
@@ -187,14 +140,10 @@ type SimConfig = netsim.Config
 // FlowSpec describes one injected flow.
 type FlowSpec = netsim.FlowSpec
 
-// Congestion-control selectors for FlowSpec.CC.
-const (
-	// CCDCQCN is the rate-based RoCE controller of the evaluation.
-	CCDCQCN = netsim.CCDCQCN
-	// CCDCTCP is the window-based, ACK-clocked DCTCP controller
-	// (go-back-N reliable).
-	CCDCTCP = netsim.CCDCTCP
-)
+// CCDCTCP selects, in FlowSpec.CC, the window-based, ACK-clocked DCTCP
+// controller (go-back-N reliable) instead of the default, the evaluation's
+// rate-based RoCE controller DCQCN.
+const CCDCTCP = netsim.CCDCTCP
 
 // Trace is a completed simulation's observables.
 type Trace = netsim.Trace
@@ -254,73 +203,4 @@ func AttributeDrops(drops []netsim.DropRecord, mirrors []MirrorRecord, lookbackN
 // programmable-switch enhancement).
 func DedupMirrors(mirrors []MirrorRecord, slots int, ttlNs int64) []MirrorRecord {
 	return uevent.Dedup(mirrors, slots, ttlNs)
-}
-
-// Diagnosis classifies a congestion event (incast/collision/single) and
-// separates culprit from victim flows.
-type Diagnosis = analyzer.Diagnosis
-
-// Event/flow diagnosis verdicts.
-const (
-	KindIncast            = analyzer.KindIncast
-	KindCollision         = analyzer.KindCollision
-	KindSingle            = analyzer.KindSingle
-	VerdictHostLimited    = analyzer.VerdictHostLimited
-	VerdictNetworkLimited = analyzer.VerdictNetworkLimited
-	VerdictHealthy        = analyzer.VerdictHealthy
-)
-
-// DutyCycledMonitor measures a fraction of reporting periods (§9's
-// cost/quality knob).
-type DutyCycledMonitor = core.DutyCycledMonitor
-
-// NewDutyCycledMonitor wraps a host monitor to measure `active` out of
-// every `cycle` reporting periods.
-func NewDutyCycledMonitor(inner *HostMonitor, active, cycle int64) *DutyCycledMonitor {
-	return core.NewDutyCycledMonitor(inner, active, cycle)
-}
-
-// Aggregator is the Agg-Evict per-(flow, window) coalescing front cache
-// (§8 future work): same answers, several-fold fewer sketch updates.
-type Aggregator = wavesketch.Aggregator
-
-// NewAggregator wraps an estimator with a coalescing cache of the given
-// number of lines.
-func NewAggregator(inner measure.SeriesEstimator, lines int) *Aggregator {
-	return wavesketch.NewAggregator(inner, lines)
-}
-
-// SeriesEstimator is the interface all measurement schemes implement.
-type SeriesEstimator = measure.SeriesEstimator
-
-// --- high-throughput ingest datapath ---
-
-// Sample is one (flow, window, bytes) update in batch form.
-type Sample = measure.Sample
-
-// BatchUpdater is implemented by estimators with a dedicated batch ingest
-// path (both sketch versions and the sharded front-end implement it).
-type BatchUpdater = measure.BatchUpdater
-
-// UpdateAll feeds a batch through an estimator's batch path when it has
-// one, and sample-by-sample otherwise.
-func UpdateAll(e SeriesEstimator, batch []Sample) { measure.UpdateAll(e, batch) }
-
-// ShardedIngest partitions flows across independent sketch shards fed by
-// bounded per-producer rings — the concurrent ingest front-end.
-type ShardedIngest = wavesketch.ShardedIngest
-
-// ShardedConfig parameterizes a sharded ingest front-end.
-type ShardedConfig = wavesketch.ShardedConfig
-
-// IngestProducer is one single-goroutine ingest handle of a ShardedIngest.
-type IngestProducer = wavesketch.Producer
-
-// NewShardedIngest builds a sharded front-end (and starts its shard
-// workers when cfg.Producers > 0).
-func NewShardedIngest(cfg ShardedConfig) (*ShardedIngest, error) { return wavesketch.NewSharded(cfg) }
-
-// DefaultShardedIngest shards basic sketches built from cfg n ways.
-func DefaultShardedIngest(n int, cfg SketchConfig) ShardedConfig {
-	return wavesketch.DefaultSharded(n, cfg)
 }

@@ -75,13 +75,13 @@ func TestFacadeHostMonitorRoundTrip(t *testing.T) {
 	var encoded []byte
 	cfg := umon.DefaultHostMonitor()
 	cfg.PeriodNs = 1_000_000
-	m, err := umon.NewHostMonitor(3, cfg, func(_ int, b []byte) { encoded = b })
+	m, err := umon.NewHostMonitor(3, cfg, func(_ int, b []byte) { encoded = append([]byte(nil), b...) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := umon.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4791, Proto: 17}
 	m.OnPacket(f, 100, 1000)
-	if err := m.Flush(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := umon.DecodeReport(bytes.NewReader(encoded))
