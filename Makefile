@@ -24,7 +24,7 @@ test-race:
 	$(GO) test -race ./internal/parallel
 	$(GO) test -race ./internal/experiments -run TestParallel
 	$(GO) test -race ./internal/report -run 'TestQueryable|TestDecodeBudget'
-	$(GO) test -race ./internal/analyzer -run 'TestAnalyzerConcurrent|TestDetectEventsIncremental'
+	$(GO) test -race ./internal/analyzer -run 'TestAnalyzerConcurrent|TestDetectEventsIncremental|TestPopClosed|TestRecycledClusterer'
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race ./internal/netsim -run 'TestEngineWheelMatchesHeapOracle|TestSimulationWheelMatchesHeapOracle|TestWheel|TestTimerArm'
 	$(GO) test -race ./internal/netsim -run 'TestParallelMatchesSerial|TestLockstepMatchesGoroutines|TestShardedWheelMatchesHeapOracle|TestShardedEngineStormMatchesOracle'
@@ -115,13 +115,16 @@ bench-sim:
 	$(GO) run ./cmd/benchjson -o BENCH_sim.json bench-sim.txt
 
 # Mirror-datapath throughput (ns/op, MB/s, allocs): pooled buffer cycling,
-# batched pcap read/write, in-place mirror decode, and the end-to-end
-# read→decode→cluster ingest. Writes BENCH_mirror.json (via benchjson),
-# the committed perf-gate baseline for the mirror path.
-MIRROR_BENCH = MbufPool|PcapRead|PcapWrite|DecodeMirror|EncodeMirror|AppendMirror|MirrorReadDecode|MirrorIngestE2E
+# batched pcap read/write, in-place mirror encode and decode, the batch
+# read→decode→cluster ingest, the switch monitor's match→encode→emit, and
+# the collector's online path (AddMirrorPacket with the automatic Poll, and
+# with -follow's Poll after every mirror). Writes BENCH_mirror.json (via
+# benchjson), the committed perf-gate baseline for the mirror path.
+MIRROR_BENCH = MbufPool|PcapRead|PcapWrite|DecodeMirrorInto|AppendMirror|MirrorReadDecode|MirrorIngestE2E|CollectorMirrorIngest|CollectorFollowPoll|SwitchMonitorOnCEPacket
+MIRROR_PKGS = ./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer ./internal/collect ./internal/core
 bench-mirror:
 	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 2s -count 5 \
-		./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer | tee bench-mirror.txt
+		$(MIRROR_PKGS) | tee bench-mirror.txt
 	$(GO) run ./cmd/benchjson -o BENCH_mirror.json bench-mirror.txt
 
 # Report datapath on the collector side (ns/op, MB/s, allocs): DecodeBytes
@@ -142,35 +145,43 @@ bench-admit:
 # convert to benchjson, and fail if any benchmark named in the committed
 # BENCH_mirror.json / BENCH_query.json / BENCH_admit.json /
 # BENCH_ingest.json baselines regressed in ns/op by more than
-# PERF_GATE_THRESHOLD percent or went missing. Refresh the baselines with
+# PERF_GATE_THRESHOLD percent or went missing. Every leg runs whatever the
+# others found; the failing rows are printed together at the end, and the
+# target fails if there are any. Refresh the baselines with
 # `make bench-mirror`, `make bench-query`, `make bench-admit` and
-# `make bench-ingest` after a deliberate perf change. The over-HTTP ops-API benchmarks ride the full loopback TCP stack
-# and swing far more run-to-run than the in-process ones, so they get
-# their own wider threshold. Of the ingest set the gate leaves out the
-# telemetry no-ops, which are sub-nanosecond.
+# `make bench-ingest` after a deliberate perf change. The over-HTTP ops-API
+# benchmarks ride the full loopback TCP stack and swing far more run-to-run
+# than the in-process ones, so they get their own wider threshold. Of the
+# ingest set the gate leaves out the telemetry no-ops, which are
+# sub-nanosecond.
 PERF_GATE_THRESHOLD ?= 25
 PERF_GATE_API_THRESHOLD ?= 60
 INGEST_GATE_BENCH = KeyHash|BasicUpdate|FullUpdate|StreamHostMonitorOnPacket
+# gate runs one benchgate leg and keeps its rows; a leg that fails (or
+# cannot run) leaves a FAIL row and does not stop the legs after it.
+gate = { $(GO) run ./cmd/benchgate $(1) || echo "FAIL  benchgate $(1)"; } | tee -a bench-gate-rows.txt
 perf-gate:
+	@rm -f bench-gate-rows.txt
 	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 1s -count 3 \
-		./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer | tee bench-gate.txt
+		$(MIRROR_PKGS) | tee bench-gate.txt
 	$(GO) run ./cmd/benchjson -o bench-gate.json bench-gate.txt
-	$(GO) run ./cmd/benchgate -old BENCH_mirror.json -new bench-gate.json -threshold $(PERF_GATE_THRESHOLD)
+	$(call gate,-old BENCH_mirror.json -new bench-gate.json -threshold $(PERF_GATE_THRESHOLD))
 	$(GO) test -run XXX -bench '$(QUERY_API_BENCH)' -benchtime 2s -count 3 \
 		./internal/opsapi | tee bench-query-gate.txt
 	$(GO) test -run XXX -bench '$(QUERY_SCALE_BENCH)' -benchtime 1s -count 2 \
 		./internal/collect | tee -a bench-query-gate.txt
 	$(GO) run ./cmd/benchjson -o bench-query-gate.json bench-query-gate.txt
-	$(GO) run ./cmd/benchgate -old BENCH_query.json -new bench-query-gate.json -bench 'API$$' -threshold $(PERF_GATE_API_THRESHOLD)
-	$(GO) run ./cmd/benchgate -old BENCH_query.json -new bench-query-gate.json -bench QueryScale -threshold $(PERF_GATE_THRESHOLD)
+	$(call gate,-old BENCH_query.json -new bench-query-gate.json -bench 'API$$' -threshold $(PERF_GATE_API_THRESHOLD))
+	$(call gate,-old BENCH_query.json -new bench-query-gate.json -bench QueryScale -threshold $(PERF_GATE_THRESHOLD))
 	$(GO) test -run XXX -bench '$(ADMIT_BENCH)' -benchmem -benchtime 1s -count 3 \
 		./internal/report ./internal/collect | tee bench-admit-gate.txt
 	$(GO) run ./cmd/benchjson -o bench-admit-gate.json bench-admit-gate.txt
-	$(GO) run ./cmd/benchgate -old BENCH_admit.json -new bench-admit-gate.json -threshold $(PERF_GATE_THRESHOLD)
+	$(call gate,-old BENCH_admit.json -new bench-admit-gate.json -threshold $(PERF_GATE_THRESHOLD))
 	$(GO) test -run XXX -bench '$(INGEST_GATE_BENCH)' -benchtime 1s -count 3 \
 		$(INGEST_PKGS) | tee bench-ingest-gate.txt
 	$(GO) run ./cmd/benchjson -o bench-ingest-gate.json bench-ingest-gate.txt
-	$(GO) run ./cmd/benchgate -old BENCH_ingest.json -new bench-ingest-gate.json -bench '$(INGEST_GATE_BENCH)' -threshold $(PERF_GATE_THRESHOLD)
+	$(call gate,-old BENCH_ingest.json -new bench-ingest-gate.json -bench '$(INGEST_GATE_BENCH)' -threshold $(PERF_GATE_THRESHOLD))
+	@if grep '^FAIL' bench-gate-rows.txt; then echo "perf-gate: the rows above failed"; exit 1; fi
 
 # End-to-end streaming demo: simulate an incast on the dumbbell while the
 # hosts seal epoch-rotated reports into one framed stream, then run the

@@ -36,7 +36,7 @@ func writeMirrorPcap(t *testing.T, path string) {
 		}
 		if err := w.WritePacket(pcapio.Packet{
 			TimestampNs: rec.TimestampNs,
-			Data:        uevent.EncodeMirrorPacket(rec),
+			Data:        uevent.AppendMirrorPacket(nil, rec),
 			OrigLen:     1058,
 		}); err != nil {
 			t.Fatal(err)

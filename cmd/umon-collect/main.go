@@ -318,58 +318,31 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 				return
 			}
 			defer pr.Close()
+			// A complete file goes through full batches (in-place views of
+			// pooled buffers, no per-packet copy). Tailing reads batches of
+			// one: a larger batch would hold parsed mirrors back until it
+			// fills, and each must land as soon as its bytes hit the file.
+			max := pcapio.DefaultBatchSize
 			if opt.follow {
-				// Tailing: a batched read would block until a full batch
-				// accumulates, so drain record by record — each packet lands
-				// in the collector as soon as its bytes hit the file.
-				for {
-					p, rerr := pr.ReadPacket()
-					if rerr == io.EOF {
-						break
-					}
-					if rerr != nil {
-						if ctx.Err() != nil {
-							break // torn record at shutdown while tailing
-						}
-						errCh <- fmt.Errorf("reading %s: %w", opt.mirrors, rerr)
-						return
-					}
-					mu.Lock()
-					if err := c.AddMirrorPacket(p.Data); err != nil {
-						badMirrors++
-					} else {
-						mirrorsIn++
-					}
-					c.Poll()
-					mu.Unlock()
-				}
-				return
+				max = 1
 			}
-			// Complete file: the zero-copy batch path (in-place views of
-			// pooled buffers, no per-packet copy).
 			var batch pcapio.Batch
+			defer batch.Release()
 			for {
-				n, rerr := pr.ReadBatch(&batch, pcapio.DefaultBatchSize)
+				n, rerr := pr.ReadBatch(&batch, max)
 				mu.Lock()
-				for _, p := range batch.Pkts[:n] {
-					if err := c.AddMirrorPacket(p.Data); err != nil {
-						badMirrors++
-						continue
-					}
-					mirrorsIn++
-				}
+				in, bad := c.AddMirrorPackets(batch.Pkts[:n])
 				c.Poll()
 				mu.Unlock()
-				if rerr == io.EOF {
-					break
+				mirrorsIn, badMirrors = mirrorsIn+in, badMirrors+bad
+				if rerr == io.EOF || rerr != nil && opt.follow && ctx.Err() != nil {
+					return // the end, or a torn record at shutdown while tailing
 				}
 				if rerr != nil {
-					batch.Release()
 					errCh <- fmt.Errorf("reading %s: %w", opt.mirrors, rerr)
 					return
 				}
 			}
-			batch.Release()
 		}()
 	}
 

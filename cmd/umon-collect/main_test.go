@@ -84,7 +84,7 @@ func writeArtifacts(t *testing.T, dir string) (reportsPath, mirrorsPath string) 
 			}
 			if err := w.WritePacket(pcapio.Packet{
 				TimestampNs: rec.TimestampNs,
-				Data:        uevent.EncodeMirrorPacket(rec),
+				Data:        uevent.AppendMirrorPacket(nil, rec),
 				OrigLen:     1058,
 			}); err != nil {
 				t.Fatal(err)

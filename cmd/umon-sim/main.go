@@ -172,10 +172,6 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 			return err
 		}
 	}
-	switches := make([]*core.SwitchMonitor, topo.Switches)
-	for sw := 0; sw < topo.Switches; sw++ {
-		switches[sw] = core.NewSwitchMonitor(int16(sw), sysCfg.Switch, nil)
-	}
 	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
 		setErr(hosts[host].OnPacket(pkt.Flow, now, int(pkt.Size)))
 		hostSamples.At(host).Inc()

@@ -6,11 +6,16 @@
 //
 // The query plane is indexed so replay scales with the event, not the
 // deployment: the reports sit in a report.RoutedSet, whose routing index
-// sends each query only to the reports that can answer it, mirrors fold
-// into per-port events as they arrive (DetectEvents snapshots instead of
-// re-sorting), and ReplayWith fans the event's flows out over the worker
-// pool. Ingest everything first, then query; queries are safe to run
-// concurrently.
+// sends each query only to the reports that can answer it, and ReplayWith
+// fans the event's flows out over the worker pool. Ingest everything
+// first, then query; queries are safe to run concurrently.
+//
+// Mirrors fold into per-port events as they arrive. The batch reader,
+// DetectEvents, snapshots every event, open ones included, and leaves the
+// state alone; the online reader, PopClosed, takes only the events a
+// watermark proves closed and releases them with their records: one
+// comparison per active port plus the events returned. Emptied port state
+// is recycled, so steady-state ingest does not allocate.
 package analyzer
 
 import (
@@ -19,12 +24,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 	"umon/internal/netsim"
-	"umon/internal/packet"
 	"umon/internal/parallel"
 	"umon/internal/report"
 	"umon/internal/uevent"
@@ -57,8 +60,15 @@ type Analyzer struct {
 	// index, built in place on AddQueryable — ingest everything first,
 	// then query.
 	reports report.RoutedSet
-	// clusters folds the mirror stream into per-port events as it arrives.
+	// clusters folds the mirror stream into per-port events as it arrives
+	// and holds the ports with a record; free holds the emptied clusterers
+	// the next port to become active takes, recs the unused record chunks.
+	// hot is a direct-mapped cache in front of clusters: a mirror of a port
+	// whose slot no other active port claimed since is looked up unhashed.
 	clusters    map[netsim.PortID]*portClusterer
+	hot         [256]*portClusterer
+	free        []*portClusterer
+	recs        recPool
 	mirrorCount int
 	// gapNs is the clustering gap the incremental state was built under.
 	gapNs int64
@@ -71,11 +81,18 @@ type Analyzer struct {
 	stats PlaneStats
 }
 
-// New returns an empty analyzer.
-func New() *Analyzer {
+// New returns an empty analyzer clustering under the default gap.
+func New() *Analyzer { return NewWithGap(0) }
+
+// NewWithGap returns an empty analyzer that clusters mirrors under gapNs
+// (≤ 0: the default) from the first record on.
+func NewWithGap(gapNs int64) *Analyzer {
+	if gapNs <= 0 {
+		gapNs = defaultGapNs
+	}
 	return &Analyzer{
 		clusters:      make(map[netsim.PortID]*portClusterer),
-		gapNs:         defaultGapNs,
+		gapNs:         gapNs,
 		switchOffsets: make(map[int16]int64),
 	}
 }
@@ -117,12 +134,21 @@ func (a *Analyzer) AddMirror(m uevent.MirrorRecord) {
 	if off, ok := a.switchOffsets[m.Port.Switch]; ok && off != 0 {
 		m.TimestampNs -= off
 	}
-	p := a.clusters[m.Port]
-	if p == nil {
-		p = &portClusterer{port: m.Port}
-		a.clusters[m.Port] = p
+	slot := &a.hot[hotSlot(m.Port)]
+	p := *slot
+	if p == nil || p.port != m.Port {
+		if p = a.clusters[m.Port]; p == nil {
+			if n := len(a.free); n > 0 {
+				p, a.free = a.free[n-1], a.free[:n-1]
+			} else {
+				p = &portClusterer{pool: &a.recs}
+			}
+			p.port = m.Port
+			a.clusters[m.Port] = p
+		}
+		*slot = p
 	}
-	p.add(m, a.gapNs)
+	p.add(&m, a.gapNs)
 	a.mirrorCount++
 }
 
@@ -138,21 +164,11 @@ func (a *Analyzer) AddMirrors(ms []uevent.MirrorRecord) {
 // is not retained, so callers may hand in pooled buffers (pcap batch
 // views) and recycle them after the call returns.
 func (a *Analyzer) AddMirrorPacket(b []byte) error {
-	var m packet.Mirrored
-	if err := packet.DecodeMirrorInto(b, &m); err != nil {
+	m, err := uevent.DecodeMirrorPacket(b)
+	if err != nil {
 		return err
 	}
-	if !m.CE {
-		return fmt.Errorf("analyzer: mirrored packet without CE mark (flow %s)", m.Flow)
-	}
-	a.AddMirror(uevent.MirrorRecord{
-		Port:        uevent.PortForVLAN(m.VLANID),
-		TimestampNs: m.TimestampNs,
-		PSN:         m.PSN,
-		OrigBytes:   int32(m.OrigLen),
-		WireBytes:   int32(m.OrigLen),
-		Flow:        m.Flow,
-	})
+	a.AddMirror(m)
 	return nil
 }
 
@@ -164,8 +180,8 @@ func (a *Analyzer) Mirrors() int { return a.mirrorCount }
 // microseconds — queues drain within that once marking stops. Clustering is
 // incremental: mirrors that arrived in timestamp order are already folded
 // into events, so this call only seals a snapshot and sorts the (far
-// smaller) event list. Passing a different gap than the previous call
-// rebuilds the per-port state under the new gap.
+// smaller) event list. Passing a different gap than the one the state was
+// built under rebuilds the per-port state under the new gap.
 func (a *Analyzer) DetectEvents(gapNs int64) []Event {
 	if gapNs <= 0 {
 		gapNs = defaultGapNs
@@ -180,55 +196,43 @@ func (a *Analyzer) DetectEvents(gapNs int64) []Event {
 	for _, p := range a.clusters {
 		events = p.events(events, a.gapNs)
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].StartNs != events[j].StartNs {
-			return events[i].StartNs < events[j].StartNs
-		}
-		return lessPort(events[i].Port, events[j].Port)
-	})
+	sortEvents(events)
 	return events
 }
 
-func lessPort(a, b netsim.PortID) bool {
-	if a.Switch != b.Switch {
-		return a.Switch < b.Switch
+// PopClosed is the online counterpart of DetectEvents: it seals every open
+// event that ended at or before closedBelow — the caller's proof that no
+// mirror can extend it — appends the closed events to dst in DetectEvents'
+// order, and releases them and their mirror records. Callers drop later
+// mirrors at or below the cut (the collector's late-mirror filter).
+func (a *Analyzer) PopClosed(dst []Event, closedBelow int64) []Event {
+	base := len(dst)
+	for port, p := range a.clusters {
+		held := p.recs.n
+		dst = p.popClosed(dst, closedBelow, a.gapNs)
+		a.mirrorCount -= held - p.recs.n
+		if p.recs.n == 0 { // and so no event: the state can serve another port
+			delete(a.clusters, port)
+			a.free = append(a.free, p)
+			if slot := &a.hot[hotSlot(port)]; *slot == p {
+				*slot = nil
+			}
+		}
 	}
-	return a.Port < b.Port
+	sortEvents(dst[base:])
+	return dst
 }
 
-// rankFlows orders the flows of a cluster: most packets first, ties by
-// the printed key. A key is printed only if its count ties, and once (a
-// comparator that prints is 7–10 % of a mirror-heavy ingest).
-func rankFlows(pkts map[flowkey.Key]int) []flowkey.Key {
-	type fc struct {
-		k    flowkey.Key
-		n, i int32 // count, index into printed: the element stays 24 bytes
-	}
-	fs := make([]fc, 0, len(pkts))
-	for k, n := range pkts {
-		fs = append(fs, fc{k, int32(n), int32(len(fs))})
-	}
-	var printed []string
-	str := func(f fc) string {
-		if printed == nil {
-			printed = make([]string, len(fs))
-		}
-		if printed[f.i] == "" {
-			printed[f.i] = f.k.String()
-		}
-		return printed[f.i]
-	}
-	slices.SortFunc(fs, func(a, b fc) int {
-		if a.n != b.n {
-			return cmp.Compare(b.n, a.n)
-		}
-		return strings.Compare(str(a), str(b))
+// hotSlot spreads 32 switches of 8 ports over distinct slots of Analyzer.hot.
+func hotSlot(p netsim.PortID) uint8 { return uint8(p.Switch)<<3 ^ uint8(p.Port) }
+
+// sortEvents orders events by (StartNs, switch, port). One port's events
+// never share a start, so the order is total.
+func sortEvents(events []Event) {
+	slices.SortFunc(events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.StartNs, b.StartNs),
+			cmp.Compare(a.Port.Switch, b.Port.Switch), cmp.Compare(a.Port.Port, b.Port.Port))
 	})
-	out := make([]flowkey.Key, len(fs))
-	for i, f := range fs {
-		out[i] = f.k
-	}
-	return out
 }
 
 // QueryFlow estimates flow f's per-window byte counts over [from, to)

@@ -93,7 +93,7 @@ func TestSwitchOffsetAlignment(t *testing.T) {
 func TestAddMirrorPacket(t *testing.T) {
 	a := New()
 	rec := mirror(777_000, 2, 1, key(4))
-	if err := a.AddMirrorPacket(uevent.EncodeMirrorPacket(rec)); err != nil {
+	if err := a.AddMirrorPacket(uevent.AppendMirrorPacket(nil, rec)); err != nil {
 		t.Fatal(err)
 	}
 	ev := a.DetectEvents(0)
@@ -480,7 +480,18 @@ func TestRankFlowsOrder(t *testing.T) {
 			}
 			return want[i].String() < want[j].String()
 		})
-		if got := rankFlows(pkts); !reflect.DeepEqual(got, want) {
+		// Count through flowCounts, the packets of the flows interleaved.
+		var c flowCounts
+		for left := len(pkts); left > 0; {
+			left = 0
+			for k, n := range pkts {
+				if j, ok := c.idx[k]; !ok || int(c.fs[j].n) < n {
+					c.inc(k)
+					left++
+				}
+			}
+		}
+		if got := rankFlows(c.fs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: rankFlows order differs from the printed-key order", round)
 		}
 	}

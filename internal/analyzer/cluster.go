@@ -1,6 +1,10 @@
 package analyzer
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"umon/internal/flowkey"
 	"umon/internal/netsim"
 	"umon/internal/uevent"
@@ -12,27 +16,141 @@ const defaultGapNs = 50_000
 
 // portClusterer folds one port's mirror stream into congestion events
 // incrementally: records appended in timestamp order extend or seal the
-// open event as they arrive, so DetectEvents only snapshots state instead
-// of re-sorting every mirror. Out-of-order appends and gap changes fall
-// back to a per-port rebuild from the retained records.
+// open event as they arrive, so detection never re-sorts every mirror.
+// Out-of-order appends and gap changes fall back to a per-port rebuild
+// from the retained records.
 type portClusterer struct {
 	port netsim.PortID
-	// recs retains the port's records for rebuilds (out-of-order input or
-	// a changed clustering gap) and for imbalance accounting.
-	recs     []uevent.MirrorRecord
+	// recs retains the records of the port's events, in fold order, for
+	// rebuilds (out-of-order input or a changed clustering gap) and for
+	// imbalance accounting; lastNs is the timestamp of the newest.
+	recs     recLog
+	pool     *recPool
+	lastNs   int64
 	unsorted bool
 
 	sealed    []Event
 	open      Event
 	openValid bool
-	openFlows map[flowkey.Key]int
+	openFlows flowCounts
 }
 
-func (p *portClusterer) add(m uevent.MirrorRecord, gapNs int64) {
-	if n := len(p.recs); n > 0 && m.TimestampNs < p.recs[n-1].TimestampNs {
+// recChunk is the unit ports retain records in (6 KB). Chunks come from and
+// go back to one analyzer-wide recPool: the memory held follows the records
+// in flight across all ports, not every port's largest event so far.
+type recChunk [recChunkLen]uevent.MirrorRecord
+
+const recChunkLen = 128
+
+type recPool struct {
+	free    []*recChunk
+	scratch []uevent.MirrorRecord // rebuild's sort buffer
+}
+
+// recLog is one port's records: positions [head, head+n) of its chunks
+// laid end to end.
+type recLog struct {
+	chunks  []*recChunk
+	head, n int
+}
+
+func (l *recLog) at(i int) *uevent.MirrorRecord {
+	i += l.head
+	return &l.chunks[i/recChunkLen][i%recChunkLen]
+}
+
+func (l *recLog) push(m *uevent.MirrorRecord, pool *recPool) {
+	if l.head+l.n == len(l.chunks)*recChunkLen {
+		if k := len(pool.free); k > 0 {
+			l.chunks, pool.free = append(l.chunks, pool.free[k-1]), pool.free[:k-1]
+		} else {
+			l.chunks = append(l.chunks, new(recChunk))
+		}
+	}
+	l.n++
+	*l.at(l.n - 1) = *m
+}
+
+// drop releases the first k records and the chunks that leaves empty.
+func (l *recLog) drop(k int, pool *recPool) {
+	l.head, l.n = l.head+k, l.n-k
+	full := l.head / recChunkLen
+	pool.free = append(pool.free, l.chunks[:full]...)
+	l.chunks = l.chunks[:copy(l.chunks, l.chunks[full:])]
+	l.head -= full * recChunkLen
+}
+
+// flowCounts counts the packets of each flow of the open event: counts in
+// first-seen order, found through a key→index map that a run of packets
+// of one flow — the common case — never consults.
+type flowCounts struct {
+	fs   []flowCount
+	idx  map[flowkey.Key]int32
+	last int32 // index of the flow counted last
+}
+
+type flowCount struct {
+	k    flowkey.Key
+	n, i int32 // count, first-seen index
+}
+
+func (c *flowCounts) inc(k flowkey.Key) {
+	if len(c.fs) > 0 && c.fs[c.last].k == k {
+		c.fs[c.last].n++
+		return
+	}
+	i, ok := c.idx[k]
+	if !ok {
+		if c.idx == nil {
+			c.idx = make(map[flowkey.Key]int32)
+		}
+		i = int32(len(c.fs))
+		c.idx[k] = i
+		c.fs = append(c.fs, flowCount{k: k, i: i})
+	}
+	c.fs[i].n++
+	c.last = i
+}
+
+func (c *flowCounts) reset() {
+	c.fs, c.last = c.fs[:0], 0
+	clear(c.idx)
+}
+
+// rankFlows orders the flows of a cluster: most packets first, ties by
+// the printed key. It sorts fs in place. A key is printed only if its
+// count ties, and once (a comparator that prints is 7–10 % of a
+// mirror-heavy ingest).
+func rankFlows(fs []flowCount) []flowkey.Key {
+	var printed []string
+	str := func(f flowCount) string {
+		if printed == nil {
+			printed = make([]string, len(fs))
+		}
+		if printed[f.i] == "" {
+			printed[f.i] = f.k.String()
+		}
+		return printed[f.i]
+	}
+	slices.SortFunc(fs, func(a, b flowCount) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
+		}
+		return strings.Compare(str(a), str(b))
+	})
+	out := make([]flowkey.Key, len(fs))
+	for i, f := range fs {
+		out[i] = f.k
+	}
+	return out
+}
+
+func (p *portClusterer) add(m *uevent.MirrorRecord, gapNs int64) {
+	if p.recs.n > 0 && m.TimestampNs < p.lastNs {
 		p.unsorted = true
 	}
-	p.recs = append(p.recs, m)
+	p.lastNs = m.TimestampNs
+	p.recs.push(m, p.pool)
 	if p.unsorted {
 		return
 	}
@@ -41,41 +159,44 @@ func (p *portClusterer) add(m uevent.MirrorRecord, gapNs int64) {
 
 // fold extends the open event with one in-order record, sealing first if
 // the record falls beyond the clustering gap.
-func (p *portClusterer) fold(m uevent.MirrorRecord, gapNs int64) {
+func (p *portClusterer) fold(m *uevent.MirrorRecord, gapNs int64) {
 	if p.openValid && m.TimestampNs-p.open.EndNs > gapNs {
 		p.seal()
 	}
 	if !p.openValid {
 		p.openValid = true
 		p.open = Event{Port: p.port, StartNs: m.TimestampNs, EndNs: m.TimestampNs}
-		if p.openFlows == nil {
-			p.openFlows = make(map[flowkey.Key]int)
-		}
 	}
 	p.open.EndNs = m.TimestampNs
 	p.open.Packets++
 	p.open.Bytes += int64(m.OrigBytes)
-	p.openFlows[m.Flow]++
+	p.openFlows.inc(m.Flow)
 }
 
 func (p *portClusterer) seal() {
-	p.open.Flows = rankFlows(p.openFlows)
+	p.open.Flows = rankFlows(p.openFlows.fs)
 	p.sealed = append(p.sealed, p.open)
 	p.openValid = false
-	clear(p.openFlows)
+	p.openFlows.reset()
 }
 
 // rebuild re-sorts the retained records and re-folds them under gapNs.
 func (p *portClusterer) rebuild(gapNs int64) {
-	uevent.SortByTime(p.recs)
+	recs := p.pool.scratch[:0]
+	for i := 0; i < p.recs.n; i++ {
+		recs = append(recs, *p.recs.at(i))
+	}
+	uevent.SortByTime(recs)
+	p.pool.scratch = recs
 	p.unsorted = false
 	p.sealed = p.sealed[:0]
 	p.openValid = false
-	if p.openFlows != nil {
-		clear(p.openFlows)
-	}
-	for _, m := range p.recs {
+	p.openFlows.reset()
+	for i := range recs {
+		m := p.recs.at(i)
+		*m = recs[i]
 		p.fold(m, gapNs)
+		p.lastNs = m.TimestampNs
 	}
 }
 
@@ -89,8 +210,36 @@ func (p *portClusterer) events(dst []Event, gapNs int64) []Event {
 	dst = append(dst, p.sealed...)
 	if p.openValid {
 		ev := p.open
-		ev.Flows = rankFlows(p.openFlows)
+		ev.Flows = rankFlows(slices.Clone(p.openFlows.fs))
 		dst = append(dst, ev)
 	}
+	return dst
+}
+
+// popClosed seals the open event if it ended at or before closedBelow and
+// moves the sealed events at or below the cut to dst, releasing their
+// records: a port's events are ascending and its records lie in fold
+// order, so those are the first sum-of-Packets records. An event that
+// stays open costs one comparison: it is not ranked, copied or sorted.
+func (p *portClusterer) popClosed(dst []Event, closedBelow, gapNs int64) []Event {
+	if p.unsorted {
+		p.rebuild(gapNs)
+	}
+	if p.openValid && p.open.EndNs <= closedBelow {
+		p.seal()
+	}
+	k, released := 0, 0
+	for k < len(p.sealed) && p.sealed[k].EndNs <= closedBelow {
+		released += p.sealed[k].Packets
+		k++
+	}
+	if k == 0 {
+		return dst
+	}
+	dst = append(dst, p.sealed[:k]...)
+	n := copy(p.sealed, p.sealed[k:])
+	clear(p.sealed[n:]) // drop the references to the popped events' Flows
+	p.sealed = p.sealed[:n]
+	p.recs.drop(released, p.pool)
 	return dst
 }

@@ -63,7 +63,7 @@ func (a *Analyzer) DetectImbalanceWithPorts(minRecords int, minScore float64, po
 			ports = make(map[int16]int)
 			perSwitch[port.Switch] = ports
 		}
-		ports[port.Port] += len(p.recs)
+		ports[port.Port] += p.recs.n
 	}
 	var out []ImbalanceFinding
 	for sw, ports := range perSwitch {

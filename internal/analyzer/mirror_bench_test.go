@@ -37,7 +37,7 @@ func buildMirrorCapture(tb testing.TB, n int) []byte {
 		}
 		if err := w.WritePacket(pcapio.Packet{
 			TimestampNs: rec.TimestampNs,
-			Data:        uevent.EncodeMirrorPacket(rec),
+			Data:        uevent.AppendMirrorPacket(nil, rec),
 			OrigLen:     1058,
 		}); err != nil {
 			tb.Fatal(err)
@@ -47,36 +47,6 @@ func buildMirrorCapture(tb testing.TB, n int) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// BenchmarkMirrorReadDecodeLegacy measures the pre-zero-copy per-packet
-// path: copying pcap record read → allocating wire decode. The baseline
-// for the batch/view numbers below.
-func BenchmarkMirrorReadDecodeLegacy(b *testing.B) {
-	const pkts = 8192
-	raw := buildMirrorCapture(b, pkts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		rd, err := pcapio.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			p, err := rd.ReadPacket()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := packet.DecodeMirror(p.Data); err != nil {
-				b.Fatal(err)
-			}
-			done++
-		}
-		rd.Close()
-	}
 }
 
 // BenchmarkMirrorReadDecode measures the zero-copy read→decode→parse

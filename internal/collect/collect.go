@@ -2,8 +2,9 @@
 // deployment: it continuously ingests the epoch-rotated report streams
 // hosts ship and the mirrored µEvent packets switches emit, holds a
 // bounded sliding window of queryable epochs, and detects congestion
-// events online — emitting each event as soon as the mirror watermark
-// proves it can no longer grow, with a measured detection lag.
+// events online — emitting each event once, as soon as the mirror
+// watermark proves it can no longer grow, with a measured detection lag
+// and at a cost that does not depend on how many events are still open.
 //
 // The collector is the daemon counterpart of the batch analyzer: the
 // analyzer ingests everything then answers queries; the collector admits
@@ -20,7 +21,6 @@
 package collect
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -31,7 +31,6 @@ import (
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
 	"umon/internal/mbuf"
-	"umon/internal/packet"
 	"umon/internal/pcapio"
 	"umon/internal/report"
 	"umon/internal/uevent"
@@ -39,7 +38,7 @@ import (
 
 // pollEvery bounds how many mirrors fold in between online detection
 // passes: small enough that detection lag stays near the clustering gap,
-// large enough that DetectEvents' snapshot cost amortizes.
+// large enough that a pass's walk over the active ports amortizes.
 const pollEvery = 256
 
 // Config parameterizes a Collector. The zero value is usable: an
@@ -90,12 +89,14 @@ type Collector struct {
 	snap    atomic.Pointer[Snapshot]
 	version int64
 
-	// watermark is the max mirror timestamp ingested; trimNs is the horizon
-	// below which mirrors are late (their events already emitted).
-	watermark atomic.Int64
-	draining  bool
-	trimNs    int64
-	sincePoll int
+	// wm is the max mirror timestamp folded, folded the mirrors note has yet
+	// to publish with it; below trimNs a mirror is late (its event emitted).
+	wm, folded int64
+	watermark  atomic.Int64
+	draining   bool
+	trimNs     int64
+	sincePoll  int
+	closed     []analyzer.Event // Poll's scratch: the events one pass pops
 	// events is the mutator-owned emission log and emitted the count of
 	// events ever logged. The log's array is only ever appended to, and each
 	// published Snapshot holds a header into it, so readers see a stable
@@ -130,11 +131,12 @@ func New(cfg Config) *Collector {
 	}
 	c := &Collector{
 		cfg:      cfg,
-		an:       analyzer.New(),
+		an:       analyzer.NewWithGap(cfg.GapNs),
 		now:      cfg.Now,
 		eventCap: EventLogCap,
+		wm:       math.MinInt64,
 	}
-	c.watermark.Store(math.MinInt64)
+	c.watermark.Store(c.wm)
 	if c.now == nil {
 		c.now = func() int64 { return time.Now().UnixNano() }
 	}
@@ -306,38 +308,60 @@ func (c *Collector) IngestStream(r io.Reader) (reports, bad int, err error) {
 // dropped and counted, keeping daemon memory bounded under replayed or
 // disordered feeds.
 func (c *Collector) AddMirrorPacket(b []byte) error {
-	var m packet.Mirrored
-	if err := packet.DecodeMirrorInto(b, &m); err != nil {
+	m, err := uevent.DecodeMirrorPacket(b)
+	if err != nil {
 		return err
 	}
-	if !m.CE {
-		return fmt.Errorf("collect: mirrored packet without CE mark (flow %s)", m.Flow)
-	}
-	c.AddMirror(uevent.MirrorRecord{
-		Port:        uevent.PortForVLAN(m.VLANID),
-		TimestampNs: m.TimestampNs,
-		PSN:         m.PSN,
-		OrigBytes:   int32(m.OrigLen),
-		WireBytes:   int32(m.OrigLen),
-		Flow:        m.Flow,
-	})
+	c.AddMirror(m)
 	return nil
 }
 
 // AddMirror folds one decoded mirror record.
 func (c *Collector) AddMirror(m uevent.MirrorRecord) {
+	c.fold(m)
+	c.note()
+}
+
+// AddMirrorPackets folds a batch of on-the-wire mirrors as AddMirrorPacket
+// would one by one, but counts them and publishes the watermark once per
+// batch and Poll. Returns the packets parsed and those that failed to parse.
+func (c *Collector) AddMirrorPackets(pkts []pcapio.Packet) (ingested, bad int) {
+	for _, p := range pkts {
+		m, err := uevent.DecodeMirrorPacket(p.Data)
+		if err != nil {
+			bad++
+			continue
+		}
+		ingested++
+		c.fold(m)
+	}
+	c.note()
+	return ingested, bad
+}
+
+// fold drops m if it lies below the trim horizon and folds it otherwise,
+// with a Poll every pollEvery mirrors. The ingest counters and the
+// published watermark wait for note.
+func (c *Collector) fold(m uevent.MirrorRecord) {
 	if m.TimestampNs < c.trimNs {
 		c.stats.LateMirrors.Inc()
 		return
 	}
 	c.an.AddMirror(m)
-	c.mirrorsIn.Add(1)
-	c.stats.MirrorsIngested.Inc()
-	if m.TimestampNs > c.watermark.Load() {
-		c.watermark.Store(m.TimestampNs)
-	}
+	c.folded++
+	c.wm = max(c.wm, m.TimestampNs)
 	if c.sincePoll++; c.sincePoll >= pollEvery {
 		c.Poll()
+	}
+}
+
+// note makes the mirrors folded since the last call visible to readers.
+func (c *Collector) note() {
+	if c.folded > 0 {
+		c.mirrorsIn.Add(c.folded)
+		c.stats.MirrorsIngested.Add(c.folded)
+		c.watermark.Store(c.wm)
+		c.folded = 0
 	}
 }
 
@@ -352,21 +376,15 @@ func (c *Collector) IngestMirrorPcap(r io.Reader, pool *mbuf.Pool) (ingested, ba
 	}
 	defer rd.Close()
 	var batch pcapio.Batch
+	defer batch.Release()
 	for {
 		n, rerr := rd.ReadBatch(&batch, pcapio.DefaultBatchSize)
-		for _, p := range batch.Pkts[:n] {
-			if err := c.AddMirrorPacket(p.Data); err != nil {
-				bad++
-				continue
-			}
-			ingested++
-		}
+		in, b := c.AddMirrorPackets(batch.Pkts[:n])
+		ingested, bad = ingested+in, bad+b
 		if rerr == io.EOF {
-			batch.Release()
 			return ingested, bad, nil
 		}
 		if rerr != nil {
-			batch.Release()
 			return ingested, bad, rerr
 		}
 	}
@@ -374,24 +392,22 @@ func (c *Collector) IngestMirrorPcap(r io.Reader, pool *mbuf.Pool) (ingested, ba
 
 // Poll runs one online detection pass: every event the watermark proves
 // closed (no mirror within the clustering gap can still extend it) is
-// emitted — appended to Events and delivered to OnEvent — and its records
-// are released from the analyzer. Ingest calls this automatically every
-// few hundred mirrors; call it explicitly after a quiet ingest burst.
+// popped from the analyzer with its records and emitted — appended to
+// Events and delivered to OnEvent — once, at one comparison per active port
+// plus the events emitted. Ingest calls this automatically every few
+// hundred mirrors; call it explicitly after a quiet ingest burst.
 func (c *Collector) Poll() int {
 	c.sincePoll = 0
-	wm := c.watermark.Load()
+	c.note()
+	wm := c.wm
 	if wm == math.MinInt64 {
 		return 0
 	}
 	closedBelow := wm - c.cfg.GapNs
-	emitted := 0
 	detectNs := c.now()
-	for _, ev := range c.an.DetectEvents(c.cfg.GapNs) {
-		if ev.EndNs > closedBelow {
-			continue
-		}
+	c.closed = c.an.PopClosed(c.closed[:0], closedBelow)
+	for _, ev := range c.closed {
 		c.logEvent(ev)
-		emitted++
 		c.stats.EventsEmitted.Inc()
 		if !c.draining {
 			// Lag is only meaningful for genuinely online emissions; the
@@ -403,11 +419,10 @@ func (c *Collector) Poll() int {
 			c.cfg.OnEvent(ev)
 		}
 	}
+	emitted := len(c.closed)
 	if emitted > 0 {
-		// Everything emitted satisfies EndNs <= closedBelow < closedBelow+1,
-		// so this trim releases exactly the emitted events' state.
+		// A mirror at or below the cut could only resurrect an emitted event.
 		c.trimNs = closedBelow + 1
-		c.an.TrimBefore(c.trimNs)
 		// Republish so lock-free readers see the newly emitted events. The
 		// window spine is unchanged, so the successor shares it outright.
 		cur := c.snap.Load()
@@ -440,7 +455,8 @@ func (c *Collector) logEvent(ev analyzer.Event) {
 // analyzer's DetectEvents. After ingesting the same ordered feeds, Drain's
 // result is identical to the batch pipeline's (up to EventLogCap events).
 func (c *Collector) Drain() []analyzer.Event {
-	c.watermark.Store(math.MaxInt64 - c.cfg.GapNs)
+	c.wm = math.MaxInt64 - c.cfg.GapNs
+	c.watermark.Store(c.wm)
 	c.draining = true
 	c.Poll()
 	return c.Events()

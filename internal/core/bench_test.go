@@ -78,3 +78,27 @@ func BenchmarkStreamHostMonitorOnPacket(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
 }
+
+// BenchmarkSwitchMonitorOnCEPacket is the switch's share of the mirror
+// path: ACL match (every CE packet mirrored), record, wire encoding into
+// the monitor's scratch buffer, and an emit callback that copies the packet
+// onto a reused wire buffer, as bench/ does.
+func BenchmarkSwitchMonitorOnCEPacket(b *testing.B) {
+	wire := make([]byte, 0, 1<<16)
+	m := NewSwitchMonitor(3, SwitchMonitorConfig{}, func(encoded []byte) {
+		if len(wire)+len(encoded) > cap(wire) {
+			wire = wire[:0]
+		}
+		wire = append(wire, encoded...)
+	})
+	f := flowkey.Key{SrcIP: 0x0a000001, DstIP: 0x0a000101, SrcPort: 10000, DstPort: flowkey.RoCEPort, Proto: flowkey.ProtoUDP}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.SrcPort = uint16(10000 + i&63)
+		m.OnCEPacket(int16(i&3), int64(i)*100, f, uint32(i), 1058)
+	}
+	if n, _ := m.Stats(); n != int64(b.N) {
+		b.Fatalf("%d of %d CE packets mirrored", n, b.N)
+	}
+}

@@ -20,19 +20,6 @@ func benchMirrored() *Mirrored {
 	}
 }
 
-// BenchmarkDecodeMirror measures the allocating decode (fresh *Mirrored
-// per packet).
-func BenchmarkDecodeMirror(b *testing.B) {
-	wire := EncodeMirror(benchMirrored())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMirror(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDecodeMirrorInto measures the zero-copy view decode into a
 // reused struct — the analyzer's steady-state path.
 func BenchmarkDecodeMirrorInto(b *testing.B) {
@@ -44,16 +31,6 @@ func BenchmarkDecodeMirrorInto(b *testing.B) {
 		if err := DecodeMirrorInto(wire, &m); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkEncodeMirror measures mirrored-packet encoding.
-func BenchmarkEncodeMirror(b *testing.B) {
-	m := benchMirrored()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = EncodeMirror(m)
 	}
 }
 

@@ -2,7 +2,6 @@ package packet
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"umon/internal/flowkey"
 )
@@ -36,99 +35,60 @@ const mirrorTrailerLen = 8
 // for pre-sizing append destinations.
 const MirrorEncodedLen = EthernetLen + VLANLen + IPv4Len + UDPLen + BTHLen + mirrorTrailerLen
 
-// EncodeMirror builds the wire form of one mirrored event packet: an
-// Ethernet+VLAN encapsulation of the original headers (truncated to
-// headers only, as mirror sessions do) plus the timestamp trailer.
-func EncodeMirror(m *Mirrored) []byte {
-	return AppendMirror(make([]byte, 0, MirrorEncodedLen), m)
+// mirrorTemplate holds the bytes every encoded mirror packet shares: zero
+// MACs, the VLAN and IPv4 ethertypes, version/IHL, TTL 63, protocol UDP,
+// the RC SEND-only opcode and the BTH's M bit.
+var mirrorTemplate = [MirrorEncodedLen]byte{
+	12: EtherTypeVLAN >> 8, 13: EtherTypeVLAN & 0xff,
+	16: EtherTypeIPv4 >> 8, 17: EtherTypeIPv4 & 0xff,
+	viewIPOff: 0x45, viewIPOff + 8: 63, viewIPOff + 9: IPProtoUDP,
+	mirrorBTHOff: 0x0a, mirrorBTHOff + 1: 0x40,
 }
 
+// Header offsets inside an encoded mirror packet.
+const (
+	mirrorUDPOff = viewIPOff + IPv4Len
+	mirrorBTHOff = mirrorUDPOff + UDPLen
+	// mirrorIPSum is the ones-complement sum of the IPv4 header words that
+	// never change: version/IHL/DSCP and TTL/protocol.
+	mirrorIPSum = 0x4500 + 63<<8 + IPProtoUDP
+)
+
 // AppendMirror appends the wire form of one mirrored event packet to dst
-// and returns the extended slice. With a pre-sized dst it does not
-// allocate, so emitters can reuse one scratch buffer across packets.
+// and returns the extended slice: an Ethernet+VLAN encapsulation of the
+// original headers (truncated to headers only, as mirror sessions do) plus
+// the timestamp trailer. dst grows once, by the template; the varying
+// fields are stored at fixed offsets and the IPv4 checksum is summed from
+// them and mirrorIPSum. With a pre-sized dst it does not allocate, so
+// emitters can reuse one scratch buffer across packets.
 func AppendMirror(dst []byte, m *Mirrored) []byte {
-	b := dst
-	eth := Ethernet{EtherType: EtherTypeVLAN}
-	b = eth.Marshal(b)
-	vlan := VLAN{ID: m.VLANID, EtherType: EtherTypeIPv4}
-	b = vlan.Marshal(b)
-	ecn := uint8(ECNECT0)
+	n := len(dst)
+	dst = append(dst, mirrorTemplate[:]...)
+	b := dst[n : n+MirrorEncodedLen]
+	ecn := uint32(ECNECT0)
 	if m.CE {
 		ecn = ECNCE
 	}
-	ip := IPv4{
-		ECN:      ecn,
-		TotalLen: uint16(IPv4Len + UDPLen + BTHLen),
-		TTL:      63,
-		Protocol: IPProtoUDP,
-		SrcIP:    m.Flow.SrcIP,
-		DstIP:    m.Flow.DstIP,
+	totalLen := uint16(IPv4Len + UDPLen + BTHLen)
+	if orig := m.OrigLen - EthernetLen - 4; orig > 0 && orig <= 0xffff { // strip Ethernet+FCS
+		totalLen = uint16(orig)
 	}
-	if m.OrigLen > 0 {
-		orig := m.OrigLen - EthernetLen - 4 // strip Ethernet+FCS
-		if orig > 0 && orig <= 0xffff {
-			ip.TotalLen = uint16(orig)
-		}
-	}
-	b = ip.Marshal(b)
-	udp := UDP{SrcPort: m.Flow.SrcPort, DstPort: m.Flow.DstPort, Length: ip.TotalLen - IPv4Len}
-	b = udp.Marshal(b)
-	bth := BTH{Opcode: 0x0a /* RC SEND only */, PSN: m.PSN & 0xffffff}
-	b = bth.Marshal(b)
-	return binary.BigEndian.AppendUint64(b, uint64(m.TimestampNs))
-}
-
-// DecodeMirror parses a mirrored event packet produced by EncodeMirror (or
-// an equivalently configured switch mirror session).
-func DecodeMirror(b []byte) (*Mirrored, error) {
-	var eth Ethernet
-	rest, err := eth.Unmarshal(b)
-	if err != nil {
-		return nil, err
-	}
-	if eth.EtherType != EtherTypeVLAN {
-		return nil, fmt.Errorf("packet: mirrored packet lacks VLAN tag (ethertype %#04x)", eth.EtherType)
-	}
-	var vlan VLAN
-	if rest, err = vlan.Unmarshal(rest); err != nil {
-		return nil, err
-	}
-	if vlan.EtherType != EtherTypeIPv4 {
-		return nil, fmt.Errorf("packet: unsupported inner ethertype %#04x", vlan.EtherType)
-	}
-	if len(rest) < mirrorTrailerLen {
-		return nil, fmt.Errorf("packet: missing mirror timestamp trailer")
-	}
-	trailer := rest[len(rest)-mirrorTrailerLen:]
-	rest = rest[:len(rest)-mirrorTrailerLen]
-
-	var ip IPv4
-	if rest, err = ip.Unmarshal(rest); err != nil {
-		return nil, err
-	}
-	if ip.Protocol != IPProtoUDP {
-		return nil, fmt.Errorf("packet: unsupported inner protocol %d", ip.Protocol)
-	}
-	var udp UDP
-	if rest, err = udp.Unmarshal(rest); err != nil {
-		return nil, err
-	}
-	var bth BTH
-	if udp.DstPort == UDPPortRoCE {
-		if _, err = bth.Unmarshal(rest); err != nil {
-			return nil, err
-		}
-	}
-	return &Mirrored{
-		VLANID:      vlan.ID,
-		TimestampNs: int64(binary.BigEndian.Uint64(trailer)),
-		Flow: flowkey.Key{
-			SrcIP: ip.SrcIP, DstIP: ip.DstIP,
-			SrcPort: udp.SrcPort, DstPort: udp.DstPort,
-			Proto: flowkey.ProtoUDP,
-		},
-		PSN:     bth.PSN,
-		CE:      ip.ECN == ECNCE,
-		OrigLen: int(ip.TotalLen) + EthernetLen + 4,
-	}, nil
+	src, dstIP := m.Flow.SrcIP, m.Flow.DstIP
+	sum := mirrorIPSum + ecn + uint32(totalLen) + src>>16 + src&0xffff + dstIP>>16 + dstIP&0xffff
+	sum = sum&0xffff + sum>>16
+	sum = sum&0xffff + sum>>16
+	binary.BigEndian.PutUint16(b[EthernetLen:], m.VLANID&0x0fff)
+	b[viewIPOff+1] = byte(ecn)
+	binary.BigEndian.PutUint16(b[viewIPOff+2:], totalLen)
+	binary.BigEndian.PutUint16(b[viewIPOff+10:], ^uint16(sum))
+	binary.BigEndian.PutUint32(b[viewIPOff+12:], src)
+	binary.BigEndian.PutUint32(b[viewIPOff+16:], dstIP)
+	binary.BigEndian.PutUint16(b[mirrorUDPOff:], m.Flow.SrcPort)
+	binary.BigEndian.PutUint16(b[mirrorUDPOff+2:], m.Flow.DstPort)
+	binary.BigEndian.PutUint16(b[mirrorUDPOff+4:], totalLen-IPv4Len)
+	b[mirrorBTHOff+9] = byte(m.PSN >> 16)
+	b[mirrorBTHOff+10] = byte(m.PSN >> 8)
+	b[mirrorBTHOff+11] = byte(m.PSN)
+	binary.BigEndian.PutUint64(b[mirrorBTHOff+BTHLen:], uint64(m.TimestampNs))
+	return dst
 }

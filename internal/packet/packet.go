@@ -55,33 +55,6 @@ func (h *Ethernet) Unmarshal(b []byte) ([]byte, error) {
 	return b[EthernetLen:], nil
 }
 
-// VLAN is an 802.1Q tag. µMon distinguishes µEvents on different ports by
-// attaching different VLAN IDs to the mirrored copies (§5).
-type VLAN struct {
-	Priority  uint8  // PCP, 3 bits
-	ID        uint16 // VID, 12 bits
-	EtherType uint16 // encapsulated ethertype
-}
-
-// Marshal appends the wire form to b.
-func (h *VLAN) Marshal(b []byte) []byte {
-	tci := uint16(h.Priority&0x7)<<13 | h.ID&0x0fff
-	b = binary.BigEndian.AppendUint16(b, tci)
-	return binary.BigEndian.AppendUint16(b, h.EtherType)
-}
-
-// Unmarshal parses the tag and returns the remaining bytes.
-func (h *VLAN) Unmarshal(b []byte) ([]byte, error) {
-	if len(b) < VLANLen {
-		return nil, fmt.Errorf("packet: vlan tag truncated (%d bytes)", len(b))
-	}
-	tci := binary.BigEndian.Uint16(b[0:2])
-	h.Priority = uint8(tci >> 13)
-	h.ID = tci & 0x0fff
-	h.EtherType = binary.BigEndian.Uint16(b[2:4])
-	return b[VLANLen:], nil
-}
-
 // ECN codepoints in the IPv4 TOS field.
 const (
 	ECNNotECT = 0b00

@@ -27,10 +27,9 @@ const (
 	viewIPOff   = EthernetLen + VLANLen
 )
 
-// ParseMirrorView validates b as a mirrored event packet and returns the
-// view. It applies the same checks as DecodeMirror — truncation, VLAN
-// encapsulation, IPv4 version/IHL/checksum, inner protocol — and never
-// panics on malformed input.
+// ParseMirrorView validates b as a mirrored event packet — truncation, VLAN
+// encapsulation, IPv4 version/IHL/checksum, inner protocol — and returns
+// the view. It never panics on malformed input.
 func ParseMirrorView(b []byte) (MirrorView, error) {
 	v := MirrorView{b: b, bthOff: -1}
 	if len(b) < EthernetLen {
@@ -172,8 +171,7 @@ func ipChecksum20(b []byte) uint16 {
 }
 
 // DecodeMirrorInto parses a mirrored event packet into out without
-// allocating: the view-based fast path of DecodeMirror. out is left
-// partially written on error.
+// allocating. out is left partially written on error.
 //
 // The canonical frame — VLAN-tagged, no-options IPv4, UDP — decodes in a
 // single fused pass; anything else (IP options, malformed input) takes

@@ -98,27 +98,9 @@ func SortByTime(ms []MirrorRecord) {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].TimestampNs < ms[j].TimestampNs })
 }
 
-// TimeOrdered reports whether the stream is already in timestamp order —
-// the fast path for streaming consumers.
-func TimeOrdered(ms []MirrorRecord) bool {
-	for i := 1; i < len(ms); i++ {
-		if ms[i].TimestampNs < ms[i-1].TimestampNs {
-			return false
-		}
-	}
-	return true
-}
-
-// EncodeMirrorPacket produces the on-the-wire form of one mirror record
-// (VLAN-tagged, timestamp-trailed), for transport to the analyzer.
-func EncodeMirrorPacket(m MirrorRecord) []byte {
-	return AppendMirrorPacket(make([]byte, 0, packet.MirrorEncodedLen), m)
-}
-
-// AppendMirrorPacket appends the wire form of one mirror record to dst and
-// returns the extended slice: the allocation-free path for emitters that
-// reuse a scratch buffer per packet (the bytes are consumed before the
-// next append).
+// AppendMirrorPacket appends the on-the-wire form of one mirror record
+// (VLAN-tagged, timestamp-trailed) to dst and returns the extended slice.
+// Emitters reuse one scratch buffer per packet and do not allocate.
 func AppendMirrorPacket(dst []byte, m MirrorRecord) []byte {
 	return packet.AppendMirror(dst, &packet.Mirrored{
 		VLANID:      VLANFor(m.Port),
@@ -128,6 +110,27 @@ func AppendMirrorPacket(dst []byte, m MirrorRecord) []byte {
 		CE:          true,
 		OrigLen:     int(m.OrigBytes),
 	})
+}
+
+// DecodeMirrorPacket parses one on-the-wire mirrored packet into the record
+// the analyzer folds. The decode is an in-place view: b is not retained.
+// A packet without the CE mark cannot have matched the ACL and is an error.
+func DecodeMirrorPacket(b []byte) (MirrorRecord, error) {
+	var m packet.Mirrored
+	if err := packet.DecodeMirrorInto(b, &m); err != nil {
+		return MirrorRecord{}, err
+	}
+	if !m.CE {
+		return MirrorRecord{}, fmt.Errorf("uevent: mirrored packet without CE mark (flow %s)", m.Flow)
+	}
+	return MirrorRecord{
+		Port:        PortForVLAN(m.VLANID),
+		TimestampNs: m.TimestampNs,
+		PSN:         m.PSN,
+		OrigBytes:   int32(m.OrigLen),
+		WireBytes:   int32(m.OrigLen),
+		Flow:        m.Flow,
+	}, nil
 }
 
 // --- grading against ground truth (Figures 14, 15) ---

@@ -83,16 +83,21 @@ func TestEncodeMirrorPacketParses(t *testing.T) {
 	if len(m) != 1 {
 		t.Fatalf("captured %d, want 1 (PSN 800 ≡ 0 mod 32)", len(m))
 	}
-	wire := EncodeMirrorPacket(m[0])
-	dec, err := packet.DecodeMirror(wire)
+	wire := AppendMirrorPacket(nil, m[0])
+	dec, err := DecodeMirrorPacket(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.TimestampNs != 123456 || !dec.CE || dec.PSN != 800 {
+	if dec.TimestampNs != 123456 || dec.PSN != 800 || dec.OrigBytes != m[0].OrigBytes || dec.Flow != m[0].Flow {
 		t.Errorf("decoded %+v", dec)
 	}
-	if PortForVLAN(dec.VLANID) != (netsim.PortID{Switch: 7, Port: 2}) {
-		t.Errorf("port from VLAN = %v", PortForVLAN(dec.VLANID))
+	if dec.Port != (netsim.PortID{Switch: 7, Port: 2}) {
+		t.Errorf("port from VLAN = %v", dec.Port)
+	}
+	// A mirror without the CE mark cannot have matched the ACL.
+	notCE := packet.AppendMirror(nil, &packet.Mirrored{VLANID: 1, Flow: m[0].Flow})
+	if _, err := DecodeMirrorPacket(notCE); err == nil {
+		t.Error("non-CE mirror accepted")
 	}
 }
 
