@@ -3,9 +3,11 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"umon/internal/flowkey"
+	"umon/internal/measure"
 )
 
 // BenchmarkStreamHostMonitorOnPacket is the host packet path at the
@@ -77,6 +79,73 @@ func BenchmarkStreamHostMonitorOnPacket(b *testing.B) {
 		b.Fatalf("%d allocs/op on the packet path, want 0", perOp)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
+}
+
+// BenchmarkSealAndShip is one epoch boundary of a host at the occupancy the
+// packet→answer benchmark's stream-mice workload seals at: a Table 1 full
+// sketch with some 48 light buckets and as many heavy entries holding about
+// a thousand detail coefficients between them. Timed: seal, export, encode,
+// ship to a sink that discards, reset; refilling the sketch is not.
+// wire-B/op is the size of the report.
+func BenchmarkSealAndShip(b *testing.B) {
+	cfg := StreamMonitorConfig{HostMonitorConfig: DefaultHostMonitor()}
+	wire := 0
+	m, err := NewStreamHostMonitor(0, cfg, FuncSink(func(sr SealedReport) error {
+		wire = len(sr.Encoded)
+		return nil
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// 52 mice: one train each, a few packets a window over one to six
+	// adjacent windows somewhere in the epoch's 256.
+	rng := rand.New(rand.NewSource(42))
+	var epoch []measure.Sample
+	for f := 0; f < 52; f++ {
+		start := int64(rng.Intn(250))
+		for w := start; w < start+1+int64(rng.Intn(6)); w++ {
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				epoch = append(epoch, measure.Sample{Key: testKey(f), Window: w, Bytes: int64(64 + rng.Intn(1400))})
+			}
+		}
+	}
+	sort.SliceStable(epoch, func(i, j int) bool { return epoch[i].Window < epoch[j].Window })
+	m.started = true
+	refill := func() { m.live.UpdateBatch(epoch) }
+	refill()
+	if err := m.rotate(); err != nil { // grows the curve lists and the encode buffer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		refill()
+		m.periodStart = 0 // the samples' windows are those of epoch 0
+		b.StartTimer()
+		if err := m.rotate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(wire), "wire-B/op")
+}
+
+// BenchmarkIdleEpoch is what a host owes per epoch it sat out: the report
+// of the header alone, and no pass over the sketch.
+func BenchmarkIdleEpoch(b *testing.B) {
+	cfg := StreamMonitorConfig{HostMonitorConfig: DefaultHostMonitor()}
+	m, err := NewStreamHostMonitor(0, cfg, FuncSink(func(SealedReport) error { return nil }))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.started = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.rotate(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSwitchMonitorOnCEPacket is the switch's share of the mirror

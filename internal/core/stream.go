@@ -60,6 +60,8 @@ type StreamMonitorConfig struct {
 	Stats *HostStreamStats
 }
 
+// sealJob is one epoch to ship; a nil sketch is an idle epoch, which ships
+// its header alone.
 type sealJob struct {
 	sketch      *wavesketch.Full
 	periodStart int64
@@ -79,7 +81,11 @@ type StreamHostMonitor struct {
 	sealCh  chan sealJob
 	wg      sync.WaitGroup
 
-	encodeBuf []byte // owned by the sealer (or the caller when !Async)
+	// Owned by the sealer (or the caller when !Async): the header every
+	// report of this host carries, its curve lists reused as views of the
+	// sketch being sealed, and the bytes they encode to.
+	rep       report.HostReport
+	encodeBuf []byte
 	stats     HostStreamStats
 
 	periodStart int64
@@ -106,7 +112,8 @@ func NewStreamHostMonitor(host int, cfg StreamMonitorConfig, sink ReportSink) (*
 	if err != nil {
 		return nil, err
 	}
-	m := &StreamHostMonitor{host: host, cfg: cfg, sink: sink, live: live}
+	m := &StreamHostMonitor{host: host, cfg: cfg, sink: sink, live: live, rep: *report.FromFull(host, 0, live)}
+	m.rep.WindowShift = uint8(cfg.WindowShift)
 	if cfg.Stats != nil {
 		m.stats = *cfg.Stats
 	}
@@ -144,20 +151,24 @@ func (m *StreamHostMonitor) OnPacket(f flowkey.Key, ns int64, size int) error {
 // rotate seals the open epoch. Async: swap the live sketch with the
 // pre-reset spare (waiting only if the sealer is still draining the
 // previous epoch — memory stays bounded at two sketches) and queue the
-// seal. Sync: seal inline.
+// seal. Sync: seal inline. An epoch that saw no packet leaves the sketch
+// where it is, untouched, and ships a report of the header alone: a host
+// coming back from a long silence owes one of those per epoch it skipped.
 func (m *StreamHostMonitor) rotate() error {
 	m.stats.EpochsSealed.Inc()
+	job := sealJob{periodStart: m.periodStart}
+	m.periodStart += m.cfg.PeriodNs
+	if m.live.Light().Updates() > 0 {
+		job.sketch = m.live
+	}
 	if m.cfg.Async {
-		next := <-m.spareCh
-		m.sealCh <- sealJob{sketch: m.live, periodStart: m.periodStart}
-		m.live = next
-		m.periodStart += m.cfg.PeriodNs
+		if job.sketch != nil {
+			m.live = <-m.spareCh
+		}
+		m.sealCh <- job
 		return m.firstErr()
 	}
-	err := m.sealAndShip(m.live, m.periodStart)
-	m.live.Reset()
-	m.periodStart += m.cfg.PeriodNs
-	return err
+	return m.sealAndShip(job)
 }
 
 // sealer drains seal jobs off the ingest path, returning each reset
@@ -165,26 +176,40 @@ func (m *StreamHostMonitor) rotate() error {
 func (m *StreamHostMonitor) sealer() {
 	defer m.wg.Done()
 	for job := range m.sealCh {
-		if err := m.sealAndShip(job.sketch, job.periodStart); err != nil {
+		if err := m.sealAndShip(job); err != nil {
 			m.setErr(err)
 		}
-		job.sketch.Reset()
-		m.spareCh <- job.sketch
+		if job.sketch != nil {
+			m.spareCh <- job.sketch
+		}
 	}
 }
 
-func (m *StreamHostMonitor) sealAndShip(sk *wavesketch.Full, periodStart int64) error {
+// sealAndShip seals the job's sketch, encodes it straight off the sketch's
+// own storage into the reused buffer, ships the bytes and resets the
+// sketch. Steady state allocates nothing.
+func (m *StreamHostMonitor) sealAndShip(job sealJob) error {
 	span := telemetry.TimeHistogram(m.stats.SealNs)
 	sealedAt := unixNow()
-	sk.Seal()
-	rep := report.FromFull(m.host, periodStart>>m.cfg.WindowShift, sk)
+	rep := &m.rep
+	rep.PeriodStart = job.periodStart >> m.cfg.WindowShift
+	rep.Buckets, rep.Heavy = rep.Buckets[:0], rep.Heavy[:0]
+	sk := job.sketch
+	if sk != nil {
+		sk.Seal()
+		rep.Buckets = sk.Light().Export(rep.Buckets)
+		rep.Heavy = sk.ExportHeavy(rep.Heavy)
+	}
 	m.encodeBuf = rep.AppendEncode(m.encodeBuf[:0])
+	if sk != nil {
+		sk.Reset() // the lists above point into it: only now
+	}
 	m.reportBytes.Add(int64(len(m.encodeBuf)))
 	m.reports.Add(1)
 	err := m.sink.Ship(SealedReport{
 		Host:          m.host,
-		Epoch:         uint64(periodStart / m.cfg.PeriodNs),
-		PeriodStartNs: periodStart,
+		Epoch:         uint64(job.periodStart / m.cfg.PeriodNs),
+		PeriodStartNs: job.periodStart,
 		Encoded:       m.encodeBuf,
 		SealedAtNs:    sealedAt,
 	})
@@ -216,14 +241,9 @@ func (m *StreamHostMonitor) firstErr() error {
 // across hosts); the owner closes it after every monitor has closed.
 func (m *StreamHostMonitor) Close() error {
 	if m.started {
-		if m.cfg.Async {
-			next := <-m.spareCh
-			m.sealCh <- sealJob{sketch: m.live, periodStart: m.periodStart}
-			m.live = next
-		} else if err := m.sealAndShip(m.live, m.periodStart); err != nil {
+		if err := m.rotate(); err != nil {
 			m.setErr(err)
 		}
-		m.stats.EpochsSealed.Inc()
 	}
 	if m.cfg.Async {
 		close(m.sealCh)

@@ -152,6 +152,151 @@ func TestStreamMonitorIdleGapSealsEveryEpoch(t *testing.T) {
 	}
 }
 
+// TestStreamMonitorIdleEpochsShipHeadersOnly: a host back from a long
+// silence ships one report per epoch it skipped, each the header alone
+// under its own period start, without sealing, swapping or resetting a
+// sketch for any of them — the packet that ends the silence does not pay
+// for it in bucket work or allocations.
+func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
+	const periodNs, idle = 1_000_000, 499
+	var got []*report.HostReport
+	var decodeErr error
+	sink := FuncSink(func(sr SealedReport) error {
+		rep, err := report.DecodeBytes(sr.Encoded)
+		if err != nil {
+			decodeErr = err
+		}
+		got = append(got, rep)
+		return nil
+	})
+	m, err := NewStreamHostMonitor(0, streamCfg(periodNs, false), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testKey(1)
+	if err := m.OnPacket(f, 100, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.OnPacket(f, (idle+1)*periodNs+100, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if decodeErr != nil || len(got) != idle+1 {
+		t.Fatalf("shipped %d reports (decode error %v), want %d", len(got), decodeErr, idle+1)
+	}
+	if len(got[0].Buckets) == 0 || len(got[0].Heavy) == 0 {
+		t.Error("the epoch with a packet shipped an empty report")
+	}
+	for e, rep := range got[1:] {
+		if want := int64(e+1) * periodNs >> 13; len(rep.Buckets) != 0 || len(rep.Heavy) != 0 || rep.PeriodStart != want {
+			t.Fatalf("idle epoch %d: %d buckets, %d heavy, period start %d (want none, none, %d)",
+				e+1, len(rep.Buckets), len(rep.Heavy), rep.PeriodStart, want)
+		}
+	}
+
+	// Steady state: a gap of idle epochs per call, no allocation.
+	quiet, err := NewStreamHostMonitor(0, streamCfg(periodNs, false), FuncSink(func(SealedReport) error { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := int64(0)
+	gap := func() {
+		ns += (idle + 1) * periodNs
+		if err := quiet.OnPacket(f, ns, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gap()
+	gap()
+	if allocs := testing.AllocsPerRun(5, gap); allocs != 0 {
+		t.Errorf("%d idle epochs and a seal allocate %v times, want 0", idle, allocs)
+	}
+
+	// Async: only the epoch with packets goes to the sealer. The two
+	// sketches alternate, and the gap crosses an even number of boundaries:
+	// swapping at each would hand the same sketch back.
+	async, err := NewStreamHostMonitor(0, streamCfg(periodNs, true), FuncSink(func(SealedReport) error { return nil }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := async.OnPacket(f, 100, 1000); err != nil {
+		t.Fatal(err)
+	}
+	live := async.live
+	if err := async.OnPacket(f, (idle+1)*periodNs+100, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if async.live == live {
+		t.Errorf("the live sketch was swapped at each of %d boundaries, want at the first alone", idle+1)
+	}
+	if err := async.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := async.Stats(); n != idle+2 {
+		t.Errorf("async shipped %d reports, want %d", n, idle+2)
+	}
+}
+
+// TestStreamMonitorStampsItsWindowShift: the header carries the shift the
+// monitor turns nanoseconds into windows by, not the default.
+func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
+	cfg := streamCfg(1_000_000, false)
+	cfg.WindowShift = 10
+	var got *report.HostReport
+	m, err := NewStreamHostMonitor(0, cfg, FuncSink(func(sr SealedReport) (err error) {
+		got, err = report.DecodeBytes(sr.Encoded)
+		return err
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.OnPacket(testKey(1), 3_000_000+5<<10, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || got.WindowShift != 10 || got.PeriodStart != 3_000_000>>10 {
+		t.Fatalf("shipped %+v, want WindowShift 10 and period start %d", got, 3_000_000>>10)
+	}
+	if w0 := got.Buckets[0].W0; w0 != got.PeriodStart+5 {
+		t.Errorf("the packet landed in window %d, want %d", w0, got.PeriodStart+5)
+	}
+}
+
+// TestSealAndShipSteadyStateDoesNotAllocate: once the curve lists and the
+// encode buffer have grown to an epoch's size, sealing, encoding, shipping
+// and resetting allocate nothing — the report is written straight off the
+// sketch.
+func TestSealAndShipSteadyStateDoesNotAllocate(t *testing.T) {
+	const periodNs = 1_000_000
+	shipped := 0
+	m, err := NewStreamHostMonitor(0, streamCfg(periodNs, false), FuncSink(func(sr SealedReport) error {
+		shipped += len(sr.Encoded)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := int64(0)
+	oneEpoch := func() {
+		for i := int64(0); i < 600; i++ {
+			if err := m.OnPacket(testKey(int(i%60)), epoch*periodNs+i*1_500, 900+int(i%7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch++
+	}
+	oneEpoch()
+	oneEpoch()
+	before := shipped
+	if allocs := testing.AllocsPerRun(10, oneEpoch); allocs != 0 {
+		t.Errorf("an epoch of packets and its seal allocate %v times, want 0", allocs)
+	}
+	if shipped-before < 11*1000 {
+		t.Errorf("11 seals shipped %d bytes: the epochs were not sealed with their traffic", shipped-before)
+	}
+}
+
 // errSink fails every Ship.
 type errSink struct{ failed bool }
 

@@ -2,13 +2,20 @@ package report
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"umon/internal/flowkey"
 	"umon/internal/wavelet"
+	"umon/internal/wavesketch"
 )
 
 // positionsOK is the one rule DecodeBytes adds to what oracleDecode
@@ -25,16 +32,37 @@ func positionsOK(r *HostReport) bool {
 	return true
 }
 
-// checkAgainstOracle is the differential property: DecodeBytes and the
-// replaced decoder agree on accept/reject (up to the position rule) and,
-// on accept, on every field; and what was accepted re-encodes to bytes
-// that decode to the same report and re-encode to the same bytes.
+// v1Bytes is r in wire version 1, from the one encoder that still writes
+// it.
+func v1Bytes(tb testing.TB, r *HostReport) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := oracleEncode(r, &buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkAgainstOracle is the differential property. DecodeBytes agrees with
+// the reference decoder of the payload's version on accept/reject (for
+// version 1 up to the position rule) and, on accept, on every field.
+// What it accepted decodes to itself from version 1, and from version 2 to
+// its canonical form — the details reconstruction uses, in tree order —
+// which re-encodes to the same bytes.
 func checkAgainstOracle(t *testing.T, data []byte) {
 	t.Helper()
 	got, err := DecodeBytes(data)
 	want, oerr := oracleDecode(bytes.NewReader(data))
-	if accept := oerr == nil && positionsOK(want); accept != (err == nil) {
-		t.Fatalf("DecodeBytes err = %v; oracle err = %v, positions ok = %v", err, oerr, oerr == nil && positionsOK(want))
+	if oerr == nil && !positionsOK(want) {
+		oerr = errors.New("bucket positions out of shape or order")
+	}
+	if oerr != nil {
+		if w2, err2 := oracleDecodeV2(data); err2 == nil {
+			want, oerr = w2, nil
+		}
+	}
+	if (oerr == nil) != (err == nil) {
+		t.Fatalf("DecodeBytes err = %v; oracle err = %v", err, oerr)
 	}
 	if err != nil {
 		return
@@ -42,50 +70,102 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded reports differ:\n got %+v\nwant %+v", got, want)
 	}
-	enc := got.AppendEncode(nil)
-	var old bytes.Buffer
-	if _, err := oracleEncode(got, &old); err != nil || !bytes.Equal(enc, old.Bytes()) {
-		t.Fatalf("AppendEncode differs from the replaced encoder (err %v)", err)
+	if viaV1, err := DecodeBytes(v1Bytes(t, got)); err != nil || !reflect.DeepEqual(viaV1, got) {
+		t.Fatalf("version 1 round trip changed the report (err %v):\n got %+v\nwant %+v", err, viaV1, got)
 	}
+	enc := got.AppendEncode(nil)
 	again, err := DecodeBytes(enc)
 	if err != nil {
 		t.Fatalf("re-decode of an accepted report: %v", err)
 	}
-	if !reflect.DeepEqual(again, got) {
-		t.Fatalf("decode∘encode changed the report:\n got %+v\nwant %+v", again, got)
+	if canon := canonical(got, byTreeID); !reflect.DeepEqual(again, canon) {
+		t.Fatalf("decode∘encode is not the canonical report:\n got %+v\nwant %+v", again, canon)
 	}
 	if !bytes.Equal(again.AppendEncode(nil), enc) {
 		t.Fatal("encode∘decode∘encode is not byte-stable")
 	}
 }
 
-// decodeSeeds is the corpus for FuzzDecode: well-formed reports of every
-// kind, truncations and bit flips of one, the hostile count payloads, and
-// frames that break the position rule.
+// bothVersions is r as hosts write it now and as they wrote it before.
+func bothVersions(tb testing.TB, r *HostReport) [][]byte {
+	return [][]byte{r.AppendEncode(nil), v1Bytes(tb, r)}
+}
+
+// decodeSeeds is the corpus for FuzzDecode, each kind in both wire
+// versions: well-formed reports, truncations and bit flips of one, the
+// hostile count payloads, frames that break the position rule and, in
+// version 2, the detail rule.
 func decodeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	valid := testReport(1, 512).AppendEncode(nil)
-	seeds := [][]byte{
-		valid,
-		fleetReport(tb, 0).AppendEncode(nil),
-		(&HostReport{Meta: SketchMeta{Rows: 1, Width: 1, Levels: 1}}).AppendEncode(nil),
-		{}, {0x4e, 0x4f, 0x4d}, bytes.Repeat([]byte{0xff}, 64),
+	seeds := [][]byte{{}, {0x4e, 0x4f, 0x4d}, bytes.Repeat([]byte{0xff}, 64)}
+	for _, r := range []*HostReport{
+		fleetReport(tb, 0), extremeReport(),
+		{Meta: SketchMeta{Rows: 1, Width: 1, Levels: 1}},
+	} {
+		seeds = append(seeds, bothVersions(tb, r)...)
 	}
-	for _, cut := range []int{4, 9, 15, 20, len(valid) - 1} {
-		seeds = append(seeds, valid[:cut])
-	}
-	for _, at := range []int{5, 12, 16, 18, 25, len(valid) - 3} {
-		b := append([]byte(nil), valid...)
-		b[at] ^= 0x81
-		seeds = append(seeds, b)
+	for _, valid := range bothVersions(tb, testReport(1, 512)) {
+		seeds = append(seeds, valid)
+		for _, cut := range []int{4, 9, 15, 20, len(valid) - 1} {
+			seeds = append(seeds, valid[:cut])
+		}
+		for _, at := range []int{5, 12, 16, 18, 25, len(valid) - 3} {
+			b := append([]byte(nil), valid...)
+			b[at] ^= 0x81
+			seeds = append(seeds, b)
+		}
 	}
 	for _, h := range hostilePayloads() {
 		seeds = append(seeds, h.payload)
 	}
 	for _, r := range misplacedReports() {
-		seeds = append(seeds, r.AppendEncode(nil))
+		seeds = append(seeds, bothVersions(tb, r)...)
+	}
+	for _, p := range misorderedDetails() {
+		seeds = append(seeds, p)
 	}
 	return seeds
+}
+
+// extremeReport holds what the delta coding has to carry without loss:
+// the int64 extremes next to each other, a zero, a negative w0 far from the
+// period start, curves with no details and none at all in the last level.
+func extremeReport() *HostReport {
+	r := testReport(2, 1<<40)
+	r.Buckets[0].W0 = -5
+	r.Buckets[0].Details = []wavelet.DetailRef{
+		{Level: 2, Index: 0, Val: math.MinInt64}, {Level: 2, Index: 1, Val: math.MaxInt64},
+		{Level: 1, Index: 3, Val: 0}, {Level: 0, Index: 0, Val: math.MinInt64}, {Level: 0, Index: 7, Val: -1},
+	}
+	r.Buckets[1].Details = nil
+	r.Heavy[0].W0 = math.MaxInt64
+	r.Heavy[0].Details = []wavelet.DetailRef{{Level: 2, Index: 0, Val: 1 << 40}}
+	return r
+}
+
+// misorderedDetails are version 2 payloads whose one curve breaks the
+// detail rule: ids must ascend strictly inside [|A|, |A|<<levels).
+func misorderedDetails() map[string][]byte {
+	curve := func(details ...uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, magic)
+		// Header, then bucket 0: w0 0, len 8, A = {6, 2} (n = 16), |D|.
+		for _, v := range []uint64{version, 1, 0, 13, 1, 8, 3, 42, 1, 0, 0, 0, 8, 2, 12, 4, uint64(len(details) / 2)} {
+			b = binary.AppendUvarint(b, v)
+		}
+		for _, v := range details {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	torn := curve(4<<1, 2, 1<<1, 0x80)
+	return map[string][]byte{
+		"repeated id":    curve(4<<1, 2, 0<<1, 2),
+		"above the tree": curve(16<<1, 2),
+		"inside A":       curve(1<<1|1, 2),
+		"past the tree":  curve(15<<1, 2, 1<<1, 2),
+		"gap wraps":      curve(4<<1, 2, math.MaxUint64, 2),
+		"torn magnitude": torn[:len(torn)-1],
+	}
 }
 
 // misplacedReports are testReports with one breach of the position rule
@@ -119,11 +199,11 @@ func FuzzDecode(f *testing.F) {
 // not reach without the fuzz engine.
 func TestDecodeMatchesOracleOnMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, valid := range [][]byte{
-		FromBasic(0, 0, buildBasic(t)).AppendEncode(nil),
-		table1Report(t, 0).AppendEncode(nil),
-		testReport(2, 0).AppendEncode(nil),
-	} {
+	var corpus [][]byte
+	for _, r := range []*HostReport{FromBasic(0, 0, buildBasic(t)), table1Report(t, 0), testReport(2, 0), extremeReport()} {
+		corpus = append(corpus, bothVersions(t, r)...)
+	}
+	for _, valid := range corpus {
 		checkAgainstOracle(t, valid)
 		for trial := 0; trial < 400; trial++ {
 			b := append([]byte(nil), valid...)
@@ -144,13 +224,51 @@ func TestDecodeMatchesOracleOnMutations(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsMisplacedBuckets pins the position rule: a frame whose
-// buckets are out of order, repeated or outside the sketch shape is bad.
+// TestDecodeRejectsMisplacedBuckets pins the position rule in both wire
+// versions: a frame whose buckets are out of order, repeated or outside the
+// sketch shape is bad.
 func TestDecodeRejectsMisplacedBuckets(t *testing.T) {
 	for name, r := range misplacedReports() {
-		if _, err := DecodeBytes(r.AppendEncode(nil)); err == nil {
+		for i, enc := range bothVersions(t, r) {
+			if _, err := DecodeBytes(enc); err == nil {
+				t.Errorf("%s, version %d: decoded, want an error", name, version-i)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsMisorderedDetails pins the detail rule of version 2.
+func TestDecodeRejectsMisorderedDetails(t *testing.T) {
+	for name, enc := range misorderedDetails() {
+		if _, err := DecodeBytes(enc); err == nil {
 			t.Errorf("%s: decoded, want an error", name)
 		}
+	}
+}
+
+// TestEncodeCanonicalizesDetails: details arrive at the encoder in tree
+// order from a sealed sketch, in any order from a decoded version 1 report
+// or a hand-built one; what is shipped is what reconstruction would use.
+func TestEncodeCanonicalizesDetails(t *testing.T) {
+	r := testReport(1, 512)
+	r.Buckets[0].Details = []wavelet.DetailRef{
+		{Level: 0, Index: 5, Val: 9}, {Level: 2, Index: 1, Val: -4}, {Level: 0, Index: 5, Val: 7}, // (0,5) twice: the later wins
+		{Level: 3, Index: 0, Val: 1}, {Level: 1, Index: 4, Val: 1}, {Level: -1, Index: 0, Val: 1}, {Level: 2, Index: -1, Val: 1}, // outside the tree
+		{Level: 1, Index: 0, Val: 0},
+	}
+	got, err := DecodeBytes(r.AppendEncode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wavelet.DetailRef{{Level: 2, Index: 1, Val: -4}, {Level: 1, Index: 0, Val: 0}, {Level: 0, Index: 5, Val: 7}}
+	if !reflect.DeepEqual(got.Buckets[0].Details, want) {
+		t.Fatalf("shipped details %+v, want %+v", got.Buckets[0].Details, want)
+	}
+	curve := func(b *wavesketch.BucketExport) []float64 {
+		return wavelet.Reconstruct(b.Approx, b.Details, r.Meta.Levels, b.Len)
+	}
+	if a, b := curve(&got.Buckets[0]), curve(&r.Buckets[0]); !reflect.DeepEqual(a, b) {
+		t.Fatalf("the curve changed on the way:\n got %v\nwant %v", a, b)
 	}
 }
 
@@ -159,36 +277,68 @@ type hostile struct {
 	payload []byte
 }
 
-// hostilePayloads are short frames whose counts promise far more than
-// their bytes hold. Each passed every check of the replaced decoder up to
-// the allocation it sized from the count.
+// hostilePayloads are short frames, in both wire versions, whose counts
+// promise far more than their bytes hold. Each version 1 payload passed
+// every check of the replaced decoder up to the allocation it sized from
+// the count.
 func hostilePayloads() []hostile {
-	header := func(levels, nBuckets, nHeavy uint64) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, magic)
-		for _, v := range []uint64{version, 1, 0, 13, 1, 8, levels, 42, nBuckets, nHeavy} {
-			b = binary.AppendUvarint(b, v)
-		}
-		return b
-	}
 	uv := func(b []byte, vs ...uint64) []byte {
 		for _, v := range vs {
 			b = binary.AppendUvarint(b, v)
 		}
 		return b
 	}
-	return []hostile{
-		// One bucket at (0,0), w0 0, len 8, |A| = 2^24 with L=1.
-		{"approx count", uv(header(1, 1, 0), 0, 0, 0, 8, 1<<24)},
-		// The same bucket with |A| = 0 and |D| = 2^24.
-		{"detail count", uv(header(8, 1, 0), 0, 0, 0, 8, 0, 1<<24)},
-		{"bucket count", header(8, 1<<24, 0)},
-		{"heavy count", header(8, 0, 1<<24)},
+	var out []hostile
+	for _, ver := range []uint64{version1, version} {
+		header := func(levels, nBuckets, nHeavy uint64) []byte {
+			b := binary.LittleEndian.AppendUint32(nil, magic)
+			b = uv(b, ver, 1, 0, 13, 1, 8, levels, 42, nBuckets, nHeavy)
+			if nBuckets == 1 {
+				// The bucket at (0,0): row and index, or the gap alone.
+				b = uv(b, map[uint64][]uint64{version1: {0, 0}, version: {0}}[ver]...)
+			}
+			return b
+		}
+		name := func(s string) string { return fmt.Sprintf("%s, version %d", s, ver) }
+		out = append(out,
+			// w0 0, len 8, |A| = 2^24 with L=1.
+			hostile{name("approx count"), uv(header(1, 1, 0), 0, 8, 1<<24)},
+			// The same bucket with |A| = 0 and |D| = 2^24.
+			hostile{name("detail count"), uv(header(8, 1, 0), 0, 8, 0, 1<<24)},
+			hostile{name("bucket count"), header(8, 1<<24, 0)},
+			hostile{name("heavy count"), header(8, 0, 1<<24)},
+		)
 	}
+	// Version 2 only, |A| = 1 and 40 bytes of details: |D| = 21 would need
+	// 42; and 20 details that are all bytes but no tree (ids past n = 256).
+	tail := bytes.Repeat([]byte{0x7e}, 40)
+	head := func(nd uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, magic)
+		return uv(b, version, 1, 0, 13, 1, 8, 8, 42, 1, 0, 0, 0, 8, 1, 6, nd)
+	}
+	return append(out,
+		hostile{"two bytes a detail, version 2", append(head(21), tail...)},
+		hostile{"details off the tree, version 2", append(head(20), tail...)},
+	)
+}
+
+// allocatedPerRun is the bytes and allocations one call of f costs.
+func allocatedPerRun(f func()) (bytes uint64, allocs float64) {
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more to warm up.
+	return (after.TotalAlloc - before.TotalAlloc) / (runs + 1), allocs
 }
 
 // TestDecodeBoundsAllocationByPayload is the regression test for counts
 // sizing allocations: every hostile payload is at most 64 bytes, must be
-// rejected, and must cost under 4 KB and a handful of allocations.
+// rejected, and must cost under 4 KB and a handful of allocations; and no
+// payload of the corpus, accepted or not, in either version, costs more
+// than a small multiple of its length — the widest expansion is 24 bytes of
+// DetailRef for the two a version 2 detail takes at least.
 func TestDecodeBoundsAllocationByPayload(t *testing.T) {
 	for _, h := range hostilePayloads() {
 		if len(h.payload) > 64 {
@@ -197,31 +347,32 @@ func TestDecodeBoundsAllocationByPayload(t *testing.T) {
 		if _, err := DecodeBytes(h.payload); err == nil {
 			t.Errorf("%s: decoded, want an error", h.name)
 		}
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(runs, func() { DecodeBytes(h.payload) })
-		runtime.ReadMemStats(&after)
-		// AllocsPerRun calls the function once more to warm up.
-		perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-		if perRun >= 4<<10 || allocs > 8 {
+		if perRun, allocs := allocatedPerRun(func() { DecodeBytes(h.payload) }); perRun >= 4<<10 || allocs > 8 {
 			t.Errorf("%s: %d bytes in %v allocations per decode, want < 4 KB", h.name, perRun, allocs)
+		}
+	}
+	for i, payload := range decodeSeeds(t) {
+		// 512 bytes cover the HostReport itself or the error's message.
+		if perRun, _ := allocatedPerRun(func() { DecodeBytes(payload) }); perRun > 16*uint64(len(payload))+512 {
+			t.Errorf("seed %d: %d bytes allocated for a payload of %d", i, perRun, len(payload))
 		}
 	}
 }
 
 // TestDecodeAllocations pins the decoder's allocation count: the report,
-// the bucket and heavy slabs, the approximation and detail slabs — and,
-// through Decode, the payload copy — however many buckets there are.
+// the bucket and heavy slabs, the approximation and detail slabs, however
+// many buckets there are and whichever the version — and no more through
+// Decode, which reads into a pooled buffer.
 func TestDecodeAllocations(t *testing.T) {
 	for _, c := range benchReports {
-		enc := c.build(t, 0).AppendEncode(nil)
-		if got := testing.AllocsPerRun(20, func() { DecodeBytes(enc) }); got > 5 {
-			t.Errorf("%s: DecodeBytes allocates %v times, want ≤ 5", c.name, got)
-		}
-		rd := bytes.NewReader(enc)
-		if got := testing.AllocsPerRun(20, func() { rd.Reset(enc); Decode(rd) }); got > 6 {
-			t.Errorf("%s: Decode allocates %v times, want ≤ 6", c.name, got)
+		for i, enc := range bothVersions(t, c.build(t, 0)) {
+			if got := testing.AllocsPerRun(20, func() { DecodeBytes(enc) }); got > 5 {
+				t.Errorf("%s, version %d: DecodeBytes allocates %v times, want ≤ 5", c.name, version-i, got)
+			}
+			rd := bytes.NewReader(enc)
+			if got := testing.AllocsPerRun(20, func() { rd.Reset(enc); Decode(rd) }); got > 5 {
+				t.Errorf("%s, version %d: Decode allocates %v times, want ≤ 5", c.name, version-i, got)
+			}
 		}
 	}
 }
@@ -246,24 +397,105 @@ func TestDecodedSlicesAreClipped(t *testing.T) {
 	}
 }
 
-// TestAppendEncodeGolden pins the wire format: AppendEncode, and Encode
-// on top of it, produce byte for byte what the replaced encoder produced,
-// on a Table 1 full report and on a basic 3×1024 one, and AppendEncode
-// appends after what dst already holds.
+// goldenReport exercises every field of the version 2 layout: a bucket gap,
+// w0 on either side of the period start, negative approximations, details
+// that step across levels with magnitudes rising and falling, a curve
+// without details, a heavy entry.
+func goldenReport() *HostReport {
+	return &HostReport{
+		Host: 3, PeriodStart: 1000, WindowShift: 13,
+		Meta: SketchMeta{Rows: 2, Width: 8, Levels: 3, Seed: 42},
+		Buckets: []wavesketch.BucketExport{
+			{Row: 0, Index: 5, W0: 1003, Len: 14, Approx: []int64{40, -7}, Details: []wavelet.DetailRef{
+				{Level: 2, Index: 1, Val: 12}, {Level: 1, Index: 0, Val: -300}, {Level: 1, Index: 3, Val: 5}, {Level: 0, Index: 7, Val: -5},
+			}},
+			{Row: 1, Index: 0, W0: 990, Len: 8, Approx: []int64{0}},
+		},
+		Heavy: []wavesketch.HeavyExport{{
+			Key: flowkey.Key{SrcIP: 0x0a000001, DstIP: 2, SrcPort: 7, DstPort: 4791, Proto: 17},
+			W0:  1000, Len: 8, Approx: []int64{100}, Details: []wavelet.DetailRef{{Level: 0, Index: 2, Val: 1}},
+		}},
+	}
+}
+
+// goldenBytes is goldenReport on the wire, field by field.
+var goldenBytes = []byte{
+	0x4e, 0x4f, 0x4d, 0x75, // magic "uMON", little endian
+	0x02,       // version
+	0x03,       // host
+	0xe8, 0x07, // period start 1000
+	0x0d,       // window shift
+	0x02, 0x08, // rows, width
+	0x03,       // levels
+	0x2a,       // seed
+	0x02, 0x01, // 2 buckets, 1 heavy entry
+
+	0x05,       // bucket at position 5, 5 past the start
+	0x06,       // w0 = period start + 3
+	0x0e,       // len 14
+	0x02,       // |A|
+	0x50, 0x0d, // 40, -7
+	0x04,       // |D|; the tree spans ids [2, 16)
+	0x06, 0x18, // (2,1) is id 3: gap 3, positive; |12| − 0
+	0x03, 0xc0, 0x04, // (1,0) is id 4: gap 1, negative; |−300| − 12 = 288
+	0x06, 0xcd, 0x04, // (1,3) is id 7: gap 3, positive; 5 − 300 = −295
+	0x11, 0x00, // (0,7) is id 15: gap 8, negative; 5 − 5
+
+	0x02, // bucket at position 8 = (1,0), 2 past position 6
+	0x13, // w0 = period start − 10
+	0x08, // len
+	0x01, // |A|
+	0x00, // 0
+	0x00, // |D|
+
+	0x81, 0x80, 0x80, 0x50, // heavy: source 10.0.0.1
+	0x02,       // destination
+	0x07,       // source port
+	0xb7, 0x25, // destination port 4791
+	0x11,       // protocol
+	0x00,       // w0 = period start
+	0x08,       // len
+	0x01,       // |A|
+	0xc8, 0x01, // 100
+	0x01,       // |D|; the tree spans ids [1, 8)
+	0x0c, 0x02, // (0,2) is id 6: gap 6, positive; 1
+}
+
+// TestAppendEncodeGolden pins wire version 2: the golden report encodes to
+// the bytes spelled out above, through AppendEncode — which appends after
+// what dst already holds — and through Encode on top of it; a Table 1 full
+// report and a basic 3×1024 one encode to pinned digests, from which they
+// decode to what their version 1 bytes decode to.
 func TestAppendEncodeGolden(t *testing.T) {
-	for _, c := range benchReports {
+	rep := goldenReport()
+	if got := rep.AppendEncode([]byte("prefix")); string(got[:len("prefix")]) != "prefix" || !bytes.Equal(got[len("prefix"):], goldenBytes) {
+		t.Errorf("AppendEncode wrote\n%x, want prefix and\n%x", got, goldenBytes)
+	}
+	var viaEncode bytes.Buffer
+	if n, err := rep.Encode(&viaEncode); err != nil || n != int64(len(goldenBytes)) || !bytes.Equal(viaEncode.Bytes(), goldenBytes) {
+		t.Errorf("Encode wrote %d bytes (err %v), want the %d golden bytes", n, err, len(goldenBytes))
+	}
+	if dec, err := DecodeBytes(goldenBytes); err != nil || !bytes.Equal(v1Bytes(t, dec), v1Bytes(t, rep)) {
+		t.Errorf("the golden bytes do not decode to the golden report (err %v)", err)
+	}
+	for i, want := range []struct {
+		size   int
+		digest string
+	}{
+		{4012, "f2f78dd547354d34476c55bc648dd639d33b8215265c40294fc6dacfa912ee7a"},
+		{36511, "eb34e7fc176fb50bd6d7bceb44d2dad1fd984bd802ad80a36f64fc9f1cf842e9"},
+	} {
+		c := benchReports[i]
 		rep := c.build(t, 3)
-		var want, viaEncode bytes.Buffer
-		if _, err := oracleEncode(rep, &want); err != nil {
-			t.Fatal(err)
+		enc := rep.AppendEncode(nil)
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:]); len(enc) != want.size || got != want.digest {
+			t.Errorf("%s: %d bytes with digest %s, want %d with %s", c.name, len(enc), got, want.size, want.digest)
 		}
-		got := rep.AppendEncode([]byte("prefix"))
-		if !bytes.Equal(got[len("prefix"):], want.Bytes()) || string(got[:len("prefix")]) != "prefix" {
-			t.Errorf("%s: AppendEncode differs from the replaced encoder", c.name)
-		}
-		n, err := rep.Encode(&viaEncode)
-		if err != nil || n != int64(want.Len()) || !bytes.Equal(viaEncode.Bytes(), want.Bytes()) {
-			t.Errorf("%s: Encode wrote %d bytes (err %v), want the %d golden bytes", c.name, n, err, want.Len())
+		dec, err := DecodeBytes(enc)
+		viaV1, err1 := DecodeBytes(v1Bytes(t, rep))
+		if err != nil || err1 != nil || !reflect.DeepEqual(dec, viaV1) {
+			t.Errorf("%s: version 2 and version 1 decode apart (errs %v, %v)", c.name, err, err1)
 		}
 	}
 	if len(table1Report(t, 3).Heavy) == 0 {

@@ -1,15 +1,18 @@
 package report
 
 // The implementations the flat datapath replaced, kept here as
-// differential oracles: the streaming encoder and decoder of the wire
-// format and the map-indexed Queryable. Nothing outside tests refers to
-// them.
+// differential oracles: the streaming encoder and decoder of wire version
+// 1 — the only code in the tree that can still write it — and the
+// map-indexed Queryable; and beside them a plain one-pass reading of wire
+// version 2. Nothing outside tests refers to them.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 
 	"umon/internal/flowkey"
 	"umon/internal/wavelet"
@@ -27,8 +30,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// oracleEncode is the encoder AppendEncode replaced, kept as the golden
-// reference: the wire bytes must never change.
+// oracleEncode is the version 1 encoder, kept as the golden reference for
+// the bytes hosts shipped before version 2: they must keep decoding.
 func oracleEncode(r *HostReport, w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -48,7 +51,7 @@ func oracleEncode(r *HostReport, w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	header := []uint64{
-		version, uint64(r.Host), uint64(r.PeriodStart), uint64(r.WindowShift),
+		version1, uint64(r.Host), uint64(r.PeriodStart), uint64(r.WindowShift),
 		uint64(r.Meta.Rows), uint64(r.Meta.Width), uint64(r.Meta.Levels), r.Meta.Seed,
 		uint64(len(r.Buckets)), uint64(len(r.Heavy)),
 	}
@@ -116,8 +119,9 @@ func oracleEncode(r *HostReport, w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// oracleDecode is the bufio/closure decoder DecodeBytes replaced. It knows
-// nothing of the bucket position rule; oracleAccepts adds it.
+// oracleDecode is the bufio/closure version 1 decoder DecodeBytes
+// replaced. It knows nothing of the bucket position rule; positionsOK adds
+// it.
 func oracleDecode(rd io.Reader) (*HostReport, error) {
 	br := bufio.NewReader(rd)
 	var m uint32
@@ -138,7 +142,7 @@ func oracleDecode(rd io.Reader) (*HostReport, error) {
 		}
 		hdr[i] = x
 	}
-	if hdr[0] != version {
+	if hdr[0] != version1 {
 		return nil, fmt.Errorf("report: unsupported version %d", hdr[0])
 	}
 	r := &HostReport{
@@ -245,6 +249,151 @@ func oracleDecode(rd io.Reader) (*HostReport, error) {
 		})
 	}
 	return r, nil
+}
+
+// oracleDecodeV2 reads wire version 2 the plain way: one pass, one field at
+// a time, growing what it builds, every rule of the layout checked where
+// the field is read. DecodeBytes must accept exactly what it accepts and
+// build exactly what it builds.
+func oracleDecodeV2(data []byte) (*HostReport, error) {
+	br := bytes.NewReader(data)
+	var m uint32
+	if err := binary.Read(br, binary.LittleEndian, &m); err != nil || m != magic {
+		return nil, fmt.Errorf("report: bad magic %#08x (%v)", m, err)
+	}
+	bad := false
+	u := func() uint64 {
+		x, err := binary.ReadUvarint(br)
+		bad = bad || err != nil
+		return x
+	}
+	v := func() int64 { return unzigzag(u()) }
+	var hdr [10]uint64
+	for i := range hdr {
+		hdr[i] = u()
+	}
+	if bad || hdr[0] != version {
+		return nil, fmt.Errorf("report: not a version %d header", version)
+	}
+	r := &HostReport{
+		Host:        int(hdr[1]),
+		PeriodStart: int64(hdr[2]),
+		WindowShift: uint8(hdr[3]),
+		Meta:        SketchMeta{Rows: int(hdr[4]), Width: int(hdr[5]), Levels: int(hdr[6]), Seed: hdr[7]},
+	}
+	nBuckets, nHeavy, levels := hdr[8], hdr[9], hdr[6]
+	if nBuckets > sane || nHeavy > sane || levels < 1 || levels > 24 ||
+		r.Meta.Rows < 1 || r.Meta.Rows > 64 || r.Meta.Width < 1 || r.Meta.Width > sane {
+		return nil, fmt.Errorf("report: implausible header %v", hdr)
+	}
+	readCurve := func() (w0 int64, length int, approx []int64, details []wavelet.DetailRef, err error) {
+		w0 = v() + r.PeriodStart
+		ulen, na := u(), u()
+		if bad || na > sane || na<<levels > 1<<28 || ulen > 1<<28 {
+			return 0, 0, nil, nil, fmt.Errorf("report: bad curve head")
+		}
+		approx = []int64{}
+		for i := uint64(0); i < na && !bad; i++ {
+			approx = append(approx, v())
+		}
+		nd := u()
+		if bad || nd > sane {
+			return 0, 0, nil, nil, fmt.Errorf("report: bad detail count")
+		}
+		details = []wavelet.DetailRef{}
+		n, id, mag := na<<levels, uint64(0), uint64(0)
+		for i := uint64(0); i < nd; i++ {
+			head, diff := u(), v()
+			id += head >> 1 // head < 2⁶⁴ and id < 2²⁸: no wrap
+			if bad || head>>1 == 0 || id < na || id >= n {
+				return 0, 0, nil, nil, fmt.Errorf("report: detail %d: bad id %d", i, id)
+			}
+			mag += uint64(diff)
+			val := int64(mag)
+			if head&1 != 0 {
+				val = -val
+			}
+			// The level whose ids [n>>(l+1), n>>l) hold id.
+			level := 0
+			for id < n>>(level+1) {
+				level++
+			}
+			details = append(details, wavelet.DetailRef{Level: level, Index: int(id - n>>(level+1)), Val: val})
+		}
+		return w0, int(ulen), approx, details, nil
+	}
+	slots := hdr[4] * hdr[5]
+	next := uint64(0)
+	for i := uint64(0); i < nBuckets; i++ {
+		gap := u()
+		if bad || gap >= slots-next {
+			return nil, fmt.Errorf("report: bucket %d: bad gap", i)
+		}
+		pos := next + gap
+		next = pos + 1
+		w0, length, approx, details, err := readCurve()
+		if err != nil {
+			return nil, fmt.Errorf("report: bucket %d: %w", i, err)
+		}
+		r.Buckets = append(r.Buckets, wavesketch.BucketExport{
+			Row: int(pos / hdr[5]), Index: int(pos % hdr[5]), W0: w0, Len: length, Approx: approx, Details: details,
+		})
+	}
+	for i := uint64(0); i < nHeavy; i++ {
+		k := flowkey.Key{SrcIP: uint32(u()), DstIP: uint32(u()), SrcPort: uint16(u()), DstPort: uint16(u()), Proto: uint8(u())}
+		w0, length, approx, details, err := readCurve()
+		if err != nil {
+			return nil, fmt.Errorf("report: heavy %d: %w", i, err)
+		}
+		r.Heavy = append(r.Heavy, wavesketch.HeavyExport{Key: k, W0: w0, Len: length, Approx: approx, Details: details})
+	}
+	return r, nil
+}
+
+// canonical is the report reconstruction sees: in every curve only the
+// details inside its tree, the last of any that share a (level, index), in
+// the order less puts them. The rest is shared with r.
+func canonical(r *HostReport, less func(n int, a, b wavelet.DetailRef) bool) *HostReport {
+	canon := func(approx []int64, details []wavelet.DetailRef) []wavelet.DetailRef {
+		n := len(approx) << r.Meta.Levels
+		last := map[[2]int]int64{}
+		for _, d := range details {
+			if d.Level >= 0 && d.Level < r.Meta.Levels && d.Index >= 0 && d.Index < n>>(d.Level+1) {
+				last[[2]int{d.Level, d.Index}] = d.Val
+			}
+		}
+		out := make([]wavelet.DetailRef, 0, len(last))
+		for at, val := range last {
+			out = append(out, wavelet.DetailRef{Level: at[0], Index: at[1], Val: val})
+		}
+		sort.Slice(out, func(i, j int) bool { return less(n, out[i], out[j]) })
+		return out
+	}
+	c := *r
+	c.Buckets = append([]wavesketch.BucketExport(nil), r.Buckets...)
+	c.Heavy = append([]wavesketch.HeavyExport(nil), r.Heavy...)
+	for i := range c.Buckets {
+		c.Buckets[i].Details = canon(c.Buckets[i].Approx, c.Buckets[i].Details)
+	}
+	for i := range c.Heavy {
+		c.Heavy[i].Details = canon(c.Heavy[i].Approx, c.Heavy[i].Details)
+	}
+	return &c
+}
+
+// byTreeID is the order wire version 2 ships details in, written from the
+// layout's own formula: id = (n >> (level+1)) + index.
+func byTreeID(n int, a, b wavelet.DetailRef) bool {
+	return n>>(a.Level+1)+a.Index < n>>(b.Level+1)+b.Index
+}
+
+// byLevelIndex is the order the content digest of TestSealedReportsPinned
+// was taken in on the commit before version 2.
+func byLevelIndex(_ int, a, b wavelet.DetailRef) bool {
+	if a.Level != b.Level {
+		return a.Level < b.Level
+	}
+	return a.Index < b.Index
 }
 
 // oracleQueryable is the index NewQueryable replaced, less its curve

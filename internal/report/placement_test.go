@@ -39,16 +39,24 @@ func placementTrace(hosts, n int) [][]measure.Sample {
 }
 
 // TestSealedReportsPinned drives a seeded multi-host trace through the
-// sketch update paths and pins the sealed, encoded reports: byte for byte
-// to the oracle encoder, bucket by bucket to Hash(RowSeed(seed, r)) % width
-// written out here with the divide, and as a whole to the digest the same
-// trace gave before keys were packed once and indices masked. Covers the
-// Table 1 full sketch (mask arm) and a 3×250 basic one (modulo arm).
+// sketch update paths and pins the sealed, encoded reports: bucket by
+// bucket to Hash(RowSeed(seed, r)) % width written out here with the
+// divide, and as a whole to two digests. The content digest is taken over
+// the version 1 bytes of every report with each curve's details sorted by
+// (level, index); its value is the one the commit before wire version 2
+// gave, when reports carried their details in heap order — what a host
+// measures has not changed since, however it is coded — and the version 2
+// bytes decode back to the same content. The wire digest is over the
+// version 2 bytes themselves. Covers the Table 1 full sketch (mask arm) and
+// a 3×250 basic one (modulo arm).
 func TestSealedReportsPinned(t *testing.T) {
-	const pinned = "905b288f8eb5a6fde844d7da1dece0ab3611558bfcdba88e89288d9c3dbabd88"
+	const (
+		pinnedContent = "5578d33ece9057c2dce9238990ab6ec55b27300db3021c01ee1e106184970970"
+		pinnedWire    = "44d97e795e23e6ace4160c6f0574b14cf589b6b4ddf839b4a0ecf0a5037600a8"
+	)
 	trace := placementTrace(4, 20000)
 	odd := wavesketch.Config{Rows: 3, Width: 250, Levels: 8, K: 16, Seed: 77}
-	sum := sha256.New()
+	sum, content := sha256.New(), sha256.New()
 	for h, samples := range trace {
 		full, err := wavesketch.NewFull(wavesketch.DefaultFull())
 		if err != nil {
@@ -68,14 +76,12 @@ func TestSealedReportsPinned(t *testing.T) {
 		basic.Seal()
 		for _, rep := range []*HostReport{FromFull(h, 0, full), FromBasic(h, 0, basic)} {
 			enc := rep.AppendEncode(nil)
-			var want bytes.Buffer
-			if _, err := oracleEncode(rep, &want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(enc, want.Bytes()) {
-				t.Fatalf("host %d: AppendEncode differs from the oracle encoder", h)
-			}
 			sum.Write(enc)
+			sorted := v1Bytes(t, canonical(rep, byLevelIndex))
+			content.Write(sorted)
+			if dec, err := DecodeBytes(enc); err != nil || !bytes.Equal(v1Bytes(t, canonical(dec, byLevelIndex)), sorted) {
+				t.Fatalf("host %d: the version 2 bytes do not decode to the report's content (err %v)", h, err)
+			}
 			occupied := make(map[[2]int]bool, len(rep.Buckets))
 			for _, b := range rep.Buckets {
 				occupied[[2]int{b.Row, b.Index}] = true
@@ -97,7 +103,10 @@ func TestSealedReportsPinned(t *testing.T) {
 			}
 		}
 	}
-	if got := hex.EncodeToString(sum.Sum(nil)); got != pinned {
-		t.Fatalf("encoded reports digest %s, want %s", got, pinned)
+	if got := hex.EncodeToString(content.Sum(nil)); got != pinnedContent {
+		t.Errorf("content digest %s, want %s", got, pinnedContent)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != pinnedWire {
+		t.Errorf("wire digest %s, want %s", got, pinnedWire)
 	}
 }

@@ -2,14 +2,18 @@
 // measurements to the µMon analyzer, and the decoded, queryable form the
 // analyzer rebuilds. The encoding carries exactly what §4.2's bandwidth
 // analysis counts — per bucket: w0, the approximation set A and the
-// retained detail set D (level+index metadata, the α factor) — using
-// varints, so measured report sizes track the analytic compression ratio.
+// retained detail set D (level+index metadata, the α factor) — as varints
+// of differences between neighbours, so measured report sizes sit at or
+// below the analytic compression ratio.
 package report
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 
 	"umon/internal/flowkey"
 	"umon/internal/measure"
@@ -17,10 +21,13 @@ import (
 	"umon/internal/wavesketch"
 )
 
-// magic and version identify the stream format.
+// magic and version identify the stream format. Hosts write version 2;
+// version 1, what they wrote before it, is still decoded, so collectors
+// upgrade before hosts do.
 const (
-	magic   = 0x754d4f4e // "uMON"
-	version = 1
+	magic    = 0x754d4f4e // "uMON"
+	version  = 2
+	version1 = 1
 )
 
 // SketchMeta is the sketch configuration the analyzer needs to re-locate a
@@ -44,7 +51,8 @@ type HostReport struct {
 	Heavy []wavesketch.HeavyExport
 }
 
-// FromBasic builds a report from a sealed basic sketch.
+// FromBasic builds a report from a sealed basic sketch. The curves alias
+// the sketch (wavesketch.Export): encode before reusing it.
 func FromBasic(host int, periodStart int64, s *wavesketch.Basic) *HostReport {
 	cfg := s.Config()
 	return &HostReport{
@@ -52,7 +60,7 @@ func FromBasic(host int, periodStart int64, s *wavesketch.Basic) *HostReport {
 		PeriodStart: periodStart,
 		WindowShift: measure.DefaultWindowShift,
 		Meta:        SketchMeta{Rows: cfg.Rows, Width: cfg.Width, Levels: cfg.Levels, Seed: cfg.Seed},
-		Buckets:     s.Export(),
+		Buckets:     s.Export(nil),
 	}
 }
 
@@ -60,60 +68,116 @@ func FromBasic(host int, periodStart int64, s *wavesketch.Basic) *HostReport {
 // heavy entries).
 func FromFull(host int, periodStart int64, f *wavesketch.Full) *HostReport {
 	r := FromBasic(host, periodStart, f.Light())
-	r.Heavy = f.ExportHeavy()
+	r.Heavy = f.ExportHeavy(nil)
 	return r
 }
 
 // --- encoding ---
 
-// AppendEncode appends the report's wire encoding to dst and returns the
-// extended slice. It allocates only when dst has to grow, so a caller that
-// seals one report per period reuses one buffer.
+// AppendEncode appends the report's version 2 wire encoding to dst and
+// returns the extended slice. It allocates only when dst has to grow — so
+// a caller that seals one report per period reuses one buffer — or when a
+// curve's details are not in tree order already, as a sealed sketch's are.
+//
+// After the header a bucket is the gap from the bucket before it, positions
+// counted row·width + index, then its curve: w0 relative to the period
+// start, len, A, and D in tree order, each detail the gap from the tree id
+// before it with the value's sign in the low bit, then its magnitude less
+// the magnitude before it (DESIGN.md "Report wire format").
 func (r *HostReport) AppendEncode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, magic)
-	dst = binary.AppendUvarint(dst, version)
-	dst = binary.AppendUvarint(dst, uint64(r.Host))
-	dst = binary.AppendUvarint(dst, uint64(r.PeriodStart))
-	dst = binary.AppendUvarint(dst, uint64(r.WindowShift))
-	dst = binary.AppendUvarint(dst, uint64(r.Meta.Rows))
-	dst = binary.AppendUvarint(dst, uint64(r.Meta.Width))
-	dst = binary.AppendUvarint(dst, uint64(r.Meta.Levels))
-	dst = binary.AppendUvarint(dst, r.Meta.Seed)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Buckets)))
-	dst = binary.AppendUvarint(dst, uint64(len(r.Heavy)))
+	dst = appendUvarints(dst, version, uint64(r.Host), uint64(r.PeriodStart), uint64(r.WindowShift),
+		uint64(r.Meta.Rows), uint64(r.Meta.Width), uint64(r.Meta.Levels), r.Meta.Seed,
+		uint64(len(r.Buckets)), uint64(len(r.Heavy)))
+	next := uint64(0) // the position after the previous bucket's
 	for i := range r.Buckets {
 		b := &r.Buckets[i]
-		dst = binary.AppendUvarint(dst, uint64(b.Row))
-		dst = binary.AppendUvarint(dst, uint64(b.Index))
-		dst = appendCurve(dst, b.W0, b.Len, b.Approx, b.Details)
+		pos := uint64(b.Row)*uint64(r.Meta.Width) + uint64(b.Index)
+		dst = binary.AppendUvarint(dst, pos-next)
+		next = pos + 1
+		dst = r.appendCurve(dst, b.W0, b.Len, b.Approx, b.Details)
 	}
 	for i := range r.Heavy {
 		h := &r.Heavy[i]
-		dst = binary.AppendUvarint(dst, uint64(h.Key.SrcIP))
-		dst = binary.AppendUvarint(dst, uint64(h.Key.DstIP))
-		dst = binary.AppendUvarint(dst, uint64(h.Key.SrcPort))
-		dst = binary.AppendUvarint(dst, uint64(h.Key.DstPort))
-		dst = binary.AppendUvarint(dst, uint64(h.Key.Proto))
-		dst = appendCurve(dst, h.W0, h.Len, h.Approx, h.Details)
+		k := &h.Key
+		dst = appendUvarints(dst, uint64(k.SrcIP), uint64(k.DstIP), uint64(k.SrcPort), uint64(k.DstPort), uint64(k.Proto))
+		dst = r.appendCurve(dst, h.W0, h.Len, h.Approx, h.Details)
 	}
 	return dst
 }
 
-func appendCurve(dst []byte, w0 int64, length int, approx []int64, details []wavelet.DetailRef) []byte {
-	dst = binary.AppendVarint(dst, w0)
+func appendUvarints(dst []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return dst
+}
+
+func (r *HostReport) appendCurve(dst []byte, w0 int64, length int, approx []int64, details []wavelet.DetailRef) []byte {
+	dst = binary.AppendVarint(dst, w0-r.PeriodStart)
 	dst = binary.AppendUvarint(dst, uint64(length))
 	dst = binary.AppendUvarint(dst, uint64(len(approx)))
 	for _, a := range approx {
 		dst = binary.AppendVarint(dst, a)
 	}
+	return appendDetails(dst, details, len(approx), uint(r.Meta.Levels))
+}
+
+// appendDetails writes |D| and the details, which it expects in tree order.
+// When they are not it starts over on their canonical form.
+func appendDetails(dst []byte, details []wavelet.DetailRef, na int, levels uint) []byte {
+	mark := len(dst)
 	dst = binary.AppendUvarint(dst, uint64(len(details)))
+	var prevID, prevMag uint64
 	for i := range details {
 		d := &details[i]
-		dst = binary.AppendUvarint(dst, uint64(d.Level))
-		dst = binary.AppendUvarint(dst, uint64(d.Index))
-		dst = binary.AppendVarint(dst, d.Val)
+		id, ok := treeID(d, na, levels)
+		if !ok || id <= prevID {
+			return appendDetails(dst[:mark], canonicalDetails(details, na, levels), na, levels)
+		}
+		// Magnitudes and their differences wrap mod 2⁶⁴, so every int64
+		// value round-trips.
+		mag, sign := uint64(d.Val), uint64(0)
+		if d.Val < 0 {
+			mag, sign = -mag, 1
+		}
+		dst = binary.AppendUvarint(dst, (id-prevID)<<1|sign)
+		dst = binary.AppendVarint(dst, int64(mag-prevMag))
+		prevID, prevMag = id, mag
 	}
 	return dst
+}
+
+// treeID numbers the details of a curve of na approximation values — over
+// n = na<<levels samples — breadth first from the roots: level l holds the
+// n>>(l+1) ids from n>>(l+1) on, so ids span [na, n). A detail outside the
+// tree, which reconstruction ignores, has none.
+func treeID(d *wavelet.DetailRef, na int, levels uint) (uint64, bool) {
+	if uint(d.Level) >= levels {
+		return 0, false
+	}
+	first := uint64(na) << (levels - 1 - uint(d.Level))
+	return first + uint64(d.Index), uint64(d.Index) < first
+}
+
+// canonicalDetails is what reconstruction makes of details in any order:
+// those inside the tree, in tree order, the last of any that share a
+// position.
+func canonicalDetails(details []wavelet.DetailRef, na int, levels uint) []wavelet.DetailRef {
+	out := make([]wavelet.DetailRef, 0, len(details))
+	for i := range details {
+		if _, ok := treeID(&details[i], na, levels); ok {
+			out = append(out, details[i])
+		}
+	}
+	slices.SortStableFunc(out, wavelet.CompareTree)
+	kept := out[:0]
+	for i, d := range out {
+		if i+1 == len(out) || wavelet.CompareTree(d, out[i+1]) != 0 {
+			kept = append(kept, d)
+		}
+	}
+	return kept
 }
 
 // Encode writes the report and returns the number of bytes written.
@@ -124,44 +188,49 @@ func (r *HostReport) Encode(w io.Writer) (int64, error) {
 
 // --- decoding ---
 
-// Decode reads a report produced by Encode. It reads rd to the end (in one
-// allocation when rd reports its length, as *bytes.Reader does) and hands
-// the bytes to DecodeBytes.
+// payloadScratch pools the buffers Decode reads payloads into.
+var payloadScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledPayload bounds the buffer kept between calls: one that grew
+// past it for an outsized payload is let go.
+const maxPooledPayload = 1 << 20
+
+// Decode reads a report produced by Encode: it reads rd to the end into a
+// pooled buffer and hands the bytes to DecodeBytes, which keeps none of
+// them.
 func Decode(rd io.Reader) (*HostReport, error) {
-	var payload []byte
-	var err error
-	if l, ok := rd.(interface{ Len() int }); ok {
-		payload = make([]byte, l.Len())
-		_, err = io.ReadFull(rd, payload)
-	} else {
-		payload, err = io.ReadAll(rd)
-	}
-	if err != nil {
+	buf := payloadScratch.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledPayload {
+			payloadScratch.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if _, err := buf.ReadFrom(rd); err != nil {
 		return nil, fmt.Errorf("report: reading payload: %w", err)
 	}
-	return DecodeBytes(payload)
+	return DecodeBytes(buf.Bytes())
 }
 
 // sane bounds every count and the sketch width a report may declare.
 const sane = 1 << 24
 
-// Fewest bytes a bucket, a heavy entry and a detail coefficient can take
-// on the wire: one byte per varint field.
-const (
-	minBucketBytes = 6 // row, index, w0, len, |A|, |D|
-	minHeavyBytes  = 9 // 5 key parts, w0, len, |A|, |D|
-	minDetailBytes = 3 // level, index, value
-)
+// minCurveBytes is the fewest bytes a record can take on the wire after its
+// key fields: one each for w0, len, |A| and |D|.
+const minCurveBytes = 4
 
-// DecodeBytes parses a report produced by AppendEncode. The result shares
-// no memory with payload. It walks the payload twice: a validating pass
+// DecodeBytes parses a report in wire version 2 or 1. The result shares no
+// memory with payload. It walks the payload twice: a validating pass
 // that checks every field and bounds every count by the bytes still
 // unread — so no payload can make it allocate more than a small multiple
 // of its own length — and a fill pass into exactly sized slabs: one each
 // for the buckets, the heavy entries, all approximation values and all
 // detail coefficients, the per-curve slices cap-clipped views of the last
 // two. Buckets must come in strictly ascending (row, index) order inside
-// the declared shape, as Export emits them; anything else is a bad frame.
+// the declared shape, as Export emits them, and a version 2 curve's
+// details in strictly ascending tree order inside its tree; anything else
+// is a bad frame. Version 1 details come in whatever order they were
+// written.
 func DecodeBytes(payload []byte) (*HostReport, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("report: short magic: %w", io.ErrUnexpectedEOF)
@@ -174,7 +243,7 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 	if d.uvarints(hdr[:]); d.bad {
 		return nil, fmt.Errorf("report: truncated header: %w", io.ErrUnexpectedEOF)
 	}
-	if hdr[0] != version {
+	if hdr[0] != version && hdr[0] != version1 {
 		return nil, fmt.Errorf("report: unsupported version %d", hdr[0])
 	}
 	r := &HostReport{
@@ -183,9 +252,16 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 		WindowShift: uint8(hdr[3]),
 		Meta:        SketchMeta{Rows: int(hdr[4]), Width: int(hdr[5]), Levels: int(hdr[6]), Seed: hdr[7]},
 	}
+	// A bucket opens with its gap and a detail takes two varints; in
+	// version 1 (row, index) and three.
+	bucketKeys := 1
+	d.base, d.detailBytes = r.PeriodStart, 2
+	if d.v1 = hdr[0] == version1; d.v1 {
+		bucketKeys, d.base, d.detailBytes = 2, 0, 3
+	}
 	nBuckets, nHeavy := hdr[8], hdr[9]
 	left := uint64(len(payload) - d.off)
-	if nBuckets > sane || nHeavy > sane || nBuckets > left/minBucketBytes || nHeavy > left/minHeavyBytes {
+	if nBuckets > sane || nHeavy > sane || nBuckets > left/uint64(bucketKeys+minCurveBytes) || nHeavy > left/(heavyKeys+minCurveBytes) {
 		return nil, fmt.Errorf("report: implausible counts %d/%d in %d bytes", nBuckets, nHeavy, left)
 	}
 	// Bound the sketch shape: reconstruction allocates O(len(A)·2^Levels),
@@ -206,11 +282,11 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 		if d.record(bucketKeys); d.bad {
 			return nil, fmt.Errorf("report: bucket %d: bad record", i)
 		}
-		row, idx := d.f[0], d.f[1]
-		if row >= rows || idx >= width || row*width+idx < next {
-			return nil, fmt.Errorf("report: bucket %d: position (%d,%d) out of shape or order", i, row, idx)
+		pos, ok := d.position(next, rows, width)
+		if !ok {
+			return nil, fmt.Errorf("report: bucket %d: position %d out of shape or order", i, pos)
 		}
-		next = row*width + idx + 1
+		next = pos + 1
 	}
 	for i := uint64(0); i < nHeavy; i++ {
 		if d.record(heavyKeys); d.bad {
@@ -228,11 +304,16 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 	}
 	d.approx = make([]int64, d.na)
 	d.details = make([]wavelet.DetailRef, d.nd)
-	d.off, d.fill = body, true
+	d.off, d.fill, next = body, true, 0
+	row, rowEnd := 0, width // positions ascend: rows are stepped through, not divided out
 	for i := range r.Buckets {
 		b := &r.Buckets[i]
 		b.W0, b.Len, b.Approx, b.Details = d.record(bucketKeys)
-		b.Row, b.Index = int(d.f[0]), int(d.f[1])
+		pos, _ := d.position(next, rows, width)
+		for pos >= rowEnd {
+			row, rowEnd = row+1, rowEnd+width
+		}
+		b.Row, b.Index, next = row, int(pos-(rowEnd-width)), pos+1
 	}
 	for i := range r.Heavy {
 		h := &r.Heavy[i]
@@ -245,12 +326,9 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 	return r, nil
 }
 
-// A record opens with its key fields — a bucket's (row, index), a heavy
+// A record opens with its key fields — a bucket's position, a heavy
 // entry's five-tuple — followed by the curve's w0, len and |A|.
-const (
-	bucketKeys = 2
-	heavyKeys  = 5
-)
+const heavyKeys = 5
 
 // decoder is a cursor over a report payload. A read past the end or an
 // overlong varint sets bad and parks the cursor at the end, so every
@@ -259,8 +337,12 @@ type decoder struct {
 	b      []byte
 	off    int
 	bad    bool
+	v1     bool  // the payload is wire version 1
+	base   int64 // what a curve's w0 is relative to: the period start, 0 in version 1
 	levels uint
-	f      [heavyKeys + 3]uint64 // the current record's leading fields
+	// detailBytes is the fewest bytes a detail can take: a byte per varint.
+	detailBytes uint64
+	f           [heavyKeys + 3]uint64 // the current record's leading fields
 	// Pass 1 totals the approximation values and detail coefficients in
 	// na and nd; pass 2 (fill) hands out the front of the two slabs.
 	na, nd  int
@@ -270,6 +352,17 @@ type decoder struct {
 }
 
 func (d *decoder) fail() { d.bad, d.off = true, len(d.b) }
+
+// position is the current bucket record's row·width + index, and whether
+// it lies inside the shape at or after next, the position following the
+// bucket before.
+func (d *decoder) position(next, rows, width uint64) (uint64, bool) {
+	if d.v1 {
+		row, idx := d.f[0], d.f[1]
+		return row*width + idx, row < rows && idx < width && row*width+idx >= next
+	}
+	return next + d.f[0], d.f[0] < rows*width-next
+}
 
 // uvarints reads len(dst) consecutive uvarints.
 func (d *decoder) uvarints(dst []uint64) {
@@ -338,12 +431,21 @@ func (d *decoder) record(nkeys int) (w0 int64, length int, a []int64, det []wave
 	var one [1]uint64
 	d.uvarints(one[:])
 	nd := one[0]
-	if d.bad || nd > sane || nd > uint64(len(d.b)-d.off)/minDetailBytes {
+	if d.bad || nd > sane || nd > uint64(len(d.b)-d.off)/d.detailBytes {
 		d.fail()
 		return
 	}
-	if d.fill {
-		det, d.details = d.details[:nd:nd], d.details[nd:]
+	if !d.fill {
+		d.nd += int(nd)
+		if d.v1 {
+			d.skip(3 * nd)
+		} else {
+			d.checkDetails(nd, na)
+		}
+		return // pass 1 reads none of the results
+	}
+	det, d.details = d.details[:nd:nd], d.details[nd:]
+	if d.v1 {
 		b, off := d.b, d.off
 		for i := range det {
 			lv, n0 := binary.Uvarint(b[off:])
@@ -353,10 +455,57 @@ func (d *decoder) record(nkeys int) (w0 int64, length int, a []int64, det []wave
 		}
 		d.off = off
 	} else {
-		d.nd += int(nd)
-		d.skip(3 * nd)
+		d.fillDetails(det, na)
 	}
-	return unzigzag(uw0), int(ulen), a, det
+	return unzigzag(uw0) + d.base, int(ulen), a, det
+}
+
+// checkDetails is pass 1 over a version 2 curve's nd details: tree ids
+// strictly ascending inside [na, na<<levels), every varint well formed.
+func (d *decoder) checkDetails(nd, na uint64) {
+	b, off := d.b, d.off
+	n, id := na<<d.levels, uint64(0)
+	for ; nd > 0; nd-- {
+		u, k := binary.Uvarint(b[off:])
+		if k <= 0 {
+			d.fail()
+			return
+		}
+		_, k2 := binary.Uvarint(b[off+k:])
+		// id < n from the second detail on; at the first a curve without
+		// approximations (n = 0) fails here.
+		gap := u >> 1
+		if k2 <= 0 || gap == 0 || gap >= n-id || id+gap < na {
+			d.fail()
+			return
+		}
+		id, off = id+gap, off+k+k2
+	}
+	d.off = off
+}
+
+// fillDetails is pass 2 over the same bytes: ids back to (level, index),
+// magnitudes summed up. Ids ascend, so the level only ever steps toward 0:
+// lo is the first id of the current level.
+func (d *decoder) fillDetails(det []wavelet.DetailRef, na uint64) {
+	b, off := d.b, d.off
+	lo, level := na, int(d.levels)-1
+	var id, mag uint64
+	for i := range det {
+		u, n0 := binary.Uvarint(b[off:])
+		z, n1 := binary.Uvarint(b[off+n0:])
+		off += n0 + n1
+		for id += u >> 1; id >= 2*lo; lo *= 2 {
+			level--
+		}
+		mag += uint64(unzigzag(z))
+		val := int64(mag)
+		if u&1 != 0 {
+			val = -val
+		}
+		det[i] = wavelet.DetailRef{Level: level, Index: int(id - lo), Val: val}
+	}
+	d.off = off
 }
 
 // unzigzag maps a uvarint back to the signed value binary.AppendVarint

@@ -68,6 +68,46 @@ func writeTestStream(t *testing.T, hosts, epochs int) []byte {
 	return buf.Bytes()
 }
 
+// TestStreamReadsVersion1Captures: a .umstream written before wire version
+// 2 — the same framing around version 1 payloads — reads to the reports it
+// always read to, detail order included, next to version 2 frames in one
+// stream (a fleet halfway through its upgrade).
+func TestStreamReadsVersion1Captures(t *testing.T) {
+	var buf bytes.Buffer
+	sw, err := NewStreamWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := []*HostReport{table1Report(t, 0), fleetReport(t, 1), testReport(2, 512)}
+	for h, r := range reps {
+		if err := sw.WriteEncoded(0, h, v1Bytes(t, r)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.WriteReport(1, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, bad, err := ReadStream(bytes.NewReader(buf.Bytes()))
+	if err != nil || bad != 0 || len(got) != 2*len(reps) {
+		t.Fatalf("read %d reports, %d bad frames, err %v", len(got), bad, err)
+	}
+	for i, r := range reps {
+		want, err := oracleDecode(bytes.NewReader(v1Bytes(t, r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old := got[2*i]; old.Epoch != 0 || !reflect.DeepEqual(old.Report, want) {
+			t.Errorf("report %d: the version 1 frame reads differently from the version 1 decoder", i)
+		}
+		if cur := got[2*i+1]; cur.Epoch != 1 || !reflect.DeepEqual(cur.Report, canonical(want, byTreeID)) {
+			t.Errorf("report %d: the version 2 frame does not read to the same report in tree order", i)
+		}
+	}
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	raw := writeTestStream(t, 3, 4)
 	reports, bad, err := ReadStream(bytes.NewReader(raw))

@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"math"
+	"slices"
 )
 
 // levelNode is the carry state of the frontier-path node at one level: the
@@ -282,6 +283,14 @@ func (t *TopKSink) Kept() []DetailRef {
 	return append([]DetailRef(nil), t.heap.refs...)
 }
 
+// Sorted puts the retained coefficients in tree order in place and returns
+// them without copying. The slice aliases the sink and the heap order is
+// gone: Reset the sink before its next Offer.
+func (t *TopKSink) Sorted() []DetailRef {
+	slices.SortFunc(t.heap.refs, CompareTree)
+	return t.heap.refs
+}
+
 // Len reports how many coefficients are currently retained.
 func (t *TopKSink) Len() int { return t.heap.Len() }
 
@@ -423,6 +432,16 @@ func (t *ThresholdSink) Kept() []DetailRef {
 	out = append(out, t.queues[0]...)
 	out = append(out, t.queues[1]...)
 	return out
+}
+
+// Sorted merges the two queues into the first, puts it in tree order and
+// returns it without copying. The slice aliases the sink and the parity
+// split is gone: Reset the sink before its next Offer.
+func (t *ThresholdSink) Sorted() []DetailRef {
+	t.queues[0] = append(t.queues[0], t.queues[1]...)
+	t.queues[1] = t.queues[1][:0]
+	slices.SortFunc(t.queues[0], CompareTree)
+	return t.queues[0]
 }
 
 // Len reports the number of retained coefficients.

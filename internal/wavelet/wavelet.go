@@ -22,8 +22,10 @@
 package wavelet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Coeffs holds the output of a forward transform of a length-n signal
@@ -165,6 +167,18 @@ func (d DetailRef) WeightedAbs() float64 {
 	return math.Abs(float64(d.Val)) * Weight(d.Level)
 }
 
+// CompareTree orders detail coefficients as the Haar tree lays them out
+// breadth first from the root: deepest level first, ascending index within
+// a level. Over a sequence of n samples that is ascending tree id
+// (n >> (Level+1)) + Index, whatever n is — the order the report wire
+// format delta-codes.
+func CompareTree(a, b DetailRef) int {
+	if a.Level != b.Level {
+		return cmp.Compare(b.Level, a.Level)
+	}
+	return cmp.Compare(a.Index, b.Index)
+}
+
 // TopK returns the k detail coefficients with the largest weighted absolute
 // value across all levels (ties broken toward shallower level, then lower
 // index, for determinism). Zero-valued coefficients are never selected.
@@ -177,60 +191,18 @@ func TopK(c *Coeffs, k int) []DetailRef {
 			}
 		}
 	}
-	// Selection by partial sort: n is modest (≤ a few thousand per bucket),
-	// so a full sort is fine and keeps the code obvious.
-	sortDetailRefs(all)
+	// Selection by full sort: n is modest (≤ a few thousand per bucket).
+	// Descending by weighted |val|; ties toward the shallower level, then
+	// the lower index, so the order is total and the result deterministic.
+	slices.SortFunc(all, func(a, b DetailRef) int {
+		return cmp.Or(cmp.Compare(b.WeightedAbs(), a.WeightedAbs()), cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
+	})
 	if k > len(all) {
 		k = len(all)
 	}
 	out := make([]DetailRef, k)
 	copy(out, all[:k])
 	return out
-}
-
-func sortDetailRefs(refs []DetailRef) {
-	// Descending by weighted |val|; deterministic tiebreak.
-	less := func(a, b DetailRef) bool {
-		wa, wb := a.WeightedAbs(), b.WeightedAbs()
-		if wa != wb {
-			return wa > wb
-		}
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		return a.Index < b.Index
-	}
-	// Insertion-free: use sort.Slice via a tiny local shim to avoid importing
-	// sort twice in callers.
-	quicksortRefs(refs, less)
-}
-
-func quicksortRefs(refs []DetailRef, less func(a, b DetailRef) bool) {
-	if len(refs) < 12 {
-		for i := 1; i < len(refs); i++ {
-			for j := i; j > 0 && less(refs[j], refs[j-1]); j-- {
-				refs[j], refs[j-1] = refs[j-1], refs[j]
-			}
-		}
-		return
-	}
-	p := refs[len(refs)/2]
-	lo, hi := 0, len(refs)-1
-	for lo <= hi {
-		for less(refs[lo], p) {
-			lo++
-		}
-		for less(p, refs[hi]) {
-			hi--
-		}
-		if lo <= hi {
-			refs[lo], refs[hi] = refs[hi], refs[lo]
-			lo++
-			hi--
-		}
-	}
-	quicksortRefs(refs[:hi+1], less)
-	quicksortRefs(refs[lo:], less)
 }
 
 // TopKUnweighted selects the k details with the largest *raw* absolute
@@ -247,23 +219,15 @@ func TopKUnweighted(c *Coeffs, k int) []DetailRef {
 			}
 		}
 	}
-	less := func(a, b DetailRef) bool {
-		av, bv := a.Val, b.Val
-		if av < 0 {
-			av = -av
+	abs := func(v int64) int64 {
+		if v < 0 {
+			return -v
 		}
-		if bv < 0 {
-			bv = -bv
-		}
-		if av != bv {
-			return av > bv
-		}
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		return a.Index < b.Index
+		return v
 	}
-	quicksortRefs(all, less)
+	slices.SortFunc(all, func(a, b DetailRef) int {
+		return cmp.Or(cmp.Compare(abs(b.Val), abs(a.Val)), cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
+	})
 	if k > len(all) {
 		k = len(all)
 	}

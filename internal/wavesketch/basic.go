@@ -5,6 +5,7 @@ import (
 
 	"umon/internal/flowkey"
 	"umon/internal/measure"
+	"umon/internal/wavelet"
 )
 
 // Variant selects the compression stage implementation.
@@ -61,9 +62,9 @@ func (c *Config) validate() error {
 
 func (c *Config) newSink() coeffSink {
 	if c.Variant == Hardware {
-		return newThresholdSinkShim(c.K, c.ThresholdEven, c.ThresholdOdd)
+		return wavelet.NewThresholdSink(c.K, c.ThresholdEven, c.ThresholdOdd)
 	}
-	return newTopKSinkShim(c.K)
+	return wavelet.NewTopKSink(c.K)
 }
 
 // Basic is the basic-version WaveSketch (Figure 6): a D×W Count-Min array

@@ -14,6 +14,7 @@ import (
 type coeffSink interface {
 	wavelet.CoeffSink
 	Kept() []wavelet.DetailRef
+	Sorted() []wavelet.DetailRef
 	Len() int
 	Reset()
 }
@@ -31,9 +32,9 @@ type Bucket struct {
 	w0     int64 // absolute window id of the first packet; -1 while empty
 	i      int   // current window offset relative to w0
 	c      int64 // current window byte/packet count
+	sealed bool  // with the fields above: an empty bucket seals and resets inside one cache line
 	stream wavelet.Stream
 	sink   coeffSink
-	sealed bool
 }
 
 // Init prepares a (possibly slab-resident) bucket in place.
@@ -111,8 +112,10 @@ func (b *Bucket) Len() int {
 // Approx exposes the retained approximation coefficients (set A).
 func (b *Bucket) Approx() []int64 { return b.stream.Approx() }
 
-// Details exposes the retained detail coefficients (set D).
-func (b *Bucket) Details() []wavelet.DetailRef { return b.sink.Kept() }
+// Details exposes the retained detail coefficients (set D) of a sealed
+// bucket in tree order (wavelet.CompareTree). The slice aliases the sink's
+// storage, sorted in place, and holds until Reset.
+func (b *Bucket) Details() []wavelet.DetailRef { return b.sink.Sorted() }
 
 // Reconstruct rebuilds the bucket's window series over [from, to) absolute
 // windows. The bucket must be sealed first. Windows outside the bucket's
@@ -135,12 +138,16 @@ func (b *Bucket) Reconstruct(from, to int64) []float64 {
 	return out
 }
 
-// Reset returns the bucket to its empty state, keeping allocations.
+// Reset returns the bucket to its empty state, keeping allocations. An
+// empty bucket has touched neither its transform state nor its sink.
 func (b *Bucket) Reset() {
+	b.sealed = false
+	if b.w0 < 0 {
+		return
+	}
 	b.w0 = -1
 	b.i = 0
 	b.c = 0
-	b.sealed = false
 	b.stream.Reset()
 	b.sink.Reset()
 }

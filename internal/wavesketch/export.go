@@ -17,24 +17,23 @@ type BucketExport struct {
 	Details []wavelet.DetailRef
 }
 
-// Export enumerates the non-empty buckets of a sealed sketch for report
-// encoding. The slices alias internal state: encode before reusing the
-// sketch.
-func (s *Basic) Export() []BucketExport {
-	var out []BucketExport
+// Export appends the non-empty buckets of a sealed sketch to dst in
+// ascending (row, index) order, for report encoding. A and D alias the
+// sketch's own storage: encode before reusing the sketch.
+func (s *Basic) Export(dst []BucketExport) []BucketExport {
 	for i := range s.buckets {
 		b := &s.buckets[i]
 		if b.Empty() {
 			continue
 		}
-		out = append(out, BucketExport{
+		dst = append(dst, BucketExport{
 			Row: i / s.cfg.Width, Index: i % s.cfg.Width,
 			W0: b.W0(), Len: b.Len(),
 			Approx:  b.Approx(),
 			Details: b.Details(),
 		})
 	}
-	return out
+	return dst
 }
 
 // HeavyExport is one heavy-part entry of a full sketch.
@@ -46,22 +45,22 @@ type HeavyExport struct {
 	Details []wavelet.DetailRef
 }
 
-// ExportHeavy enumerates the elected heavy flows of a sealed full sketch.
-func (f *Full) ExportHeavy() []HeavyExport {
-	var out []HeavyExport
+// ExportHeavy appends the elected heavy flows of a sealed full sketch to
+// dst, aliasing the sketch as Export does.
+func (f *Full) ExportHeavy(dst []HeavyExport) []HeavyExport {
 	for i := range f.heavy {
 		s := &f.heavy[i]
 		if !s.valid || s.bucket.Empty() {
 			continue
 		}
-		out = append(out, HeavyExport{
+		dst = append(dst, HeavyExport{
 			Key: s.key,
 			W0:  s.bucket.W0(), Len: s.bucket.Len(),
 			Approx:  s.bucket.Approx(),
 			Details: s.bucket.Details(),
 		})
 	}
-	return out
+	return dst
 }
 
 // Light exposes the light part of a full sketch (for report encoding).

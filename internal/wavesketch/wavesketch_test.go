@@ -8,6 +8,7 @@ import (
 
 	"umon/internal/flowkey"
 	"umon/internal/measure"
+	"umon/internal/wavelet"
 )
 
 func key(i int) flowkey.Key {
@@ -18,7 +19,7 @@ func key(i int) flowkey.Key {
 }
 
 func TestBucketLosslessWhenKLarge(t *testing.T) {
-	b := NewBucket(3, newTopKSinkShim(1000))
+	b := NewBucket(3, wavelet.NewTopKSink(1000))
 	vals := []int64{7, 9, 6, 3, 2, 4, 4, 6}
 	for i, v := range vals {
 		// Two packets per window to exercise the same-window path.
@@ -41,7 +42,7 @@ func TestBucketLosslessWhenKLarge(t *testing.T) {
 }
 
 func TestBucketSealIdempotentAndFrozen(t *testing.T) {
-	b := NewBucket(2, newTopKSinkShim(16))
+	b := NewBucket(2, wavelet.NewTopKSink(16))
 	b.Update(5, 10)
 	b.Seal()
 	before := b.Reconstruct(5, 6)[0]
@@ -57,7 +58,7 @@ func TestBucketSealIdempotentAndFrozen(t *testing.T) {
 }
 
 func TestBucketEmptyAndStaleUpdate(t *testing.T) {
-	b := NewBucket(2, newTopKSinkShim(4))
+	b := NewBucket(2, wavelet.NewTopKSink(4))
 	if !b.Empty() || b.Len() != 0 || b.ReportBytes() != 0 {
 		t.Error("fresh bucket should be empty with no report bytes")
 	}
@@ -75,7 +76,7 @@ func TestBucketEmptyAndStaleUpdate(t *testing.T) {
 }
 
 func TestBucketReconstructInvalidRange(t *testing.T) {
-	b := NewBucket(2, newTopKSinkShim(4))
+	b := NewBucket(2, wavelet.NewTopKSink(4))
 	b.Update(1, 1)
 	b.Seal()
 	if got := b.Reconstruct(10, 5); len(got) != 0 {
