@@ -32,7 +32,7 @@ test-race:
 	$(GO) test -race ./internal/pcapio
 	$(GO) test -race ./internal/packet
 	$(GO) test -race ./internal/report -run 'TestStream|FuzzReportStream'
-	$(GO) test -race ./internal/core -run 'TestStream'
+	$(GO) test -race ./internal/core -run 'TestStream|TestWire'
 	$(GO) test -race -short ./internal/collect
 	$(GO) test -race ./internal/opsapi
 	$(GO) test -race ./cmd/umon-collect
@@ -48,13 +48,16 @@ vet:
 	$(GO) vet ./...
 
 # The size ratchet: non-test Go outside bench/ may shrink, not grow past
-# LOC_CEILING. Lower the ceiling when a PR deletes code; raising it needs a
-# reason in the PR.
-LOC_CEILING = 19030
+# LOC_CEILING, and the ceiling may sit no more than LOC_SLACK lines above
+# the count, so a PR that deletes code lowers it and leaves the next one no
+# room to grow into. Raising it needs a reason in the PR.
+LOC_CEILING = 18788
+LOC_SLACK = 25
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'); \
 	echo "$$n non-test Go lines outside bench/ (ceiling $(LOC_CEILING))"; \
-	test $$n -le $(LOC_CEILING)
+	test $$n -le $(LOC_CEILING) || { echo "over the ceiling"; exit 1; }; \
+	test $$(($(LOC_CEILING) - n)) -le $(LOC_SLACK) || { echo "ceiling more than $(LOC_SLACK) above the count: lower LOC_CEILING"; exit 1; }
 
 # Full evaluation suite (paper-scale 20 ms traces). UMON_WORKERS bounds the
 # worker pool; UMON_BENCH_MS scales the traces.
@@ -120,7 +123,7 @@ bench-sim:
 # batched pcap read/write, in-place mirror encode and decode, the batch
 # read→decode→cluster ingest, the switch monitor's match→encode→emit, and
 # the collector's online path (AddMirrorPacket with the automatic Poll, and
-# with -follow's Poll after every mirror). Writes BENCH_mirror.json (via
+# with the Poll after every mirror that -follow pays on a trickling feed). Writes BENCH_mirror.json (via
 # benchjson), the committed perf-gate baseline for the mirror path.
 MIRROR_BENCH = MbufPool|PcapRead|PcapWrite|DecodeMirrorInto|AppendMirror|MirrorReadDecode|MirrorIngestE2E|CollectorMirrorIngest|CollectorFollowPoll|SwitchMonitorOnCEPacket
 MIRROR_PKGS = ./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer ./internal/collect ./internal/core

@@ -25,6 +25,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,8 +39,6 @@ import (
 	"umon/internal/collect"
 	"umon/internal/mbuf"
 	"umon/internal/opsapi"
-	"umon/internal/pcapio"
-	"umon/internal/report"
 	"umon/internal/telemetry"
 )
 
@@ -115,8 +114,8 @@ type options struct {
 // tailReader turns a growing file into a blocking stream: EOF means "no
 // more bytes yet", so it polls until new data lands or the context ends —
 // only then does it surface io.EOF to the consumer. Partial frames mid-
-// write are invisible: the framed readers just block inside ReadFull until
-// the writer finishes the frame.
+// write are invisible: the framed readers block until the writer finishes
+// the frame, and hand over what was whole before it.
 type tailReader struct {
 	ctx  context.Context
 	f    *os.File
@@ -180,12 +179,9 @@ type runSummary struct {
 
 func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 	stats := collect.NewStats(reg)
-	// The collector's mutators are single-writer: the two ingest loops
-	// (reports, mirrors) serialize on this mutex. Reads — the ops API
-	// handlers and the end-of-run summary — go through the collector's
-	// lock-free snapshot plane and never take it. Events print from
-	// whichever loop closes them.
-	var mu sync.Mutex
+	// Reads — the ops API handlers and the end-of-run summary — go through
+	// the collector's lock-free snapshot plane. Events print from whichever
+	// feed loop closes them.
 	hub := opsapi.NewHub()
 
 	var evLog *os.File
@@ -235,115 +231,48 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 		}
 	}
 
-	open := func(path string) (io.Reader, *os.File, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if opt.follow {
-			return &tailReader{ctx: ctx, f: f, poll: opt.pollInterval}, f, nil
-		}
-		return f, f, nil
-	}
-
+	// The two feeds run side by side through the collector's own loops,
+	// which serialize with each other inside it. A feed that ends in a torn
+	// frame or record once the context is done was cut off mid-write while
+	// tailing: that is the shutdown, not an error.
 	var wg sync.WaitGroup
 	errCh := make(chan error, 2)
 	var reportsIn, mirrorsIn, badReports, badMirrors int
-
-	if opt.reports != "" {
-		rd, f, err := open(opt.reports)
+	feed := func(path string, ingest func(io.Reader) error) error {
+		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		var rd io.Reader = f
+		if opt.follow {
+			rd = &tailReader{ctx: ctx, f: f, poll: opt.pollInterval}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sr, err := report.NewStreamReader(rd)
-			if err != nil {
-				errCh <- fmt.Errorf("reading %s: %w", opt.reports, err)
-				return
+			defer f.Close()
+			if err := ingest(rd); err != nil && !(errors.Is(err, io.ErrUnexpectedEOF) && ctx.Err() != nil) {
+				errCh <- fmt.Errorf("reading %s: %w", path, err)
 			}
-			var fr report.Frame
-			for {
-				err := sr.Next(&fr)
-				if err == io.EOF {
-					break
-				}
-				if err == io.ErrUnexpectedEOF && ctx.Err() != nil {
-					break // shut down mid-frame while tailing
-				}
-				if err != nil {
-					errCh <- fmt.Errorf("reading %s: %w", opt.reports, err)
-					return
-				}
-				if fr.Type == report.FrameStamp {
-					// Seal/ship lifecycle stamp trailing its report frame.
-					if st, serr := fr.Stamp(); serr == nil {
-						mu.Lock()
-						c.Stamp(fr.Host, fr.Epoch, st)
-						mu.Unlock()
-					}
-					continue
-				}
-				if fr.Type != report.FrameReport {
-					continue
-				}
-				mu.Lock()
-				err = c.AddEncoded(fr.Epoch, fr.Payload)
-				mu.Unlock()
-				if err != nil {
-					badReports++
-					continue
-				}
-				reportsIn++
-			}
-			badReports += sr.CRCErrors()
 		}()
+		return nil
 	}
-
-	if opt.mirrors != "" {
-		rd, f, err := open(opt.mirrors)
-		if err != nil {
+	if opt.reports != "" {
+		if err := feed(opt.reports, func(rd io.Reader) (err error) {
+			reportsIn, badReports, err = c.IngestStream(rd)
+			return err
+		}); err != nil {
 			return err
 		}
-		defer f.Close()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pool := mbuf.New(mbuf.Config{Stats: mbuf.NewPoolStats(reg)})
-			pr, err := pcapio.NewReaderOpts(rd, pcapio.ReaderOpts{Pool: pool})
-			if err != nil {
-				errCh <- fmt.Errorf("reading %s: %w", opt.mirrors, err)
-				return
-			}
-			defer pr.Close()
-			// A complete file goes through full batches (in-place views of
-			// pooled buffers, no per-packet copy). Tailing reads batches of
-			// one: a larger batch would hold parsed mirrors back until it
-			// fills, and each must land as soon as its bytes hit the file.
-			max := pcapio.DefaultBatchSize
-			if opt.follow {
-				max = 1
-			}
-			var batch pcapio.Batch
-			defer batch.Release()
-			for {
-				n, rerr := pr.ReadBatch(&batch, max)
-				mu.Lock()
-				in, bad := c.AddMirrorPackets(batch.Pkts[:n])
-				c.Poll()
-				mu.Unlock()
-				mirrorsIn, badMirrors = mirrorsIn+in, badMirrors+bad
-				if rerr == io.EOF || rerr != nil && opt.follow && ctx.Err() != nil {
-					return // the end, or a torn record at shutdown while tailing
-				}
-				if rerr != nil {
-					errCh <- fmt.Errorf("reading %s: %w", opt.mirrors, rerr)
-					return
-				}
-			}
-		}()
+	}
+	if opt.mirrors != "" {
+		pool := mbuf.New(mbuf.Config{Stats: mbuf.NewPoolStats(reg)})
+		if err := feed(opt.mirrors, func(rd io.Reader) (err error) {
+			mirrorsIn, badMirrors, err = c.IngestMirrorPcap(rd, pool)
+			return err
+		}); err != nil {
+			return err
+		}
 	}
 
 	wg.Wait()
@@ -357,10 +286,8 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 	// Drain publishes the final events through OnEvent (so followers see
 	// them), then the hub closes and streaming clients get their end frame
 	// before the server shuts down gracefully.
-	mu.Lock()
 	events := c.Drain() // the newest collect.EventLogCap of them
 	detected := c.Status().EventsEmitted
-	mu.Unlock()
 	epochs, resident := c.Window()
 	hub.Close()
 

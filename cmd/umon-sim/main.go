@@ -1,7 +1,8 @@
 // umon-sim runs a µMon-instrumented data-center simulation and exports
 // its artifacts: the mirrored event packets as a pcap capture
-// (mirrors.pcap), the host WaveSketch reports as one epoch-rotated framed
-// stream (reports.umstream), and a summary of the run.
+// (mirrors.pcap, written after the run in (time, switch, port) order — the
+// same bytes at every -shards count), the host WaveSketch reports as one
+// epoch-rotated framed stream (reports.umstream), and a summary of the run.
 //
 // Usage:
 //
@@ -123,14 +124,6 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 		return err
 	}
 
-	// Deploy µMon: reports to the stream file, mirrors to pcap.
-	mirrorFile, err := os.Create(filepath.Join(outDir, "mirrors.pcap"))
-	if err != nil {
-		return err
-	}
-	defer mirrorFile.Close()
-	mirrorW := pcapio.NewWriter(mirrorFile, 0)
-
 	sysCfg := core.DefaultSystem()
 	sysCfg.Host.PeriodNs = ms * 1_000_000
 	if epochMs > 0 {
@@ -150,67 +143,18 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	if err != nil {
 		return err
 	}
-
-	// With shards > 1 the netsim callbacks fire concurrently (serialized
-	// per host/switch, not globally), so the error slot takes a mutex.
-	var errMu sync.Mutex
-	var pipelineErr error
-	setErr := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if pipelineErr == nil {
-			pipelineErr = err
-		}
-		errMu.Unlock()
-	}
-	hosts := make([]*core.StreamHostMonitor, topo.Hosts)
-	for h := range hosts {
-		hosts[h], err = core.NewStreamHostMonitor(h, core.StreamMonitorConfig{HostMonitorConfig: sysCfg.Host}, streamSink)
-		if err != nil {
-			return err
-		}
-	}
-	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
-		setErr(hosts[host].OnPacket(pkt.Flow, now, int(pkt.Size)))
-		hostSamples.At(host).Inc()
-	}
-	// One scratch buffer serves every mirror encode: WritePacket copies the
-	// record into the writer's pooled block before returning, so the bytes
-	// need not outlive the call. With shards > 1 the CE callback fires
-	// concurrently across switches, so records are buffered under a mutex
-	// and written after the run in canonical (time, switch, port) order —
-	// one port CE-marks at most one packet per nanosecond, so the key is
-	// total and the pcap is identical at every shard count.
-	mirrorScratch := make([]byte, 0, packet.MirrorEncodedLen)
-	writeMirror := func(rec uevent.MirrorRecord) {
-		mirrorScratch = uevent.AppendMirrorPacket(mirrorScratch[:0], rec)
-		setErr(mirrorW.WritePacket(pcapio.Packet{
-			TimestampNs: rec.TimestampNs, Data: mirrorScratch, OrigLen: len(mirrorScratch),
-		}))
-	}
+	// The switches' mirrors are held back, wire-encoded and back to back,
+	// and written once the run is over (see writeMirrors).
 	var mirrorMu sync.Mutex
-	var mirrorBuf []uevent.MirrorRecord
-	n.OnSwitchCE = func(sw, port int16, pkt *netsim.Packet, now int64) {
-		if !sysCfg.Switch.Rule.Matches(true, pkt.PSN) {
-			return
-		}
-		rec := uevent.MirrorRecord{
-			Port:        netsim.PortID{Switch: sw, Port: port},
-			TimestampNs: now,
-			PSN:         pkt.PSN,
-			OrigBytes:   pkt.Size,
-			WireBytes:   pkt.Size,
-			Flow:        pkt.Flow,
-		}
-		if shards > 1 {
-			mirrorMu.Lock()
-			mirrorBuf = append(mirrorBuf, rec)
-			mirrorMu.Unlock()
-			return
-		}
-		writeMirror(rec)
+	var mirrors []byte
+	sys, err := core.Wire(n, topo, sysCfg, streamSink, func(encoded []byte) error {
+		mirrorMu.Lock()
+		mirrors = append(mirrors, encoded...)
+		mirrorMu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	var trafficW *pcapio.Writer
@@ -221,15 +165,21 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 		}
 		defer f.Close()
 		trafficW = pcapio.NewWriter(f, 128)
-		prev := n.OnHostEgress
-		n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
-			prev(host, pkt, now)
-			frame := packet.EncodeData(&packet.Data{
-				Flow: pkt.Flow, PSN: pkt.PSN, CE: pkt.CE, WireLen: int(pkt.Size),
-			}, 0)
-			setErr(trafficW.WritePacket(pcapio.Packet{
-				TimestampNs: now, Data: frame, OrigLen: int(pkt.Size),
-			}))
+	}
+	wired := n.OnHostEgress
+	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
+		wired(host, pkt, now)
+		hostSamples.At(host).Inc()
+		if trafficW == nil {
+			return
+		}
+		frame := packet.EncodeData(&packet.Data{
+			Flow: pkt.Flow, PSN: pkt.PSN, CE: pkt.CE, WireLen: int(pkt.Size),
+		}, 0)
+		if err := trafficW.WritePacket(pcapio.Packet{
+			TimestampNs: now, Data: frame, OrigLen: int(pkt.Size),
+		}); err != nil {
+			sys.Fail(err)
 		}
 	}
 
@@ -242,30 +192,13 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	span := tracer.Start("sim_run")
 	tr := n.Run(horizon)
 	span.End()
-	// Drain the sharded mirror buffer in canonical order.
-	if len(mirrorBuf) > 0 {
-		sort.Slice(mirrorBuf, func(i, j int) bool {
-			a, b := mirrorBuf[i], mirrorBuf[j]
-			if a.TimestampNs != b.TimestampNs {
-				return a.TimestampNs < b.TimestampNs
-			}
-			if a.Port.Switch != b.Port.Switch {
-				return a.Port.Switch < b.Port.Switch
-			}
-			return a.Port.Port < b.Port.Port
-		})
-		for _, rec := range mirrorBuf {
-			writeMirror(rec)
-		}
-	}
 	span = tracer.Start("host_flush")
-	for _, hm := range hosts {
-		if err := hm.Close(); err != nil {
-			return err
-		}
-	}
+	err = sys.Finish()
 	span.End()
-	if err := mirrorW.Flush(); err != nil {
+	if err != nil {
+		return err
+	}
+	if err := writeMirrors(filepath.Join(outDir, "mirrors.pcap"), mirrors); err != nil {
 		return err
 	}
 	if trafficW != nil {
@@ -279,20 +212,53 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	if err := sf.Close(); err != nil {
 		return err
 	}
-	if pipelineErr != nil {
-		return pipelineErr
-	}
 
-	var reportBytes int64
-	for _, hm := range hosts {
-		b, _ := hm.Stats()
-		reportBytes += b
-	}
 	fmt.Printf("workload      %s %.0f%% load, %d flows, %d packets\n", dist.Name, load*100, len(flows), tr.TotalPackets())
 	fmt.Printf("events        %d ground-truth episodes, %d CE observations\n", len(tr.Episodes), len(tr.CELog))
 	fmt.Printf("reports       %d framed epochs in reports.umstream, %d bytes (%.2f Mbps/host avg)\n",
-		streamSink.Frames(), reportBytes,
-		float64(reportBytes)*8/float64(horizon)*1e9/1e6/float64(topo.Hosts))
+		streamSink.Frames(), sys.ReportBytes(), sys.HostBandwidthBps(horizon)/1e6)
 	fmt.Printf("output        %s\n", outDir)
 	return nil
+}
+
+// writeMirrors writes the wire-encoded mirror packets of a run as a pcap
+// capture in (time, switch, port) order. One port CE-marks at most one
+// packet per nanosecond, so the key is total and the file is the same
+// whatever order the switches emitted in — at every shard count.
+func writeMirrors(path string, wire []byte) error {
+	const pktLen = packet.MirrorEncodedLen
+	recs := make([]uevent.MirrorRecord, len(wire)/pktLen)
+	order := make([]int, len(recs))
+	for i := range recs {
+		var err error
+		if recs[i], err = uevent.DecodeMirrorPacket(wire[i*pktLen:][:pktLen]); err != nil {
+			return err
+		}
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := &recs[order[i]], &recs[order[j]]
+		if a.TimestampNs != b.TimestampNs {
+			return a.TimestampNs < b.TimestampNs
+		}
+		if a.Port.Switch != b.Port.Switch {
+			return a.Port.Switch < b.Port.Switch
+		}
+		return a.Port.Port < b.Port.Port
+	})
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w := pcapio.NewWriter(f, 0)
+	for _, i := range order {
+		if err := w.WritePacket(pcapio.Packet{TimestampNs: recs[i].TimestampNs, Data: wire[i*pktLen:][:pktLen], OrigLen: pktLen}); err != nil {
+			return err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return f.Close()
 }

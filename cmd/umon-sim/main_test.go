@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
-
-	"fmt"
 
 	"umon/internal/pcapio"
 	"umon/internal/report"
@@ -133,74 +136,88 @@ func readReports(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// The artifacts of `hadoop, -ms 1, -seed 7, -sample-bits 4`, taken from the
+// files the commit before core.Wire wrote at -shards 3: SHA-256 of
+// mirrors.pcap, and of every report frame's payload in (host, epoch) order,
+// each behind its host, epoch and length as three little-endian u64s.
+const (
+	pinnedMirrorsSHA = "edfec7b73e700cd5ea4c129a67a8930495580fd0f39b4733b5df349900227afd"
+	pinnedReportsSHA = "099519ffccf7a57461599e4363d5fd8c049a47f734a0b9bb376b91eeb32f2035"
+)
+
+// artifactDigests hashes dir's mirrors.pcap and report payloads as the
+// pinned digests above were taken. Frame order and the FrameStamp wall
+// times, which legitimately differ between two runs, stay out of it.
+func artifactDigests(t *testing.T, dir string) (mirrors, reports string) {
+	t.Helper()
+	pcap, err := os.ReadFile(filepath.Join(dir, "mirrors.pcap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "reports.umstream"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := report.NewStreamReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type frame struct {
+		host, epoch uint64
+		payload     []byte
+	}
+	var frames []frame
+	var fr report.Frame
+	for {
+		if err := sr.Next(&fr); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Type == report.FrameReport {
+			frames = append(frames, frame{uint64(fr.Host), fr.Epoch, append([]byte(nil), fr.Payload...)})
+		}
+	}
+	sort.Slice(frames, func(i, j int) bool {
+		if frames[i].host != frames[j].host {
+			return frames[i].host < frames[j].host
+		}
+		return frames[i].epoch < frames[j].epoch
+	})
+	h := sha256.New()
+	for _, f := range frames {
+		var hdr [24]byte
+		binary.LittleEndian.PutUint64(hdr[0:], f.host)
+		binary.LittleEndian.PutUint64(hdr[8:], f.epoch)
+		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(f.payload)))
+		h.Write(hdr[:])
+		h.Write(f.payload)
+	}
+	sum := sha256.Sum256(pcap)
+	return hex.EncodeToString(sum[:]), hex.EncodeToString(h.Sum(nil))
+}
+
 // TestRunShardedMatchesSerialArtifacts runs the same short simulation with
-// the serial engine and with 3 shards: the report payloads must be
-// byte-identical per (host, epoch) (each host's egress stream is identical
-// at any shard count; the shared sink interleaves hosts as they seal), the
-// mirror record multiset must match, and -trace-pcap must be refused under
-// sharding.
+// the serial engine and with 3 shards: both must write the pinned bytes —
+// mirrors.pcap whole (the mirrors are written after the run in (time,
+// switch, port) order, whatever order the switches emitted in) and every
+// (host, epoch) report payload (each host's egress stream is identical at
+// any shard count; the shared sink interleaves hosts as they seal) — and
+// -trace-pcap must be refused under sharding.
 func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
-	serialDir, shardDir := t.TempDir(), t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, serialDir, 1, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("hadoop", 0.15, 2, 7, 4, 3, shardDir, 1, false, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	want, got := readReports(t, serialDir), readReports(t, shardDir)
-	// 16 fat-tree hosts × (-ms 2 split into 1 ms epochs + final partial).
-	if len(want) < 32 {
-		t.Fatalf("serial run framed %d epoch reports, want >= 32", len(want))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("report count differs: serial %d, sharded %d", len(want), len(got))
-	}
-	for k, w := range want {
-		if g, ok := got[k]; !ok {
-			t.Errorf("sharded run missing report (host/epoch) %s", k)
-		} else if !bytes.Equal(w, g) {
-			t.Errorf("report (host/epoch) %s differs between serial and sharded run", k)
-		}
-	}
-
-	// Mirrors: identical record multiset (the sharded writer orders by
-	// (time, switch, port); the serial one streams in dispatch order, which
-	// may interleave switches differently inside one nanosecond).
-	readSorted := func(dir string) []string {
-		f, err := os.Open(filepath.Join(dir, "mirrors.pcap"))
-		if err != nil {
+	for _, shards := range []int{1, 3} {
+		dir := t.TempDir()
+		if err := run("hadoop", 0.15, 1, 7, 4, shards, dir, 0, false, nil); err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		rd, err := pcapio.NewReader(f)
-		if err != nil {
-			t.Fatal(err)
+		mirrors, reports := artifactDigests(t, dir)
+		if mirrors != pinnedMirrorsSHA {
+			t.Errorf("-shards %d: mirrors.pcap hashes to %s, pinned %s", shards, mirrors, pinnedMirrorsSHA)
 		}
-		pkts, err := rd.ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, len(pkts))
-		for i, p := range pkts {
-			out[i] = string(p.Data)
-		}
-		sort.Strings(out)
-		return out
-	}
-	serialRecs, shardRecs := readSorted(serialDir), readSorted(shardDir)
-	if len(serialRecs) == 0 {
-		t.Fatal("serial run mirrored no packets")
-	}
-	if len(serialRecs) != len(shardRecs) {
-		t.Fatalf("mirror count differs: serial %d, sharded %d", len(serialRecs), len(shardRecs))
-	}
-	for i := range serialRecs {
-		if serialRecs[i] != shardRecs[i] {
-			t.Fatalf("mirror record %d differs between serial and sharded run", i)
+		if reports != pinnedReportsSHA {
+			t.Errorf("-shards %d: report payloads hash to %s, pinned %s", shards, reports, pinnedReportsSHA)
 		}
 	}
-
 	if err := run("hadoop", 0.15, 1, 7, 4, 2, t.TempDir(), 0, true, nil); err == nil {
 		t.Error("-trace-pcap with shards > 1 must be refused")
 	}

@@ -10,14 +10,19 @@
 // analyzer ingests everything then answers queries; the collector admits
 // and evicts under a memory budget and keeps answering while ingest runs.
 //
-// Concurrency model: mutators (Add*, Stamp, Poll, Drain, the Ingest*
-// loops) are single-writer — one owner goroutine, or external
-// serialization across several. Every read — QueryFlow, Replay, Events,
-// Window, Status, Traces, Snapshot — is lock-free and safe to call from
-// any number of goroutines concurrently with ingest: mutators publish an
-// immutable window Snapshot through an atomic pointer and readers load
-// it, so a slow query can never stall admission and query throughput
-// scales across cores (see snapshot.go).
+// Concurrency model: the mutators Add*, Stamp, Poll and Drain are
+// single-writer and take no lock — one owner goroutine calls them, as the
+// packet→answer benchmark does. The two feed loops, IngestStream and
+// IngestMirrorPcap, may run concurrently with each other (one of each is the
+// daemon's shape): each takes the collector's ingest mutex around the
+// mutators it calls, per frame and per batch, and never across a read of its
+// input. A caller that mixes a feed loop with direct mutator calls owns that
+// serialization. Every read — QueryFlow, Replay, Events, Window, Status,
+// Traces, Snapshot — is lock-free and safe to call from any number of
+// goroutines concurrently with ingest: mutators publish an immutable window
+// Snapshot through an atomic pointer and readers load it, so a slow query
+// can never stall admission and query throughput scales across cores (see
+// snapshot.go).
 package collect
 
 import (
@@ -61,17 +66,14 @@ type Config struct {
 	OnEvent func(analyzer.Event)
 	// Stats is optional collector telemetry.
 	Stats *Stats
-	// TraceCap bounds the epoch-lifecycle trace ring (records kept for
-	// /api/trace/epochs). 0 means the default (4096); negative disables
-	// tracing entirely.
-	TraceCap int
 	// Now is the wall clock used for admit/detect lifecycle stamps (unix
 	// ns); nil means time.Now. Tests inject a fake clock here.
 	Now func() int64
 }
 
-// defaultTraceCap bounds the lifecycle ring when the caller does not.
-const defaultTraceCap = 4096
+// traceCap bounds the epoch-lifecycle trace ring (records kept for
+// /api/trace/epochs).
+const traceCap = 4096
 
 // EventLogCap bounds the emission log: Events covers the newest
 // EventLogCap events. opsapi.Hub keeps the same number.
@@ -83,6 +85,10 @@ type Collector struct {
 	an    *analyzer.Analyzer
 	stats Stats
 
+	// ingestMu serializes the mutator calls of the feed loops (IngestStream,
+	// IngestMirrorPcap) with each other.
+	ingestMu sync.Mutex
+
 	// snap is the published window: readers Load it, mutators build a
 	// successor and Store it. version is the mutator-owned publication
 	// counter behind Snapshot.Version.
@@ -93,7 +99,6 @@ type Collector struct {
 	// to publish with it; below trimNs a mirror is late (its event emitted).
 	wm, folded int64
 	watermark  atomic.Int64
-	draining   bool
 	trimNs     int64
 	sincePoll  int
 	closed     []analyzer.Event // Poll's scratch: the events one pass pops
@@ -105,9 +110,9 @@ type Collector struct {
 	emitted  int
 	eventCap int // EventLogCap; a field so that a test can shrink it
 
-	// traces is the bounded epoch-lifecycle ring (nil when disabled),
-	// guarded by traceMu now that Traces/Status read concurrently with
-	// ingest; now is the wall clock stamping admit/detect.
+	// traces is the bounded epoch-lifecycle ring, guarded by traceMu since
+	// Traces/Status read concurrently with ingest; now is the wall clock
+	// stamping admit/detect.
 	traceMu sync.Mutex
 	traces  *traceRing
 	now     func() int64
@@ -135,16 +140,11 @@ func New(cfg Config) *Collector {
 		now:      cfg.Now,
 		eventCap: EventLogCap,
 		wm:       math.MinInt64,
+		traces:   newTraceRing(traceCap),
 	}
 	c.watermark.Store(c.wm)
 	if c.now == nil {
 		c.now = func() int64 { return time.Now().UnixNano() }
-	}
-	switch {
-	case cfg.TraceCap == 0:
-		c.traces = newTraceRing(defaultTraceCap)
-	case cfg.TraceCap > 0:
-		c.traces = newTraceRing(cfg.TraceCap)
 	}
 	if cfg.Stats != nil {
 		c.stats = *cfg.Stats
@@ -269,8 +269,9 @@ func (c *Collector) evictOldest(ns *Snapshot) {
 
 // IngestStream drains one epoch-rotated report stream into the window,
 // returning the number of reports admitted and of undecodable frames
-// skipped. It reads to EOF — for a growing file, wrap the reader in a
-// tailer and call again.
+// skipped. It reads to EOF — for a growing file, hand it a reader that
+// blocks at the end until more arrives — and takes the ingest mutex per
+// frame, so it may run beside IngestMirrorPcap.
 func (c *Collector) IngestStream(r io.Reader) (reports, bad int, err error) {
 	sr, err := report.NewStreamReader(r)
 	if err != nil {
@@ -285,20 +286,20 @@ func (c *Collector) IngestStream(r io.Reader) (reports, bad int, err error) {
 		if err != nil {
 			return reports, bad + sr.CRCErrors(), err
 		}
-		if fr.Type == report.FrameStamp {
+		c.ingestMu.Lock()
+		switch fr.Type {
+		case report.FrameStamp:
 			if st, err := fr.Stamp(); err == nil {
 				c.Stamp(fr.Host, fr.Epoch, st)
 			}
-			continue
+		case report.FrameReport:
+			if err := c.AddEncoded(fr.Epoch, fr.Payload); err != nil {
+				bad++
+			} else {
+				reports++
+			}
 		}
-		if fr.Type != report.FrameReport {
-			continue
-		}
-		if err := c.AddEncoded(fr.Epoch, fr.Payload); err != nil {
-			bad++
-			continue
-		}
-		reports++
+		c.ingestMu.Unlock()
 	}
 }
 
@@ -367,8 +368,11 @@ func (c *Collector) note() {
 
 // IngestMirrorPcap streams a pcap of mirrored packets through pooled batch
 // reads (the zero-copy path: decodes are in-place views of pooled
-// buffers), folding every packet. Returns packets folded and packets that
-// failed to parse.
+// buffers), folding every packet and ending each batch with a detection
+// pass if mirrors folded since the last one — a batch is whatever the reader
+// had whole, so over a tailed file events close as their bytes land. It
+// takes the ingest mutex per batch, so it may run beside IngestStream.
+// Returns packets folded and packets that failed to parse.
 func (c *Collector) IngestMirrorPcap(r io.Reader, pool *mbuf.Pool) (ingested, bad int, err error) {
 	rd, err := pcapio.NewReaderOpts(r, pcapio.ReaderOpts{Pool: pool})
 	if err != nil {
@@ -378,8 +382,13 @@ func (c *Collector) IngestMirrorPcap(r io.Reader, pool *mbuf.Pool) (ingested, ba
 	var batch pcapio.Batch
 	defer batch.Release()
 	for {
-		n, rerr := rd.ReadBatch(&batch, pcapio.DefaultBatchSize)
+		n, rerr := rd.ReadBatch(&batch, 0)
+		c.ingestMu.Lock()
 		in, b := c.AddMirrorPackets(batch.Pkts[:n])
+		if c.sincePoll > 0 {
+			c.Poll()
+		}
+		c.ingestMu.Unlock()
 		ingested, bad = ingested+in, bad+b
 		if rerr == io.EOF {
 			return ingested, bad, nil
@@ -397,22 +406,25 @@ func (c *Collector) IngestMirrorPcap(r io.Reader, pool *mbuf.Pool) (ingested, ba
 // plus the events emitted. Ingest calls this automatically every few
 // hundred mirrors; call it explicitly after a quiet ingest burst.
 func (c *Collector) Poll() int {
-	c.sincePoll = 0
-	c.note()
-	wm := c.wm
-	if wm == math.MinInt64 {
+	if c.wm == math.MinInt64 {
 		return 0
 	}
-	closedBelow := wm - c.cfg.GapNs
+	return c.emitClosed(c.wm-c.cfg.GapNs, true)
+}
+
+// emitClosed pops and emits every event that ended at or before closedBelow.
+// online says the cut came off the mirror watermark, so an event's distance
+// from the watermark is a detection lag worth observing.
+func (c *Collector) emitClosed(closedBelow int64, online bool) int {
+	c.sincePoll = 0
+	c.note()
 	detectNs := c.now()
 	c.closed = c.an.PopClosed(c.closed[:0], closedBelow)
 	for _, ev := range c.closed {
 		c.logEvent(ev)
 		c.stats.EventsEmitted.Inc()
-		if !c.draining {
-			// Lag is only meaningful for genuinely online emissions; the
-			// Drain sentinel watermark would record nonsense.
-			c.stats.DetectLagNs.Observe(wm - ev.EndNs)
+		if online {
+			c.stats.DetectLagNs.Observe(c.wm - ev.EndNs)
 		}
 		c.noteDetect(ev.StartNs, ev.EndNs, detectNs)
 		if c.cfg.OnEvent != nil {
@@ -454,11 +466,9 @@ func (c *Collector) logEvent(ev analyzer.Event) {
 // them) and returns the retained emitted events, sorted like the batch
 // analyzer's DetectEvents. After ingesting the same ordered feeds, Drain's
 // result is identical to the batch pipeline's (up to EventLogCap events).
+// The mirror watermark stays where the last mirror left it.
 func (c *Collector) Drain() []analyzer.Event {
-	c.wm = math.MaxInt64 - c.cfg.GapNs
-	c.watermark.Store(c.wm)
-	c.draining = true
-	c.Poll()
+	c.emitClosed(math.MaxInt64-1, false) // the trim horizon is the cut plus one
 	return c.Events()
 }
 
@@ -546,9 +556,7 @@ func (c *Collector) Status() Status {
 		st.WatermarkNs = wm
 	}
 	c.traceMu.Lock()
-	if c.traces != nil {
-		st.TracedEpochs = len(c.traces.buf)
-	}
+	st.TracedEpochs = len(c.traces.buf)
 	c.traceMu.Unlock()
 	byHost := make(map[int][]uint64)
 	for i, e := range s.epochs {

@@ -16,10 +16,10 @@ import (
 
 // TestStreamingPipelineMatchesBatch is the end-to-end streaming smoke
 // test: one simulated workload feeds both deployment planes at once —
-// the batch plane (synchronous host monitors handing every report to an
-// analyzer) and the streaming plane (async host monitors sealing epochs
-// through a framed StreamSink, mirrors ingested online by a windowed
-// Collector). The collector's
+// the batch plane (host monitors handing every report to an analyzer) and
+// the streaming plane (host monitors sealing epochs through a framed
+// StreamSink, mirrors ingested online by a windowed Collector). The
+// collector's
 // drained event list must equal the batch analyzer's DetectEvents, and
 // replayed flow curves must agree.
 func TestStreamingPipelineMatchesBatch(t *testing.T) {
@@ -58,8 +58,8 @@ func TestStreamingPipelineMatchesBatch(t *testing.T) {
 		batchHosts = append(batchHosts, hm)
 	}
 
-	// Streaming plane: async sealers ship framed epochs into one shared
-	// stream; the collector eats mirrors online as the switches emit them.
+	// Streaming plane: the hosts ship framed epochs into one shared stream;
+	// the collector eats mirrors online as the switches emit them.
 	reg := telemetry.NewRegistry()
 	var streamFile bytes.Buffer
 	sink, err := core.NewStreamSink(&streamFile)
@@ -70,7 +70,6 @@ func TestStreamingPipelineMatchesBatch(t *testing.T) {
 	for h := 0; h < topo.Hosts; h++ {
 		sm, err := core.NewStreamHostMonitor(h, core.StreamMonitorConfig{
 			HostMonitorConfig: hostCfg,
-			Async:             true,
 			Stats:             core.NewHostStreamStats(reg),
 		}, sink)
 		if err != nil {

@@ -75,8 +75,9 @@ func benchCollectorMirrors(b *testing.B, every func(*Collector)) {
 // Poll every pollEvery mirrors.
 func BenchmarkCollectorMirrorIngest(b *testing.B) { benchCollectorMirrors(b, nil) }
 
-// BenchmarkCollectorFollowPoll is the path of umon-collect -follow: an
-// explicit Poll after every mirror, sixteen events open at each.
+// BenchmarkCollectorFollowPoll is umon-collect -follow on a trickling feed,
+// where each tailed batch is one mirror: a Poll after every mirror, sixteen
+// events open at each.
 func BenchmarkCollectorFollowPoll(b *testing.B) {
 	benchCollectorMirrors(b, func(c *Collector) { c.Poll() })
 }

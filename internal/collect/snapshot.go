@@ -1,7 +1,7 @@
 package collect
 
 // The collector's lock-free read plane. Mutators (Add/AddMirror/Poll —
-// externally serialized, exactly as before) build an immutable successor
+// one writer at a time, see the package comment) build an immutable successor
 // Snapshot by copying the small epoch spine and publish it through an
 // atomic pointer; readers Load the pointer and answer queries without ever
 // blocking ingest, so a slow HTTP client cannot stall sealing or admission
@@ -100,9 +100,6 @@ type Snapshot struct {
 // Version is the publication sequence number: it advances on every
 // admit/evict/event emission, so pollers can detect window movement.
 func (s *Snapshot) Version() int64 { return s.version }
-
-// PublishNs is the wall-clock stamp of this snapshot's publication.
-func (s *Snapshot) PublishNs() int64 { return s.publishNs }
 
 // Window describes the snapshot's window: admitted epochs (ascending) and
 // total resident Queryables.

@@ -11,7 +11,7 @@ package collect
 // backed up, a fat admit→detect says the watermark (mirror feed) is
 // lagging the report feed.
 //
-// Records live in a bounded ring (TraceCap, default 4096): a long-lived
+// Records live in a bounded ring (traceCap records): a long-lived
 // daemon keeps the recent lifecycle history queryable over /api/trace/...
 // at O(1) memory, the same discipline as the epoch window itself.
 
@@ -130,9 +130,6 @@ func (r *traceRing) snapshot() []EpochTrace {
 // pending seal/ship stamp, and observes the report-pipeline stage
 // latencies that are complete at this point.
 func (c *Collector) noteAdmit(host int, epoch uint64, st report.EpochStamp, admitNs int64) {
-	if c.traces == nil {
-		return
-	}
 	c.traceMu.Lock()
 	defer c.traceMu.Unlock()
 	tr := c.traces.add(EpochTrace{
@@ -145,9 +142,6 @@ func (c *Collector) noteAdmit(host int, epoch uint64, st report.EpochStamp, admi
 // noteStamp backfills seal/ship stamps that arrive after their report
 // frame (the StreamSink writes report first, stamp second).
 func (c *Collector) noteStamp(host int, epoch uint64, st report.EpochStamp) {
-	if c.traces == nil {
-		return
-	}
 	c.traceMu.Lock()
 	defer c.traceMu.Unlock()
 	tr := c.traces.lookup(host, epoch)
@@ -171,9 +165,6 @@ func (c *Collector) observeStamped(tr *EpochTrace) {
 // noteDetect stamps every still-undetected trace whose epoch span overlaps
 // an event emitted by this detection pass, and observes the tail stages.
 func (c *Collector) noteDetect(startNs, endNs int64, detectNs int64) {
-	if c.traces == nil || c.cfg.EpochNs <= 0 {
-		return
-	}
 	c.traceMu.Lock()
 	defer c.traceMu.Unlock()
 	e0 := epochOf(startNs, c.cfg.EpochNs)
@@ -221,9 +212,6 @@ func epochOf(ns, epochNs int64) uint64 {
 // Traces returns the lifecycle ring, oldest record first. Safe to call
 // concurrently with ingest.
 func (c *Collector) Traces() []EpochTrace {
-	if c.traces == nil {
-		return nil
-	}
 	c.traceMu.Lock()
 	defer c.traceMu.Unlock()
 	return c.traces.snapshot()

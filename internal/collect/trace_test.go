@@ -184,11 +184,12 @@ func TestTraceStampBackfillFromStream(t *testing.T) {
 	}
 }
 
-// TestTraceRingBounded pins the overwrite-oldest discipline: with
-// TraceCap=4, admitting 10 epochs keeps exactly the newest 4 traces, and a
-// stamp for an overwritten epoch is a silent no-op.
+// TestTraceRingBounded pins the overwrite-oldest discipline: with a ring
+// of 4, admitting 10 epochs keeps exactly the newest 4 traces, and a stamp
+// for an overwritten epoch is a silent no-op.
 func TestTraceRingBounded(t *testing.T) {
-	c := New(Config{TraceCap: 4})
+	c := New(Config{})
+	c.traces = newTraceRing(4)
 	for e := uint64(0); e < 10; e++ {
 		c.Add(e, mkReport(0, key(0), 10, 100))
 	}
@@ -208,23 +209,6 @@ func TestTraceRingBounded(t *testing.T) {
 	}
 	if st := c.Status(); st.TracedEpochs != 4 {
 		t.Errorf("status traced_epochs = %d, want 4", st.TracedEpochs)
-	}
-}
-
-// TestTraceDisabled checks TraceCap<0 turns tracing off entirely.
-func TestTraceDisabled(t *testing.T) {
-	c := New(Config{TraceCap: -1})
-	c.Add(0, mkReport(0, key(0), 10, 100))
-	c.Stamp(0, 0, report.EpochStamp{SealNs: 1, ShipNs: 2})
-	f := key(1)
-	c.AddMirror(mirrorAt(0, 0, 1_000, f))
-	c.AddMirror(mirrorAt(0, 0, 200_000, f))
-	c.Poll()
-	if got := c.Traces(); got != nil {
-		t.Errorf("disabled tracer returned %+v", got)
-	}
-	if st := c.Status(); st.TracedEpochs != 0 {
-		t.Errorf("status traced_epochs = %d, want 0", st.TracedEpochs)
 	}
 }
 
@@ -271,6 +255,19 @@ func TestStatusSnapshot(t *testing.T) {
 		t.Errorf("counters = %d/%d/%d, want 10/2/1",
 			st.ReportsIngested, st.MirrorsIngested, st.EventsEmitted)
 	}
+
+	// A drain closes the open event and leaves the watermark at the last
+	// mirror; a collector that never saw a mirror still has none.
+	c.Drain()
+	if st = c.Status(); !st.HasWatermark || st.WatermarkNs != 200_000 || c.Watermark() != 200_000 || st.EventsEmitted != 2 {
+		t.Errorf("after drain: watermark = %v/%d, %d events, want true/200000, 2", st.HasWatermark, st.WatermarkNs, st.EventsEmitted)
+	}
+	quiet := New(Config{})
+	quiet.Add(0, mkReport(0, key(0), 10, 100))
+	quiet.Drain()
+	if st = quiet.Status(); st.HasWatermark || st.WatermarkNs != 0 || st.EventsEmitted != 0 {
+		t.Errorf("drained without mirrors: watermark = %v/%d, %d events, want none", st.HasWatermark, st.WatermarkNs, st.EventsEmitted)
+	}
 }
 
 // oracleNoteDetect is the detection stamp as it was before the pending
@@ -298,11 +295,12 @@ func oracleNoteDetect(c *Collector, startNs, endNs, detectNs int64) {
 // every step, and the pending lists to hold exactly the undetected records.
 func TestNoteDetectMatchesRingScan(t *testing.T) {
 	const epochNs = 1000
-	for _, traceCap := range []int{1, 5, 32, 4096} {
-		rng := rand.New(rand.NewSource(int64(traceCap)))
+	for _, ringCap := range []int{1, 5, 32, 4096} {
+		rng := rand.New(rand.NewSource(int64(ringCap)))
 		stNew, stOld := NewStats(telemetry.NewRegistry()), NewStats(telemetry.NewRegistry())
-		got := New(Config{TraceCap: traceCap, EpochNs: epochNs, Stats: stNew})
-		want := New(Config{TraceCap: traceCap, EpochNs: epochNs, Stats: stOld})
+		got := New(Config{EpochNs: epochNs, Stats: stNew})
+		want := New(Config{EpochNs: epochNs, Stats: stOld})
+		got.traces, want.traces = newTraceRing(ringCap), newTraceRing(ringCap)
 		clock, head := int64(1), uint64(0)
 		for step := 0; step < 4000; step++ {
 			clock += int64(1 + rng.Intn(50))
@@ -340,7 +338,7 @@ func TestNoteDetectMatchesRingScan(t *testing.T) {
 				oracleNoteDetect(want, start, end, detectNs)
 			}
 			if g, w := got.Traces(), want.Traces(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("cap %d step %d: rings differ\n got %+v\nwant %+v", traceCap, step, g, w)
+				t.Fatalf("cap %d step %d: rings differ\n got %+v\nwant %+v", ringCap, step, g, w)
 			}
 			pending := map[uint64][]int{}
 			for slot, tr := range got.traces.buf {
@@ -352,7 +350,7 @@ func TestNoteDetectMatchesRingScan(t *testing.T) {
 				sort.Ints(slots) // order within an epoch carries no meaning
 			}
 			if !reflect.DeepEqual(got.traces.pending, pending) {
-				t.Fatalf("cap %d step %d: pending = %v, undetected records = %v", traceCap, step, got.traces.pending, pending)
+				t.Fatalf("cap %d step %d: pending = %v, undetected records = %v", ringCap, step, got.traces.pending, pending)
 			}
 		}
 		for _, h := range [][2]*telemetry.Histogram{
@@ -361,7 +359,7 @@ func TestNoteDetectMatchesRingScan(t *testing.T) {
 		} {
 			if h[0].Count() != h[1].Count() || h[0].Sum() != h[1].Sum() || h[0].Count() == 0 {
 				t.Errorf("cap %d: histogram count/sum %d/%d, ring scan observed %d/%d",
-					traceCap, h[0].Count(), h[0].Sum(), h[1].Count(), h[1].Sum())
+					ringCap, h[0].Count(), h[0].Sum(), h[1].Count(), h[1].Sum())
 			}
 		}
 	}

@@ -2,12 +2,15 @@
 // deployable system: host monitors running WaveSketch and shipping one
 // sealed report per epoch through a sink (stream.go, sink.go), switch
 // monitors matching-and-mirroring CE packets through the real wire
-// encoding, and the analyzer consuming both. Deploy wires a full
-// µMon instance into a running simulation; the same monitor types work
+// encoding, and the analyzer consuming both. Wire attaches the monitors to
+// a simulation given where reports and mirrors go, and Deploy is Wire with
+// an in-process analyzer at the far end; the same monitor types work
 // standalone over any packet feed (e.g. pcap traces).
 package core
 
 import (
+	"sync"
+
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
 	"umon/internal/measure"
@@ -107,46 +110,47 @@ func DefaultSystem() SystemConfig {
 }
 
 // System is a deployed µMon instance: per-host and per-switch monitors
-// feeding one analyzer over the real wire formats.
+// wired into one simulated network, feeding a report sink and a mirror
+// consumer over the real wire formats.
 type System struct {
-	cfg       SystemConfig
-	Analyzer  *analyzer.Analyzer
-	hosts     []*StreamHostMonitor
-	switches  []*SwitchMonitor
-	decodeErr error
+	// Analyzer consumes both feeds of a Deploy'd system; nil after Wire.
+	Analyzer *analyzer.Analyzer
+	hosts    []*StreamHostMonitor
+	switches []*SwitchMonitor
+	// The netsim callbacks fire concurrently when the network is sharded
+	// (serialized per host and per switch, not globally), so the first
+	// pipeline error is kept under a mutex.
+	errMu sync.Mutex
+	err   error
 }
 
-// Deploy attaches µMon to a simulated network: every host egress packet
-// updates that host's WaveSketch, every switch CE egress runs through the
-// sampling ACL, and both paths reach the analyzer as encoded bytes that
-// are decoded again on arrival — exercising the full pipeline.
-func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System, error) {
-	s := &System{cfg: cfg, Analyzer: analyzer.New()}
-	toAnalyzer := FuncSink(func(r SealedReport) error {
-		rep, err := report.DecodeBytes(r.Encoded)
-		if err != nil {
-			return err
-		}
-		s.Analyzer.AddReport(rep)
-		return nil
-	})
+// Wire attaches the measurement plane of Figure 4 to a simulated network:
+// every host egress packet updates that host's WaveSketch, whose sealed
+// epochs ship into sink, and every switch CE egress runs through the
+// sampling ACL, whose wire-encoded mirrors go to emit (the slice is the
+// switch's scratch buffer: consume or copy it before returning). At more
+// than one shard the sink and emit are called concurrently, a host's and a
+// switch's calls in order.
+func Wire(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig, sink ReportSink, emit func(encoded []byte) error) (*System, error) {
+	s := &System{}
 	for h := 0; h < topo.Hosts; h++ {
-		hm, err := NewStreamHostMonitor(h, StreamMonitorConfig{HostMonitorConfig: cfg.Host}, toAnalyzer)
+		hm, err := NewStreamHostMonitor(h, StreamMonitorConfig{HostMonitorConfig: cfg.Host}, sink)
 		if err != nil {
 			return nil, err
 		}
 		s.hosts = append(s.hosts, hm)
 	}
+	onMirror := func(encoded []byte) {
+		if err := emit(encoded); err != nil {
+			s.Fail(err)
+		}
+	}
 	for sw := 0; sw < topo.Switches; sw++ {
-		s.switches = append(s.switches, NewSwitchMonitor(int16(sw), cfg.Switch, func(encoded []byte) {
-			if err := s.Analyzer.AddMirrorPacket(encoded); err != nil {
-				s.decodeErr = err
-			}
-		}))
+		s.switches = append(s.switches, NewSwitchMonitor(int16(sw), cfg.Switch, onMirror))
 	}
 	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
 		if err := s.hosts[host].OnPacket(pkt.Flow, now, int(pkt.Size)); err != nil {
-			s.decodeErr = err
+			s.Fail(err)
 		}
 	}
 	n.OnSwitchCE = func(sw, port int16, pkt *netsim.Packet, now int64) {
@@ -155,15 +159,57 @@ func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System
 	return s, nil
 }
 
-// Finish seals the final reporting periods and surfaces any pipeline
+// Deploy wires µMon to a simulated network with an in-process analyzer at
+// the far end: both paths reach it as encoded bytes that are decoded again
+// on arrival — exercising the full pipeline. The analyzer ingests on the
+// caller's goroutine, so the network must run unsharded.
+func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System, error) {
+	an := analyzer.New()
+	s, err := Wire(n, topo, cfg, FuncSink(func(r SealedReport) error {
+		rep, err := report.DecodeBytes(r.Encoded)
+		if err != nil {
+			return err
+		}
+		an.AddReport(rep)
+		return nil
+	}), an.AddMirrorPacket)
+	if err != nil {
+		return nil, err
+	}
+	s.Analyzer = an
+	return s, nil
+}
+
+// Fail records a pipeline error; Finish returns the first one recorded.
+func (s *System) Fail(err error) {
+	s.errMu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.errMu.Unlock()
+}
+
+// Finish seals the final reporting periods and surfaces the first pipeline
 // error.
 func (s *System) Finish() error {
 	for _, hm := range s.hosts {
 		if err := hm.Close(); err != nil {
-			return err
+			s.Fail(err)
 		}
 	}
-	return s.decodeErr
+	s.errMu.Lock()
+	defer s.errMu.Unlock()
+	return s.err
+}
+
+// ReportBytes totals the hosts' report uploads.
+func (s *System) ReportBytes() int64 {
+	var sum int64
+	for _, hm := range s.hosts {
+		b, _ := hm.Stats()
+		sum += b
+	}
+	return sum
 }
 
 // HostBandwidthBps averages the hosts' report-upload bandwidth.
@@ -171,12 +217,7 @@ func (s *System) HostBandwidthBps(durationNs int64) float64 {
 	if len(s.hosts) == 0 || durationNs <= 0 {
 		return 0
 	}
-	var sum int64
-	for _, hm := range s.hosts {
-		b, _ := hm.Stats()
-		sum += b
-	}
-	return float64(sum) * 8 / float64(durationNs) * 1e9 / float64(len(s.hosts))
+	return float64(s.ReportBytes()) * 8 / float64(durationNs) * 1e9 / float64(len(s.hosts))
 }
 
 // MirrorStats totals the switches' mirror accounting.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -24,7 +26,7 @@ func (c *countSink) Close() error            { return nil }
 
 func TestHostMonitorPeriods(t *testing.T) {
 	var got countSink
-	m, err := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
+	m, err := NewStreamHostMonitor(0, streamCfg(1_000_000), &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestHostMonitorValidation(t *testing.T) {
 		t.Error("PeriodNs=0 must be rejected")
 	}
 	var got countSink
-	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
+	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000), &got)
 	if err := m.Close(); err != nil {
 		t.Errorf("close before any packet: %v", err)
 	}
@@ -66,7 +68,7 @@ func TestHostMonitorValidation(t *testing.T) {
 
 func TestHostMonitorIdleGapSkipsPeriods(t *testing.T) {
 	var got countSink
-	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
+	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000), &got)
 	m.OnPacket(testKey(1), 100, 1000)
 	// Next packet 5 periods later: all intervening periods seal.
 	m.OnPacket(testKey(1), 5_100_000, 1000)
@@ -158,6 +160,40 @@ func TestDeployEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWireKeepsTheFirstError: a failing sink and a failing mirror consumer
+// both land in the one error slot, at a sharded network's concurrency, and
+// Finish returns the first of them.
+func TestWireKeepsTheFirstError(t *testing.T) {
+	topo, _ := netsim.Dumbbell(2)
+	simCfg := netsim.DefaultConfig(topo)
+	simCfg.Shards = 2
+	n, _ := netsim.New(simCfg)
+	cfg := DefaultSystem()
+	cfg.Host.PeriodNs = 500_000
+	cfg.Switch.Rule = uevent.ACLRule{}
+	errMirror := errors.New("mirror consumer down")
+	var mirrors atomic.Int64
+	sys, err := Wire(n, topo, cfg, &errSink{}, func([]byte) error {
+		mirrors.Add(1)
+		return errMirror
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddFlow(netsim.FlowSpec{Src: 0, Dst: 2, Bytes: 10_000_000, StartNs: 0})
+	n.AddFlow(netsim.FlowSpec{Src: 1, Dst: 2, Bytes: 10_000_000, StartNs: 100_000})
+	n.Run(3_000_000)
+	if err := sys.Finish(); !errors.Is(err, errSinkDown) && !errors.Is(err, errMirror) {
+		t.Errorf("Finish returned %v, want the sink's or the mirror consumer's error", err)
+	}
+	if p, _ := sys.MirrorStats(); p == 0 || p != mirrors.Load() {
+		t.Errorf("switches mirrored %d packets, the consumer saw %d", p, mirrors.Load())
+	}
+	if sys.ReportBytes() == 0 {
+		t.Error("no report was sealed")
+	}
+}
+
 // TestDeployReportsAreQueryable verifies that the flows measured through
 // the period-rolling host monitors remain queryable at the analyzer with
 // sensible totals.
@@ -186,7 +222,7 @@ func TestDeployReportsAreQueryable(t *testing.T) {
 
 func TestDutyCycledMonitor(t *testing.T) {
 	var got countSink
-	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &got)
+	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000), &got)
 	d := NewDutyCycledMonitor(inner, 1, 4) // measure 1 ms out of every 4
 	f := testKey(1)
 	for ns := int64(0); ns < 8_000_000; ns += 10_000 {
@@ -212,7 +248,7 @@ func TestDutyCycledMonitor(t *testing.T) {
 }
 
 func TestDutyCycleClamping(t *testing.T) {
-	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, false), &countSink{})
+	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000), &countSink{})
 	d := NewDutyCycledMonitor(inner, 9, 4)
 	if d.activePeriods != 4 {
 		t.Errorf("active clamped to %d, want 4", d.activePeriods)

@@ -18,9 +18,10 @@ type SealedReport struct {
 	// Epoch is the measurement period index: PeriodStartNs / PeriodNs.
 	Epoch         uint64
 	PeriodStartNs int64
-	// Encoded is the v0 report payload. It is valid only for the duration
-	// of Ship — sinks that retain it must copy (the sealer reuses its
-	// encode buffer for the next epoch).
+	// Encoded is the report in the wire version hosts write
+	// (report.AppendEncode). It is valid only for the duration of Ship —
+	// sinks that retain it must copy (the monitor reuses its encode buffer
+	// for the next epoch).
 	Encoded []byte
 	// SealedAtNs is the wall-clock time (unix ns) the seal began; 0 means
 	// unstamped. Stamp-aware sinks pair it with their own ship time into a
@@ -29,13 +30,13 @@ type SealedReport struct {
 }
 
 // ReportSink receives sealed reports from host monitors. Implementations
-// decide the transport: a framed stream file, an in-process channel, a
+// decide the transport: a framed stream file, an in-process decode, a
 // network connection. Ship may be called concurrently by different hosts;
 // implementations serialize internally.
 type ReportSink interface {
 	Ship(r SealedReport) error
-	// Close finishes the sink (flushes framing, closes channels). It does
-	// not close any underlying file or connection the caller owns.
+	// Close finishes the sink (flushes framing). It does not close any
+	// underlying file or connection the caller owns.
 	Close() error
 }
 
@@ -89,36 +90,6 @@ func (s *StreamSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sw.Close()
-}
-
-// ChanSink hands sealed reports to an in-process consumer (typically a
-// collector goroutine) over a buffered channel. Ship copies the encoded
-// bytes, so the monitor's encode buffer is never retained; a full channel
-// blocks the shipper — bounded back-pressure, not loss.
-type ChanSink struct {
-	ch        chan SealedReport
-	closeOnce sync.Once
-}
-
-// NewChanSink builds a sink with the given channel capacity.
-func NewChanSink(buf int) *ChanSink {
-	return &ChanSink{ch: make(chan SealedReport, buf)}
-}
-
-// C is the consumer side. It is closed by Close.
-func (c *ChanSink) C() <-chan SealedReport { return c.ch }
-
-// Ship copies and enqueues one sealed report.
-func (c *ChanSink) Ship(r SealedReport) error {
-	r.Encoded = append([]byte(nil), r.Encoded...)
-	c.ch <- r
-	return nil
-}
-
-// Close closes the consumer channel. Safe to call more than once.
-func (c *ChanSink) Close() error {
-	c.closeOnce.Do(func() { close(c.ch) })
-	return nil
 }
 
 // FuncSink adapts a function to the ReportSink interface. The function

@@ -1,17 +1,10 @@
 // The host monitor: a host seals its live WaveSketch at every epoch
-// boundary and ships the encoded report through a pluggable sink.
-//
-// In Async mode the sealer is double-buffered: two identically-configured sketches
-// alternate between the ingest path and the seal/encode/ship path, so at
-// an epoch boundary ingest swaps to the pre-reset spare and continues
-// immediately while the sealed sketch drains in the background — no
-// ingest stall, memory bounded at exactly two sketches per host.
+// boundary and ships the encoded report through a pluggable sink, on the
+// goroutine that fed the packet which crossed the boundary.
 package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"umon/internal/flowkey"
 	"umon/internal/measure"
@@ -30,7 +23,7 @@ type HostStreamStats struct {
 	// ShipErrors counts sink failures (the first is also surfaced by
 	// Close).
 	ShipErrors *telemetry.Counter
-	// SealNs observes the off-path seal+encode+ship latency per epoch.
+	// SealNs observes the seal+encode+ship latency per epoch.
 	SealNs *telemetry.Histogram
 }
 
@@ -41,49 +34,31 @@ func NewHostStreamStats(reg *telemetry.Registry) *HostStreamStats {
 		return nil
 	}
 	return &HostStreamStats{
-		EpochsSealed:   reg.Counter("umon_host_epochs_sealed_total", "epoch boundaries crossed (live sketch sealed and swapped)"),
+		EpochsSealed:   reg.Counter("umon_host_epochs_sealed_total", "epoch boundaries crossed (open epoch sealed and shipped)"),
 		ReportsShipped: reg.Counter("umon_host_reports_shipped_total", "sealed reports handed to the sink"),
 		ShipErrors:     reg.Counter("umon_host_ship_errors_total", "sink failures while shipping sealed reports"),
-		SealNs:         reg.Histogram("umon_host_seal_ns", "off-path seal+encode+ship latency per epoch (ns)"),
+		SealNs:         reg.Histogram("umon_host_seal_ns", "seal+encode+ship latency per epoch (ns)"),
 	}
 }
 
 // StreamMonitorConfig parameterizes a host monitor.
 type StreamMonitorConfig struct {
 	HostMonitorConfig
-	// Async runs seal/encode/ship on a background goroutine. Synchronous
-	// mode (the default) keeps everything on the caller's goroutine —
-	// deterministic, the right choice when replaying a trace; Async is the
-	// deployment shape, where ingest must never wait on the sink.
-	Async bool
 	// Stats is optional host-side telemetry.
 	Stats *HostStreamStats
 }
 
-// sealJob is one epoch to ship; a nil sketch is an idle epoch, which ships
-// its header alone.
-type sealJob struct {
-	sketch      *wavesketch.Full
-	periodStart int64
-}
-
 // StreamHostMonitor measures one host's egress continuously, sealing at
-// every epoch boundary and shipping through the sink. OnPacket must be
-// called from one goroutine (per-host streams are single-producer); the
-// sealer goroutine is the only other toucher of monitor state.
+// every epoch boundary and shipping through the sink. Not safe for
+// concurrent use: per-host streams are single-producer.
 type StreamHostMonitor struct {
 	host int
 	cfg  StreamMonitorConfig
 	sink ReportSink
 
-	live    *wavesketch.Full
-	spareCh chan *wavesketch.Full // pre-reset sketches ready to swap in
-	sealCh  chan sealJob
-	wg      sync.WaitGroup
-
-	// Owned by the sealer (or the caller when !Async): the header every
-	// report of this host carries, its curve lists reused as views of the
-	// sketch being sealed, and the bytes they encode to.
+	live *wavesketch.Full
+	// The header every report of this host carries, its curve lists reused
+	// as views of the sketch being sealed, and the bytes they encode to.
 	rep       report.HostReport
 	encodeBuf []byte
 	stats     HostStreamStats
@@ -91,10 +66,9 @@ type StreamHostMonitor struct {
 	periodStart int64
 	started     bool
 
-	reportBytes atomic.Int64
-	reports     atomic.Int64
-	errMu       sync.Mutex
-	err         error
+	reportBytes int64
+	reports     int
+	err         error // the first ship error
 }
 
 // NewStreamHostMonitor builds a host monitor shipping into sink.
@@ -117,23 +91,12 @@ func NewStreamHostMonitor(host int, cfg StreamMonitorConfig, sink ReportSink) (*
 	if cfg.Stats != nil {
 		m.stats = *cfg.Stats
 	}
-	if cfg.Async {
-		spare, err := wavesketch.NewFull(cfg.Sketch)
-		if err != nil {
-			return nil, err
-		}
-		m.spareCh = make(chan *wavesketch.Full, 1)
-		m.spareCh <- spare
-		m.sealCh = make(chan sealJob, 1)
-		m.wg.Add(1)
-		go m.sealer()
-	}
 	return m, nil
 }
 
 // OnPacket records one egress packet. Packets must arrive in time order;
-// crossing an epoch boundary seals the open epoch (asynchronously when
-// configured) before the packet lands in the new one.
+// crossing an epoch boundary seals and ships the open epoch before the
+// packet lands in the new one, and returns the ship's error.
 func (m *StreamHostMonitor) OnPacket(f flowkey.Key, ns int64, size int) error {
 	if !m.started {
 		m.started = true
@@ -148,111 +111,64 @@ func (m *StreamHostMonitor) OnPacket(f flowkey.Key, ns int64, size int) error {
 	return nil
 }
 
-// rotate seals the open epoch. Async: swap the live sketch with the
-// pre-reset spare (waiting only if the sealer is still draining the
-// previous epoch — memory stays bounded at two sketches) and queue the
-// seal. Sync: seal inline. An epoch that saw no packet leaves the sketch
-// where it is, untouched, and ships a report of the header alone: a host
-// coming back from a long silence owes one of those per epoch it skipped.
+// rotate closes the open epoch: it seals the sketch, encodes it straight
+// off the sketch's own storage into the reused buffer, ships the bytes and
+// resets the sketch. Steady state allocates nothing. An epoch that saw no
+// packet leaves the sketch untouched and ships a report of the header
+// alone: a host coming back from a long silence owes one of those per epoch
+// it skipped.
 func (m *StreamHostMonitor) rotate() error {
 	m.stats.EpochsSealed.Inc()
-	job := sealJob{periodStart: m.periodStart}
-	m.periodStart += m.cfg.PeriodNs
-	if m.live.Light().Updates() > 0 {
-		job.sketch = m.live
-	}
-	if m.cfg.Async {
-		if job.sketch != nil {
-			m.live = <-m.spareCh
-		}
-		m.sealCh <- job
-		return m.firstErr()
-	}
-	return m.sealAndShip(job)
-}
-
-// sealer drains seal jobs off the ingest path, returning each reset
-// sketch as the next spare.
-func (m *StreamHostMonitor) sealer() {
-	defer m.wg.Done()
-	for job := range m.sealCh {
-		if err := m.sealAndShip(job); err != nil {
-			m.setErr(err)
-		}
-		if job.sketch != nil {
-			m.spareCh <- job.sketch
-		}
-	}
-}
-
-// sealAndShip seals the job's sketch, encodes it straight off the sketch's
-// own storage into the reused buffer, ships the bytes and resets the
-// sketch. Steady state allocates nothing.
-func (m *StreamHostMonitor) sealAndShip(job sealJob) error {
 	span := telemetry.TimeHistogram(m.stats.SealNs)
 	sealedAt := unixNow()
+	periodStart := m.periodStart
+	m.periodStart += m.cfg.PeriodNs
 	rep := &m.rep
-	rep.PeriodStart = job.periodStart >> m.cfg.WindowShift
+	rep.PeriodStart = periodStart >> m.cfg.WindowShift
 	rep.Buckets, rep.Heavy = rep.Buckets[:0], rep.Heavy[:0]
-	sk := job.sketch
-	if sk != nil {
-		sk.Seal()
-		rep.Buckets = sk.Light().Export(rep.Buckets)
-		rep.Heavy = sk.ExportHeavy(rep.Heavy)
+	busy := m.live.Light().Updates() > 0
+	if busy {
+		m.live.Seal()
+		rep.Buckets = m.live.Light().Export(rep.Buckets)
+		rep.Heavy = m.live.ExportHeavy(rep.Heavy)
 	}
 	m.encodeBuf = rep.AppendEncode(m.encodeBuf[:0])
-	if sk != nil {
-		sk.Reset() // the lists above point into it: only now
+	if busy {
+		m.live.Reset() // the lists above point into it: only now
 	}
-	m.reportBytes.Add(int64(len(m.encodeBuf)))
-	m.reports.Add(1)
+	m.reportBytes += int64(len(m.encodeBuf))
+	m.reports++
 	err := m.sink.Ship(SealedReport{
 		Host:          m.host,
-		Epoch:         uint64(job.periodStart / m.cfg.PeriodNs),
-		PeriodStartNs: job.periodStart,
+		Epoch:         uint64(periodStart / m.cfg.PeriodNs),
+		PeriodStartNs: periodStart,
 		Encoded:       m.encodeBuf,
 		SealedAtNs:    sealedAt,
 	})
 	span()
 	if err != nil {
 		m.stats.ShipErrors.Inc()
-		return fmt.Errorf("core: shipping host %d epoch report: %w", m.host, err)
+		err = fmt.Errorf("core: shipping host %d epoch report: %w", m.host, err)
+		if m.err == nil {
+			m.err = err
+		}
+		return err
 	}
 	m.stats.ReportsShipped.Inc()
 	return nil
 }
 
-func (m *StreamHostMonitor) setErr(err error) {
-	m.errMu.Lock()
-	if m.err == nil {
-		m.err = err
-	}
-	m.errMu.Unlock()
-}
-
-func (m *StreamHostMonitor) firstErr() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return m.err
-}
-
-// Close seals and ships the final partial epoch, stops the sealer and
-// surfaces the first pipeline error. The sink is left open (it is shared
-// across hosts); the owner closes it after every monitor has closed.
+// Close seals and ships the final partial epoch and returns the first ship
+// error of the monitor's life. The sink is left open (it is shared across
+// hosts); the owner closes it after every monitor has closed.
 func (m *StreamHostMonitor) Close() error {
 	if m.started {
-		if err := m.rotate(); err != nil {
-			m.setErr(err)
-		}
+		_ = m.rotate() // a failure is kept in m.err
 	}
-	if m.cfg.Async {
-		close(m.sealCh)
-		m.wg.Wait()
-	}
-	return m.firstErr()
+	return m.err
 }
 
 // Stats reports upload accounting: total report bytes and report count.
 func (m *StreamHostMonitor) Stats() (bytes int64, reports int) {
-	return m.reportBytes.Load(), int(m.reports.Load())
+	return m.reportBytes, m.reports
 }

@@ -11,13 +11,12 @@ import (
 	"umon/internal/telemetry"
 )
 
-func streamCfg(periodNs int64, async bool) StreamMonitorConfig {
+func streamCfg(periodNs int64) StreamMonitorConfig {
 	return StreamMonitorConfig{
 		HostMonitorConfig: HostMonitorConfig{
 			Sketch:   DefaultHostMonitor().Sketch,
 			PeriodNs: periodNs,
 		},
-		Async: async,
 	}
 }
 
@@ -32,49 +31,6 @@ func feedPackets(t *testing.T, on func(ns int64) error) {
 	}
 }
 
-// TestStreamMonitorMatchesBatchMonitor proves the streaming deployment
-// shape (Async: seal, encode and ship on a background goroutine,
-// double-buffered sketches) ships exactly the bytes the synchronous monitor
-// — the one batch replays, Deploy and umon-sim run — does for the same
-// packet stream, epoch for epoch.
-func TestStreamMonitorMatchesBatchMonitor(t *testing.T) {
-	f := testKey(1)
-	sealed := func(async bool) []SealedReport {
-		sink := NewChanSink(16)
-		m, err := NewStreamHostMonitor(3, streamCfg(1_000_000, async), sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedPackets(t, func(ns int64) error { return m.OnPacket(f, ns, 1058) })
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-		sink.Close()
-		var got []SealedReport
-		for sr := range sink.C() {
-			got = append(got, sr)
-		}
-		if b, n := m.Stats(); n != len(got) || b <= 0 {
-			t.Errorf("async=%v stats = %d bytes / %d reports, shipped %d", async, b, n, len(got))
-		}
-		return got
-	}
-	want, got := sealed(false), sealed(true)
-	if len(want) != 3 || len(got) != len(want) {
-		t.Fatalf("sealed epochs: sync %d, async %d, want 3 each", len(want), len(got))
-	}
-	for i := range want {
-		for _, sr := range []SealedReport{want[i], got[i]} {
-			if sr.Host != 3 || sr.Epoch != uint64(i) {
-				t.Errorf("epoch %d shipped as host=%d epoch=%d", i, sr.Host, sr.Epoch)
-			}
-		}
-		if !bytes.Equal(got[i].Encoded, want[i].Encoded) {
-			t.Errorf("epoch %d: async encoded bytes differ from sync", i)
-		}
-	}
-}
-
 // TestStreamMonitorThroughStreamSink runs the full host-side pipeline —
 // monitor → StreamSink framing → stream decode — and checks the decoded
 // (host, epoch) sequence.
@@ -84,7 +40,7 @@ func TestStreamMonitorThroughStreamSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewStreamHostMonitor(7, streamCfg(1_000_000, true), sink)
+	m, err := NewStreamHostMonitor(7, streamCfg(1_000_000), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +78,11 @@ func TestStreamMonitorThroughStreamSink(t *testing.T) {
 // (empty) reports, in order and under their own epoch numbers, so the
 // collector's window advances even through silence.
 func TestStreamMonitorIdleGapSealsEveryEpoch(t *testing.T) {
-	sink := NewChanSink(16)
-	m, err := NewStreamHostMonitor(0, streamCfg(1_000_000, true), sink)
+	var epochs []uint64
+	m, err := NewStreamHostMonitor(0, streamCfg(1_000_000), FuncSink(func(sr SealedReport) error {
+		epochs = append(epochs, sr.Epoch)
+		return nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +96,6 @@ func TestStreamMonitorIdleGapSealsEveryEpoch(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sink.Close()
-	var epochs []uint64
-	for sr := range sink.C() {
-		epochs = append(epochs, sr.Epoch)
-	}
 	if len(epochs) != 6 {
 		t.Fatalf("sealed %d epochs across idle gap, want 6 (0-5)", len(epochs))
 	}
@@ -150,12 +104,15 @@ func TestStreamMonitorIdleGapSealsEveryEpoch(t *testing.T) {
 			t.Errorf("epoch %d sealed as %d", i, e)
 		}
 	}
+	if b, n := m.Stats(); n != 6 || b <= 0 {
+		t.Errorf("stats = %d bytes / %d reports, shipped 6", b, n)
+	}
 }
 
 // TestStreamMonitorIdleEpochsShipHeadersOnly: a host back from a long
 // silence ships one report per epoch it skipped, each the header alone
-// under its own period start, without sealing, swapping or resetting a
-// sketch for any of them — the packet that ends the silence does not pay
+// under its own period start, without sealing or resetting the sketch for
+// any of them — the packet that ends the silence does not pay
 // for it in bucket work or allocations.
 func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 	const periodNs, idle = 1_000_000, 499
@@ -169,7 +126,7 @@ func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 		got = append(got, rep)
 		return nil
 	})
-	m, err := NewStreamHostMonitor(0, streamCfg(periodNs, false), sink)
+	m, err := NewStreamHostMonitor(0, streamCfg(periodNs), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +151,7 @@ func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 	}
 
 	// Steady state: a gap of idle epochs per call, no allocation.
-	quiet, err := NewStreamHostMonitor(0, streamCfg(periodNs, false), FuncSink(func(SealedReport) error { return nil }))
+	quiet, err := NewStreamHostMonitor(0, streamCfg(periodNs), FuncSink(func(SealedReport) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,36 +167,12 @@ func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, gap); allocs != 0 {
 		t.Errorf("%d idle epochs and a seal allocate %v times, want 0", idle, allocs)
 	}
-
-	// Async: only the epoch with packets goes to the sealer. The two
-	// sketches alternate, and the gap crosses an even number of boundaries:
-	// swapping at each would hand the same sketch back.
-	async, err := NewStreamHostMonitor(0, streamCfg(periodNs, true), FuncSink(func(SealedReport) error { return nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := async.OnPacket(f, 100, 1000); err != nil {
-		t.Fatal(err)
-	}
-	live := async.live
-	if err := async.OnPacket(f, (idle+1)*periodNs+100, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if async.live == live {
-		t.Errorf("the live sketch was swapped at each of %d boundaries, want at the first alone", idle+1)
-	}
-	if err := async.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, n := async.Stats(); n != idle+2 {
-		t.Errorf("async shipped %d reports, want %d", n, idle+2)
-	}
 }
 
 // TestStreamMonitorStampsItsWindowShift: the header carries the shift the
 // monitor turns nanoseconds into windows by, not the default.
 func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
-	cfg := streamCfg(1_000_000, false)
+	cfg := streamCfg(1_000_000)
 	cfg.WindowShift = 10
 	var got *report.HostReport
 	m, err := NewStreamHostMonitor(0, cfg, FuncSink(func(sr SealedReport) (err error) {
@@ -270,7 +203,7 @@ func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
 func TestSealAndShipSteadyStateDoesNotAllocate(t *testing.T) {
 	const periodNs = 1_000_000
 	shipped := 0
-	m, err := NewStreamHostMonitor(0, streamCfg(periodNs, false), FuncSink(func(sr SealedReport) error {
+	m, err := NewStreamHostMonitor(0, streamCfg(periodNs), FuncSink(func(sr SealedReport) error {
 		shipped += len(sr.Encoded)
 		return nil
 	}))
@@ -300,12 +233,16 @@ func TestSealAndShipSteadyStateDoesNotAllocate(t *testing.T) {
 // errSink fails every Ship.
 type errSink struct{ failed bool }
 
-func (s *errSink) Ship(SealedReport) error { s.failed = true; return errors.New("sink down") }
+var errSinkDown = errors.New("sink down")
+
+func (s *errSink) Ship(SealedReport) error { s.failed = true; return errSinkDown }
 func (s *errSink) Close() error            { return nil }
 
+// TestStreamMonitorSurfacesShipErrors: the OnPacket that crosses an epoch
+// boundary returns that ship's error, and Close the first of them.
 func TestStreamMonitorSurfacesShipErrors(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := streamCfg(1_000_000, true)
+	cfg := streamCfg(1_000_000)
 	cfg.Stats = NewHostStreamStats(reg)
 	sink := &errSink{}
 	m, err := NewStreamHostMonitor(0, cfg, sink)
@@ -313,20 +250,24 @@ func TestStreamMonitorSurfacesShipErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := testKey(1)
-	var sawErr bool
+	var first error
 	for ns := int64(0); ns < 2_500_000; ns += 10_000 {
-		if err := m.OnPacket(f, ns, 1000); err != nil {
-			sawErr = true // async failures may surface from OnPacket
+		err := m.OnPacket(f, ns, 1000)
+		if crossed := ns > 0 && ns%1_000_000 == 0; crossed != (err != nil) {
+			t.Fatalf("OnPacket at %d ns returned %v", ns, err)
+		}
+		if first == nil {
+			first = err
 		}
 	}
-	if err := m.Close(); err == nil && !sawErr {
-		t.Error("ship failure must surface from OnPacket or Close")
+	if err := m.Close(); err == nil || err != first || !errors.Is(err, errSinkDown) {
+		t.Errorf("Close returned %v, want the first ship error %v", err, first)
 	}
 	if !sink.failed {
 		t.Error("sink never invoked")
 	}
-	if reg.Value("umon_host_ship_errors_total") == 0 {
-		t.Error("ship errors not counted")
+	if got := reg.Value("umon_host_ship_errors_total"); got != 3 {
+		t.Errorf("%d ship errors counted, want 3", got)
 	}
 	if reg.Value("umon_host_epochs_sealed_total") == 0 {
 		t.Error("sealed epochs not counted")
@@ -334,13 +275,13 @@ func TestStreamMonitorSurfacesShipErrors(t *testing.T) {
 }
 
 func TestStreamMonitorValidation(t *testing.T) {
-	if _, err := NewStreamHostMonitor(0, StreamMonitorConfig{}, NewChanSink(1)); err == nil {
+	if _, err := NewStreamHostMonitor(0, StreamMonitorConfig{}, &countSink{}); err == nil {
 		t.Error("PeriodNs=0 must be rejected")
 	}
-	if _, err := NewStreamHostMonitor(0, streamCfg(1, false), nil); err == nil {
+	if _, err := NewStreamHostMonitor(0, streamCfg(1), nil); err == nil {
 		t.Error("nil sink must be rejected")
 	}
-	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000, true), NewChanSink(1))
+	m, _ := NewStreamHostMonitor(0, streamCfg(1_000_000), &countSink{})
 	if err := m.Close(); err != nil {
 		t.Errorf("close before any packet: %v", err)
 	}
@@ -361,7 +302,7 @@ func TestStreamSinkConcurrentShip(t *testing.T) {
 		wg.Add(1)
 		go func(h int) {
 			defer wg.Done()
-			m, err := NewStreamHostMonitor(h, streamCfg(1_000_000, false), sink)
+			m, err := NewStreamHostMonitor(h, streamCfg(1_000_000), sink)
 			if err != nil {
 				t.Error(err)
 				return

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"umon/internal/measure"
 	"umon/internal/netsim"
@@ -87,7 +86,6 @@ type SimResult struct {
 // blocks on the same once and then reads the shared result.
 type simEntry struct {
 	once sync.Once
-	done atomic.Bool
 	res  *SimResult
 	err  error
 }
@@ -128,7 +126,6 @@ func (c *Cache) Sim(key SimKey) (*SimResult, error) {
 			c.onBuild(key)
 		}
 		e.res, e.err = c.build(key)
-		e.done.Store(true)
 	})
 	return e.res, e.err
 }

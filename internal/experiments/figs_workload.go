@@ -37,18 +37,6 @@ func Fig03CounterIncrease(c *Cache) (*Table, error) {
 	return t, nil
 }
 
-// peek returns a cached simulation without building one (and without
-// waiting on an in-flight build).
-func (c *Cache) peek(key SimKey) (*SimResult, bool) {
-	c.mu.Lock()
-	e, ok := c.sims[key]
-	c.mu.Unlock()
-	if !ok || !e.done.Load() || e.err != nil {
-		return nil, false
-	}
-	return e.res, true
-}
-
 // Table2Workloads regenerates Table 2: packets and flows per simulation
 // workload.
 func Table2Workloads(c *Cache) (*Table, error) {

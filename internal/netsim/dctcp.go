@@ -21,11 +21,6 @@ type DCTCPConfig struct {
 	RTONs int64
 }
 
-// DefaultDCTCP returns the standard parameters.
-func DefaultDCTCP() DCTCPConfig {
-	return DCTCPConfig{MSSBytes: PayloadBytes, InitCwndSegments: 10, G: 1.0 / 16, RTONs: 500_000}
-}
-
 func (c *DCTCPConfig) fill() {
 	if c.MSSBytes <= 0 {
 		c.MSSBytes = PayloadBytes

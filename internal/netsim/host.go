@@ -31,8 +31,6 @@ type FlowSpec struct {
 	// Reliable enables RoCE RC go-back-N retransmission for rate-based
 	// flows (CCDCTCP is always reliable).
 	Reliable bool
-	// DCTCP overrides the window controller's parameters (zero = defaults).
-	DCTCP DCTCPConfig
 	// FixedRateBps disables congestion control and paces at a constant
 	// rate (used by the Figure 9 on-off contender). 0 selects CC.
 	FixedRateBps float64
@@ -138,7 +136,7 @@ func (n *Network) AddFlow(spec FlowSpec) (int32, error) {
 	switch {
 	case spec.CC == CCDCTCP:
 		fs.reliable = true
-		fs.win = newDCTCPState(spec.DCTCP)
+		fs.win = newDCTCPState(DCTCPConfig{})
 	case spec.FixedRateBps > 0:
 		fs.cc.rc = spec.FixedRateBps
 		fs.cc.fixed = true

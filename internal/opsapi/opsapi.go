@@ -262,9 +262,7 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		events := a.col.Events()
-		if since > len(events) {
-			since = len(events)
-		}
+		since = min(max(since, 0), len(events))
 		resp = EventsResponse{Next: len(events), Open: true}
 		for i, ev := range events[since:] {
 			resp.Events = append(resp.Events, NewEventJSON(since+i, ev))

@@ -483,6 +483,26 @@ func TestFollowWithoutHub(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("snapshot without hub = %d", resp.StatusCode)
 	}
+
+	// A cursor from outside is clamped to the log, as the hub clamps it: a
+	// negative one reads from the start, one past the end reads nothing.
+	f := key(1)
+	col.AddMirror(mirrorAt(0, 0, 1_000, f))
+	col.AddMirror(mirrorAt(0, 0, 200_000, f))
+	col.Drain()
+	for since, want := range map[string]int{"-1": 2, "-9223372036854775808": 2, "1": 1, "2": 0, "99": 0} {
+		resp, err := http.Get(srv.URL + "/api/events?since=" + since)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got EventsResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || len(got.Events) != want || got.Next != 2 {
+			t.Errorf("since=%s: status %d, %d events, next %d (%v), want 200, %d events, next 2",
+				since, resp.StatusCode, len(got.Events), got.Next, err, want)
+		}
+	}
 }
 
 // TestConcurrentQueriesDuringIngest races API reads against locked window

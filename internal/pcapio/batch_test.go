@@ -54,11 +54,16 @@ func checkPackets(t *testing.T, got, want []Packet) {
 // view before the next refill invalidates it.
 func drainBatches(t *testing.T, r *Reader, max int) []Packet {
 	t.Helper()
-	var out []Packet
 	var b Batch
 	defer b.Release()
+	return drainInto(t, r, &b, max)
+}
+
+func drainInto(t *testing.T, r *Reader, b *Batch, max int) []Packet {
+	t.Helper()
+	var out []Packet
 	for {
-		n, err := r.ReadBatch(&b, max)
+		n, err := r.ReadBatch(b, max)
 		for _, p := range b.Pkts[:n] {
 			out = append(out, Packet{
 				TimestampNs: p.TimestampNs,
@@ -101,29 +106,100 @@ func TestBatchBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestBatchViewsStayValidAcrossBlockSwitch pins the refcount contract:
-// when one batch spans several blocks, the early views must still be
-// readable after the reader moved on.
-func TestBatchViewsStayValidAcrossBlockSwitch(t *testing.T) {
+// TestBatchViewsStayValidUntilNextReadBatch pins the refcount contract: a
+// batch's views stay readable after the reader has moved on to other
+// blocks — here by filling a second Batch to the end of the stream — and its
+// block goes back to the pool at Release.
+func TestBatchViewsStayValidUntilNextReadBatch(t *testing.T) {
 	raw, want := buildCapture(t, 200)
 	pool := mbuf.New(mbuf.Config{})
-	r, err := NewReaderOpts(bytes.NewReader(raw), ReaderOpts{Pool: pool, BlockBytes: 128})
+	r, err := NewReaderOpts(bytes.NewReader(raw), ReaderOpts{Pool: pool, BlockBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	var b Batch
-	n, err := r.ReadBatch(&b, len(want)) // one huge batch spanning many blocks
-	if err != nil {
-		t.Fatal(err)
+	var held, b Batch
+	n, err := r.ReadBatch(&held, 0)
+	if err != nil || n < 2 {
+		t.Fatalf("first batch: %d packets, %v", n, err)
 	}
-	if n != len(want) {
-		t.Fatalf("read %d packets, want %d", n, len(want))
-	}
-	checkPackets(t, b.Pkts, want)
+	rest := drainInto(t, r, &b, 0)
+	checkPackets(t, held.Pkts, want[:n])
+	checkPackets(t, rest, want[n:])
+	held.Release()
 	b.Release()
 	if live := pool.Live(); live > 1 { // reader still holds its block
 		t.Errorf("pool live = %d after release, want ≤1", live)
+	}
+}
+
+// trickle delivers a capture at most chunk bytes per Read and logs the
+// running total after each, so a test can tell what a ReadBatch read.
+type trickle struct {
+	raw   []byte
+	chunk int
+	marks []int // bytes delivered after each Read
+}
+
+func (tr *trickle) Read(p []byte) (int, error) {
+	done := 0
+	if len(tr.marks) > 0 {
+		done = tr.marks[len(tr.marks)-1]
+	}
+	if done == len(tr.raw) {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), tr.chunk)], tr.raw[done:])
+	tr.marks = append(tr.marks, done+n)
+	return n, nil
+}
+
+// TestReadBatchHandsOverWhatItHolds is the tailing contract: over a reader
+// that delivers a few bytes per Read, ReadBatch returns only complete
+// records and never 0 with a nil error, reads no further once it holds a
+// packet, takes every record wholly delivered by then, and the batches
+// concatenate to the one-shot read.
+func TestReadBatchHandsOverWhatItHolds(t *testing.T) {
+	raw, want := buildCapture(t, 120)
+	end := make([]int, len(want)) // file offset one past each record
+	off := fileHeaderLen
+	for i, p := range want {
+		off += recordHeaderLen + len(p.Data)
+		end[i] = off
+	}
+	for _, chunk := range []int{1, 5, 36, 100, 1000} {
+		tr := &trickle{raw: raw, chunk: chunk}
+		r, err := NewReader(tr)
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
+		}
+		var got []Packet
+		var b Batch
+		for {
+			before := len(tr.marks)
+			n, err := r.ReadBatch(&b, 0)
+			if err == io.EOF && n == 0 {
+				break
+			}
+			if err != nil || n == 0 {
+				t.Fatalf("chunk %d: ReadBatch = %d, %v after %d packets", chunk, n, err, len(got))
+			}
+			first, next := len(got), len(got)+n
+			if reads := len(tr.marks); reads > before && reads >= 2 && tr.marks[reads-2] >= end[first] {
+				t.Fatalf("chunk %d: ReadBatch read on with record %d already whole", chunk, first)
+			}
+			delivered := tr.marks[len(tr.marks)-1]
+			if next < len(want) && n < DefaultBatchSize && end[next] <= delivered {
+				t.Fatalf("chunk %d: batch stops at record %d, which was wholly delivered", chunk, next)
+			}
+			for _, p := range b.Pkts[:n] {
+				p.Data = append([]byte(nil), p.Data...)
+				got = append(got, p)
+			}
+		}
+		b.Release()
+		r.Close()
+		checkPackets(t, got, want)
 	}
 }
 

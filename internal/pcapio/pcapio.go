@@ -6,13 +6,13 @@
 // The datapath is zero-copy: both directions move bytes through pooled
 // blocks (internal/mbuf) instead of per-record heap slabs. The Reader
 // fills a large block per underlying read and parses many records out of
-// it; ReadBatch hands out Packet views directly into those blocks, with
-// the Batch holding a refcount on every block its views touch. The Writer
-// coalesces records into a block and emits one large write when it fills.
+// it; ReadBatch hands out Packet views directly into the block, with the
+// Batch holding a reference on it. The Writer coalesces records into a
+// block and emits one large write when it fills.
 //
 // View lifetime contract: packets returned by ReadBatch alias pooled
 // memory and stay valid only until the next ReadBatch call on the same
-// Batch (which releases the previous blocks back to the pool) or until
+// Batch (which releases the previous block back to the pool) or until
 // Batch.Release. Callers that need longer-lived bytes must copy, or use
 // ReadPacket/ReadAll, which return owned (copied) data.
 package pcapio
@@ -103,7 +103,8 @@ func putFileHeader(h []byte, snapLen uint32) {
 	binary.LittleEndian.PutUint32(h[0:4], magicNano)
 	binary.LittleEndian.PutUint16(h[4:6], 2) // major
 	binary.LittleEndian.PutUint16(h[6:8], 4) // minor
-	binary.LittleEndian.PutUint32(h[8:16], 0)
+	// thiszone and sigfigs: h lies in a recycled block, which is not zeroed.
+	binary.LittleEndian.PutUint64(h[8:16], 0)
 	binary.LittleEndian.PutUint32(h[16:20], snapLen)
 	binary.LittleEndian.PutUint32(h[20:24], LinkTypeEthernet)
 }
@@ -299,10 +300,10 @@ func (r *Reader) avail() int { return r.filled - r.pos }
 
 // ensure buffers at least need unconsumed bytes, switching to a fresh
 // block (copying the unconsumed tail across) when the current one cannot
-// hold them. b, when non-nil, takes a reference on the outgoing block so
-// views already handed out this batch stay valid. Returns false when the
-// stream ends first (r.rerr holds the cause).
-func (r *Reader) ensure(need int, b *Batch) bool {
+// hold them; views into the outgoing block die with it unless a Batch
+// holds a reference. Returns false when the stream ends first (r.rerr
+// holds the cause).
+func (r *Reader) ensure(need int) bool {
 	if r.avail() >= need {
 		return true
 	}
@@ -315,7 +316,7 @@ func (r *Reader) ensure(need int, b *Batch) bool {
 		nb := r.pool.Alloc(size)
 		tail := copy(nb.Data(), r.buf[r.pos:r.filled])
 		if r.blk != nil {
-			r.blk.Unref() // the batch's reference, if any, keeps it alive
+			r.blk.Unref()
 		}
 		r.blk, r.buf = nb, nb.Data()
 		r.pos, r.filled = 0, tail
@@ -335,17 +336,30 @@ func (r *Reader) ensure(need int, b *Batch) bool {
 	return true
 }
 
-// readRecord parses the next record. With a non-nil batch the returned
-// Data aliases the pooled block (the batch keeps it referenced);
-// otherwise Data is an owned copy.
-func (r *Reader) readRecord(b *Batch) (Packet, error) {
-	if !r.ensure(recordHeaderLen, b) {
+// plausible bounds a record's capture length.
+func (r *Reader) plausible(capLen uint32) bool {
+	return !(r.snapLen > 0 && capLen > r.snapLen+65536 || capLen > maxRecordBytes-recordHeaderLen)
+}
+
+// buffered reports whether the next record lies wholly in the current
+// block, so that parsing it reads nothing and switches no block.
+func (r *Reader) buffered() bool {
+	avail := r.avail()
+	if avail < recordHeaderLen {
+		return false
+	}
+	capLen := r.u32(r.buf[r.pos+8 : r.pos+12])
+	return r.plausible(capLen) && int(capLen) <= avail-recordHeaderLen
+}
+
+// readRecord parses the next record, reading (and blocking) until it is
+// whole. Data is a view into the current block.
+func (r *Reader) readRecord() (Packet, error) {
+	if !r.ensure(recordHeaderLen) {
 		// A clean end or a partial record header both map to EOF, matching
 		// the classic tcpdump tolerance for truncated captures.
-		if r.avail() == 0 || r.avail() < recordHeaderLen {
-			if r.rerr == io.EOF || r.rerr == io.ErrUnexpectedEOF {
-				return Packet{}, io.EOF
-			}
+		if r.rerr == io.EOF || r.rerr == io.ErrUnexpectedEOF {
+			return Packet{}, io.EOF
 		}
 		return Packet{}, r.rerr
 	}
@@ -354,19 +368,14 @@ func (r *Reader) readRecord(b *Batch) (Packet, error) {
 	sub := int64(r.u32(h[4:8]))
 	capLen := r.u32(h[8:12])
 	orig := r.u32(h[12:16])
-	if r.snapLen > 0 && capLen > r.snapLen+65536 || capLen > maxRecordBytes-recordHeaderLen {
+	if !r.plausible(capLen) {
 		return Packet{}, fmt.Errorf("pcapio: implausible capture length %d", capLen)
 	}
-	if !r.ensure(recordHeaderLen+int(capLen), b) {
+	if !r.ensure(recordHeaderLen + int(capLen)) {
 		return Packet{}, fmt.Errorf("pcapio: truncated record: %w", unexpectedEOF(r.rerr))
 	}
 	data := r.buf[r.pos+recordHeaderLen : r.pos+recordHeaderLen+int(capLen)]
 	r.pos += recordHeaderLen + int(capLen)
-	if b != nil {
-		b.note(r.blk)
-	} else {
-		data = append([]byte(nil), data...)
-	}
 	ns := sec * 1e9
 	if r.nano {
 		ns += sub
@@ -387,36 +396,28 @@ func unexpectedEOF(err error) error {
 // at the end of the stream. One allocation per record; the batch API
 // avoids it.
 func (r *Reader) ReadPacket() (Packet, error) {
-	return r.readRecord(nil)
+	p, err := r.readRecord()
+	p.Data = append([]byte(nil), p.Data...)
+	return p, err
 }
 
 // Batch is the destination of ReadBatch: a reusable set of packet views
-// plus references on the pooled blocks backing them. The zero value is
+// plus a reference on the pooled block backing them. The zero value is
 // ready to use. Call Release when done with the final batch.
 type Batch struct {
-	// Pkts holds the batch's packets; Data fields alias pooled blocks.
+	// Pkts holds the batch's packets; Data fields alias the pooled block.
 	Pkts []Packet
 
-	blocks []*mbuf.Buf
+	blk *mbuf.Buf
 }
 
-// note records that the batch references blk, taking one reference the
-// first time.
-func (b *Batch) note(blk *mbuf.Buf) {
-	if n := len(b.blocks); n > 0 && b.blocks[n-1] == blk {
-		return
-	}
-	blk.Ref()
-	b.blocks = append(b.blocks, blk)
-}
-
-// Release drops the batch's block references and resets Pkts. The views
+// Release drops the batch's block reference and resets Pkts. The views
 // handed out by the previous ReadBatch become invalid.
 func (b *Batch) Release() {
-	for _, blk := range b.blocks {
-		blk.Unref()
+	if b.blk != nil {
+		b.blk.Unref()
+		b.blk = nil
 	}
-	b.blocks = b.blocks[:0]
 	b.Pkts = b.Pkts[:0]
 }
 
@@ -424,50 +425,46 @@ func (b *Batch) Release() {
 const DefaultBatchSize = 256
 
 // ReadBatch releases b's previous contents and refills it with up to max
-// records (0: DefaultBatchSize) as views into pooled blocks. It returns
-// the number of packets read; 0 with io.EOF at the end of the stream. A
-// short batch with a nil error is normal.
+// records (0: DefaultBatchSize) as views into one pooled block. It blocks
+// in the underlying reader only while it holds no packet: once it has one
+// it takes the records already wholly buffered and hands the batch over, so
+// a batch is short at every block boundary and whenever a tailed stream has
+// no more to give yet, and an error past the first record waits for the
+// next call. Returns the number of packets read, never 0 with a nil error;
+// 0 with io.EOF at the end of the stream.
 func (r *Reader) ReadBatch(b *Batch, max int) (int, error) {
 	if max <= 0 {
 		max = DefaultBatchSize
 	}
 	b.Release()
-	for len(b.Pkts) < max {
-		// Fast path: a little-endian record wholly buffered in the current
-		// block — parse in place with no calls. Everything else (block
-		// refill, big-endian headers, errors) goes through readRecord,
-		// which applies the identical checks.
-		if avail := r.filled - r.pos; !r.bigEnd && avail >= recordHeaderLen {
-			h := r.buf[r.pos : r.pos+recordHeaderLen]
-			capLen := binary.LittleEndian.Uint32(h[8:12])
-			if int(capLen) <= avail-recordHeaderLen &&
-				!(r.snapLen > 0 && capLen > r.snapLen+65536 || capLen > maxRecordBytes-recordHeaderLen) {
-				ns := int64(binary.LittleEndian.Uint32(h[0:4])) * 1e9
-				if sub := int64(binary.LittleEndian.Uint32(h[4:8])); r.nano {
-					ns += sub
-				} else {
-					ns += sub * 1e3
-				}
-				start := r.pos + recordHeaderLen
-				data := r.buf[start : start+int(capLen)]
-				r.pos = start + int(capLen)
-				b.note(r.blk)
-				b.Pkts = append(b.Pkts, Packet{
-					TimestampNs: ns,
-					Data:        data,
-					OrigLen:     int(binary.LittleEndian.Uint32(h[12:16])),
-				})
-				continue
-			}
+	p, err := r.readRecord()
+	if err != nil {
+		return 0, err
+	}
+	b.Pkts = append(b.Pkts, p)
+	b.blk = r.blk
+	b.blk.Ref()
+	for len(b.Pkts) < max && r.buffered() {
+		if r.bigEnd {
+			p, _ := r.readRecord() // wholly buffered and plausible: cannot fail
+			b.Pkts = append(b.Pkts, p)
+			continue
 		}
-		p, err := r.readRecord(b)
-		if err != nil {
-			if err == io.EOF && len(b.Pkts) > 0 {
-				return len(b.Pkts), nil
-			}
-			return len(b.Pkts), err
+		// The common case, parsed in place with no calls.
+		h := r.buf[r.pos : r.pos+recordHeaderLen]
+		ns := int64(binary.LittleEndian.Uint32(h[0:4])) * 1e9
+		if sub := int64(binary.LittleEndian.Uint32(h[4:8])); r.nano {
+			ns += sub
+		} else {
+			ns += sub * 1e3
 		}
-		b.Pkts = append(b.Pkts, p)
+		start := r.pos + recordHeaderLen
+		r.pos = start + int(binary.LittleEndian.Uint32(h[8:12]))
+		b.Pkts = append(b.Pkts, Packet{
+			TimestampNs: ns,
+			Data:        r.buf[start:r.pos],
+			OrigLen:     int(binary.LittleEndian.Uint32(h[12:16])),
+		})
 	}
 	return len(b.Pkts), nil
 }

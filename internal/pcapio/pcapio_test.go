@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+
+	"umon/internal/mbuf"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -76,6 +78,25 @@ func TestEmptyCapture(t *testing.T) {
 	}
 	if _, err := r.ReadPacket(); err != io.EOF {
 		t.Errorf("empty capture read = %v, want EOF", err)
+	}
+}
+
+// TestFileHeaderOnRecycledBlock: the header's thiszone and sigfigs fields
+// are zero even when the pool hands the writer a block another user left
+// full of bytes, so a run's capture does not depend on what ran before it.
+func TestFileHeaderOnRecycledBlock(t *testing.T) {
+	pool := mbuf.New(mbuf.Config{})
+	dirty := pool.Alloc(defaultBlockBytes)
+	for i := range dirty.Data() {
+		dirty.Data()[i] = 0xa5
+	}
+	dirty.Unref()
+	var buf bytes.Buffer
+	if err := NewWriterOpts(&buf, 0, WriterOpts{Pool: pool}).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if h := buf.Bytes(); len(h) != fileHeaderLen || !bytes.Equal(h[8:16], make([]byte, 8)) {
+		t.Errorf("file header % x: bytes 8..16 must be zero", h)
 	}
 }
 

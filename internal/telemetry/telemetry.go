@@ -134,14 +134,6 @@ func (r *Registry) Gauge(family, help string) *Gauge {
 	return r.register(family, "", help, KindGauge, func() metric { return new(Gauge) }).(*Gauge)
 }
 
-// GaugeL registers a labeled gauge series.
-func (r *Registry) GaugeL(family, help, labels string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(family, labels, help, KindGauge, func() metric { return new(Gauge) }).(*Gauge)
-}
-
 // Histogram registers (or fetches) a power-of-two-bucketed histogram.
 func (r *Registry) Histogram(family, help string) *Histogram {
 	if r == nil {

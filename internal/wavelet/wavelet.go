@@ -252,18 +252,3 @@ func Compress(c *Coeffs, keep []DetailRef) *Coeffs {
 	}
 	return out
 }
-
-// ReconstructTopK is the composition Forward → TopK → Compress → Inverse,
-// truncated back to the original length. It is the reference ("ideal CPU")
-// compression pipeline used by tests and by threshold calibration.
-func ReconstructTopK(signal []int64, levels, k int) ([]float64, error) {
-	c, err := Forward(signal, levels)
-	if err != nil {
-		return nil, err
-	}
-	rec := Inverse(Compress(c, TopK(c, k)))
-	if len(rec) > len(signal) {
-		rec = rec[:len(signal)]
-	}
-	return rec, nil
-}
