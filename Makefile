@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-accuracy bench-micro bench-ingest bench-query bench-sim bench-mirror bench-admit perf-gate fuzz-seed vet loc stream-demo ops-smoke
+.PHONY: build test test-short test-race perf-gate fuzz-seed vet loc stream-demo ops-smoke
 
 build:
 	$(GO) build ./...
@@ -50,145 +50,137 @@ vet:
 # The size ratchet: non-test Go outside bench/ may shrink, not grow past
 # LOC_CEILING, and the ceiling may sit no more than LOC_SLACK lines above
 # the count, so a PR that deletes code lowers it and leaves the next one no
-# room to grow into. Raising it needs a reason in the PR.
-LOC_CEILING = 18788
+# room to grow into. Raising it needs a reason in the PR. The two long
+# documents have a line budget each: a PR's write-up is a row of
+# EXPERIMENTS.md's per-PR table, not a section.
+LOC_CEILING = 17904
 LOC_SLACK = 25
+DESIGN_MAX = 900
+EXPERIMENTS_MAX = 450
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'); \
 	echo "$$n non-test Go lines outside bench/ (ceiling $(LOC_CEILING))"; \
 	test $$n -le $(LOC_CEILING) || { echo "over the ceiling"; exit 1; }; \
 	test $$(($(LOC_CEILING) - n)) -le $(LOC_SLACK) || { echo "ceiling more than $(LOC_SLACK) above the count: lower LOC_CEILING"; exit 1; }
+	@test $$(wc -l < DESIGN.md) -le $(DESIGN_MAX) || { echo "DESIGN.md is over $(DESIGN_MAX) lines"; exit 1; }
+	@test $$(wc -l < EXPERIMENTS.md) -le $(EXPERIMENTS_MAX) || { echo "EXPERIMENTS.md is over $(EXPERIMENTS_MAX) lines"; exit 1; }
 
-# Full evaluation suite (paper-scale 20 ms traces). UMON_WORKERS bounds the
-# worker pool; UMON_BENCH_MS scales the traces.
-bench:
-	$(GO) test -bench . -benchtime 1x
-
-bench-accuracy:
-	$(GO) test -bench 'Fig1[12]' -benchtime 1x
-
-bench-micro:
-	$(GO) test -bench 'WaveletStreamPush|GroundTruthUpdate|EngineEventLoop' -benchtime 2s
-
-# Ingest datapath throughput (ns/op, Mpps, allocs): the seeded key hash,
-# the sketch update paths, the host packet path at the packet→answer
-# benchmark's working set (16 time-interleaved StreamHostMonitors, sealing
-# as epochs roll), and one epoch boundary by itself — seal, encode, ship
-# and reset at the stream-mice occupancy (wire-B/op is the report), and the
-# header-only report of an idle epoch. Pinned -benchtime and -count so runs are comparable
-# across commits. Writes BENCH_ingest.json (via benchjson), the committed
-# perf-gate baseline for the packet path; refresh it here after a
-# deliberate perf change.
-INGEST_BENCH = KeyHash|BasicUpdate|FullUpdate|BasicUpdateBatch|StreamHostMonitorOnPacket|SealAndShip|IdleEpoch|TelemetryNoop
-INGEST_PKGS = ./internal/flowkey ./internal/wavesketch ./internal/core ./internal/telemetry
-bench-ingest:
-	$(GO) test -run XXX -bench '$(INGEST_BENCH)' -benchtime 2s -count 5 \
-		$(INGEST_PKGS) | tee bench-ingest.txt
-	$(GO) run ./cmd/benchjson -o BENCH_ingest.json bench-ingest.txt
-
-# Query-plane latency and throughput, one file: the ops API's sustained QPS
-# (concurrent /api/query/flow, /api/replay and /api/status over real HTTP
-# against a populated multi-epoch window — the remote query path a
-# dashboard or umonctl drives while ingest runs) and the fleet-scale
-# fixture (2,000 (host,epoch) reports holding >1M distinct flow keys,
-# queried concurrently through the routing index — QueryScaleFlow — and
-# the linear-scan baseline — QueryScaleFlowScan — plus event replay and a
-# mixed read/write run with ingest republishing snapshots mid-query; each
-# reports p50-ns/p99-ns/qps via b.ReportMetric, which benchjson folds into
-# a metrics map). Writes BENCH_query.json (via benchjson), the committed
-# perf-gate baseline; refresh it here after a deliberate perf change.
-QUERY_API_BENCH = QueryFlowAPI|ReplayAPI|StatusAPI
-QUERY_SCALE_BENCH = QueryScale
-bench-query:
-	$(GO) test -run XXX -bench '$(QUERY_API_BENCH)' -benchtime 2s -count 5 \
-		./internal/opsapi | tee bench-query.txt
-	$(GO) test -run XXX -bench '$(QUERY_SCALE_BENCH)' -benchtime 1s -count 3 \
-		./internal/collect | tee -a bench-query.txt
-	$(GO) run ./cmd/benchjson -o BENCH_query.json bench-query.txt
-
-# Event-engine scheduling latency (ns/op, allocs): timing wheel vs the
-# in-tree heap oracle at several pending-event counts, the typed DCQCN
-# rearm path, and a full dumbbell simulation. The FabricSim pass is the
-# serial-vs-sharded matrix (fat-tree k=4/k=8 at 1/2/4 shards);
-# BENCH_sim.json aggregates everything for CI tracking.
-SIM_BENCH = EngineSchedule|EngineEventLoopTyped|EngineDCQCNTimerRearm|EngineArmTimers|DumbbellSim
-bench-sim:
-	$(GO) test -run XXX -bench '$(SIM_BENCH)' -benchtime 1s -count 5 \
-		./internal/netsim | tee bench-sim.txt
-	$(GO) test -run XXX -bench FabricSim -benchtime 3x -count 3 \
-		./internal/netsim | tee -a bench-sim.txt
-	$(GO) run ./cmd/benchjson -o BENCH_sim.json bench-sim.txt
-
-# Mirror-datapath throughput (ns/op, MB/s, allocs): pooled buffer cycling,
-# batched pcap read/write, in-place mirror encode and decode, the batch
-# read→decode→cluster ingest, the switch monitor's match→encode→emit, and
-# the collector's online path (AddMirrorPacket with the automatic Poll, and
-# with the Poll after every mirror that -follow pays on a trickling feed). Writes BENCH_mirror.json (via
-# benchjson), the committed perf-gate baseline for the mirror path.
-MIRROR_BENCH = MbufPool|PcapRead|PcapWrite|DecodeMirrorInto|AppendMirror|MirrorReadDecode|MirrorIngestE2E|CollectorMirrorIngest|CollectorFollowPoll|SwitchMonitorOnCEPacket
-MIRROR_PKGS = ./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer ./internal/collect ./internal/core
-bench-mirror:
-	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 2s -count 5 \
-		$(MIRROR_PKGS) | tee bench-mirror.txt
-	$(GO) run ./cmd/benchjson -o BENCH_mirror.json bench-mirror.txt
-
-# Report datapath on the collector side (ns/op, MB/s, allocs): DecodeBytes
-# and AppendEncode on one report in the wire version hosts write, DecodeV1
-# on the same report in the version they wrote before (the legacy path stays
-# gated), NewQueryable's index build, and a whole 125-host epoch through
-# Collector.AddEncoded, each at the fleet geometry (3×1024 basic) and the
-# Table 1 full sketch. Writes BENCH_admit.json (via
-# benchjson), the committed perf-gate baseline for seal/encode and admit;
-# refresh it here after a deliberate perf change.
-ADMIT_BENCH = ^Benchmark(Decode|DecodeV1|AppendEncode|NewQueryable|AdmitEpoch)$$
-bench-admit:
-	$(GO) test -run XXX -bench '$(ADMIT_BENCH)' -benchmem -benchtime 1s -count 5 \
-		./internal/report ./internal/collect | tee bench-admit.txt
-	$(GO) run ./cmd/benchjson -o BENCH_admit.json bench-admit.txt
-
-# CI performance gate: re-run the mirror-datapath, ops-API, fleet-scale
-# query, report-admit and packet-path benchmarks (shorter settings than
-# their bench-* targets — the 25% threshold absorbs the extra noise),
-# convert to benchjson, and fail if any benchmark named in the committed
-# BENCH_mirror.json / BENCH_query.json / BENCH_admit.json /
-# BENCH_ingest.json baselines regressed in ns/op by more than
-# PERF_GATE_THRESHOLD percent or went missing. Every leg runs whatever the
-# others found; the failing rows are printed together at the end, and the
-# target fails if there are any. Refresh the baselines with
-# `make bench-mirror`, `make bench-query`, `make bench-admit` and
-# `make bench-ingest` after a deliberate perf change. The over-HTTP ops-API
-# benchmarks ride the full loopback TCP stack and swing far more run-to-run
-# than the in-process ones, so they get their own wider threshold. Of the
-# ingest set the gate leaves out the telemetry no-ops, which are
-# sub-nanosecond.
+# The microbenchmark suites, declared once. `make bench-<suite>` runs a
+# suite's passes at their full settings and rewrites BENCH_<suite>.json (via
+# benchjson), the committed baseline: refresh it here after a deliberate
+# perf change. `make perf-gate` re-runs every gated pass at its shorter
+# settings and compares against the same file. Pinned -benchtime and -count
+# keep runs comparable across commits; raw output goes under out/.
+#
+#   ingest  the packet path: the seeded key hash, the sketch update paths,
+#           the host packet path at the packet→answer benchmark's working
+#           set (16 time-interleaved StreamHostMonitors sealing as epochs
+#           roll), one epoch boundary by itself — seal, encode, ship, reset
+#           at the stream-mice occupancy — and an idle epoch's header-only
+#           report. The gate leaves out the sub-nanosecond telemetry no-ops.
+#   query   the ops API's sustained QPS over real HTTP against a populated
+#           window, and the fleet-scale fixture (2,000 reports, >1M flow
+#           keys) through the routing index, the linear-scan baseline, event
+#           replay and a mixed read/write run; p50-ns/p99-ns/qps ride in
+#           benchjson's metrics map. The over-HTTP pass swings far more run
+#           to run than the in-process ones, so it has a wider threshold.
+#   sim     event scheduling, timing wheel vs the in-tree heap oracle, the
+#           DCQCN rearm path, a dumbbell simulation, and the serial-vs-
+#           sharded FabricSim matrix (fat-tree k=4/k=8 at 1/2/4 shards).
+#           Tracked, not gated.
+#   mirror  pooled buffers, batched pcap read/write, in-place mirror encode
+#           and decode, the batch ingest, the switch monitor's
+#           match→encode→emit, and the collector's online path with the
+#           automatic Poll and with -follow's Poll after every mirror.
+#   admit   the collector side of the report datapath, at the fleet geometry
+#           (3×1024 basic) and the Table 1 full sketch: DecodeBytes and
+#           AppendEncode on one report, NewQueryable's index build, a whole
+#           125-host epoch through Collector.AddEncoded.
 PERF_GATE_THRESHOLD ?= 25
 PERF_GATE_API_THRESHOLD ?= 60
-INGEST_GATE_BENCH = KeyHash|BasicUpdate|FullUpdate|StreamHostMonitorOnPacket|SealAndShip|IdleEpoch
-# gate runs one benchgate leg and keeps its rows; a leg that fails (or
-# cannot run) leaves a FAIL row and does not stop the legs after it.
-gate = { $(GO) run ./cmd/benchgate $(1) || echo "FAIL  benchgate $(1)"; } | tee -a bench-gate-rows.txt
+
+# A suite is a list of passes. A pass p is: p_BENCH, the go test -bench
+# regex; p_PKGS; p_RUN, the flags of bench-<suite>; p_GATE, the flags of
+# perf-gate (none: not gated); p_THRESHOLD, the allowed ns/op regression in
+# percent; and, where the gate covers only part of the pass or shares its
+# baseline file with another pass, p_GATE_BENCH, the names it runs and reads.
+SUITES = mirror query admit ingest sim
+mirror_PASSES = mirror
+query_PASSES = query-api query-scale
+admit_PASSES = admit
+ingest_PASSES = ingest
+sim_PASSES = sim-engine sim-fabric
+
+mirror_BENCH = MbufPool|PcapRead|PcapWrite|DecodeMirrorInto|AppendMirror|MirrorReadDecode|MirrorIngestE2E|CollectorMirrorIngest|CollectorFollowPoll|SwitchMonitorOnCEPacket
+mirror_PKGS = ./internal/mbuf ./internal/pcapio ./internal/packet ./internal/analyzer ./internal/collect ./internal/core
+mirror_RUN = -benchtime 2s -count 5
+mirror_GATE = -benchtime 1s -count 3
+mirror_THRESHOLD = $(PERF_GATE_THRESHOLD)
+
+query-api_BENCH = QueryFlowAPI|ReplayAPI|StatusAPI
+query-api_PKGS = ./internal/opsapi
+query-api_RUN = -benchtime 2s -count 5
+query-api_GATE = -benchtime 2s -count 3
+query-api_GATE_BENCH = $(query-api_BENCH)
+query-api_THRESHOLD = $(PERF_GATE_API_THRESHOLD)
+
+query-scale_BENCH = QueryScale
+query-scale_PKGS = ./internal/collect
+query-scale_RUN = -benchtime 1s -count 3
+query-scale_GATE = -benchtime 1s -count 2
+query-scale_GATE_BENCH = $(query-scale_BENCH)
+query-scale_THRESHOLD = $(PERF_GATE_THRESHOLD)
+
+admit_BENCH = ^Benchmark(Decode|AppendEncode|NewQueryable|AdmitEpoch)$$
+admit_PKGS = ./internal/report ./internal/collect
+admit_RUN = -benchmem -benchtime 1s -count 5
+admit_GATE = -benchmem -benchtime 1s -count 3
+admit_THRESHOLD = $(PERF_GATE_THRESHOLD)
+
+ingest_BENCH = KeyHash|BasicUpdate|FullUpdate|BasicUpdateBatch|StreamHostMonitorOnPacket|SealAndShip|IdleEpoch|TelemetryNoop
+ingest_PKGS = ./internal/flowkey ./internal/wavesketch ./internal/core ./internal/telemetry
+ingest_RUN = -benchtime 2s -count 5
+ingest_GATE = -benchtime 1s -count 3
+ingest_GATE_BENCH = KeyHash|BasicUpdate|FullUpdate|StreamHostMonitorOnPacket|SealAndShip|IdleEpoch
+ingest_THRESHOLD = $(PERF_GATE_THRESHOLD)
+
+sim-engine_BENCH = EngineSchedule|EngineEventLoopTyped|EngineDCQCNTimerRearm|EngineArmTimers|DumbbellSim
+sim-engine_PKGS = ./internal/netsim
+sim-engine_RUN = -benchtime 1s -count 5
+
+sim-fabric_BENCH = FabricSim
+sim-fabric_PKGS = ./internal/netsim
+sim-fabric_RUN = -benchtime 3x -count 3
+
+define nl
+
+
+endef
+# gobench,<pass>,<regex>,<flags>
+gobench = $(GO) test -run XXX -bench '$(2)' $(3) $($(1)_PKGS)
+
+bench-%:
+	@test -n "$($*_PASSES)" || { echo "no suite '$*': one of $(SUITES)"; exit 1; }
+	@mkdir -p out && rm -f out/$@.txt
+	$(foreach p,$($*_PASSES),$(call gobench,$(p),$($(p)_BENCH),$($(p)_RUN)) | tee -a out/$@.txt$(nl))
+	$(GO) run ./cmd/benchjson -o BENCH_$*.json out/$@.txt
+
+# CI performance gate: fail if any benchmark a gated pass reads from its
+# committed baseline regressed in ns/op by more than the pass's threshold or
+# went missing. Every leg runs whatever the others found — one that fails or
+# cannot run leaves a FAIL row — and the failing rows are printed together
+# at the end.
+# gateleg,<suite>,<pass>
+define gateleg
+$(call gobench,$(2),$(or $($(2)_GATE_BENCH),$($(2)_BENCH)),$($(2)_GATE)) | tee out/gate-$(2).txt
+$(GO) run ./cmd/benchjson -o out/gate-$(2).json out/gate-$(2).txt
+{ $(GO) run ./cmd/benchgate -old BENCH_$(1).json -new out/gate-$(2).json $(if $($(2)_GATE_BENCH),-bench '$($(2)_GATE_BENCH)') -threshold $($(2)_THRESHOLD) || echo "FAIL  benchgate $(2)"; } | tee -a out/gate-rows.txt
+
+endef
 perf-gate:
-	@rm -f bench-gate-rows.txt
-	$(GO) test -run XXX -bench '$(MIRROR_BENCH)' -benchtime 1s -count 3 \
-		$(MIRROR_PKGS) | tee bench-gate.txt
-	$(GO) run ./cmd/benchjson -o bench-gate.json bench-gate.txt
-	$(call gate,-old BENCH_mirror.json -new bench-gate.json -threshold $(PERF_GATE_THRESHOLD))
-	$(GO) test -run XXX -bench '$(QUERY_API_BENCH)' -benchtime 2s -count 3 \
-		./internal/opsapi | tee bench-query-gate.txt
-	$(GO) test -run XXX -bench '$(QUERY_SCALE_BENCH)' -benchtime 1s -count 2 \
-		./internal/collect | tee -a bench-query-gate.txt
-	$(GO) run ./cmd/benchjson -o bench-query-gate.json bench-query-gate.txt
-	$(call gate,-old BENCH_query.json -new bench-query-gate.json -bench 'API$$' -threshold $(PERF_GATE_API_THRESHOLD))
-	$(call gate,-old BENCH_query.json -new bench-query-gate.json -bench QueryScale -threshold $(PERF_GATE_THRESHOLD))
-	$(GO) test -run XXX -bench '$(ADMIT_BENCH)' -benchmem -benchtime 1s -count 3 \
-		./internal/report ./internal/collect | tee bench-admit-gate.txt
-	$(GO) run ./cmd/benchjson -o bench-admit-gate.json bench-admit-gate.txt
-	$(call gate,-old BENCH_admit.json -new bench-admit-gate.json -threshold $(PERF_GATE_THRESHOLD))
-	$(GO) test -run XXX -bench '$(INGEST_GATE_BENCH)' -benchtime 1s -count 3 \
-		$(INGEST_PKGS) | tee bench-ingest-gate.txt
-	$(GO) run ./cmd/benchjson -o bench-ingest-gate.json bench-ingest-gate.txt
-	$(call gate,-old BENCH_ingest.json -new bench-ingest-gate.json -bench '$(INGEST_GATE_BENCH)' -threshold $(PERF_GATE_THRESHOLD))
-	@if grep '^FAIL' bench-gate-rows.txt; then echo "perf-gate: the rows above failed"; exit 1; fi
+	@mkdir -p out && rm -f out/gate-rows.txt
+	$(foreach s,$(SUITES),$(foreach p,$($(s)_PASSES),$(if $($(p)_GATE),$(call gateleg,$(s),$(p)))))
+	@if grep '^FAIL' out/gate-rows.txt; then echo "perf-gate: the rows above failed"; exit 1; fi
 
 # End-to-end streaming demo: simulate an incast on the dumbbell while the
 # hosts seal epoch-rotated reports into one framed stream, then run the

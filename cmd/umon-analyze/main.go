@@ -6,11 +6,10 @@
 // Usage:
 //
 //	umon-analyze -mirrors out/mirrors.pcap -reports out/ [-gap-us 50] [-top 10]
-//	             [-workers N]
 //
 // -reports takes one stream file or a directory holding some (umon-sim's
 // -out directory). Frames reach the analyzer in file order, so the output
-// is identical at any worker count.
+// is identical at any GOMAXPROCS.
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"umon/internal/analyzer"
 	"umon/internal/mbuf"
 	"umon/internal/measure"
-	"umon/internal/parallel"
 	"umon/internal/pcapio"
 	"umon/internal/report"
 	"umon/internal/telemetry"
@@ -37,15 +35,10 @@ func main() {
 	gapUs := flag.Int64("gap-us", 50, "event clustering gap in microseconds")
 	top := flag.Int("top", 10, "events to list")
 	replayMarginUs := flag.Int64("replay-margin-us", 250, "replay margin around the event")
-	workers := flag.Int("workers", 0, "worker-pool width for decode/replay (0: UMON_WORKERS or GOMAXPROCS)")
 	decodeBudget := flag.Int("decode-budget", 0, "max resident decoded curves per report (0: unbounded; evicted curves re-decode on demand)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry on this address (/metrics Prometheus, /vars JSON, /debug/pprof)")
 	telemetryDump := flag.Bool("telemetry-dump", false, "print a telemetry summary to stderr at end of run")
 	flag.Parse()
-
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
-	}
 
 	if *mirrors == "" {
 		flag.Usage()

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	umon-bench [-run fig11,fig14] [-ms 20] [-seed 42] [-list]
-//	           [-workers N] [-shards N]
+//	           [-shards N]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	           [-telemetry-addr :8080] [-telemetry-dump]
 //
@@ -11,11 +11,10 @@
 // order, prewarming the six shared fat-tree simulations concurrently and
 // then sharing them across experiments. -ms scales the trace duration (the
 // paper uses 20 ms traces; smaller values are useful for smoke runs).
-// -workers bounds the evaluation worker pool (default: GOMAXPROCS, or the
-// UMON_WORKERS environment variable); tables are byte-identical at any
-// width. -shards runs the simulation engine sharded (default: UMON_WORKERS
-// or 1); sharded traces are byte-identical to serial ones, so every table
-// is unchanged — only wall-clock time moves.
+// The evaluation worker pool is GOMAXPROCS wide; tables are byte-identical
+// at any width. -shards runs the simulation engine sharded (default 1);
+// sharded traces are byte-identical to serial ones, so every table is
+// unchanged — only wall-clock time moves.
 // -cpuprofile/-memprofile write pprof profiles for the run.
 // -telemetry-addr serves the live operational counters (Prometheus
 // /metrics, JSON /vars, /debug/pprof); -telemetry-dump prints a summary to
@@ -29,7 +28,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -52,8 +50,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	ms := fs.Int64("ms", 20, "trace duration in milliseconds")
 	seed := fs.Int64("seed", 42, "workload/marking seed")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	workers := fs.Int("workers", 0, "worker-pool width (0: UMON_WORKERS or GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "simulation engine shards (0: UMON_WORKERS or 1; traces are identical at any count)")
+	shards := fs.Int("shards", 1, "simulation engine shards (traces are identical at any count)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve live telemetry on this address (/metrics Prometheus, /vars JSON, /debug/pprof)")
@@ -67,9 +64,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, e.ID)
 		}
 		return 0
-	}
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -100,13 +94,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	}
 	tracer := telemetry.NewTracer(reg)
 
-	if *shards <= 0 {
-		if env, err := strconv.Atoi(os.Getenv("UMON_WORKERS")); err == nil && env > 0 {
-			*shards = env
-		} else {
-			*shards = 1
-		}
-	}
 	cache := experiments.NewCache(experiments.Options{DurationNs: *ms * 1_000_000, Seed: *seed, Telemetry: reg, Shards: *shards})
 	runner := experiments.NewRunner(cache)
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	umon-collect -reports out/reports.umstream -mirrors out/mirrors.pcap
-//	             [-window 16] [-epoch-ms 20] [-gap-us 50] [-decode-budget 64]
+//	             [-window 16] [-epoch-ms 20] [-gap-us 50] [-decode-budget 0]
 //	             [-follow] [-telemetry-addr :9107]
 //	             [-summary-json out/summary.json] [-event-log out/events.jsonl]
 //

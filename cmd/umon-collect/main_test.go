@@ -58,7 +58,7 @@ func writeArtifacts(t *testing.T, dir string) (reportsPath, mirrorsPath string) 
 			}
 			s.Update(testFlow(h), 12, 4096)
 			s.Seal()
-			if err := sw.WriteReport(e, report.FromBasic(h, 0, s)); err != nil {
+			if err := sw.WriteEncoded(e, h, report.FromBasic(h, 0, s).AppendEncode(nil)); err != nil {
 				t.Fatal(err)
 			}
 		}

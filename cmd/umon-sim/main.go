@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -40,7 +39,7 @@ func main() {
 	ms := flag.Int64("ms", 20, "traffic duration in milliseconds")
 	seed := flag.Int64("seed", 42, "generation seed")
 	sampleBits := flag.Uint("sample-bits", 6, "event sampling: probability 1/2^bits")
-	shards := flag.Int("shards", 0, "simulation engine shards (0: UMON_WORKERS or 1; the trace is identical at any count)")
+	shards := flag.Int("shards", 1, "simulation engine shards (the trace is identical at any count)")
 	outDir := flag.String("out", "umon-out", "output directory")
 	epochMs := flag.Int64("epoch-ms", 0, "host sealing period in milliseconds (0: one period spanning the whole run)")
 	tracePcap := flag.Bool("trace-pcap", false, "also dump host egress traffic (headers) as traffic.pcap")
@@ -60,13 +59,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "umon-sim: telemetry on http://%s/metrics\n", srv.Addr())
-	}
-	if *shards <= 0 {
-		if env, err := strconv.Atoi(os.Getenv("UMON_WORKERS")); err == nil && env > 0 {
-			*shards = env
-		} else {
-			*shards = 1
-		}
 	}
 	err := run(*wl, *load, *ms, *seed, *sampleBits, *shards, *outDir, *epochMs, *tracePcap, reg)
 	if *telemetryDump {

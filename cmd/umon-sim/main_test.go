@@ -114,24 +114,37 @@ func readReports(t *testing.T, dir string) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, bad, err := report.ReadStream(bytes.NewReader(raw))
-	if err != nil || bad != 0 {
-		t.Fatalf("stream decode: %v (bad %d)", err, bad)
+	sr, err := report.NewStreamReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	var fr report.Frame
+	for {
+		if err := sr.Next(&fr); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("stream read: %v", err)
+		}
+		if fr.Type != report.FrameReport {
+			continue
+		}
+		rep, err := fr.Report()
+		if err != nil {
+			t.Fatalf("stream decode: %v", err)
+		}
+		k := fmt.Sprintf("%d/%d", rep.Host, fr.Epoch)
+		if _, dup := out[k]; dup {
+			t.Errorf("(host/epoch) %s framed twice", k)
+		}
+		out[k] = rep.AppendEncode(nil)
 	}
 	idx, err := report.ReadIndex(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != len(reports) {
-		t.Errorf("index has %d entries for %d frames", len(idx), len(reports))
-	}
-	out := make(map[string][]byte, len(reports))
-	for _, er := range reports {
-		k := fmt.Sprintf("%d/%d", er.Report.Host, er.Epoch)
-		if _, dup := out[k]; dup {
-			t.Errorf("(host/epoch) %s framed twice", k)
-		}
-		out[k] = er.Report.AppendEncode(nil)
+	if len(idx) != len(out) {
+		t.Errorf("index has %d entries for %d frames", len(idx), len(out))
 	}
 	return out
 }

@@ -125,9 +125,6 @@ func (a *Analyzer) AddQueryable(q *report.Queryable) {
 	a.reports.Append(q)
 }
 
-// Reports reports how many host reports have been ingested.
-func (a *Analyzer) Reports() int { return a.reports.Len() }
-
 // AddMirror ingests one mirror record, folding it into the per-port event
 // clusters.
 func (a *Analyzer) AddMirror(m uevent.MirrorRecord) {

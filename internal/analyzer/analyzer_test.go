@@ -354,31 +354,6 @@ func TestDiagnoseEventFindsCulpritAndVictim(t *testing.T) {
 	}
 }
 
-func TestDiagnoseFlowVerdicts(t *testing.T) {
-	s, _ := wavesketch.NewBasic(wavesketch.Default(128))
-	gappy, steady := key(1), key(2)
-	for w := int64(0); w < 100; w++ {
-		if (w/10)%2 == 0 {
-			s.Update(gappy, w, 5000)
-		}
-		s.Update(steady, w, 5000)
-	}
-	s.Seal()
-	a := New()
-	a.AddReport(report.FromBasic(0, 0, s))
-
-	if got := a.DiagnoseFlow(gappy, 0, 100, nil); got != VerdictHostLimited {
-		t.Errorf("gappy verdict = %v", got)
-	}
-	if got := a.DiagnoseFlow(steady, 0, 100, nil); got != VerdictHealthy {
-		t.Errorf("steady verdict = %v", got)
-	}
-	events := []Event{{Flows: []flowkey.Key{steady}}}
-	if got := a.DiagnoseFlow(steady, 0, 100, events); got != VerdictNetworkLimited {
-		t.Errorf("event-involved verdict = %v", got)
-	}
-}
-
 func TestDetectImbalanceFlagsSkew(t *testing.T) {
 	a := New()
 	// Switch 0: 90 mirrors on port 0, 10 on port 1 → score 1.8 at 2 ports.
@@ -393,7 +368,7 @@ func TestDetectImbalanceFlagsSkew(t *testing.T) {
 		a.AddMirror(mirror(int64(i)*1000, 1, 0, key(3)))
 		a.AddMirror(mirror(int64(i)*1000, 1, 1, key(4)))
 	}
-	findings := a.DetectImbalance(32, 1.5)
+	findings := a.DetectImbalanceWithPorts(32, 1.5, nil)
 	if len(findings) != 1 || findings[0].Switch != 0 {
 		t.Fatalf("findings = %+v, want only switch 0", findings)
 	}
@@ -404,10 +379,10 @@ func TestDetectImbalanceFlagsSkew(t *testing.T) {
 		t.Errorf("score = %v", findings[0].Score)
 	}
 	// Higher bar filters it out; tiny sample counts are skipped.
-	if got := a.DetectImbalance(32, 3); len(got) != 0 {
+	if got := a.DetectImbalanceWithPorts(32, 3, nil); len(got) != 0 {
 		t.Errorf("minScore=3 findings = %+v", got)
 	}
-	if got := a.DetectImbalance(1000, 1.5); len(got) != 0 {
+	if got := a.DetectImbalanceWithPorts(1000, 1.5, nil); len(got) != 0 {
 		t.Errorf("minRecords=1000 findings = %+v", got)
 	}
 }

@@ -1,8 +1,6 @@
 package analyzer
 
 import (
-	"math"
-
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 )
@@ -90,55 +88,4 @@ func meanOf(vals []float64) float64 {
 		s += v
 	}
 	return s / float64(len(vals))
-}
-
-// FlowVerdict classifies a slow flow (§6.2 / Figure 9): host-limited flows
-// show idle gaps without congestion feedback; network-limited flows show
-// rate depressions coinciding with events on their path.
-type FlowVerdict string
-
-const (
-	// VerdictHostLimited: the application starves the NIC.
-	VerdictHostLimited FlowVerdict = "host-limited"
-	// VerdictNetworkLimited: congestion control is holding the flow back.
-	VerdictNetworkLimited FlowVerdict = "network-limited"
-	// VerdictHealthy: the flow uses the link continuously.
-	VerdictHealthy FlowVerdict = "healthy"
-)
-
-// DiagnoseFlow inspects a flow's rate curve over [from, to) windows
-// together with the detected events involving it.
-func (a *Analyzer) DiagnoseFlow(f flowkey.Key, from, to int64, events []Event) FlowVerdict {
-	curve := a.QueryFlow(f, from, to)
-	if len(curve) == 0 {
-		return VerdictHealthy
-	}
-	var idle int
-	var peak float64
-	for _, v := range curve {
-		if v < 1 {
-			idle++
-		}
-		peak = math.Max(peak, v)
-	}
-	idleFrac := float64(idle) / float64(len(curve))
-
-	involved := false
-	for i := range events {
-		for _, ef := range events[i].Flows {
-			if ef == f {
-				involved = true
-			}
-		}
-	}
-	switch {
-	case involved:
-		return VerdictNetworkLimited
-	case idleFrac > 0.25 && peak > 0:
-		// Gaps without congestion involvement: the sender has no data
-		// (§6.2's intermittent TCP flow).
-		return VerdictHostLimited
-	default:
-		return VerdictHealthy
-	}
 }

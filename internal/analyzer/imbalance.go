@@ -33,22 +33,15 @@ func (f *ImbalanceFinding) HottestPort() int16 {
 	return best
 }
 
-// DetectImbalance aggregates the ingested mirrors per (switch, port) and
-// flags switches whose activity skew reaches minScore (e.g. 2.0 = the
-// hottest port carries twice the per-port average). Switches with fewer
+// DetectImbalanceWithPorts aggregates the ingested mirrors per (switch,
+// port) and flags switches whose activity skew reaches minScore (e.g. 2.0 =
+// the hottest port carries twice the per-port average). Switches with fewer
 // than minRecords mirrored packets are skipped — too little signal.
 //
-// Without port inventory, only ports with activity enter the average, so
-// perfect polarization (all congestion on one port, siblings silent)
-// cannot be seen; use DetectImbalanceWithPorts when the fabric's port
-// counts are known.
-func (a *Analyzer) DetectImbalance(minRecords int, minScore float64) []ImbalanceFinding {
-	return a.DetectImbalanceWithPorts(minRecords, minScore, nil)
-}
-
-// DetectImbalanceWithPorts is DetectImbalance with a per-switch port
-// inventory: switches' silent ports count as zero-activity, so total
-// polarization scores highest.
+// portCount is the per-switch port inventory: a listed switch's silent
+// ports count as zero-activity, so total polarization scores highest.
+// Without it only ports with activity enter the average, and perfect
+// polarization (all congestion on one port, siblings silent) cannot be seen.
 func (a *Analyzer) DetectImbalanceWithPorts(minRecords int, minScore float64, portCount map[int16]int) []ImbalanceFinding {
 	if minRecords <= 0 {
 		minRecords = 32

@@ -144,8 +144,8 @@ func TestOmniWindowAveragesSubWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ow.Granularity() != 4 {
-		t.Fatalf("granularity = %d, want 4", ow.Granularity())
+	if ow.granularity != 4 {
+		t.Fatalf("granularity = %d, want 4", ow.granularity)
 	}
 	k := key(1)
 	ow.Update(k, 100, 40) // sub-window 0

@@ -56,9 +56,6 @@ func NewOmniWindow(rows, width, subWindows int, periodWindows int64, seed uint64
 // Name implements measure.SeriesEstimator.
 func (o *OmniWindow) Name() string { return "OmniWindow-Avg" }
 
-// Granularity reports base windows per sub-window.
-func (o *OmniWindow) Granularity() int64 { return o.granularity }
-
 // Update implements measure.SeriesEstimator.
 func (o *OmniWindow) Update(k flowkey.Key, w int64, v int64) {
 	if o.sealed {

@@ -289,7 +289,9 @@ func (c *Collector) IngestStream(r io.Reader) (reports, bad int, err error) {
 		c.ingestMu.Lock()
 		switch fr.Type {
 		case report.FrameStamp:
-			if st, err := fr.Stamp(); err == nil {
+			if st, err := fr.Stamp(); err != nil {
+				bad++
+			} else {
 				c.Stamp(fr.Host, fr.Epoch, st)
 			}
 		case report.FrameReport:
@@ -477,10 +479,6 @@ func (c *Collector) Drain() []analyzer.Event {
 func (c *Collector) Events() []analyzer.Event {
 	return c.snap.Load().Events()
 }
-
-// Watermark returns the max mirror timestamp ingested (MinInt64 before any
-// mirror).
-func (c *Collector) Watermark() int64 { return c.watermark.Load() }
 
 // Window describes the resident window: admitted epochs (ascending) and
 // total resident Queryables.

@@ -2,6 +2,8 @@ package collect
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"umon/internal/analyzer"
@@ -173,17 +175,33 @@ func TestIngestStreamAdmitsFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := uint64(0); e < 3; e++ {
-		if err := sw.WriteReport(e, mkReport(int(e), key(int(e)), 10, 100)); err != nil {
+		if err := sw.WriteEncoded(e, int(e), mkReport(int(e), key(int(e)), 10, 100).AppendEncode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.WriteStamp(e, int(e), report.EpochStamp{SealNs: 1, ShipNs: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A stamp frame whose payload is no stamp: a five-byte frame with the
+	// type patched and the CRC (over the 24-byte header and the payload)
+	// redone. It counts as bad like the undecodable report after it.
+	const hdr, short = 24, 5
+	torn := sw.Offset()
+	for i := 0; i < 2; i++ {
+		if err := sw.WriteEncoded(9, 9, make([]byte, short)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	fr := buf.Bytes()[torn : torn+hdr+short+4]
+	fr[4] = report.FrameStamp
+	binary.LittleEndian.PutUint32(fr[hdr+short:], crc32.ChecksumIEEE(fr[:hdr+short]))
 	c := New(Config{WindowEpochs: 8})
 	n, bad, err := c.IngestStream(bytes.NewReader(buf.Bytes()))
-	if err != nil || bad != 0 {
-		t.Fatalf("ingest: %v (bad %d)", err, bad)
+	if err != nil || bad != 2 {
+		t.Fatalf("ingest: %v (bad %d, want the torn stamp and the torn report)", err, bad)
 	}
 	if n != 3 {
 		t.Fatalf("ingested %d reports, want 3", n)
@@ -200,8 +218,8 @@ func TestAddMirrorPacketWire(t *testing.T) {
 	if err := c.AddMirrorPacket(uevent.AppendMirrorPacket(nil, rec)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Watermark() != 5_000 {
-		t.Errorf("watermark = %d, want 5000", c.Watermark())
+	if c.watermark.Load() != 5_000 {
+		t.Errorf("watermark = %d, want 5000", c.watermark.Load())
 	}
 	if err := c.AddMirrorPacket([]byte{1, 2, 3}); err == nil {
 		t.Error("garbage packet must fail to parse")

@@ -259,7 +259,7 @@ func TestStatusSnapshot(t *testing.T) {
 	// A drain closes the open event and leaves the watermark at the last
 	// mirror; a collector that never saw a mirror still has none.
 	c.Drain()
-	if st = c.Status(); !st.HasWatermark || st.WatermarkNs != 200_000 || c.Watermark() != 200_000 || st.EventsEmitted != 2 {
+	if st = c.Status(); !st.HasWatermark || st.WatermarkNs != 200_000 || c.watermark.Load() != 200_000 || st.EventsEmitted != 2 {
 		t.Errorf("after drain: watermark = %v/%d, %d events, want true/200000, 2", st.HasWatermark, st.WatermarkNs, st.EventsEmitted)
 	}
 	quiet := New(Config{})

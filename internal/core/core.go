@@ -219,13 +219,3 @@ func (s *System) HostBandwidthBps(durationNs int64) float64 {
 	}
 	return float64(s.ReportBytes()) * 8 / float64(durationNs) * 1e9 / float64(len(s.hosts))
 }
-
-// MirrorStats totals the switches' mirror accounting.
-func (s *System) MirrorStats() (packets, bytes int64) {
-	for _, sm := range s.switches {
-		p, b := sm.Stats()
-		packets += p
-		bytes += b
-	}
-	return packets, bytes
-}

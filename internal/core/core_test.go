@@ -134,9 +134,6 @@ func TestDeployEndToEnd(t *testing.T) {
 	if sys.HostBandwidthBps(0) != 0 {
 		t.Error("zero duration bandwidth must be 0")
 	}
-	if p, b := sys.MirrorStats(); p == 0 || b == 0 {
-		t.Error("mirror stats must be positive")
-	}
 
 	events := sys.Analyzer.DetectEvents(50_000)
 	if len(events) == 0 {
@@ -186,7 +183,12 @@ func TestWireKeepsTheFirstError(t *testing.T) {
 	if err := sys.Finish(); !errors.Is(err, errSinkDown) && !errors.Is(err, errMirror) {
 		t.Errorf("Finish returned %v, want the sink's or the mirror consumer's error", err)
 	}
-	if p, _ := sys.MirrorStats(); p == 0 || p != mirrors.Load() {
+	var p int64
+	for _, sm := range sys.switches {
+		n, _ := sm.Stats()
+		p += n
+	}
+	if p == 0 || p != mirrors.Load() {
 		t.Errorf("switches mirrored %d packets, the consumer saw %d", p, mirrors.Load())
 	}
 	if sys.ReportBytes() == 0 {
@@ -238,7 +240,7 @@ func TestDutyCycledMonitor(t *testing.T) {
 	}
 	// Reports come only from active epochs (2 active out of 8 periods,
 	// plus catch-up seals of skipped periods which carry empty sketches).
-	bytes, _ := d.Inner().Stats()
+	bytes, _ := inner.Stats()
 	if bytes <= 0 || got.reports == 0 {
 		t.Error("duty-cycled monitor produced no reports")
 	}

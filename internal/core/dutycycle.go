@@ -63,6 +63,3 @@ func (d *DutyCycledMonitor) Coverage() float64 {
 	}
 	return float64(d.seen-d.skipped) / float64(d.seen)
 }
-
-// Inner exposes the wrapped monitor (for stats).
-func (d *DutyCycledMonitor) Inner() *StreamHostMonitor { return d.inner }

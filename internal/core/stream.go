@@ -9,43 +9,12 @@ import (
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 	"umon/internal/report"
-	"umon/internal/telemetry"
 	"umon/internal/wavesketch"
 )
-
-// HostStreamStats is the host-side telemetry of the streaming deployment.
-// All handles no-op when nil; a zero value is the disabled configuration.
-type HostStreamStats struct {
-	// EpochsSealed counts epoch boundaries crossed (sketches sealed).
-	EpochsSealed *telemetry.Counter
-	// ReportsShipped counts reports handed to the sink successfully.
-	ReportsShipped *telemetry.Counter
-	// ShipErrors counts sink failures (the first is also surfaced by
-	// Close).
-	ShipErrors *telemetry.Counter
-	// SealNs observes the seal+encode+ship latency per epoch.
-	SealNs *telemetry.Histogram
-}
-
-// NewHostStreamStats registers the host streaming metric set on reg (nil
-// reg yields nil, the disabled configuration).
-func NewHostStreamStats(reg *telemetry.Registry) *HostStreamStats {
-	if reg == nil {
-		return nil
-	}
-	return &HostStreamStats{
-		EpochsSealed:   reg.Counter("umon_host_epochs_sealed_total", "epoch boundaries crossed (open epoch sealed and shipped)"),
-		ReportsShipped: reg.Counter("umon_host_reports_shipped_total", "sealed reports handed to the sink"),
-		ShipErrors:     reg.Counter("umon_host_ship_errors_total", "sink failures while shipping sealed reports"),
-		SealNs:         reg.Histogram("umon_host_seal_ns", "seal+encode+ship latency per epoch (ns)"),
-	}
-}
 
 // StreamMonitorConfig parameterizes a host monitor.
 type StreamMonitorConfig struct {
 	HostMonitorConfig
-	// Stats is optional host-side telemetry.
-	Stats *HostStreamStats
 }
 
 // StreamHostMonitor measures one host's egress continuously, sealing at
@@ -61,7 +30,6 @@ type StreamHostMonitor struct {
 	// as views of the sketch being sealed, and the bytes they encode to.
 	rep       report.HostReport
 	encodeBuf []byte
-	stats     HostStreamStats
 
 	periodStart int64
 	started     bool
@@ -88,9 +56,6 @@ func NewStreamHostMonitor(host int, cfg StreamMonitorConfig, sink ReportSink) (*
 	}
 	m := &StreamHostMonitor{host: host, cfg: cfg, sink: sink, live: live, rep: *report.FromFull(host, 0, live)}
 	m.rep.WindowShift = uint8(cfg.WindowShift)
-	if cfg.Stats != nil {
-		m.stats = *cfg.Stats
-	}
 	return m, nil
 }
 
@@ -118,8 +83,6 @@ func (m *StreamHostMonitor) OnPacket(f flowkey.Key, ns int64, size int) error {
 // alone: a host coming back from a long silence owes one of those per epoch
 // it skipped.
 func (m *StreamHostMonitor) rotate() error {
-	m.stats.EpochsSealed.Inc()
-	span := telemetry.TimeHistogram(m.stats.SealNs)
 	sealedAt := unixNow()
 	periodStart := m.periodStart
 	m.periodStart += m.cfg.PeriodNs
@@ -145,16 +108,13 @@ func (m *StreamHostMonitor) rotate() error {
 		Encoded:       m.encodeBuf,
 		SealedAtNs:    sealedAt,
 	})
-	span()
 	if err != nil {
-		m.stats.ShipErrors.Inc()
 		err = fmt.Errorf("core: shipping host %d epoch report: %w", m.host, err)
 		if m.err == nil {
 			m.err = err
 		}
 		return err
 	}
-	m.stats.ReportsShipped.Inc()
 	return nil
 }
 

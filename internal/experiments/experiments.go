@@ -107,9 +107,6 @@ func NewCache(opt Options) *Cache {
 	return &Cache{opt: opt.filled(), sims: make(map[SimKey]*simEntry)}
 }
 
-// Options returns the filled options.
-func (c *Cache) Options() Options { return c.opt }
-
 // Sim returns (building if needed) the simulation for the key. Concurrent
 // calls for the same key share one build; calls for distinct keys build in
 // parallel.
@@ -295,7 +292,6 @@ func All() []struct {
 		{"ext-duty", ExtDutyCycle},
 		{"ext-imbalance", ExtImbalance},
 		{"ext-queryplane", ExtQueryPlane},
-		{"ext-fabric", ExtFabric},
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,8 +84,7 @@ func TestParallelCacheHammer(t *testing.T) {
 // TestParallelWorkerPool hammers parallel.ForEach from 16 concurrent
 // callers; each invocation must cover its own index space exactly once.
 func TestParallelWorkerPool(t *testing.T) {
-	prev := parallel.SetWorkers(8)
-	defer parallel.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -113,8 +113,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	c := cacheFor(t)
 	render := func(workers int) string {
-		prev := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(prev)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		tab, err := Fig11AccuracyHadoop15(c)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

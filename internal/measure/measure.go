@@ -62,20 +62,6 @@ type Series struct {
 // End returns one past the last window of the series.
 func (s *Series) End() int64 { return s.Start + int64(len(s.Counts)) }
 
-// Range extracts [from, to) as float64, zero-filled outside the series.
-func (s *Series) Range(from, to int64) []float64 {
-	if to < from {
-		to = from
-	}
-	out := make([]float64, to-from)
-	for w := from; w < to; w++ {
-		if w >= s.Start && w < s.End() {
-			out[w-from] = float64(s.Counts[w-s.Start])
-		}
-	}
-	return out
-}
-
 // Total sums all counts.
 func (s *Series) Total() int64 {
 	var t int64
@@ -184,18 +170,3 @@ func (g *GroundTruth) SortedFlows() []flowkey.Key {
 
 // Len reports the number of distinct flows.
 func (g *GroundTruth) Len() int { return len(g.flows) }
-
-// CounterWindows reports Σ_f n(f, δ): the total number of active-time
-// counters needed at a window granularity of `windows` base windows per
-// counter (the N(δ) quantity behind Figure 3).
-func (g *GroundTruth) CounterWindows(windows int64) int64 {
-	if windows <= 0 {
-		windows = 1
-	}
-	var n int64
-	for _, s := range g.flows {
-		span := int64(len(s.Counts))
-		n += (span + windows - 1) / windows
-	}
-	return n
-}

@@ -283,9 +283,6 @@ func (e *Engine) afterInject(d int64, h *host, fs *flowState) {
 	e.push(event{at: e.now + d, kind: evInject, host: h, flow: fs})
 }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.cur) + e.wheelCount + len(e.overflow) }
-
 // NextEventAt reports the earliest pending event time, if any. The
 // parallel coordinator uses it between windows to skip empty lookahead
 // spans; the scan cost is bounded by one pass over the wheel's buckets

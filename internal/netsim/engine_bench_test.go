@@ -14,7 +14,7 @@ import (
 // heap paid O(log n) sift work per operation where the wheel pays an
 // append and a mask.
 //
-// `make bench-sim` / `make bench-sim-baseline` run these benchstat-style.
+// `make bench-sim` runs these into BENCH_sim.json.
 
 // benchSchedule drives a steady-state churn: `pending` self-rescheduling
 // events whose delays cycle through the simulator's characteristic

@@ -1,0 +1,76 @@
+package netsim
+
+import "fmt"
+
+// Pending reports the number of scheduled events.
+func (e *Engine) Pending() int { return len(e.cur) + e.wheelCount + len(e.overflow) }
+
+// FlowRate reports the current sending rate of a flow in bps (for tests).
+// Window flows report cwnd/RTT-free pacing as 0 (they are ACK-clocked).
+func (n *Network) FlowRate(id int32) float64 {
+	for _, h := range n.hosts {
+		if fs, ok := h.flows[id]; ok {
+			if fs.win != nil {
+				return 0
+			}
+			return fs.cc.rc
+		}
+	}
+	return 0
+}
+
+// FlowCwnd reports a window flow's current congestion window in bytes.
+func (n *Network) FlowCwnd(id int32) float64 {
+	for _, h := range n.hosts {
+		if fs, ok := h.flows[id]; ok && fs.win != nil {
+			return fs.win.cwnd
+		}
+	}
+	return 0
+}
+
+// LeafSpineOversub builds a two-tier Clos with explicit oversubscription:
+// each of `leaves` leaf switches serves hostsPerLeaf hosts on its
+// downlinks but trunks only hostsPerLeaf/oversub uplinks, spread evenly
+// across `spines` spine switches — parallel trunk links per leaf-spine
+// pair when the uplink count exceeds the spine count (ports are a
+// multigraph; BFS/ECMP treat each parallel link as one more equal-cost
+// hop). oversub = 1 is a non-blocking fabric; oversub = 4 is the classic
+// congested data-center core where microbursts live. hostsPerLeaf must be
+// a positive multiple of oversub × spines so trunking divides evenly.
+func LeafSpineOversub(spines, leaves, hostsPerLeaf, oversub int) (*Topology, error) {
+	if spines < 1 || leaves < 1 || hostsPerLeaf < 1 || oversub < 1 {
+		return nil, fmt.Errorf("netsim: leaf-spine-oversub needs positive dimensions, got %d/%d/%d/%d",
+			spines, leaves, hostsPerLeaf, oversub)
+	}
+	if hostsPerLeaf%(oversub*spines) != 0 {
+		return nil, fmt.Errorf("netsim: hostsPerLeaf (%d) must be a multiple of oversub×spines (%d×%d)",
+			hostsPerLeaf, oversub, spines)
+	}
+	trunk := hostsPerLeaf / (oversub * spines) // parallel links per leaf-spine pair
+	hosts := leaves * hostsPerLeaf
+	t := &Topology{Hosts: hosts, Switches: leaves + spines}
+	t.Ports = make([][]PortDef, t.Nodes())
+	t.names = make([]string, t.Nodes())
+	leafID := func(l int) NodeID { return NodeID(hosts + l) }
+	spineID := func(s int) NodeID { return NodeID(hosts + leaves + s) }
+	for h := 0; h < hosts; h++ {
+		t.names[h] = fmt.Sprintf("h%d", h)
+		t.link(NodeID(h), leafID(h/hostsPerLeaf))
+	}
+	for l := 0; l < leaves; l++ {
+		t.names[leafID(l)] = fmt.Sprintf("leaf%d", l)
+		for s := 0; s < spines; s++ {
+			for k := 0; k < trunk; k++ {
+				t.link(leafID(l), spineID(s))
+			}
+		}
+	}
+	for s := 0; s < spines; s++ {
+		t.names[spineID(s)] = fmt.Sprintf("spine%d", s)
+	}
+	if err := t.computeRoutes(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}

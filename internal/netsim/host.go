@@ -436,27 +436,3 @@ func (h *host) receiveAck(pkt *Packet, now int64) {
 	}
 	h.trySendWindow(fs)
 }
-
-// FlowRate reports the current sending rate of a flow in bps (for tests).
-// Window flows report cwnd/RTT-free pacing as 0 (they are ACK-clocked).
-func (n *Network) FlowRate(id int32) float64 {
-	for _, h := range n.hosts {
-		if fs, ok := h.flows[id]; ok {
-			if fs.win != nil {
-				return 0
-			}
-			return fs.cc.rc
-		}
-	}
-	return 0
-}
-
-// FlowCwnd reports a window flow's current congestion window in bytes.
-func (n *Network) FlowCwnd(id int32) float64 {
-	for _, h := range n.hosts {
-		if fs, ok := h.flows[id]; ok && fs.win != nil {
-			return fs.win.cwnd
-		}
-	}
-	return 0
-}

@@ -164,9 +164,6 @@ type Episode struct {
 	Flows    []int32 // participating flows (enqueued during the episode)
 }
 
-// Duration returns the episode length in nanoseconds.
-func (e *Episode) Duration() int64 { return e.EndNs - e.StartNs }
-
 // FlowStat summarizes one flow's fate.
 type FlowStat struct {
 	ID          int32
@@ -252,8 +249,6 @@ type port struct {
 	pfcAsserted bool
 	paused      bool
 	pausedNs    int64
-
-	samples []QueueSample
 }
 
 // Network is a running simulation.
@@ -383,14 +378,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	return n, nil
 }
-
-// Engine exposes the event engine (examples schedule custom events). In
-// sharded runs this is shard 0's engine; custom events for other shards'
-// nodes belong on their own engines.
-func (n *Network) Engine() *Engine { return n.eng }
-
-// Trace returns the accumulating trace.
-func (n *Network) Trace() *Trace { return n.trace }
 
 // switchIndex converts a node id into a 0-based switch index.
 func (n *Network) switchIndex(v NodeID) int16 { return int16(int(v) - n.topo.Hosts) }

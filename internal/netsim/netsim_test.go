@@ -223,7 +223,7 @@ func TestContentionTriggersECNAndCNPs(t *testing.T) {
 	if len(ep.Flows) == 0 {
 		t.Error("episode has no participant flows")
 	}
-	if ep.Duration() <= 0 {
+	if ep.EndNs <= ep.StartNs {
 		t.Error("episode duration must be positive")
 	}
 }

@@ -1,10 +1,6 @@
 package packet
 
-import (
-	"fmt"
-
-	"umon/internal/flowkey"
-)
+import "umon/internal/flowkey"
 
 // Data is a plain (non-mirrored) RoCEv2 data packet's parsed headers.
 type Data struct {
@@ -49,43 +45,4 @@ func EncodeData(d *Data, payloadCap int) []byte {
 		b = append(b, make([]byte, pay)...)
 	}
 	return b
-}
-
-// DecodeData parses a frame produced by EncodeData (or any plain RoCEv2
-// frame without a VLAN tag).
-func DecodeData(b []byte) (*Data, error) {
-	var eth Ethernet
-	rest, err := eth.Unmarshal(b)
-	if err != nil {
-		return nil, err
-	}
-	if eth.EtherType != EtherTypeIPv4 {
-		return nil, fmt.Errorf("packet: not an IPv4 frame (ethertype %#04x)", eth.EtherType)
-	}
-	var ip IPv4
-	if rest, err = ip.Unmarshal(rest); err != nil {
-		return nil, err
-	}
-	if ip.Protocol != IPProtoUDP {
-		return nil, fmt.Errorf("packet: unsupported protocol %d", ip.Protocol)
-	}
-	var udp UDP
-	if rest, err = udp.Unmarshal(rest); err != nil {
-		return nil, err
-	}
-	var bth BTH
-	if udp.DstPort == UDPPortRoCE {
-		if _, err = bth.Unmarshal(rest); err != nil {
-			return nil, err
-		}
-	}
-	return &Data{
-		Flow: flowkey.Key{
-			SrcIP: ip.SrcIP, DstIP: ip.DstIP,
-			SrcPort: udp.SrcPort, DstPort: udp.DstPort, Proto: flowkey.ProtoUDP,
-		},
-		PSN:     bth.PSN,
-		CE:      ip.ECN == ECNCE,
-		WireLen: int(ip.TotalLen) + EthernetLen + 4,
-	}, nil
 }

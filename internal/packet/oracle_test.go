@@ -41,6 +41,69 @@ func (h *VLAN) Unmarshal(b []byte) ([]byte, error) {
 	return b[VLANLen:], nil
 }
 
+// Unmarshal parses the header and returns the remaining bytes.
+func (h *Ethernet) Unmarshal(b []byte) ([]byte, error) {
+	if len(b) < EthernetLen {
+		return nil, fmt.Errorf("packet: ethernet header truncated (%d bytes)", len(b))
+	}
+	copy(h.Dst[:], b[0:6])
+	copy(h.Src[:], b[6:12])
+	h.EtherType = binary.BigEndian.Uint16(b[12:14])
+	return b[EthernetLen:], nil
+}
+
+// Unmarshal parses the header, verifies the checksum and returns the
+// remaining bytes.
+func (h *IPv4) Unmarshal(b []byte) ([]byte, error) {
+	if len(b) < IPv4Len {
+		return nil, fmt.Errorf("packet: ipv4 header truncated (%d bytes)", len(b))
+	}
+	if v := b[0] >> 4; v != 4 {
+		return nil, fmt.Errorf("packet: not IPv4 (version %d)", v)
+	}
+	ihl := int(b[0]&0x0f) * 4
+	if ihl < IPv4Len || len(b) < ihl {
+		return nil, fmt.Errorf("packet: bad IHL %d", ihl)
+	}
+	if ipChecksum(b[:ihl]) != 0 {
+		return nil, fmt.Errorf("packet: ipv4 checksum mismatch")
+	}
+	h.DSCP = b[1] >> 2
+	h.ECN = b[1] & 0x3
+	h.TotalLen = binary.BigEndian.Uint16(b[2:4])
+	h.TTL = b[8]
+	h.Protocol = b[9]
+	h.SrcIP = binary.BigEndian.Uint32(b[12:16])
+	h.DstIP = binary.BigEndian.Uint32(b[16:20])
+	return b[ihl:], nil
+}
+
+// Unmarshal parses the header and returns the remaining bytes.
+func (h *UDP) Unmarshal(b []byte) ([]byte, error) {
+	if len(b) < UDPLen {
+		return nil, fmt.Errorf("packet: udp header truncated (%d bytes)", len(b))
+	}
+	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
+	h.DstPort = binary.BigEndian.Uint16(b[2:4])
+	h.Length = binary.BigEndian.Uint16(b[4:6])
+	return b[UDPLen:], nil
+}
+
+// Unmarshal parses the header and returns the remaining bytes.
+func (h *BTH) Unmarshal(b []byte) ([]byte, error) {
+	if len(b) < BTHLen {
+		return nil, fmt.Errorf("packet: BTH truncated (%d bytes)", len(b))
+	}
+	h.Opcode = b[0]
+	h.PadCnt = b[1] >> 4 & 0x3
+	h.Version = b[1] & 0xf
+	h.PKey = binary.BigEndian.Uint16(b[2:4])
+	h.DestQP = uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7])
+	h.AckReq = b[8]&0x80 != 0
+	h.PSN = uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])
+	return b[BTHLen:], nil
+}
+
 // EncodeMirror is the reference encoder on a fresh buffer.
 func EncodeMirror(m *Mirrored) []byte {
 	return appendMirrorMarshal(make([]byte, 0, MirrorEncodedLen), m)

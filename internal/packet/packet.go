@@ -4,10 +4,7 @@
 // Header whose 24-bit PSN the sampling ACL matches.
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // EtherType values used here.
 const (
@@ -44,17 +41,6 @@ func (h *Ethernet) Marshal(b []byte) []byte {
 	return binary.BigEndian.AppendUint16(b, h.EtherType)
 }
 
-// Unmarshal parses the header and returns the remaining bytes.
-func (h *Ethernet) Unmarshal(b []byte) ([]byte, error) {
-	if len(b) < EthernetLen {
-		return nil, fmt.Errorf("packet: ethernet header truncated (%d bytes)", len(b))
-	}
-	copy(h.Dst[:], b[0:6])
-	copy(h.Src[:], b[6:12])
-	h.EtherType = binary.BigEndian.Uint16(b[12:14])
-	return b[EthernetLen:], nil
-}
-
 // ECN codepoints in the IPv4 TOS field.
 const (
 	ECNNotECT = 0b00
@@ -86,32 +72,6 @@ func (h *IPv4) Marshal(b []byte) []byte {
 	csum := ipChecksum(b[start : start+IPv4Len])
 	binary.BigEndian.PutUint16(b[start+10:start+12], csum)
 	return b
-}
-
-// Unmarshal parses the header, verifies the checksum and returns the
-// remaining bytes.
-func (h *IPv4) Unmarshal(b []byte) ([]byte, error) {
-	if len(b) < IPv4Len {
-		return nil, fmt.Errorf("packet: ipv4 header truncated (%d bytes)", len(b))
-	}
-	if v := b[0] >> 4; v != 4 {
-		return nil, fmt.Errorf("packet: not IPv4 (version %d)", v)
-	}
-	ihl := int(b[0]&0x0f) * 4
-	if ihl < IPv4Len || len(b) < ihl {
-		return nil, fmt.Errorf("packet: bad IHL %d", ihl)
-	}
-	if ipChecksum(b[:ihl]) != 0 {
-		return nil, fmt.Errorf("packet: ipv4 checksum mismatch")
-	}
-	h.DSCP = b[1] >> 2
-	h.ECN = b[1] & 0x3
-	h.TotalLen = binary.BigEndian.Uint16(b[2:4])
-	h.TTL = b[8]
-	h.Protocol = b[9]
-	h.SrcIP = binary.BigEndian.Uint32(b[12:16])
-	h.DstIP = binary.BigEndian.Uint32(b[16:20])
-	return b[ihl:], nil
 }
 
 // ipChecksum is the RFC 1071 ones-complement sum; computing it over a
@@ -146,17 +106,6 @@ func (h *UDP) Marshal(b []byte) []byte {
 	return binary.BigEndian.AppendUint16(b, 0)
 }
 
-// Unmarshal parses the header and returns the remaining bytes.
-func (h *UDP) Unmarshal(b []byte) ([]byte, error) {
-	if len(b) < UDPLen {
-		return nil, fmt.Errorf("packet: udp header truncated (%d bytes)", len(b))
-	}
-	h.SrcPort = binary.BigEndian.Uint16(b[0:2])
-	h.DstPort = binary.BigEndian.Uint16(b[2:4])
-	h.Length = binary.BigEndian.Uint16(b[4:6])
-	return b[UDPLen:], nil
-}
-
 // BTH is the InfiniBand Base Transport Header carried by RoCEv2. µMon's
 // sampling matches the low bits of the 24-bit PSN (§5).
 type BTH struct {
@@ -181,19 +130,4 @@ func (h *BTH) Marshal(b []byte) []byte {
 	}
 	b = append(b, a)
 	return append(b, byte(h.PSN>>16), byte(h.PSN>>8), byte(h.PSN))
-}
-
-// Unmarshal parses the header and returns the remaining bytes.
-func (h *BTH) Unmarshal(b []byte) ([]byte, error) {
-	if len(b) < BTHLen {
-		return nil, fmt.Errorf("packet: BTH truncated (%d bytes)", len(b))
-	}
-	h.Opcode = b[0]
-	h.PadCnt = b[1] >> 4 & 0x3
-	h.Version = b[1] & 0xf
-	h.PKey = binary.BigEndian.Uint16(b[2:4])
-	h.DestQP = uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7])
-	h.AckReq = b[8]&0x80 != 0
-	h.PSN = uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])
-	return b[BTHLen:], nil
 }

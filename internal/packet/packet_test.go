@@ -161,27 +161,40 @@ func TestDataRoundTrip(t *testing.T) {
 		},
 		PSN: 777, CE: true, WireLen: 1058,
 	}
-	b := EncodeData(d, 32)
-	got, err := DecodeData(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Flow != d.Flow || got.PSN != d.PSN || got.CE != d.CE || got.WireLen != d.WireLen {
-		t.Errorf("round trip:\n got %+v\nwant %+v", got, d)
-	}
-	// Headers-only truncation must still decode.
-	got2, err := DecodeData(EncodeData(d, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.PSN != d.PSN {
-		t.Error("headers-only frame lost the PSN")
-	}
-}
-
-func TestDecodeDataRejectsVLAN(t *testing.T) {
-	m := &Mirrored{VLANID: 5, Flow: flowkey.Key{SrcIP: 1, DstIP: 2, DstPort: UDPPortRoCE, Proto: 17}}
-	if _, err := DecodeData(EncodeMirror(m)); err == nil {
-		t.Error("VLAN-tagged frame must be rejected by DecodeData")
+	// Headers-only truncation (cap 0) must still carry every header.
+	for _, payloadCap := range []int{32, 0} {
+		b := EncodeData(d, payloadCap)
+		var (
+			eth Ethernet
+			ip  IPv4
+			udp UDP
+			bth BTH
+		)
+		rest, err := eth.Unmarshal(b)
+		if err == nil {
+			rest, err = ip.Unmarshal(rest)
+		}
+		if err == nil {
+			rest, err = udp.Unmarshal(rest)
+		}
+		if err == nil {
+			rest, err = bth.Unmarshal(rest)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Data{
+			Flow: flowkey.Key{
+				SrcIP: ip.SrcIP, DstIP: ip.DstIP,
+				SrcPort: udp.SrcPort, DstPort: udp.DstPort, Proto: flowkey.ProtoUDP,
+			},
+			PSN: bth.PSN, CE: ip.ECN == ECNCE, WireLen: int(ip.TotalLen) + EthernetLen + 4,
+		}
+		if eth.EtherType != EtherTypeIPv4 || ip.Protocol != IPProtoUDP || got != *d {
+			t.Errorf("cap %d round trip:\n got %+v\nwant %+v", payloadCap, got, *d)
+		}
+		if len(rest) != payloadCap {
+			t.Errorf("cap %d: %d payload bytes", payloadCap, len(rest))
+		}
 	}
 }

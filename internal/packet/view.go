@@ -121,9 +121,6 @@ func (v *MirrorView) DstPort() uint16 {
 	return binary.BigEndian.Uint16(v.b[v.udpOff+2 : v.udpOff+4])
 }
 
-// HasBTH reports whether the inner packet carries a RoCEv2 BTH.
-func (v *MirrorView) HasBTH() bool { return v.bthOff >= 0 }
-
 // PSN returns the RoCEv2 packet sequence number (0 without a BTH).
 func (v *MirrorView) PSN() uint32 {
 	if v.bthOff < 0 {

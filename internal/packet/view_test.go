@@ -120,7 +120,7 @@ func TestMirrorViewAccessors(t *testing.T) {
 	if !v.CE() {
 		t.Error("CE lost")
 	}
-	if !v.HasBTH() {
+	if v.bthOff < 0 {
 		t.Error("BTH not detected on RoCE port")
 	}
 	if v.PSN() != m.PSN {

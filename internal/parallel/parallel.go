@@ -1,49 +1,20 @@
 // Package parallel is the bounded worker pool behind the evaluation
 // harness. Every embarrassingly-parallel loop in internal/experiments
 // (simulation prewarming, scheme×memory sweeps, per-host sketch ingestion,
-// per-flow grading) funnels through ForEach/ForEachErr so that one knob
-// controls the fan-out everywhere.
-//
-// The pool width defaults to GOMAXPROCS and can be overridden by the
-// UMON_WORKERS environment variable or programmatically via SetWorkers
-// (which wins over the environment). Width 1 degenerates to a plain
+// per-flow grading) funnels through ForEach/ForEachErr, so the fan-out is
+// the same everywhere: GOMAXPROCS. Width 1 degenerates to a plain
 // sequential loop in the calling goroutine — callers collect results into
 // index-addressed slices, so output is byte-identical at any width.
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// override is the SetWorkers value; 0 means "not set".
-var override atomic.Int64
-
-// Workers reports the pool width used by ForEach: the SetWorkers override
-// if set, else UMON_WORKERS if set to a positive integer, else GOMAXPROCS.
-func Workers() int {
-	if n := override.Load(); n > 0 {
-		return int(n)
-	}
-	if v := os.Getenv("UMON_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers overrides the pool width (n ≤ 0 removes the override). It
-// returns the previous override so tests can restore it.
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(override.Swap(int64(n)))
-}
+// Workers reports the pool width used by ForEach: GOMAXPROCS.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // ForEach runs fn(i) for every i in [0, n), spreading the iterations over
 // min(Workers(), n) goroutines. Iterations are handed out dynamically

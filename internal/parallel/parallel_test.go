@@ -3,47 +3,32 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-func TestWorkersResolution(t *testing.T) {
-	prev := SetWorkers(0)
-	defer SetWorkers(prev)
-	old, had := os.LookupEnv("UMON_WORKERS")
-	defer func() {
-		if had {
-			os.Setenv("UMON_WORKERS", old)
-		} else {
-			os.Unsetenv("UMON_WORKERS")
-		}
-	}()
+// setWorkers sets the pool width — GOMAXPROCS — for the rest of the test.
+func setWorkers(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
-	os.Unsetenv("UMON_WORKERS")
+func TestWorkersResolution(t *testing.T) {
 	if got := Workers(); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("default Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	os.Setenv("UMON_WORKERS", "3")
-	if got := Workers(); got != 3 {
-		t.Errorf("env Workers() = %d, want 3", got)
-	}
-	os.Setenv("UMON_WORKERS", "bogus")
-	if got := Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("bad env Workers() = %d, want GOMAXPROCS", got)
-	}
-	SetWorkers(7)
-	os.Setenv("UMON_WORKERS", "3")
+	t.Setenv("UMON_WORKERS", "3")
+	setWorkers(t, 7)
 	if got := Workers(); got != 7 {
-		t.Errorf("SetWorkers must win over env: got %d", got)
+		t.Errorf("Workers() = %d, want GOMAXPROCS 7 whatever the environment says", got)
 	}
 }
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 16} {
-		prev := SetWorkers(w)
+		setWorkers(t, w)
 		const n = 1000
 		counts := make([]int32, n)
 		ForEach(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
@@ -52,7 +37,6 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times", w, i, c)
 			}
 		}
-		SetWorkers(prev)
 	}
 }
 
@@ -66,8 +50,7 @@ func TestForEachZeroAndTiny(t *testing.T) {
 }
 
 func TestForEachErrReturnsLowestIndex(t *testing.T) {
-	prev := SetWorkers(8)
-	defer SetWorkers(prev)
+	setWorkers(t, 8)
 	errA := errors.New("a")
 	err := ForEachErr(100, func(i int) error {
 		switch i {
@@ -89,8 +72,7 @@ func TestForEachErrReturnsLowestIndex(t *testing.T) {
 // TestForEachConcurrentCallers hammers the pool from 16 goroutines at once
 // (run under -race via the Makefile test-race target).
 func TestForEachConcurrentCallers(t *testing.T) {
-	prev := SetWorkers(4)
-	defer SetWorkers(prev)
+	setWorkers(t, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

@@ -14,7 +14,7 @@
 // memory and stay valid only until the next ReadBatch call on the same
 // Batch (which releases the previous block back to the pool) or until
 // Batch.Release. Callers that need longer-lived bytes must copy, or use
-// ReadPacket/ReadAll, which return owned (copied) data.
+// ReadAll, which returns owned (copied) data.
 package pcapio
 
 import (
@@ -176,16 +176,6 @@ func putRecordHeader(h []byte, tsNs int64, capLen, origLen int) {
 	binary.LittleEndian.PutUint32(h[4:8], uint32(tsNs%1e9))
 	binary.LittleEndian.PutUint32(h[8:12], uint32(capLen))
 	binary.LittleEndian.PutUint32(h[12:16], uint32(origLen))
-}
-
-// WritePacketBatch appends many records through the coalescing buffer.
-func (w *Writer) WritePacketBatch(ps []Packet) error {
-	for i := range ps {
-		if err := w.WritePacket(ps[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Flush forces buffered records to the underlying writer and returns the
@@ -390,15 +380,6 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// ReadPacket returns the next record with owned (copied) data, or io.EOF
-// at the end of the stream. One allocation per record; the batch API
-// avoids it.
-func (r *Reader) ReadPacket() (Packet, error) {
-	p, err := r.readRecord()
-	p.Data = append([]byte(nil), p.Data...)
-	return p, err
 }
 
 // Batch is the destination of ReadBatch: a reusable set of packet views

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -167,24 +166,6 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeV1 measures DecodeBytes on the same reports in wire
-// version 1: what a collector pays for a host not yet upgraded.
-func BenchmarkDecodeV1(b *testing.B) {
-	for _, c := range benchReports {
-		b.Run(c.name, func(b *testing.B) {
-			enc := v1Bytes(b, c.build(b, 0))
-			b.SetBytes(int64(len(enc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeBytes(enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAppendEncode measures encoding into a reused buffer, the way
 // the host monitors seal.
 func BenchmarkAppendEncode(b *testing.B) {
@@ -197,24 +178,6 @@ func BenchmarkAppendEncode(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				buf = rep.AppendEncode(buf[:0])
-			}
-		})
-	}
-}
-
-// BenchmarkOracleDecode is the replaced decoder on the same inputs, for
-// reading BenchmarkDecodeV1 against.
-func BenchmarkOracleDecode(b *testing.B) {
-	for _, c := range benchReports {
-		b.Run(c.name, func(b *testing.B) {
-			enc := v1Bytes(b, c.build(b, 0))
-			b.SetBytes(int64(len(enc)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := oracleDecode(bytes.NewReader(enc)); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -5,12 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -18,22 +18,9 @@ import (
 	"umon/internal/wavesketch"
 )
 
-// positionsOK is the one rule DecodeBytes adds to what oracleDecode
-// accepts: buckets in strictly ascending (row, index) order inside the
-// declared shape.
-func positionsOK(r *HostReport) bool {
-	next := 0
-	for _, b := range r.Buckets {
-		if b.Row < 0 || b.Row >= r.Meta.Rows || b.Index < 0 || b.Index >= r.Meta.Width || b.Row*r.Meta.Width+b.Index < next {
-			return false
-		}
-		next = b.Row*r.Meta.Width + b.Index + 1
-	}
-	return true
-}
-
-// v1Bytes is r in wire version 1, from the one encoder that still writes
-// it.
+// v1Bytes is r in wire version 1 — which nothing reads any more, and which
+// spells every field out, so the tests compare reports in it — from the one
+// encoder that still writes it.
 func v1Bytes(tb testing.TB, r *HostReport) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -44,23 +31,21 @@ func v1Bytes(tb testing.TB, r *HostReport) []byte {
 }
 
 // checkAgainstOracle is the differential property. DecodeBytes agrees with
-// the reference decoder of the payload's version on accept/reject (for
-// version 1 up to the position rule) and, on accept, on every field.
-// What it accepted decodes to itself from version 1, and from version 2 to
-// its canonical form — the details reconstruction uses, in tree order —
-// which re-encodes to the same bytes.
+// the reference decoder on accept/reject and, on accept, on every field; a
+// payload the version 1 reference reads is refused by its version. What
+// DecodeBytes accepted survives the trip through version 1 bytes, and
+// decodes from its own encoding to its canonical form — the details
+// reconstruction uses, in tree order — which re-encodes to the same bytes.
 func checkAgainstOracle(t *testing.T, data []byte) {
 	t.Helper()
 	got, err := DecodeBytes(data)
-	want, oerr := oracleDecode(bytes.NewReader(data))
-	if oerr == nil && !positionsOK(want) {
-		oerr = errors.New("bucket positions out of shape or order")
-	}
-	if oerr != nil {
-		if w2, err2 := oracleDecodeV2(data); err2 == nil {
-			want, oerr = w2, nil
+	if _, v1err := oracleDecode(bytes.NewReader(data)); v1err == nil {
+		if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Fatalf("DecodeBytes of a version 1 payload: err = %v, want unsupported version 1", err)
 		}
+		return
 	}
+	want, oerr := oracleDecodeV2(data)
 	if (oerr == nil) != (err == nil) {
 		t.Fatalf("DecodeBytes err = %v; oracle err = %v", err, oerr)
 	}
@@ -70,7 +55,7 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded reports differ:\n got %+v\nwant %+v", got, want)
 	}
-	if viaV1, err := DecodeBytes(v1Bytes(t, got)); err != nil || !reflect.DeepEqual(viaV1, got) {
+	if viaV1, err := oracleDecode(bytes.NewReader(v1Bytes(t, got))); err != nil || !reflect.DeepEqual(viaV1, got) {
 		t.Fatalf("version 1 round trip changed the report (err %v):\n got %+v\nwant %+v", err, viaV1, got)
 	}
 	enc := got.AppendEncode(nil)
@@ -86,7 +71,8 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	}
 }
 
-// bothVersions is r as hosts write it now and as they wrote it before.
+// bothVersions is r as hosts write it and in the version before, which
+// DecodeBytes must refuse.
 func bothVersions(tb testing.TB, r *HostReport) [][]byte {
 	return [][]byte{r.AppendEncode(nil), v1Bytes(tb, r)}
 }
@@ -224,9 +210,9 @@ func TestDecodeMatchesOracleOnMutations(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsMisplacedBuckets pins the position rule in both wire
-// versions: a frame whose buckets are out of order, repeated or outside the
-// sketch shape is bad.
+// TestDecodeRejectsMisplacedBuckets pins the position rule: a frame whose
+// buckets are out of order, repeated or outside the sketch shape is bad, in
+// version 1 bytes as much as any other version 1 frame.
 func TestDecodeRejectsMisplacedBuckets(t *testing.T) {
 	for name, r := range misplacedReports() {
 		for i, enc := range bothVersions(t, r) {
@@ -278,9 +264,7 @@ type hostile struct {
 }
 
 // hostilePayloads are short frames, in both wire versions, whose counts
-// promise far more than their bytes hold. Each version 1 payload passed
-// every check of the replaced decoder up to the allocation it sized from
-// the count.
+// promise far more than their bytes hold.
 func hostilePayloads() []hostile {
 	uv := func(b []byte, vs ...uint64) []byte {
 		for _, v := range vs {
@@ -336,7 +320,7 @@ func allocatedPerRun(f func()) (bytes uint64, allocs float64) {
 // TestDecodeBoundsAllocationByPayload is the regression test for counts
 // sizing allocations: every hostile payload is at most 64 bytes, must be
 // rejected, and must cost under 4 KB and a handful of allocations; and no
-// payload of the corpus, accepted or not, in either version, costs more
+// payload of the corpus, accepted or not, costs more
 // than a small multiple of its length — the widest expansion is 24 bytes of
 // DetailRef for the two a version 2 detail takes at least.
 func TestDecodeBoundsAllocationByPayload(t *testing.T) {
@@ -361,18 +345,17 @@ func TestDecodeBoundsAllocationByPayload(t *testing.T) {
 
 // TestDecodeAllocations pins the decoder's allocation count: the report,
 // the bucket and heavy slabs, the approximation and detail slabs, however
-// many buckets there are and whichever the version — and no more through
-// Decode, which reads into a pooled buffer.
+// many buckets there are — and no more through Decode, which reads into a
+// pooled buffer.
 func TestDecodeAllocations(t *testing.T) {
 	for _, c := range benchReports {
-		for i, enc := range bothVersions(t, c.build(t, 0)) {
-			if got := testing.AllocsPerRun(20, func() { DecodeBytes(enc) }); got > 5 {
-				t.Errorf("%s, version %d: DecodeBytes allocates %v times, want ≤ 5", c.name, version-i, got)
-			}
-			rd := bytes.NewReader(enc)
-			if got := testing.AllocsPerRun(20, func() { rd.Reset(enc); Decode(rd) }); got > 5 {
-				t.Errorf("%s, version %d: Decode allocates %v times, want ≤ 5", c.name, version-i, got)
-			}
+		enc := c.build(t, 0).AppendEncode(nil)
+		if got := testing.AllocsPerRun(20, func() { DecodeBytes(enc) }); got > 5 {
+			t.Errorf("%s: DecodeBytes allocates %v times, want ≤ 5", c.name, got)
+		}
+		rd := bytes.NewReader(enc)
+		if got := testing.AllocsPerRun(20, func() { rd.Reset(enc); Decode(rd) }); got > 5 {
+			t.Errorf("%s: Decode allocates %v times, want ≤ 5", c.name, got)
 		}
 	}
 }
@@ -465,7 +448,7 @@ var goldenBytes = []byte{
 // the bytes spelled out above, through AppendEncode — which appends after
 // what dst already holds — and through Encode on top of it; a Table 1 full
 // report and a basic 3×1024 one encode to pinned digests, from which they
-// decode to what their version 1 bytes decode to.
+// decode to what the version 1 reference reads from their version 1 bytes.
 func TestAppendEncodeGolden(t *testing.T) {
 	rep := goldenReport()
 	if got := rep.AppendEncode([]byte("prefix")); string(got[:len("prefix")]) != "prefix" || !bytes.Equal(got[len("prefix"):], goldenBytes) {
@@ -493,7 +476,7 @@ func TestAppendEncodeGolden(t *testing.T) {
 			t.Errorf("%s: %d bytes with digest %s, want %d with %s", c.name, len(enc), got, want.size, want.digest)
 		}
 		dec, err := DecodeBytes(enc)
-		viaV1, err1 := DecodeBytes(v1Bytes(t, rep))
+		viaV1, err1 := oracleDecode(bytes.NewReader(v1Bytes(t, rep)))
 		if err != nil || err1 != nil || !reflect.DeepEqual(dec, viaV1) {
 			t.Errorf("%s: version 2 and version 1 decode apart (errs %v, %v)", c.name, err, err1)
 		}

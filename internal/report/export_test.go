@@ -1,0 +1,50 @@
+package report
+
+import (
+	"errors"
+	"io"
+)
+
+// WriteReport encodes r and frames it under epoch.
+func (sw *StreamWriter) WriteReport(epoch uint64, r *HostReport) error {
+	return sw.WriteEncoded(epoch, r.Host, r.AppendEncode(nil))
+}
+
+// EpochReport is one decoded report frame of a stream.
+type EpochReport struct {
+	Epoch  uint64
+	Report *HostReport
+}
+
+// ReadStream reads r to the end of the stream, decoding every report
+// frame. Frames that fail their CRC are skipped (counted in the returned
+// badFrames) so one flipped bit does not discard a whole file.
+func ReadStream(r io.Reader) (reports []EpochReport, badFrames int, err error) {
+	sr, err := NewStreamReader(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	var f Frame
+	for {
+		err := sr.Next(&f)
+		if err == io.EOF {
+			return reports, badFrames, nil
+		}
+		if errors.Is(err, ErrCRC) {
+			badFrames++
+			continue
+		}
+		if err != nil {
+			return reports, badFrames, err
+		}
+		if f.Type != FrameReport {
+			continue // stamps and future metadata frames ride alongside
+		}
+		rep, err := f.Report()
+		if err != nil {
+			badFrames++
+			continue
+		}
+		reports = append(reports, EpochReport{Epoch: f.Epoch, Report: rep})
+	}
+}

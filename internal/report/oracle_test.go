@@ -30,8 +30,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// oracleEncode is the version 1 encoder, kept as the golden reference for
-// the bytes hosts shipped before version 2: they must keep decoding.
+// version1 is the wire version hosts wrote before version 2; DecodeBytes
+// refuses it.
+const version1 = 1
+
+// oracleEncode is the version 1 encoder: the form the tests compare
+// reports in, every field spelled out.
 func oracleEncode(r *HostReport, w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)

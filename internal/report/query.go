@@ -258,9 +258,6 @@ func (q *Queryable) meets(w0 int64, length int, approx []int64, from, to int64) 
 // without a sample.
 func (q *Queryable) Span() (lo, hi int64) { return q.lo, q.hi }
 
-// Host returns the reporting host.
-func (q *Queryable) Host() int { return q.rep.Host }
-
 // Geometry identifies the hash layout of a report's sketch: two reports
 // with equal geometries hash any flow to the same (row, bucket) positions,
 // so their routing bitmaps can be merged into one window-global index that

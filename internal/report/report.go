@@ -21,13 +21,11 @@ import (
 	"umon/internal/wavesketch"
 )
 
-// magic and version identify the stream format. Hosts write version 2;
-// version 1, what they wrote before it, is still decoded, so collectors
-// upgrade before hosts do.
+// magic and version identify the stream format: hosts write version 2 and
+// collectors read nothing else.
 const (
-	magic    = 0x754d4f4e // "uMON"
-	version  = 2
-	version1 = 1
+	magic   = 0x754d4f4e // "uMON"
+	version = 2
 )
 
 // SketchMeta is the sketch configuration the analyzer needs to re-locate a
@@ -219,7 +217,7 @@ const sane = 1 << 24
 // key fields: one each for w0, len, |A| and |D|.
 const minCurveBytes = 4
 
-// DecodeBytes parses a report in wire version 2 or 1. The result shares no
+// DecodeBytes parses a report in wire version 2. The result shares no
 // memory with payload. It walks the payload twice: a validating pass
 // that checks every field and bounds every count by the bytes still
 // unread — so no payload can make it allocate more than a small multiple
@@ -227,10 +225,9 @@ const minCurveBytes = 4
 // for the buckets, the heavy entries, all approximation values and all
 // detail coefficients, the per-curve slices cap-clipped views of the last
 // two. Buckets must come in strictly ascending (row, index) order inside
-// the declared shape, as Export emits them, and a version 2 curve's
-// details in strictly ascending tree order inside its tree; anything else
-// is a bad frame. Version 1 details come in whatever order they were
-// written.
+// the declared shape, as Export emits them, and a curve's details in
+// strictly ascending tree order inside its tree; anything else is a bad
+// frame.
 func DecodeBytes(payload []byte) (*HostReport, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("report: short magic: %w", io.ErrUnexpectedEOF)
@@ -243,7 +240,7 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 	if d.uvarints(hdr[:]); d.bad {
 		return nil, fmt.Errorf("report: truncated header: %w", io.ErrUnexpectedEOF)
 	}
-	if hdr[0] != version && hdr[0] != version1 {
+	if hdr[0] != version {
 		return nil, fmt.Errorf("report: unsupported version %d", hdr[0])
 	}
 	r := &HostReport{
@@ -252,16 +249,10 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 		WindowShift: uint8(hdr[3]),
 		Meta:        SketchMeta{Rows: int(hdr[4]), Width: int(hdr[5]), Levels: int(hdr[6]), Seed: hdr[7]},
 	}
-	// A bucket opens with its gap and a detail takes two varints; in
-	// version 1 (row, index) and three.
-	bucketKeys := 1
-	d.base, d.detailBytes = r.PeriodStart, 2
-	if d.v1 = hdr[0] == version1; d.v1 {
-		bucketKeys, d.base, d.detailBytes = 2, 0, 3
-	}
+	d.base = r.PeriodStart
 	nBuckets, nHeavy := hdr[8], hdr[9]
 	left := uint64(len(payload) - d.off)
-	if nBuckets > sane || nHeavy > sane || nBuckets > left/uint64(bucketKeys+minCurveBytes) || nHeavy > left/(heavyKeys+minCurveBytes) {
+	if nBuckets > sane || nHeavy > sane || nBuckets > left/(bucketKeys+minCurveBytes) || nHeavy > left/(heavyKeys+minCurveBytes) {
 		return nil, fmt.Errorf("report: implausible counts %d/%d in %d bytes", nBuckets, nHeavy, left)
 	}
 	// Bound the sketch shape: reconstruction allocates O(len(A)·2^Levels),
@@ -282,11 +273,11 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 		if d.record(bucketKeys); d.bad {
 			return nil, fmt.Errorf("report: bucket %d: bad record", i)
 		}
-		pos, ok := d.position(next, rows, width)
-		if !ok {
-			return nil, fmt.Errorf("report: bucket %d: position %d out of shape or order", i, pos)
+		gap := d.f[0]
+		if gap >= rows*width-next {
+			return nil, fmt.Errorf("report: bucket %d: position %d out of shape", i, next+gap)
 		}
-		next = pos + 1
+		next += gap + 1
 	}
 	for i := uint64(0); i < nHeavy; i++ {
 		if d.record(heavyKeys); d.bad {
@@ -309,7 +300,7 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 	for i := range r.Buckets {
 		b := &r.Buckets[i]
 		b.W0, b.Len, b.Approx, b.Details = d.record(bucketKeys)
-		pos, _ := d.position(next, rows, width)
+		pos := next + d.f[0]
 		for pos >= rowEnd {
 			row, rowEnd = row+1, rowEnd+width
 		}
@@ -326,9 +317,17 @@ func DecodeBytes(payload []byte) (*HostReport, error) {
 	return r, nil
 }
 
-// A record opens with its key fields — a bucket's position, a heavy
-// entry's five-tuple — followed by the curve's w0, len and |A|.
-const heavyKeys = 5
+// A record opens with its key fields — a bucket's gap from the bucket
+// before it, a heavy entry's five-tuple — followed by the curve's w0, len
+// and |A|.
+const (
+	bucketKeys = 1
+	heavyKeys  = 5
+)
+
+// detailBytes is the fewest bytes a detail can take: a byte for each of its
+// two varints.
+const detailBytes = 2
 
 // decoder is a cursor over a report payload. A read past the end or an
 // overlong varint sets bad and parks the cursor at the end, so every
@@ -337,12 +336,9 @@ type decoder struct {
 	b      []byte
 	off    int
 	bad    bool
-	v1     bool  // the payload is wire version 1
-	base   int64 // what a curve's w0 is relative to: the period start, 0 in version 1
+	base   int64 // what a curve's w0 is relative to: the period start
 	levels uint
-	// detailBytes is the fewest bytes a detail can take: a byte per varint.
-	detailBytes uint64
-	f           [heavyKeys + 3]uint64 // the current record's leading fields
+	f      [heavyKeys + 3]uint64 // the current record's leading fields
 	// Pass 1 totals the approximation values and detail coefficients in
 	// na and nd; pass 2 (fill) hands out the front of the two slabs.
 	na, nd  int
@@ -352,17 +348,6 @@ type decoder struct {
 }
 
 func (d *decoder) fail() { d.bad, d.off = true, len(d.b) }
-
-// position is the current bucket record's row·width + index, and whether
-// it lies inside the shape at or after next, the position following the
-// bucket before.
-func (d *decoder) position(next, rows, width uint64) (uint64, bool) {
-	if d.v1 {
-		row, idx := d.f[0], d.f[1]
-		return row*width + idx, row < rows && idx < width && row*width+idx >= next
-	}
-	return next + d.f[0], d.f[0] < rows*width-next
-}
 
 // uvarints reads len(dst) consecutive uvarints.
 func (d *decoder) uvarints(dst []uint64) {
@@ -431,36 +416,21 @@ func (d *decoder) record(nkeys int) (w0 int64, length int, a []int64, det []wave
 	var one [1]uint64
 	d.uvarints(one[:])
 	nd := one[0]
-	if d.bad || nd > sane || nd > uint64(len(d.b)-d.off)/d.detailBytes {
+	if d.bad || nd > sane || nd > uint64(len(d.b)-d.off)/detailBytes {
 		d.fail()
 		return
 	}
 	if !d.fill {
 		d.nd += int(nd)
-		if d.v1 {
-			d.skip(3 * nd)
-		} else {
-			d.checkDetails(nd, na)
-		}
+		d.checkDetails(nd, na)
 		return // pass 1 reads none of the results
 	}
 	det, d.details = d.details[:nd:nd], d.details[nd:]
-	if d.v1 {
-		b, off := d.b, d.off
-		for i := range det {
-			lv, n0 := binary.Uvarint(b[off:])
-			ix, n1 := binary.Uvarint(b[off+n0:])
-			val, n2 := binary.Uvarint(b[off+n0+n1:])
-			det[i], off = wavelet.DetailRef{Level: int(lv), Index: int(ix), Val: unzigzag(val)}, off+n0+n1+n2
-		}
-		d.off = off
-	} else {
-		d.fillDetails(det, na)
-	}
+	d.fillDetails(det, na)
 	return unzigzag(uw0) + d.base, int(ulen), a, det
 }
 
-// checkDetails is pass 1 over a version 2 curve's nd details: tree ids
+// checkDetails is pass 1 over a curve's nd details: tree ids
 // strictly ascending inside [na, na<<levels), every varint well formed.
 func (d *decoder) checkDetails(nd, na uint64) {
 	b, off := d.b, d.off

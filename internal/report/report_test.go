@@ -210,9 +210,6 @@ func TestQueryAbsentFlowIsZero(t *testing.T) {
 	if got := q.QueryRange(key(0), 10, 5); len(got) != 0 {
 		t.Errorf("inverted range should be empty, got %v", got)
 	}
-	if q.Host() != 0 {
-		t.Errorf("Host = %d", q.Host())
-	}
 }
 
 // TestDecodeNeverPanics feeds random and mutated inputs to Decode: it may

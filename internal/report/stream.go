@@ -212,11 +212,6 @@ func (sw *StreamWriter) WriteStamp(epoch uint64, host int, st EpochStamp) error 
 	return sw.writeFrame(FrameStamp, 0, host, epoch, EncodeStamp(st))
 }
 
-// WriteReport encodes r and frames it under epoch.
-func (sw *StreamWriter) WriteReport(epoch uint64, r *HostReport) error {
-	return sw.WriteEncoded(epoch, r.Host, r.AppendEncode(nil))
-}
-
 // Frames reports how many report frames have been written.
 func (sw *StreamWriter) Frames() int { return len(sw.index) }
 
@@ -288,10 +283,6 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	return &StreamReader{r: r}, nil
 }
 
-// Skipped reports how many unknown-type/unknown-version frames were
-// length-skipped.
-func (sr *StreamReader) Skipped() int { return sr.skipped }
-
 // CRCErrors reports how many frames failed their checksum.
 func (sr *StreamReader) CRCErrors() int { return sr.crcErrs }
 
@@ -361,47 +352,6 @@ func (sr *StreamReader) Next(f *Frame) error {
 		f.Epoch = binary.LittleEndian.Uint64(sr.hdr[12:])
 		f.Payload = body[:plen]
 		return nil
-	}
-}
-
-// ReadStream decodes every report frame of a stream into (epoch, report)
-// pairs — the batch-convenience entry point umon-analyze uses for framed
-// inputs.
-type EpochReport struct {
-	Epoch  uint64
-	Report *HostReport
-}
-
-// ReadStream reads r to the end of the stream, decoding every report
-// frame. Frames that fail their CRC are skipped (counted in the returned
-// badFrames) so one flipped bit does not discard a whole file.
-func ReadStream(r io.Reader) (reports []EpochReport, badFrames int, err error) {
-	sr, err := NewStreamReader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	var f Frame
-	for {
-		err := sr.Next(&f)
-		if err == io.EOF {
-			return reports, badFrames, nil
-		}
-		if errors.Is(err, ErrCRC) {
-			badFrames++
-			continue
-		}
-		if err != nil {
-			return reports, badFrames, err
-		}
-		if f.Type != FrameReport {
-			continue // stamps and future metadata frames ride alongside
-		}
-		rep, err := f.Report()
-		if err != nil {
-			badFrames++
-			continue
-		}
-		reports = append(reports, EpochReport{Epoch: f.Epoch, Report: rep})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -68,10 +69,10 @@ func writeTestStream(t *testing.T, hosts, epochs int) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamReadsVersion1Captures: a .umstream written before wire version
-// 2 — the same framing around version 1 payloads — reads to the reports it
-// always read to, detail order included, next to version 2 frames in one
-// stream (a fleet halfway through its upgrade).
+// TestStreamReadsVersion1Captures: wire version 1 is retired. DecodeBytes
+// answers "unsupported version 1", and a .umstream that still carries
+// version 1 payloads reads as one bad frame each with the reader left
+// framed: the version 2 frames between them read to what they always did.
 func TestStreamReadsVersion1Captures(t *testing.T) {
 	var buf bytes.Buffer
 	sw, err := NewStreamWriter(&buf)
@@ -80,7 +81,11 @@ func TestStreamReadsVersion1Captures(t *testing.T) {
 	}
 	reps := []*HostReport{table1Report(t, 0), fleetReport(t, 1), testReport(2, 512)}
 	for h, r := range reps {
-		if err := sw.WriteEncoded(0, h, v1Bytes(t, r)); err != nil {
+		old := v1Bytes(t, r)
+		if _, err := DecodeBytes(old); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Fatalf("report %d: DecodeBytes of version 1 bytes: %v, want unsupported version 1", h, err)
+		}
+		if err := sw.WriteEncoded(0, h, old); err != nil {
 			t.Fatal(err)
 		}
 		if err := sw.WriteReport(1, r); err != nil {
@@ -91,19 +96,12 @@ func TestStreamReadsVersion1Captures(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, bad, err := ReadStream(bytes.NewReader(buf.Bytes()))
-	if err != nil || bad != 0 || len(got) != 2*len(reps) {
-		t.Fatalf("read %d reports, %d bad frames, err %v", len(got), bad, err)
+	if err != nil || bad != len(reps) || len(got) != len(reps) {
+		t.Fatalf("read %d reports, %d bad frames, err %v; want %d and %d", len(got), bad, err, len(reps), len(reps))
 	}
 	for i, r := range reps {
-		want, err := oracleDecode(bytes.NewReader(v1Bytes(t, r)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if old := got[2*i]; old.Epoch != 0 || !reflect.DeepEqual(old.Report, want) {
-			t.Errorf("report %d: the version 1 frame reads differently from the version 1 decoder", i)
-		}
-		if cur := got[2*i+1]; cur.Epoch != 1 || !reflect.DeepEqual(cur.Report, canonical(want, byTreeID)) {
-			t.Errorf("report %d: the version 2 frame does not read to the same report in tree order", i)
+		if cur := got[i]; cur.Epoch != 1 || !reflect.DeepEqual(cur.Report, canonical(r, byTreeID)) {
+			t.Errorf("report %d: the version 2 frame after a version 1 frame reads differently", i)
 		}
 	}
 }
@@ -265,8 +263,8 @@ func TestStreamUnknownVersionAndTypeSkipped(t *testing.T) {
 	if !reflect.DeepEqual(got, []uint64{0, 3}) {
 		t.Errorf("report epochs = %v, want [0 3]", got)
 	}
-	if sr.Skipped() != 2 {
-		t.Errorf("skipped = %d, want 2", sr.Skipped())
+	if sr.skipped != 2 {
+		t.Errorf("skipped = %d, want 2", sr.skipped)
 	}
 }
 
@@ -371,8 +369,8 @@ func TestStreamStampFrames(t *testing.T) {
 	if !reflect.DeepEqual(stamps, want) {
 		t.Errorf("stamps = %+v, want %+v", stamps, want)
 	}
-	if sr.Skipped() != 1 { // the trailing index frame, nothing else
-		t.Errorf("reader skipped %d frames, want 1", sr.Skipped())
+	if sr.skipped != 1 { // the trailing index frame, nothing else
+		t.Errorf("reader skipped %d frames, want 1", sr.skipped)
 	}
 	// The batch convenience path decodes the reports and ignores stamps.
 	reps, bad, err := ReadStream(bytes.NewReader(buf.Bytes()))

@@ -53,13 +53,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adds d (may be negative).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.n.Add(d)
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — a
 // lock-free high-water mark. The fast path (v not a new maximum) is a
 // single atomic load.

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // histBuckets is the bucket count: bucket b holds observations v with
@@ -90,16 +89,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		return 0
 	}
 	return quantileLe(h.snap(), q)
-}
-
-// TimeHistogram starts a wall-clock measurement destined for h: the
-// returned func observes the elapsed nanoseconds when called. A nil
-// histogram returns a no-op closure without touching the clock, so the
-// disabled path stays free of time syscalls.
-func TimeHistogram(h *Histogram) func() {
-	if h == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Nanoseconds()) }
 }

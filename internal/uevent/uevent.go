@@ -24,9 +24,6 @@ type ACLRule struct {
 	SampleBits uint
 }
 
-// SamplingRatio returns the rule's match probability.
-func (r ACLRule) SamplingRatio() float64 { return 1 / float64(int64(1)<<r.SampleBits) }
-
 // Matches applies the rule to one packet observation.
 func (r ACLRule) Matches(ce bool, psn uint32) bool {
 	if !ce {

@@ -104,14 +104,6 @@ func (s *Stream) Init(levels, approxHint int) {
 // Levels reports the decomposition depth L.
 func (s *Stream) Levels() int { return s.levels }
 
-// MaxOffset reports the largest window offset pushed so far (-1 if none).
-func (s *Stream) MaxOffset() int {
-	if !s.started {
-		return -1
-	}
-	return s.maxOff
-}
-
 // Approx exposes the accumulated deepest-level approximation coefficients.
 // The caller must not mutate the returned slice.
 func (s *Stream) Approx() []int64 { return s.approx }

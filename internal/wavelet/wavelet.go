@@ -38,16 +38,6 @@ type Coeffs struct {
 	Details [][]int64
 }
 
-// NumCoeffs reports the total number of coefficients, which always equals
-// the original signal length.
-func (c *Coeffs) NumCoeffs() int {
-	n := len(c.Approx)
-	for _, d := range c.Details {
-		n += len(d)
-	}
-	return n
-}
-
 // weightTab caches Weight for every realistic level: the sketch ranks a
 // coefficient on every sink offer, and math.Pow is far too slow for that
 // hot path. Entries are produced by the exact same formula, so ranking is
@@ -124,28 +114,6 @@ func Inverse(c *Coeffs) []float64 {
 			var d float64
 			if i < len(det) {
 				d = float64(det[i])
-			}
-			next[2*i] = (cur[i] + d) / 2
-			next[2*i+1] = (cur[i] - d) / 2
-		}
-		cur = next
-	}
-	return cur
-}
-
-// InverseInt reconstructs in exact integer arithmetic. It is only valid for
-// lossless coefficient sets (every (a,d) pair has matching parity); it is
-// used by tests to verify perfect reconstruction.
-func InverseInt(c *Coeffs) []int64 {
-	cur := make([]int64, len(c.Approx))
-	copy(cur, c.Approx)
-	for l := c.Levels - 1; l >= 0; l-- {
-		det := c.Details[l]
-		next := make([]int64, 2*len(cur))
-		for i := range cur {
-			var d int64
-			if i < len(det) {
-				d = det[i]
 			}
 			next[2*i] = (cur[i] + d) / 2
 			next[2*i+1] = (cur[i] - d) / 2

@@ -47,14 +47,6 @@ func (b *Bucket) Init(levels int, sink coeffSink) {
 	b.sink = sink
 }
 
-// NewBucket builds a bucket decomposing over `levels` levels with the given
-// compression sink.
-func NewBucket(levels int, sink coeffSink) *Bucket {
-	b := new(Bucket)
-	b.Init(levels, sink)
-	return b
-}
-
 // Empty reports whether the bucket has seen no packets.
 func (b *Bucket) Empty() bool { return b.w0 < 0 }
 

@@ -62,10 +62,6 @@ func NewFull(cfg FullConfig) (*Full, error) {
 // Name implements measure.SeriesEstimator.
 func (f *Full) Name() string { return f.cfg.Light.Variant.String() + "-Full" }
 
-// Config returns the sketch configuration (used by streaming hosts to
-// build an identically-shaped spare sketch for swap-and-reset sealing).
-func (f *Full) Config() FullConfig { return f.cfg }
-
 // Update implements measure.SeriesEstimator. Per §4.2, the light part is
 // updated for *every* packet (so evicting a heavy candidate loses nothing),
 // while the heavy slot tracks the current majority-vote candidate. The key

@@ -477,84 +477,3 @@ func TestFullMidFlowElectionStitchesEarlyWindows(t *testing.T) {
 		}
 	}
 }
-
-func TestAggregatorPreservesTotals(t *testing.T) {
-	direct, _ := NewBasic(Default(10000))
-	wrapped, _ := NewBasic(Default(10000))
-	agg := NewAggregator(wrapped, 64)
-	rng := rand.New(rand.NewSource(21))
-	// 20 flows × many packets per window, time-ordered.
-	for w := int64(0); w < 128; w++ {
-		for f := 0; f < 20; f++ {
-			for p := 0; p < rng.Intn(4); p++ {
-				v := int64(rng.Intn(1400) + 100)
-				direct.Update(key(f), w, v)
-				agg.Update(key(f), w, v)
-			}
-		}
-	}
-	direct.Seal()
-	agg.Seal()
-	for f := 0; f < 20; f++ {
-		d := direct.QueryRange(key(f), 0, 128)
-		a := agg.QueryRange(key(f), 0, 128)
-		var ds, as float64
-		for i := range d {
-			ds += d[i]
-			as += a[i]
-		}
-		if math.Abs(ds-as) > 1e-6 {
-			t.Fatalf("flow %d: direct total %v vs aggregated %v", f, ds, as)
-		}
-	}
-	if agg.Reduction() < 1.2 {
-		t.Errorf("aggregation reduction = %v, expected > 1.2 with multi-packet windows", agg.Reduction())
-	}
-	if agg.Name() != "WaveSketch-Ideal+AggEvict" {
-		t.Errorf("Name = %q", agg.Name())
-	}
-	if agg.MemoryBytes() <= wrapped.MemoryBytes() {
-		t.Error("aggregator must account for its cache memory")
-	}
-	if agg.ReportBytes() != wrapped.ReportBytes() {
-		t.Error("report bytes must pass through")
-	}
-}
-
-func TestAggregatorAccuracyClose(t *testing.T) {
-	// The one-window smear from stale evictions must not wreck accuracy.
-	direct, _ := NewBasic(Default(64))
-	wrapped, _ := NewBasic(Default(64))
-	agg := NewAggregator(wrapped, 32) // small cache: force evictions
-	rng := rand.New(rand.NewSource(8))
-	truth := map[int][]float64{}
-	for f := 0; f < 40; f++ {
-		truth[f] = make([]float64, 256)
-	}
-	for w := int64(0); w < 256; w++ {
-		for f := 0; f < 40; f++ {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			v := int64(rng.Intn(1400) + 100)
-			truth[f][w] += float64(v)
-			direct.Update(key(f), w, v)
-			agg.Update(key(f), w, v)
-		}
-	}
-	direct.Seal()
-	agg.Seal()
-	_ = truth
-	// The boundary-drained cache coalesces but never reorders across
-	// windows: the aggregated sketch must answer identically to the
-	// per-packet one.
-	for f := 0; f < 40; f++ {
-		a := agg.QueryRange(key(f), 0, 256)
-		d := direct.QueryRange(key(f), 0, 256)
-		for i := range a {
-			if math.Abs(a[i]-d[i]) > 1e-9 {
-				t.Fatalf("flow %d window %d: aggregated %v vs direct %v", f, i, a[i], d[i])
-			}
-		}
-	}
-}

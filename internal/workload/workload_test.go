@@ -170,8 +170,8 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestFig3CounterIncrease(t *testing.T) {
 	wsFlows, _ := Generate(defaultCfg(WebSearch(), 0.35))
 	hdFlows, _ := Generate(defaultCfg(FacebookHadoop(), 0.35))
-	ws := CounterIncreaseFactor(wsFlows, 100e9, 0.35, 10_000, 10_000_000)
-	hd := CounterIncreaseFactor(hdFlows, 100e9, 0.35, 10_000, 10_000_000)
+	ws := CounterIncreaseFactorFromDurations(EstimateDurations(wsFlows, 100e9, 0.35), 10_000, 10_000_000)
+	hd := CounterIncreaseFactorFromDurations(EstimateDurations(hdFlows, 100e9, 0.35), 10_000, 10_000_000)
 	if ws < 15 {
 		t.Errorf("WebSearch increase factor = %v, want large (paper: 387×)", ws)
 	}
