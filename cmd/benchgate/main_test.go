@@ -69,6 +69,29 @@ func TestGateBenchFilter(t *testing.T) {
 	}
 }
 
+// TestGateBytes: -bytes gates B/op where the baseline has it, at its own
+// threshold, and is off by default.
+func TestGateBytes(t *testing.T) {
+	dir := t.TempDir()
+	old := writeReport(t, dir, "old.json", `{"benchmarks":[
+	  {"name":"AdmitEpoch","ns_per_op":100.0,"bytes_per_op":1000},
+	  {"name":"AppendEncode","ns_per_op":100.0,"bytes_per_op":0},
+	  {"name":"KeyHash","ns_per_op":5.0}]}`)
+	fresh := writeReport(t, dir, "new.json", `{"benchmarks":[
+	  {"name":"AdmitEpoch","ns_per_op":90.0,"bytes_per_op":1030},
+	  {"name":"AppendEncode","ns_per_op":100.0,"bytes_per_op":64},
+	  {"name":"KeyHash","ns_per_op":5.0}]}`)
+	if code := gate([]string{"-old", old, "-new", fresh}, os.Stdout); code != 0 {
+		t.Fatalf("gate = %d, want 0 (B/op not gated without -bytes)", code)
+	}
+	if code := gate([]string{"-old", old, "-new", fresh, "-bytes", "5"}, os.Stdout); code != 0 {
+		t.Fatalf("gate = %d, want 0 (3%% more bytes under 5%%; a zero baseline is not gated)", code)
+	}
+	if code := gate([]string{"-old", old, "-new", fresh, "-bytes", "2"}, os.Stdout); code != 1 {
+		t.Fatalf("gate = %d, want 1 (3%% more bytes past 2%%)", code)
+	}
+}
+
 func TestGateUsageErrors(t *testing.T) {
 	if code := gate([]string{"-old", "only.json"}, os.Stdout); code != 2 {
 		t.Fatalf("gate = %d, want 2 (missing -new)", code)

@@ -1,9 +1,9 @@
 package analyzer
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
-	"strings"
 
 	"umon/internal/flowkey"
 	"umon/internal/netsim"
@@ -122,13 +122,19 @@ func (c *flowCounts) reset() {
 // count ties, and once (a comparator that prints is 7–10 % of a
 // mirror-heavy ingest).
 func rankFlows(fs []flowCount) []flowkey.Key {
-	var printed []string
-	str := func(f flowCount) string {
+	// The printed keys lie back to back in one arena, sized on the first tie
+	// for all of them so that it never moves under printed's views.
+	var arena []byte
+	var printed [][]byte
+	str := func(f flowCount) []byte {
 		if printed == nil {
-			printed = make([]string, len(fs))
+			printed = make([][]byte, len(fs))
+			arena = make([]byte, 0, len(fs)*flowkey.TextLen)
 		}
-		if printed[f.i] == "" {
-			printed[f.i] = f.k.String()
+		if printed[f.i] == nil {
+			at := len(arena)
+			arena = f.k.AppendTo(arena)
+			printed[f.i] = arena[at:]
 		}
 		return printed[f.i]
 	}
@@ -136,7 +142,7 @@ func rankFlows(fs []flowCount) []flowkey.Key {
 		if a.n != b.n {
 			return cmp.Compare(b.n, a.n)
 		}
-		return strings.Compare(str(a), str(b))
+		return bytes.Compare(str(a), str(b))
 	})
 	out := make([]flowkey.Key, len(fs))
 	for i, f := range fs {

@@ -1,7 +1,9 @@
 package collect
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -10,8 +12,12 @@ import (
 )
 
 // admitHosts is the number of hosts whose reports make one epoch of
-// BenchmarkAdmitEpoch — the fleet the scale fixture and bench/ serve.
+// BenchmarkAdmitEpoch — the fleet the scale fixture and bench/ serve. The
+// fleet geometry also runs at an eighth of it and at eight times it: what
+// an admit costs must not depend on how many hosts the epoch already holds.
 const admitHosts = 125
+
+var admitHostCounts = []int{16, admitHosts, 1000}
 
 func admitKey(id int) flowkey.Key {
 	return flowkey.Key{
@@ -22,14 +28,14 @@ func admitKey(id int) flowkey.Key {
 
 // fleetEpoch encodes one epoch of fleet-geometry reports: a 3×1024 basic
 // sketch, L=8, K=1, 128 distinct flows per host.
-func fleetEpoch(tb testing.TB) [][]byte {
+func fleetEpoch(tb testing.TB, hosts int) [][]byte {
 	tb.Helper()
 	s, err := wavesketch.NewBasic(wavesketch.Config{Rows: 3, Width: 1024, Levels: 8, K: 1, Seed: 0x5eed0f})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	enc := make([][]byte, admitHosts)
+	enc := make([][]byte, hosts)
 	for h := range enc {
 		s.Reset()
 		for f := 0; f < 128; f++ {
@@ -77,18 +83,17 @@ func table1Epoch(tb testing.TB) [][]byte {
 }
 
 // BenchmarkAdmitEpoch measures the collector's admit path end to end —
-// DecodeBytes, NewQueryable, the copy-on-write window and routing index —
-// as one operation per 125-host epoch. The window holds one epoch, so
-// every epoch after the first also evicts its predecessor.
+// DecodeBytes, NewQueryable, the successor snapshot and the extended
+// routing index — as one operation per epoch, with the bytes and
+// allocations of one report beside it. The window holds one epoch, so every
+// epoch after the first also evicts its predecessor.
 func BenchmarkAdmitEpoch(b *testing.B) {
-	for _, c := range []struct {
-		name  string
-		build func(testing.TB) [][]byte
-	}{{"fleet3x1024", fleetEpoch}, {"table1", table1Epoch}} {
-		b.Run(c.name, func(b *testing.B) {
-			enc := c.build(b)
+	admit := func(enc [][]byte) func(*testing.B) {
+		return func(b *testing.B) {
 			col := New(Config{WindowEpochs: 1})
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, p := range enc {
@@ -97,6 +102,17 @@ func BenchmarkAdmitEpoch(b *testing.B) {
 					}
 				}
 			}
-		})
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			reports := float64(b.N * len(enc))
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/reports, "B/report")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reports, "allocs/report")
+		}
 	}
+	b.Run("fleet3x1024", func(b *testing.B) {
+		for _, hosts := range admitHostCounts {
+			b.Run(fmt.Sprintf("hosts=%d", hosts), admit(fleetEpoch(b, hosts)))
+		}
+	})
+	b.Run("table1", admit(table1Epoch(b)))
 }

@@ -199,9 +199,9 @@ func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.E
 	if c.cfg.DecodeBudget > 0 {
 		q.SetDecodeBudget(c.cfg.DecodeBudget)
 	}
-	// Copy-on-write admit: fresh spine slices, and only the touched epoch's
-	// index rebuilt or extended — every other epochIndex is shared with the
-	// outgoing snapshot, which keeps serving readers untouched.
+	// The successor has fresh spine slices and a successor of the touched
+	// epoch's index; every other epochIndex is shared with the outgoing
+	// snapshot, which keeps serving its readers the answers it had.
 	ns := &Snapshot{
 		floor:    cur.floor,
 		resident: cur.resident,
@@ -221,7 +221,7 @@ func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.E
 		ns.epochs[i] = epoch
 		ns.eps = append(ns.eps, nil)
 		copy(ns.eps[i+1:], ns.eps[i:])
-		ns.eps[i] = newEpochIndex(epoch, rep.Host, q)
+		ns.eps[i], _ = (&epochIndex{epoch: epoch, set: &report.RoutedSet{}}).withReport(rep.Host, q)
 		ns.resident++
 		c.stats.EpochsIngested.Inc()
 	}

@@ -7,10 +7,12 @@ package collect
 // blocking ingest, so a slow HTTP client cannot stall sealing or admission
 // and query throughput scales across cores.
 //
-// Copies stay cheap because the window is layered: the spine (epoch list +
-// per-epoch index pointers) is O(window) pointers, one epochIndex is
-// rebuilt or extended per admit (copy-on-write — published indexes are
-// never mutated), and the Queryables themselves are internally
+// A successor is cheap because the window is layered: the spine (epoch list
+// + per-epoch index pointers) is O(window) pointers and is copied; the one
+// epochIndex an admit touches is extended, not copied — its successor
+// shares the host, member and bitmap arrays with it and holds one more
+// element of each (report/route.go), so an admit costs what its report
+// costs however many hosts the epoch holds; and the Queryables are
 // concurrency-safe and shared by every snapshot that references them.
 //
 // Each epochIndex carries a report.RoutedSet — the same routed max-merge
@@ -21,6 +23,7 @@ package collect
 // to a scan of the whole window.
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -29,29 +32,21 @@ import (
 	"umon/internal/report"
 )
 
-// epochIndex is one epoch's immutable resident set: reports in admission
-// order behind the epoch's routing index. Published epochIndexes are never
-// mutated; admits produce a successor via withReport.
+// epochIndex is one epoch's resident set: reports in admission order behind
+// the epoch's routing index. A published epochIndex keeps its lengths, and
+// with them its answers; admits produce a successor via withReport, at most
+// one per index.
 type epochIndex struct {
 	epoch uint64
 	hosts []int // parallel to set's members, admission order
 	set   *report.RoutedSet
 }
 
-func (ei *epochIndex) find(host int) int {
-	for i, h := range ei.hosts {
-		if h == host {
-			return i
-		}
-	}
-	return -1
-}
-
 // withReport returns a successor index with q admitted for host. added
 // reports whether residency grew (false on a host re-admission, which
 // replaces the previous report and rebuilds this epoch's routing index).
 func (ei *epochIndex) withReport(host int, q *report.Queryable) (ni *epochIndex, added bool) {
-	if i := ei.find(host); i >= 0 {
+	if i := slices.Index(ei.hosts, host); i >= 0 {
 		ni = &epochIndex{epoch: ei.epoch, hosts: append([]int(nil), ei.hosts...), set: &report.RoutedSet{}}
 		for j, qq := range ei.set.Queryables() {
 			if j == i {
@@ -61,19 +56,9 @@ func (ei *epochIndex) withReport(host int, q *report.Queryable) (ni *epochIndex,
 		}
 		return ni, false
 	}
-	ni = &epochIndex{
-		epoch: ei.epoch,
-		hosts: append(append(make([]int, 0, len(ei.hosts)+1), ei.hosts...), host),
-		set:   ei.set.CloneAdd(q),
-	}
-	return ni, true
-}
-
-// newEpochIndex starts an epoch with its first report.
-func newEpochIndex(epoch uint64, host int, q *report.Queryable) *epochIndex {
-	ei := &epochIndex{epoch: epoch, hosts: []int{host}, set: &report.RoutedSet{}}
-	ei.set.Append(q)
-	return ei
+	// hosts grows as the set's arrays do: past ei's length, where no reader
+	// of ei looks.
+	return &epochIndex{epoch: ei.epoch, hosts: append(ei.hosts, host), set: ei.set.Extend(q)}, true
 }
 
 // Snapshot is an immutable point-in-time view of the collector's window

@@ -30,13 +30,32 @@ const (
 // RoCEPort is the well-known UDP destination port of RoCEv2.
 const RoCEPort = 4791
 
+// TextLen is the length of the longest text AppendTo writes.
+const TextLen = len("255.255.255.255:65535>255.255.255.255:65535/255")
+
 // String renders the key in src→dst form.
 func (k Key) String() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%d", u32ip(k.SrcIP), k.SrcPort, u32ip(k.DstIP), k.DstPort, k.Proto)
+	var buf [TextLen]byte
+	return string(k.AppendTo(buf[:0]))
 }
 
-func u32ip(v uint32) netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+// AppendTo appends the key's String form, "src:port>dst:port/proto", to b
+// and returns the extended slice.
+func (k Key) AppendTo(b []byte) []byte {
+	b = appendEndpoint(b, k.SrcIP, k.SrcPort)
+	b = append(b, '>')
+	b = appendEndpoint(b, k.DstIP, k.DstPort)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(k.Proto), 10)
+}
+
+func appendEndpoint(b []byte, ip uint32, port uint16) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+		b = append(b, '.')
+	}
+	b[len(b)-1] = ':'
+	return strconv.AppendUint(b, uint64(port), 10)
 }
 
 // Parse is the inverse of String: it reads a key back from the

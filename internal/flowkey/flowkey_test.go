@@ -1,6 +1,9 @@
 package flowkey
 
 import (
+	"fmt"
+	"math"
+	"net/netip"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,6 +16,28 @@ func TestString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String %q missing %q", s, want)
 		}
+	}
+	// Byte for byte what fmt and netip printed before String appended its
+	// own digits, in one allocation, and never longer than TextLen.
+	viaFmt := func(k Key) string {
+		ip := func(v uint32) netip.Addr {
+			return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+		}
+		return fmt.Sprintf("%s:%d>%s:%d/%d", ip(k.SrcIP), k.SrcPort, ip(k.DstIP), k.DstPort, k.Proto)
+	}
+	longest := Key{SrcIP: math.MaxUint32, DstIP: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16, Proto: math.MaxUint8}
+	for _, k := range []Key{k, {}, longest} {
+		if got := k.String(); got != viaFmt(k) || len(got) > TextLen {
+			t.Errorf("String = %q (%d bytes), want %q within %d", got, len(got), viaFmt(k), TextLen)
+		}
+	}
+	if err := quick.Check(func(k Key) bool {
+		return k.String() == viaFmt(k) && string(k.AppendTo([]byte("x "))) == "x "+viaFmt(k)
+	}, nil); err != nil {
+		t.Error(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = longest.String() }); n > 1 {
+		t.Errorf("String allocates %v times, want 1", n)
 	}
 }
 

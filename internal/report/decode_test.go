@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +70,21 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	if !bytes.Equal(again.AppendEncode(nil), enc) {
 		t.Fatal("encode∘decode∘encode is not byte-stable")
 	}
+	// Whatever decodes routes: the index finds the report for a heavy flow
+	// exactly when MightSee does, whether or not the flow's light buckets
+	// came with it. (The index is sized by the declared shape.)
+	if got.Meta.Rows*got.Meta.Width > 1<<16 {
+		return
+	}
+	q := NewQueryable(got)
+	var g RouteGroups
+	g.Append(q)
+	for _, k := range q.HeavyFlows() {
+		want := routeOracle([]*Queryable{q}, k, math.MinInt64, math.MaxInt64)
+		if ids := g.Route(k, math.MinInt64, math.MaxInt64, nil); !slices.Equal(ids, want) {
+			t.Fatalf("Route(%s) = %v, want %v (orphans %v)", k, ids, want, q.Orphans())
+		}
+	}
 }
 
 // bothVersions is r as hosts write it and in the version before, which
@@ -80,12 +96,14 @@ func bothVersions(tb testing.TB, r *HostReport) [][]byte {
 // decodeSeeds is the corpus for FuzzDecode, each kind in both wire
 // versions: well-formed reports, truncations and bit flips of one, the
 // hostile count payloads, frames that break the position rule and, in
-// version 2, the detail rule.
+// version 2, the detail rule, and a report with a heavy flow whose light
+// bucket is missing.
 func decodeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	seeds := [][]byte{{}, {0x4e, 0x4f, 0x4d}, bytes.Repeat([]byte{0xff}, 64)}
+	orphaned, _ := orphanReports(tb)
 	for _, r := range []*HostReport{
-		fleetReport(tb, 0), extremeReport(),
+		fleetReport(tb, 0), extremeReport(), orphaned["one row"],
 		{Meta: SketchMeta{Rows: 1, Width: 1, Levels: 1}},
 	} {
 		seeds = append(seeds, bothVersions(tb, r)...)
@@ -321,8 +339,8 @@ func allocatedPerRun(f func()) (bytes uint64, allocs float64) {
 // sizing allocations: every hostile payload is at most 64 bytes, must be
 // rejected, and must cost under 4 KB and a handful of allocations; and no
 // payload of the corpus, accepted or not, costs more
-// than a small multiple of its length — the widest expansion is 24 bytes of
-// DetailRef for the two a version 2 detail takes at least.
+// than a small multiple of its length — the widest expansion is 80 bytes of
+// BucketExport for the five an empty bucket's record takes at least.
 func TestDecodeBoundsAllocationByPayload(t *testing.T) {
 	for _, h := range hostilePayloads() {
 		if len(h.payload) > 64 {

@@ -3,7 +3,23 @@ package report
 import (
 	"errors"
 	"io"
+
+	"umon/internal/flowkey"
 )
+
+// HeavyFlows lists the flows with heavy entries, in report order.
+func (q *Queryable) HeavyFlows() []flowkey.Key {
+	out := make([]flowkey.Key, 0, len(q.heavy))
+	for i := range q.hentries {
+		if k := q.hentries[i].exp.Key; q.heavy[k] == int32(i) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// Orphans lists the heavy flows the row bitmaps cannot route.
+func (q *Queryable) Orphans() []flowkey.Key { return q.orphans }
 
 // WriteReport encodes r and frames it under epoch.
 func (sw *StreamWriter) WriteReport(epoch uint64, r *HostReport) error {

@@ -210,7 +210,7 @@ func oracleDecode(rd io.Reader) (*HostReport, error) {
 			if err != nil {
 				return 0, 0, nil, nil, err
 			}
-			details[i] = wavelet.DetailRef{Level: int(lv), Index: int(ix), Val: val}
+			details[i] = wavelet.DetailRef{Level: int8(lv), Index: int32(ix), Val: val}
 		}
 		return w0, int(length), approx, details, nil
 	}
@@ -322,7 +322,7 @@ func oracleDecodeV2(data []byte) (*HostReport, error) {
 			for id < n>>(level+1) {
 				level++
 			}
-			details = append(details, wavelet.DetailRef{Level: level, Index: int(id - n>>(level+1)), Val: val})
+			details = append(details, wavelet.DetailRef{Level: int8(level), Index: int32(id - n>>(level+1)), Val: val})
 		}
 		return w0, int(ulen), approx, details, nil
 	}
@@ -362,13 +362,13 @@ func canonical(r *HostReport, less func(n int, a, b wavelet.DetailRef) bool) *Ho
 		n := len(approx) << r.Meta.Levels
 		last := map[[2]int]int64{}
 		for _, d := range details {
-			if d.Level >= 0 && d.Level < r.Meta.Levels && d.Index >= 0 && d.Index < n>>(d.Level+1) {
-				last[[2]int{d.Level, d.Index}] = d.Val
+			if l, i := int(d.Level), int(d.Index); l >= 0 && l < r.Meta.Levels && i >= 0 && i < n>>(l+1) {
+				last[[2]int{l, i}] = d.Val
 			}
 		}
 		out := make([]wavelet.DetailRef, 0, len(last))
 		for at, val := range last {
-			out = append(out, wavelet.DetailRef{Level: at[0], Index: at[1], Val: val})
+			out = append(out, wavelet.DetailRef{Level: int8(at[0]), Index: int32(at[1]), Val: val})
 		}
 		sort.Slice(out, func(i, j int) bool { return less(n, out[i], out[j]) })
 		return out
@@ -388,7 +388,7 @@ func canonical(r *HostReport, less func(n int, a, b wavelet.DetailRef) bool) *Ho
 // byTreeID is the order wire version 2 ships details in, written from the
 // layout's own formula: id = (n >> (level+1)) + index.
 func byTreeID(n int, a, b wavelet.DetailRef) bool {
-	return n>>(a.Level+1)+a.Index < n>>(b.Level+1)+b.Index
+	return n>>(a.Level+1)+int(a.Index) < n>>(b.Level+1)+int(b.Index)
 }
 
 // byLevelIndex is the order the content digest of TestSealedReportsPinned

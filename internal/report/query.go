@@ -60,10 +60,14 @@ type Queryable struct {
 	entries []bucketEntry
 	// heavy maps a flow to its entry in hentries (the last one, should a
 	// report repeat a key); nil for a report without a heavy part.
-	heavy     map[flowkey.Key]int32
-	hentries  []heavyEntry
-	heavyKeys []flowkey.Key // report order
-	coloc     []int32       // colocation lists (hentries indices), sliced per bucketEntry
+	heavy    map[flowkey.Key]int32
+	hentries []heavyEntry
+	coloc    []int32 // colocation lists (hentries indices), sliced per bucketEntry
+	// orphans are the heavy keys whose light bucket is missing in some row
+	// (or that have no rows to hash into): MightSee is true for them on the
+	// heavy entry alone, so the row bitmaps cannot route them. A sketch
+	// counts every packet in its light part, so its reports have none.
+	orphans []flowkey.Key
 	// [lo, hi) is the hull of every indexed curve's windows [W0, W0+n);
 	// lo > hi when the report carries no sample.
 	lo, hi int64
@@ -175,12 +179,12 @@ func NewQueryable(r *HostReport) *Queryable {
 	}
 	q.hentries = make([]heavyEntry, len(r.Heavy))
 	q.heavy = make(map[flowkey.Key]int32, len(r.Heavy))
-	q.heavyKeys = make([]flowkey.Key, 0, len(r.Heavy))
+	heavyKeys := make([]flowkey.Key, 0, len(r.Heavy)) // report order
 	for i := range r.Heavy {
 		h := &r.Heavy[i]
 		q.hentries[i].exp = h
 		if _, dup := q.heavy[h.Key]; !dup {
-			q.heavyKeys = append(q.heavyKeys, h.Key)
+			heavyKeys = append(heavyKeys, h.Key)
 		}
 		q.heavy[h.Key] = int32(i)
 	}
@@ -188,16 +192,23 @@ func NewQueryable(r *HostReport) *Queryable {
 	// buckets it hashes into. Built once here — the per-query cost of a
 	// light estimate does not depend on the heavy-set size. Two passes
 	// over the (heavy flow, row) hits: count per bucket, then fill each
-	// bucket's stretch of one flat array in report order.
-	hits := make([]*bucketEntry, 0, len(q.heavyKeys)*rows)
-	for _, k := range q.heavyKeys {
+	// bucket's stretch of one flat array in report order. A key that misses
+	// a bucket on the way is an orphan.
+	hits := make([]*bucketEntry, 0, len(heavyKeys)*rows)
+	for _, k := range heavyKeys {
 		p := k.Pack()
+		routed := rows > 0
 		for r := range q.seeds {
 			e := q.bucket(r, q.width.Index(p.Hash(q.seeds[r])))
 			if e != nil {
 				e.colLen++
+			} else {
+				routed = false
 			}
 			hits = append(hits, e)
+		}
+		if !routed {
+			q.orphans = append(q.orphans, k)
 		}
 	}
 	total := uint32(0)
@@ -208,7 +219,7 @@ func NewQueryable(r *HostReport) *Queryable {
 	q.coloc = make([]int32, total)
 	for i, e := range hits {
 		if e != nil {
-			q.coloc[e.colOff+e.colLen] = q.heavy[q.heavyKeys[i/rows]]
+			q.coloc[e.colOff+e.colLen] = q.heavy[heavyKeys[i/rows]]
 			e.colLen++
 		}
 	}
@@ -286,13 +297,6 @@ func (q *Queryable) RowBits(r int) []uint64 {
 func (q *Queryable) IsHeavy(f flowkey.Key) bool {
 	_, ok := q.heavy[f]
 	return ok
-}
-
-// HeavyFlows lists flows with heavy entries, in report order.
-func (q *Queryable) HeavyFlows() []flowkey.Key {
-	out := make([]flowkey.Key, len(q.heavyKeys))
-	copy(out, q.heavyKeys)
-	return out
 }
 
 // MightSee reports whether this report can answer a non-zero estimate for

@@ -286,7 +286,7 @@ func randomReport(rng *rand.Rand, pool []flowkey.Key) *HostReport {
 		n := len(approx) << r.Meta.Levels
 		details = make([]wavelet.DetailRef, rng.Intn(6))
 		for i := range details {
-			details[i] = wavelet.DetailRef{Level: rng.Intn(r.Meta.Levels + 1), Index: rng.Intn(n), Val: rng.Int63n(1<<18) - 1<<17}
+			details[i] = wavelet.DetailRef{Level: int8(rng.Intn(r.Meta.Levels + 1)), Index: int32(rng.Intn(n)), Val: rng.Int63n(1<<18) - 1<<17}
 		}
 		length = 1 + rng.Intn(n)
 		if rng.Intn(8) == 0 {

@@ -459,7 +459,7 @@ func (d *decoder) checkDetails(nd, na uint64) {
 // lo is the first id of the current level.
 func (d *decoder) fillDetails(det []wavelet.DetailRef, na uint64) {
 	b, off := d.b, d.off
-	lo, level := na, int(d.levels)-1
+	lo, level := na, int8(d.levels)-1
 	var id, mag uint64
 	for i := range det {
 		u, n0 := binary.Uvarint(b[off:])
@@ -473,7 +473,7 @@ func (d *decoder) fillDetails(det []wavelet.DetailRef, na uint64) {
 		if u&1 != 0 {
 			val = -val
 		}
-		det[i] = wavelet.DetailRef{Level: level, Index: int(id - lo), Val: val}
+		det[i] = wavelet.DetailRef{Level: level, Index: int32(id - lo), Val: val}
 	}
 	d.off = off
 }

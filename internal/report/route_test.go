@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"umon/internal/flowkey"
@@ -37,10 +39,60 @@ func routeOracle(qs []*Queryable, f flowkey.Key, from, to int64) []int {
 	return want
 }
 
+// orphanReports are reports of one full sketch (3 light rows, so that one
+// row and every row differ) in which a heavy flow's light buckets are not
+// all there, as no sealed sketch leaves them: the first heavy key's bucket
+// dropped from row 0, from every row, and the light part gone altogether
+// (Rows out of shape). Each comes with the heavy flows to probe.
+func orphanReports(tb testing.TB) (reports map[string]*HostReport, heavy []flowkey.Key) {
+	tb.Helper()
+	cfg := wavesketch.DefaultFull()
+	cfg.Light.Rows, cfg.Light.K = 3, 8
+	full, err := wavesketch.NewFull(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for w := int64(0); w < 64; w++ {
+		for f := 0; f < 6; f++ {
+			full.Update(key(3000+f), w, 1500)
+		}
+		full.Update(key(3100+int(w%9)), w, 60)
+	}
+	full.Seal()
+	whole := FromFull(70, 0, full)
+	if len(whole.Heavy) == 0 {
+		tb.Fatal("orphan fixture elected no heavy flow")
+	}
+	for _, h := range whole.Heavy {
+		heavy = append(heavy, h.Key)
+	}
+	without := func(rows ...int) *HostReport {
+		r := *whole
+		r.Buckets = nil
+		p := heavy[0].Pack()
+		for _, b := range whole.Buckets {
+			at := flowkey.NewReducer(r.Meta.Width).Index(p.Hash(flowkey.RowSeed(r.Meta.Seed, b.Row)))
+			if b.Index != at || !slices.Contains(rows, b.Row) {
+				r.Buckets = append(r.Buckets, b)
+			}
+		}
+		if len(r.Buckets) != len(whole.Buckets)-len(rows) {
+			tb.Fatalf("dropped %d buckets for rows %v", len(whole.Buckets)-len(r.Buckets), rows)
+		}
+		return &r
+	}
+	noLight := *whole
+	noLight.Meta.Rows, noLight.Buckets = 0, nil
+	return map[string]*HostReport{
+		"whole": whole, "one row": without(0), "every row": without(0, 1, 2), "no light part": &noLight,
+	}, heavy
+}
+
 // TestRouteGroupsMatchesMightSee pins the routing invariant: Route returns
 // exactly the members whose MightSee(f) is true and whose span meets the
-// range, across mixed geometries, heavy postings, members laid out at
-// different times, and flows the window never saw.
+// range, across mixed geometries, heavy flows — those the light bitmaps
+// route and orphans — members laid out at different times, and flows the
+// window never saw.
 func TestRouteGroupsMatchesMightSee(t *testing.T) {
 	cfgA := wavesketch.Config{Rows: 3, Width: 64, Levels: 8, K: 4, Seed: 0x5eed0f}
 	cfgB := wavesketch.Config{Rows: 2, Width: 128, Levels: 8, K: 4, Seed: 0x1234}
@@ -59,13 +111,33 @@ func TestRouteGroupsMatchesMightSee(t *testing.T) {
 		}
 		qs = append(qs, mkBasicQueryable(t, cfgB, 100+m, int64(50*m), flows))
 	}
-	// One full report contributes heavy postings (and a third geometry).
+	// One full report contributes heavy flows (and a third geometry).
 	full, _ := buildRandomFull(t, 3)
 	fq := NewQueryable(FromFull(0, 0, full))
 	if len(fq.HeavyFlows()) == 0 {
-		t.Fatal("full fixture carries no heavy flows — postings untested")
+		t.Fatal("full fixture carries no heavy flows — their routing untested")
 	}
 	qs = append(qs, fq)
+	// Reports whose heavy flows the bitmaps cannot route (a fourth and a
+	// fifth geometry).
+	orphaned, orphanFlows := orphanReports(t)
+	for name, r := range orphaned {
+		q := NewQueryable(r)
+		// The dropped bucket may have held other heavy flows too.
+		got, ok := q.Orphans(), false
+		switch name {
+		case "whole":
+			ok = len(got) == 0
+		case "no light part":
+			ok = len(got) == len(orphanFlows)
+		default:
+			ok = slices.Contains(got, orphanFlows[0])
+		}
+		if !ok {
+			t.Fatalf("%s: orphans = %v", name, got)
+		}
+		qs = append(qs, q)
+	}
 	// A report without a sample: its span is empty and nothing routes to it.
 	empty := NewQueryable(&HostReport{Host: 99, Meta: SketchMeta{Rows: 3, Width: 64, Levels: 8, Seed: 0x5eed0f}})
 	if lo, hi := empty.Span(); lo <= hi {
@@ -107,7 +179,7 @@ func TestRouteGroupsMatchesMightSee(t *testing.T) {
 	for i := 0; i < 700; i++ {
 		probe(key(i))
 	}
-	for _, f := range fq.HeavyFlows() {
+	for _, f := range append(fq.HeavyFlows(), orphanFlows...) {
 		probe(f)
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -120,41 +192,140 @@ func TestRouteGroupsMatchesMightSee(t *testing.T) {
 	}
 }
 
-// TestRouteGroupsCloneAddIsolation pins the copy-on-write contract: a
-// published index keeps answering its own membership after CloneAdd, and
-// the clone (sharing untouched group storage) sees the new member.
-func TestRouteGroupsCloneAddIsolation(t *testing.T) {
-	cfg := wavesketch.Config{Rows: 3, Width: 64, Levels: 8, K: 4, Seed: 0x5eed0f}
-	q0 := mkBasicQueryable(t, cfg, 0, 0, []flowkey.Key{key(0)})
-	q1 := mkBasicQueryable(t, cfg, 1, 256, []flowkey.Key{key(1)})
-	q2 := mkBasicQueryable(t, cfg, 2, 0, []flowkey.Key{key(2)})
+// TestSketchReportsHaveNoOrphans pins what lets the index do without heavy
+// postings: in a report a sketch produced, every heavy flow's light buckets
+// are there.
+func TestSketchReportsHaveNoOrphans(t *testing.T) {
+	for _, c := range benchReports {
+		for host := 0; host < 8; host++ {
+			q := NewQueryable(c.build(t, host))
+			if o := q.Orphans(); len(o) != 0 {
+				t.Errorf("%s, host %d: %d of %d heavy flows are orphans: %v", c.name, host, len(o), len(q.HeavyFlows()), o)
+			}
+		}
+	}
+}
 
-	g0 := &RouteGroups{}
-	g0.Append(q0)
-	g1 := g0.CloneAdd(q1)
-	g2 := g1.CloneAdd(q2)
+// TestRoutedSetExtendMatchesCloneAdd is the differential test of the
+// append-only index against the copying one it replaced (run under -race):
+// one writer extends a set from 0 to 200 members — basic reports past the
+// stride growths at 64 and 128, full reports of a second geometry whose
+// heavy flows have no postings to route them any more, hand-built reports
+// with orphans — while two readers hold every intermediate successor and
+// check that its Route and MergeFlow equal those of the oracle built by
+// CloneAdd over the same prefix: as each successor arrives, which is while
+// the writer makes the later ones, and again after the last admit.
+func TestRoutedSetExtendMatchesCloneAdd(t *testing.T) {
+	const members = 200
+	cfg := wavesketch.Config{Rows: 3, Width: 512, Levels: 8, K: 4, Seed: 0x5eed0f}
+	shared := key(9999)
+	qs := make([]*Queryable, members)
+	for m := range qs {
+		switch {
+		case m%8 == 7:
+			full, _ := buildRandomFull(t, int64(m))
+			qs[m] = NewQueryable(FromFull(m, 0, full))
+		case m%50 == 40:
+			qs[m] = NewQueryable(&HostReport{
+				Host:  m,
+				Meta:  SketchMeta{Rows: cfg.Rows, Width: cfg.Width, Levels: cfg.Levels, Seed: cfg.Seed},
+				Heavy: []wavesketch.HeavyExport{{Key: key(7000 + m), W0: 100, Len: 8, Approx: []int64{int64(m)}}},
+			})
+		default:
+			qs[m] = mkBasicQueryable(t, cfg, m, int64(64*(m%5)), []flowkey.Key{key(1000 + 2*m), key(1001 + 2*m), shared})
+		}
+	}
+	probes := []flowkey.Key{
+		shared, key(1000 + 2*3), key(1001 + 2*70), key(1000 + 2*133), key(1001 + 2*198), // basic members, each stride
+		key(0), key(7), key(103), key(505), // the full members' heavy, mice and mid-flow elected flows
+		key(7040), key(7190), key(424242), // orphans, and a flow nobody saw
+	}
+	type answer struct {
+		all, part []int
+		curve     []float64
+		visited   int
+	}
+	answers := func(route func(f flowkey.Key, from, to int64, dst []int) []int, merge func(out []float64, f flowkey.Key, from, to int64) int) []answer {
+		out := make([]answer, len(probes))
+		for i, f := range probes {
+			a := &out[i]
+			a.all = route(f, math.MinInt64, math.MaxInt64, nil)
+			a.part = route(f, 100, 164, nil)
+			a.curve = make([]float64, 128)
+			a.visited = merge(a.curve, f, 64, 192)
+		}
+		return out
+	}
+	want := make([][]answer, members)
+	wantSpan := make([][2]int64, members)
+	oracle := &oracleRoutedSet{routes: &oracleRouteGroups{}}
+	for k, q := range qs {
+		oracle = oracle.CloneAdd(q)
+		want[k] = answers(oracle.routes.Route, oracle.MergeFlow)
+		wantSpan[k] = [2]int64{oracle.routes.lo, oracle.routes.hi}
+	}
+	if n := len(want[members-1][0].all); n < 150 {
+		t.Fatalf("the shared flow routes to %d members, want the basic ones: fixture is off", n)
+	}
+	if len(want[members-1][5].all) != members/8 || len(want[members-1][9].all) != 1 {
+		t.Fatalf("heavy flow routes to %v, orphan to %v: fixture is off", want[members-1][5].all, want[members-1][9].all)
+	}
 
-	if got := g0.Route(key(1), math.MinInt64, math.MaxInt64, nil); len(got) != 0 {
-		t.Errorf("old index routed a member it never admitted: %v", got)
+	check := func(s *RoutedSet, k int, when string) bool {
+		if lo, hi := s.Span(); s.Len() != k+1 || [2]int64{lo, hi} != wantSpan[k] {
+			t.Errorf("successor %d %s: %d members over [%d, %d), want %d over %v", k, when, s.Len(), lo, hi, k+1, wantSpan[k])
+			return false
+		}
+		for i, got := range answers(s.Route, s.MergeFlow) {
+			if !reflect.DeepEqual(got, want[k][i]) {
+				t.Errorf("successor %d %s, flow %s: differs from the oracle\n got %v\nwant %v", k, when, probes[i], got, want[k][i])
+				return false
+			}
+		}
+		return true
 	}
-	if got := g1.Route(key(1), math.MinInt64, math.MaxInt64, nil); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("clone lost its own member: %v", got)
+	feeds := [2]chan *RoutedSet{make(chan *RoutedSet, members), make(chan *RoutedSet, members)} // one slot a send
+	var wg sync.WaitGroup
+	for _, feed := range feeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []*RoutedSet
+			for s := range feed {
+				held = append(held, s)
+				if !check(s, len(held)-1, "as published") {
+					return
+				}
+			}
+			for k, s := range held {
+				if !check(s, k, "after the last admit") {
+					return
+				}
+			}
+		}()
 	}
-	if got := g2.Route(key(2), math.MinInt64, math.MaxInt64, nil); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("second clone routing = %v", got)
+	cur := &RoutedSet{}
+	for _, q := range qs {
+		cur = cur.Extend(q)
+		for _, feed := range feeds {
+			feed <- cur
+		}
 	}
-	if got := g1.Route(key(1), 0, 256, nil); len(got) != 0 {
-		t.Errorf("clone routed member 1 to windows before its span: %v", got)
+	for _, feed := range feeds {
+		close(feed)
 	}
-	if _, hi := g0.Span(); hi != 1 {
-		t.Errorf("old index's hull ends at %d after CloneAdd, want 1", hi)
-	}
-	if _, hi := g2.Span(); hi != 257 {
-		t.Errorf("clone's hull ends at %d, want 257", hi)
-	}
-	if g0.Len() != 1 || g1.Len() != 2 || g2.Len() != 3 {
-		t.Errorf("lens = %d/%d/%d, want 1/2/3", g0.Len(), g1.Len(), g2.Len())
-	}
+	wg.Wait()
+
+	// The extend-once rule: the newest successor extends, an older one
+	// must not — its spare capacity is its successor's.
+	older := cur
+	cur = cur.Extend(qs[0])
+	defer func() {
+		if recover() == nil {
+			t.Error("a set was extended twice")
+		}
+	}()
+	older.Extend(qs[1])
 }
 
 // TestRouteGroupsStrideGrowth pushes one group past 64 members so the

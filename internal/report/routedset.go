@@ -14,13 +14,18 @@ import (
 // identically zero over the range and the merge folds non-negative values
 // from zero, so the answer is bit-identical to querying every member.
 //
-// The batch analyzer holds one set and Appends in place; the collector
-// holds one per epoch and publishes successors built by CloneAdd, so sets
-// reachable from a published snapshot are never mutated and MergeFlow runs
-// lock-free. The zero value is an empty set.
+// The set is append-only, as its index is (route.go): the batch analyzer
+// holds one and Appends in place; the collector holds one per epoch and
+// publishes successors made by Extend, which share every array with their
+// predecessor and differ in their lengths, so a set reachable from a
+// published snapshot keeps its answers and MergeFlow runs lock-free beside
+// the one writer. The zero value is an empty set.
 type RoutedSet struct {
 	qs     []*Queryable // member id → report, admission order
 	routes RouteGroups
+	// extended is the writer's mark that a successor now owns the arrays'
+	// spare capacity. Readers never look at it.
+	extended bool
 }
 
 // Len reports how many reports the set holds.
@@ -35,19 +40,24 @@ func (s *RoutedSet) Queryables() []*Queryable { return s.qs }
 func (s *RoutedSet) Span() (lo, hi int64) { return s.routes.Span() }
 
 // Append adds q as the next member in place. Not safe to race with
-// queries; copy-on-write publishers use CloneAdd.
+// queries on s; publishers use Extend.
 func (s *RoutedSet) Append(q *Queryable) {
+	if s.extended {
+		panic("report: RoutedSet extended twice")
+	}
 	s.qs = append(s.qs, q)
 	s.routes.Append(q)
 }
 
-// CloneAdd returns a new set with q appended, leaving s untouched and free
-// to keep answering queries.
-func (s *RoutedSet) CloneAdd(q *Queryable) *RoutedSet {
-	return &RoutedSet{
-		qs:     append(append(make([]*Queryable, 0, len(s.qs)+1), s.qs...), q),
-		routes: s.routes.CloneAdd(q),
-	}
+// Extend returns a successor holding q after s's members, at a cost that
+// does not depend on how many those are. s keeps answering as before, also
+// while later successors are made, but can itself be extended no further: a
+// set is extended at most once, by the one writer.
+func (s *RoutedSet) Extend(q *Queryable) *RoutedSet {
+	ns := *s
+	ns.Append(q) // panics if s was extended before
+	s.extended = true
+	return &ns
 }
 
 // Route appends to dst the member ids a query for f over windows

@@ -38,8 +38,8 @@ func Reconstruct(approx []int64, kept []DetailRef, levels, length int) []float64
 	det = det[:n-len(approx)]
 	clear(det)
 	for _, r := range kept {
-		if r.Level >= 0 && r.Level < levels && r.Index >= 0 && r.Index < n>>(r.Level+1) {
-			det[n-n>>r.Level+r.Index] = r.Val
+		if l, i := int(r.Level), int(r.Index); l >= 0 && l < levels && i >= 0 && i < n>>(l+1) {
+			det[n-n>>l+i] = r.Val
 		}
 	}
 	out := make([]float64, max(n, length))

@@ -259,7 +259,7 @@ func (t *TopKSink) Offer(level, index int, val int64) {
 	if t.K <= 0 || val == 0 {
 		return
 	}
-	r := DetailRef{Level: level, Index: index, Val: val}
+	r := DetailRef{Level: int8(level), Index: int32(index), Val: val}
 	if t.heap.Len() < t.K {
 		t.heap.push(r)
 		return
@@ -348,7 +348,7 @@ type CollectSink struct{ Refs []DetailRef }
 
 // Offer implements CoeffSink.
 func (c *CollectSink) Offer(level, index int, val int64) {
-	c.Refs = append(c.Refs, DetailRef{Level: level, Index: index, Val: val})
+	c.Refs = append(c.Refs, DetailRef{Level: int8(level), Index: int32(index), Val: val})
 }
 
 // ThresholdSink approximates top-k selection the way the hardware pipeline
@@ -400,7 +400,7 @@ func (t *ThresholdSink) Offer(level, index int, val int64) {
 	sv := shiftedAbs(level, val)
 	q := t.queues[p]
 	if len(q) < t.Cap {
-		t.queues[p] = append(q, DetailRef{Level: level, Index: index, Val: val})
+		t.queues[p] = append(q, DetailRef{Level: int8(level), Index: int32(index), Val: val})
 		return
 	}
 	if sv < t.Threshold[p] {
@@ -409,12 +409,12 @@ func (t *ThresholdSink) Offer(level, index int, val int64) {
 	// Replace the minimum if the newcomer beats it.
 	minI, minV := 0, int64(math.MaxInt64)
 	for i, r := range q {
-		if s := shiftedAbs(r.Level, r.Val); s < minV {
+		if s := shiftedAbs(int(r.Level), r.Val); s < minV {
 			minI, minV = i, s
 		}
 	}
 	if sv > minV {
-		q[minI] = DetailRef{Level: level, Index: index, Val: val}
+		q[minI] = DetailRef{Level: int8(level), Index: int32(index), Val: val}
 	}
 }
 

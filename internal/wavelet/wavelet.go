@@ -123,16 +123,18 @@ func Inverse(c *Coeffs) []float64 {
 	return cur
 }
 
-// DetailRef identifies one detail coefficient.
+// DetailRef identifies one detail coefficient, in 16 bytes: a report holds
+// hundreds of them and the collector a window of reports. A curve has at
+// most 2²⁸ samples (the decoder's bound) and 24 levels.
 type DetailRef struct {
-	Level int   // 0-indexed level
-	Index int   // index within the level
 	Val   int64 // coefficient value
+	Index int32 // index within the level
+	Level int8  // 0-indexed level
 }
 
 // WeightedAbs is the Appendix-A ranking key of the coefficient.
 func (d DetailRef) WeightedAbs() float64 {
-	return math.Abs(float64(d.Val)) * Weight(d.Level)
+	return math.Abs(float64(d.Val)) * Weight(int(d.Level))
 }
 
 // CompareTree orders detail coefficients as the Haar tree lays them out
@@ -155,7 +157,7 @@ func TopK(c *Coeffs, k int) []DetailRef {
 	for l, det := range c.Details {
 		for i, v := range det {
 			if v != 0 {
-				all = append(all, DetailRef{Level: l, Index: i, Val: v})
+				all = append(all, DetailRef{Level: int8(l), Index: int32(i), Val: v})
 			}
 		}
 	}
@@ -183,7 +185,7 @@ func TopKUnweighted(c *Coeffs, k int) []DetailRef {
 	for l, det := range c.Details {
 		for i, v := range det {
 			if v != 0 {
-				all = append(all, DetailRef{Level: l, Index: i, Val: v})
+				all = append(all, DetailRef{Level: int8(l), Index: int32(i), Val: v})
 			}
 		}
 	}
@@ -214,8 +216,8 @@ func Compress(c *Coeffs, keep []DetailRef) *Coeffs {
 		out.Details[l] = make([]int64, len(c.Details[l]))
 	}
 	for _, r := range keep {
-		if r.Level < len(out.Details) && r.Index < len(out.Details[r.Level]) {
-			out.Details[r.Level][r.Index] = r.Val
+		if l, i := int(r.Level), int(r.Index); l < len(out.Details) && i < len(out.Details[l]) {
+			out.Details[l][i] = r.Val
 		}
 	}
 	return out

@@ -136,7 +136,7 @@ func TestTopKIsL2Optimal(t *testing.T) {
 		for l, det := range c.Details {
 			for i, v := range det {
 				if v != 0 {
-					all = append(all, DetailRef{Level: l, Index: i, Val: v})
+					all = append(all, DetailRef{Level: int8(l), Index: int32(i), Val: v})
 				}
 			}
 		}
@@ -211,7 +211,7 @@ func TestStreamMatchesOffline(t *testing.T) {
 			return false
 		}
 		for _, r := range sink.Refs {
-			if want[[2]int{r.Level, r.Index}] != r.Val {
+			if want[[2]int{int(r.Level), int(r.Index)}] != r.Val {
 				return false
 			}
 		}
@@ -277,7 +277,7 @@ func TestStreamReset(t *testing.T) {
 	st.Push(1, 1, &sink)
 	st.Finish(&sink)
 	// Level 0: 3−1 = 2; level 1 (half-filled pair): 3+1 = 4.
-	want := map[int]int64{0: 2, 1: 4}
+	want := map[int8]int64{0: 2, 1: 4}
 	if len(sink.Refs) != 2 {
 		t.Fatalf("post-reset details = %+v, want 2 coefficients", sink.Refs)
 	}
@@ -425,8 +425,8 @@ func inverseReconstruct(approx []int64, kept []DetailRef, levels, length int) []
 		c.Details[l] = make([]int64, n>>(l+1))
 	}
 	for _, r := range kept {
-		if r.Level >= 0 && r.Level < levels && r.Index >= 0 && r.Index < len(c.Details[r.Level]) {
-			c.Details[r.Level][r.Index] = r.Val
+		if l, i := int(r.Level), int(r.Index); l >= 0 && l < levels && i >= 0 && i < len(c.Details[l]) {
+			c.Details[l][i] = r.Val
 		}
 	}
 	rec := Inverse(c)
@@ -455,7 +455,7 @@ func TestReconstructMatchesInverse(t *testing.T) {
 		n := len(approx) << levels
 		kept := make([]DetailRef, rng.Intn(40))
 		for i := range kept {
-			kept[i] = DetailRef{Level: rng.Intn(levels+2) - 1, Index: rng.Intn(n+2) - 1, Val: rng.Int63n(1<<41) - 1<<40}
+			kept[i] = DetailRef{Level: int8(rng.Intn(levels+2) - 1), Index: int32(rng.Intn(n+2) - 1), Val: rng.Int63n(1<<41) - 1<<40}
 		}
 		length := []int{0, -1, 1, n / 2, n, n + 7}[rng.Intn(6)]
 		want := inverseReconstruct(approx, kept, levels, length)

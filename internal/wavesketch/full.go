@@ -134,17 +134,6 @@ func (f *Full) heavyFor(k flowkey.Key) *heavySlot {
 // IsHeavy reports whether k currently owns a heavy slot.
 func (f *Full) IsHeavy(k flowkey.Key) bool { return f.heavyFor(k) != nil }
 
-// HeavyFlows lists the flows currently elected into the heavy part.
-func (f *Full) HeavyFlows() []flowkey.Key {
-	var out []flowkey.Key
-	for i := range f.heavy {
-		if f.heavy[i].valid {
-			out = append(out, f.heavy[i].key)
-		}
-	}
-	return out
-}
-
 // QueryRange implements measure.SeriesEstimator. Heavy flows are answered
 // from their dedicated bucket; windows before the heavy bucket's first
 // window (a candidate elected mid-flow) fall back to the light part, which

@@ -242,9 +242,6 @@ func TestFullElectsHeavyFlow(t *testing.T) {
 			t.Fatalf("heavy flow window %d = %v, want 1500", w, v)
 		}
 	}
-	if len(full.HeavyFlows()) == 0 {
-		t.Error("HeavyFlows should list at least the elected flow")
-	}
 }
 
 func TestFullLightQuerySubtractsHeavy(t *testing.T) {
