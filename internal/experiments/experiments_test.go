@@ -481,27 +481,3 @@ func TestExtensionsRun(t *testing.T) {
 		prev = v
 	}
 }
-
-// TestAllExperimentsRun executes every registered experiment at the scaled
-// test duration: registry drift (an id without a working function, or a
-// function that breaks on small inputs) fails here rather than at bench
-// time.
-func TestAllExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full registry")
-	}
-	r := NewRunner(cacheFor(t))
-	for _, e := range All() {
-		tab, err := r.Run(e.ID)
-		if err != nil {
-			t.Errorf("%s: %v", e.ID, err)
-			continue
-		}
-		if tab.ID != e.ID {
-			t.Errorf("experiment %s reports id %s", e.ID, tab.ID)
-		}
-		if len(tab.Header) == 0 {
-			t.Errorf("%s has no header", e.ID)
-		}
-	}
-}
