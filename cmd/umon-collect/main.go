@@ -13,7 +13,11 @@
 //
 // With -follow the daemon tails both inputs as they grow and runs until
 // SIGINT/SIGTERM, then drains open events and prints a summary. Without
-// it, the daemon processes the files to EOF and exits.
+// it, umon-collect is the offline analyzer of a finished capture: it
+// processes the files to EOF, prints the summary and exits. Either way the
+// summary ends with the replay of the largest event — the rate of its
+// first four flows around it, window by window (Figure 10c). A frame
+// whose CRC fails is skipped and counted as bad, not fatal.
 //
 // -telemetry-addr serves the full introspection plane on one mux:
 // /metrics, /vars, /healthz and /debug/pprof from the telemetry package,
@@ -31,6 +35,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -38,6 +43,7 @@ import (
 	"umon/internal/analyzer"
 	"umon/internal/collect"
 	"umon/internal/mbuf"
+	"umon/internal/measure"
 	"umon/internal/opsapi"
 	"umon/internal/telemetry"
 )
@@ -337,6 +343,9 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 		}
 		fmt.Fprintf(opt.out, "replay        largest event %s: %d flows, %.0f bytes over %d windows\n",
 			best.String(), len(view.Curves), mass, view.Windows)
+		if mass > 0 {
+			printReplay(opt.out, view)
+		}
 	}
 	if opt.summaryJSON != "" {
 		if err := writeSummaryJSON(opt.summaryJSON, opt.out, sum); err != nil {
@@ -351,6 +360,32 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 		}
 	}
 	return nil
+}
+
+// printReplay writes the Figure 10c table of a replay: the rate of the
+// event's first four flows in every (windows/24)-th window of the view, the
+// windows inside the event marked.
+func printReplay(w io.Writer, view *analyzer.ReplayView) {
+	ev := view.Event
+	flows := ev.Flows[:min(4, len(ev.Flows))]
+	header := fmt.Sprintf("  %-12s", "window")
+	for i := range flows {
+		header += fmt.Sprintf("  flow%-2d(Gbps)", i)
+	}
+	fmt.Fprintln(w, header)
+	step := max(1, view.Windows/24)
+	for i := 0; i < view.Windows; i += step {
+		win := view.WindowStart + int64(i)
+		line := fmt.Sprintf("  %-12d", win)
+		for _, fk := range flows {
+			line += fmt.Sprintf("  %-12.2f", analyzer.RateGbps(view.Curves[fk][i]))
+		}
+		line = strings.TrimRight(line, " ")
+		if ns := win * measure.WindowNanos; ns >= ev.StartNs && ns <= ev.EndNs {
+			line += "  <- event"
+		}
+		fmt.Fprintln(w, line)
+	}
 }
 
 func writeSummaryJSON(path string, stdout io.Writer, sum runSummary) error {

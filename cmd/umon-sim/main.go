@@ -8,10 +8,10 @@
 //
 //	umon-sim -workload hadoop -load 0.15 -ms 20 -out out/
 //
-// The outputs feed umon-analyze and umon-collect:
+// The outputs feed umon-collect, which analyzes them to EOF (or tails them
+// with -follow):
 //
-//	umon-analyze -mirrors out/mirrors.pcap -reports out/
-//	umon-collect -mirrors out/mirrors.pcap -reports out/reports.umstream
+//	umon-collect -reports out/reports.umstream -mirrors out/mirrors.pcap
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"strings"
 	"sync"
 
-	"umon/internal/analyzer"
 	"umon/internal/core"
 	"umon/internal/netsim"
 	"umon/internal/packet"
@@ -97,12 +96,7 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	cfg.Seed = uint64(seed)
 	cfg.Stats = netsim.NewSimStats(reg)
 	cfg.Shards = shards
-	// Register the full µMon metric surface up front so a scrape during the
-	// run covers every family: the host vec counts per-host sketch samples
-	// live; the analyzer-plane series (decode cache, MightSee routing)
-	// exist at zero until an analyzer runs in-process.
 	hostSamples := reg.CounterVec("umon_host_samples_total", "packets fed to each host's sketch", "host", topo.Hosts)
-	_ = analyzer.NewPlaneStats(reg)
 	tracer := telemetry.NewTracer(reg)
 	flows, err := workload.Generate(workload.Config{
 		Dist: dist, Load: load, Hosts: topo.Hosts,
@@ -124,8 +118,8 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	sysCfg.Switch.Rule = uevent.ACLRule{SampleBits: sampleBits}
 
 	// Every host's sealed epochs go into one framed, seekable stream file
-	// — the input umon-analyze reads and umon-collect tails. The sink
-	// serializes concurrent Ship calls, so it is safe at any shard count.
+	// — the input umon-collect reads or tails. The sink serializes
+	// concurrent Ship calls, so it is safe at any shard count.
 	sf, err := os.Create(filepath.Join(outDir, "reports.umstream"))
 	if err != nil {
 		return err

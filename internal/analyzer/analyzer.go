@@ -6,9 +6,8 @@
 //
 // The query plane is indexed so replay scales with the event, not the
 // deployment: the reports sit in a report.RoutedSet, whose routing index
-// sends each query only to the reports that can answer it, and ReplayWith
-// fans the event's flows out over the worker pool. Ingest everything
-// first, then query; queries are safe to run concurrently.
+// sends each query only to the reports that can answer it. Ingest
+// everything first, then query; queries are safe to run concurrently.
 //
 // Mirrors fold into per-port events as they arrive. The batch reader,
 // DetectEvents, snapshots every event, open ones included, and leaves the
@@ -16,19 +15,22 @@
 // watermark proves closed and releases them with their records: one
 // comparison per active port plus the events returned. Emptied port state
 // is recycled, so steady-state ingest does not allocate.
+//
+// Events are found one way in production: the collector (internal/collect)
+// runs PopClosed for a live deployment and for a finished capture alike.
+// The batch Analyzer is the in-process reference that core.Deploy, the
+// experiments and the benchmark run, and that tests hold the collector to.
 package analyzer
 
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 	"umon/internal/netsim"
-	"umon/internal/parallel"
 	"umon/internal/report"
 	"umon/internal/uevent"
 )
@@ -57,8 +59,8 @@ func (e *Event) String() string {
 // Analyzer accumulates measurement inputs.
 type Analyzer struct {
 	// reports holds every ingested report behind the flow→report routing
-	// index, built in place on AddQueryable — ingest everything first,
-	// then query.
+	// index, built in place on AddReport — ingest everything first, then
+	// query.
 	reports report.RoutedSet
 	// clusters folds the mirror stream into per-port events as it arrives
 	// and holds the ports with a record; free holds the emptied clusterers
@@ -76,9 +78,6 @@ type Analyzer struct {
 	// mirror timestamps (from the time-sync deployment); nil means
 	// already-aligned clocks.
 	switchOffsets map[int16]int64
-	// stats is a value copy of the optional query-plane telemetry (zero
-	// value = disabled; every handle nil-checks itself).
-	stats PlaneStats
 }
 
 // New returns an empty analyzer clustering under the default gap.
@@ -97,32 +96,15 @@ func NewWithGap(gapNs int64) *Analyzer {
 	}
 }
 
-// SetStats attaches query-plane telemetry. Call before ingesting reports
-// so the decode counters reach every Queryable; not safe to race with
-// queries.
-func (a *Analyzer) SetStats(s *PlaneStats) {
-	if s != nil {
-		a.stats = *s
-	}
-}
-
 // SetSwitchOffset registers a clock-offset estimate for one switch.
 func (a *Analyzer) SetSwitchOffset(sw int16, offsetNs int64) {
 	a.switchOffsets[sw] = offsetNs
 }
 
-// AddReport ingests one host's decoded WaveSketch report and indexes its
-// heavy flows for query routing.
+// AddReport ingests one host's decoded WaveSketch report and folds it into
+// the flow→report routing index.
 func (a *Analyzer) AddReport(r *report.HostReport) {
-	a.AddQueryable(report.NewQueryable(r))
-}
-
-// AddQueryable ingests an already-indexed report (reports can be decoded
-// and indexed in parallel, then handed over in deterministic order) and
-// folds it into the flow→report routing index.
-func (a *Analyzer) AddQueryable(q *report.Queryable) {
-	q.SetStats(a.stats.Decode)
-	a.reports.Append(q)
+	a.reports.Append(report.NewQueryable(r))
 }
 
 // AddMirror ingests one mirror record, folding it into the per-port event
@@ -240,19 +222,9 @@ func (a *Analyzer) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 	if to < from {
 		to = from
 	}
-	a.stats.Queries.Inc()
 	out := make([]float64, to-from)
-	visited := int64(a.reports.MergeFlow(out, f, from, to))
-	a.stats.ReportsVisited.Add(visited)
-	a.stats.ReportsSkipped.Add(int64(a.reports.Len()) - visited)
+	a.reports.MergeFlow(out, f, from, to)
 	return out
-}
-
-// RoutedReports reports how many host reports a query for f over all of
-// time would touch — the routing index's selectivity, for observability
-// and experiments.
-func (a *Analyzer) RoutedReports(f flowkey.Key) int {
-	return len(a.reports.Route(f, math.MinInt64, math.MaxInt64, nil))
 }
 
 // ReplayView is the Figure 10c artifact: the rate curves of an event's
@@ -269,16 +241,16 @@ type ReplayView struct {
 // extended by marginNs on both sides (§6.1: "the rate of several windows
 // before and after the event can be queried").
 func (a *Analyzer) Replay(ev Event, marginNs int64) *ReplayView {
-	a.stats.Replays.Inc()
-	a.stats.ReplayFanout.Observe(int64(len(ev.Flows)))
 	return ReplayWith(ev, marginNs, a.QueryFlow)
 }
 
 // ReplayWith builds the replay view of ev from any flow-rate query (the
-// analyzer's own, or a collector snapshot's). The per-flow queries fan out
-// over the worker pool, so query must be safe for concurrent use; results
-// are collected index-addressed, so the view is identical at any pool
-// width.
+// analyzer's own, or a collector snapshot's), one flow after the other on
+// the caller's goroutine. A replay costs microseconds, and spreading its
+// flows over worker goroutines made it slower, not faster: in one traced
+// benchmark run per workload (2-core Xeon, GOMAXPROCS 2, seed 42) the
+// serial loop took replay p50/p99 from 1.76/24.7 to 1.22/14.8 µs on
+// stream-mice and from 6.85/64.9 to 3.98/52.7 µs on fleet-elephants.
 func ReplayWith(ev Event, marginNs int64, query func(f flowkey.Key, from, to int64) []float64) *ReplayView {
 	from := measure.WindowOf(ev.StartNs-marginNs) - 1
 	if from < 0 {
@@ -291,12 +263,8 @@ func ReplayWith(ev Event, marginNs int64, query func(f flowkey.Key, from, to int
 		Windows:     int(to - from),
 		Curves:      make(map[flowkey.Key][]float64, len(ev.Flows)),
 	}
-	curves := make([][]float64, len(ev.Flows))
-	parallel.ForEach(len(ev.Flows), func(i int) {
-		curves[i] = query(ev.Flows[i], from, to)
-	})
-	for i, f := range ev.Flows {
-		view.Curves[f] = curves[i]
+	for _, f := range ev.Flows {
+		view.Curves[f] = query(f, from, to)
 	}
 	return view
 }

@@ -45,7 +45,7 @@ func buildAnalyzer(t testing.TB, hosts int) (*Analyzer, []Event) {
 }
 
 // TestAnalyzerConcurrentQueries hammers one Analyzer's query plane —
-// QueryFlow, Replay, RoutedReports — from many goroutines (run under
+// QueryFlow, Replay, routing — from many goroutines (run under
 // -race); answers must equal the sequential baseline.
 func TestAnalyzerConcurrentQueries(t *testing.T) {
 	a, events := buildAnalyzer(t, 4)
@@ -77,7 +77,7 @@ func TestAnalyzerConcurrentQueries(t *testing.T) {
 						return
 					}
 				}
-				a.RoutedReports(key(flows[fi]))
+				routed(a, key(flows[fi]))
 				if iter%10 == 0 {
 					view := a.Replay(events[0], 20*measure.WindowNanos)
 					for f, c := range view.Curves {
@@ -104,9 +104,9 @@ func TestRoutingSkipsBlindReports(t *testing.T) {
 	a, _ := buildAnalyzer(t, 4)
 	// Flows of host 0 are absent from hosts 1-3's sketches; with disjoint
 	// flow sets the bitmaps usually rule the other reports out.
-	touched := a.RoutedReports(key(0))
+	touched := routed(a, key(0))
 	if touched < 1 || touched > 4 {
-		t.Fatalf("RoutedReports = %d, want within [1,4]", touched)
+		t.Fatalf("routed to %d reports, want within [1,4]", touched)
 	}
 	// A flow nobody saw must not route anywhere unless a full row of
 	// collisions fakes its presence; its estimate must be all zero either

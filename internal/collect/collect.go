@@ -26,6 +26,7 @@
 package collect
 
 import (
+	"errors"
 	"io"
 	"math"
 	"sort"
@@ -268,10 +269,12 @@ func (c *Collector) evictOldest(ns *Snapshot) {
 }
 
 // IngestStream drains one epoch-rotated report stream into the window,
-// returning the number of reports admitted and of undecodable frames
-// skipped. It reads to EOF — for a growing file, hand it a reader that
-// blocks at the end until more arrives — and takes the ingest mutex per
-// frame, so it may run beside IngestMirrorPcap.
+// returning the number of reports admitted and of frames skipped as bad:
+// undecodable, or damaged (a CRC mismatch leaves the reader framed at the
+// next frame, so one flipped byte costs one frame, not the feed). It reads
+// to EOF — for a growing file, hand it a reader that blocks at the end until
+// more arrives — and takes the ingest mutex per frame, so it may run beside
+// IngestMirrorPcap.
 func (c *Collector) IngestStream(r io.Reader) (reports, bad int, err error) {
 	sr, err := report.NewStreamReader(r)
 	if err != nil {
@@ -282,6 +285,9 @@ func (c *Collector) IngestStream(r io.Reader) (reports, bad int, err error) {
 		err := sr.Next(&fr)
 		if err == io.EOF {
 			return reports, bad + sr.CRCErrors(), nil
+		}
+		if errors.Is(err, report.ErrCRC) {
+			continue // counted by sr.CRCErrors
 		}
 		if err != nil {
 			return reports, bad + sr.CRCErrors(), err
@@ -585,9 +591,9 @@ func (c *Collector) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 }
 
 // Replay queries every flow of an emitted event over the event span plus
-// margin, fanning out over the worker pool — the daemon's counterpart of
-// the batch analyzer's Replay. All per-flow queries read one snapshot, so
-// the view is internally consistent even while ingest keeps running.
+// margin — the daemon's counterpart of the batch analyzer's Replay. All
+// per-flow queries read one snapshot, so the view is internally
+// consistent even while ingest keeps running.
 func (c *Collector) Replay(ev analyzer.Event, marginNs int64) *analyzer.ReplayView {
 	return c.snap.Load().Replay(ev, marginNs)
 }

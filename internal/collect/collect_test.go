@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"umon/internal/analyzer"
@@ -209,6 +210,38 @@ func TestIngestStreamAdmitsFrames(t *testing.T) {
 	epochs, resident := c.Window()
 	if len(epochs) != 3 || resident != 3 {
 		t.Fatalf("window = %v / %d", epochs, resident)
+	}
+}
+
+// TestIngestStreamSkipsCRCDamage flips one payload byte of the second of
+// five report frames: the feed goes on past it, admitting the other four
+// and counting the damaged frame as the one bad frame.
+func TestIngestStreamSkipsCRCDamage(t *testing.T) {
+	var buf bytes.Buffer
+	sw, err := report.NewStreamWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var damaged int64
+	for e := uint64(0); e < 5; e++ {
+		if e == 1 {
+			damaged = sw.Offset() + 24 + 3 // a payload byte: the header is 24 bytes
+		}
+		if err := sw.WriteEncoded(e, int(e), mkReport(int(e), key(int(e)), 10, 100).AppendEncode(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf.Bytes()[damaged] ^= 0x40
+	c := New(Config{})
+	n, bad, err := c.IngestStream(bytes.NewReader(buf.Bytes()))
+	if err != nil || n != 4 || bad != 1 {
+		t.Fatalf("ingest = %d reports, %d bad, err %v; want 4, 1, nil", n, bad, err)
+	}
+	if epochs, _ := c.Window(); !reflect.DeepEqual(epochs, []uint64{0, 2, 3, 4}) {
+		t.Fatalf("window = %v, want every epoch but the damaged one", epochs)
 	}
 }
 

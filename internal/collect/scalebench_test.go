@@ -128,15 +128,14 @@ func newScaleFixture(stride int64) *scaleFixture {
 	if col.Poll() < 1 {
 		panic("scale fixture emitted no event")
 	}
-	// Warm the probe set's decode caches through the scan path (a
-	// superset of what routing visits), so benchmarks and the
-	// selectivity test measure steady state.
+	// Warm the probe set's decode caches through the routed path, so
+	// benchmarks and the selectivity test measure steady state.
 	fx := &scaleFixture{col: col, stride: stride, reps: reps, event: col.Events()[0]}
 	snap := col.Snapshot()
 	parallel.ForEach(scaleProbes, func(n int) {
 		id := scaleProbe(int64(n))
 		from, to := fx.probeRange(id)
-		queryFlowScan(snap, scaleKey(id), from, to)
+		snap.QueryFlow(scaleKey(id), from, to)
 	})
 	fx.mirrorNs.Store(600_000)
 	return fx
@@ -253,29 +252,6 @@ func benchScaleFlow(b *testing.B, fx *scaleFixture) {
 			from, to := fx.probeRange(id)
 			start := time.Now()
 			fx.col.QueryFlow(scaleKey(id), from, to)
-			local = append(local, time.Since(start))
-		}
-		lc.add(local)
-	})
-	b.StopTimer()
-	reportLatencies(b, lc.lats)
-}
-
-// BenchmarkQueryScaleFlowScan is the pre-routing baseline at identical
-// scale: the linear MightSee scan over every resident report that
-// Collector.QueryFlow used to run under the ingest mutex.
-func BenchmarkQueryScaleFlowScan(b *testing.B) {
-	fx := buildScaleFixture(b)
-	snap := fx.col.Snapshot()
-	var lc latCollector
-	var seq atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		local := make([]time.Duration, 0, 4096)
-		for pb.Next() {
-			id := scaleProbe(seq.Add(1))
-			start := time.Now()
-			queryFlowScan(snap, scaleKey(id), 0, scaleWindowsMax)
 			local = append(local, time.Since(start))
 		}
 		lc.add(local)

@@ -16,9 +16,9 @@ package collect
 // concurrency-safe and shared by every snapshot that references them.
 //
 // Each epochIndex carries a report.RoutedSet — the same routed max-merge
-// the batch analyzer answers from: a query visits only the reports whose
-// MightSee is true and whose curves meet the queried windows, and an epoch
-// whose span misses the range costs one comparison, no hash. Skipped
+// the batch analyzer answers from: a query visits only the reports that
+// might see the flow and whose curves meet the queried windows, and an
+// epoch whose span misses the range costs one comparison, no hash. Skipped
 // reports estimate identically zero, so routed answers are bit-identical
 // to a scan of the whole window.
 

@@ -335,7 +335,7 @@ func TestStreamSinkConcurrentShip(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := fr.Report(); err != nil {
+		if _, err := report.DecodeBytes(fr.Payload); err != nil {
 			t.Fatal(err)
 		}
 		perHost[fr.Host]++

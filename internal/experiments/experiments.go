@@ -291,7 +291,6 @@ func All() []struct {
 		{"ext-dedup", ExtDedupBatch},
 		{"ext-duty", ExtDutyCycle},
 		{"ext-imbalance", ExtImbalance},
-		{"ext-queryplane", ExtQueryPlane},
 	}
 }
 

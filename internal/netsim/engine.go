@@ -8,16 +8,16 @@ package netsim
 
 // The event scheduler is a hierarchical timing wheel (calendar queue).
 // Millions of events per run — serialization completions every ~85 ns,
-// arrivals every 1 µs, CNP/DCQCN/RTO timers every 25–500 µs — used to
-// funnel through one binary min-heap at O(log n) per operation; the wheel
-// schedules and dispatches the near future in O(1) amortized:
+// arrivals every 1 µs, CNP/DCQCN/RTO timers every 25–500 µs — would cost
+// O(log n) each in one binary min-heap; the wheel schedules and dispatches
+// the near future in O(1) amortized:
 //
 //   - time is divided into 2^bucketShift-ns ticks; the inner wheel holds
 //     one unordered slice ("bucket") per tick for the next numBuckets
 //     ticks (≈262 µs of horizon), so scheduling is an append and a mask;
 //   - events beyond the wheel horizon (RTOs, flow starts, long timers)
-//     wait in a small overflow min-heap — the pre-wheel scheduler, demoted
-//     to the cold path — and cascade into the wheel as it turns;
+//     wait in a small overflow min-heap on the cold path and cascade into
+//     the wheel as it turns;
 //   - dispatch drains the current tick through `cur`, a tiny (at, seq)
 //     min-heap: advancing to a tick heapifies its bucket (O(m)) plus any
 //     overflow events that became in-range, and same-tick events scheduled
@@ -33,9 +33,9 @@ package netsim
 // the link key is assigned at the sender rather than at push time, the
 // order is a property of the traffic itself: a sharded run reconstructs
 // exactly the serial dispatch order, shard by shard (verified
-// event-for-event by the heapMode oracle in engine_oracle_test.go and the
-// serial-vs-parallel trace tests in shard_test.go, and byte-identical on
-// the fig10/fig11/fig12 goldens at every shard count).
+// event-for-event against the binary-heap oracles of engine_oracle_test.go
+// and by the serial-vs-parallel trace tests in shard_test.go, and
+// byte-identical on the fig10/fig11/fig12 goldens at every shard count).
 const (
 	// bucketShift sets the tick width: 256 ns, a few serialization times.
 	bucketShift = 8
@@ -67,11 +67,6 @@ type Engine struct {
 	wheel      [][]event // numBuckets unordered per-tick buckets
 	wheelCount int       // events parked in wheel buckets
 	overflow   eventHeap // events ≥ numBuckets ticks ahead
-
-	// heapMode routes everything through the overflow heap alone — the
-	// exact pre-wheel scheduler, kept as the determinism oracle for tests
-	// and as the benchmark baseline. Never set on production paths.
-	heapMode bool
 
 	// Telemetry accumulators: plain (non-atomic) counts folded into the
 	// nil-safe SimStats handles once per 4096 events and at Run exit, so
@@ -127,10 +122,9 @@ type event struct {
 // eventHeap is a typed binary min-heap ordered by (at, lkey, seq). It is
 // hand-rolled rather than built on container/heap because heap.Push boxes
 // every event into an interface — one heap allocation per scheduled event.
-// It serves three roles: the current-tick dispatch heap, the far-future
-// overflow store, and (whole-queue, in heapMode) the pre-wheel oracle.
-// push/pop/heapify reuse the same backing array, so every role reaches a
-// steady state with no per-event allocation at all.
+// It serves two roles: the current-tick dispatch heap and the far-future
+// overflow store. push/pop/heapify reuse the same backing array, so both
+// reach a steady state with no per-event allocation at all.
 type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -226,10 +220,6 @@ func (e *Engine) push(ev event) {
 	ev.seq = e.seq
 	ev.lkey = -1
 	e.schedByKind[ev.kind]++
-	if e.heapMode {
-		e.overflow.push(ev)
-		return
-	}
 	e.place(ev)
 }
 
@@ -243,10 +233,6 @@ func (e *Engine) pushLink(ev event) {
 		ev.at = e.now
 	}
 	e.schedByKind[ev.kind]++
-	if e.heapMode {
-		e.overflow.push(ev)
-		return
-	}
 	e.place(ev)
 }
 
@@ -364,9 +350,6 @@ func (e *Engine) advanceNext() {
 // partially dispatched ticks: cur persists across calls). It returns the
 // number of events executed.
 func (e *Engine) Run(until int64) int {
-	if e.heapMode {
-		return e.runHeap(until)
-	}
 	n := 0
 	for {
 		for len(e.cur) == 0 {
@@ -390,31 +373,6 @@ func (e *Engine) Run(until int64) int {
 		}
 	}
 drained:
-	e.eventsRun += int64(n & 4095)
-	e.flushStats()
-	if e.now < until {
-		e.now = until
-	}
-	return n
-}
-
-// runHeap is the pre-wheel dispatch loop over the single binary heap,
-// retained verbatim as the determinism oracle and benchmark baseline.
-func (e *Engine) runHeap(until int64) int {
-	n := 0
-	for len(e.overflow) > 0 {
-		if e.overflow[0].at > until {
-			break
-		}
-		ev := e.overflow.pop()
-		e.now = ev.at
-		e.dispatch(ev)
-		n++
-		if n&4095 == 0 {
-			e.eventsRun += 4096
-			e.flushStats()
-		}
-	}
 	e.eventsRun += int64(n & 4095)
 	e.flushStats()
 	if e.now < until {

@@ -7,12 +7,11 @@ import (
 	"umon/internal/workload"
 )
 
-// Engine scheduling benchmarks: the timing wheel against the pre-wheel
-// binary heap (heapMode) at realistic pending-event counts. A 20 ms
-// fat-tree run keeps hundreds to a few thousand events pending — per-port
-// serialization completions, in-flight arrivals, per-flow timers — so the
-// heap paid O(log n) sift work per operation where the wheel pays an
-// append and a mask.
+// Engine scheduling benchmarks: the timing wheel at realistic
+// pending-event counts. A 20 ms fat-tree run keeps hundreds to a few
+// thousand events pending — per-port serialization completions, in-flight
+// arrivals, per-flow timers — where a binary heap would pay O(log n) sift
+// work per operation and the wheel pays an append and a mask.
 //
 // `make bench-sim` runs these into BENCH_sim.json.
 
@@ -21,10 +20,9 @@ import (
 // horizons (serialization ~85 ns, propagation 1 µs, CNP pacing 25 µs,
 // DCQCN timers 55/150 µs — the last beyond one bucket span only for the
 // overflow=also case).
-func benchSchedule(b *testing.B, heapMode bool, pending int) {
+func benchSchedule(b *testing.B, pending int) {
 	delays := [...]int64{85, 85, 85, 1000, 1000, 8192, 25_000, 55_000}
 	e := NewEngine()
-	e.heapMode = heapMode
 	executed := 0
 	var fn func()
 	i := 0
@@ -49,50 +47,36 @@ func benchSchedule(b *testing.B, heapMode bool, pending int) {
 }
 
 func BenchmarkEngineSchedule(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		heap bool
-	}{{"wheel", false}, {"heap", true}} {
-		for _, pending := range []int{64, 1024, 8192} {
-			b.Run(fmt.Sprintf("impl=%s/pending=%d", impl.name, pending), func(b *testing.B) {
-				benchSchedule(b, impl.heap, pending)
-			})
-		}
+	for _, pending := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			benchSchedule(b, pending)
+		})
 	}
 }
 
-// BenchmarkEngineEventLoopTyped mirrors the root-level
-// BenchmarkEngineEventLoop shape (schedule a batch, drain it) but on both
-// scheduler implementations, for a like-for-like wheel-vs-heap read.
+// BenchmarkEngineEventLoopTyped schedules a batch of events one nanosecond
+// apart and drains it, over and over.
 func BenchmarkEngineEventLoopTyped(b *testing.B) {
-	for _, impl := range []struct {
-		name string
-		heap bool
-	}{{"wheel", false}, {"heap", true}} {
-		b.Run("impl="+impl.name, func(b *testing.B) {
-			e := NewEngine()
-			e.heapMode = impl.heap
-			var sink int
-			fn := func() { sink++ }
-			b.ReportAllocs()
-			b.ResetTimer()
-			const batch = 1024
-			var now int64
-			for i := 0; i < b.N; i += batch {
-				n := batch
-				if b.N-i < n {
-					n = b.N - i
-				}
-				for j := 0; j < n; j++ {
-					now++
-					e.At(now, fn)
-				}
-				e.Run(now)
-			}
-			if sink != b.N {
-				b.Fatalf("ran %d events, want %d", sink, b.N)
-			}
-		})
+	e := NewEngine()
+	var sink int
+	fn := func() { sink++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	const batch = 1024
+	var now int64
+	for i := 0; i < b.N; i += batch {
+		n := batch
+		if b.N-i < n {
+			n = b.N - i
+		}
+		for j := 0; j < n; j++ {
+			now++
+			e.At(now, fn)
+		}
+		e.Run(now)
+	}
+	if sink != b.N {
+		b.Fatalf("ran %d events, want %d", sink, b.N)
 	}
 }
 

@@ -1,11 +1,11 @@
 package netsim
 
 import (
+	"container/heap"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
-
-	"umon/internal/workload"
 )
 
 // normalizeTrace sorts each episode's participant-flow list: it is built
@@ -18,10 +18,112 @@ func normalizeTrace(tr *Trace) {
 	}
 }
 
-// The timing wheel must reproduce the pre-wheel binary heap's execution
-// order exactly: both dispatch in the global (at, seq) total order. The
-// old scheduler survives in-tree as Engine.heapMode (it doubles as the
-// overflow store), so the oracle is a flag flip, not a build tag.
+// The timing wheel must dispatch in exactly the order one binary min-heap
+// over the whole queue would: the total order (at, lkey, seq). Two
+// test-side oracles pin it, and neither lives in the engine:
+//
+//   - heapScheduler, a standalone At/After/Now scheduler over
+//     container/heap, replays the adversarial event storm;
+//   - runHeapOracle runs a whole serial simulation, typed events and all,
+//     with a dispatch loop that pops the engine's overflow heap as the
+//     entire queue — the scheduler the wheel replaced.
+
+// scheduler is what the storm needs of an event scheduler.
+type scheduler interface {
+	At(t int64, fn func())
+	After(d int64, fn func())
+	Now() int64
+	Run(until int64) int
+}
+
+// heapScheduler keeps every pending func in one binary min-heap ordered by
+// (at, seq), seq counting schedule calls; a past time clamps to now and
+// Run leaves the clock at its horizon, as the Engine does.
+type heapScheduler struct {
+	now int64
+	seq uint64
+	q   oracleQueue
+}
+
+type oracleEvent struct {
+	at  int64
+	seq uint64
+	fn  func()
+}
+
+type oracleQueue []oracleEvent
+
+func (q oracleQueue) Len() int { return len(q) }
+func (q oracleQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q oracleQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *oracleQueue) Push(x any)   { *q = append(*q, x.(oracleEvent)) }
+func (q *oracleQueue) Pop() any {
+	old := *q
+	x := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return x
+}
+
+func (s *heapScheduler) Now() int64 { return s.now }
+
+func (s *heapScheduler) At(t int64, fn func()) {
+	s.seq++
+	heap.Push(&s.q, oracleEvent{at: max(t, s.now), seq: s.seq, fn: fn})
+}
+
+func (s *heapScheduler) After(d int64, fn func()) { s.At(s.now+d, fn) }
+
+func (s *heapScheduler) Run(until int64) int {
+	n := 0
+	for len(s.q) > 0 && s.q[0].at <= until {
+		ev := heap.Pop(&s.q).(oracleEvent)
+		s.now = ev.at
+		ev.fn()
+		n++
+	}
+	s.now = max(s.now, until)
+	return n
+}
+
+// pinHeapOracle makes n's serial engine file every event into its overflow
+// heap: with curTick far below any event's tick, place finds every tick
+// past the wheel span. Call it before anything is scheduled, then run n
+// with runHeapOracle.
+func pinHeapOracle(n *Network) { n.eng.curTick = math.MinInt64 / 2 }
+
+// runHeapOracle is Network.Run on a pinned engine, its dispatch loop the
+// pre-wheel one: pop the heap's minimum, dispatch it, repeat.
+func (n *Network) runHeapOracle(t *testing.T, until int64) *Trace {
+	t.Helper()
+	e := n.eng
+	if e.curTick != math.MinInt64/2 || e.wheelCount != 0 || len(e.cur) != 0 {
+		t.Fatal("runHeapOracle: the engine was not pinned before events were scheduled")
+	}
+	for _, sh := range n.shards {
+		if len(sh.flowDrops) < len(n.trace.Flows) {
+			sh.flowDrops = make([]int64, len(n.trace.Flows))
+		}
+	}
+	n.scheduleQueueSampling(until)
+	for len(e.overflow) > 0 && e.overflow[0].at <= until {
+		ev := e.overflow.pop()
+		e.now = ev.at
+		e.dispatch(ev)
+		n.trace.Events++
+	}
+	if e.wheelCount != 0 || len(e.cur) != 0 {
+		t.Fatal("runHeapOracle: an event bypassed the heap")
+	}
+	e.now = max(e.now, until)
+	n.finalize(until)
+	n.trace.DurationNs = until
+	return n.trace
+}
 
 // execRecord is one executed event's identity for order comparison.
 type execRecord struct {
@@ -30,13 +132,13 @@ type execRecord struct {
 	now int64
 }
 
-// scheduleStorm seeds an engine with a fixed pseudo-random event storm
+// scheduleStorm seeds a scheduler with a fixed pseudo-random event storm
 // that records its execution order into *log. Events rescheduling
 // themselves, ties, bucket-boundary times, past-time clamps and
 // far-future times are all in the mix. The storm is deterministic given
 // the execution order, so the same script can be replayed on any
 // scheduler (wheel, heap oracle, windowed parallel runner) and compared.
-func scheduleStorm(e *Engine, log *[]execRecord) {
+func scheduleStorm(e scheduler, log *[]execRecord) {
 	rng := rngState{s: 0x9e3779b97f4a7c15}
 	id := 0
 	var reschedule func(depth int) func()
@@ -72,9 +174,9 @@ func scheduleStorm(e *Engine, log *[]execRecord) {
 	}
 }
 
-// driveScript runs the storm on a standalone engine in horizon slices, to
-// exercise mid-bucket clamping and re-entry, and returns the execution log.
-func driveScript(e *Engine) []execRecord {
+// driveScript runs the storm in horizon slices, to exercise mid-bucket
+// clamping and re-entry, and returns the execution log.
+func driveScript(e scheduler) []execRecord {
 	var log []execRecord
 	scheduleStorm(e, &log)
 	for _, until := range []int64{100, 4096, 4097, 1 << 14, 1 << 18, 1 << 30} {
@@ -88,9 +190,7 @@ func driveScript(e *Engine) []execRecord {
 // identical execution.
 func TestEngineWheelMatchesHeapOracle(t *testing.T) {
 	wheel := driveScript(NewEngine())
-	oracle := NewEngine()
-	oracle.heapMode = true
-	heap := driveScript(oracle)
+	heap := driveScript(&heapScheduler{})
 	if len(wheel) == 0 {
 		t.Fatal("script executed no events")
 	}
@@ -104,92 +204,31 @@ func TestEngineWheelMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-// oracleTrace runs one simulation scenario with the given scheduler.
-func oracleTrace(t *testing.T, heapMode bool, build func(n *Network)) *Trace {
-	t.Helper()
-	return buildOracleNet(t, heapMode, build).Run(3_000_000)
-}
-
-func buildOracleNet(t *testing.T, heapMode bool, build func(n *Network)) *Network {
-	t.Helper()
-	topo, err := FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(topo)
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.eng.heapMode = heapMode
-	build(n)
-	return n
-}
-
 // TestSimulationWheelMatchesHeapOracle runs full simulations — DCQCN
-// workload, DCTCP flows, PFC lossless incast — under both schedulers and
-// requires deeply identical traces (every packet record, CE mark, episode,
-// queue sample and flow stat).
+// workload, DCTCP flows, PFC lossless incast — on the wheel and through
+// the heap oracle's dispatch loop, and requires deeply identical traces
+// (every packet record, CE mark, episode, queue sample, PFC assertion and
+// flow stat, and the event count).
 func TestSimulationWheelMatchesHeapOracle(t *testing.T) {
-	scenarios := map[string]func(n *Network){
-		"dcqcn-workload": func(n *Network) {
-			flows, err := workload.Generate(workload.Config{
-				Dist: workload.FacebookHadoop(), Load: 0.3, Hosts: n.topo.Hosts,
-				LinkBps: n.cfg.LinkBps, DurationNs: 2_000_000, Seed: 11,
-			})
-			if err != nil {
-				t.Fatal(err)
+	for _, sc := range shardScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			got := sc.build(t, 1, nil).Run(sc.horizon)
+			want := sc.build(t, 1, pinHeapOracle).runHeapOracle(t, sc.horizon)
+			if got.TotalPackets() == 0 {
+				t.Fatal("scenario moved no packets")
 			}
-			for _, f := range flows {
-				if _, err := n.AddFlow(FlowSpec{Src: f.Src, Dst: f.Dst, Bytes: f.Bytes, StartNs: f.StartNs}); err != nil {
-					t.Fatal(err)
-				}
+			if sc.name == "pfc-incast" && len(got.PFCLog) == 0 {
+				t.Fatal("scenario generated no PFC records")
 			}
-		},
-		"dctcp-and-onoff": func(n *Network) {
-			n.AddFlow(FlowSpec{Src: 0, Dst: 15, Bytes: 8_000_000, CC: CCDCTCP})
-			n.AddFlow(FlowSpec{Src: 1, Dst: 15, Bytes: 8_000_000, CC: CCDCTCP, StartNs: 5_000})
-			n.AddFlow(FlowSpec{Src: 2, Dst: 15, Bytes: 1 << 30, FixedRateBps: 60e9,
-				OnNs: 100_000, OffNs: 150_000})
-			n.AddFlow(FlowSpec{Src: 3, Dst: 14, Bytes: 4_000_000, Reliable: true, StartNs: 12_345})
-		},
-	}
-	for name, build := range scenarios {
-		got := oracleTrace(t, false, build)
-		want := oracleTrace(t, true, build)
-		if got.Events != want.Events {
-			t.Errorf("%s: wheel ran %d events, heap %d", name, got.Events, want.Events)
-		}
-		normalizeTrace(got)
-		normalizeTrace(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: wheel and heap traces differ", name)
-		}
-	}
-	// PFC incast on a dumbbell (pause/resume typed events in play).
-	pfc := func(heapMode bool) *Trace {
-		topo, _ := Dumbbell(8)
-		cfg := DefaultConfig(topo)
-		cfg.BufferBytes = 400 << 10
-		cfg.PFC = PFCConfig{Enabled: true, XoffBytes: 150 << 10, XonBytes: 75 << 10}
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.eng.heapMode = heapMode
-		for s := 0; s < 8; s++ {
-			n.AddFlow(FlowSpec{Src: s, Dst: 8, Bytes: 5_000_000, StartNs: int64(s) * 1000})
-		}
-		return n.Run(3_000_000)
-	}
-	got, want := pfc(false), pfc(true)
-	if len(got.PFCLog) == 0 {
-		t.Error("pfc-incast: scenario generated no PFC records")
-	}
-	normalizeTrace(got)
-	normalizeTrace(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("pfc-incast: wheel and heap traces differ")
+			normalizeTrace(got)
+			normalizeTrace(want)
+			if got.Events != want.Events {
+				t.Errorf("wheel ran %d events, heap %d", got.Events, want.Events)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("wheel and heap traces differ")
+			}
+		})
 	}
 }
 
@@ -199,11 +238,11 @@ func TestSimulationWheelMatchesHeapOracle(t *testing.T) {
 // shard engine of a sharded network, then executed by the windowed
 // parallel runner — whose lookahead barriers slice Run into many small
 // horizons at arbitrary offsets. Each shard must replay the storm in
-// exactly the order one standalone engine does, with worker goroutines,
-// in lockstep, and with every shard engine flipped to the heap oracle.
+// exactly the order the heap oracle does, with worker goroutines and in
+// lockstep.
 func TestShardedEngineStormMatchesOracle(t *testing.T) {
 	const horizon = 1 << 22 // past the deepest far-future chain
-	ref := NewEngine()
+	ref := &heapScheduler{}
 	var refLog []execRecord
 	scheduleStorm(ref, &refLog)
 	ref.Run(horizon)
@@ -211,7 +250,7 @@ func TestShardedEngineStormMatchesOracle(t *testing.T) {
 		t.Fatal("storm executed no events")
 	}
 
-	run := func(shards int, heapMode, lockstep bool) [][]execRecord {
+	run := func(shards int, lockstep bool) [][]execRecord {
 		topo, err := Dumbbell(8)
 		if err != nil {
 			t.Fatal(err)
@@ -225,24 +264,22 @@ func TestShardedEngineStormMatchesOracle(t *testing.T) {
 		n.lockstep = lockstep
 		logs := make([][]execRecord, len(n.shards))
 		for i, sh := range n.shards {
-			sh.eng.heapMode = heapMode
 			scheduleStorm(sh.eng, &logs[i])
 		}
 		n.Run(horizon)
 		return logs
 	}
 	for _, mode := range []struct {
-		name           string
-		shards         int
-		heap, lockstep bool
+		name     string
+		shards   int
+		lockstep bool
 	}{
 		{name: "goroutines", shards: 3},
 		{name: "lockstep", shards: 4, lockstep: true},
-		{name: "heap-oracle", shards: 4, heap: true},
 	} {
-		for i, lg := range run(mode.shards, mode.heap, mode.lockstep) {
+		for i, lg := range run(mode.shards, mode.lockstep) {
 			if !reflect.DeepEqual(lg, refLog) {
-				t.Errorf("%s: shard %d storm order diverges from the standalone engine (%d vs %d events)",
+				t.Errorf("%s: shard %d storm order diverges from the heap oracle (%d vs %d events)",
 					mode.name, i, len(lg), len(refLog))
 			}
 		}

@@ -11,15 +11,15 @@ import (
 // count: link events carry their (link id, per-link seq) total-order key
 // from the sending port, per-port RNG streams make marking independent of
 // event interleaving, and finalize merges per-shard buffers canonically.
-// These tests pin that contract on the same three workload families the
-// wheel-vs-heap oracle uses (DCQCN workload, DCTCP + on-off, PFC incast),
-// across shard counts, between lockstep and goroutine execution, and with
-// every shard engine flipped to the heap oracle.
+// These tests pin that contract on three workload families (DCQCN
+// workload, DCTCP + on-off, PFC incast), across shard counts, between
+// lockstep and goroutine execution, and against the serial heap oracle of
+// engine_oracle_test.go.
 
 // shardScenario describes one determinism workload. Construction and
-// population are split so the heap-oracle variant can flip heapMode on
-// every shard engine before any flow-start event is scheduled (events
-// pushed before the flip would land in the wheel, invisible to runHeap).
+// population are split so the heap oracle can be pinned on a network
+// before any flow-start event is scheduled (an event pushed before would
+// land in the wheel, where the oracle's dispatch loop never looks).
 type shardScenario struct {
 	name     string
 	horizon  int64
@@ -28,7 +28,7 @@ type shardScenario struct {
 }
 
 // build constructs and populates in one step, optionally preparing the
-// fresh network (e.g. flipping heapMode) in between.
+// fresh network (pinHeapOracle) in between.
 func (sc *shardScenario) build(t *testing.T, shards int, prep func(n *Network)) *Network {
 	n := sc.make(t, shards)
 	if prep != nil {
@@ -165,26 +165,18 @@ func TestLockstepMatchesGoroutines(t *testing.T) {
 	}
 }
 
-// TestShardedWheelMatchesHeapOracle flips every shard engine to the
-// pre-wheel heap oracle and requires the sharded wheel to agree — the
-// PR 5 oracle extended to the parallel engine. heapMode must be set
-// before population so flow-start events land in the oracle heap.
+// TestShardedWheelMatchesHeapOracle holds a two-shard run, its wheels
+// driven by the windowed parallel runner, to the serial heap oracle: one
+// binary heap over the whole network's events must produce the same trace.
 func TestShardedWheelMatchesHeapOracle(t *testing.T) {
 	for _, sc := range shardScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			wheel := sc.build(t, 2, nil)
-			got := wheel.Run(sc.horizon)
+			got := sc.build(t, 2, nil).Run(sc.horizon)
 			normalizeShardTrace(got)
-
-			oracle := sc.build(t, 2, func(n *Network) {
-				for _, sh := range n.shards {
-					sh.eng.heapMode = true
-				}
-			})
-			want := oracle.Run(sc.horizon)
+			want := sc.build(t, 1, pinHeapOracle).runHeapOracle(t, sc.horizon)
 			normalizeShardTrace(want)
 			if !reflect.DeepEqual(got, want) {
-				t.Error("sharded wheel and sharded heap oracle traces differ")
+				t.Error("sharded wheel and serial heap oracle traces differ")
 			}
 		})
 	}

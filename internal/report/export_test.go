@@ -21,6 +21,33 @@ func (q *Queryable) HeavyFlows() []flowkey.Key {
 // Orphans lists the heavy flows the row bitmaps cannot route.
 func (q *Queryable) Orphans() []flowkey.Key { return q.orphans }
 
+// IsHeavy reports whether the flow has a dedicated heavy entry.
+func (q *Queryable) IsHeavy(f flowkey.Key) bool {
+	_, ok := q.heavy[f]
+	return ok
+}
+
+// MightSee reports whether this report can answer a non-zero estimate for
+// the flow: either a dedicated heavy entry exists, or every sketch row has
+// a non-empty bucket at the flow's hash position. When it returns false the
+// flow's estimate is identically zero. It is the per-report predicate the
+// routing index answers for many reports at once, and the reference
+// TestRouteGroupsMatchesMightSee holds Route to.
+func (q *Queryable) MightSee(f flowkey.Key) bool {
+	if _, ok := q.heavy[f]; ok {
+		return true
+	}
+	p := f.Pack()
+	for r := range q.seeds {
+		idx := q.width.Index(p.Hash(q.seeds[r]))
+		if q.rowBits[r*q.words+idx>>6]&(1<<(idx&63)) == 0 {
+			return false
+		}
+	}
+	// No rows: the light estimate is identically zero.
+	return len(q.seeds) > 0
+}
+
 // WriteReport encodes r and frames it under epoch.
 func (sw *StreamWriter) WriteReport(epoch uint64, r *HostReport) error {
 	return sw.WriteEncoded(epoch, r.Host, r.AppendEncode(nil))
@@ -56,7 +83,7 @@ func ReadStream(r io.Reader) (reports []EpochReport, badFrames int, err error) {
 		if f.Type != FrameReport {
 			continue // stamps and future metadata frames ride alongside
 		}
-		rep, err := f.Report()
+		rep, err := DecodeBytes(f.Payload)
 		if err != nil {
 			badFrames++
 			continue

@@ -64,9 +64,9 @@ type Queryable struct {
 	hentries []heavyEntry
 	coloc    []int32 // colocation lists (hentries indices), sliced per bucketEntry
 	// orphans are the heavy keys whose light bucket is missing in some row
-	// (or that have no rows to hash into): MightSee is true for them on the
-	// heavy entry alone, so the row bitmaps cannot route them. A sketch
-	// counts every packet in its light part, so its reports have none.
+	// (or that have no rows to hash into): their heavy entry alone answers
+	// them, so the row bitmaps cannot route them. A sketch counts every
+	// packet in its light part, so its reports have none.
 	orphans []flowkey.Key
 	// [lo, hi) is the hull of every indexed curve's windows [W0, W0+n);
 	// lo > hi when the report carries no sample.
@@ -291,32 +291,6 @@ func (q *Queryable) RowBits(r int) []uint64 {
 		return nil
 	}
 	return q.rowBits[r*q.words : (r+1)*q.words : (r+1)*q.words]
-}
-
-// IsHeavy reports whether the flow has a dedicated heavy entry.
-func (q *Queryable) IsHeavy(f flowkey.Key) bool {
-	_, ok := q.heavy[f]
-	return ok
-}
-
-// MightSee reports whether this report can answer a non-zero estimate for
-// the flow: either a dedicated heavy entry exists, or every sketch row has
-// a non-empty bucket at the flow's hash position. When it returns false the
-// flow's estimate is identically zero, so the analyzer can skip the report
-// without changing any query result.
-func (q *Queryable) MightSee(f flowkey.Key) bool {
-	if _, ok := q.heavy[f]; ok {
-		return true
-	}
-	p := f.Pack()
-	for r := range q.seeds {
-		idx := q.width.Index(p.Hash(q.seeds[r]))
-		if q.rowBits[r*q.words+idx>>6]&(1<<(idx&63)) == 0 {
-			return false
-		}
-	}
-	// No rows: the light estimate is identically zero.
-	return len(q.seeds) > 0
 }
 
 func (q *Queryable) heavyCurve(h *heavyEntry) []float64 {

@@ -1,18 +1,19 @@
 package report
 
 // Window-global flow routing: RouteGroups merges the per-report
-// non-empty-bucket bitmaps (MightSee's evidence) of many Queryables into
-// one index, so a query plane holding thousands of reports finds the
-// handful that can answer a flow without probing each report. Members are
-// dense ids 0..n-1 in admission order; Route returns exactly the members
-// whose MightSee(f) is true and whose curve span meets the queried windows,
-// so consumers that max-merge routed reports answer identically to a full
-// scan: every member left out estimates identically zero over the range.
+// non-empty-bucket bitmaps of many Queryables into one index, so a query
+// plane holding thousands of reports finds the handful that can answer a
+// flow without probing each report. Members are dense ids 0..n-1 in
+// admission order; Route returns exactly the members that might see f —
+// a heavy entry for f, or a non-empty bucket at f's position in every row
+// — and whose curve span meets the queried windows, so consumers that
+// max-merge routed reports answer identically to a full scan: every member
+// left out estimates identically zero over the range.
 //
 // Reports are grouped by hash Geometry: within a group the queried flow is
 // hashed once per row, and the per-bucket occupancy of all members is held
 // transposed (one member-bitset per (row, bucket) position), so the
-// AND-across-rows that MightSee does per report becomes a handful of word
+// AND-across-rows a per-report check would do becomes a handful of word
 // ANDs for the whole group. A per-row union bitmap bails out early when no
 // member has the flow's bucket occupied.
 //
@@ -164,9 +165,9 @@ func (g *RouteGroups) misses(from, to int64) bool {
 // routeScratch pools Route's working bitmaps (result + group accumulator).
 var routeScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
-// Route appends to dst the ids, ascending, of exactly the members whose
-// MightSee(f) is true — every member whose row bitmaps cover f's bucket in
-// all rows, plus every member that lists f as an orphan — and whose span
+// Route appends to dst the ids, ascending, of exactly the members that
+// might see f — every member whose row bitmaps cover f's bucket in all
+// rows, plus every member that lists f as an orphan — and whose span
 // meets the windows [from, to). A range the hull misses returns before f
 // is hashed; all-time callers pass the full int64 range. Safe for
 // concurrent use, also beside an Append to a later copy of g.

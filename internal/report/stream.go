@@ -118,18 +118,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// Report decodes the frame's payload as a HostReport. Only payload
-// version 0 (the classic Encode stream) is decodable.
-func (f *Frame) Report() (*HostReport, error) {
-	if f.Type != FrameReport {
-		return nil, fmt.Errorf("report: frame type %d is not a report", f.Type)
-	}
-	if f.Version != 0 {
-		return nil, fmt.Errorf("report: unknown report payload version %d", f.Version)
-	}
-	return DecodeBytes(f.Payload)
-}
-
 // Stamp decodes the frame's payload as an EpochStamp.
 func (f *Frame) Stamp() (EpochStamp, error) {
 	if f.Type != FrameStamp {
@@ -452,7 +440,10 @@ func ReadEpoch(rs io.ReadSeeker, index []IndexEntry, epoch uint64) ([]*HostRepor
 		if err != nil {
 			return nil, fmt.Errorf("report: epoch %d frame at %d: %w", epoch, e.Offset, err)
 		}
-		rep, err := f.Report()
+		if f.Type != FrameReport || f.Version != 0 {
+			return nil, fmt.Errorf("%w: index entry at %d is no v0 report frame", ErrStreamCorrupt, e.Offset)
+		}
+		rep, err := DecodeBytes(f.Payload)
 		if err != nil {
 			return nil, err
 		}

@@ -131,9 +131,6 @@ func (f *Full) heavyFor(k flowkey.Key) *heavySlot {
 	return nil
 }
 
-// IsHeavy reports whether k currently owns a heavy slot.
-func (f *Full) IsHeavy(k flowkey.Key) bool { return f.heavyFor(k) != nil }
-
 // QueryRange implements measure.SeriesEstimator. Heavy flows are answered
 // from their dedicated bucket; windows before the heavy bucket's first
 // window (a candidate elected mid-flow) fall back to the light part, which

@@ -24,20 +24,15 @@ import (
 // reachAllow is the whole list of exceptions: symbol (or package, which
 // covers what it declares) → the ROADMAP item that decides its fate. An
 // entry that has become reachable or has disappeared fails the test too, so
-// the list only shrinks. (Engine.heapMode, the heap oracle inside the event
-// engine that item 4 moves out, is a field: this pass does not see it.)
+// the list only shrinks.
 var reachAllow = map[string]string{
 	"internal/timesync":                          "ROADMAP item 2", // §6.1 clock model: wired into per-source watermarks, or deleted
 	"internal/analyzer.Analyzer.SetSwitchOffset": "ROADMAP item 2", // goes the way timesync goes
 	"internal/report.ReadIndex":                  "ROADMAP item 2", // restart-is-replay reads the index hosts already write
 	"internal/report.ReadEpoch":                  "ROADMAP item 2",
 	"internal/mbuf.Pool.Live":                    "ROADMAP item 2", // the leak check behind "memory is a function of flags"
-	"internal/report.Queryable.MightSee":         "ROADMAP item 4", // the linear-scan oracle of BENCH_query.json's QueryScaleFlowScan row
 	"internal/wavesketch.Basic.UpdateBatch":      "ROADMAP item 5", // the batched host path wires it
 	"internal/wavesketch.Full.UpdateBatch":       "ROADMAP item 5",
-	"umon.WaveletForward":                        "ROADMAP item 4", // facade exports no example calls
-	"umon.WaveletReconstruct":                    "ROADMAP item 4",
-	"umon.NewHostMonitor":                        "ROADMAP item 4",
 }
 
 func TestReachable(t *testing.T) {

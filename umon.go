@@ -7,10 +7,10 @@
 //
 //   - WaveSketch and its Config — measure per-flow rate
 //     curves at 8.192 µs windows under a fixed memory budget.
-//   - HostMonitor / System — a deployable µMon instance: one sealed
-//     report per period from every host, CE match-sample-mirror at the
-//     switches, and the System's Analyzer consuming both (congestion event
-//     detection, flow-rate queries, event replay).
+//   - System — a deployable µMon instance: one sealed report per period
+//     from every host, CE match-sample-mirror at the switches, and the
+//     System's Analyzer consuming both (congestion event detection,
+//     flow-rate queries, event replay).
 //   - The discrete-event data-center simulator used by the examples and
 //     the paper-reproduction benchmarks.
 //
@@ -26,7 +26,6 @@ import (
 	"umon/internal/netsim"
 	"umon/internal/report"
 	"umon/internal/uevent"
-	"umon/internal/wavelet"
 	"umon/internal/wavesketch"
 )
 
@@ -57,29 +56,7 @@ func NewWaveSketch(cfg SketchConfig) (*WaveSketch, error) { return wavesketch.Ne
 // L=8) with the given coefficient budget K.
 func DefaultSketch(k int) SketchConfig { return wavesketch.Default(k) }
 
-// Haar transform primitives, for users composing their own compression.
-type WaveletCoeffs = wavelet.Coeffs
-
-// DetailRef identifies one retained wavelet detail coefficient.
-type DetailRef = wavelet.DetailRef
-
-// WaveletForward decomposes a counter series (the paper's integer Haar
-// variant).
-func WaveletForward(signal []int64, levels int) (*WaveletCoeffs, error) {
-	return wavelet.Forward(signal, levels)
-}
-
-// WaveletReconstruct rebuilds a series from approximations and retained
-// details.
-func WaveletReconstruct(approx []int64, kept []DetailRef, levels, length int) []float64 {
-	return wavelet.Reconstruct(approx, kept, levels, length)
-}
-
 // --- µMon system ---
-
-// HostMonitor measures one host's egress, sealing and shipping one report
-// per period; Close ships the final partial period.
-type HostMonitor = core.StreamHostMonitor
 
 // System is a full µMon deployment over a simulated network.
 type System = core.System
@@ -89,17 +66,6 @@ type SystemConfig = core.SystemConfig
 
 // HostMonitorConfig parameterizes host-side measurement.
 type HostMonitorConfig = core.HostMonitorConfig
-
-// NewHostMonitor builds a standalone host monitor. emit receives each
-// encoded report in the monitor's reused buffer: the bytes are valid only
-// during the call.
-func NewHostMonitor(host int, cfg HostMonitorConfig, emit func(host int, encoded []byte)) (*HostMonitor, error) {
-	sink := core.FuncSink(func(r core.SealedReport) error {
-		emit(r.Host, r.Encoded)
-		return nil
-	})
-	return core.NewStreamHostMonitor(host, core.StreamMonitorConfig{HostMonitorConfig: cfg}, sink)
-}
 
 // Deploy attaches a µMon instance to a simulated network.
 func Deploy(n *Network, topo *Topology, cfg SystemConfig) (*System, error) {

@@ -1,7 +1,6 @@
 package umon_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -25,20 +24,6 @@ func TestFacadeQuickstart(t *testing.T) {
 		if math.Abs(umon.RateGbps(v)-8) > 0.5 {
 			t.Fatalf("window %d rate = %v Gbps, want ≈8", w, umon.RateGbps(v))
 		}
-	}
-}
-
-func TestFacadeWavelet(t *testing.T) {
-	c, err := umon.WaveletForward([]int64{7, 9, 6, 3, 2, 4, 4, 6}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Approx[0] != 41 {
-		t.Errorf("approx = %v", c.Approx)
-	}
-	rec := umon.WaveletReconstruct(c.Approx, []umon.DetailRef{{Level: 2, Index: 0, Val: 9}}, 3, 8)
-	if len(rec) != 8 {
-		t.Errorf("reconstruction length %d", len(rec))
 	}
 }
 
@@ -68,28 +53,6 @@ func TestFacadeDeployment(t *testing.T) {
 	}
 	if len(sys.Analyzer.DetectEvents(0)) == 0 {
 		t.Error("no events detected")
-	}
-}
-
-func TestFacadeHostMonitorRoundTrip(t *testing.T) {
-	var encoded []byte
-	cfg := umon.DefaultHostMonitor()
-	cfg.PeriodNs = 1_000_000
-	m, err := umon.NewHostMonitor(3, cfg, func(_ int, b []byte) { encoded = append([]byte(nil), b...) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := umon.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4791, Proto: 17}
-	m.OnPacket(f, 100, 1000)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := umon.DecodeReport(bytes.NewReader(encoded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Host != 3 {
-		t.Errorf("decoded host = %d", rep.Host)
 	}
 }
 
