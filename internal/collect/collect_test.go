@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"umon/internal/analyzer"
@@ -41,6 +42,43 @@ func mirrorAt(sw, port int16, ns int64, f flowkey.Key) uevent.MirrorRecord {
 		OrigBytes:   1058,
 		WireBytes:   64,
 		Flow:        f,
+	}
+}
+
+// TestAdmitResidentBytes bounds what an admitted report keeps resident: a
+// full fleet-scale window — 17 epochs of the 125 fleet-geometry hosts, 2,125
+// reports as bench/ admits them, through report.Decode and AddStamped at a
+// decode budget of 64 — grows the heap by at most 20 KB a report after a
+// collection: the payload and the index, not a decoded copy of every curve.
+func TestAdmitResidentBytes(t *testing.T) {
+	const epochs = 17
+	enc := fleetEpoch(t, admitHosts)
+	payload := 0
+	for _, p := range enc {
+		payload += len(p)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	col := New(Config{WindowEpochs: epochs, DecodeBudget: 64})
+	for e := uint64(0); e < epochs; e++ {
+		for _, p := range enc {
+			rep, err := report.Decode(bytes.NewReader(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			col.AddStamped(e, rep, report.EpochStamp{})
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if _, resident := col.Window(); resident != epochs*admitHosts {
+		t.Fatalf("%d reports resident, want %d", resident, epochs*admitHosts)
+	}
+	perReport := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (epochs * admitHosts)
+	t.Logf("%d reports of %d payload bytes on average: %.0f B resident a report", epochs*admitHosts, payload/len(enc), perReport)
+	if perReport > 20<<10 {
+		t.Errorf("%.0f B resident a report, want ≤ 20 KB", perReport)
 	}
 }
 

@@ -137,13 +137,13 @@ func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 	if decodeErr != nil || len(got) != idle+1 {
 		t.Fatalf("shipped %d reports (decode error %v), want %d", len(got), decodeErr, idle+1)
 	}
-	if len(got[0].Buckets) == 0 || len(got[0].Heavy) == 0 {
-		t.Error("the epoch with a packet shipped an empty report")
+	if est := report.NewQueryable(got[0]).QueryRange(f, 0, 1); est[0] != 1000 {
+		t.Errorf("the epoch with a packet estimates %v bytes for it, want 1000", est[0])
 	}
 	for e, rep := range got[1:] {
-		if want := int64(e+1) * periodNs >> 13; len(rep.Buckets) != 0 || len(rep.Heavy) != 0 || rep.PeriodStart != want {
-			t.Fatalf("idle epoch %d: %d buckets, %d heavy, period start %d (want none, none, %d)",
-				e+1, len(rep.Buckets), len(rep.Heavy), rep.PeriodStart, want)
+		lo, hi := report.NewQueryable(rep).Span()
+		if want := int64(e+1) * periodNs >> 13; lo <= hi || rep.PeriodStart != want {
+			t.Fatalf("idle epoch %d: curves over [%d, %d), period start %d (want none, %d)", e+1, lo, hi, rep.PeriodStart, want)
 		}
 	}
 
@@ -188,7 +188,7 @@ func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
 	if got == nil || got.WindowShift != 10 || got.PeriodStart != 3_000_000>>10 {
 		t.Fatalf("shipped %+v, want WindowShift 10 and period start %d", got, 3_000_000>>10)
 	}
-	if w0 := got.Buckets[0].W0; w0 != got.PeriodStart+5 {
+	if w0, _ := report.NewQueryable(got).Span(); w0 != got.PeriodStart+5 {
 		t.Errorf("the packet landed in window %d, want %d", w0, got.PeriodStart+5)
 	}
 }

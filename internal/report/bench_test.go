@@ -91,11 +91,11 @@ func BenchmarkQueryRange(b *testing.B) {
 	}
 }
 
-// BenchmarkNewQueryable measures index construction (colocation index,
-// routing bitmaps) on a dense report.
+// BenchmarkNewQueryable measures index construction (the walk over the
+// payload, colocation index, routing bitmaps) on a dense report.
 func BenchmarkNewQueryable(b *testing.B) {
 	q, _ := benchQueryable(b, 96)
-	rep := q.rep
+	rep := q.rep // encoded once, as a decoded report is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -148,6 +148,32 @@ var benchReports = []struct {
 	name  string
 	build func(testing.TB, int) *HostReport
 }{{"fleet3x1024", fleetReport}, {"table1", table1Report}}
+
+// BenchmarkQueryColdCurve measures a query's first reconstruction: the
+// first QueryRange of a fleet flow on a fresh Queryable parses its three
+// row curves off the payload and reconstructs them — the work admit no
+// longer does for every curve.
+func BenchmarkQueryColdCurve(b *testing.B) {
+	b.Run("fleet3x1024", func(b *testing.B) {
+		rep, err := DecodeBytes(fleetReport(b, 0).AppendEncode(nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs := make([]*Queryable, 256)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(qs) == 0 {
+				b.StopTimer()
+				for j := range qs {
+					qs[j] = NewQueryable(rep)
+				}
+				b.StartTimer()
+			}
+			qs[i%len(qs)].QueryRange(key(i%128), 0, 32)
+		}
+	})
+}
 
 // BenchmarkDecode measures DecodeBytes on one encoded report.
 func BenchmarkDecode(b *testing.B) {

@@ -11,7 +11,7 @@ import (
 func (q *Queryable) HeavyFlows() []flowkey.Key {
 	out := make([]flowkey.Key, 0, len(q.heavy))
 	for i := range q.hentries {
-		if k := q.hentries[i].exp.Key; q.heavy[k] == int32(i) {
+		if k := q.hentries[i].key; q.heavy[k] == int32(i) {
 			out = append(out, k)
 		}
 	}

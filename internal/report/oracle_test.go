@@ -3,8 +3,9 @@ package report
 // The implementations the flat datapath replaced, kept here as
 // differential oracles: the streaming encoder and decoder of wire version
 // 1 — the only code in the tree that can still write it — and the
-// map-indexed Queryable; and beside them a plain one-pass reading of wire
-// version 2. Nothing outside tests refers to them.
+// map-indexed Queryable; beside them a plain one-pass reading of wire
+// version 2, and the slab fill that decoding did before a report was kept
+// as its payload. Nothing outside tests refers to them.
 
 import (
 	"bufio"
@@ -12,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"umon/internal/flowkey"
@@ -353,6 +355,42 @@ func oracleDecodeV2(data []byte) (*HostReport, error) {
 	}
 	return r, nil
 }
+
+// slabsOf is the slab fill a decode ran before reports were kept as their
+// payloads: every curve of q's report parsed into slices of its own, in
+// the form the sealing side exports — exactly what oracleDecodeV2 builds
+// from the same bytes. It reads the buckets' positions off the row bitmaps
+// and each curve off its entry's offset, so it checks the index as much as
+// the parser.
+func slabsOf(q *Queryable) *HostReport {
+	r := *q.rep
+	r.wire = nil
+	curve := func(off uint32) (w0 int64, length int, approx []int64, details []wavelet.DetailRef) {
+		w0, _ = q.meets(off, 0, 0)
+		s := &curveBufs{approx: []int64{}, details: []wavelet.DetailRef{}}
+		length = q.parseCurve(off, s)
+		return w0, length, s.approx, s.details
+	}
+	for row := range q.seeds {
+		for w, word := range q.RowBits(row) {
+			for ; word != 0; word &= word - 1 {
+				b := wavesketch.BucketExport{Row: row, Index: w<<6 + bits.TrailingZeros64(word)}
+				b.W0, b.Len, b.Approx, b.Details = curve(q.bucket(b.Row, b.Index).off)
+				r.Buckets = append(r.Buckets, b)
+			}
+		}
+	}
+	for i := range q.hentries {
+		h := wavesketch.HeavyExport{Key: q.hentries[i].key}
+		h.W0, h.Len, h.Approx, h.Details = curve(q.hentries[i].off)
+		r.Heavy = append(r.Heavy, h)
+	}
+	return &r
+}
+
+// slabs is r's curves as the sealing side holds them, read back off its
+// encoding.
+func slabs(r *HostReport) *HostReport { return slabsOf(NewQueryable(r)) }
 
 // canonical is the report reconstruction sees: in every curve only the
 // details inside its tree, the last of any that share a (level, index), in

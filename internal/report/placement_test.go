@@ -79,7 +79,7 @@ func TestSealedReportsPinned(t *testing.T) {
 			sum.Write(enc)
 			sorted := v1Bytes(t, canonical(rep, byLevelIndex))
 			content.Write(sorted)
-			if dec, err := DecodeBytes(enc); err != nil || !bytes.Equal(v1Bytes(t, canonical(dec, byLevelIndex)), sorted) {
+			if dec, err := DecodeBytes(enc); err != nil || !bytes.Equal(v1Bytes(t, canonical(slabs(dec), byLevelIndex)), sorted) {
 				t.Fatalf("host %d: the version 2 bytes do not decode to the report's content (err %v)", h, err)
 			}
 			occupied := make(map[[2]int]bool, len(rep.Buckets))

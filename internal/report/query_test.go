@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,8 +109,10 @@ func TestQueryableMatchesFullSketchProperty(t *testing.T) {
 		// The workload must actually exercise the mid-flow election
 		// fallback: a heavy entry whose curve starts after window 0.
 		for _, f := range flows {
-			if hi, ok := q.heavy[f]; ok && q.hentries[hi].exp.W0 > 0 {
-				midFlow++
+			if hi, ok := q.heavy[f]; ok {
+				if w0, _ := q.meets(q.hentries[hi].off, 0, 0); w0 > 0 {
+					midFlow++
+				}
 			}
 		}
 		if heavy == 0 || light == 0 || midFlow == 0 {
@@ -221,9 +224,12 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 	}
 }
 
-// TestDecodeBudgetConcurrent races a budgeted Queryable from many
-// goroutines (run under -race): evictions and re-decodes must never
-// corrupt an answer.
+// TestDecodeBudgetConcurrent races the cold parse (run under -race): eight
+// goroutines issue their first queries together on one fresh payload-backed
+// Queryable — the same flows in the same order, so they parse the same
+// curves at once — then random ones, at decode budgets of one curve (every
+// parse evicts), four and none. Evictions and re-parses must never corrupt
+// an answer: each equals the serial one.
 func TestDecodeBudgetConcurrent(t *testing.T) {
 	full, flows := buildRandomFull(t, 13)
 	rep := FromFull(0, 0, full)
@@ -235,35 +241,40 @@ func TestDecodeBudgetConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := make([][]float64, len(flows))
+	ranges := [][2]int64{{0, 512}, {100, 300}}
+	baseline := make([][][]float64, len(flows))
 	qSeq := NewQueryable(dec)
 	for i, f := range flows {
-		baseline[i] = qSeq.QueryRange(f, 0, 512)
+		for _, r := range ranges {
+			baseline[i] = append(baseline[i], qSeq.QueryRange(f, r[0], r[1]))
+		}
 	}
-
-	q := NewQueryable(dec)
-	q.SetDecodeBudget(3)
-	const goroutines = 8
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g) * 101))
-			for iter := 0; iter < 40; iter++ {
-				fi := rng.Intn(len(flows))
-				got := q.QueryRange(flows[fi], 0, 512)
-				for i := range got {
-					if got[i] != baseline[fi][i] {
-						t.Errorf("goroutine %d: flow %d win %d: %v vs baseline %v",
-							g, fi, i, got[i], baseline[fi][i])
+	for _, budget := range []int{1, 4, 0} {
+		q := NewQueryable(dec)
+		q.SetDecodeBudget(budget)
+		const goroutines = 8
+		var wg sync.WaitGroup
+		wg.Add(goroutines)
+		for g := 0; g < goroutines; g++ {
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g) * 101))
+				for iter := 0; iter < len(flows)+40; iter++ {
+					fi := iter
+					if iter >= len(flows) {
+						fi = rng.Intn(len(flows))
+					}
+					ri := (iter + g) % len(ranges)
+					got := q.QueryRange(flows[fi], ranges[ri][0], ranges[ri][1])
+					if !slices.Equal(got, baseline[fi][ri]) {
+						t.Errorf("budget %d, goroutine %d: flow %d over %v: %v, serially %v", budget, g, fi, ranges[ri], got, baseline[fi][ri])
 						return
 					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // randomReport draws a hand-built report: any shape (widths that are not
@@ -331,13 +342,14 @@ func TestQueryableMatchesMapOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		rep := randomReport(rng, pool)
+		subject := rep
 		switch trial % 3 {
 		case 1: // through the wire
 			dec, err := DecodeBytes(rep.AppendEncode(nil))
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			rep = dec
+			subject = dec
 		case 2: // not as Export would emit them
 			rng.Shuffle(len(rep.Buckets), func(i, j int) { rep.Buckets[i], rep.Buckets[j] = rep.Buckets[j], rep.Buckets[i] })
 			if n := len(rep.Buckets); n > 0 {
@@ -353,7 +365,7 @@ func TestQueryableMatchesMapOracle(t *testing.T) {
 				rep.Heavy = append(rep.Heavy, dup)
 			}
 		}
-		q, oracle := NewQueryable(rep), newOracleQueryable(rep)
+		q, oracle := NewQueryable(subject), newOracleQueryable(rep)
 		for _, f := range pool {
 			if got, want := q.IsHeavy(f), oracle.IsHeavy(f); got != want {
 				t.Fatalf("trial %d flow %s: IsHeavy = %v, oracle %v", trial, f, got, want)

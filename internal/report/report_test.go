@@ -47,10 +47,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Errorf("Encode reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := Decode(&buf)
+	dec, err := Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := slabs(dec)
 	if got.Host != 3 || got.PeriodStart != 1000 || got.Meta != r.Meta {
 		t.Errorf("header mismatch: %+v vs %+v", got, r)
 	}

@@ -100,7 +100,7 @@ func TestStreamReadsVersion1Captures(t *testing.T) {
 		t.Fatalf("read %d reports, %d bad frames, err %v; want %d and %d", len(got), bad, err, len(reps), len(reps))
 	}
 	for i, r := range reps {
-		if cur := got[i]; cur.Epoch != 1 || !reflect.DeepEqual(cur.Report, canonical(r, byTreeID)) {
+		if cur := got[i]; cur.Epoch != 1 || !reflect.DeepEqual(slabs(cur.Report), canonical(r, byTreeID)) {
 			t.Errorf("report %d: the version 2 frame after a version 1 frame reads differently", i)
 		}
 	}
