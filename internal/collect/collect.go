@@ -54,8 +54,9 @@ type Config struct {
 	// WindowEpochs bounds how many distinct epochs stay resident; admitting
 	// a newer epoch past the bound evicts the oldest. 0 means unbounded.
 	WindowEpochs int
-	// EpochNs is the measurement period hosts seal at (paper: 20 ms). Only
-	// used to convert epochs to times in summaries; ingest trusts the epoch
+	// EpochNs is the measurement period hosts seal at (paper: 20 ms). It
+	// converts between epochs and times: in summaries, and to stamp the
+	// traces of the epochs a detected event spans. Ingest trusts the epoch
 	// numbers on the frames.
 	EpochNs int64
 	// GapNs is the event clustering gap (default 50 µs).

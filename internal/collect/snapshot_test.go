@@ -1,8 +1,10 @@
 package collect
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,6 +54,68 @@ func queryFlowScan(s *Snapshot, f flowkey.Key, from, to int64) []float64 {
 		}
 	}
 	return out
+}
+
+// TestSharedReportQueriedTwice admits each decoded report into both a
+// Collector and a batch Analyzer, as the benchmark pipeline does, so the
+// two Queryables of a report share its payload and the index parse built.
+// Eight goroutines, half through each, issue their first queries together,
+// the same flows in the same order, so both sides parse the same curves off
+// the same bytes at once (run under -race), at collector decode budgets of
+// one curve and none. Every answer equals the serial one bit for bit.
+func TestSharedReportQueriedTwice(t *testing.T) {
+	var payloads [][]byte
+	var probes []flowkey.Key
+	for h := 0; h < 4; h++ {
+		bulk := []flowkey.Key{key(100*h + 1), key(100*h + 2), key(100*h + 3), key(7777)}
+		payloads = append(payloads, mkFullReport(t, h, 0, key(100*h), bulk).AppendEncode(nil))
+		probes = append(probes, key(100*h), bulk[0], bulk[2])
+	}
+	probes = append(probes, key(7777), key(424242))
+	serial := analyzer.New()
+	for _, p := range payloads {
+		rep, err := report.DecodeBytes(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.AddReport(rep)
+	}
+	want := make([][]float64, len(probes))
+	for i, f := range probes {
+		want[i] = serial.QueryFlow(f, 0, 64)
+	}
+	if slices.Max(want[0]) == 0 {
+		t.Fatal("the first dominant flow answers zeros: fixture is off")
+	}
+	for _, budget := range []int{1, 0} {
+		c, a := New(Config{DecodeBudget: budget}), analyzer.New()
+		for _, p := range payloads {
+			rep, err := report.Decode(bytes.NewReader(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Add(0, rep)
+			a.AddReport(rep)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				query := c.QueryFlow
+				if g%2 == 1 {
+					query = a.QueryFlow
+				}
+				for i, f := range probes {
+					if got := query(f, 0, 64); !slices.Equal(got, want[i]) {
+						t.Errorf("budget %d, goroutine %d, flow %s: %v, serially %v", budget, g, f, got, want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 }
 
 // TestSnapshotQueryMatchesScan is the routing property test: for a window

@@ -19,7 +19,7 @@ type SealedReport struct {
 	Epoch         uint64
 	PeriodStartNs int64
 	// Encoded is the report in the wire version hosts write
-	// (report.AppendEncode). It is valid only for the duration of Ship —
+	// (report.AppendSealed). It is valid only for the duration of Ship —
 	// sinks that retain it must copy (the monitor reuses its encode buffer
 	// for the next epoch).
 	Encoded []byte

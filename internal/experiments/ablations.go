@@ -58,11 +58,7 @@ func AblationSelection(c *Cache) (*Table, error) {
 				return nil, err
 			}
 			rec := func(keep []wavelet.DetailRef) []float64 {
-				r := wavelet.Inverse(wavelet.Compress(cf, keep))
-				if len(r) > len(truth) {
-					r = r[:len(truth)]
-				}
-				return r
+				return wavelet.Reconstruct(cf.Approx, keep, cf.Levels, len(truth))
 			}
 			wCS.Add(truth, rec(wavelet.TopK(cf, k)))
 			uCS.Add(truth, rec(wavelet.TopKUnweighted(cf, k)))

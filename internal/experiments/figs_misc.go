@@ -82,7 +82,7 @@ func Fig05WaveletExample(*Cache) (*Table, error) {
 	t.AddRow("detail L2", fmt.Sprint(cf.Details[1]))
 	t.AddRow("detail L1", fmt.Sprint(cf.Details[0]))
 	kept := wavelet.TopK(cf, 4)
-	rec := wavelet.Inverse(wavelet.Compress(cf, kept))
+	rec := wavelet.Reconstruct(cf.Approx, kept, cf.Levels, len(signal))
 	recRow := make([]int64, len(rec))
 	for i, v := range rec {
 		recRow[i] = int64(v)

@@ -34,11 +34,10 @@ func benchQueryable(b *testing.B, heavyFlows int) (*Queryable, []flowkey.Key) {
 		}
 	}
 	full.Seal()
-	rep := FromFull(0, 0, full)
-	if got := len(rep.Heavy); got < heavyFlows/2 {
+	q := NewQueryable(FromFull(0, 0, full))
+	if got := len(q.HeavyFlows()); got < heavyFlows/2 {
 		b.Fatalf("only %d heavy entries elected, want ≥ %d", got, heavyFlows/2)
 	}
-	q := NewQueryable(rep)
 	light := make([]flowkey.Key, 0, 32)
 	for f := 0; f < 32; f++ {
 		if k := key(10_000 + f); !q.IsHeavy(k) {
@@ -91,11 +90,12 @@ func BenchmarkQueryRange(b *testing.B) {
 	}
 }
 
-// BenchmarkNewQueryable measures index construction (the walk over the
-// payload, colocation index, routing bitmaps) on a dense report.
+// BenchmarkNewQueryable measures what index construction has left after
+// parse — rank, heavy map, colocation lists, curve caches — on a dense
+// report.
 func BenchmarkNewQueryable(b *testing.B) {
 	q, _ := benchQueryable(b, 96)
-	rep := q.rep // encoded once, as a decoded report is
+	rep := q.rep
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -192,18 +192,19 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendEncode measures encoding into a reused buffer, the way
-// the host monitors seal.
+// BenchmarkAppendEncode measures encoding a sealed sketch's curves into a
+// reused buffer with AppendSealed, the way the host monitors seal.
 func BenchmarkAppendEncode(b *testing.B) {
 	for _, c := range benchReports {
 		b.Run(c.name, func(b *testing.B) {
-			rep := c.build(b, 0)
-			buf := rep.AppendEncode(nil)
+			s := slabs(c.build(b, 0))
+			hdr := s.header()
+			buf := s.encode()
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = rep.AppendEncode(buf[:0])
+				buf = AppendSealed(buf[:0], hdr, s.Buckets, s.Heavy)
 			}
 		})
 	}

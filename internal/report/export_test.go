@@ -10,8 +10,9 @@ import (
 // HeavyFlows lists the flows with heavy entries, in report order.
 func (q *Queryable) HeavyFlows() []flowkey.Key {
 	out := make([]flowkey.Key, 0, len(q.heavy))
-	for i := range q.hentries {
-		if k := q.hentries[i].key; q.heavy[k] == int32(i) {
+	nb := len(q.rep.curves) - len(q.rep.keys)
+	for i, k := range q.rep.keys {
+		if q.heavy[k] == int32(nb+i) {
 			out = append(out, k)
 		}
 	}
@@ -40,17 +41,16 @@ func (q *Queryable) MightSee(f flowkey.Key) bool {
 	p := f.Pack()
 	for r := range q.seeds {
 		idx := q.width.Index(p.Hash(q.seeds[r]))
-		if q.rowBits[r*q.words+idx>>6]&(1<<(idx&63)) == 0 {
+		if q.bucket(r, idx) < 0 {
 			return false
 		}
 	}
-	// No rows: the light estimate is identically zero.
-	return len(q.seeds) > 0
+	return true
 }
 
 // WriteReport encodes r and frames it under epoch.
-func (sw *StreamWriter) WriteReport(epoch uint64, r *HostReport) error {
-	return sw.WriteEncoded(epoch, r.Host, r.AppendEncode(nil))
+func (sw *StreamWriter) WriteReport(epoch uint64, r *slabReport) error {
+	return sw.WriteEncoded(epoch, r.Host, r.encode())
 }
 
 // EpochReport is one decoded report frame of a stream.

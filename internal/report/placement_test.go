@@ -74,16 +74,22 @@ func TestSealedReportsPinned(t *testing.T) {
 		basic.UpdateBatch(samples[len(samples)/2:])
 		full.Seal()
 		basic.Seal()
-		for _, rep := range []*HostReport{FromFull(h, 0, full), FromBasic(h, 0, basic)} {
-			enc := rep.AppendEncode(nil)
+		for _, c := range []struct {
+			rep    *HostReport
+			sealed *slabReport
+		}{
+			{FromFull(h, 0, full), sealedSlab(h, full.Light(), full.ExportHeavy(nil))},
+			{FromBasic(h, 0, basic), sealedSlab(h, basic, nil)},
+		} {
+			rep, enc := c.rep, c.rep.AppendEncode(nil)
 			sum.Write(enc)
-			sorted := v1Bytes(t, canonical(rep, byLevelIndex))
+			sorted := v1Bytes(t, canonical(c.sealed, byLevelIndex))
 			content.Write(sorted)
 			if dec, err := DecodeBytes(enc); err != nil || !bytes.Equal(v1Bytes(t, canonical(slabs(dec), byLevelIndex)), sorted) {
 				t.Fatalf("host %d: the version 2 bytes do not decode to the report's content (err %v)", h, err)
 			}
-			occupied := make(map[[2]int]bool, len(rep.Buckets))
-			for _, b := range rep.Buckets {
+			occupied := make(map[[2]int]bool, len(c.sealed.Buckets))
+			for _, b := range c.sealed.Buckets {
 				occupied[[2]int{b.Row, b.Index}] = true
 			}
 			hit := make(map[[2]int]bool)

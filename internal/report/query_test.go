@@ -109,8 +109,8 @@ func TestQueryableMatchesFullSketchProperty(t *testing.T) {
 		// The workload must actually exercise the mid-flow election
 		// fallback: a heavy entry whose curve starts after window 0.
 		for _, f := range flows {
-			if hi, ok := q.heavy[f]; ok {
-				if w0, _ := q.meets(q.hentries[hi].off, 0, 0); w0 > 0 {
+			if h, ok := q.heavy[f]; ok {
+				if w0, _ := q.meets(h, 0, 0); w0 > 0 {
 					midFlow++
 				}
 			}
@@ -185,9 +185,8 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewQueryable(dec)
-	slots := len(q.entries) + len(q.hentries)
-	if slots < 8 {
-		t.Fatalf("degenerate report: only %d curve slots", slots)
+	if len(q.caches) < 8 {
+		t.Fatalf("degenerate report: only %d curves", len(q.caches))
 	}
 	const budget = 4
 	q.SetDecodeBudget(budget)
@@ -214,8 +213,8 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 		t.Errorf("resident curves = %d, budget = %d", q.decodeCount, budget)
 	}
 	resident := 0
-	for i := 0; i < slots; i++ {
-		if q.slot(i).curve.Load() != nil {
+	for i := range q.caches {
+		if q.caches[i].curve.Load() != nil {
 			resident++
 		}
 	}
@@ -282,8 +281,8 @@ func TestDecodeBudgetConcurrent(t *testing.T) {
 // out-of-range detail references, and heavy entries whose keys come from
 // the same small pool the queries use, so heavies collide with light
 // buckets and with each other's buckets all the time.
-func randomReport(rng *rand.Rand, pool []flowkey.Key) *HostReport {
-	r := &HostReport{Meta: SketchMeta{
+func randomReport(rng *rand.Rand, pool []flowkey.Key) *slabReport {
+	r := &slabReport{Meta: SketchMeta{
 		Rows:   1 + rng.Intn(4),
 		Width:  []int{1, 7, 63, 64, 65, 100, 256}[rng.Intn(7)],
 		Levels: 1 + rng.Intn(4),
@@ -330,8 +329,8 @@ func randomReport(rng *rand.Rand, pool []flowkey.Key) *HostReport {
 // index and of the time pruning: over random basic and full reports,
 // QueryRange, MightSee and IsHeavy answer bit for bit what the map-indexed
 // Queryable it replaced — which decodes every curve it meets, whatever the
-// range — answers, for reports as DecodeBytes delivers them and for
-// hand-built ones whose buckets come shuffled, repeated or outside the
+// range — answers over the hand-built report, which build puts through the
+// wire, as drawn and with its buckets shuffled, repeated or outside the
 // shape, over ranges inside, before, after and covering the curves, empty
 // and reversed.
 func TestQueryableMatchesMapOracle(t *testing.T) {
@@ -342,15 +341,7 @@ func TestQueryableMatchesMapOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		rep := randomReport(rng, pool)
-		subject := rep
-		switch trial % 3 {
-		case 1: // through the wire
-			dec, err := DecodeBytes(rep.AppendEncode(nil))
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			subject = dec
-		case 2: // not as Export would emit them
+		if trial%3 == 2 { // not as Export would emit them
 			rng.Shuffle(len(rep.Buckets), func(i, j int) { rep.Buckets[i], rep.Buckets[j] = rep.Buckets[j], rep.Buckets[i] })
 			if n := len(rep.Buckets); n > 0 {
 				dup := rep.Buckets[rng.Intn(n)]
@@ -365,7 +356,7 @@ func TestQueryableMatchesMapOracle(t *testing.T) {
 				rep.Heavy = append(rep.Heavy, dup)
 			}
 		}
-		q, oracle := NewQueryable(subject), newOracleQueryable(rep)
+		q, oracle := NewQueryable(build(t, rep)), newOracleQueryable(rep)
 		for _, f := range pool {
 			if got, want := q.IsHeavy(f), oracle.IsHeavy(f); got != want {
 				t.Fatalf("trial %d flow %s: IsHeavy = %v, oracle %v", trial, f, got, want)
@@ -413,7 +404,7 @@ func TestQueryablePruningTraps(t *testing.T) {
 	swing := []wavelet.DetailRef{{Level: 2, Index: 0, Val: 4000}, {Level: 0, Index: 1, Val: -900}}
 	cases := []struct {
 		name   string
-		rep    *HostReport
+		rep    *slabReport
 		lo, hi int64
 		// One query of flow f over [from, to): the curves it must decode,
 		// and whether the answer has a non-zero sample.
@@ -426,7 +417,7 @@ func TestQueryablePruningTraps(t *testing.T) {
 			// Len 0 is the padded reconstruction, len(Approx)<<Levels = 16
 			// samples; the range lies past what a Len-based span would cover.
 			name: "padded curve",
-			rep: &HostReport{Meta: meta, Buckets: []wavesketch.BucketExport{
+			rep: &slabReport{Meta: meta, Buckets: []wavesketch.BucketExport{
 				{W0: 10, Len: 0, Approx: []int64{800, 1600}},
 			}},
 			lo: 10, hi: 26, f: light, from: 20, to: 26, cold: 1, nonZero: true,
@@ -435,7 +426,7 @@ func TestQueryablePruningTraps(t *testing.T) {
 			// A heavy entry elected mid-flow: windows before its W0 answer
 			// from the light part, though its own curve misses the range.
 			name: "heavy curve after the range",
-			rep: &HostReport{Meta: meta,
+			rep: &slabReport{Meta: meta,
 				Buckets: []wavesketch.BucketExport{{W0: 4, Len: 8, Approx: []int64{4000}}},
 				Heavy:   []wavesketch.HeavyExport{{Key: heavy, W0: 40, Len: 8, Approx: []int64{9000}}},
 			},
@@ -445,7 +436,7 @@ func TestQueryablePruningTraps(t *testing.T) {
 			// The bucket misses the range, a co-located heavy meets it with
 			// negative samples: zero minus negative is a positive estimate.
 			name: "bucket misses, colocated heavy swings negative",
-			rep: &HostReport{Meta: meta,
+			rep: &slabReport{Meta: meta,
 				Buckets: []wavesketch.BucketExport{{W0: 0, Len: 8, Approx: []int64{4000}}},
 				Heavy:   []wavesketch.HeavyExport{{Key: heavy, W0: 20, Len: 8, Approx: []int64{100}, Details: swing}},
 			},
@@ -453,13 +444,13 @@ func TestQueryablePruningTraps(t *testing.T) {
 		},
 		{
 			name: "no sample at all",
-			rep:  &HostReport{Meta: meta},
+			rep:  &slabReport{Meta: meta},
 			lo:   math.MaxInt64, hi: math.MinInt64, f: light, from: 0, to: 8,
 		},
 	}
 	for _, tc := range cases {
 		reg := telemetry.NewRegistry()
-		q, oracle := NewQueryable(tc.rep), newOracleQueryable(tc.rep)
+		q, oracle := NewQueryable(build(t, tc.rep)), newOracleQueryable(tc.rep)
 		q.SetStats(NewQueryStats(reg))
 		if lo, hi := q.Span(); lo != tc.lo || hi != tc.hi {
 			t.Errorf("%s: span = [%d, %d), want [%d, %d)", tc.name, lo, hi, tc.lo, tc.hi)

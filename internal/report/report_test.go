@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"umon/internal/flowkey"
+	"umon/internal/measure"
 	"umon/internal/wavesketch"
 )
 
@@ -36,11 +37,107 @@ func buildBasic(t *testing.T) *wavesketch.Basic {
 	return s
 }
 
+// sealedSlab is what FromBasic (heavy nil) and FromFull encode: a sealed
+// sketch's curves as it exports them.
+func sealedSlab(host int, s *wavesketch.Basic, heavy []wavesketch.HeavyExport) *slabReport {
+	cfg := s.Config()
+	return &slabReport{Host: host, WindowShift: measure.DefaultWindowShift,
+		Meta:    SketchMeta{Rows: cfg.Rows, Width: cfg.Width, Levels: cfg.Levels, Seed: cfg.Seed},
+		Buckets: s.Export(nil), Heavy: heavy}
+}
+
+// TestSealedSketchesParse is what lets the encoder take a sealed sketch's
+// curves as they come, with no canonical form to fall back on: over seeded
+// workloads on basic, full and hardware sketches of random shape — the full
+// ones with heavy entries elected mid-flow — parse accepts every encoding,
+// FromBasic and FromFull write it, and it reads back unchanged.
+func TestSealedSketchesParse(t *testing.T) {
+	elections := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := wavesketch.Config{Rows: 1 + rng.Intn(4), Width: []int{1, 7, 64, 250, 1024}[rng.Intn(5)],
+			Levels: 1 + rng.Intn(10), K: 1 + rng.Intn(48), Seed: rng.Uint64()}
+		start := int64(rng.Intn(1 << 20))
+		calibration := make([][]int64, 4)
+		for i := range calibration {
+			calibration[i] = make([]int64, 512)
+			for w := range calibration[i] {
+				calibration[i][w] = rng.Int63n(3000)
+			}
+		}
+		basic, err := wavesketch.NewBasic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := wavesketch.NewFull(wavesketch.FullConfig{HeavyRows: 1 + rng.Intn(16), HeavySeed: rng.Uint64(), Light: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw, err := wavesketch.NewHardware(cfg, calibration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Flows steady from the start, mice, and heavy-rate flows that start
+		// late, to win a heavy slot mid-flow.
+		for w := int64(0); w < 512; w++ {
+			for i := 0; i < 40; i++ {
+				from, every, size := int64(0), int64(1), int64(1500)
+				switch i % 3 {
+				case 1:
+					from, every, size = int64(i*5), int64(2+i%6), 80
+				case 2:
+					from, size = int64(200+i*4), 3000
+				}
+				if w >= from && (w-from)%every == 0 {
+					v := size + rng.Int63n(100)
+					basic.Update(key(i), start+w, v)
+					full.Update(key(i), start+w, v)
+					hw.Update(key(i), start+w, v)
+				}
+			}
+		}
+		basic.Seal()
+		full.Seal()
+		hw.Seal()
+		for _, c := range []struct {
+			name   string
+			rep    *HostReport
+			sealed *slabReport
+		}{
+			{"basic", FromBasic(1, start, basic), sealedSlab(1, basic, nil)},
+			{"full", FromFull(2, start, full), sealedSlab(2, full.Light(), full.ExportHeavy(nil))},
+			{"hardware", FromBasic(3, start, hw), sealedSlab(3, hw, nil)},
+		} {
+			c.sealed.PeriodStart = start
+			enc := c.sealed.encode()
+			dec, err := DecodeBytes(enc)
+			if err != nil {
+				t.Fatalf("seed %d, %s %+v: parse refuses a sealed sketch: %v", seed, c.name, cfg, err)
+			}
+			if !bytes.Equal(c.rep.AppendEncode(nil), enc) {
+				t.Fatalf("seed %d, %s: From* wrote other bytes", seed, c.name)
+			}
+			if !bytes.Equal(v1Bytes(t, slabs(dec)), v1Bytes(t, c.sealed)) {
+				t.Fatalf("seed %d, %s: the sealed curves read back changed", seed, c.name)
+			}
+			for _, h := range c.sealed.Heavy {
+				if h.W0 > start {
+					elections++
+				}
+			}
+		}
+	}
+	if elections == 0 {
+		t.Fatal("no heavy entry was elected mid-flow")
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := buildBasic(t)
-	r := FromBasic(3, 1000, s)
+	r := sealedSlab(3, s, nil)
+	r.PeriodStart = 1000
 	var buf bytes.Buffer
-	n, err := r.Encode(&buf)
+	n, err := FromBasic(3, 1000, s).Encode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +211,9 @@ func TestFullReportHeavyRoundTrip(t *testing.T) {
 	}
 	full.Seal()
 	r := FromFull(9, 0, full)
-	if len(r.Heavy) == 0 {
-		t.Fatal("full report lost the heavy entries")
+	elected := len(full.ExportHeavy(nil))
+	if elected == 0 {
+		t.Fatal("the sketch elected no heavy flow")
 	}
 	var buf bytes.Buffer
 	if _, err := r.Encode(&buf); err != nil {
@@ -129,8 +227,8 @@ func TestFullReportHeavyRoundTrip(t *testing.T) {
 	if !q.IsHeavy(heavy) {
 		t.Fatal("decoded report does not know the heavy flow")
 	}
-	if len(q.HeavyFlows()) != len(r.Heavy) {
-		t.Errorf("heavy flows = %d, want %d", len(q.HeavyFlows()), len(r.Heavy))
+	if len(q.HeavyFlows()) != elected {
+		t.Errorf("heavy flows = %d, want %d", len(q.HeavyFlows()), elected)
 	}
 	live := full.QueryRange(heavy, 0, 400)
 	remote := q.QueryRange(heavy, 0, 400)

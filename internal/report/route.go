@@ -111,10 +111,8 @@ func (g *RouteGroups) Append(q *Queryable) {
 	if grp == nil {
 		g.groups = append(groups, routeGroup{geom: geom, width: flowkey.NewReducer(geom.Width), rowWords: (geom.Width + 63) / 64, stride: 1})
 		grp = &g.groups[len(groups)]
-		if geom.Rows > 0 && geom.Width > 0 {
-			grp.union = make([]atomic.Uint64, geom.Rows*grp.rowWords)
-			grp.bits = make([]atomic.Uint64, geom.Rows*geom.Width*grp.stride)
-		}
+		grp.union = make([]atomic.Uint64, geom.Rows*grp.rowWords)
+		grp.bits = make([]atomic.Uint64, geom.Rows*geom.Width*grp.stride)
 	}
 	li := len(grp.members)
 	if li >= grp.stride*64 {
@@ -190,7 +188,7 @@ groups:
 	for gi := range g.groups {
 		grp := &g.groups[gi]
 		n := len(grp.members)
-		if grp.geom.Rows <= 0 || grp.geom.Width <= 0 || n == 0 {
+		if n == 0 {
 			continue
 		}
 		// Only the words and bits of g's own members: the shared bitmaps

@@ -43,8 +43,8 @@ func routeOracle(qs []*Queryable, f flowkey.Key, from, to int64) []int {
 // row and every row differ) in which a heavy flow's light buckets are not
 // all there, as no sealed sketch leaves them: the first heavy key's bucket
 // dropped from row 0, from every row, and the light part gone altogether
-// (Rows out of shape). Each comes with the heavy flows to probe.
-func orphanReports(tb testing.TB) (reports map[string]*HostReport, heavy []flowkey.Key) {
+// (no bucket left). Each comes with the heavy flows to probe.
+func orphanReports(tb testing.TB) (reports map[string]*slabReport, heavy []flowkey.Key) {
 	tb.Helper()
 	cfg := wavesketch.DefaultFull()
 	cfg.Light.Rows, cfg.Light.K = 3, 8
@@ -59,14 +59,14 @@ func orphanReports(tb testing.TB) (reports map[string]*HostReport, heavy []flowk
 		full.Update(key(3100+int(w%9)), w, 60)
 	}
 	full.Seal()
-	whole := FromFull(70, 0, full)
+	whole := slabs(FromFull(70, 0, full))
 	if len(whole.Heavy) == 0 {
 		tb.Fatal("orphan fixture elected no heavy flow")
 	}
 	for _, h := range whole.Heavy {
 		heavy = append(heavy, h.Key)
 	}
-	without := func(rows ...int) *HostReport {
+	without := func(rows ...int) *slabReport {
 		r := *whole
 		r.Buckets = nil
 		p := heavy[0].Pack()
@@ -82,8 +82,8 @@ func orphanReports(tb testing.TB) (reports map[string]*HostReport, heavy []flowk
 		return &r
 	}
 	noLight := *whole
-	noLight.Meta.Rows, noLight.Buckets = 0, nil
-	return map[string]*HostReport{
+	noLight.Buckets = nil
+	return map[string]*slabReport{
 		"whole": whole, "one row": without(0), "every row": without(0, 1, 2), "no light part": &noLight,
 	}, heavy
 }
@@ -118,11 +118,11 @@ func TestRouteGroupsMatchesMightSee(t *testing.T) {
 		t.Fatal("full fixture carries no heavy flows — their routing untested")
 	}
 	qs = append(qs, fq)
-	// Reports whose heavy flows the bitmaps cannot route (a fourth and a
-	// fifth geometry).
+	// Reports whose heavy flows the bitmaps cannot route (a fourth
+	// geometry).
 	orphaned, orphanFlows := orphanReports(t)
 	for name, r := range orphaned {
-		q := NewQueryable(r)
+		q := NewQueryable(build(t, r))
 		// The dropped bucket may have held other heavy flows too.
 		got, ok := q.Orphans(), false
 		switch name {
@@ -139,7 +139,7 @@ func TestRouteGroupsMatchesMightSee(t *testing.T) {
 		qs = append(qs, q)
 	}
 	// A report without a sample: its span is empty and nothing routes to it.
-	empty := NewQueryable(&HostReport{Host: 99, Meta: SketchMeta{Rows: 3, Width: 64, Levels: 8, Seed: 0x5eed0f}})
+	empty := NewQueryable(build(t, &slabReport{Host: 99, Meta: SketchMeta{Rows: 3, Width: 64, Levels: 8, Seed: 0x5eed0f}}))
 	if lo, hi := empty.Span(); lo <= hi {
 		t.Fatalf("empty report span = [%d, %d), want lo > hi", lo, hi)
 	}
@@ -226,11 +226,11 @@ func TestRoutedSetExtendMatchesCloneAdd(t *testing.T) {
 			full, _ := buildRandomFull(t, int64(m))
 			qs[m] = NewQueryable(FromFull(m, 0, full))
 		case m%50 == 40:
-			qs[m] = NewQueryable(&HostReport{
+			qs[m] = NewQueryable(build(t, &slabReport{
 				Host:  m,
 				Meta:  SketchMeta{Rows: cfg.Rows, Width: cfg.Width, Levels: cfg.Levels, Seed: cfg.Seed},
 				Heavy: []wavesketch.HeavyExport{{Key: key(7000 + m), W0: 100, Len: 8, Approx: []int64{int64(m)}}},
-			})
+			}))
 		default:
 			qs[m] = mkBasicQueryable(t, cfg, m, int64(64*(m%5)), []flowkey.Key{key(1000 + 2*m), key(1001 + 2*m), shared})
 		}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 const (
@@ -245,14 +246,13 @@ func (sw *StreamWriter) Close() error {
 
 // StreamReader consumes framed reports sequentially from any io.Reader —
 // a finished file, a growing file behind a tailing reader, a pipe or a
-// socket. Unknown frame types and payload versions are skipped (counted
-// by Skipped); CRC failures surface as ErrCRC but leave the reader
-// positioned at the next frame, so a caller may log and continue.
+// socket. Unknown frame types and payload versions are skipped; CRC
+// failures surface as ErrCRC but leave the reader positioned at the next
+// frame, so a caller may log and continue.
 type StreamReader struct {
 	r       io.Reader
 	hdr     [frameHeaderLen]byte
-	payload []byte
-	skipped int
+	body    []byte
 	crcErrs int
 }
 
@@ -290,57 +290,77 @@ func errUnexpected(err error) error {
 // The returned frame's payload is valid until the next call.
 func (sr *StreamReader) Next(f *Frame) error {
 	for {
-		// Frame magic first: a clean EOF here is the end of the stream.
-		if _, err := io.ReadFull(sr.r, sr.hdr[:4]); err != nil {
-			if err == io.EOF {
-				return io.EOF
-			}
-			return fmt.Errorf("report: short frame magic: %w", errUnexpected(err))
+		if err := sr.frame(f); err != nil {
+			return err
 		}
-		switch m := binary.LittleEndian.Uint32(sr.hdr[0:]); m {
-		case frameMagic:
-		case footerMagic:
-			// Footer: consume the remainder and end the stream. A truncated
-			// footer still ends cleanly — every frame before it was whole.
-			io.CopyN(io.Discard, sr.r, footerLen-4)
+		// Forward compatibility: an unknown frame type or a payload version
+		// this reader cannot decode is skipped, not fatal.
+		if (f.Type == FrameReport || f.Type == FrameStamp) && f.Version == 0 {
+			return nil
+		}
+	}
+}
+
+// Frame bodies are read in steps that start at bodyStep bytes and double,
+// so a header that declares more than the stream holds costs about twice
+// what arrived; a reader keeps a body buffer between frames only up to
+// maxKeptBody bytes.
+const (
+	bodyStep    = 64 << 10
+	maxKeptBody = 1 << 20
+)
+
+// frame reads the frame at the reader's position into f, whatever its
+// type, and checks its CRC. It returns io.EOF at a footer or at EOF
+// exactly where a frame would start.
+func (sr *StreamReader) frame(f *Frame) error {
+	if _, err := io.ReadFull(sr.r, sr.hdr[:4]); err != nil {
+		if err == io.EOF {
 			return io.EOF
-		default:
-			return fmt.Errorf("%w: bad frame magic %#08x", ErrStreamCorrupt, m)
 		}
-		if _, err := io.ReadFull(sr.r, sr.hdr[4:]); err != nil {
-			return fmt.Errorf("report: truncated frame header: %w", errUnexpected(err))
-		}
-		plen := int(binary.LittleEndian.Uint32(sr.hdr[20:]))
-		if plen > maxFramePayload {
-			return fmt.Errorf("%w: implausible frame payload %d", ErrStreamCorrupt, plen)
-		}
-		if cap(sr.payload) < plen+4 {
-			sr.payload = make([]byte, plen+4)
-		}
-		body := sr.payload[:plen+4]
-		if _, err := io.ReadFull(sr.r, body); err != nil {
+		return fmt.Errorf("report: short frame magic: %w", errUnexpected(err))
+	}
+	switch m := binary.LittleEndian.Uint32(sr.hdr[0:]); m {
+	case frameMagic:
+	case footerMagic:
+		// Footer: consume the remainder and end the stream. A truncated
+		// footer still ends cleanly — every frame before it was whole.
+		io.CopyN(io.Discard, sr.r, footerLen-4)
+		return io.EOF
+	default:
+		return fmt.Errorf("%w: bad frame magic %#08x", ErrStreamCorrupt, m)
+	}
+	if _, err := io.ReadFull(sr.r, sr.hdr[4:]); err != nil {
+		return fmt.Errorf("report: truncated frame header: %w", errUnexpected(err))
+	}
+	plen := int(binary.LittleEndian.Uint32(sr.hdr[20:]))
+	if plen > maxFramePayload {
+		return fmt.Errorf("%w: implausible frame payload %d", ErrStreamCorrupt, plen)
+	}
+	body := sr.body[:0]
+	for len(body) < plen+4 {
+		step := min(plen+4-len(body), max(bodyStep, len(body)))
+		body = slices.Grow(body, step)
+		n, err := io.ReadFull(sr.r, body[len(body):len(body)+step])
+		if body = body[:len(body)+n]; err != nil {
 			return fmt.Errorf("report: truncated frame body: %w", errUnexpected(err))
 		}
-		crc := crc32.ChecksumIEEE(sr.hdr[:])
-		crc = crc32.Update(crc, crc32.IEEETable, body[:plen])
-		if want := binary.LittleEndian.Uint32(body[plen:]); crc != want {
-			sr.crcErrs++
-			return fmt.Errorf("%w: got %#08x want %#08x", ErrCRC, crc, want)
-		}
-		typ, ver := sr.hdr[4], sr.hdr[5]
-		if (typ != FrameReport && typ != FrameStamp) || ver != 0 {
-			// Forward compatibility: an unknown frame type or a payload
-			// version this reader cannot decode is skipped, not fatal.
-			sr.skipped++
-			continue
-		}
-		f.Type = typ
-		f.Version = ver
-		f.Host = int(binary.LittleEndian.Uint32(sr.hdr[8:]))
-		f.Epoch = binary.LittleEndian.Uint64(sr.hdr[12:])
-		f.Payload = body[:plen]
-		return nil
 	}
+	if cap(body) <= maxKeptBody {
+		sr.body = body
+	}
+	crc := crc32.ChecksumIEEE(sr.hdr[:])
+	crc = crc32.Update(crc, crc32.IEEETable, body[:plen])
+	if want := binary.LittleEndian.Uint32(body[plen:]); crc != want {
+		sr.crcErrs++
+		return fmt.Errorf("%w: got %#08x want %#08x", ErrCRC, crc, want)
+	}
+	f.Type = sr.hdr[4]
+	f.Version = sr.hdr[5]
+	f.Host = int(binary.LittleEndian.Uint32(sr.hdr[8:]))
+	f.Epoch = binary.LittleEndian.Uint64(sr.hdr[12:])
+	f.Payload = body[:plen]
+	return nil
 }
 
 // --- seekable index access ---
@@ -365,8 +385,8 @@ func ReadIndex(rs io.ReadSeeker) ([]IndexEntry, error) {
 	if _, err := rs.Seek(indexOff, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("report: seeking index: %w", err)
 	}
-	f, err := readFrameAt(rs)
-	if err != nil {
+	var f Frame
+	if err := frameAt(rs, &f); err != nil {
 		return nil, err
 	}
 	if f.Type != FrameIndex {
@@ -394,35 +414,14 @@ func ReadIndex(rs io.ReadSeeker) ([]IndexEntry, error) {
 	return entries, nil
 }
 
-// readFrameAt reads exactly one CRC-checked frame at the current position.
-func readFrameAt(r io.Reader) (*Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("report: truncated frame: %w", errUnexpected(err))
+// frameAt reads the frame at rs's position: a footer or EOF there is
+// corrupt framing.
+func frameAt(rs io.Reader, f *Frame) error {
+	sr := StreamReader{r: rs}
+	if err := sr.frame(f); err != io.EOF {
+		return err
 	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != frameMagic {
-		return nil, fmt.Errorf("%w: bad frame magic %#08x", ErrStreamCorrupt, m)
-	}
-	plen := int(binary.LittleEndian.Uint32(hdr[20:]))
-	if plen > maxFramePayload {
-		return nil, fmt.Errorf("%w: implausible frame payload %d", ErrStreamCorrupt, plen)
-	}
-	body := make([]byte, plen+4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("report: truncated frame body: %w", errUnexpected(err))
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, body[:plen])
-	if want := binary.LittleEndian.Uint32(body[plen:]); crc != want {
-		return nil, fmt.Errorf("%w: got %#08x want %#08x", ErrCRC, crc, want)
-	}
-	return &Frame{
-		Type:    hdr[4],
-		Version: hdr[5],
-		Host:    int(binary.LittleEndian.Uint32(hdr[8:])),
-		Epoch:   binary.LittleEndian.Uint64(hdr[12:]),
-		Payload: body[:plen],
-	}, nil
+	return fmt.Errorf("%w: no frame where one should start", ErrStreamCorrupt)
 }
 
 // ReadEpoch seeks out and decodes every report of one epoch using the
@@ -436,8 +435,8 @@ func ReadEpoch(rs io.ReadSeeker, index []IndexEntry, epoch uint64) ([]*HostRepor
 		if _, err := rs.Seek(e.Offset, io.SeekStart); err != nil {
 			return nil, err
 		}
-		f, err := readFrameAt(rs)
-		if err != nil {
+		var f Frame
+		if err := frameAt(rs, &f); err != nil {
 			return nil, fmt.Errorf("report: epoch %d frame at %d: %w", epoch, e.Offset, err)
 		}
 		if f.Type != FrameReport || f.Version != 0 {

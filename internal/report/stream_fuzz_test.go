@@ -9,7 +9,8 @@ import (
 
 // fuzzSeedStreams builds the seed corpus: a well-formed multi-epoch
 // stream plus targeted corruptions of it (truncations, a flipped payload
-// byte breaking the CRC, an unknown-version frame, a broken frame magic).
+// byte breaking the CRC, an unknown-version frame, a broken frame magic),
+// and a frame header that declares far more than the stream holds.
 // go test replays these as plain regression inputs; `go test -fuzz
 // FuzzReportStream` mutates from them.
 func fuzzSeedStreams(tb testing.TB) [][]byte {
@@ -51,7 +52,7 @@ func fuzzSeedStreams(tb testing.TB) [][]byte {
 	magicBroken := append([]byte(nil), valid...)
 	magicBroken[streamHeaderLen+ff] ^= 0xFF
 	seeds = append(seeds, magicBroken)
-	return seeds
+	return append(seeds, oversizedFrame())
 }
 
 // FuzzReportStream drives arbitrary bytes through the sequential stream
@@ -87,7 +88,7 @@ func FuzzReportStream(f *testing.F) {
 			t.Fatal(werr)
 		}
 		for _, er := range reports {
-			if werr := sw.WriteReport(er.Epoch, er.Report); werr != nil {
+			if werr := sw.WriteEncoded(er.Epoch, er.Report.Host, er.Report.AppendEncode(nil)); werr != nil {
 				t.Fatalf("re-encode: %v", werr)
 			}
 		}
@@ -144,6 +145,10 @@ func TestFuzzSeedsReplay(t *testing.T) {
 		case 6: // magic break: framing lost, hard error
 			if !errors.Is(err, ErrStreamCorrupt) {
 				t.Errorf("magic seed error = %v, want ErrStreamCorrupt", err)
+			}
+		case 7: // a payload declared and never sent
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("oversized seed error = %v, want unexpected EOF", err)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // testReport builds a small but non-trivial report for host h.
-func testReport(h int, period int64) *HostReport {
-	r := &HostReport{
+func testReport(h int, period int64) *slabReport {
+	r := &slabReport{
 		Host:        h,
 		PeriodStart: period,
 		WindowShift: 13,
@@ -34,18 +35,6 @@ func testReport(h int, period int64) *HostReport {
 		W0:  period, Len: 8, Approx: []int64{int64(100 * h)},
 	})
 	return r
-}
-
-// encodeBytes is the canonical v0 encoding of r, for byte-level
-// comparisons (Decode normalizes nil vs empty slices, so DeepEqual on
-// the structs is too strict).
-func encodeBytes(t *testing.T, r *HostReport) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := r.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // writeTestStream frames reports for hosts×epochs and returns the bytes.
@@ -79,7 +68,7 @@ func TestStreamReadsVersion1Captures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := []*HostReport{table1Report(t, 0), fleetReport(t, 1), testReport(2, 512)}
+	reps := []*slabReport{slabs(table1Report(t, 0)), slabs(fleetReport(t, 1)), testReport(2, 512)}
 	for h, r := range reps {
 		old := v1Bytes(t, r)
 		if _, err := DecodeBytes(old); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
@@ -125,7 +114,7 @@ func TestStreamRoundTrip(t *testing.T) {
 			if got.Epoch != uint64(e) {
 				t.Errorf("report %d epoch = %d, want %d", i, got.Epoch, e)
 			}
-			if !bytes.Equal(encodeBytes(t, got.Report), encodeBytes(t, testReport(h, int64(e*1000)))) {
+			if !bytes.Equal(got.Report.AppendEncode(nil), testReport(h, int64(e*1000)).encode()) {
 				t.Errorf("report %d round-trip mismatch", i)
 			}
 			i++
@@ -171,7 +160,7 @@ func TestStreamEpochIndexSeek(t *testing.T) {
 			t.Fatalf("epoch %d: %d reports, want 3", e, len(reps))
 		}
 		for h, r := range reps {
-			if !bytes.Equal(encodeBytes(t, r), encodeBytes(t, testReport(h, int64(e*1000)))) {
+			if !bytes.Equal(r.AppendEncode(nil), testReport(h, int64(e*1000)).encode()) {
 				t.Errorf("epoch %d host %d mismatch", e, h)
 			}
 		}
@@ -232,6 +221,57 @@ func TestStreamTruncation(t *testing.T) {
 	}
 }
 
+// oversizedFrame is a 32-byte stream, the stream header and one frame
+// header, whose frame declares a 2²⁸-byte payload that never comes.
+func oversizedFrame() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, streamMagic)
+	b = binary.LittleEndian.AppendUint32(b, streamVersion)
+	hdr := make([]byte, frameHeaderLen)
+	binary.LittleEndian.PutUint32(hdr, frameMagic)
+	hdr[4] = FrameReport
+	binary.LittleEndian.PutUint32(hdr[20:], maxFramePayload)
+	return append(b, hdr...)
+}
+
+// TestOversizedFrameAllocatesLittle: a frame header sizes no allocation.
+// Read by Next, or by ReadIndex and ReadEpoch, which share its frame
+// reader, the stream above is a truncated frame that cost under 1 MiB —
+// not the 256 MiB its header declares.
+func TestOversizedFrameAllocatesLittle(t *testing.T) {
+	raw := oversizedFrame()
+	// The same frame with a footer naming it as the index.
+	indexed := binary.LittleEndian.AppendUint32(bytes.Clone(raw), footerMagic)
+	indexed = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(indexed, 0), streamHeaderLen)
+	for _, c := range []struct {
+		name string
+		read func() error
+	}{
+		{"Next", func() error {
+			sr, err := NewStreamReader(bytes.NewReader(raw))
+			if err != nil {
+				return err
+			}
+			return sr.Next(&Frame{})
+		}},
+		{"ReadIndex", func() error { _, err := ReadIndex(bytes.NewReader(indexed)); return err }},
+		{"ReadEpoch", func() error {
+			_, err := ReadEpoch(bytes.NewReader(raw), []IndexEntry{{Offset: streamHeaderLen}}, 0)
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: %v, want a truncated frame", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %d bytes allocated, want < 1 MiB", c.name, got)
+		}
+	}
+}
+
 func TestStreamUnknownVersionAndTypeSkipped(t *testing.T) {
 	var buf bytes.Buffer
 	sw, _ := NewStreamWriter(&buf)
@@ -261,10 +301,7 @@ func TestStreamUnknownVersionAndTypeSkipped(t *testing.T) {
 		got = append(got, f.Epoch)
 	}
 	if !reflect.DeepEqual(got, []uint64{0, 3}) {
-		t.Errorf("report epochs = %v, want [0 3]", got)
-	}
-	if sr.skipped != 2 {
-		t.Errorf("skipped = %d, want 2", sr.skipped)
+		t.Errorf("report epochs = %v, want [0 3]: the two future frames skipped", got)
 	}
 }
 
@@ -361,6 +398,8 @@ func TestStreamStampFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			stamps = append(stamps, st)
+		default: // the trailing index frame is skipped
+			t.Errorf("Next surfaced a frame of type %d", f.Type)
 		}
 	}
 	if reports != 2 {
@@ -368,9 +407,6 @@ func TestStreamStampFrames(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stamps, want) {
 		t.Errorf("stamps = %+v, want %+v", stamps, want)
-	}
-	if sr.skipped != 1 { // the trailing index frame, nothing else
-		t.Errorf("reader skipped %d frames, want 1", sr.skipped)
 	}
 	// The batch convenience path decodes the reports and ignores stamps.
 	reps, bad, err := ReadStream(bytes.NewReader(buf.Bytes()))

@@ -18,8 +18,9 @@ const maxPooledDetails = 1 << 16
 //
 // The curve is expanded in place in its one output allocation: level by
 // level, each back to front, so a pair is written only after the value it
-// splits was read. Per element these are Inverse's operations in Inverse's
-// order, so the two agree bit for bit.
+// splits was read. Per element these are the operations of the textbook
+// level-by-level inverse in its order, so the two agree bit for bit
+// (TestReconstructMatchesInverse).
 func Reconstruct(approx []int64, kept []DetailRef, levels, length int) []float64 {
 	if len(approx) == 0 {
 		if length <= 0 {

@@ -15,10 +15,12 @@
 //	left  = (a + d) / 2
 //	right = (a - d) / 2
 //
-// The package provides the offline forward/inverse transforms (used by tests,
-// the analyzer and the baselines), the optimal top-k coefficient selection of
-// Appendix A, and the streaming one-counter-at-a-time transform of
-// Algorithm 1 that WaveSketch buckets embed.
+// The package provides the offline forward transform (used by tests and the
+// experiments), the reconstruction from a sparse coefficient set that the
+// analyzer and the experiments share (Algorithm 2), the optimal top-k
+// coefficient selection of Appendix A, and the streaming
+// one-counter-at-a-time transform of Algorithm 1 that WaveSketch buckets
+// embed.
 package wavelet
 
 import (
@@ -97,30 +99,6 @@ func Forward(signal []int64, levels int) (*Coeffs, error) {
 	}
 	c.Approx = cur
 	return c, nil
-}
-
-// Inverse reconstructs the (padded) signal from coefficients. Division by 2
-// is done in float64 so that reconstructions from *compressed* coefficient
-// sets (where exactness is lost anyway) do not suffer integer truncation.
-func Inverse(c *Coeffs) []float64 {
-	cur := make([]float64, len(c.Approx))
-	for i, a := range c.Approx {
-		cur[i] = float64(a)
-	}
-	for l := c.Levels - 1; l >= 0; l-- {
-		det := c.Details[l]
-		next := make([]float64, 2*len(cur))
-		for i := range cur {
-			var d float64
-			if i < len(det) {
-				d = float64(det[i])
-			}
-			next[2*i] = (cur[i] + d) / 2
-			next[2*i+1] = (cur[i] - d) / 2
-		}
-		cur = next
-	}
-	return cur
 }
 
 // DetailRef identifies one detail coefficient, in 16 bytes: a report holds
@@ -203,22 +181,5 @@ func TopKUnweighted(c *Coeffs, k int) []DetailRef {
 	}
 	out := make([]DetailRef, k)
 	copy(out, all[:k])
-	return out
-}
-
-// Compress zeroes every detail coefficient not present in keep, returning a
-// new coefficient set. This models the paper's compression stage on an
-// offline transform.
-func Compress(c *Coeffs, keep []DetailRef) *Coeffs {
-	out := &Coeffs{Levels: c.Levels, Approx: append([]int64(nil), c.Approx...)}
-	out.Details = make([][]int64, len(c.Details))
-	for l := range c.Details {
-		out.Details[l] = make([]int64, len(c.Details[l]))
-	}
-	for _, r := range keep {
-		if l, i := int(r.Level), int(r.Index); l < len(out.Details) && i < len(out.Details[l]) {
-			out.Details[l][i] = r.Val
-		}
-	}
 	return out
 }
