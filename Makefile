@@ -14,9 +14,10 @@ test-short:
 
 # Race coverage for the concurrent surfaces: the parallel evaluation
 # harness, the singleflight sim cache, the analyzer query plane
-# (memoized reconstruction caches, first queries parsing curves off one
-# payload at decode budgets 1, 4 and 0, the append-only routing index read
-# beside its one writer, concurrent replay, one decoded report queried
+# (memoized reconstruction caches, made once by racing first decodes, first
+# queries parsing curves off one payload at decode budgets 1, 4 and 0, the
+# resident count against a scan of the caches, the append-only routing
+# index read beside its one writer, concurrent replay, one decoded report queried
 # through a collector and an analyzer at once), the telemetry plane (atomic
 # counters/histograms, registry, tracer), the netsim event engine (timing
 # wheel vs the tests' heap oracles), and the zero-copy mirror datapath (mbuf
@@ -104,10 +105,12 @@ loc:
 #           (B/report and allocs/report ride in the metrics map), and the
 #           parse + reconstruction admit left to a curve's first query
 #           (QueryColdCurve). Its B/op is gated too: allocation repeats
-#           exactly, the clock does not. The Decode/* and NewQueryable rows
-#           were re-baselined when the index moved from NewQueryable's walk
-#           into parse's: work moved between them, and the AdmitEpoch rows,
-#           which pay for both, kept their baselines.
+#           exactly, the clock does not. The AdmitEpoch/*, NewQueryable and
+#           QueryColdCurve/* rows were re-baselined when a report's curve
+#           caches moved from NewQueryable to its first cold decode and a
+#           curve came to be reconstructed to its len only: admits allocate
+#           less, and a cold query pays for the caches but expands fewer
+#           samples. The Decode/* and AppendEncode/* rows kept theirs.
 PERF_GATE_THRESHOLD ?= 25
 PERF_GATE_API_THRESHOLD ?= 60
 

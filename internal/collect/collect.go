@@ -577,12 +577,6 @@ func (c *Collector) Status() Status {
 	return st
 }
 
-// ResidentCurves totals decoded curves across the window — the decode-
-// budget-governed share of memory.
-func (c *Collector) ResidentCurves() int {
-	return c.snap.Load().ResidentCurves()
-}
-
 // QueryFlow estimates flow f's per-window byte counts over [from, to)
 // windows by max-merging the resident reports the routing index selects
 // for the flow — the analyzer's query semantics over the sliding window,

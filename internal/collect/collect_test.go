@@ -48,8 +48,10 @@ func mirrorAt(sw, port int16, ns int64, f flowkey.Key) uevent.MirrorRecord {
 // TestAdmitResidentBytes bounds what an admitted report keeps resident: a
 // full fleet-scale window — 17 epochs of the 125 fleet-geometry hosts, 2,125
 // reports as bench/ admits them, through report.Decode and AddStamped at a
-// decode budget of 64 — grows the heap by at most 20 KB a report after a
-// collection: the payload and the index, not a decoded copy of every curve.
+// decode budget of 64 — grows the heap by at most 8 KB a report after a
+// collection: the payload and the index, not a decoded copy of every curve
+// nor a cache for one. Once one flow per host is queried over the window,
+// every report holds its caches and three curves, at most 14 KB in all.
 func TestAdmitResidentBytes(t *testing.T) {
 	const epochs = 17
 	enc := fleetEpoch(t, admitHosts)
@@ -77,8 +79,24 @@ func TestAdmitResidentBytes(t *testing.T) {
 	}
 	perReport := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (epochs * admitHosts)
 	t.Logf("%d reports of %d payload bytes on average: %.0f B resident a report", epochs*admitHosts, payload/len(enc), perReport)
-	if perReport > 20<<10 {
-		t.Errorf("%.0f B resident a report, want ≤ 20 KB", perReport)
+	if perReport > 8<<10 {
+		t.Errorf("%.0f B resident a report, want ≤ 8 KB", perReport)
+	}
+
+	for h := 0; h < admitHosts; h++ {
+		col.QueryFlow(admitKey(h*128), 0, 32)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// Each flow's three row curves in its host's reports, and those of any
+	// other report its buckets collide in.
+	if got, want := col.Snapshot().ResidentCurves(), 3*epochs*admitHosts; got < want {
+		t.Fatalf("%d curves resident after the queries, want ≥ %d", got, want)
+	}
+	perReport = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (epochs * admitHosts)
+	t.Logf("queried: %.0f B resident a report", perReport)
+	if perReport > 14<<10 {
+		t.Errorf("queried: %.0f B resident a report, want ≤ 14 KB", perReport)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestQueryAtScaleBoundedResidency(t *testing.T) {
 	// knob the daemon turns. (Without a budget every queried curve would
 	// stay decoded forever.)
 	maxCurves := decodeBudget * resident
-	if got := c.ResidentCurves(); got > maxCurves {
+	if got := c.Snapshot().ResidentCurves(); got > maxCurves {
 		t.Errorf("resident curves = %d, exceeds budget bound %d", got, maxCurves)
 	}
 	// The budget actually bit: queries touched more distinct curves per
@@ -109,7 +109,7 @@ func TestScaleDecodeBudgetExactUnderThrash(t *testing.T) {
 			}
 		}
 	}
-	if got := c.ResidentCurves(); got > 2 {
+	if got := c.Snapshot().ResidentCurves(); got > 2 {
 		t.Errorf("resident curves = %d, budget is 2", got)
 	}
 }

@@ -41,8 +41,9 @@ type Queryable struct {
 	// past this report.
 	words int
 	rank  []uint32
-	// caches memoizes each curve's reconstruction.
-	caches []curveCache
+	// caches memoizes each curve's reconstruction. They are made on the first
+	// cold decode: a report no query reaches holds one nil pointer.
+	caches atomic.Pointer[[]curveCache]
 	// heavy maps a flow to its heavy entry's curve (the last one, should a
 	// report repeat a key); nil for a report without a heavy part. Bucket b's
 	// co-located heavy curves — those whose keys hash into it, in report
@@ -59,6 +60,8 @@ type Queryable struct {
 	// stats is a value copy of the optional decode telemetry (zero value =
 	// disabled; every handle nil-checks itself).
 	stats QueryStats
+	// resident counts the curves resident in caches, whatever the budget.
+	resident atomic.Int64
 	// Decode residency budget: with decodeBudget > 0 at most that many
 	// reconstructed curves stay resident, evicted by a clock (second
 	// chance) sweep over caches. 0 keeps every curve forever (the
@@ -66,7 +69,6 @@ type Queryable struct {
 	// many reports holds every curve it ever decoded).
 	decodeMu     sync.Mutex
 	decodeBudget int
-	decodeCount  int // resident curves; guarded by decodeMu
 	clockHand    int
 }
 
@@ -89,28 +91,14 @@ func (q *Queryable) SetDecodeBudget(n int) {
 }
 
 // ResidentCurves reports how many reconstructed curves are currently
-// resident. With a decode budget set this is exact (the clock sweep's
-// count); unbounded Queryables count their caches directly.
-func (q *Queryable) ResidentCurves() int {
-	q.decodeMu.Lock()
-	defer q.decodeMu.Unlock()
-	if q.decodeBudget > 0 {
-		return q.decodeCount
-	}
-	n := 0
-	for i := range q.caches {
-		if q.caches[i].curve.Load() != nil {
-			n++
-		}
-	}
-	return n
-}
+// resident, in O(1): every install and eviction moves one count.
+func (q *Queryable) ResidentCurves() int { return int(q.resident.Load()) }
 
 // NewQueryable indexes a report for queries. parse has found its curves,
 // bitmaps and heavy keys; what is left is what hashing and counting derive
 // from them — the rank, the heavy map, the colocation lists and the
-// orphans — and a cache per curve. It panics on a report parse did not
-// make.
+// orphans. The curve caches wait for the first cold decode. It panics on a
+// report parse did not make.
 func NewQueryable(r *HostReport) *Queryable {
 	if r.wire == nil {
 		panic("report: NewQueryable of a HostReport that Decode, DecodeBytes, FromBasic or FromFull did not make")
@@ -126,7 +114,6 @@ func NewQueryable(r *HostReport) *Queryable {
 		q.rank[w] = uint32(n)
 		n += bits.OnesCount64(word)
 	}
-	q.caches = make([]curveCache, len(r.curves))
 	if len(r.keys) == 0 {
 		return q
 	}
@@ -234,11 +221,13 @@ func (q *Queryable) RowBits(r int) []uint64 {
 
 // curve returns curve i's samples, memoized in its cache.
 func (q *Queryable) curve(i int32) []float64 {
-	c := &q.caches[i]
-	if p := c.curve.Load(); p != nil {
-		c.hot.Store(true)
-		q.stats.DecodeHits.Inc()
-		return *p
+	if caches := q.caches.Load(); caches != nil {
+		c := &(*caches)[i]
+		if p := c.curve.Load(); p != nil {
+			c.hot.Store(true)
+			q.stats.DecodeHits.Inc()
+			return *p
+		}
 	}
 	s := curveScratch.Get().(*curveBufs)
 	length := q.parseCurve(q.rep.curves[i], s)
@@ -247,7 +236,7 @@ func (q *Queryable) curve(i int32) []float64 {
 		curveScratch.Put(s)
 	}
 	q.stats.DecodeCold.Inc()
-	q.install(c, &curve)
+	q.install(i, &curve)
 	return curve
 }
 
@@ -274,15 +263,23 @@ func (q *Queryable) parseCurve(off uint32, s *curveBufs) (length int) {
 	return int(h[1])
 }
 
-// install makes a freshly decoded curve resident. Unbounded budgets take
-// a lock-free CAS (concurrent first decodes each use their own copy; one
-// wins residency — the decode is deterministic, so both are correct).
-// Bounded budgets go through the mutex and run the clock sweep: rotate
-// over every cache, clear hot bits (second chance), evict the first cold
-// resident curve, until the cache is back under budget.
-func (q *Queryable) install(c *curveCache, curve *[]float64) {
+// install makes freshly decoded curve i resident and counts it. The first
+// decodes make the caches and, like concurrent decodes of one curve, race a
+// CAS: each uses its own copy, one wins (decodes are deterministic). With a
+// budget the mutex guards the clock sweep: rotate over every cache, clear
+// hot bits (second chance), evict the first cold resident curve, until the
+// cache is back under budget.
+func (q *Queryable) install(i int32, curve *[]float64) {
+	if q.caches.Load() == nil {
+		made := make([]curveCache, len(q.rep.curves))
+		q.caches.CompareAndSwap(nil, &made)
+	}
+	caches := *q.caches.Load()
+	c := &caches[i]
 	if q.decodeBudget <= 0 {
-		c.curve.CompareAndSwap(nil, curve)
+		if c.curve.CompareAndSwap(nil, curve) {
+			q.resident.Add(1)
+		}
 		c.hot.Store(true)
 		return
 	}
@@ -291,9 +288,9 @@ func (q *Queryable) install(c *curveCache, curve *[]float64) {
 	if c.curve.Load() != nil {
 		return // another query installed it while we decoded
 	}
-	for q.decodeCount >= q.decodeBudget {
-		victim := &q.caches[q.clockHand]
-		q.clockHand = (q.clockHand + 1) % len(q.caches)
+	for q.resident.Load() >= int64(q.decodeBudget) {
+		victim := &caches[q.clockHand]
+		q.clockHand = (q.clockHand + 1) % len(caches)
 		if victim == c || victim.curve.Load() == nil {
 			continue
 		}
@@ -301,12 +298,12 @@ func (q *Queryable) install(c *curveCache, curve *[]float64) {
 			continue // second chance
 		}
 		victim.curve.Store(nil)
-		q.decodeCount--
+		q.resident.Add(-1)
 		q.stats.DecodeEvictions.Inc()
 	}
 	c.curve.Store(curve)
 	c.hot.Store(true)
-	q.decodeCount++
+	q.resident.Add(1)
 }
 
 // sliceInto writes curve[w-w0] for w in [from, to) into dst, zero where the

@@ -168,11 +168,27 @@ func TestQueryableConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// residentScan counts q's resident curves the slow way, over every cache.
+func residentScan(q *Queryable) int {
+	caches := q.caches.Load()
+	if caches == nil {
+		return 0
+	}
+	n := 0
+	for i := range *caches {
+		if (*caches)[i].curve.Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestDecodeBudgetEvictionCorrectness pins the bounded decode cache: with
 // a budget far below the report's curve count, queries keep matching the
 // live wavesketch.Full exactly — an evicted curve re-decodes to identical
 // values — and the clock sweep both evicts (evictions counter moves) and
-// keeps residency at the budget.
+// keeps residency at the budget, whether the budget is set before the
+// first query or after unbounded ones.
 func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 	full, flows := buildRandomFull(t, 9)
 	rep := FromFull(0, 0, full)
@@ -184,42 +200,46 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQueryable(dec)
-	if len(q.caches) < 8 {
-		t.Fatalf("degenerate report: only %d curves", len(q.caches))
+	if len(dec.curves) < 8 {
+		t.Fatalf("degenerate report: only %d curves", len(dec.curves))
 	}
 	const budget = 4
-	q.SetDecodeBudget(budget)
-	reg := telemetry.NewRegistry()
-	q.SetStats(NewQueryStats(reg))
+	for _, late := range []bool{false, true} {
+		q := NewQueryable(dec)
+		reg := telemetry.NewRegistry()
+		q.SetStats(NewQueryStats(reg))
+		if late { // half the flows decode unbounded, the rest must evict them
+			for _, f := range flows[:len(flows)/2] {
+				q.QueryRange(f, 0, 512)
+			}
+			if got, scan := q.ResidentCurves(), residentScan(q); got != scan || got <= budget {
+				t.Fatalf("unbounded: %d resident curves counted, %d in the caches, want the same and more than %d", got, scan, budget)
+			}
+		}
+		q.SetDecodeBudget(budget)
 
-	// Two full passes: the second pass re-touches curves the first pass
-	// evicted, so correctness covers decode-after-evict.
-	for pass := 0; pass < 2; pass++ {
-		for _, f := range flows {
-			live := full.QueryRange(f, 0, 512)
-			got := q.QueryRange(f, 0, 512)
-			for i := range live {
-				if math.Abs(live[i]-got[i]) > 1e-6 {
-					t.Fatalf("pass %d flow %s win %d: live %v vs budgeted %v", pass, f, i, live[i], got[i])
+		// Two full passes: the second pass re-touches curves the first pass
+		// evicted, so correctness covers decode-after-evict.
+		for pass := 0; pass < 2; pass++ {
+			for _, f := range flows {
+				live := full.QueryRange(f, 0, 512)
+				got := q.QueryRange(f, 0, 512)
+				for i := range live {
+					if math.Abs(live[i]-got[i]) > 1e-6 {
+						t.Fatalf("late %v pass %d flow %s win %d: live %v vs budgeted %v", late, pass, f, i, live[i], got[i])
+					}
 				}
 			}
 		}
-	}
-	if q.stats.DecodeEvictions.Value() == 0 {
-		t.Error("budget far below curve count but no evictions happened")
-	}
-	if q.decodeCount > budget {
-		t.Errorf("resident curves = %d, budget = %d", q.decodeCount, budget)
-	}
-	resident := 0
-	for i := range q.caches {
-		if q.caches[i].curve.Load() != nil {
-			resident++
+		if q.stats.DecodeEvictions.Value() == 0 {
+			t.Errorf("late %v: budget far below curve count but no evictions happened", late)
 		}
-	}
-	if resident != q.decodeCount {
-		t.Errorf("resident count %d disagrees with decodeCount %d", resident, q.decodeCount)
+		if got := q.ResidentCurves(); got > budget {
+			t.Errorf("late %v: resident curves = %d, budget = %d", late, got, budget)
+		}
+		if got, scan := q.ResidentCurves(), residentScan(q); got != scan {
+			t.Errorf("late %v: resident count %d disagrees with the %d resident caches", late, got, scan)
+		}
 	}
 }
 
@@ -273,6 +293,66 @@ func TestDecodeBudgetConcurrent(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+		if got, scan := q.ResidentCurves(), residentScan(q); got != scan || budget > 0 && got > budget {
+			t.Errorf("budget %d: %d resident curves counted, %d in the caches", budget, got, scan)
+		}
+	}
+}
+
+// TestQueryableCachesMadeOnFirstDecode pins when a report pays for its
+// curve caches: not at NewQueryable, not for routing (Route, MightSee),
+// Span or RowBits, not for a query whose range misses every curve — only
+// on the first cold decode. Eight racing first queries make them exactly
+// once: every curve any of them decoded stays resident in the one slice
+// that won (run under -race).
+func TestQueryableCachesMadeOnFirstDecode(t *testing.T) {
+	full, flows := buildRandomFull(t, 5)
+	dec, err := DecodeBytes(FromFull(0, 0, full).AppendEncode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQueryable(dec)
+	var g RouteGroups
+	g.Append(q)
+	lo, hi := q.Span()
+	for _, f := range flows {
+		g.Route(f, lo, hi, nil)
+		q.MightSee(f)
+		q.QueryRange(f, hi, hi+64) // after every curve
+		q.QueryRange(f, lo-64, lo) // before every curve
+	}
+	for r := range q.seeds {
+		q.RowBits(r)
+	}
+	if q.caches.Load() != nil || q.ResidentCurves() != 0 {
+		t.Fatalf("caches made before any curve was decoded (%d resident)", q.ResidentCurves())
+	}
+
+	// The serial reference: which curves these queries decode.
+	want := NewQueryable(dec)
+	for _, f := range flows {
+		want.QueryRange(f, lo, hi)
+	}
+	for _, budget := range []int{0, len(dec.curves)} {
+		q := NewQueryable(dec)
+		q.SetDecodeBudget(budget)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, f := range flows {
+					q.QueryRange(f, lo, hi)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got, scan := q.ResidentCurves(), residentScan(q); got != want.ResidentCurves() || scan != got {
+			t.Errorf("budget %d: %d curves counted resident, %d in the caches, want %d", budget, got, scan, want.ResidentCurves())
+		}
 	}
 }
 

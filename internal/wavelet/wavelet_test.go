@@ -442,8 +442,10 @@ func inverseReconstruct(approx []int64, kept []DetailRef, levels, length int) []
 
 // TestReconstructMatchesInverse pins the in-place expansion bit for bit
 // to Inverse over random coefficient sets: odd approximation counts,
-// lossy detail sets with out-of-range and repeated references, lengths
-// below, at and beyond the padded span.
+// lossy detail sets with out-of-range and repeated references, every
+// length in [1, n+7] for a small padded span n and random lengths below,
+// at and beyond a large one. The curve allocates only what it returns:
+// length samples, n when length ≤ 0.
 func TestReconstructMatchesInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 2000; trial++ {
@@ -457,15 +459,31 @@ func TestReconstructMatchesInverse(t *testing.T) {
 		for i := range kept {
 			kept[i] = DetailRef{Level: int8(rng.Intn(levels+2) - 1), Index: int32(rng.Intn(n+2) - 1), Val: rng.Int63n(1<<41) - 1<<40}
 		}
-		length := []int{0, -1, 1, n / 2, n, n + 7}[rng.Intn(6)]
-		want := inverseReconstruct(approx, kept, levels, length)
-		got := Reconstruct(approx, kept, levels, length)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: len %d, want %d", trial, len(got), len(want))
+		lengths := []int{0, -1}
+		if n <= 64 {
+			for length := 1; length <= n+7; length++ {
+				lengths = append(lengths, length)
+			}
+		} else {
+			lengths = append(lengths, 1, n-1, n, n+7, 1+rng.Intn(n), 1+rng.Intn(n), n+1+rng.Intn(n))
 		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d (L=%d |A|=%d len=%d): sample %d = %v, want %v", trial, levels, len(approx), length, i, got[i], want[i])
+		for _, length := range lengths {
+			want := inverseReconstruct(approx, kept, levels, length)
+			got := Reconstruct(approx, kept, levels, length)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: len %d, want %d", trial, len(got), len(want))
+			}
+			wantCap := length
+			if length <= 0 {
+				wantCap = n
+			}
+			if cap(got) != wantCap {
+				t.Fatalf("trial %d (L=%d |A|=%d len=%d): cap %d, want %d", trial, levels, len(approx), length, cap(got), wantCap)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d (L=%d |A|=%d len=%d): sample %d = %v, want %v", trial, levels, len(approx), length, i, got[i], want[i])
+				}
 			}
 		}
 	}
