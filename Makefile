@@ -12,8 +12,7 @@ test: vet
 test-short:
 	$(GO) test -short ./...
 
-# Race coverage for the concurrent surfaces: the parallel evaluation
-# harness, the singleflight sim cache, the analyzer query plane
+# Race coverage for the concurrent surfaces: the analyzer query plane
 # (memoized reconstruction caches, made once by racing first decodes, first
 # queries parsing curves off one payload at decode budgets 1, 4 and 0, the
 # resident count against a scan of the caches, the append-only routing
@@ -25,8 +24,6 @@ test-short:
 # packet views), the collector window + event hub, and the ops API serving
 # queries against live ingest.
 test-race:
-	$(GO) test -race ./internal/parallel
-	$(GO) test -race ./internal/experiments -run TestParallel
 	$(GO) test -race ./internal/report -run 'TestQueryable|TestDecodeBudget|TestRoutedSetExtendMatchesCloneAdd'
 	$(GO) test -race ./internal/analyzer -run 'TestAnalyzerConcurrent|TestDetectEventsIncremental|TestPopClosed|TestRecycledClusterer'
 	$(GO) test -race ./internal/telemetry
@@ -57,9 +54,9 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 17184
+LOC_CEILING = 15924
 LOC_SLACK = 25
-DESIGN_MAX = 891
+DESIGN_MAX = 870
 EXPERIMENTS_MAX = 450
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'); \

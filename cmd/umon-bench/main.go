@@ -8,13 +8,12 @@
 //	           [-telemetry-addr :8080] [-telemetry-dump]
 //
 // With no -run it executes every registered experiment in presentation
-// order, prewarming the six shared fat-tree simulations concurrently and
-// then sharing them across experiments. -ms scales the trace duration (the
-// paper uses 20 ms traces; smaller values are useful for smoke runs).
-// The evaluation worker pool is GOMAXPROCS wide; tables are byte-identical
-// at any width. -shards runs the simulation engine sharded (default 1);
-// sharded traces are byte-identical to serial ones, so every table is
-// unchanged — only wall-clock time moves.
+// order, prewarming the six shared fat-tree simulations and then sharing
+// them across experiments. -ms scales the trace duration (the paper uses
+// 20 ms traces; smaller values are useful for smoke runs). -shards runs
+// the simulation engine sharded (default 1); sharded traces are
+// byte-identical to serial ones, so every table is unchanged — only
+// wall-clock time moves.
 // -cpuprofile/-memprofile write pprof profiles for the run.
 // -telemetry-addr serves the live operational counters (Prometheus
 // /metrics, JSON /vars, /debug/pprof); -telemetry-dump prints a summary to
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"umon/internal/experiments"
-	"umon/internal/parallel"
 	"umon/internal/telemetry"
 )
 
@@ -103,7 +101,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 			ids = append(ids, e.ID)
 		}
 		// The full suite touches all six standard simulations; build them
-		// concurrently before the (sequential) presentation loop.
+		// before the presentation loop.
 		start := time.Now()
 		span := tracer.Start("prewarm")
 		if err := cache.Prewarm(experiments.StandardKeys()); err != nil {
@@ -111,8 +109,8 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		span.End()
-		fmt.Fprintf(stdout, "  (prewarmed %d simulations in %.1fs, %d workers)\n\n",
-			len(experiments.StandardKeys()), time.Since(start).Seconds(), parallel.Workers())
+		fmt.Fprintf(stdout, "  (prewarmed %d simulations in %.1fs)\n\n",
+			len(experiments.StandardKeys()), time.Since(start).Seconds())
 	} else {
 		ids = strings.Split(*run, ",")
 	}

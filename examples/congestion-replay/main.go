@@ -88,11 +88,6 @@ func main() {
 		}
 		fmt.Println(strings.TrimRight(line+"  "+phase, " "))
 	}
-	// The analyzer's query plane can also classify the event: which flows
-	// accelerated into it (culprits) and which came out slower (victims).
-	diag := sys.Analyzer.DiagnoseEvent(best, 400_000)
-	fmt.Printf("\ndiagnosis: %s event, %d culprit(s), %d victim(s)\n",
-		diag.Kind, len(diag.Culprits), len(diag.Victims))
 
 	fmt.Println("\nreading: the established flow's rate collapses when the bursty")
 	fmt.Println("newcomer arrives, then both converge to a fair share — the cause")

@@ -66,7 +66,8 @@ func main() {
 	fmt.Println("down to sparse sampling, while mirror bandwidth falls geometrically —")
 	fmt.Println("the paper's 1/64 operating point keeps 99% recall at tens of Mbps.")
 
-	// Where do the bursts live? The location map names the victim's link.
+	// Where do the bursts live? The port with the most episodes (ties go to
+	// the lower switch, then port) should be the link into the victim.
 	counts := map[netsim.PortID]int{}
 	for _, ep := range tr.Episodes {
 		counts[ep.Port]++
@@ -74,10 +75,14 @@ func main() {
 	var hot netsim.PortID
 	best := 0
 	for p, c := range counts {
-		if c > best {
+		if c > best || c == best && (p.Switch < hot.Switch || p.Switch == hot.Switch && p.Port < hot.Port) {
 			hot, best = p, c
 		}
 	}
-	fmt.Printf("\nhottest link: switch %d port %d (%d episodes) — the victim's ToR downlink\n",
-		hot.Switch, hot.Port, best)
+	where := "not the victim's ToR downlink"
+	if topo.Ports[topo.Hosts+int(hot.Switch)][hot.Port].Peer == victim {
+		where = "the victim's ToR downlink"
+	}
+	fmt.Printf("\nhottest link: switch %d port %d (%d episodes) — %s\n",
+		hot.Switch, hot.Port, best, where)
 }

@@ -302,138 +302,6 @@ func TestEndToEndReplayFromSimulation(t *testing.T) {
 	}
 }
 
-func TestDiagnoseEventClassifiesKinds(t *testing.T) {
-	mkEvent := func(nflows int) Event {
-		ev := Event{Port: netsim.PortID{Switch: 0, Port: 0}, StartNs: 100 * measure.WindowNanos, EndNs: 110 * measure.WindowNanos}
-		for i := 0; i < nflows; i++ {
-			ev.Flows = append(ev.Flows, key(i))
-		}
-		return ev
-	}
-	a := New()
-	if got := a.DiagnoseEvent(mkEvent(10), 0).Kind; got != KindIncast {
-		t.Errorf("10 flows → %v, want incast", got)
-	}
-	if got := a.DiagnoseEvent(mkEvent(3), 0).Kind; got != KindCollision {
-		t.Errorf("3 flows → %v, want collision", got)
-	}
-	if got := a.DiagnoseEvent(mkEvent(1), 0).Kind; got != KindSingle {
-		t.Errorf("1 flow → %v, want single-flow", got)
-	}
-}
-
-func TestDiagnoseEventFindsCulpritAndVictim(t *testing.T) {
-	// Build a report: the culprit ramps up at the event; the victim's
-	// rate collapses after it.
-	s, _ := wavesketch.NewBasic(wavesketch.Default(128))
-	culprit, victim := key(1), key(2)
-	for w := int64(0); w < 200; w++ {
-		cv := int64(100)
-		if w >= 100 && w < 115 {
-			cv = 9000 // burst into the event
-		}
-		vv := int64(8000)
-		if w >= 110 {
-			vv = 1000 // depressed afterwards
-		}
-		s.Update(culprit, w, cv)
-		s.Update(victim, w, vv)
-	}
-	s.Seal()
-	a := New()
-	a.AddReport(report.FromBasic(0, 0, s))
-	ev := Event{
-		Port:    netsim.PortID{Switch: 0, Port: 0},
-		StartNs: 100 * measure.WindowNanos,
-		EndNs:   112 * measure.WindowNanos,
-		Flows:   []flowkey.Key{culprit, victim},
-	}
-	d := a.DiagnoseEvent(ev, 50*measure.WindowNanos)
-	if len(d.Culprits) != 1 || d.Culprits[0] != culprit {
-		t.Errorf("culprits = %v", d.Culprits)
-	}
-	if len(d.Victims) != 1 || d.Victims[0] != victim {
-		t.Errorf("victims = %v", d.Victims)
-	}
-}
-
-func TestDetectImbalanceFlagsSkew(t *testing.T) {
-	a := New()
-	// Switch 0: 90 mirrors on port 0, 10 on port 1 → score 1.8 at 2 ports.
-	for i := 0; i < 90; i++ {
-		a.AddMirror(mirror(int64(i)*1000, 0, 0, key(1)))
-	}
-	for i := 0; i < 10; i++ {
-		a.AddMirror(mirror(int64(i)*1000, 0, 1, key(2)))
-	}
-	// Switch 1: balanced.
-	for i := 0; i < 50; i++ {
-		a.AddMirror(mirror(int64(i)*1000, 1, 0, key(3)))
-		a.AddMirror(mirror(int64(i)*1000, 1, 1, key(4)))
-	}
-	findings := a.DetectImbalanceWithPorts(32, 1.5, nil)
-	if len(findings) != 1 || findings[0].Switch != 0 {
-		t.Fatalf("findings = %+v, want only switch 0", findings)
-	}
-	if findings[0].HottestPort() != 0 {
-		t.Errorf("hottest port = %d, want 0", findings[0].HottestPort())
-	}
-	if findings[0].Score < 1.5 || findings[0].Score > 2 {
-		t.Errorf("score = %v", findings[0].Score)
-	}
-	// Higher bar filters it out; tiny sample counts are skipped.
-	if got := a.DetectImbalanceWithPorts(32, 3, nil); len(got) != 0 {
-		t.Errorf("minScore=3 findings = %+v", got)
-	}
-	if got := a.DetectImbalanceWithPorts(1000, 1.5, nil); len(got) != 0 {
-		t.Errorf("minRecords=1000 findings = %+v", got)
-	}
-}
-
-// TestImbalanceEndToEnd polarizes ECMP on a leaf-spine fabric by choosing
-// source ports that all hash onto the same spine, then checks the analyzer
-// flags the leaf.
-func TestImbalanceEndToEnd(t *testing.T) {
-	topo, _ := netsim.LeafSpine(2, 2, 4)
-	cfg := netsim.DefaultConfig(topo)
-	n, _ := netsim.New(cfg)
-	// Pick source ports whose flow key hashes to spine slot 0.
-	added := 0
-	for sp := uint16(20000); sp < 40000 && added < 6; sp++ {
-		k := flowkey.Key{
-			SrcIP: netsim.HostIP(added % 4), DstIP: netsim.HostIP(4 + added%4),
-			SrcPort: sp, DstPort: flowkey.RoCEPort, Proto: flowkey.ProtoUDP,
-		}
-		if ECMPSelect(k, 2) != 0 {
-			continue
-		}
-		if _, err := n.AddFlow(netsim.FlowSpec{
-			Src: added % 4, Dst: 4 + added%4, Bytes: 10_000_000, SrcPort: sp,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		added++
-	}
-	if added < 6 {
-		t.Fatal("could not find polarizing source ports")
-	}
-	tr := n.Run(4_000_000)
-	if len(tr.CELog) == 0 {
-		t.Skip("polarized flows produced no congestion")
-	}
-	a := New()
-	a.AddMirrors(uevent.Capture(tr.CELog, uevent.ACLRule{}, 0))
-	// Port inventory from the topology: silent sibling uplinks must count.
-	ports := make(map[int16]int)
-	for sw := 0; sw < topo.Switches; sw++ {
-		ports[int16(sw)] = len(topo.Ports[topo.Hosts+sw])
-	}
-	findings := a.DetectImbalanceWithPorts(32, 2, ports)
-	if len(findings) == 0 {
-		t.Fatal("polarized ECMP congestion not flagged as imbalance")
-	}
-}
-
 // TestRankFlowsOrder pins Event.Flows order — packets descending, ties by
 // the printed key (a string order: ":1000" sorts before ":999") — against
 // the comparator that printed both keys on every tie.

@@ -22,8 +22,8 @@ const defaultGapNs = 50_000
 type portClusterer struct {
 	port netsim.PortID
 	// recs retains the records of the port's events, in fold order, for
-	// rebuilds (out-of-order input or a changed clustering gap) and for
-	// imbalance accounting; lastNs is the timestamp of the newest.
+	// rebuilds (out-of-order input or a changed clustering gap); lastNs is
+	// the timestamp of the newest.
 	recs     recLog
 	pool     *recPool
 	lastNs   int64

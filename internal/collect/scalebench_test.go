@@ -11,7 +11,6 @@ import (
 
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
-	"umon/internal/parallel"
 	"umon/internal/report"
 	"umon/internal/wavesketch"
 )
@@ -96,12 +95,11 @@ func (fx *scaleFixture) probeRange(id int) (from, to int64) {
 	return from, from + scaleWindowsMax
 }
 
-// newScaleFixture builds one window. Reports are sealed in parallel (that
-// is host work); admission itself is the serial ingest path under
-// measurement elsewhere.
+// newScaleFixture builds one window. Sealing reports is host work;
+// admission itself is the serial ingest path under measurement elsewhere.
 func newScaleFixture(stride int64) *scaleFixture {
 	reps := make([]*report.HostReport, scaleReports)
-	parallel.ForEach(scaleReports, func(ri int) {
+	for ri := range reps {
 		host, epoch := ri/scaleEpochs, ri%scaleEpochs
 		s, err := wavesketch.NewBasic(scaleCfg)
 		if err != nil {
@@ -114,7 +112,7 @@ func newScaleFixture(stride int64) *scaleFixture {
 		}
 		s.Seal()
 		reps[ri] = report.FromBasic(host, int64(epoch)*20_000_000, s)
-	})
+	}
 	col := New(Config{WindowEpochs: scaleEpochs})
 	for ri, rep := range reps {
 		col.Add(uint64(ri%scaleEpochs), rep)
@@ -132,11 +130,11 @@ func newScaleFixture(stride int64) *scaleFixture {
 	// benchmarks and the selectivity test measure steady state.
 	fx := &scaleFixture{col: col, stride: stride, reps: reps, event: col.Events()[0]}
 	snap := col.Snapshot()
-	parallel.ForEach(scaleProbes, func(n int) {
-		id := scaleProbe(int64(n))
+	for n := int64(0); n < scaleProbes; n++ {
+		id := scaleProbe(n)
 		from, to := fx.probeRange(id)
 		snap.QueryFlow(scaleKey(id), from, to)
-	})
+	}
 	fx.mirrorNs.Store(600_000)
 	return fx
 }

@@ -221,45 +221,3 @@ func TestDeployReportsAreQueryable(t *testing.T) {
 		t.Errorf("queried total %v vs sent %v", total, sent)
 	}
 }
-
-func TestDutyCycledMonitor(t *testing.T) {
-	var got countSink
-	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000), &got)
-	d := NewDutyCycledMonitor(inner, 1, 4) // measure 1 ms out of every 4
-	f := testKey(1)
-	for ns := int64(0); ns < 8_000_000; ns += 10_000 {
-		if err := d.OnPacket(f, ns, 1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if c := d.Coverage(); c < 0.2 || c > 0.3 {
-		t.Errorf("coverage = %v, want ≈0.25", c)
-	}
-	// Reports come only from active epochs (2 active out of 8 periods,
-	// plus catch-up seals of skipped periods which carry empty sketches).
-	bytes, _ := inner.Stats()
-	if bytes <= 0 || got.reports == 0 {
-		t.Error("duty-cycled monitor produced no reports")
-	}
-	if !d.Active(0) || d.Active(1_500_000) {
-		t.Error("Active window math wrong")
-	}
-}
-
-func TestDutyCycleClamping(t *testing.T) {
-	inner, _ := NewStreamHostMonitor(0, streamCfg(1_000_000), &countSink{})
-	d := NewDutyCycledMonitor(inner, 9, 4)
-	if d.activePeriods != 4 {
-		t.Errorf("active clamped to %d, want 4", d.activePeriods)
-	}
-	d2 := NewDutyCycledMonitor(inner, 0, 0)
-	if d2.activePeriods != 1 || d2.cyclePeriods != 1 {
-		t.Errorf("defaults = %d/%d", d2.activePeriods, d2.cyclePeriods)
-	}
-	if d2.Coverage() != 1 {
-		t.Error("no-packet coverage should be 1")
-	}
-}

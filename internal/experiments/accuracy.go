@@ -9,7 +9,6 @@ import (
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 	"umon/internal/metrics"
-	"umon/internal/parallel"
 	"umon/internal/wavesketch"
 )
 
@@ -112,15 +111,13 @@ func runSchemes(sim *SimResult, memBytes int64, names []string) ([]hostRun, erro
 		runs[i].name = name
 		runs[i].instances = make([]measure.SeriesEstimator, hosts)
 	}
-	// Hosts are independent: each host's estimator instances see only that
-	// host's egress stream, so ingestion parallelizes across hosts. Seeds
-	// depend only on the host index, so results are identical to the
-	// sequential replay.
-	err := parallel.ForEachErr(hosts, func(h int) error {
+	// Each host's estimator instances see only that host's egress stream,
+	// seeded by the host index.
+	for h := 0; h < hosts; h++ {
 		for i, name := range names {
 			inst, err := buildScheme(name, memBytes, periodWindows, samples, uint64(h)*977+13)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			runs[i].instances[h] = inst
 		}
@@ -133,10 +130,6 @@ func runSchemes(sim *SimResult, memBytes int64, names []string) ([]hostRun, erro
 		for i := range runs {
 			runs[i].instances[h].Seal()
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return runs, nil
 }
@@ -145,26 +138,19 @@ func runSchemes(sim *SimResult, memBytes int64, names []string) ([]hostRun, erro
 // optionally filtered to flows whose series length (windows) lies in
 // [minLen, maxLen).
 func gradeRun(sim *SimResult, run hostRun, minLen, maxLen int) metrics.Summary {
-	// Flows are graded in sorted-key order (not map order) and folded into
-	// the CurveSet in that same order, so the summary's float accumulation —
-	// and therefore the rendered table — is identical however many workers
-	// compute the per-flow metrics.
-	flows := sim.Truth.SortedFlows()
-	type flowGrade struct {
-		ok                          bool
-		euclidean, are, cos, energy float64
-	}
-	grades := make([]flowGrade, len(flows))
-	parallel.ForEach(len(flows), func(fi int) {
-		f := flows[fi]
+	// Flows are graded in sorted-key order (not map order), so the
+	// summary's float accumulation — and therefore the rendered table — is
+	// deterministic.
+	var cs metrics.CurveSet
+	for _, f := range sim.Truth.SortedFlows() {
 		ts := sim.Truth.Flow(f)
 		n := len(ts.Counts)
 		if n < minLen || (maxLen > 0 && n >= maxLen) {
-			return
+			continue
 		}
 		src := srcHostOf(f)
 		if src < 0 || src >= len(run.instances) {
-			return
+			continue
 		}
 		est := run.instances[src].QueryRange(f, ts.Start, ts.End())
 		truth := make([]float64, n)
@@ -174,19 +160,7 @@ func gradeRun(sim *SimResult, run hostRun, minLen, maxLen int) metrics.Summary {
 		for i := range est {
 			est[i] = analyzer.RateGbps(est[i])
 		}
-		grades[fi] = flowGrade{
-			ok:        true,
-			euclidean: metrics.Euclidean(truth, est),
-			are:       metrics.ARE(truth, est),
-			cos:       metrics.Cosine(truth, est),
-			energy:    metrics.Energy(truth, est),
-		}
-	})
-	var cs metrics.CurveSet
-	for _, g := range grades {
-		if g.ok {
-			cs.AddValues(g.euclidean, g.are, g.cos, g.energy)
-		}
+		cs.Add(truth, est)
 	}
 	return cs.Summarize()
 }

@@ -11,11 +11,9 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"umon/internal/measure"
 	"umon/internal/netsim"
-	"umon/internal/parallel"
 	"umon/internal/telemetry"
 	"umon/internal/workload"
 )
@@ -81,60 +79,43 @@ type SimResult struct {
 	HorizonNs int64
 }
 
-// simEntry is one singleflight slot: the first caller to claim the entry
-// builds the simulation inside once; every other caller for the same key
-// blocks on the same once and then reads the shared result.
+// simEntry is one memoized build: its result or its error.
 type simEntry struct {
-	once sync.Once
-	res  *SimResult
-	err  error
+	res *SimResult
+	err error
 }
 
-// Cache memoizes simulations across experiments. Lookups take a short
-// per-map mutex only; the expensive build runs outside the lock, so
-// distinct keys build concurrently (singleflight per key).
+// Cache memoizes simulations across experiments. It is not safe for
+// concurrent use: the experiments share it one at a time.
 type Cache struct {
 	opt  Options
-	mu   sync.Mutex
-	sims map[SimKey]*simEntry
-	// onBuild, when set, is invoked at the start of each build (test hook
-	// for observing build concurrency).
-	onBuild func(SimKey)
+	sims map[SimKey]simEntry
 }
 
 // NewCache returns a cache with the given options.
 func NewCache(opt Options) *Cache {
-	return &Cache{opt: opt.filled(), sims: make(map[SimKey]*simEntry)}
+	return &Cache{opt: opt.filled(), sims: make(map[SimKey]simEntry)}
 }
 
-// Sim returns (building if needed) the simulation for the key. Concurrent
-// calls for the same key share one build; calls for distinct keys build in
-// parallel.
+// Sim returns (building if needed) the simulation for the key.
 func (c *Cache) Sim(key SimKey) (*SimResult, error) {
-	c.mu.Lock()
 	e, ok := c.sims[key]
 	if !ok {
-		e = &simEntry{}
+		e.res, e.err = c.build(key)
 		c.sims[key] = e
 	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		if c.onBuild != nil {
-			c.onBuild(key)
-		}
-		e.res, e.err = c.build(key)
-	})
 	return e.res, e.err
 }
 
-// Prewarm builds every listed simulation concurrently (bounded by the
-// worker pool) so subsequent experiments hit a warm cache. The first build
-// error (lowest index) is returned, but all builds are attempted.
+// Prewarm builds every listed simulation so subsequent experiments hit a
+// warm cache, stopping at the first build error.
 func (c *Cache) Prewarm(keys []SimKey) error {
-	return parallel.ForEachErr(len(keys), func(i int) error {
-		_, err := c.Sim(keys[i])
-		return err
-	})
+	for _, key := range keys {
+		if _, err := c.Sim(key); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StandardKeys lists the six simulations the paper's evaluation reuses:
@@ -176,19 +157,11 @@ func (c *Cache) build(key SimKey) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Host egress streams are disjoint by flow (a flow egresses only at its
-	// source), so per-host truths can be built in parallel and merged.
-	truths := make([]*measure.GroundTruth, len(trace.HostPackets))
-	parallel.ForEach(len(trace.HostPackets), func(h int) {
-		g := measure.NewGroundTruth()
-		for _, r := range trace.HostPackets[h] {
-			g.Update(r.Flow, measure.WindowOf(r.Ns), int64(r.Size))
-		}
-		truths[h] = g
-	})
 	truth := measure.NewGroundTruth()
-	for _, g := range truths {
-		truth.Merge(g)
+	for _, recs := range trace.HostPackets {
+		for _, r := range recs {
+			truth.Update(r.Flow, measure.WindowOf(r.Ns), int64(r.Size))
+		}
 	}
 	return &SimResult{Key: key, Flows: flows, Trace: trace, Truth: truth, HorizonNs: horizon}, nil
 }
@@ -286,11 +259,7 @@ func All() []struct {
 		{"ablation-depth", AblationDepth},
 		{"ablation-rows", AblationRows},
 		{"ablation-heavy", AblationHeavy},
-		{"ext-pfc", ExtPFCStorms},
 		{"ext-loss", ExtLossForensics},
-		{"ext-dedup", ExtDedupBatch},
-		{"ext-duty", ExtDutyCycle},
-		{"ext-imbalance", ExtImbalance},
 	}
 }
 

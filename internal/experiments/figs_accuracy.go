@@ -8,7 +8,6 @@ import (
 	"umon/internal/measure"
 	"umon/internal/metrics"
 	"umon/internal/netsim"
-	"umon/internal/parallel"
 	"umon/internal/wavesketch"
 )
 
@@ -23,29 +22,18 @@ func accuracySweep(c *Cache, id, title string, key SimKey, memKB []int) (*Table,
 		ID: id, Title: title,
 		Header: []string{"mem(KB)", "scheme", "euclidean(Gbps)", "ARE", "cosine", "energy", "flows"},
 	}
-	// The memory points of the sweep are independent, so the grid runs in
-	// parallel; each point's rows and note land in an index-addressed slot
-	// and are appended to the table in sweep order afterwards.
-	type kbResult struct {
-		rows [][]string
-		note string
-	}
-	results := make([]kbResult, len(memKB))
-	err = parallel.ForEachErr(len(memKB), func(ki int) error {
-		kb := memKB[ki]
+	for _, kb := range memKB {
 		runs, err := runSchemes(sim, int64(kb)<<10, schemeNames)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var res kbResult
 		var ws, best metrics.Summary
 		bestName := ""
 		for _, run := range runs {
 			s := gradeRun(sim, run, 1, 0)
-			res.rows = append(res.rows, []string{
-				fmt.Sprintf("%d", kb), run.name,
+			t.AddRow(fmt.Sprintf("%d", kb), run.name,
 				fmtF(s.Euclidean), fmtF(s.ARE), fmtF(s.Cosine), fmtF(s.Energy),
-				fmt.Sprintf("%d", s.Flows)})
+				fmt.Sprintf("%d", s.Flows))
 			switch run.name {
 			case "WaveSketch-Ideal":
 				ws = s
@@ -56,19 +44,8 @@ func accuracySweep(c *Cache, id, title string, key SimKey, memKB []int) (*Table,
 			}
 		}
 		if bestName != "" && ws.Flows > 0 {
-			res.note = fmt.Sprintf("mem=%dKB: WaveSketch-Ideal ARE %.3f vs best baseline (%s) %.3f → %.1fx better",
+			t.AddNote("mem=%dKB: WaveSketch-Ideal ARE %.3f vs best baseline (%s) %.3f → %.1fx better",
 				kb, ws.ARE, bestName, best.ARE, best.ARE/maxf(ws.ARE, 1e-9))
-		}
-		results[ki] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		t.Rows = append(t.Rows, res.rows...)
-		if res.note != "" {
-			t.Notes = append(t.Notes, res.note)
 		}
 	}
 	t.AddNote("paper: WaveSketch beats all baselines on all four metrics at every memory point; gap widens at small memory")

@@ -5,7 +5,7 @@ import (
 
 	"umon/internal/analyzer"
 	"umon/internal/measure"
-	"umon/internal/parallel"
+	"umon/internal/netsim"
 	"umon/internal/report"
 	"umon/internal/uevent"
 	"umon/internal/wavesketch"
@@ -101,30 +101,20 @@ func Fig10EventReplay(c *Cache) (*Table, error) {
 	}
 
 	// Host side: full-version WaveSketch per host, fed from the egress
-	// streams, uploaded as reports. Per-host sketches build in parallel;
-	// reports are handed to the analyzer in host order to keep its state
-	// deterministic.
+	// streams, uploaded as reports in host order.
 	a := analyzer.New()
-	reports := make([]*report.HostReport, len(sim.Trace.HostPackets))
-	err = parallel.ForEachErr(len(sim.Trace.HostPackets), func(h int) error {
+	for h, recs := range sim.Trace.HostPackets {
 		cfg := wavesketch.DefaultFull()
 		cfg.Light.K = 64
 		full, err := wavesketch.NewFull(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, rec := range sim.Trace.HostPackets[h] {
+		for _, rec := range recs {
 			full.Update(rec.Flow, measure.WindowOf(rec.Ns), int64(rec.Size))
 		}
 		full.Seal()
-		reports[h] = report.FromFull(h, 0, full)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rep := range reports {
-		a.AddReport(rep)
+		a.AddReport(report.FromFull(h, 0, full))
 	}
 	// Switch side: 1/64-sampled CE mirroring.
 	mirrors := uevent.Capture(sim.Trace.CELog, uevent.ACLRule{SampleBits: 6}, 0)
@@ -196,4 +186,41 @@ func meanGbps(vals []float64) float64 {
 		s += v
 	}
 	return analyzer.RateGbps(s / float64(len(vals)))
+}
+
+// ExtLossForensics grades §5's loss story across sampling rates: a tail
+// drop is attributable when a sampled CE mirror preceded it on the same
+// port within 200 µs.
+func ExtLossForensics(*Cache) (*Table, error) {
+	topo, err := netsim.Dumbbell(8)
+	if err != nil {
+		return nil, err
+	}
+	cfg := netsim.DefaultConfig(topo)
+	cfg.BufferBytes = 300 << 10
+	n, err := netsim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for s := 0; s < 8; s++ {
+		if _, err := n.AddFlow(netsim.FlowSpec{
+			Src: s, Dst: 8, Bytes: 8_000_000, StartNs: int64(s) * 10_000,
+		}); err != nil {
+			return nil, err
+		}
+	}
+	tr := n.Run(5_000_000)
+
+	t := &Table{
+		ID: "ext-loss", Title: "Packet-loss attribution: drops preceded by sampled CE mirrors (same port, ≤200 µs)",
+		Header: []string{"sampling", "drops", "attributed", "ratio"},
+	}
+	for _, bits := range []uint{0, 2, 4, 6, 8} {
+		rule := uevent.ACLRule{SampleBits: bits}
+		mirrors := uevent.Capture(tr.CELog, rule, 0)
+		lf := uevent.AttributeDrops(tr.DropLog, mirrors, 200_000)
+		t.AddRow(rule.String(), fmt.Sprintf("%d", lf.Drops), fmt.Sprintf("%d", lf.Attributed), fmtF(lf.Ratio()))
+	}
+	t.AddNote("§5: \"CE packets are generated prior to the tail drop\" — attribution stays near 1 even under sparse sampling because pre-drop queues sit above KMax (every packet marked)")
+	return t, nil
 }

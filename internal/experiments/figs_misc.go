@@ -7,7 +7,6 @@ import (
 	"umon/internal/analyzer"
 	"umon/internal/measure"
 	"umon/internal/netsim"
-	"umon/internal/parallel"
 	"umon/internal/report"
 	"umon/internal/wavelet"
 	"umon/internal/wavesketch"
@@ -214,19 +213,11 @@ func Sec71HostBandwidth(c *Cache) (*Table, error) {
 		ID: "sec7.1", Title: "Host-side measurement bandwidth (Hadoop 15%)",
 		Header: []string{"host", "reportBytes", "reportMbps", "perPacketMirrorMbps"},
 	}
-	// Each host's sketch + report encode is independent; build them in
-	// parallel, then fold rows and totals in host order so the float sums
-	// (and the rendered table) stay deterministic.
-	type hostBW struct {
-		reportBytes            int64
-		reportMbps, mirrorMbps float64
-	}
-	bws := make([]hostBW, len(sim.Trace.HostPackets))
-	err = parallel.ForEachErr(len(sim.Trace.HostPackets), func(h int) error {
-		recs := sim.Trace.HostPackets[h]
+	var totalReport, totalMirror float64
+	for h, recs := range sim.Trace.HostPackets {
 		full, err := wavesketch.NewFull(wavesketch.DefaultFull())
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, rec := range recs {
 			full.Update(rec.Flow, measure.WindowOf(rec.Ns), int64(rec.Size))
@@ -235,23 +226,13 @@ func Sec71HostBandwidth(c *Cache) (*Table, error) {
 		var buf bytes.Buffer
 		n, err := report.FromFull(h, 0, full).Encode(&buf)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		bws[h] = hostBW{
-			reportBytes: n,
-			reportMbps:  float64(n) * 8 / float64(sim.HorizonNs) * 1e9 / 1e6,
-			mirrorMbps:  float64(len(recs)) * 64 * 8 / float64(sim.HorizonNs) * 1e9 / 1e6,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var totalReport, totalMirror float64
-	for h, bw := range bws {
-		totalReport += bw.reportMbps
-		totalMirror += bw.mirrorMbps
-		t.AddRow(fmt.Sprintf("h%d", h), fmt.Sprintf("%d", bw.reportBytes), fmtF(bw.reportMbps), fmtF(bw.mirrorMbps))
+		reportMbps := float64(n) * 8 / float64(sim.HorizonNs) * 1e9 / 1e6
+		mirrorMbps := float64(len(recs)) * 64 * 8 / float64(sim.HorizonNs) * 1e9 / 1e6
+		totalReport += reportMbps
+		totalMirror += mirrorMbps
+		t.AddRow(fmt.Sprintf("h%d", h), fmt.Sprintf("%d", n), fmtF(reportMbps), fmtF(mirrorMbps))
 	}
 	hosts := float64(len(sim.Trace.HostPackets))
 	t.AddNote("average %.2f Mbps/host for WaveSketch reports vs %.0f Mbps/host for 64B per-packet mirroring (%.3f%% of it)",

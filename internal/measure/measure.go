@@ -126,27 +126,6 @@ func (s *Series) add(w, v int64) {
 	s.Counts[w-s.Start] += v
 }
 
-// Merge folds every flow of o into g (o must not be used afterwards).
-// Building per-host truths in parallel and merging them is how the
-// simulation cache parallelizes truth construction: per-host flow sets are
-// disjoint there, making Merge a pointer move, but overlapping flows are
-// handled by summing window counts.
-func (g *GroundTruth) Merge(o *GroundTruth) {
-	for k, s := range o.flows {
-		dst, ok := g.flows[k]
-		if !ok {
-			g.flows[k] = s
-			continue
-		}
-		for i, v := range s.Counts {
-			if v != 0 {
-				dst.add(s.Start+int64(i), v)
-			}
-		}
-	}
-	g.last, g.lastKey = nil, flowkey.Key{}
-}
-
 // Flow returns the exact series of f, or nil if unseen.
 func (g *GroundTruth) Flow(f flowkey.Key) *Series { return g.flows[f] }
 

@@ -150,17 +150,10 @@ type CurveSet struct {
 
 // Add grades one flow's estimate against its ground truth.
 func (c *CurveSet) Add(truth, est []float64) {
-	c.AddValues(Euclidean(truth, est), ARE(truth, est), Cosine(truth, est), Energy(truth, est))
-}
-
-// AddValues appends pre-computed per-flow metrics. Graders that compute the
-// four metrics for many flows in parallel use it to fold the results in a
-// deterministic order afterwards.
-func (c *CurveSet) AddValues(euclidean, are, cosine, energy float64) {
-	c.euclidean = append(c.euclidean, euclidean)
-	c.are = append(c.are, are)
-	c.cosine = append(c.cosine, cosine)
-	c.energy = append(c.energy, energy)
+	c.euclidean = append(c.euclidean, Euclidean(truth, est))
+	c.are = append(c.are, ARE(truth, est))
+	c.cosine = append(c.cosine, Cosine(truth, est))
+	c.energy = append(c.energy, Energy(truth, est))
 }
 
 // Len reports the number of graded flows.

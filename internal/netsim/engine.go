@@ -27,11 +27,11 @@ package netsim
 // (at, lkey, seq). Local events (timers, injections, serialization
 // completions — everything whose cause and effect live on one engine)
 // carry lkey = -1 and order by the engine-local seq; link events (packet
-// arrivals and PFC pause/resume, the only events that can originate on a
-// *different* engine when the simulation is sharded) order by their
-// directed link's id and the sending port's own sequence counter. Because
-// the link key is assigned at the sender rather than at push time, the
-// order is a property of the traffic itself: a sharded run reconstructs
+// arrivals, the only events that can originate on a *different* engine
+// when the simulation is sharded) order by their directed link's id and
+// the sending port's own sequence counter. Because the link key is
+// assigned at the sender rather than at push time, the order is a
+// property of the traffic itself: a sharded run reconstructs
 // exactly the serial dispatch order, shard by shard (verified
 // event-for-event against the binary-heap oracles of engine_oracle_test.go
 // and by the serial-vs-parallel trace tests in shard_test.go, and
@@ -49,8 +49,8 @@ const (
 // Engine is a deterministic discrete-event scheduler with nanosecond time.
 // All simulator periodic and per-packet work is typed events (no closure
 // allocation, no indirect call): serialization completion, link arrival,
-// flow injection and start, DCQCN alpha/rate timers, go-back-N RTO ticks
-// and PFC pause/resume. Cold or external scheduling uses plain funcs.
+// flow injection and start, DCQCN alpha/rate timers and go-back-N RTO
+// ticks. Cold or external scheduling uses plain funcs.
 type Engine struct {
 	now int64
 	seq uint64
@@ -89,16 +89,14 @@ const (
 	evDCQCNAlpha // DCQCN alpha-decay tick (self-rearming)
 	evDCQCNRate  // DCQCN rate-increase tick (self-rearming)
 	evRTO        // go-back-N stall-recovery tick (self-rearming)
-	evPFCPause   // apply PFC pause to a transmitter
-	evPFCResume  // release PFC pause on a transmitter
 
-	numEventKinds = int(evPFCResume) + 1
+	numEventKinds = int(evRTO) + 1
 )
 
 // eventKindNames labels the scheduled-events-by-kind telemetry cells.
 var eventKindNames = [numEventKinds]string{
 	"func", "finish_tx", "arrive", "inject", "start",
-	"dcqcn_alpha", "dcqcn_rate", "rto", "pfc_pause", "pfc_resume",
+	"dcqcn_alpha", "dcqcn_rate", "rto",
 }
 
 type event struct {
@@ -107,8 +105,8 @@ type event struct {
 	kind eventKind
 	// lkey is the total-order class: -1 for local events (ordered by the
 	// engine-local seq), or the directed-link id for link events (packet
-	// arrivals, PFC pause/resume), which order by (lkey, sender's per-link
-	// seq) so a sharded run reproduces the serial dispatch order exactly.
+	// arrivals), which order by (lkey, sender's per-link seq) so a sharded
+	// run reproduces the serial dispatch order exactly.
 	// It packs into the comparator as a single tiebreak field.
 	lkey int32
 	fn   func()
@@ -401,10 +399,6 @@ func (e *Engine) dispatch(ev event) {
 		e.net.dcqcnRateTick(e, ev.flow)
 	case evRTO:
 		ev.host.rtoTick(ev.flow)
-	case evPFCPause:
-		e.net.setPaused(ev.port, true)
-	case evPFCResume:
-		e.net.setPaused(ev.port, false)
 	}
 }
 

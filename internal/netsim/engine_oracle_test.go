@@ -205,10 +205,10 @@ func TestEngineWheelMatchesHeapOracle(t *testing.T) {
 }
 
 // TestSimulationWheelMatchesHeapOracle runs full simulations — DCQCN
-// workload, DCTCP flows, PFC lossless incast — on the wheel and through
+// workload, DCTCP flows, a tail-dropping incast — on the wheel and through
 // the heap oracle's dispatch loop, and requires deeply identical traces
-// (every packet record, CE mark, episode, queue sample, PFC assertion and
-// flow stat, and the event count).
+// (every packet record, CE mark, drop, episode, queue sample and flow
+// stat, and the event count).
 func TestSimulationWheelMatchesHeapOracle(t *testing.T) {
 	for _, sc := range shardScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -217,8 +217,8 @@ func TestSimulationWheelMatchesHeapOracle(t *testing.T) {
 			if got.TotalPackets() == 0 {
 				t.Fatal("scenario moved no packets")
 			}
-			if sc.name == "pfc-incast" && len(got.PFCLog) == 0 {
-				t.Fatal("scenario generated no PFC records")
+			if sc.name == "droptail-incast" && len(got.DropLog) == 0 {
+				t.Fatal("scenario dropped no packets")
 			}
 			normalizeTrace(got)
 			normalizeTrace(want)

@@ -29,6 +29,33 @@ func (n *Network) FlowCwnd(id int32) float64 {
 	return 0
 }
 
+// LeafSpine builds a two-tier Clos: `leaves` leaf switches each serving
+// `hostsPerLeaf` hosts, fully meshed to `spines` spine switches. This is
+// the other common data-center fabric besides the fat-tree; cross-leaf
+// traffic has `spines`-way ECMP.
+func LeafSpine(leaves, spines, hostsPerLeaf int) (*Topology, error) {
+	if leaves < 1 || spines < 1 || hostsPerLeaf < 1 {
+		return nil, fmt.Errorf("netsim: leaf-spine needs positive dimensions, got %d/%d/%d", leaves, spines, hostsPerLeaf)
+	}
+	hosts := leaves * hostsPerLeaf
+	t := &Topology{Hosts: hosts, Switches: leaves + spines}
+	t.Ports = make([][]PortDef, t.Nodes())
+	leafID := func(l int) NodeID { return NodeID(hosts + l) }
+	spineID := func(s int) NodeID { return NodeID(hosts + leaves + s) }
+	for h := 0; h < hosts; h++ {
+		t.link(NodeID(h), leafID(h/hostsPerLeaf))
+	}
+	for l := 0; l < leaves; l++ {
+		for s := 0; s < spines; s++ {
+			t.link(leafID(l), spineID(s))
+		}
+	}
+	if err := t.computeRoutes(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 // LeafSpineOversub builds a two-tier Clos with explicit oversubscription:
 // each of `leaves` leaf switches serves hostsPerLeaf hosts on its
 // downlinks but trunks only hostsPerLeaf/oversub uplinks, spread evenly
@@ -51,23 +78,17 @@ func LeafSpineOversub(spines, leaves, hostsPerLeaf, oversub int) (*Topology, err
 	hosts := leaves * hostsPerLeaf
 	t := &Topology{Hosts: hosts, Switches: leaves + spines}
 	t.Ports = make([][]PortDef, t.Nodes())
-	t.names = make([]string, t.Nodes())
 	leafID := func(l int) NodeID { return NodeID(hosts + l) }
 	spineID := func(s int) NodeID { return NodeID(hosts + leaves + s) }
 	for h := 0; h < hosts; h++ {
-		t.names[h] = fmt.Sprintf("h%d", h)
 		t.link(NodeID(h), leafID(h/hostsPerLeaf))
 	}
 	for l := 0; l < leaves; l++ {
-		t.names[leafID(l)] = fmt.Sprintf("leaf%d", l)
 		for s := 0; s < spines; s++ {
 			for k := 0; k < trunk; k++ {
 				t.link(leafID(l), spineID(s))
 			}
 		}
-	}
-	for s := 0; s < spines; s++ {
-		t.names[spineID(s)] = fmt.Sprintf("spine%d", s)
 	}
 	if err := t.computeRoutes(); err != nil {
 		return nil, err

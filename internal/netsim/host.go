@@ -37,8 +37,6 @@ type FlowSpec struct {
 	// OnNs/OffNs, when both positive, gate injection with an on-off duty
 	// cycle relative to StartNs.
 	OnNs, OffNs int64
-	// SrcPort pins the source port; 0 auto-assigns.
-	SrcPort uint16
 }
 
 // flowState is the per-flow sender state.
@@ -113,11 +111,8 @@ func (n *Network) AddFlow(spec FlowSpec) (int32, error) {
 	}
 	id := int32(len(n.trace.Flows))
 	h := n.hosts[spec.Src]
-	sp := spec.SrcPort
-	if sp == 0 {
-		sp = h.nextSP
-		h.nextSP++
-	}
+	sp := h.nextSP
+	h.nextSP++
 	proto := uint8(flowkey.ProtoUDP)
 	dstPort := uint16(flowkey.RoCEPort)
 	if spec.CC == CCDCTCP {

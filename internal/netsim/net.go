@@ -50,10 +50,7 @@ type Config struct {
 	// HostInjectCapBytes bounds the host NIC egress queue before flow
 	// injection blocks (models NIC backpressure), default 8 KB.
 	HostInjectCapBytes int64
-	// PFC enables lossless (pause/resume) operation; disabled by default,
-	// matching the paper's DCQCN-without-PFC evaluation.
-	PFC  PFCConfig
-	Seed uint64
+	Seed               uint64
 	// Shards selects how many event-engine domains the simulation runs on.
 	// 1 (the default) is the serial engine: one wheel, no goroutines.
 	// Larger values partition the topology at link boundaries and run the
@@ -196,7 +193,6 @@ type Trace struct {
 	Episodes     []Episode
 	QueueSamples map[PortID][]QueueSample
 	Flows        []FlowStat
-	PFCLog       []PFCRecord
 	DropLog      []DropRecord
 	Events       int // engine events executed
 }
@@ -242,13 +238,6 @@ type port struct {
 	epStart  int64
 	epMax    int64
 	epFlows  map[int32]struct{}
-
-	// PFC state: pfcAsserted is this queue pausing its feeders; paused is
-	// this transmitter being paused by its link peer; pausedNs accumulates
-	// paused wall time.
-	pfcAsserted bool
-	paused      bool
-	pausedNs    int64
 }
 
 // Network is a running simulation.
@@ -414,7 +403,6 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	if isSwitch {
 		n.stats.QueueHWM.SetMax(p.qbytes)
 		n.trackEpisode(p, pkt, now)
-		n.pfcCheck(p)
 	}
 	if !p.busy {
 		n.startTx(p)
@@ -479,10 +467,9 @@ func (n *Network) finishEpisode(p *port, now int64) {
 	}
 }
 
-// startTx begins serializing the head-of-line packet. A paused transmitter
-// (PFC) stays silent until resumed.
+// startTx begins serializing the head-of-line packet.
 func (n *Network) startTx(p *port) {
-	if len(p.queue) == 0 || p.paused {
+	if len(p.queue) == 0 {
 		p.busy = false
 		return
 	}
@@ -537,7 +524,6 @@ func (n *Network) finishTx(p *port, pkt *Packet) {
 			}
 		}
 		n.closeEpisodeIfDrained(p, now)
-		n.pfcCheck(p)
 	}
 
 	n.routeArrive(p, pkt)
@@ -559,7 +545,7 @@ func (n *Network) arrive(v NodeID, pkt *Packet) {
 	}
 	pi := hops[0]
 	if len(hops) > 1 {
-		pi = hops[int(pkt.Flow.Hash(ECMPSeed)%uint64(len(hops)))]
+		pi = hops[int(pkt.Flow.Hash(ecmpSeed)%uint64(len(hops)))]
 	}
 	n.enqueue(n.ports[v][pi], pkt)
 }
@@ -614,9 +600,9 @@ func (n *Network) Run(untilNs int64) *Trace {
 	return n.trace
 }
 
-// ECMPSeed is the hash seed switches use to pick among equal-cost next
-// hops; exported so the analyzer can reproduce (and explain) path choices.
-const ECMPSeed uint64 = 0xec3b
+// ecmpSeed is the hash seed switches use to pick among equal-cost next
+// hops.
+const ecmpSeed uint64 = 0xec3b
 
 // dstHost decodes the destination host index from the flow key (hosts are
 // addressed 10.0.h.1, see host.go).

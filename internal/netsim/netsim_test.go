@@ -94,7 +94,7 @@ func TestFatTreeShape(t *testing.T) {
 	}
 	for s := topo.Hosts; s < topo.Nodes(); s++ {
 		if len(topo.Ports[s]) != 4 {
-			t.Errorf("switch %s has %d ports, want 4", topo.Name(NodeID(s)), len(topo.Ports[s]))
+			t.Errorf("switch %d has %d ports, want 4", s, len(topo.Ports[s]))
 		}
 	}
 }
@@ -108,7 +108,7 @@ func TestFatTreeRoutes(t *testing.T) {
 				continue
 			}
 			if len(topo.NextHops(NodeID(v), h)) == 0 {
-				t.Fatalf("no route from %s to host %d", topo.Name(NodeID(v)), h)
+				t.Fatalf("no route from node %d to host %d", v, h)
 			}
 		}
 	}

@@ -49,7 +49,6 @@ type shard struct {
 	ce        []CERecord
 	dropLog   []DropRecord
 	episodes  []Episode
-	pfcLog    []PFCRecord
 	samples   map[PortID][]QueueSample
 	flowDrops []int64 // per-flow drop counts (any shard's switch can drop any flow)
 
@@ -146,27 +145,6 @@ func (n *Network) routeArrive(p *port, pkt *Packet) {
 		kind: evArrive, lkey: p.lkey, node: p.peer, pkt: pkt,
 	}
 	if dst := n.shards[n.shardOf[p.peer]]; dst != p.sh {
-		p.sh.outbox[dst.idx] = append(p.sh.outbox[dst.idx], ev)
-	} else {
-		p.sh.eng.pushLink(ev)
-	}
-}
-
-// routePFC sends a pause/resume across port p's link to the feeder at the
-// far end. It shares p's per-link sequence with data arrivals, so a pause
-// never reorders around the traffic sent before it.
-func (n *Network) routePFC(p *port, pause bool) {
-	kind := evPFCResume
-	if pause {
-		kind = evPFCPause
-	}
-	feeder := n.ports[p.peer][p.peerPort]
-	p.lseq++
-	ev := event{
-		at: p.sh.eng.Now() + n.cfg.PropDelayNs, seq: p.lseq,
-		kind: kind, lkey: p.lkey, port: feeder,
-	}
-	if dst := feeder.sh; dst != p.sh {
 		p.sh.outbox[dst.idx] = append(p.sh.outbox[dst.idx], ev)
 	} else {
 		p.sh.eng.pushLink(ev)
@@ -279,10 +257,9 @@ func (n *Network) runParallel(until int64) int {
 // finalize closes still-open episodes and merges the per-shard trace
 // buffers into the canonical trace. The stable sorts put every log in an
 // order that is a pure function of the traffic: CELog keys are unique
-// because one port finishes at most one packet per nanosecond, DropLog
-// adds the flow id (a flow's packets reach a given port serially), and
-// PFCLog preserves each switch's own assertion order. Serial and sharded
-// runs converge on identical bytes.
+// because one port finishes at most one packet per nanosecond, and DropLog
+// adds the flow id (a flow's packets reach a given port serially). Serial
+// and sharded runs converge on identical bytes.
 func (n *Network) finalize(untilNs int64) {
 	for v := n.topo.Hosts; v < n.topo.Nodes(); v++ {
 		for _, p := range n.ports[v] {
@@ -299,8 +276,6 @@ func (n *Network) finalize(untilNs int64) {
 		sh.dropLog = sh.dropLog[:0]
 		t.Episodes = append(t.Episodes, sh.episodes...)
 		sh.episodes = sh.episodes[:0]
-		t.PFCLog = append(t.PFCLog, sh.pfcLog...)
-		sh.pfcLog = sh.pfcLog[:0]
 		for id, d := range sh.flowDrops {
 			if d != 0 {
 				t.Flows[id].Drops += d
@@ -347,12 +322,5 @@ func (n *Network) finalize(untilNs int64) {
 			return a.Port.Port < b.Port.Port
 		}
 		return a.StartNs < b.StartNs
-	})
-	sort.SliceStable(t.PFCLog, func(i, j int) bool {
-		a, b := &t.PFCLog[i], &t.PFCLog[j]
-		if a.Ns != b.Ns {
-			return a.Ns < b.Ns
-		}
-		return a.Switch < b.Switch
 	})
 }

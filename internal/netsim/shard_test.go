@@ -12,9 +12,9 @@ import (
 // from the sending port, per-port RNG streams make marking independent of
 // event interleaving, and finalize merges per-shard buffers canonically.
 // These tests pin that contract on three workload families (DCQCN
-// workload, DCTCP + on-off, PFC incast), across shard counts, between
-// lockstep and goroutine execution, and against the serial heap oracle of
-// engine_oracle_test.go.
+// workload, DCTCP + on-off, a tail-dropping incast), across shard counts,
+// between lockstep and goroutine execution, and against the serial heap
+// oracle of engine_oracle_test.go.
 
 // shardScenario describes one determinism workload. Construction and
 // population are split so the heap oracle can be pinned on a network
@@ -81,15 +81,14 @@ func shardScenarios() []shardScenario {
 			},
 		},
 		{
-			name: "pfc-incast", horizon: 2_000_000,
+			name: "droptail-incast", horizon: 2_000_000,
 			make: func(t *testing.T, shards int) *Network {
 				topo, err := Dumbbell(8)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg := DefaultConfig(topo)
-				cfg.BufferBytes = 400 << 10
-				cfg.PFC = PFCConfig{Enabled: true, XoffBytes: 150 << 10, XonBytes: 75 << 10}
+				cfg.BufferBytes = 300 << 10
 				cfg.Shards = shards
 				n, err := New(cfg)
 				if err != nil {
@@ -110,7 +109,7 @@ func shardScenarios() []shardScenario {
 // Events counts engine bookkeeping (one queue-sampling tick chain per
 // shard), so it legitimately depends on the shard count and is zeroed.
 // Everything else — every packet record, CE mark, drop, episode, queue
-// sample, PFC assertion and flow stat — must match exactly.
+// sample and flow stat — must match exactly.
 func normalizeShardTrace(tr *Trace) {
 	normalizeTrace(tr)
 	tr.Events = 0
@@ -118,8 +117,8 @@ func normalizeShardTrace(tr *Trace) {
 
 // TestParallelMatchesSerial is the acceptance determinism check: full-sim
 // traces must be deeply identical between the serial engine and sharded
-// runs at several shard counts, on DCQCN, DCTCP+on-off and PFC incast
-// workloads. Run under -race in CI, it also proves the windows share no
+// runs at several shard counts, on DCQCN, DCTCP+on-off and tail-dropping
+// incast workloads. Run under -race in CI, it also proves the windows share no
 // unsynchronized state.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, sc := range shardScenarios() {

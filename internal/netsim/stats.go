@@ -14,9 +14,9 @@ type SimStats struct {
 	Events *telemetry.Counter
 	// EventsByKind counts events *scheduled* per event kind (indexed by
 	// the engine's eventKind: func, finish_tx, arrive, inject, start,
-	// dcqcn_alpha, dcqcn_rate, rto, pfc_pause, pfc_resume), flushed on the
-	// same cadence as Events from plain per-engine accumulators — the
-	// scheduling hot path never touches an atomic.
+	// dcqcn_alpha, dcqcn_rate, rto), flushed on the same cadence as Events
+	// from plain per-engine accumulators — the scheduling hot path never
+	// touches an atomic.
 	EventsByKind *telemetry.CounterVec
 	// WheelDepth is the high-water mark of timing-wheel occupancy (the
 	// current-tick dispatch heap plus all in-span buckets).

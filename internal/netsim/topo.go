@@ -21,8 +21,6 @@ type Topology struct {
 	// nextHops[n][h] lists the ECMP candidate port indices at node n
 	// toward host h.
 	nextHops [][][]int16
-	// names for diagnostics.
-	names []string
 }
 
 // Nodes reports the total node count.
@@ -30,14 +28,6 @@ func (t *Topology) Nodes() int { return t.Hosts + t.Switches }
 
 // IsHost reports whether n is an end host.
 func (t *Topology) IsHost(n NodeID) bool { return int(n) < t.Hosts }
-
-// Name returns a human-readable node name.
-func (t *Topology) Name(n NodeID) string {
-	if int(n) < len(t.names) && t.names[n] != "" {
-		return t.names[n]
-	}
-	return fmt.Sprintf("node%d", n)
-}
 
 // NextHops returns the ECMP candidate ports at node n toward host dst.
 func (t *Topology) NextHops(n NodeID, dst int) []int16 { return t.nextHops[n][dst] }
@@ -103,24 +93,10 @@ func FatTree(k int) (*Topology, error) {
 	cores := half * half
 	t := &Topology{Hosts: hosts, Switches: edges + aggs + cores}
 	t.Ports = make([][]PortDef, t.Nodes())
-	t.names = make([]string, t.Nodes())
 
 	edgeID := func(pod, i int) NodeID { return NodeID(hosts + pod*half + i) }
 	aggID := func(pod, i int) NodeID { return NodeID(hosts + edges + pod*half + i) }
 	coreID := func(i int) NodeID { return NodeID(hosts + edges + aggs + i) }
-
-	for h := 0; h < hosts; h++ {
-		t.names[h] = fmt.Sprintf("h%d", h)
-	}
-	for pod := 0; pod < k; pod++ {
-		for i := 0; i < half; i++ {
-			t.names[edgeID(pod, i)] = fmt.Sprintf("edge%d.%d", pod, i)
-			t.names[aggID(pod, i)] = fmt.Sprintf("agg%d.%d", pod, i)
-		}
-	}
-	for c := 0; c < cores; c++ {
-		t.names[coreID(c)] = fmt.Sprintf("core%d", c)
-	}
 
 	// Hosts ↔ edges.
 	for pod := 0; pod < k; pod++ {
@@ -163,49 +139,12 @@ func Dumbbell(senders int) (*Topology, error) {
 	hosts := senders + 1 // receiver is host index `senders`
 	t := &Topology{Hosts: hosts, Switches: 2}
 	t.Ports = make([][]PortDef, t.Nodes())
-	t.names = make([]string, t.Nodes())
 	left, right := NodeID(hosts), NodeID(hosts+1)
-	t.names[left], t.names[right] = "swL", "swR"
 	for s := 0; s < senders; s++ {
-		t.names[s] = fmt.Sprintf("sender%d", s)
 		t.link(NodeID(s), left)
 	}
-	t.names[senders] = "receiver"
 	t.link(left, right) // the bottleneck
 	t.link(right, NodeID(senders))
-	if err := t.computeRoutes(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// LeafSpine builds a two-tier Clos: `leaves` leaf switches each serving
-// `hostsPerLeaf` hosts, fully meshed to `spines` spine switches. This is
-// the other common data-center fabric besides the fat-tree; cross-leaf
-// traffic has `spines`-way ECMP.
-func LeafSpine(leaves, spines, hostsPerLeaf int) (*Topology, error) {
-	if leaves < 1 || spines < 1 || hostsPerLeaf < 1 {
-		return nil, fmt.Errorf("netsim: leaf-spine needs positive dimensions, got %d/%d/%d", leaves, spines, hostsPerLeaf)
-	}
-	hosts := leaves * hostsPerLeaf
-	t := &Topology{Hosts: hosts, Switches: leaves + spines}
-	t.Ports = make([][]PortDef, t.Nodes())
-	t.names = make([]string, t.Nodes())
-	leafID := func(l int) NodeID { return NodeID(hosts + l) }
-	spineID := func(s int) NodeID { return NodeID(hosts + leaves + s) }
-	for h := 0; h < hosts; h++ {
-		t.names[h] = fmt.Sprintf("h%d", h)
-		t.link(NodeID(h), leafID(h/hostsPerLeaf))
-	}
-	for l := 0; l < leaves; l++ {
-		t.names[leafID(l)] = fmt.Sprintf("leaf%d", l)
-		for s := 0; s < spines; s++ {
-			t.link(leafID(l), spineID(s))
-		}
-	}
-	for s := 0; s < spines; s++ {
-		t.names[spineID(s)] = fmt.Sprintf("spine%d", s)
-	}
 	if err := t.computeRoutes(); err != nil {
 		return nil, err
 	}

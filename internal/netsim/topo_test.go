@@ -45,26 +45,26 @@ func checkShortestPathECMP(t *testing.T, topo *Topology, dsts []int) {
 			}
 			hops := topo.NextHops(NodeID(v), dst)
 			if len(hops) == 0 {
-				t.Fatalf("node %s has no next hop toward h%d", topo.Name(NodeID(v)), dst)
+				t.Fatalf("node %d has no next hop toward h%d", v, dst)
 			}
 			// Every listed port descends the distance gradient...
 			seen := make(map[int16]bool, len(hops))
 			for _, pi := range hops {
 				if seen[pi] {
-					t.Errorf("node %s lists port %d twice toward h%d", topo.Name(NodeID(v)), pi, dst)
+					t.Errorf("node %d lists port %d twice toward h%d", v, pi, dst)
 				}
 				seen[pi] = true
 				peer := topo.Ports[v][pi].Peer
 				if dist[peer] != dist[v]-1 {
-					t.Errorf("node %s port %d toward h%d reaches %s at distance %d, want %d",
-						topo.Name(NodeID(v)), pi, dst, topo.Name(peer), dist[peer], dist[v]-1)
+					t.Errorf("node %d port %d toward h%d reaches node %d at distance %d, want %d",
+						v, pi, dst, peer, dist[peer], dist[v]-1)
 				}
 			}
 			// ...and every descending port is listed (full ECMP set).
 			for pi, p := range topo.Ports[v] {
 				if dist[p.Peer] == dist[v]-1 && !seen[int16(pi)] {
-					t.Errorf("node %s port %d (to %s) descends toward h%d but is not an ECMP candidate",
-						topo.Name(NodeID(v)), pi, topo.Name(p.Peer), dst)
+					t.Errorf("node %d port %d (to node %d) descends toward h%d but is not an ECMP candidate",
+						v, pi, p.Peer, dst)
 				}
 			}
 		}

@@ -129,44 +129,3 @@ func NewNetwork(cfg SimConfig) (*Network, error) { return netsim.New(cfg) }
 // DefaultSimConfig returns the paper's simulation parameters (100 Gbps,
 // 1 µs hops, DCQCN, RED KMin/KMax/PMax).
 func DefaultSimConfig(topo *Topology) SimConfig { return netsim.DefaultConfig(topo) }
-
-// --- extensions beyond the paper's evaluation ---
-
-// PFCConfig enables lossless (pause/resume) fabric operation in the
-// simulator; PFC storms are the µEvent type of §5 the paper names but does
-// not evaluate.
-type PFCConfig = netsim.PFCConfig
-
-// DefaultPFC returns common lossless-class thresholds.
-func DefaultPFC() PFCConfig { return netsim.DefaultPFC() }
-
-// PauseStorm is a cluster of PFC pause assertions at one switch.
-type PauseStorm = uevent.PauseStorm
-
-// PauseStorms clusters a trace's PFC log into storms.
-func PauseStorms(log []netsim.PFCRecord, gapNs int64) []PauseStorm {
-	return uevent.PauseStorms(log, gapNs)
-}
-
-// LossForensics grades how many tail drops were preceded by captured CE
-// mirrors (§5's loss-attribution story).
-type LossForensics = uevent.LossForensics
-
-// MirrorRecord is one mirrored event observation.
-type MirrorRecord = uevent.MirrorRecord
-
-// CaptureEvents applies a sampling ACL to a trace's CE log.
-func CaptureEvents(celog []netsim.CERecord, rule ACLRule) []MirrorRecord {
-	return uevent.Capture(celog, rule, 0)
-}
-
-// AttributeDrops checks each dropped packet against the mirror stream.
-func AttributeDrops(drops []netsim.DropRecord, mirrors []MirrorRecord, lookbackNs int64) LossForensics {
-	return uevent.AttributeDrops(drops, mirrors, lookbackNs)
-}
-
-// DedupMirrors suppresses multi-hop duplicate observations (§5's
-// programmable-switch enhancement).
-func DedupMirrors(mirrors []MirrorRecord, slots int, ttlNs int64) []MirrorRecord {
-	return uevent.Dedup(mirrors, slots, ttlNs)
-}
