@@ -54,9 +54,9 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 15924
+LOC_CEILING = 15503
 LOC_SLACK = 25
-DESIGN_MAX = 870
+DESIGN_MAX = 868
 EXPERIMENTS_MAX = 450
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'); \
@@ -79,6 +79,8 @@ loc:
 #           roll), one epoch boundary by itself — seal, encode, ship, reset
 #           at the stream-mice occupancy — and an idle epoch's header-only
 #           report. The gate leaves out the sub-nanosecond telemetry no-ops.
+#           The TelemetryNoopSpan row was re-baselined alone when the
+#           disabled span came to inline (10.6 ns before).
 #   query   the ops API's sustained QPS over real HTTP against a populated
 #           window, and the fleet-scale fixture (2,000 reports, >1M flow
 #           keys) through the routing index, stacked and laid out in time,
@@ -151,7 +153,7 @@ admit_GATE = -benchmem -benchtime 1s -count 3
 admit_THRESHOLD = $(PERF_GATE_THRESHOLD)
 admit_BYTES = 2
 
-ingest_BENCH = KeyHash|BasicUpdate|FullUpdate|BasicUpdateBatch|StreamHostMonitorOnPacket|SealAndShip|IdleEpoch|TelemetryNoop
+ingest_BENCH = KeyHash|BasicUpdate|FullUpdate|StreamHostMonitorOnPacket|SealAndShip|IdleEpoch|TelemetryNoop
 ingest_PKGS = ./internal/flowkey ./internal/wavesketch ./internal/core ./internal/telemetry
 ingest_RUN = -benchtime 2s -count 5
 ingest_GATE = -benchtime 1s -count 3

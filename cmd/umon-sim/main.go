@@ -41,7 +41,6 @@ func main() {
 	shards := flag.Int("shards", 1, "simulation engine shards (the trace is identical at any count)")
 	outDir := flag.String("out", "umon-out", "output directory")
 	epochMs := flag.Int64("epoch-ms", 0, "host sealing period in milliseconds (0: one period spanning the whole run)")
-	tracePcap := flag.Bool("trace-pcap", false, "also dump host egress traffic (headers) as traffic.pcap")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry on this address (/metrics Prometheus, /vars JSON, /debug/pprof)")
 	telemetryDump := flag.Bool("telemetry-dump", false, "print a telemetry summary to stderr at end of run")
 	flag.Parse()
@@ -59,7 +58,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "umon-sim: telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	err := run(*wl, *load, *ms, *seed, *sampleBits, *shards, *outDir, *epochMs, *tracePcap, reg)
+	err := run(*wl, *load, *ms, *seed, *sampleBits, *shards, *outDir, *epochMs, reg)
 	if *telemetryDump {
 		reg.WriteSummary(os.Stderr)
 	}
@@ -69,7 +68,7 @@ func main() {
 	}
 }
 
-func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, outDir string, epochMs int64, tracePcap bool, reg *telemetry.Registry) error {
+func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, outDir string, epochMs int64, reg *telemetry.Registry) error {
 	var dist *workload.Distribution
 	switch strings.ToLower(wl) {
 	case "hadoop":
@@ -78,11 +77,6 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 		dist = workload.WebSearch()
 	default:
 		return fmt.Errorf("unknown workload %q (want hadoop or websearch)", wl)
-	}
-	if tracePcap && shards > 1 {
-		// The traffic pcap streams every host egress through one writer in
-		// dispatch order; with shards > 1 the callbacks fire concurrently.
-		return fmt.Errorf("-trace-pcap requires -shards 1 (host egress streams into one ordered pcap)")
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
@@ -117,8 +111,8 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	}
 	sysCfg.Switch.Rule = uevent.ACLRule{SampleBits: sampleBits}
 
-	// Every host's sealed epochs go into one framed, seekable stream file
-	// — the input umon-collect reads or tails. The sink serializes
+	// Every host's sealed epochs go into one framed stream file — the
+	// input umon-collect reads or tails. The sink serializes
 	// concurrent Ship calls, so it is safe at any shard count.
 	sf, err := os.Create(filepath.Join(outDir, "reports.umstream"))
 	if err != nil {
@@ -143,30 +137,10 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 		return err
 	}
 
-	var trafficW *pcapio.Writer
-	if tracePcap {
-		f, err := os.Create(filepath.Join(outDir, "traffic.pcap"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		trafficW = pcapio.NewWriter(f, 128)
-	}
 	wired := n.OnHostEgress
 	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
 		wired(host, pkt, now)
 		hostSamples.At(host).Inc()
-		if trafficW == nil {
-			return
-		}
-		frame := packet.EncodeData(&packet.Data{
-			Flow: pkt.Flow, PSN: pkt.PSN, CE: pkt.CE, WireLen: int(pkt.Size),
-		}, 0)
-		if err := trafficW.WritePacket(pcapio.Packet{
-			TimestampNs: now, Data: frame, OrigLen: int(pkt.Size),
-		}); err != nil {
-			sys.Fail(err)
-		}
 	}
 
 	for _, f := range flows {
@@ -186,11 +160,6 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	}
 	if err := writeMirrors(filepath.Join(outDir, "mirrors.pcap"), mirrors); err != nil {
 		return err
-	}
-	if trafficW != nil {
-		if err := trafficW.Flush(); err != nil {
-			return err
-		}
 	}
 	if err := streamSink.Close(); err != nil {
 		return err

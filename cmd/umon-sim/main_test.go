@@ -20,7 +20,7 @@ import (
 
 func TestRunProducesArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 0, true, nil); err != nil {
+	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Mirror pcap exists and parses.
@@ -44,27 +44,10 @@ func TestRunProducesArtifacts(t *testing.T) {
 	if reports := readReports(t, dir); len(reports) < 16 {
 		t.Errorf("%d reports in reports.umstream, want at least one per host (16)", len(reports))
 	}
-	// Traffic pcap exists and parses.
-	tf, err := os.Open(filepath.Join(dir, "traffic.pcap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tf.Close()
-	trd, err := pcapio.NewReader(tf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := trd.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tp) == 0 {
-		t.Error("no traffic packets captured")
-	}
 }
 
 func TestRunRejectsUnknownWorkload(t *testing.T) {
-	if err := run("netflix", 0.15, 1, 7, 4, 1, t.TempDir(), 0, false, nil); err == nil {
+	if err := run("netflix", 0.15, 1, 7, 4, 1, t.TempDir(), 0, nil); err == nil {
 		t.Error("unknown workload must fail")
 	}
 }
@@ -75,7 +58,7 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 // could move: umon-sim runs neither.
 func TestRunTelemetryCoversAcceptanceFamilies(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	if err := run("hadoop", 0.15, 1, 7, 4, 1, t.TempDir(), 0, false, reg); err != nil {
+	if err := run("hadoop", 0.15, 1, 7, 4, 1, t.TempDir(), 0, reg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -136,13 +119,6 @@ func readReports(t *testing.T, dir string) map[string][]byte {
 			t.Errorf("(host/epoch) %s framed twice", k)
 		}
 		out[k] = rep.AppendEncode(nil)
-	}
-	idx, err := report.ReadIndex(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != len(out) {
-		t.Errorf("index has %d entries for %d frames", len(idx), len(out))
 	}
 	return out
 }
@@ -213,12 +189,11 @@ func artifactDigests(t *testing.T, dir string) (mirrors, reports string) {
 // mirrors.pcap whole (the mirrors are written after the run in (time,
 // switch, port) order, whatever order the switches emitted in) and every
 // (host, epoch) report payload (each host's egress stream is identical at
-// any shard count; the shared sink interleaves hosts as they seal) — and
-// -trace-pcap must be refused under sharding.
+// any shard count; the shared sink interleaves hosts as they seal).
 func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		dir := t.TempDir()
-		if err := run("hadoop", 0.15, 1, 7, 4, shards, dir, 0, false, nil); err != nil {
+		if err := run("hadoop", 0.15, 1, 7, 4, shards, dir, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		mirrors, reports := artifactDigests(t, dir)
@@ -229,16 +204,13 @@ func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
 			t.Errorf("-shards %d: report payloads hash to %s, pinned %s", shards, reports, pinnedReportsSHA)
 		}
 	}
-	if err := run("hadoop", 0.15, 1, 7, 4, 2, t.TempDir(), 0, true, nil); err == nil {
-		t.Error("-trace-pcap with shards > 1 must be refused")
-	}
 }
 
 // TestRunStreamMode: host reports land in one framed reports.umstream —
-// decodable, indexed, one frame per (host, epoch) — and nowhere else.
+// decodable, one frame per (host, epoch) — and nowhere else.
 func TestRunStreamMode(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 1, false, nil); err != nil {
+	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// 16 fat-tree hosts × (-ms 2 split into 1 ms epochs + final partial).

@@ -74,10 +74,6 @@ type Analyzer struct {
 	mirrorCount int
 	// gapNs is the clustering gap the incremental state was built under.
 	gapNs int64
-	// offsets holds per-switch clock offset estimates subtracted from
-	// mirror timestamps (from the time-sync deployment); nil means
-	// already-aligned clocks.
-	switchOffsets map[int16]int64
 }
 
 // New returns an empty analyzer clustering under the default gap.
@@ -90,15 +86,9 @@ func NewWithGap(gapNs int64) *Analyzer {
 		gapNs = defaultGapNs
 	}
 	return &Analyzer{
-		clusters:      make(map[netsim.PortID]*portClusterer),
-		gapNs:         gapNs,
-		switchOffsets: make(map[int16]int64),
+		clusters: make(map[netsim.PortID]*portClusterer),
+		gapNs:    gapNs,
 	}
-}
-
-// SetSwitchOffset registers a clock-offset estimate for one switch.
-func (a *Analyzer) SetSwitchOffset(sw int16, offsetNs int64) {
-	a.switchOffsets[sw] = offsetNs
 }
 
 // AddReport ingests one host's decoded WaveSketch report and folds it into
@@ -110,9 +100,6 @@ func (a *Analyzer) AddReport(r *report.HostReport) {
 // AddMirror ingests one mirror record, folding it into the per-port event
 // clusters.
 func (a *Analyzer) AddMirror(m uevent.MirrorRecord) {
-	if off, ok := a.switchOffsets[m.Port.Switch]; ok && off != 0 {
-		m.TimestampNs -= off
-	}
 	slot := &a.hot[hotSlot(m.Port)]
 	p := *slot
 	if p == nil || p.port != m.Port {

@@ -79,16 +79,6 @@ func TestDetectEventsRanksFlowsByPackets(t *testing.T) {
 	}
 }
 
-func TestSwitchOffsetAlignment(t *testing.T) {
-	a := New()
-	a.SetSwitchOffset(3, 500)
-	a.AddMirror(mirror(10_500, 3, 0, key(1)))
-	ev := a.DetectEvents(0)
-	if ev[0].StartNs != 10_000 {
-		t.Errorf("aligned start = %d, want 10000", ev[0].StartNs)
-	}
-}
-
 func TestAddMirrorPacket(t *testing.T) {
 	a := New()
 	rec := mirror(777_000, 2, 1, key(4))
@@ -340,5 +330,23 @@ func TestRankFlowsOrder(t *testing.T) {
 		if got := rankFlows(c.fs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: rankFlows order differs from the printed-key order", round)
 		}
+	}
+}
+
+// TestNTPErrorBreaksAlignment is the negative control: millisecond NTP
+// error lands events tens of windows away, which is why the paper requires
+// PTP-class synchronization.
+func TestNTPErrorBreaksAlignment(t *testing.T) {
+	trueStart := int64(5_000_000)
+	a := New()
+	// 2 ms of uncorrected offset.
+	a.AddMirror(uevent.MirrorRecord{
+		Port: netsim.PortID{Switch: 0, Port: 0}, TimestampNs: trueStart + 2_000_000,
+		OrigBytes: 1058, WireBytes: 1058, Flow: key(1),
+	})
+	ev := a.DetectEvents(0)[0]
+	d := measure.WindowOf(ev.StartNs) - measure.WindowOf(trueStart)
+	if d <= 2 {
+		t.Errorf("NTP-class error should exceed the window bound, got %d", d)
 	}
 }

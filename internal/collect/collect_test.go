@@ -243,7 +243,7 @@ func TestIngestStreamAdmitsFrames(t *testing.T) {
 	// type patched and the CRC (over the 24-byte header and the payload)
 	// redone. It counts as bad like the undecodable report after it.
 	const hdr, short = 24, 5
-	torn := sw.Offset()
+	torn := buf.Len()
 	for i := 0; i < 2; i++ {
 		if err := sw.WriteEncoded(9, 9, make([]byte, short)); err != nil {
 			t.Fatal(err)
@@ -278,10 +278,10 @@ func TestIngestStreamSkipsCRCDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var damaged int64
+	var damaged int
 	for e := uint64(0); e < 5; e++ {
 		if e == 1 {
-			damaged = sw.Offset() + 24 + 3 // a payload byte: the header is 24 bytes
+			damaged = buf.Len() + 24 + 3 // a payload byte: the header is 24 bytes
 		}
 		if err := sw.WriteEncoded(e, int(e), mkReport(int(e), key(int(e)), 10, 100).AppendEncode(nil)); err != nil {
 			t.Fatal(err)
@@ -298,6 +298,55 @@ func TestIngestStreamSkipsCRCDamage(t *testing.T) {
 	}
 	if epochs, _ := c.Window(); !reflect.DeepEqual(epochs, []uint64{0, 2, 3, 4}) {
 		t.Fatalf("window = %v, want every epoch but the damaged one", epochs)
+	}
+}
+
+// TestIngestStreamReadsLegacyIndexAndFooter: a file an older writer closed
+// with its epoch index and footer is admitted like the same file without
+// them — the same reports, no bad frame, and a clean end at the footer.
+func TestIngestStreamReadsLegacyIndexAndFooter(t *testing.T) {
+	var buf bytes.Buffer
+	sw, err := report.NewStreamWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The index payload: the report count, then (epoch, host, offset,
+	// length) of each report frame, all uvarints.
+	index := binary.AppendUvarint(nil, 3)
+	for e := uint64(0); e < 3; e++ {
+		off := buf.Len()
+		if err := sw.WriteEncoded(e, int(e), mkReport(int(e), key(int(e)), 10, 100).AppendEncode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint64{e, e, uint64(off), uint64(buf.Len() - off)} {
+			index = binary.AppendUvarint(index, v)
+		}
+	}
+	plain := bytes.Clone(buf.Bytes())
+	// The index frame: magic "uFR0", type 2, payload version 0, host and
+	// epoch 0, the payload and its CRC. Then the footer: magic "uMSE", a
+	// reserved zero and the index frame's offset.
+	fr := binary.LittleEndian.AppendUint32(nil, 0x75465230)
+	fr = append(fr, 2, 0, 0, 0)
+	fr = append(fr, make([]byte, 12)...)
+	fr = append(binary.LittleEndian.AppendUint32(fr, uint32(len(index))), index...)
+	fr = binary.LittleEndian.AppendUint32(fr, crc32.ChecksumIEEE(fr))
+	legacy := append(bytes.Clone(plain), fr...)
+	legacy = binary.LittleEndian.AppendUint32(legacy, 0x754d5345)
+	legacy = binary.LittleEndian.AppendUint32(legacy, 0)
+	legacy = binary.LittleEndian.AppendUint64(legacy, uint64(len(plain)))
+
+	var windows [2][]uint64
+	for i, raw := range [][]byte{plain, legacy} {
+		c := New(Config{})
+		n, bad, err := c.IngestStream(bytes.NewReader(raw))
+		if err != nil || n != 3 || bad != 0 {
+			t.Fatalf("stream %d: %d reports, %d bad, err %v; want 3, 0, nil", i, n, bad, err)
+		}
+		windows[i], _ = c.Window()
+	}
+	if !reflect.DeepEqual(windows[0], windows[1]) {
+		t.Errorf("window with the legacy tail = %v, without %v", windows[1], windows[0])
 	}
 }
 

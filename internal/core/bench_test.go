@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"umon/internal/flowkey"
-	"umon/internal/measure"
 )
 
 // BenchmarkStreamHostMonitorOnPacket is the host packet path at the
@@ -100,18 +99,26 @@ func BenchmarkSealAndShip(b *testing.B) {
 	// 52 mice: one train each, a few packets a window over one to six
 	// adjacent windows somewhere in the epoch's 256.
 	rng := rand.New(rand.NewSource(42))
-	var epoch []measure.Sample
+	type sample struct {
+		key          flowkey.Key
+		window, size int64
+	}
+	var epoch []sample
 	for f := 0; f < 52; f++ {
 		start := int64(rng.Intn(250))
 		for w := start; w < start+1+int64(rng.Intn(6)); w++ {
 			for n := 1 + rng.Intn(4); n > 0; n-- {
-				epoch = append(epoch, measure.Sample{Key: testKey(f), Window: w, Bytes: int64(64 + rng.Intn(1400))})
+				epoch = append(epoch, sample{testKey(f), w, int64(64 + rng.Intn(1400))})
 			}
 		}
 	}
-	sort.SliceStable(epoch, func(i, j int) bool { return epoch[i].Window < epoch[j].Window })
+	sort.SliceStable(epoch, func(i, j int) bool { return epoch[i].window < epoch[j].window })
 	m.started = true
-	refill := func() { m.live.UpdateBatch(epoch) }
+	refill := func() {
+		for _, s := range epoch {
+			m.live.Update(s.key, s.window, s.size)
+		}
+	}
 	refill()
 	if err := m.rotate(); err != nil { // grows the curve lists and the encode buffer
 		b.Fatal(err)

@@ -142,7 +142,7 @@ func Wire(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig, sink Repor
 	}
 	onMirror := func(encoded []byte) {
 		if err := emit(encoded); err != nil {
-			s.Fail(err)
+			s.fail(err)
 		}
 	}
 	for sw := 0; sw < topo.Switches; sw++ {
@@ -150,7 +150,7 @@ func Wire(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig, sink Repor
 	}
 	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
 		if err := s.hosts[host].OnPacket(pkt.Flow, now, int(pkt.Size)); err != nil {
-			s.Fail(err)
+			s.fail(err)
 		}
 	}
 	n.OnSwitchCE = func(sw, port int16, pkt *netsim.Packet, now int64) {
@@ -180,8 +180,8 @@ func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System
 	return s, nil
 }
 
-// Fail records a pipeline error; Finish returns the first one recorded.
-func (s *System) Fail(err error) {
+// fail records a pipeline error; Finish returns the first one recorded.
+func (s *System) fail(err error) {
 	s.errMu.Lock()
 	if s.err == nil {
 		s.err = err
@@ -194,7 +194,7 @@ func (s *System) Fail(err error) {
 func (s *System) Finish() error {
 	for _, hm := range s.hosts {
 		if err := hm.Close(); err != nil {
-			s.Fail(err)
+			s.fail(err)
 		}
 	}
 	s.errMu.Lock()

@@ -35,14 +35,15 @@ type SealedReport struct {
 // implementations serialize internally.
 type ReportSink interface {
 	Ship(r SealedReport) error
-	// Close finishes the sink (flushes framing). It does not close any
-	// underlying file or connection the caller owns.
+	// Close finishes the sink, returning any write error it met. It does
+	// not close any underlying file or connection the caller owns.
 	Close() error
 }
 
 // StreamSink ships reports as framed records of the epoch-rotated stream
 // format onto one writer — a file, a pipe or a net.Conn. Safe for
-// concurrent Ship across hosts; Close appends the epoch index and footer.
+// concurrent Ship across hosts. Each frame is written whole as it is
+// shipped, and the sink keeps no record of past frames beyond a count.
 // Reports carrying a seal stamp are followed by a FrameStamp recording
 // (seal, ship) wall times — the collector's raw material for the
 // seal→ship→admit→detect latency decomposition.
@@ -85,7 +86,8 @@ func (s *StreamSink) Frames() int {
 	return s.sw.Frames()
 }
 
-// Close appends the epoch index frame and footer.
+// Close returns the first write error the stream met, if any; it writes
+// nothing.
 func (s *StreamSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

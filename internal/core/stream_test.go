@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -54,20 +56,60 @@ func TestStreamMonitorThroughStreamSink(t *testing.T) {
 	if sink.Frames() != 3 {
 		t.Errorf("framed %d reports, want 3", sink.Frames())
 	}
-	// The finished file reads back by its index, epoch by epoch.
-	rs := bytes.NewReader(buf.Bytes())
-	idx, err := report.ReadIndex(rs)
+	// The finished file reads back in order, one report per epoch.
+	sr, err := report.NewStreamReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != 3 {
-		t.Errorf("index entries = %d, want 3", len(idx))
-	}
-	for i, e := range idx {
-		reps, err := report.ReadEpoch(rs, idx, e.Epoch)
-		if err != nil || e.Epoch != uint64(i) || len(reps) != 1 || reps[0].Host != 7 {
-			t.Errorf("frame %d: epoch %d holds %d reports (err %v)", i, e.Epoch, len(reps), err)
+	var epochs []uint64
+	var fr report.Frame
+	for {
+		if err := sr.Next(&fr); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
 		}
+		if fr.Type != report.FrameReport {
+			continue // the monitor's lifecycle stamps
+		}
+		rep, err := report.DecodeBytes(fr.Payload)
+		if err != nil || rep.Host != 7 || fr.Host != 7 {
+			t.Errorf("epoch %d: host %d (err %v), want 7", fr.Epoch, fr.Host, err)
+		}
+		epochs = append(epochs, fr.Epoch)
+	}
+	if !reflect.DeepEqual(epochs, []uint64{0, 1, 2}) {
+		t.Errorf("epochs read = %v, want [0 1 2]", epochs)
+	}
+}
+
+// TestStreamSinkStateIsBounded: a sink's state does not grow with the
+// stream it writes. Shipping 65,536 stamped reports costs less in all
+// than a 64 KiB heap — an index kept per frame would be megabytes.
+func TestStreamSinkStateIsBounded(t *testing.T) {
+	const reports = 1 << 16
+	sink, err := NewStreamSink(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := SealedReport{Host: 3, Encoded: make([]byte, 200), SealedAtNs: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reports; i++ {
+		sr.Epoch = uint64(i)
+		if err := sink.Ship(sr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Frames() != reports {
+		t.Errorf("framed %d reports, want %d", sink.Frames(), reports)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("shipping %d reports allocated %d bytes, want < 64 KiB", reports, got)
 	}
 }
 

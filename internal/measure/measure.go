@@ -45,14 +45,6 @@ type SeriesEstimator interface {
 	ReportBytes() int64
 }
 
-// Sample is one (flow, window, bytes) update in batch form: the sketches'
-// UpdateBatch paths move Samples instead of making one call per packet.
-type Sample struct {
-	Key    flowkey.Key
-	Window int64
-	Bytes  int64
-}
-
 // Series is a dense per-window count sequence starting at window Start.
 type Series struct {
 	Start  int64

@@ -14,6 +14,87 @@ import (
 // marshals it field by field, the decoder unmarshals them into a fresh
 // struct. AppendMirror and DecodeMirrorInto are compared against these.
 
+// Ethernet is a IEEE 802.3 MAC header (no FCS).
+type Ethernet struct {
+	Dst       [6]byte
+	Src       [6]byte
+	EtherType uint16
+}
+
+// Marshal appends the wire form to b.
+func (h *Ethernet) Marshal(b []byte) []byte {
+	b = append(b, h.Dst[:]...)
+	b = append(b, h.Src[:]...)
+	return binary.BigEndian.AppendUint16(b, h.EtherType)
+}
+
+// IPv4 is a minimal IPv4 header (no options).
+type IPv4 struct {
+	DSCP     uint8 // 6 bits
+	ECN      uint8 // 2 bits
+	TotalLen uint16
+	TTL      uint8
+	Protocol uint8
+	SrcIP    uint32
+	DstIP    uint32
+}
+
+// Marshal appends the wire form (with a correct header checksum) to b.
+func (h *IPv4) Marshal(b []byte) []byte {
+	start := len(b)
+	b = append(b, 0x45, h.DSCP<<2|h.ECN&0x3)
+	b = binary.BigEndian.AppendUint16(b, h.TotalLen)
+	b = append(b, 0, 0, 0, 0) // ID + flags/fragment
+	b = append(b, h.TTL, h.Protocol, 0, 0)
+	b = binary.BigEndian.AppendUint32(b, h.SrcIP)
+	b = binary.BigEndian.AppendUint32(b, h.DstIP)
+	csum := ipChecksum(b[start : start+IPv4Len])
+	binary.BigEndian.PutUint16(b[start+10:start+12], csum)
+	return b
+}
+
+// UDP is a UDP header. The checksum is left zero (permitted for IPv4 and
+// common for RoCEv2).
+type UDP struct {
+	SrcPort uint16
+	DstPort uint16
+	Length  uint16
+}
+
+// Marshal appends the wire form to b.
+func (h *UDP) Marshal(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, h.SrcPort)
+	b = binary.BigEndian.AppendUint16(b, h.DstPort)
+	b = binary.BigEndian.AppendUint16(b, h.Length)
+	return binary.BigEndian.AppendUint16(b, 0)
+}
+
+// BTH is the InfiniBand Base Transport Header carried by RoCEv2. µMon's
+// sampling matches the low bits of the 24-bit PSN (§5).
+type BTH struct {
+	Opcode  uint8
+	DestQP  uint32 // 24 bits
+	AckReq  bool
+	PSN     uint32 // 24 bits
+	PadCnt  uint8  // 2 bits
+	Version uint8  // 4 bits
+	PKey    uint16
+}
+
+// Marshal appends the wire form to b.
+func (h *BTH) Marshal(b []byte) []byte {
+	b = append(b, h.Opcode, 0x40|h.PadCnt<<4|h.Version&0xf) // SE=0, M=1
+	b = binary.BigEndian.AppendUint16(b, h.PKey)
+	b = append(b, 0) // reserved
+	b = append(b, byte(h.DestQP>>16), byte(h.DestQP>>8), byte(h.DestQP))
+	a := byte(0)
+	if h.AckReq {
+		a = 0x80
+	}
+	b = append(b, a)
+	return append(b, byte(h.PSN>>16), byte(h.PSN>>8), byte(h.PSN))
+}
+
 // VLAN is an 802.1Q tag. µMon distinguishes µEvents on different ports by
 // attaching different VLAN IDs to the mirrored copies (§5).
 type VLAN struct {

@@ -152,49 +152,3 @@ func TestIPChecksumOddLength(t *testing.T) {
 		t.Errorf("odd checksum = %#04x", got)
 	}
 }
-
-func TestDataRoundTrip(t *testing.T) {
-	d := &Data{
-		Flow: flowkey.Key{
-			SrcIP: 0x0a000101, DstIP: 0x0a000201,
-			SrcPort: 10001, DstPort: UDPPortRoCE, Proto: flowkey.ProtoUDP,
-		},
-		PSN: 777, CE: true, WireLen: 1058,
-	}
-	// Headers-only truncation (cap 0) must still carry every header.
-	for _, payloadCap := range []int{32, 0} {
-		b := EncodeData(d, payloadCap)
-		var (
-			eth Ethernet
-			ip  IPv4
-			udp UDP
-			bth BTH
-		)
-		rest, err := eth.Unmarshal(b)
-		if err == nil {
-			rest, err = ip.Unmarshal(rest)
-		}
-		if err == nil {
-			rest, err = udp.Unmarshal(rest)
-		}
-		if err == nil {
-			rest, err = bth.Unmarshal(rest)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := Data{
-			Flow: flowkey.Key{
-				SrcIP: ip.SrcIP, DstIP: ip.DstIP,
-				SrcPort: udp.SrcPort, DstPort: udp.DstPort, Proto: flowkey.ProtoUDP,
-			},
-			PSN: bth.PSN, CE: ip.ECN == ECNCE, WireLen: int(ip.TotalLen) + EthernetLen + 4,
-		}
-		if eth.EtherType != EtherTypeIPv4 || ip.Protocol != IPProtoUDP || got != *d {
-			t.Errorf("cap %d round trip:\n got %+v\nwant %+v", payloadCap, got, *d)
-		}
-		if len(rest) != payloadCap {
-			t.Errorf("cap %d: %d payload bytes", payloadCap, len(rest))
-		}
-	}
-}

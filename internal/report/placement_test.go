@@ -8,24 +8,30 @@ import (
 	"testing"
 
 	"umon/internal/flowkey"
-	"umon/internal/measure"
 	"umon/internal/wavesketch"
 )
+
+// sample is one (flow, window, bytes) sketch update.
+type sample struct {
+	Key    flowkey.Key
+	Window int64
+	Bytes  int64
+}
 
 // placementTrace is a seeded multi-host trace: hosts × n samples over a
 // skewed population of flows, so some flows win heavy slots and the rest
 // share light buckets.
-func placementTrace(hosts, n int) [][]measure.Sample {
+func placementTrace(hosts, n int) [][]sample {
 	rng := rand.New(rand.NewSource(16))
-	out := make([][]measure.Sample, hosts)
+	out := make([][]sample, hosts)
 	for h := range out {
-		out[h] = make([]measure.Sample, n)
+		out[h] = make([]sample, n)
 		for i := range out[h] {
 			f := rng.Intn(400)
 			if rng.Intn(3) > 0 {
 				f = rng.Intn(12) // elephants
 			}
-			out[h][i] = measure.Sample{
+			out[h][i] = sample{
 				Key: flowkey.Key{
 					SrcIP: 0x0a000000 | uint32(h)<<8 | uint32(f&0xff), DstIP: 0x0a00ff00 | uint32(f>>8),
 					SrcPort: uint16(20000 + f*7), DstPort: flowkey.RoCEPort, Proto: flowkey.ProtoUDP,
@@ -39,7 +45,7 @@ func placementTrace(hosts, n int) [][]measure.Sample {
 }
 
 // TestSealedReportsPinned drives a seeded multi-host trace through the
-// sketch update paths and pins the sealed, encoded reports: bucket by
+// sketches' Update and pins the sealed, encoded reports: bucket by
 // bucket to Hash(RowSeed(seed, r)) % width written out here with the
 // divide, and as a whole to two digests. The content digest is taken over
 // the version 1 bytes of every report with each curve's details sorted by
@@ -66,12 +72,10 @@ func TestSealedReportsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sm := range samples[:len(samples)/2] {
+		for _, sm := range samples {
 			full.Update(sm.Key, sm.Window, sm.Bytes)
 			basic.Update(sm.Key, sm.Window, sm.Bytes)
 		}
-		full.UpdateBatch(samples[len(samples)/2:])
-		basic.UpdateBatch(samples[len(samples)/2:])
 		full.Seal()
 		basic.Seal()
 		for _, c := range []struct {

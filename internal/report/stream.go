@@ -3,9 +3,8 @@ package report
 // Epoch-rotated report stream format. The one-shot Encode/Decode pair
 // above is the *payload* codec (frame payload version 0); this file wraps
 // it in a framed, CRC-guarded container that a long-lived deployment can
-// append to forever and a collector can consume either sequentially (from
-// a pipe, socket or growing file) or randomly (seeking through the
-// trailing epoch index of a finished file).
+// append to forever and a collector reads in order, from a pipe, a socket,
+// a growing file or a finished one.
 //
 // Layout:
 //
@@ -14,17 +13,16 @@ package report
 //	                 host u32 | epoch u64 | payloadLen u32
 //	                 payload[payloadLen] | crc32 u32
 //	...
-//	index frame    : one frame of type FrameIndex whose payload lists
-//	                 (epoch, host, offset, length) for every report frame
-//	footer         : magic u32 | reserved u32 | indexOffset u64
 //
 // All integers are little-endian. The CRC is IEEE crc32 over the frame
 // header and payload, so a flipped bit anywhere in a frame is detected.
 // Frames of an unknown type or payload version are length-skipped, which
 // is how future encodings ride alongside v0 without breaking old readers.
+// Older writers closed a file with an epoch-index frame (type 2) and a
+// 16-byte footer: the reader skips the one and ends the stream at the
+// other.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,8 +51,6 @@ const (
 	// FrameReport carries one encoded HostReport (payload version 0 is the
 	// classic Encode stream).
 	FrameReport = 1
-	// FrameIndex carries the epoch index a StreamWriter appends at Close.
-	FrameIndex = 2
 	// FrameStamp carries the lifecycle stamp of the preceding report frame
 	// of the same (host, epoch): wall-clock seal and ship times. Readers
 	// that predate it skip it like any unknown type, so stamped streams
@@ -101,14 +97,6 @@ var (
 	ErrStreamCorrupt = errors.New("report: corrupt stream framing")
 )
 
-// IndexEntry locates one report frame inside a stream file.
-type IndexEntry struct {
-	Epoch  uint64
-	Host   int
-	Offset int64 // file offset of the frame's magic
-	Len    int   // whole frame length including header and CRC
-}
-
 // Frame is one decoded stream frame. Payload aliases the reader's
 // internal buffer and is only valid until the next call to Next.
 type Frame struct {
@@ -132,15 +120,14 @@ func (f *Frame) Stamp() (EpochStamp, error) {
 
 // --- writer ---
 
-// StreamWriter appends framed reports to w and accumulates the epoch
-// index, which Close writes as the final frame plus a fixed footer. Not
-// safe for concurrent use; wrap with a mutex to share across hosts.
+// StreamWriter appends framed reports to w. It holds one frame's scratch
+// and a count, however long the stream runs. Not safe for concurrent use;
+// wrap with a mutex to share across hosts.
 type StreamWriter struct {
-	w     io.Writer
-	off   int64
-	index []IndexEntry
-	frame []byte // whole-frame scratch: header + payload + crc
-	err   error
+	w      io.Writer
+	frames int
+	frame  []byte // whole-frame scratch: header + payload + crc
+	err    error
 }
 
 // NewStreamWriter writes the stream header and returns a writer.
@@ -151,7 +138,7 @@ func NewStreamWriter(w io.Writer) (*StreamWriter, error) {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("report: writing stream header: %w", err)
 	}
-	return &StreamWriter{w: w, off: streamHeaderLen}, nil
+	return &StreamWriter{w: w}, nil
 }
 
 // writeFrame assembles one frame in the scratch buffer and writes it with
@@ -183,9 +170,8 @@ func (sw *StreamWriter) writeFrame(typ, payloadVersion uint8, host int, epoch ui
 		return err
 	}
 	if typ == FrameReport {
-		sw.index = append(sw.index, IndexEntry{Epoch: epoch, Host: host, Offset: sw.off, Len: total})
+		sw.frames++
 	}
-	sw.off += int64(total)
 	return nil
 }
 
@@ -202,45 +188,12 @@ func (sw *StreamWriter) WriteStamp(epoch uint64, host int, st EpochStamp) error 
 }
 
 // Frames reports how many report frames have been written.
-func (sw *StreamWriter) Frames() int { return len(sw.index) }
+func (sw *StreamWriter) Frames() int { return sw.frames }
 
-// Offset reports the number of bytes written so far.
-func (sw *StreamWriter) Offset() int64 { return sw.off }
-
-// Close appends the epoch index frame and the footer. It does not close
+// Close reports the first write error, if any: every frame is written
+// whole as it is framed, so nothing is left to flush. It does not close
 // the underlying writer.
-func (sw *StreamWriter) Close() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	indexOff := sw.off
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	put(uint64(len(sw.index)))
-	for _, e := range sw.index {
-		put(e.Epoch)
-		put(uint64(e.Host))
-		put(uint64(e.Offset))
-		put(uint64(e.Len))
-	}
-	if err := sw.writeFrame(FrameIndex, 0, 0, 0, buf.Bytes()); err != nil {
-		return err
-	}
-	var ftr [footerLen]byte
-	binary.LittleEndian.PutUint32(ftr[0:], footerMagic)
-	binary.LittleEndian.PutUint32(ftr[4:], 0)
-	binary.LittleEndian.PutUint64(ftr[8:], uint64(indexOff))
-	if _, err := sw.w.Write(ftr[:]); err != nil {
-		sw.err = err
-		return err
-	}
-	sw.off += footerLen
-	return nil
-}
+func (sw *StreamWriter) Close() error { return sw.err }
 
 // --- reader ---
 
@@ -286,7 +239,8 @@ func errUnexpected(err error) error {
 
 // Next returns the next decodable frame — a report or a lifecycle stamp
 // (check f.Type) — reusing f's payload buffer. It returns io.EOF at a
-// clean end of stream (the footer, or EOF exactly on a frame boundary).
+// clean end of stream (EOF exactly on a frame boundary, or an older
+// writer's footer).
 // The returned frame's payload is valid until the next call.
 func (sr *StreamReader) Next(f *Frame) error {
 	for {
@@ -323,7 +277,7 @@ func (sr *StreamReader) frame(f *Frame) error {
 	switch m := binary.LittleEndian.Uint32(sr.hdr[0:]); m {
 	case frameMagic:
 	case footerMagic:
-		// Footer: consume the remainder and end the stream. A truncated
+		// An older writer's footer: consume the remainder and end the stream. A truncated
 		// footer still ends cleanly — every frame before it was whole.
 		io.CopyN(io.Discard, sr.r, footerLen-4)
 		return io.EOF
@@ -361,92 +315,4 @@ func (sr *StreamReader) frame(f *Frame) error {
 	f.Epoch = binary.LittleEndian.Uint64(sr.hdr[12:])
 	f.Payload = body[:plen]
 	return nil
-}
-
-// --- seekable index access ---
-
-// ReadIndex loads the epoch index a finished stream file carries in its
-// final frame, via the footer's offset.
-func ReadIndex(rs io.ReadSeeker) ([]IndexEntry, error) {
-	if _, err := rs.Seek(-footerLen, io.SeekEnd); err != nil {
-		return nil, fmt.Errorf("report: seeking footer: %w", err)
-	}
-	var ftr [footerLen]byte
-	if _, err := io.ReadFull(rs, ftr[:]); err != nil {
-		return nil, fmt.Errorf("report: reading footer: %w", errUnexpected(err))
-	}
-	if m := binary.LittleEndian.Uint32(ftr[0:]); m != footerMagic {
-		return nil, fmt.Errorf("%w: bad footer magic %#08x (unfinished stream?)", ErrStreamCorrupt, m)
-	}
-	indexOff := int64(binary.LittleEndian.Uint64(ftr[8:]))
-	if indexOff < streamHeaderLen {
-		return nil, fmt.Errorf("%w: implausible index offset %d", ErrStreamCorrupt, indexOff)
-	}
-	if _, err := rs.Seek(indexOff, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("report: seeking index: %w", err)
-	}
-	var f Frame
-	if err := frameAt(rs, &f); err != nil {
-		return nil, err
-	}
-	if f.Type != FrameIndex {
-		return nil, fmt.Errorf("%w: footer points at frame type %d, not index", ErrStreamCorrupt, f.Type)
-	}
-	br := bytes.NewReader(f.Payload)
-	n, err := binary.ReadUvarint(br)
-	if err != nil || n > maxFramePayload {
-		return nil, fmt.Errorf("%w: bad index count", ErrStreamCorrupt)
-	}
-	entries := make([]IndexEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var vals [4]uint64
-		for j := range vals {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: truncated index entry", ErrStreamCorrupt)
-			}
-			vals[j] = v
-		}
-		entries = append(entries, IndexEntry{
-			Epoch: vals[0], Host: int(vals[1]), Offset: int64(vals[2]), Len: int(vals[3]),
-		})
-	}
-	return entries, nil
-}
-
-// frameAt reads the frame at rs's position: a footer or EOF there is
-// corrupt framing.
-func frameAt(rs io.Reader, f *Frame) error {
-	sr := StreamReader{r: rs}
-	if err := sr.frame(f); err != io.EOF {
-		return err
-	}
-	return fmt.Errorf("%w: no frame where one should start", ErrStreamCorrupt)
-}
-
-// ReadEpoch seeks out and decodes every report of one epoch using the
-// file's index — random access without scanning the stream.
-func ReadEpoch(rs io.ReadSeeker, index []IndexEntry, epoch uint64) ([]*HostReport, error) {
-	var out []*HostReport
-	for _, e := range index {
-		if e.Epoch != epoch {
-			continue
-		}
-		if _, err := rs.Seek(e.Offset, io.SeekStart); err != nil {
-			return nil, err
-		}
-		var f Frame
-		if err := frameAt(rs, &f); err != nil {
-			return nil, fmt.Errorf("report: epoch %d frame at %d: %w", epoch, e.Offset, err)
-		}
-		if f.Type != FrameReport || f.Version != 0 {
-			return nil, fmt.Errorf("%w: index entry at %d is no v0 report frame", ErrStreamCorrupt, e.Offset)
-		}
-		rep, err := DecodeBytes(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }

@@ -123,8 +123,9 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 func TestStreamWithoutCloseStillReadable(t *testing.T) {
-	// A live stream (pipe, growing file) has no index or footer yet: the
-	// sequential reader must still decode every whole frame and end at EOF.
+	// A live stream (pipe, growing file) is a prefix of the finished file:
+	// the sequential reader decodes every whole frame and ends at EOF, and
+	// Close adds nothing to it.
 	var buf bytes.Buffer
 	sw, _ := NewStreamWriter(&buf)
 	for e := 0; e < 3; e++ {
@@ -139,43 +140,69 @@ func TestStreamWithoutCloseStillReadable(t *testing.T) {
 	if len(reports) != 3 {
 		t.Fatalf("decoded %d, want 3", len(reports))
 	}
+	n := buf.Len()
+	if err := sw.Close(); err != nil || buf.Len() != n {
+		t.Errorf("Close: %v, wrote %d bytes, want none", err, buf.Len()-n)
+	}
 }
 
-func TestStreamEpochIndexSeek(t *testing.T) {
-	raw := writeTestStream(t, 3, 5)
-	rs := bytes.NewReader(raw)
-	index, err := ReadIndex(rs)
+// withLegacyIndex appends to a finished stream what StreamWriter.Close
+// wrote before the epoch index was dropped: a frame of type 2, host 0 and
+// epoch 0 whose payload is the uvarint count of report frames and then
+// (epoch, host, offset, length) for each, followed by the 16-byte footer
+// (footerMagic, 0, the index frame's offset).
+func withLegacyIndex(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	var n uint64
+	var entries []byte
+	for off := streamHeaderLen; off < len(raw); {
+		total := frameHeaderLen + int(binary.LittleEndian.Uint32(raw[off+20:])) + 4
+		if raw[off+4] == FrameReport {
+			n++
+			entries = binary.AppendUvarint(entries, binary.LittleEndian.Uint64(raw[off+12:]))
+			entries = binary.AppendUvarint(entries, uint64(binary.LittleEndian.Uint32(raw[off+8:])))
+			entries = binary.AppendUvarint(entries, uint64(off))
+			entries = binary.AppendUvarint(entries, uint64(total))
+		}
+		off += total
+	}
+	buf := bytes.NewBuffer(bytes.Clone(raw))
+	sw := &StreamWriter{w: buf}
+	if err := sw.writeFrame(2, 0, 0, 0, append(binary.AppendUvarint(nil, n), entries...)); err != nil {
+		tb.Fatal(err)
+	}
+	footer := binary.LittleEndian.AppendUint32(nil, footerMagic)
+	footer = binary.LittleEndian.AppendUint32(footer, 0)
+	buf.Write(binary.LittleEndian.AppendUint64(footer, uint64(len(raw))))
+	return buf.Bytes()
+}
+
+// TestStreamReadsLegacyIndexAndFooter: a file an older writer closed with
+// its epoch index and footer reads as the same file without them — the
+// same reports, no bad frame, a clean end of stream.
+func TestStreamReadsLegacyIndexAndFooter(t *testing.T) {
+	raw := writeTestStream(t, 3, 4)
+	want, _, err := ReadStream(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(index) != 15 {
-		t.Fatalf("index entries = %d, want 15", len(index))
+	legacy := withLegacyIndex(t, raw)
+	got, bad, err := ReadStream(bytes.NewReader(legacy))
+	if err != nil || bad != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy stream: %d reports, %d bad, err %v; want the %d reports without the tail", len(got), bad, err, len(want))
 	}
-	for _, e := range []uint64{0, 2, 4} {
-		reps, err := ReadEpoch(rs, index, e)
-		if err != nil {
+	sr, err := NewStreamReader(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Frame
+	for range want {
+		if err := sr.Next(&f); err != nil {
 			t.Fatal(err)
 		}
-		if len(reps) != 3 {
-			t.Fatalf("epoch %d: %d reports, want 3", e, len(reps))
-		}
-		for h, r := range reps {
-			if !bytes.Equal(r.AppendEncode(nil), testReport(h, int64(e*1000)).encode()) {
-				t.Errorf("epoch %d host %d mismatch", e, h)
-			}
-		}
 	}
-	if reps, _ := ReadEpoch(rs, index, 99); len(reps) != 0 {
-		t.Errorf("missing epoch returned %d reports", len(reps))
-	}
-}
-
-func TestStreamIndexOnUnfinishedFileFails(t *testing.T) {
-	var buf bytes.Buffer
-	sw, _ := NewStreamWriter(&buf)
-	sw.WriteReport(1, testReport(0, 0))
-	if _, err := ReadIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("index read of an unfinished stream must fail")
+	if err := sr.Next(&f); err != io.EOF {
+		t.Errorf("after the last report: %v, want io.EOF", err)
 	}
 }
 
@@ -234,41 +261,21 @@ func oversizedFrame() []byte {
 }
 
 // TestOversizedFrameAllocatesLittle: a frame header sizes no allocation.
-// Read by Next, or by ReadIndex and ReadEpoch, which share its frame
-// reader, the stream above is a truncated frame that cost under 1 MiB —
-// not the 256 MiB its header declares.
+// Read by Next, the stream above is a truncated frame that cost under
+// 1 MiB — not the 256 MiB its header declares.
 func TestOversizedFrameAllocatesLittle(t *testing.T) {
-	raw := oversizedFrame()
-	// The same frame with a footer naming it as the index.
-	indexed := binary.LittleEndian.AppendUint32(bytes.Clone(raw), footerMagic)
-	indexed = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(indexed, 0), streamHeaderLen)
-	for _, c := range []struct {
-		name string
-		read func() error
-	}{
-		{"Next", func() error {
-			sr, err := NewStreamReader(bytes.NewReader(raw))
-			if err != nil {
-				return err
-			}
-			return sr.Next(&Frame{})
-		}},
-		{"ReadIndex", func() error { _, err := ReadIndex(bytes.NewReader(indexed)); return err }},
-		{"ReadEpoch", func() error {
-			_, err := ReadEpoch(bytes.NewReader(raw), []IndexEntry{{Offset: streamHeaderLen}}, 0)
-			return err
-		}},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := c.read()
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%s: %v, want a truncated frame", c.name, err)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-			t.Errorf("%s: %d bytes allocated, want < 1 MiB", c.name, got)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr, err := NewStreamReader(bytes.NewReader(oversizedFrame()))
+	if err == nil {
+		err = sr.Next(&Frame{})
+	}
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("%v, want a truncated frame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("%d bytes allocated, want < 1 MiB", got)
 	}
 }
 
@@ -333,11 +340,28 @@ func TestStreamWriterAccounting(t *testing.T) {
 	sw, _ := NewStreamWriter(&buf)
 	sw.WriteReport(5, testReport(1, 0))
 	sw.WriteReport(6, testReport(2, 0))
+	sw.WriteStamp(6, 2, EpochStamp{SealNs: 1, ShipNs: 2})
 	if sw.Frames() != 2 {
-		t.Errorf("Frames() = %d, want 2", sw.Frames())
+		t.Errorf("Frames() = %d, want 2: stamps are not report frames", sw.Frames())
 	}
-	if sw.Offset() != int64(buf.Len()) {
-		t.Errorf("Offset() = %d, buffer has %d", sw.Offset(), buf.Len())
+	// Read in order, the buffer is the stream header and the three frames,
+	// each a header, its payload and a CRC, back to back.
+	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, frames := streamHeaderLen, 0
+	var f Frame
+	for ; ; frames++ {
+		if err := sr.Next(&f); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		size += frameHeaderLen + len(f.Payload) + 4
+	}
+	if frames != 3 || size != buf.Len() {
+		t.Errorf("read %d frames spanning %d bytes, want 3 spanning the buffer's %d", frames, size, buf.Len())
 	}
 }
 
@@ -361,14 +385,6 @@ func TestStreamStampFrames(t *testing.T) {
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
-	}
-	// Stamp frames do not land in the seek index: it locates reports only.
-	idx, err := ReadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 {
-		t.Errorf("index has %d entries, want 2 (stamps must not be indexed)", len(idx))
 	}
 	// The sequential reader surfaces both reports and stamps, interleaved.
 	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
@@ -398,7 +414,7 @@ func TestStreamStampFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			stamps = append(stamps, st)
-		default: // the trailing index frame is skipped
+		default:
 			t.Errorf("Next surfaced a frame of type %d", f.Type)
 		}
 	}

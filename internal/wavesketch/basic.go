@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"umon/internal/flowkey"
-	"umon/internal/measure"
 	"umon/internal/wavelet"
 )
 
@@ -118,17 +117,6 @@ func (s *Basic) updatePacked(p flowkey.Packed, w int64, v int64) {
 	s.updates++
 	for r, seed := range s.seeds {
 		s.buckets[r*s.cfg.Width+s.width.Index(p.Hash(seed))].Update(w, v)
-	}
-}
-
-// UpdateBatch is equivalent to calling Update for every sample in slice
-// order, with the per-call overhead (interface dispatch, config re-reads)
-// paid once per batch instead of once per packet. The batched path
-// allocates nothing.
-func (s *Basic) UpdateBatch(batch []measure.Sample) {
-	for i := range batch {
-		sm := &batch[i]
-		s.updatePacked(sm.Key.Pack(), sm.Window, sm.Bytes)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"umon/internal/flowkey"
-	"umon/internal/measure"
 )
 
 // FullConfig parameterizes the full version of WaveSketch (§4.2): a heavy
@@ -70,15 +69,6 @@ func (f *Full) Update(k flowkey.Key, w int64, v int64) {
 	p := k.Pack()
 	f.light.updatePacked(p, w, v)
 	f.updateHeavy(k, f.slots.Index(p.Hash(f.cfg.HeavySeed)), w, v)
-}
-
-// UpdateBatch is equivalent to calling Update for every sample in slice
-// order and allocates nothing.
-func (f *Full) UpdateBatch(batch []measure.Sample) {
-	for i := range batch {
-		sm := &batch[i]
-		f.Update(sm.Key, sm.Window, sm.Bytes)
-	}
 }
 
 // updateHeavy runs the majority-vote election on the slot at idx.

@@ -26,13 +26,7 @@ import (
 // entry that has become reachable or has disappeared fails the test too, so
 // the list only shrinks.
 var reachAllow = map[string]string{
-	"internal/timesync":                          "ROADMAP item 2", // §6.1 clock model: wired into per-source watermarks, or deleted
-	"internal/analyzer.Analyzer.SetSwitchOffset": "ROADMAP item 2", // goes the way timesync goes
-	"internal/report.ReadIndex":                  "ROADMAP item 2", // restart-is-replay reads the index hosts already write
-	"internal/report.ReadEpoch":                  "ROADMAP item 2",
-	"internal/mbuf.Pool.Live":                    "ROADMAP item 2", // the leak check behind "memory is a function of flags"
-	"internal/wavesketch.Basic.UpdateBatch":      "ROADMAP item 5", // the batched host path wires it
-	"internal/wavesketch.Full.UpdateBatch":       "ROADMAP item 5",
+	"internal/mbuf.Pool.Live": "ROADMAP item 2", // the leak check behind "memory is a function of flags"
 }
 
 func TestReachable(t *testing.T) {
