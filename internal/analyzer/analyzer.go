@@ -59,9 +59,8 @@ func (e *Event) String() string {
 // Analyzer accumulates measurement inputs.
 type Analyzer struct {
 	// reports holds every ingested report behind the flow→report routing
-	// index, built in place on AddReport — ingest everything first, then
-	// query.
-	reports report.RoutedSet
+	// index, extended on AddReport — ingest everything first, then query.
+	reports *report.RoutedSet
 	// clusters folds the mirror stream into per-port events as it arrives
 	// and holds the ports with a record; free holds the emptied clusterers
 	// the next port to become active takes, recs the unused record chunks.
@@ -86,15 +85,26 @@ func NewWithGap(gapNs int64) *Analyzer {
 		gapNs = defaultGapNs
 	}
 	return &Analyzer{
+		reports:  &report.RoutedSet{},
 		clusters: make(map[netsim.PortID]*portClusterer),
 		gapNs:    gapNs,
 	}
 }
 
 // AddReport ingests one host's decoded WaveSketch report and folds it into
-// the flow→report routing index.
-func (a *Analyzer) AddReport(r *report.HostReport) {
-	a.reports.Append(report.NewQueryable(r))
+// the flow→report routing index. It refuses a report NewQueryable refuses
+// or whose sketch is not the one of the reports before it.
+func (a *Analyzer) AddReport(r *report.HostReport) error {
+	q, err := report.NewQueryable(r)
+	if err != nil {
+		return err
+	}
+	s, err := a.reports.Extend(q)
+	if err != nil {
+		return err
+	}
+	a.reports = s
+	return nil
 }
 
 // AddMirror ingests one mirror record, folding it into the per-port event

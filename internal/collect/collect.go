@@ -29,6 +29,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,20 +184,26 @@ func (c *Collector) Snapshot() *Snapshot { return c.snap.Load() }
 
 // Add admits one decoded host report into the (host, epoch) window,
 // evicting the oldest epoch if the window is over budget. Reports for
-// already-evicted epochs are dropped and counted.
-func (c *Collector) Add(epoch uint64, rep *report.HostReport) {
-	c.AddStamped(epoch, rep, report.EpochStamp{})
+// already-evicted epochs are dropped and counted. A report NewQueryable
+// refuses, or whose sketch is not the one of its epoch's reports, is
+// refused with an error before anything is published.
+func (c *Collector) Add(epoch uint64, rep *report.HostReport) error {
+	return c.AddStamped(epoch, rep, report.EpochStamp{})
 }
 
 // AddStamped admits one decoded host report carrying its seal/ship
-// lifecycle stamp (zero stamp = unstamped legacy input).
-func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.EpochStamp) {
+// lifecycle stamp (zero stamp = unstamped legacy input), or refuses it as
+// Add does.
+func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.EpochStamp) error {
 	cur := c.snap.Load()
 	if epoch < cur.floor {
 		c.stats.LateReports.Inc()
-		return
+		return nil
 	}
-	q := report.NewQueryable(rep)
+	q, err := report.NewQueryable(rep)
+	if err != nil {
+		return err
+	}
 	q.SetStats(c.stats.Decode)
 	if c.cfg.DecodeBudget > 0 {
 		q.SetDecodeBudget(c.cfg.DecodeBudget)
@@ -212,18 +219,21 @@ func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.E
 	}
 	i := sort.Search(len(ns.epochs), func(i int) bool { return ns.epochs[i] >= epoch })
 	if i < len(ns.epochs) && ns.epochs[i] == epoch {
-		ei, added := ns.eps[i].withReport(rep.Host, q)
+		ei, added, err := ns.eps[i].withReport(rep.Host, q)
+		if err != nil {
+			return err
+		}
 		ns.eps[i] = ei
 		if added {
 			ns.resident++
 		}
 	} else {
-		ns.epochs = append(ns.epochs, 0)
-		copy(ns.epochs[i+1:], ns.epochs[i:])
-		ns.epochs[i] = epoch
-		ns.eps = append(ns.eps, nil)
-		copy(ns.eps[i+1:], ns.eps[i:])
-		ns.eps[i], _ = (&epochIndex{epoch: epoch, set: &report.RoutedSet{}}).withReport(rep.Host, q)
+		ei, _, err := (&epochIndex{epoch: epoch, set: &report.RoutedSet{}}).withReport(rep.Host, q)
+		if err != nil {
+			return err
+		}
+		ns.epochs = slices.Insert(ns.epochs, i, epoch)
+		ns.eps = slices.Insert(ns.eps, i, ei)
 		ns.resident++
 		c.stats.EpochsIngested.Inc()
 	}
@@ -236,6 +246,7 @@ func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.E
 	}
 	c.stats.WindowResident.Set(int64(ns.resident))
 	c.publish(ns, admitNs)
+	return nil
 }
 
 // AddEncoded decodes one framed report payload and admits it.
@@ -244,8 +255,7 @@ func (c *Collector) AddEncoded(epoch uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	c.Add(epoch, rep)
-	return nil
+	return c.Add(epoch, rep)
 }
 
 // Stamp backfills the seal/ship lifecycle stamp of an already-admitted

@@ -44,21 +44,28 @@ type epochIndex struct {
 
 // withReport returns a successor index with q admitted for host. added
 // reports whether residency grew (false on a host re-admission, which
-// replaces the previous report and rebuilds this epoch's routing index).
-func (ei *epochIndex) withReport(host int, q *report.Queryable) (ni *epochIndex, added bool) {
+// replaces the previous report and rebuilds this epoch's routing index). It
+// returns the set's refusal of q.
+func (ei *epochIndex) withReport(host int, q *report.Queryable) (ni *epochIndex, added bool, err error) {
 	if i := slices.Index(ei.hosts, host); i >= 0 {
-		ni = &epochIndex{epoch: ei.epoch, hosts: append([]int(nil), ei.hosts...), set: &report.RoutedSet{}}
+		set := &report.RoutedSet{}
 		for j, qq := range ei.set.Queryables() {
 			if j == i {
 				qq = q
 			}
-			ni.set.Append(qq)
+			if set, err = set.Extend(qq); err != nil {
+				return nil, false, err
+			}
 		}
-		return ni, false
+		return &epochIndex{epoch: ei.epoch, hosts: append([]int(nil), ei.hosts...), set: set}, false, nil
+	}
+	set, err := ei.set.Extend(q)
+	if err != nil {
+		return nil, false, err
 	}
 	// hosts grows as the set's arrays do: past ei's length, where no reader
 	// of ei looks.
-	return &epochIndex{epoch: ei.epoch, hosts: append(ei.hosts, host), set: ei.set.Extend(q)}, true
+	return &epochIndex{epoch: ei.epoch, hosts: append(ei.hosts, host), set: set}, true, nil
 }
 
 // Snapshot is an immutable point-in-time view of the collector's window

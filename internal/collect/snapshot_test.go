@@ -21,7 +21,9 @@ import (
 // postings.
 func mkFullReport(t testing.TB, host int, w0 int64, dominant flowkey.Key, bulk []flowkey.Key) *report.HostReport {
 	t.Helper()
-	f, err := wavesketch.NewFull(wavesketch.DefaultFull())
+	cfg := wavesketch.DefaultFull()
+	cfg.Light.Rows = 3 // mkReport's sketch: the reports of an epoch share one
+	f, err := wavesketch.NewFull(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

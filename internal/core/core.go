@@ -170,8 +170,7 @@ func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System
 		if err != nil {
 			return err
 		}
-		an.AddReport(rep)
-		return nil
+		return an.AddReport(rep)
 	}), an.AddMirrorPacket)
 	if err != nil {
 		return nil, err

@@ -179,11 +179,11 @@ func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 	if decodeErr != nil || len(got) != idle+1 {
 		t.Fatalf("shipped %d reports (decode error %v), want %d", len(got), decodeErr, idle+1)
 	}
-	if est := report.NewQueryable(got[0]).QueryRange(f, 0, 1); est[0] != 1000 {
+	if est := queryable(t, got[0]).QueryRange(f, 0, 1); est[0] != 1000 {
 		t.Errorf("the epoch with a packet estimates %v bytes for it, want 1000", est[0])
 	}
 	for e, rep := range got[1:] {
-		lo, hi := report.NewQueryable(rep).Span()
+		lo, hi := queryable(t, rep).Span()
 		if want := int64(e+1) * periodNs >> 13; lo <= hi || rep.PeriodStart != want {
 			t.Fatalf("idle epoch %d: curves over [%d, %d), period start %d (want none, %d)", e+1, lo, hi, rep.PeriodStart, want)
 		}
@@ -208,6 +208,17 @@ func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 	}
 }
 
+// queryable indexes a report the monitor shipped, which NewQueryable must
+// admit.
+func queryable(t *testing.T, rep *report.HostReport) *report.Queryable {
+	t.Helper()
+	q, err := report.NewQueryable(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // TestStreamMonitorStampsItsWindowShift: the header carries the shift the
 // monitor turns nanoseconds into windows by, not the default.
 func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
@@ -230,7 +241,7 @@ func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
 	if got == nil || got.WindowShift != 10 || got.PeriodStart != 3_000_000>>10 {
 		t.Fatalf("shipped %+v, want WindowShift 10 and period start %d", got, 3_000_000>>10)
 	}
-	if w0, _ := report.NewQueryable(got).Span(); w0 != got.PeriodStart+5 {
+	if w0, _ := queryable(t, got).Span(); w0 != got.PeriodStart+5 {
 		t.Errorf("the packet landed in window %d, want %d", w0, got.PeriodStart+5)
 	}
 }

@@ -114,7 +114,9 @@ func Fig10EventReplay(c *Cache) (*Table, error) {
 			full.Update(rec.Flow, measure.WindowOf(rec.Ns), int64(rec.Size))
 		}
 		full.Seal()
-		a.AddReport(report.FromFull(h, 0, full))
+		if err := a.AddReport(report.FromFull(h, 0, full)); err != nil {
+			return nil, err
+		}
 	}
 	// Switch side: 1/64-sampled CE mirroring.
 	mirrors := uevent.Capture(sim.Trace.CELog, uevent.ACLRule{SampleBits: 6}, 0)

@@ -9,32 +9,13 @@ package netsim
 // epoch and cut cwnd by α/2; growth is standard slow start + congestion
 // avoidance; loss (go-back-N NAK or a stall timeout) halves the window.
 
-// DCTCPConfig parameterizes window-based flows.
-type DCTCPConfig struct {
-	// MSSBytes is the segment payload (defaults to PayloadBytes).
-	MSSBytes int64
-	// InitCwndSegments is the initial window in segments (default 10).
-	InitCwndSegments int64
-	// G is the α EWMA gain (paper: 1/16).
-	G float64
-	// RTONs is the stall-recovery timeout (default 500 µs).
-	RTONs int64
-}
-
-func (c *DCTCPConfig) fill() {
-	if c.MSSBytes <= 0 {
-		c.MSSBytes = PayloadBytes
-	}
-	if c.InitCwndSegments <= 0 {
-		c.InitCwndSegments = 10
-	}
-	if c.G <= 0 {
-		c.G = 1.0 / 16
-	}
-	if c.RTONs <= 0 {
-		c.RTONs = 500_000
-	}
-}
+// The parameters of every window-based flow, whose segment payload (MSS)
+// is PayloadBytes.
+const (
+	dctcpInitCwndSegments = 10       // the initial window
+	dctcpG                = 1.0 / 16 // the α EWMA gain (paper: 1/16)
+	dctcpRTONs            = 500_000  // the stall-recovery timeout: 500 µs
+)
 
 // --- engine integration: zero-closure self-rearming RTO chain ---
 
@@ -48,7 +29,7 @@ func (h *host) armRTOTimer(fs *flowState) {
 	}
 	fs.rtoArmed = true
 	e := h.sh.eng
-	e.push(event{at: e.now + fs.win.cfg.RTONs, kind: evRTO, host: h, flow: fs})
+	e.push(event{at: e.now + dctcpRTONs, kind: evRTO, host: h, flow: fs})
 }
 
 // rtoTick runs one evRTO event: on a stall past the timeout, presume tail
@@ -59,20 +40,18 @@ func (h *host) rtoTick(fs *flowState) {
 		fs.rtoArmed = false
 		return
 	}
-	rto := fs.win.cfg.RTONs
 	now := h.sh.eng.Now()
-	if fs.psn > fs.ackedPSN && now-fs.lastProgressNs >= rto {
+	if fs.psn > fs.ackedPSN && now-fs.lastProgressNs >= dctcpRTONs {
 		h.rewind(fs, fs.ackedPSN)
 		fs.win.onLoss()
 		fs.lastProgressNs = now
 		h.trySendWindow(fs)
 	}
-	h.sh.eng.push(event{at: now + rto, kind: evRTO, host: h, flow: fs})
+	h.sh.eng.push(event{at: now + dctcpRTONs, kind: evRTO, host: h, flow: fs})
 }
 
 // dctcpState is the per-flow window controller.
 type dctcpState struct {
-	cfg      DCTCPConfig
 	cwnd     float64 // bytes
 	ssthresh float64
 	alpha    float64
@@ -83,11 +62,9 @@ type dctcpState struct {
 	cutDone  bool
 }
 
-func newDCTCPState(cfg DCTCPConfig) *dctcpState {
-	cfg.fill()
+func newDCTCPState() *dctcpState {
 	return &dctcpState{
-		cfg:      cfg,
-		cwnd:     float64(cfg.InitCwndSegments * cfg.MSSBytes),
+		cwnd:     dctcpInitCwndSegments * PayloadBytes,
 		ssthresh: 1e18, // slow start until the first congestion signal
 	}
 }
@@ -108,7 +85,7 @@ func (d *dctcpState) onAck(ece bool, nextPSN uint32) {
 		}
 	}
 	// Window growth.
-	mss := float64(d.cfg.MSSBytes)
+	const mss = PayloadBytes
 	if d.cwnd < d.ssthresh {
 		d.cwnd += mss // slow start: +1 MSS per ACK
 	} else {
@@ -120,7 +97,7 @@ func (d *dctcpState) onAck(ece bool, nextPSN uint32) {
 func (d *dctcpState) onEpochEnd() {
 	if d.ackCnt > 0 {
 		f := float64(d.ecnCnt) / float64(d.ackCnt)
-		d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G*f
+		d.alpha = (1-dctcpG)*d.alpha + dctcpG*f
 	}
 	d.ackCnt, d.ecnCnt = 0, 0
 	d.cutDone = false
@@ -134,7 +111,7 @@ func (d *dctcpState) onLoss() {
 }
 
 func (d *dctcpState) clampCwnd() {
-	if min := float64(d.cfg.MSSBytes); d.cwnd < min {
-		d.cwnd = min
+	if d.cwnd < PayloadBytes {
+		d.cwnd = PayloadBytes
 	}
 }

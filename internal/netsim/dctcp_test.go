@@ -3,7 +3,7 @@ package netsim
 import "testing"
 
 func TestDCTCPStateMachine(t *testing.T) {
-	d := newDCTCPState(DCTCPConfig{})
+	d := newDCTCPState()
 	initial := d.cwnd
 	if initial != 10*PayloadBytes {
 		t.Fatalf("initial cwnd = %v, want 10 MSS", initial)
@@ -142,52 +142,11 @@ func TestGoBackNRecoversFromLoss(t *testing.T) {
 	}
 }
 
-func TestReliableRateFlowRewindsOnNAK(t *testing.T) {
-	// Rate-based reliable (RoCE RC) flows under drop pressure must
-	// retransmit via NAKs and deliver in order up to the tail.
-	topo, _ := Dumbbell(4)
-	cfg := DefaultConfig(topo)
-	cfg.BufferBytes = 60 << 10
-	n, _ := New(cfg)
-	const size = 2_000_000
-	var ids []int32
-	for s := 0; s < 4; s++ {
-		id, _ := n.AddFlow(FlowSpec{Src: s, Dst: 4, Bytes: size, Reliable: true})
-		ids = append(ids, id)
-	}
-	tr := n.Run(40_000_000)
-	var retrans, rx int64
-	for _, id := range ids {
-		retrans += tr.Flows[id].Retransmits
-		rx += tr.Flows[id].RxBytes
-	}
-	if retrans == 0 {
-		t.Skip("no retransmissions triggered")
-	}
-	// In-order delivery never exceeds the flow size.
-	for _, id := range ids {
-		if tr.Flows[id].RxBytes > size {
-			t.Errorf("flow %d over-delivered: %d > %d", id, tr.Flows[id].RxBytes, size)
-		}
-	}
-	if rx == 0 {
-		t.Error("nothing delivered")
-	}
-}
-
 func TestAddFlowRejectsConflictingModes(t *testing.T) {
 	topo, _ := Dumbbell(1)
 	n, _ := New(DefaultConfig(topo))
 	if _, err := n.AddFlow(FlowSpec{Src: 0, Dst: 1, Bytes: 10, CC: CCDCTCP, FixedRateBps: 1e9}); err == nil {
 		t.Error("DCTCP + fixed rate must be rejected")
-	}
-}
-
-func TestDCTCPConfigDefaults(t *testing.T) {
-	var c DCTCPConfig
-	c.fill()
-	if c.MSSBytes != PayloadBytes || c.InitCwndSegments != 10 || c.G != 1.0/16 || c.RTONs != 500_000 {
-		t.Errorf("defaults = %+v", c)
 	}
 }
 

@@ -212,7 +212,7 @@ func TestTimerArmIdempotentAndDisarming(t *testing.T) {
 		t.Error("alpha chain did not disarm on finish")
 	}
 
-	fsw := &flowState{win: newDCTCPState(DCTCPConfig{})}
+	fsw := &flowState{win: newDCTCPState()}
 	h.armRTOTimer(fsw)
 	p1 = n.eng.Pending()
 	h.armRTOTimer(fsw)
@@ -220,7 +220,7 @@ func TestTimerArmIdempotentAndDisarming(t *testing.T) {
 		t.Errorf("double RTO arm grew pending %d → %d", p1, got)
 	}
 	fsw.finished = true
-	n.eng.Run(n.eng.Now() + 2*fsw.win.cfg.RTONs)
+	n.eng.Run(n.eng.Now() + 2*dctcpRTONs)
 	if n.eng.Pending() != 0 || fsw.rtoArmed {
 		t.Error("finished window flow did not disarm its RTO chain")
 	}

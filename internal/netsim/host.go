@@ -28,9 +28,6 @@ type FlowSpec struct {
 	StartNs  int64
 	// CC selects the congestion controller (default DCQCN).
 	CC CCAlgo
-	// Reliable enables RoCE RC go-back-N retransmission for rate-based
-	// flows (CCDCTCP is always reliable).
-	Reliable bool
 	// FixedRateBps disables congestion control and paces at a constant
 	// rate (used by the Figure 9 on-off contender). 0 selects CC.
 	FixedRateBps float64
@@ -50,13 +47,12 @@ type flowState struct {
 	blocked   bool
 	finished  bool
 
-	// Reliability / window mode.
-	reliable       bool
+	// Window mode (DCTCP, go-back-N); win is nil for a rate flow.
 	win            *dctcpState
 	ackedPSN       uint32
 	lastProgressNs int64
-	// pacing marks a scheduled self-paced inject event (rate flows), so a
-	// NAK rewind knows whether to restart the chain.
+	// pacing marks a window flow's scheduled on-off resume, so its off
+	// phase schedules one.
 	pacing bool
 	// ccArmed / rtoArmed make timer arming idempotent: each self-rearming
 	// typed tick chain exists at most once per flow, a stale tick after
@@ -130,14 +126,10 @@ func (n *Network) AddFlow(spec FlowSpec) (int32, error) {
 	fs.cc = newDCQCNState(n.cfg.DCQCN)
 	switch {
 	case spec.CC == CCDCTCP:
-		fs.reliable = true
-		fs.win = newDCTCPState(DCTCPConfig{})
+		fs.win = newDCTCPState()
 	case spec.FixedRateBps > 0:
 		fs.cc.rc = spec.FixedRateBps
 		fs.cc.fixed = true
-		fs.reliable = spec.Reliable
-	default:
-		fs.reliable = spec.Reliable
 	}
 	h.flows[id] = fs
 	n.trace.Flows = append(n.trace.Flows, FlowStat{
@@ -168,11 +160,8 @@ func (h *host) inject(fs *flowState) {
 		h.trySendWindow(fs)
 		return
 	}
-	fs.pacing = false
 	if fs.finished || fs.remaining <= 0 {
-		if !fs.reliable {
-			fs.finished = true
-		}
+		fs.finished = true
 		return
 	}
 	now := h.sh.eng.Now()
@@ -198,16 +187,13 @@ func (h *host) inject(fs *flowState) {
 
 	size := h.sendSegment(fs)
 	if fs.remaining <= 0 {
-		if !fs.reliable {
-			fs.finished = true
-		}
+		fs.finished = true
 		return
 	}
 	gapNs := int64(float64(size) * 8 / fs.cc.rc * 1e9)
 	if gapNs < 1 {
 		gapNs = 1
 	}
-	fs.pacing = true
 	h.sh.eng.afterInject(gapNs, h, fs)
 }
 
@@ -264,7 +250,6 @@ func (h *host) sendSegment(fs *flowState) int32 {
 		ECT:    true,
 		SentNs: now,
 		Last:   fs.remaining == 0,
-		Rel:    fs.reliable,
 		Win:    fs.win != nil,
 	}
 	fs.psn++
@@ -276,7 +261,8 @@ func (h *host) sendSegment(fs *flowState) int32 {
 	return size
 }
 
-// rewind implements the go-back-N sender: resume from PSN `to`.
+// rewind implements the go-back-N sender: resume from PSN `to`. The
+// window flow is driven on by ACKs and trySendWindow.
 func (h *host) rewind(fs *flowState, to uint32) {
 	if to >= fs.psn {
 		return
@@ -286,12 +272,6 @@ func (h *host) rewind(fs *flowState, to uint32) {
 	fs.psn = to
 	fs.remaining = fs.spec.Bytes - int64(to)*PayloadBytes
 	fs.finished = false
-	// Restart a rate flow's pacing chain if it has stopped (window flows
-	// are driven by ACKs and trySendWindow).
-	if fs.win == nil && !fs.pacing && !fs.blocked {
-		fs.pacing = true
-		h.sh.eng.afterInject(1, h, fs)
-	}
 }
 
 // onPortDrained wakes injection-blocked flows once the NIC queue has room.
@@ -315,7 +295,7 @@ func (h *host) receive(pkt *Packet) {
 	now := h.sh.eng.Now()
 	switch pkt.Type {
 	case Data:
-		if pkt.Rel {
+		if pkt.Win {
 			h.receiveReliable(pkt, now)
 			return
 		}
@@ -333,20 +313,18 @@ func (h *host) receive(pkt *Packet) {
 	case ACK:
 		h.receiveAck(pkt, now)
 	case NAK:
-		if fs, ok := h.flows[pkt.FlowID]; ok && fs.reliable {
+		if fs, ok := h.flows[pkt.FlowID]; ok && fs.win != nil {
 			h.rewind(fs, pkt.PSN)
-			if fs.win != nil {
-				fs.win.onLoss()
-				fs.lastProgressNs = now
-				h.trySendWindow(fs)
-			}
+			fs.win.onLoss()
+			fs.lastProgressNs = now
+			h.trySendWindow(fs)
 		}
 	}
 }
 
-// receiveReliable is the go-back-N receiver: in-order segments deliver
-// (and, for window flows, generate cumulative ACKs echoing CE); gaps NAK
-// once per expected PSN; duplicates re-ACK.
+// receiveReliable is the go-back-N receiver of a window flow: in-order
+// segments deliver and are ACKed cumulatively, echoing CE; gaps NAK once
+// per expected PSN; duplicates re-ACK.
 func (h *host) receiveReliable(pkt *Packet, now int64) {
 	id := pkt.FlowID
 	st := &h.net.trace.Flows[id]
@@ -358,11 +336,7 @@ func (h *host) receiveReliable(pkt *Packet, now int64) {
 		h.expected[id] = exp
 		st.RxBytes += int64(pkt.Size) - HeaderBytes
 		delete(h.nakFor, id)
-		if pkt.Win {
-			h.sendCtl(pkt, ACK, exp, pkt.CE)
-		} else if pkt.CE {
-			h.maybeCNP(pkt, now)
-		}
+		h.sendCtl(pkt, ACK, exp, pkt.CE)
 	case pkt.PSN > exp:
 		// Out of sequence: discard, NAK the expected PSN once.
 		if got, ok := h.nakFor[id]; !ok || got != exp {
@@ -371,9 +345,7 @@ func (h *host) receiveReliable(pkt *Packet, now int64) {
 		}
 	default:
 		// Duplicate from a rewind: refresh the cumulative ACK.
-		if pkt.Win {
-			h.sendCtl(pkt, ACK, exp, pkt.CE)
-		}
+		h.sendCtl(pkt, ACK, exp, pkt.CE)
 	}
 }
 

@@ -54,9 +54,7 @@ type Packet struct {
 	SentNs int64
 	// Last reports whether this is the flow's final data segment.
 	Last bool
-	// Rel marks a go-back-N (reliable) flow's segment; Win marks a
-	// window-based (DCTCP) flow's segment, whose receiver ACKs
-	// cumulatively and echoes CE.
-	Rel bool
+	// Win marks a window-based (DCTCP) flow's segment, whose go-back-N
+	// receiver ACKs cumulatively and echoes CE.
 	Win bool
 }

@@ -77,7 +77,7 @@ func shardScenarios() []shardScenario {
 				n.AddFlow(FlowSpec{Src: 1, Dst: 15, Bytes: 8_000_000, CC: CCDCTCP, StartNs: 5_000})
 				n.AddFlow(FlowSpec{Src: 2, Dst: 15, Bytes: 1 << 30, FixedRateBps: 60e9,
 					OnNs: 100_000, OffNs: 150_000})
-				n.AddFlow(FlowSpec{Src: 3, Dst: 14, Bytes: 4_000_000, Reliable: true, StartNs: 12_345})
+				n.AddFlow(FlowSpec{Src: 3, Dst: 14, Bytes: 4_000_000, CC: CCDCTCP, StartNs: 12_345})
 			},
 		},
 		{

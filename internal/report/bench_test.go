@@ -34,7 +34,7 @@ func benchQueryable(b *testing.B, heavyFlows int) (*Queryable, []flowkey.Key) {
 		}
 	}
 	full.Seal()
-	q := NewQueryable(FromFull(0, 0, full))
+	q := mustQueryable(b, FromFull(0, 0, full))
 	if got := len(q.HeavyFlows()); got < heavyFlows/2 {
 		b.Fatalf("only %d heavy entries elected, want ≥ %d", got, heavyFlows/2)
 	}
@@ -166,7 +166,7 @@ func BenchmarkQueryColdCurve(b *testing.B) {
 			if i%len(qs) == 0 {
 				b.StopTimer()
 				for j := range qs {
-					qs[j] = NewQueryable(rep)
+					qs[j] = mustQueryable(b, rep)
 				}
 				b.StartTimer()
 			}

@@ -35,10 +35,12 @@ func v1Bytes(tb testing.TB, r *slabReport) []byte {
 // exactly what the plain reference decoder accepts; a payload the version 1
 // reference reads is refused by its version. An accepted payload is what
 // the report re-encodes to, and indexed it reads back field for field what
-// the reference read (slabsOf). Its Queryable answers Span, Route and
-// QueryRange bit for bit as the reference's slabs do — indexed in turn, and
-// in the map-indexed oracle — for every heavy key, the fixtures' flows and
-// a seeded random set, over the whole span and a part of it. The slabs
+// the reference read (slabs). NewQueryable refuses it exactly when a heavy
+// key's light bucket is missing in some row; else its Queryable answers
+// Span, Route and QueryRange bit for bit as the reference's slabs do —
+// indexed in turn, and in the map-indexed oracle — for every heavy key, the
+// fixtures' flows and a seeded random set, over the whole span and a part
+// of it. The slabs
 // survive the trip through version 1 bytes, and re-encode to their
 // canonical form — the details reconstruction uses, in tree order — and
 // byte-stably.
@@ -81,16 +83,22 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	if got.Meta.Rows*got.Meta.Width > 1<<20 {
 		return
 	}
-	q := NewQueryable(got)
-	if s := slabsOf(q); !reflect.DeepEqual(s, want) {
+	if s := slabs(got); !reflect.DeepEqual(s, want) {
 		t.Fatalf("the payload reads back as\n%+v\nwant %+v", s, want)
+	}
+	// NewQueryable refuses exactly the reports with a heavy key whose light
+	// bucket is missing in some row.
+	oracle := newOracleQueryable(want)
+	q, qerr := NewQueryable(got)
+	if (qerr == nil) != oracle.routable() {
+		t.Fatalf("NewQueryable err = %v, yet every heavy key's buckets there is %v", qerr, oracle.routable())
 	}
 	// A query reconstructs a curve to as many samples as its |A| and len
 	// say: past 2¹⁶ of them, likewise.
-	if !smallCurves(want) {
+	if qerr != nil || !smallCurves(want) {
 		return
 	}
-	ref, oracle := NewQueryable(build(t, want)), newOracleQueryable(want)
+	ref := mustQueryable(t, build(t, want))
 	lo, hi := q.Span()
 	if rlo, rhi := ref.Span(); lo != rlo || hi != rhi {
 		t.Fatalf("span [%d, %d), from the slabs [%d, %d)", lo, hi, rlo, rhi)
@@ -102,16 +110,13 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 		}
 		ranges = [][2]int64{{lo, lo + w}, {lo + w/4, lo + w/2}}
 	}
-	var g, rg RouteGroups
-	g.Append(q)
-	rg.Append(ref)
+	g, rg := mustExtend(t, &RoutedSet{}, q), mustExtend(t, &RoutedSet{}, ref)
 	for _, k := range append(q.HeavyFlows(), checkedFlows...) {
-		// Whatever decodes routes: the index finds the report for a flow
-		// exactly when MightSee does, whether or not a heavy flow's light
-		// buckets came with it.
+		// Whatever NewQueryable admits routes: the index finds the report
+		// for a flow exactly when MightSee does.
 		ids := g.Route(k, math.MinInt64, math.MaxInt64, nil)
 		if want := routeOracle([]*Queryable{q}, k, math.MinInt64, math.MaxInt64); !slices.Equal(ids, want) {
-			t.Fatalf("Route(%s) = %v, want %v (orphans %v)", k, ids, want, q.Orphans())
+			t.Fatalf("Route(%s) = %v, want %v", k, ids, want)
 		}
 		if rids := rg.Route(k, math.MinInt64, math.MaxInt64, nil); !slices.Equal(ids, rids) || q.MightSee(k) != oracle.MightSee(k) {
 			t.Fatalf("Route(%s) = %v, from the slabs %v", k, ids, rids)
@@ -499,15 +504,15 @@ func TestDecodedSlicesAreClipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy := NewQueryable(rep).HeavyFlows()[0]
-	before := NewQueryable(rep).QueryRange(heavy, 0, 512)
+	heavy := mustQueryable(t, rep).HeavyFlows()[0]
+	before := mustQueryable(t, rep).QueryRange(heavy, 0, 512)
 	clear(enc)
 	out := rep.AppendEncode(make([]byte, 0, 1<<20))
 	clear(out)
 	if got := rep.AppendEncode(nil); !bytes.Equal(got, want) {
 		t.Fatal("the decoded report's payload changed with the bytes around it")
 	}
-	if after := NewQueryable(rep).QueryRange(heavy, 0, 512); !slices.Equal(after, before) {
+	if after := mustQueryable(t, rep).QueryRange(heavy, 0, 512); !slices.Equal(after, before) {
 		t.Fatal("the decoded report answers differently once the bytes around it changed")
 	}
 }
@@ -618,7 +623,7 @@ func TestAppendEncodeGolden(t *testing.T) {
 			t.Errorf("%s: version 2 and version 1 decode apart (err %v)", c.name, err)
 		}
 	}
-	if len(NewQueryable(table1Report(t, 3)).HeavyFlows()) == 0 {
+	if len(mustQueryable(t, table1Report(t, 3)).HeavyFlows()) == 0 {
 		t.Error("the Table 1 fixture elected no heavy flow")
 	}
 }

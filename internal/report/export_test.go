@@ -3,6 +3,7 @@ package report
 import (
 	"errors"
 	"io"
+	"testing"
 
 	"umon/internal/flowkey"
 )
@@ -19,9 +20,6 @@ func (q *Queryable) HeavyFlows() []flowkey.Key {
 	return out
 }
 
-// Orphans lists the heavy flows the row bitmaps cannot route.
-func (q *Queryable) Orphans() []flowkey.Key { return q.orphans }
-
 // IsHeavy reports whether the flow has a dedicated heavy entry.
 func (q *Queryable) IsHeavy(f flowkey.Key) bool {
 	_, ok := q.heavy[f]
@@ -33,7 +31,7 @@ func (q *Queryable) IsHeavy(f flowkey.Key) bool {
 // a non-empty bucket at the flow's hash position. When it returns false the
 // flow's estimate is identically zero. It is the per-report predicate the
 // routing index answers for many reports at once, and the reference
-// TestRouteGroupsMatchesMightSee holds Route to.
+// TestRoutedSetMatchesMightSee holds Route to.
 func (q *Queryable) MightSee(f flowkey.Key) bool {
 	if _, ok := q.heavy[f]; ok {
 		return true
@@ -90,4 +88,29 @@ func ReadStream(r io.Reader) (reports []EpochReport, badFrames int, err error) {
 		}
 		reports = append(reports, EpochReport{Epoch: f.Epoch, Report: rep})
 	}
+}
+
+// SketchReports are the reports benchReports' sketches make, eight hosts
+// of each geometry, by geometry: what every admission path must take.
+func SketchReports(tb testing.TB) map[string][]*HostReport {
+	out := map[string][]*HostReport{}
+	for _, c := range benchReports {
+		for host := 0; host < 8; host++ {
+			out[c.name] = append(out[c.name], c.build(tb, host))
+		}
+	}
+	return out
+}
+
+// OrphanReports are the orphanReports fixtures in which a heavy key's
+// light bucket is missing: what every admission path must refuse.
+func OrphanReports(tb testing.TB) map[string]*HostReport {
+	orphaned, _ := orphanReports(tb)
+	out := map[string]*HostReport{}
+	for name, r := range orphaned {
+		if name != "whole" {
+			out[name] = build(tb, r)
+		}
+	}
+	return out
 }

@@ -403,14 +403,14 @@ func oracleDecodeV2(data []byte) (*slabReport, error) {
 	return r, nil
 }
 
-// slabsOf is the slab fill a decode ran before reports were kept as their
-// payloads: every curve of q's report parsed into slices of its own, in
-// the form the sealing side exports — exactly what oracleDecodeV2 builds
-// from the same bytes. It reads the buckets' positions off the row bitmaps
-// and each curve off its entry's offset, so it checks the index as much as
-// the parser.
-func slabsOf(q *Queryable) *slabReport {
-	rep := q.rep
+// slabs is the slab fill a decode ran before reports were kept as their
+// payloads: every curve of rep parsed into slices of its own, in the form
+// the sealing side exports — exactly what oracleDecodeV2 builds from the
+// same bytes. It reads the buckets' positions off the row bitmaps and each
+// curve off its entry's offset, so it checks the index as much as the
+// parser.
+func slabs(rep *HostReport) *slabReport {
+	q := &Queryable{rep: rep} // what parsing a curve reads
 	r := &slabReport{Host: rep.Host, PeriodStart: rep.PeriodStart, WindowShift: rep.WindowShift, Meta: rep.Meta}
 	curve := func(c int32) (w0 int64, length int, approx []int64, details []wavelet.DetailRef) {
 		w0, _ = q.meets(c, 0, 0)
@@ -418,27 +418,23 @@ func slabsOf(q *Queryable) *slabReport {
 		length = q.parseCurve(rep.curves[c], s)
 		return w0, length, s.approx, s.details
 	}
-	for row := range q.seeds {
-		for w, word := range q.RowBits(row) {
-			for ; word != 0; word &= word - 1 {
-				b := wavesketch.BucketExport{Row: row, Index: w<<6 + bits.TrailingZeros64(word)}
-				b.W0, b.Len, b.Approx, b.Details = curve(q.bucket(b.Row, b.Index))
-				r.Buckets = append(r.Buckets, b)
-			}
+	words := (rep.Meta.Width + 63) / 64
+	c := int32(0) // buckets are numbered in (row, index) order
+	for w, word := range rep.rowBits {
+		for ; word != 0; word &= word - 1 {
+			b := wavesketch.BucketExport{Row: w / words, Index: w%words<<6 + bits.TrailingZeros64(word)}
+			b.W0, b.Len, b.Approx, b.Details = curve(c)
+			r.Buckets = append(r.Buckets, b)
+			c++
 		}
 	}
-	nb := len(rep.curves) - len(rep.keys)
 	for i, k := range rep.keys {
 		h := wavesketch.HeavyExport{Key: k}
-		h.W0, h.Len, h.Approx, h.Details = curve(int32(nb + i))
+		h.W0, h.Len, h.Approx, h.Details = curve(c + int32(i))
 		r.Heavy = append(r.Heavy, h)
 	}
 	return r
 }
-
-// slabs is r's curves as the sealing side holds them, read back off its
-// encoding.
-func slabs(r *HostReport) *slabReport { return slabsOf(NewQueryable(r)) }
 
 // canonical is the report reconstruction sees: in every curve only the
 // details inside its tree, the last of any that share a (level, index), in
@@ -547,6 +543,19 @@ func newOracleQueryable(r *slabReport) *oracleQueryable {
 }
 
 func (q *oracleQueryable) IsHeavy(f flowkey.Key) bool { return q.heavy[f] != nil }
+
+// routable reports whether every heavy key's light bucket is there in
+// every row: what NewQueryable admits.
+func (q *oracleQueryable) routable() bool {
+	for _, k := range q.heavyKeys {
+		for r := range q.seeds {
+			if q.buckets[[2]int{r, int(k.Hash(q.seeds[r]) % q.width)}] == nil {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 func (q *oracleQueryable) MightSee(f flowkey.Key) bool {
 	if q.heavy[f] != nil {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -52,11 +53,6 @@ type Queryable struct {
 	heavy map[flowkey.Key]int32
 	coloc []int32
 	colAt []uint32
-	// orphans are the heavy keys whose light bucket is missing in some row:
-	// their heavy entry alone answers them, so the row bitmaps cannot route
-	// them. A sketch counts every packet in its light part, so its reports
-	// have none.
-	orphans []flowkey.Key
 	// stats is a value copy of the optional decode telemetry (zero value =
 	// disabled; every handle nil-checks itself).
 	stats QueryStats
@@ -96,10 +92,12 @@ func (q *Queryable) ResidentCurves() int { return int(q.resident.Load()) }
 
 // NewQueryable indexes a report for queries. parse has found its curves,
 // bitmaps and heavy keys; what is left is what hashing and counting derive
-// from them — the rank, the heavy map, the colocation lists and the
-// orphans. The curve caches wait for the first cold decode. It panics on a
-// report parse did not make.
-func NewQueryable(r *HostReport) *Queryable {
+// from them — the rank, the heavy map and the colocation lists. The curve
+// caches wait for the first cold decode. A sketch counts every packet in
+// its light part, so a heavy key's light bucket is there in every row; a
+// report where one is missing is refused, as the routing index could not
+// find it. It panics on a report parse did not make.
+func NewQueryable(r *HostReport) (*Queryable, error) {
 	if r.wire == nil {
 		panic("report: NewQueryable of a HostReport that Decode, DecodeBytes, FromBasic or FromFull did not make")
 	}
@@ -115,7 +113,7 @@ func NewQueryable(r *HostReport) *Queryable {
 		n += bits.OnesCount64(word)
 	}
 	if len(r.keys) == 0 {
-		return q
+		return q, nil
 	}
 	q.heavy = make(map[flowkey.Key]int32, len(r.keys))
 	keys := make([]flowkey.Key, 0, len(r.keys)) // report order
@@ -130,25 +128,19 @@ func NewQueryable(r *HostReport) *Queryable {
 	// light estimate does not depend on the heavy-set size. Two passes over
 	// the (heavy flow, row) hits: count per bucket into colAt and sum the
 	// counts up to each bucket's end, then fill backwards, moving each
-	// bucket's end down to its start. A key that misses a bucket on the way
-	// is an orphan.
+	// bucket's end down to its start.
 	rows := len(q.seeds)
 	hits := make([]int32, 0, len(keys)*rows)
 	q.colAt = make([]uint32, n+1)
 	for _, k := range keys {
 		p := k.Pack()
-		routed := true
-		for r := range q.seeds {
-			b := q.bucket(r, q.width.Index(p.Hash(q.seeds[r])))
-			if b >= 0 {
-				q.colAt[b]++
-			} else {
-				routed = false
+		for row, seed := range q.seeds {
+			b := q.bucket(row, q.width.Index(p.Hash(seed)))
+			if b < 0 {
+				return nil, fmt.Errorf("report: host %d: heavy flow %s has no light bucket in row %d", r.Host, k, row)
 			}
+			q.colAt[b]++
 			hits = append(hits, b)
-		}
-		if !routed {
-			q.orphans = append(q.orphans, k)
 		}
 	}
 	for b := 1; b <= n; b++ {
@@ -156,12 +148,11 @@ func NewQueryable(r *HostReport) *Queryable {
 	}
 	q.coloc = make([]int32, q.colAt[n])
 	for i := len(hits) - 1; i >= 0; i-- {
-		if b := hits[i]; b >= 0 {
-			q.colAt[b]--
-			q.coloc[q.colAt[b]] = q.heavy[keys[i/rows]]
-		}
+		b := hits[i]
+		q.colAt[b]--
+		q.coloc[q.colAt[b]] = q.heavy[keys[i/rows]]
 	}
-	return q
+	return q, nil
 }
 
 // bucket returns the curve of light bucket (r, idx), -1 when the report has
@@ -194,30 +185,6 @@ func (q *Queryable) meets(c int32, from, to int64) (w0 int64, ok bool) {
 // cover: QueryRange is identically zero outside it. lo > hi for a report
 // without a sample.
 func (q *Queryable) Span() (lo, hi int64) { return q.rep.lo, q.rep.hi }
-
-// Geometry identifies the hash layout of a report's sketch: two reports
-// with equal geometries hash any flow to the same (row, bucket) positions,
-// so their routing bitmaps can be merged into one window-global index that
-// hashes each queried flow once per geometry instead of once per report.
-type Geometry struct {
-	Seed  uint64
-	Rows  int
-	Width int
-}
-
-// Geometry returns the report's hash layout.
-func (q *Queryable) Geometry() Geometry {
-	return Geometry{Seed: q.rep.Meta.Seed, Rows: len(q.seeds), Width: q.rep.Meta.Width}
-}
-
-// RowBits returns row r's non-empty-bucket bitmap (nil outside the sketch
-// shape). The slice is shared and must be treated as read-only.
-func (q *Queryable) RowBits(r int) []uint64 {
-	if r < 0 || r >= len(q.seeds) {
-		return nil
-	}
-	return q.rep.rowBits[r*q.words : (r+1)*q.words : (r+1)*q.words]
-}
 
 // curve returns curve i's samples, memoized in its cache.
 func (q *Queryable) curve(i int32) []float64 {

@@ -18,9 +18,14 @@ import (
 // mice, and late-starting bursts that win their heavy slot mid-trace — and
 // returns the sealed sketch with the flows it saw.
 func buildRandomFull(t testing.TB, seed int64) (*wavesketch.Full, []flowkey.Key) {
-	t.Helper()
 	cfg := wavesketch.DefaultFull()
 	cfg.Light.K = 32
+	return buildRandomFullOf(t, cfg, seed)
+}
+
+// buildRandomFullOf is buildRandomFull's mix in a sketch of config cfg.
+func buildRandomFullOf(t testing.TB, cfg wavesketch.FullConfig, seed int64) (*wavesketch.Full, []flowkey.Key) {
+	t.Helper()
 	full, err := wavesketch.NewFull(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +79,7 @@ func TestQueryableMatchesFullSketchProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := NewQueryable(dec)
+		q := mustQueryable(t, dec)
 
 		var heavy, light, midFlow int
 		rng := rand.New(rand.NewSource(seed * 7919))
@@ -138,12 +143,12 @@ func TestQueryableConcurrentQueries(t *testing.T) {
 
 	// Sequential baseline from a separately-indexed copy.
 	baseline := make([][]float64, len(flows))
-	qSeq := NewQueryable(dec)
+	qSeq := mustQueryable(t, dec)
 	for i, f := range flows {
 		baseline[i] = qSeq.QueryRange(f, 0, 512)
 	}
 
-	q := NewQueryable(dec)
+	q := mustQueryable(t, dec)
 	const goroutines = 16
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -205,7 +210,7 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 	}
 	const budget = 4
 	for _, late := range []bool{false, true} {
-		q := NewQueryable(dec)
+		q := mustQueryable(t, dec)
 		reg := telemetry.NewRegistry()
 		q.SetStats(NewQueryStats(reg))
 		if late { // half the flows decode unbounded, the rest must evict them
@@ -262,14 +267,14 @@ func TestDecodeBudgetConcurrent(t *testing.T) {
 	}
 	ranges := [][2]int64{{0, 512}, {100, 300}}
 	baseline := make([][][]float64, len(flows))
-	qSeq := NewQueryable(dec)
+	qSeq := mustQueryable(t, dec)
 	for i, f := range flows {
 		for _, r := range ranges {
 			baseline[i] = append(baseline[i], qSeq.QueryRange(f, r[0], r[1]))
 		}
 	}
 	for _, budget := range []int{1, 4, 0} {
-		q := NewQueryable(dec)
+		q := mustQueryable(t, dec)
 		q.SetDecodeBudget(budget)
 		const goroutines = 8
 		var wg sync.WaitGroup
@@ -300,8 +305,8 @@ func TestDecodeBudgetConcurrent(t *testing.T) {
 }
 
 // TestQueryableCachesMadeOnFirstDecode pins when a report pays for its
-// curve caches: not at NewQueryable, not for routing (Route, MightSee),
-// Span or RowBits, not for a query whose range misses every curve — only
+// curve caches: not at NewQueryable, not for routing (Route, MightSee) or
+// Span, not for a query whose range misses every curve — only
 // on the first cold decode. Eight racing first queries make them exactly
 // once: every curve any of them decoded stays resident in the one slice
 // that won (run under -race).
@@ -311,9 +316,8 @@ func TestQueryableCachesMadeOnFirstDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQueryable(dec)
-	var g RouteGroups
-	g.Append(q)
+	q := mustQueryable(t, dec)
+	g := mustExtend(t, &RoutedSet{}, q)
 	lo, hi := q.Span()
 	for _, f := range flows {
 		g.Route(f, lo, hi, nil)
@@ -321,20 +325,17 @@ func TestQueryableCachesMadeOnFirstDecode(t *testing.T) {
 		q.QueryRange(f, hi, hi+64) // after every curve
 		q.QueryRange(f, lo-64, lo) // before every curve
 	}
-	for r := range q.seeds {
-		q.RowBits(r)
-	}
 	if q.caches.Load() != nil || q.ResidentCurves() != 0 {
 		t.Fatalf("caches made before any curve was decoded (%d resident)", q.ResidentCurves())
 	}
 
 	// The serial reference: which curves these queries decode.
-	want := NewQueryable(dec)
+	want := mustQueryable(t, dec)
 	for _, f := range flows {
 		want.QueryRange(f, lo, hi)
 	}
 	for _, budget := range []int{0, len(dec.curves)} {
-		q := NewQueryable(dec)
+		q := mustQueryable(t, dec)
 		q.SetDecodeBudget(budget)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -360,7 +361,8 @@ func TestQueryableCachesMadeOnFirstDecode(t *testing.T) {
 // multiples of 64, rows left empty, a single bucket), lossy curves with
 // out-of-range detail references, and heavy entries whose keys come from
 // the same small pool the queries use, so heavies collide with light
-// buckets and with each other's buckets all the time.
+// buckets and with each other's buckets all the time. As in a report a
+// sketch made, every heavy key's bucket is there in every row.
 func randomReport(rng *rand.Rand, pool []flowkey.Key) *slabReport {
 	r := &slabReport{Meta: SketchMeta{
 		Rows:   1 + rng.Intn(4),
@@ -384,20 +386,25 @@ func randomReport(rng *rand.Rand, pool []flowkey.Key) *slabReport {
 		}
 		return int64(rng.Intn(24)), length, approx, details
 	}
+	heavy := rng.Perm(len(pool))[:rng.Intn(len(pool)/2)]
+	need := map[[2]int]bool{}
+	for _, i := range heavy {
+		for row := 0; row < r.Meta.Rows; row++ {
+			need[[2]int{row, int(pool[i].Hash(flowkey.RowSeed(r.Meta.Seed, row)) % uint64(r.Meta.Width))}] = true
+		}
+	}
 	fill := []float64{0, 0.02, 0.5, 1}[rng.Intn(4)]
 	for row := 0; row < r.Meta.Rows; row++ {
-		if rng.Intn(4) == 0 {
-			continue // an empty row
-		}
+		empty := rng.Intn(4) == 0 // but for the heavy keys' buckets
 		for idx := 0; idx < r.Meta.Width; idx++ {
-			if rng.Float64() < fill || fill == 0 && len(r.Buckets) == 0 {
+			if need[[2]int{row, idx}] || !empty && (rng.Float64() < fill || fill == 0 && len(r.Buckets) == 0) {
 				b := wavesketch.BucketExport{Row: row, Index: idx}
 				b.W0, b.Len, b.Approx, b.Details = curve()
 				r.Buckets = append(r.Buckets, b)
 			}
 		}
 	}
-	for _, i := range rng.Perm(len(pool))[:rng.Intn(len(pool)/2)] {
+	for _, i := range heavy {
 		h := wavesketch.HeavyExport{Key: pool[i]}
 		h.W0, h.Len, h.Approx, h.Details = curve()
 		r.Heavy = append(r.Heavy, h)
@@ -436,7 +443,7 @@ func TestQueryableMatchesMapOracle(t *testing.T) {
 				rep.Heavy = append(rep.Heavy, dup)
 			}
 		}
-		q, oracle := NewQueryable(build(t, rep)), newOracleQueryable(rep)
+		q, oracle := mustQueryable(t, build(t, rep)), newOracleQueryable(rep)
 		for _, f := range pool {
 			if got, want := q.IsHeavy(f), oracle.IsHeavy(f); got != want {
 				t.Fatalf("trial %d flow %s: IsHeavy = %v, oracle %v", trial, f, got, want)
@@ -530,7 +537,7 @@ func TestQueryablePruningTraps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		reg := telemetry.NewRegistry()
-		q, oracle := NewQueryable(build(t, tc.rep)), newOracleQueryable(tc.rep)
+		q, oracle := mustQueryable(t, build(t, tc.rep)), newOracleQueryable(tc.rep)
 		q.SetStats(NewQueryStats(reg))
 		if lo, hi := q.Span(); lo != tc.lo || hi != tc.hi {
 			t.Errorf("%s: span = [%d, %d), want [%d, %d)", tc.name, lo, hi, tc.lo, tc.hi)

@@ -185,7 +185,7 @@ func TestDecodedQueriesMatchLiveSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQueryable(dec)
+	q := mustQueryable(t, dec)
 	for f := 0; f < 8; f++ {
 		live := s.QueryRange(key(f), 1000, 1512)
 		remote := q.QueryRange(key(f), 1000, 1512)
@@ -223,7 +223,7 @@ func TestFullReportHeavyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQueryable(dec)
+	q := mustQueryable(t, dec)
 	if !q.IsHeavy(heavy) {
 		t.Fatal("decoded report does not know the heavy flow")
 	}
@@ -300,7 +300,7 @@ func TestQueryAbsentFlowIsZero(t *testing.T) {
 	var buf bytes.Buffer
 	FromBasic(0, 0, s).Encode(&buf)
 	dec, _ := Decode(&buf)
-	q := NewQueryable(dec)
+	q := mustQueryable(t, dec)
 	for _, v := range q.QueryRange(key(999), 1000, 1010) {
 		if v != 0 {
 			t.Fatalf("absent flow estimate %v, want 0", v)
@@ -342,7 +342,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 		}
 		if rep, err := Decode(bytes.NewReader(b)); err == nil && rep != nil {
 			// Whatever decodes must stay queryable without panicking.
-			q := NewQueryable(rep)
+			q := mustQueryable(t, rep)
 			q.QueryRange(key(1), 0, 64)
 		}
 	}

@@ -12,6 +12,26 @@ import (
 	"umon/internal/wavesketch"
 )
 
+// mustQueryable is NewQueryable of a report it must admit.
+func mustQueryable(tb testing.TB, r *HostReport) *Queryable {
+	tb.Helper()
+	q, err := NewQueryable(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return q
+}
+
+// mustExtend is s.Extend of a member it must admit.
+func mustExtend(tb testing.TB, s *RoutedSet, q *Queryable) *RoutedSet {
+	tb.Helper()
+	ns, err := s.Extend(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ns
+}
+
 // mkBasicQueryable builds a light-only member carrying the given flows in
 // windows [w0, w0+32).
 func mkBasicQueryable(t testing.TB, cfg wavesketch.Config, host int, w0 int64, flows []flowkey.Key) *Queryable {
@@ -24,7 +44,7 @@ func mkBasicQueryable(t testing.TB, cfg wavesketch.Config, host int, w0 int64, f
 		s.Update(f, w0+int64(i%32), int64(100*(i+1)))
 	}
 	s.Seal()
-	return NewQueryable(FromBasic(host, 0, s))
+	return mustQueryable(t, FromBasic(host, 0, s))
 }
 
 // routeOracle is the brute-force routing answer: every member whose
@@ -88,72 +108,55 @@ func orphanReports(tb testing.TB) (reports map[string]*slabReport, heavy []flowk
 	}, heavy
 }
 
-// TestRouteGroupsMatchesMightSee pins the routing invariant: Route returns
+// TestRoutedSetMatchesMightSee pins the routing invariant: Route returns
 // exactly the members whose MightSee(f) is true and whose span meets the
-// range, across mixed geometries, heavy flows — those the light bitmaps
-// route and orphans — members laid out at different times, and flows the
-// window never saw.
-func TestRouteGroupsMatchesMightSee(t *testing.T) {
-	cfgA := wavesketch.Config{Rows: 3, Width: 64, Levels: 8, K: 4, Seed: 0x5eed0f}
-	cfgB := wavesketch.Config{Rows: 2, Width: 128, Levels: 8, K: 4, Seed: 0x1234}
+// range, across basic and full reports of the set's one sketch, heavy
+// flows, members laid out at different times, and flows the window never
+// saw. A report of another sketch is refused and leaves the set as it was.
+func TestRoutedSetMatchesMightSee(t *testing.T) {
+	cfg := wavesketch.Default(4) // the orphan fixtures' light part: 3×256
 	var qs []*Queryable
 	for m := 0; m < 12; m++ {
 		var flows []flowkey.Key
 		for j := 0; j < 8; j++ {
 			flows = append(flows, key(m*8+j))
 		}
-		qs = append(qs, mkBasicQueryable(t, cfgA, m, int64(100*m), flows))
+		qs = append(qs, mkBasicQueryable(t, cfg, m, int64(100*m), flows))
 	}
-	for m := 0; m < 5; m++ {
-		var flows []flowkey.Key
-		for j := 0; j < 6; j++ {
-			flows = append(flows, key(200+m*6+j))
-		}
-		qs = append(qs, mkBasicQueryable(t, cfgB, 100+m, int64(50*m), flows))
-	}
-	// One full report contributes heavy flows (and a third geometry).
-	full, _ := buildRandomFull(t, 3)
-	fq := NewQueryable(FromFull(0, 0, full))
+	// One full report contributes heavy flows.
+	fcfg := wavesketch.DefaultFull()
+	fcfg.Light = wavesketch.Default(32)
+	full, _ := buildRandomFullOf(t, fcfg, 3)
+	fq := mustQueryable(t, FromFull(0, 0, full))
 	if len(fq.HeavyFlows()) == 0 {
 		t.Fatal("full fixture carries no heavy flows — their routing untested")
 	}
 	qs = append(qs, fq)
-	// Reports whose heavy flows the bitmaps cannot route (a fourth
-	// geometry).
-	orphaned, orphanFlows := orphanReports(t)
-	for name, r := range orphaned {
-		q := NewQueryable(build(t, r))
-		// The dropped bucket may have held other heavy flows too.
-		got, ok := q.Orphans(), false
-		switch name {
-		case "whole":
-			ok = len(got) == 0
-		case "no light part":
-			ok = len(got) == len(orphanFlows)
-		default:
-			ok = slices.Contains(got, orphanFlows[0])
-		}
-		if !ok {
-			t.Fatalf("%s: orphans = %v", name, got)
-		}
-		qs = append(qs, q)
-	}
+	orphaned, heavy := orphanReports(t)
+	qs = append(qs, mustQueryable(t, build(t, orphaned["whole"])))
 	// A report without a sample: its span is empty and nothing routes to it.
-	empty := NewQueryable(build(t, &slabReport{Host: 99, Meta: SketchMeta{Rows: 3, Width: 64, Levels: 8, Seed: 0x5eed0f}}))
+	empty := mustQueryable(t, build(t, &slabReport{Host: 99, Meta: SketchMeta{Rows: cfg.Rows, Width: cfg.Width, Levels: cfg.Levels, Seed: cfg.Seed}}))
 	if lo, hi := empty.Span(); lo <= hi {
 		t.Fatalf("empty report span = [%d, %d), want lo > hi", lo, hi)
 	}
 	qs = append(qs, empty)
 
-	g := &RouteGroups{}
-	for _, q := range qs {
-		g.Append(q)
+	other := wavesketch.Config{Rows: 2, Width: 128, Levels: 8, K: 4, Seed: 0x1234}
+	foreign := mkBasicQueryable(t, other, 100, 0, []flowkey.Key{key(0)})
+	g := &RoutedSet{}
+	for i, q := range qs {
+		if i == 5 {
+			if ns, err := g.Extend(foreign); err == nil || ns != nil {
+				t.Fatalf("Extend of a %d×%d report into a %d×%d set = %v, %v; want a refusal", other.Rows, other.Width, cfg.Rows, cfg.Width, ns, err)
+			}
+		}
+		g = mustExtend(t, g, q)
 	}
 	if g.Len() != len(qs) {
 		t.Fatalf("Len = %d, want %d", g.Len(), len(qs))
 	}
 	if lo, hi := g.Span(); lo != 0 || hi != 1108 {
-		t.Fatalf("hull = [%d, %d), want [0, 1108): the twelfth cfgA member ends it", lo, hi)
+		t.Fatalf("hull = [%d, %d), want [0, 1108): the twelfth basic member ends it", lo, hi)
 	}
 
 	// All of time, inside one member, straddling two, before, after and
@@ -179,7 +182,7 @@ func TestRouteGroupsMatchesMightSee(t *testing.T) {
 	for i := 0; i < 700; i++ {
 		probe(key(i))
 	}
-	for _, f := range append(fq.HeavyFlows(), orphanFlows...) {
+	for _, f := range append(fq.HeavyFlows(), heavy...) {
 		probe(f)
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -194,51 +197,54 @@ func TestRouteGroupsMatchesMightSee(t *testing.T) {
 
 // TestSketchReportsHaveNoOrphans pins what lets the index do without heavy
 // postings: in a report a sketch produced, every heavy flow's light buckets
-// are there.
+// are there, so NewQueryable admits it. The reports built without some of
+// them are refused.
 func TestSketchReportsHaveNoOrphans(t *testing.T) {
 	for _, c := range benchReports {
 		for host := 0; host < 8; host++ {
-			q := NewQueryable(c.build(t, host))
-			if o := q.Orphans(); len(o) != 0 {
-				t.Errorf("%s, host %d: %d of %d heavy flows are orphans: %v", c.name, host, len(o), len(q.HeavyFlows()), o)
+			if _, err := NewQueryable(c.build(t, host)); err != nil {
+				t.Errorf("%s, host %d: %v", c.name, host, err)
 			}
+		}
+	}
+	orphaned, _ := orphanReports(t)
+	for name, r := range orphaned {
+		if _, err := NewQueryable(build(t, r)); (err == nil) != (name == "whole") {
+			t.Errorf("%s: NewQueryable err = %v", name, err)
 		}
 	}
 }
 
-// TestRoutedSetExtendMatchesCloneAdd is the differential test of the
+// TestRoutedSetExtendMatchesCopyingOracle is the differential test of the
 // append-only index against the copying one it replaced (run under -race):
 // one writer extends a set from 0 to 200 members — basic reports past the
-// stride growths at 64 and 128, full reports of a second geometry whose
-// heavy flows have no postings to route them any more, hand-built reports
-// with orphans — while two readers hold every intermediate successor and
-// check that its Route and MergeFlow equal those of the oracle built by
-// CloneAdd over the same prefix: as each successor arrives, which is while
-// the writer makes the later ones, and again after the last admit.
-func TestRoutedSetExtendMatchesCloneAdd(t *testing.T) {
+// stride growths at 64 and 128, and full reports whose heavy flows have no
+// postings to route them — and has reports of another sketch refused on
+// the way, while two readers hold every intermediate successor and check
+// that its Route and MergeFlow equal those of the oracle built by CloneAdd
+// over the same prefix: as each successor arrives, which is while the
+// writer makes the later ones, and again after the last admit.
+func TestRoutedSetExtendMatchesCopyingOracle(t *testing.T) {
 	const members = 200
 	cfg := wavesketch.Config{Rows: 3, Width: 512, Levels: 8, K: 4, Seed: 0x5eed0f}
+	fcfg := wavesketch.DefaultFull()
+	fcfg.Light = cfg
+	fcfg.Light.K = 32
 	shared := key(9999)
 	qs := make([]*Queryable, members)
 	for m := range qs {
-		switch {
-		case m%8 == 7:
-			full, _ := buildRandomFull(t, int64(m))
-			qs[m] = NewQueryable(FromFull(m, 0, full))
-		case m%50 == 40:
-			qs[m] = NewQueryable(build(t, &slabReport{
-				Host:  m,
-				Meta:  SketchMeta{Rows: cfg.Rows, Width: cfg.Width, Levels: cfg.Levels, Seed: cfg.Seed},
-				Heavy: []wavesketch.HeavyExport{{Key: key(7000 + m), W0: 100, Len: 8, Approx: []int64{int64(m)}}},
-			}))
-		default:
+		if m%8 == 7 {
+			full, _ := buildRandomFullOf(t, fcfg, int64(m))
+			qs[m] = mustQueryable(t, FromFull(m, 0, full))
+		} else {
 			qs[m] = mkBasicQueryable(t, cfg, m, int64(64*(m%5)), []flowkey.Key{key(1000 + 2*m), key(1001 + 2*m), shared})
 		}
 	}
+	foreign := mkBasicQueryable(t, wavesketch.Config{Rows: 3, Width: 512, Levels: 8, K: 4, Seed: 0x1234}, members, 0, []flowkey.Key{shared})
 	probes := []flowkey.Key{
 		shared, key(1000 + 2*3), key(1001 + 2*70), key(1000 + 2*133), key(1001 + 2*198), // basic members, each stride
 		key(0), key(7), key(103), key(505), // the full members' heavy, mice and mid-flow elected flows
-		key(7040), key(7190), key(424242), // orphans, and a flow nobody saw
+		key(424242), // a flow nobody saw
 	}
 	type answer struct {
 		all, part []int
@@ -258,17 +264,17 @@ func TestRoutedSetExtendMatchesCloneAdd(t *testing.T) {
 	}
 	want := make([][]answer, members)
 	wantSpan := make([][2]int64, members)
-	oracle := &oracleRoutedSet{routes: &oracleRouteGroups{}}
+	oracle := &oracleRoutedSet{}
 	for k, q := range qs {
 		oracle = oracle.CloneAdd(q)
-		want[k] = answers(oracle.routes.Route, oracle.MergeFlow)
-		wantSpan[k] = [2]int64{oracle.routes.lo, oracle.routes.hi}
+		want[k] = answers(oracle.Route, oracle.MergeFlow)
+		wantSpan[k] = [2]int64{oracle.lo, oracle.hi}
 	}
 	if n := len(want[members-1][0].all); n < 150 {
 		t.Fatalf("the shared flow routes to %d members, want the basic ones: fixture is off", n)
 	}
-	if len(want[members-1][5].all) != members/8 || len(want[members-1][9].all) != 1 {
-		t.Fatalf("heavy flow routes to %v, orphan to %v: fixture is off", want[members-1][5].all, want[members-1][9].all)
+	if len(want[members-1][5].all) != members/8 {
+		t.Fatalf("heavy flow routes to %v: fixture is off", want[members-1][5].all)
 	}
 
 	check := func(s *RoutedSet, k int, when string) bool {
@@ -305,8 +311,13 @@ func TestRoutedSetExtendMatchesCloneAdd(t *testing.T) {
 		}()
 	}
 	cur := &RoutedSet{}
-	for _, q := range qs {
-		cur = cur.Extend(q)
+	for m, q := range qs {
+		if m%50 == 40 {
+			if _, err := cur.Extend(foreign); err == nil {
+				t.Errorf("member %d: a report of another seed was admitted", m)
+			}
+		}
+		cur = mustExtend(t, cur, q)
 		for _, feed := range feeds {
 			feed <- cur
 		}
@@ -319,7 +330,7 @@ func TestRoutedSetExtendMatchesCloneAdd(t *testing.T) {
 	// The extend-once rule: the newest successor extends, an older one
 	// must not — its spare capacity is its successor's.
 	older := cur
-	cur = cur.Extend(qs[0])
+	cur = mustExtend(t, cur, qs[0])
 	defer func() {
 		if recover() == nil {
 			t.Error("a set was extended twice")
@@ -328,26 +339,40 @@ func TestRoutedSetExtendMatchesCloneAdd(t *testing.T) {
 	older.Extend(qs[1])
 }
 
-// TestRouteGroupsStrideGrowth pushes one group past 64 members so the
-// transposed bitsets re-lay at a wider stride, then re-verifies routing.
-func TestRouteGroupsStrideGrowth(t *testing.T) {
+// TestRoutedSetStrideGrowth pushes a set past 64 and 128 members, so the
+// transposed bitsets re-lay at a wider stride, and checks routing over time
+// ranges for the last set and for sets held from before each growth, which
+// keep answering for their own members beside the Extends that followed.
+func TestRoutedSetStrideGrowth(t *testing.T) {
 	cfg := wavesketch.Config{Rows: 3, Width: 512, Levels: 8, K: 4, Seed: 0x5eed0f}
 	var qs []*Queryable
-	g := &RouteGroups{}
+	held := map[int]*RoutedSet{}
+	s := &RoutedSet{}
 	for m := 0; m < 130; m++ {
-		q := mkBasicQueryable(t, cfg, m, 0, []flowkey.Key{key(m)})
+		q := mkBasicQueryable(t, cfg, m, int64(16*(m%8)), []flowkey.Key{key(m), key(1000)})
 		qs = append(qs, q)
-		g.Append(q)
-	}
-	for i := 0; i < 200; i++ {
-		f := key(i)
-		want := routeOracle(qs, f, math.MinInt64, math.MaxInt64)
-		got := g.Route(f, math.MinInt64, math.MaxInt64, nil)
-		if len(got) == 0 && len(want) == 0 {
-			continue
+		s = mustExtend(t, s, q)
+		if n := m + 1; n == 64 || n == 65 || n == 128 {
+			held[n] = s
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("after growth: Route(%s) = %v, want %v", f, got, want)
+	}
+	held[len(qs)] = s
+	for n, s := range held {
+		for i := 0; i < 200; i++ {
+			f := key(i)
+			if i == 199 {
+				f = key(1000) // every member carries it
+			}
+			for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {16, 48}, {100, 140}} {
+				want := routeOracle(qs[:n], f, r[0], r[1])
+				got := s.Route(f, r[0], r[1], nil)
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("set of %d: Route(%s, %d, %d) = %v, want %v", n, f, r[0], r[1], got, want)
+				}
+			}
 		}
 	}
 }
@@ -357,7 +382,7 @@ func TestRouteGroupsStrideGrowth(t *testing.T) {
 // contents, across heavy flows, light flows and mid-flow elections.
 func TestQueryRangeIntoMatchesQueryRange(t *testing.T) {
 	full, flows := buildRandomFull(t, 6)
-	q := NewQueryable(FromFull(0, 0, full))
+	q := mustQueryable(t, FromFull(0, 0, full))
 	rng := rand.New(rand.NewSource(99))
 	buf := make([]float64, 0, 600)
 	for _, f := range flows {
@@ -386,7 +411,7 @@ func TestQueryRangeIntoMatchesQueryRange(t *testing.T) {
 // pre-sized buffer performs zero allocations.
 func TestQueryRangeIntoNoAllocs(t *testing.T) {
 	full, flows := buildRandomFull(t, 9)
-	q := NewQueryable(FromFull(0, 0, full))
+	q := mustQueryable(t, FromFull(0, 0, full))
 	buf := make([]float64, 0, 128)
 	for _, f := range flows {
 		buf = q.QueryRangeInto(buf[:0], f, 0, 128) // decode curves, warm pool

@@ -72,8 +72,9 @@ func (c *Config) newSink() coeffSink {
 // The buckets live in one contiguous slab indexed r·W + w, so per-packet
 // updates walk cache-local state instead of chasing per-bucket pointers,
 // and building the array is a single allocation. A key's bucket in row r
-// is Hash(RowSeed(Seed, r)) mod W — the placement the report plane
-// (report.Queryable, report.RouteGroups) recomputes on the analyzer.
+// is Hash(RowSeed(Seed, r)) mod W — the placement report.Queryable
+// recomputes on the analyzer, and whose seeds and reducer a
+// report.RoutedSet takes from its first member to route a query.
 type Basic struct {
 	cfg     Config
 	buckets []Bucket // slab: bucket (r, w) is buckets[r*cfg.Width+w]
