@@ -21,7 +21,7 @@ test-short:
 # counters/histograms, registry, tracer), the netsim event engine (timing
 # wheel vs the tests' heap oracles), and the zero-copy mirror datapath (mbuf
 # pool free lists/refcounts, pcapio block-buffered reader/writer, in-place
-# packet views), the collector window + event hub, and the ops API serving
+# packet views), the collector window and its event log, and the ops API serving
 # queries against live ingest.
 test-race:
 	$(GO) test -race ./internal/report -run 'TestQueryable|TestDecodeBudget|TestRoutedSetExtendMatchesCopyingOracle'
@@ -54,9 +54,9 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 15346
+LOC_CEILING = 15197
 LOC_SLACK = 25
-DESIGN_MAX = 867
+DESIGN_MAX = 866
 EXPERIMENTS_MAX = 450
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'); \

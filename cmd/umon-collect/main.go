@@ -186,8 +186,9 @@ type runSummary struct {
 func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 	stats := collect.NewStats(reg)
 	// Reads — the ops API handlers and the end-of-run summary — go through
-	// the collector's lock-free snapshot plane. Events print from whichever
-	// feed loop closes them.
+	// the collector's lock-free snapshot plane, events included: the hub
+	// only wakes the API's followers. Events print from whichever feed loop
+	// closes them.
 	hub := opsapi.NewHub()
 
 	var evLog *os.File
@@ -201,7 +202,7 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 	}
 	seq := 0
 	onEvent := func(ev analyzer.Event) {
-		hub.Publish(ev)
+		hub.Notify()
 		if evLog != nil {
 			b, _ := json.Marshal(opsapi.NewEventJSON(seq, ev))
 			fmt.Fprintf(evLog, "%s\n", b)

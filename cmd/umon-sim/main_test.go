@@ -29,15 +29,22 @@ func TestRunProducesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rd, err := pcapio.NewReader(f)
+	rd, err := pcapio.NewReaderOpts(f, pcapio.ReaderOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := rd.ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	defer rd.Close()
+	var batch pcapio.Batch
+	defer batch.Release()
+	pkts := 0
+	for err = nil; err != io.EOF; {
+		var n int
+		if n, err = rd.ReadBatch(&batch, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		pkts += n
 	}
-	if len(pkts) == 0 {
+	if pkts == 0 {
 		t.Error("no mirrored packets captured")
 	}
 	// Reports exist: every fat-tree host sealed at least one.

@@ -241,7 +241,8 @@ func (c *client) events(args []string) error {
 
 // followEvents consumes the daemon's SSE stream, printing each event as
 // one JSON line, until the daemon signals the stream's end (drain) or the
-// connection drops.
+// connection drops. A gap frame — the daemon's log no longer held the
+// events the follower had not read — is reported on stderr.
 func (c *client) followEvents(since int) error {
 	resp, err := http.Get(fmt.Sprintf("%s/api/events?since=%d&follow=", c.base, since))
 	if err != nil {
@@ -253,17 +254,23 @@ func (c *client) followEvents(since int) error {
 		return fmt.Errorf("follow: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	sc := bufio.NewScanner(resp.Body)
-	ending := false
+	kind := "" // the frame's event type; "" is an event
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
-		case line == "event: end":
-			ending = true
+		case line == "":
+			kind = ""
+		case strings.HasPrefix(line, "event: "):
+			kind = line[7:]
 		case strings.HasPrefix(line, "data: "):
-			if ending {
-				return nil // the end frame's payload, not an event
+			switch kind {
+			case "end":
+				return nil
+			case "gap":
+				fmt.Fprintf(c.stderr, "umonctl: events missed, the follower fell behind the daemon's log: %s\n", line[6:])
+			default:
+				fmt.Fprintln(c.stdout, line[6:])
 			}
-			fmt.Fprintln(c.stdout, line[6:])
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -28,8 +30,8 @@ func testKey(i int) flowkey.Key {
 }
 
 // startDaemon serves a populated collector the way umon-collect does:
-// telemetry mux + ops API + hub. Returns the address and the hub so tests
-// can publish live events and close the stream.
+// telemetry mux + ops API + hub. Returns the address, the collector and the
+// hub so tests can emit live events and close the stream.
 func startDaemon(t *testing.T) (addr string, col *collect.Collector, hub *opsapi.Hub, mu *sync.Mutex) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
@@ -38,7 +40,7 @@ func startDaemon(t *testing.T) (addr string, col *collect.Collector, hub *opsapi
 	clock := int64(10_000)
 	col = collect.New(collect.Config{
 		WindowEpochs: 8, GapNs: 50_000, Stats: stats,
-		OnEvent: hub.Publish,
+		OnEvent: func(analyzer.Event) { hub.Notify() },
 		Now:     func() int64 { clock += 100; return clock },
 	})
 	for e := uint64(0); e < 3; e++ {
@@ -151,10 +153,10 @@ func TestCtlEventsJSONLines(t *testing.T) {
 	}
 }
 
-// TestCtlEventsFollow streams live: backlog, then a published event, then
-// clean exit on hub close — the CI smoke's exact shape.
+// TestCtlEventsFollow streams live: backlog, then the events a drain
+// emits, then clean exit on hub close — the CI smoke's exact shape.
 func TestCtlEventsFollow(t *testing.T) {
-	addr, _, hub, _ := startDaemon(t)
+	addr, col, hub, mu := startDaemon(t)
 	outCh := make(chan string, 1)
 	codeCh := make(chan int, 1)
 	var out bytes.Buffer
@@ -164,9 +166,15 @@ func TestCtlEventsFollow(t *testing.T) {
 		codeCh <- code
 	}()
 	time.Sleep(100 * time.Millisecond) // follower connects and drains backlog
-	hub.Publish(analyzer.Event{
-		Port: netsim.PortID{Switch: 9, Port: 9}, StartNs: 500_000, EndNs: 501_000, Packets: 3,
-	})
+	mu.Lock()
+	for _, ns := range []int64{500_000, 501_000, 502_000} {
+		col.AddMirror(uevent.MirrorRecord{
+			Port: netsim.PortID{Switch: 9, Port: 9}, TimestampNs: ns,
+			OrigBytes: 1058, WireBytes: 64, Flow: testKey(3),
+		})
+	}
+	col.Drain() // emits the open cluster at 200µs on sw2, then sw9's
+	mu.Unlock()
 	hub.Close()
 	select {
 	case got := <-outCh:
@@ -174,15 +182,37 @@ func TestCtlEventsFollow(t *testing.T) {
 			t.Fatalf("exit %d:\n%s", code, got)
 		}
 		lines := strings.Split(strings.TrimSpace(got), "\n")
-		if len(lines) != 2 {
-			t.Fatalf("followed %d events, want 2:\n%s", len(lines), got)
+		if len(lines) != 3 {
+			t.Fatalf("followed %d events, want 3:\n%s", len(lines), got)
 		}
 		var ev opsapi.EventJSON
-		if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil || ev.Switch != 9 {
-			t.Errorf("live event line = %q (err %v)", lines[1], err)
+		if err := json.Unmarshal([]byte(lines[2]), &ev); err != nil || ev.Switch != 9 || ev.Seq != 2 || ev.Packets != 3 {
+			t.Errorf("live event line = %q (err %v)", lines[2], err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("follow never terminated")
+	}
+}
+
+// TestCtlEventsFollowReportsGap: a gap frame goes to stderr, not to the
+// events on stdout, and the stream carries on after it.
+func TestCtlEventsFollowReportsGap(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, "event: gap\ndata: {\"from\":1,\"to\":7}\n\n"+
+			"id: 8\ndata: {\"seq\":7}\n\n"+
+			"event: end\ndata: {}\n\n")
+	}))
+	defer srv.Close()
+	out, errOut, code := runCtl(t, strings.TrimPrefix(srv.URL, "http://"), "events", "-follow")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	if out != "{\"seq\":7}\n" {
+		t.Errorf("stdout %q, want only event 7", out)
+	}
+	if !strings.Contains(errOut, `{"from":1,"to":7}`) {
+		t.Errorf("stderr %q does not report the gap", errOut)
 	}
 }
 

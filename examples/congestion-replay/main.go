@@ -25,7 +25,7 @@ func main() {
 	}
 
 	// Deploy µMon: WaveSketch at every host, CE match-and-mirror at every
-	// switch (sampling 1/4 for this small scenario), one analyzer.
+	// switch (sampling 1/4 for this small scenario), one collector.
 	cfg := umon.DefaultSystem()
 	cfg.Host.PeriodNs = 10_000_000
 	cfg.Switch.Rule = umon.ACLRule{SampleBits: 2}
@@ -44,9 +44,9 @@ func main() {
 		panic(err)
 	}
 
-	events := sys.Analyzer.DetectEvents(50_000)
+	events := sys.Collector.Events()
 	fmt.Printf("detected %d congestion events from %d mirrored packets\n\n",
-		len(events), sys.Analyzer.Mirrors())
+		len(events), sys.Collector.Status().MirrorsIngested)
 	if len(events) == 0 {
 		fmt.Println("no congestion events — try higher load")
 		return
@@ -61,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("replaying %s\n\n", best.String())
 
-	view := sys.Analyzer.Replay(best, 400_000) // ±400 µs of context
+	view := sys.Collector.Replay(best, 400_000) // ±400 µs of context
 	flows := best.Flows
 	if len(flows) > 3 {
 		flows = flows[:3]

@@ -1,13 +1,7 @@
-// Package analyzer implements the µMon analyzer (§6): it ingests the
-// WaveSketch reports uploaded by hosts and the mirrored event packets from
-// switches, aligns them on the synchronized timeline, clusters mirrors into
-// congestion events, and replays events by querying the rate curves of the
-// flows involved around the event window — the Figure 10 workflow.
-//
-// The query plane is indexed so replay scales with the event, not the
-// deployment: the reports sit in a report.RoutedSet, whose routing index
-// sends each query only to the reports that can answer it. Ingest
-// everything first, then query; queries are safe to run concurrently.
+// Package analyzer implements the µMon analyzer's event half (§6): it
+// clusters the mirrored event packets from switches into congestion events,
+// and builds an event's replay — the rate curves of its flows around the
+// event window, the Figure 10 workflow — from any flow-rate query.
 //
 // Mirrors fold into per-port events as they arrive. The batch reader,
 // DetectEvents, snapshots every event, open ones included, and leaves the
@@ -16,10 +10,11 @@
 // comparison per active port plus the events returned. Emptied port state
 // is recycled, so steady-state ingest does not allocate.
 //
-// Events are found one way in production: the collector (internal/collect)
-// runs PopClosed for a live deployment and for a finished capture alike.
-// The batch Analyzer is the in-process reference that core.Deploy, the
-// experiments and the benchmark run, and that tests hold the collector to.
+// The collector (internal/collect) holds the reports and events of every
+// production caller, and its Analyzer is only its mirror clusterer
+// (AddMirror, PopClosed). The batch Analyzer — AddReport and QueryFlow over
+// one report.RoutedSet, DetectEvents over every mirror — is the reference
+// that tests and the benchmark hold the collector to.
 package analyzer
 
 import (
@@ -56,7 +51,8 @@ func (e *Event) String() string {
 		e.Port.Switch, e.Port.Port, e.StartNs, e.EndNs, e.Packets, len(e.Flows))
 }
 
-// Analyzer accumulates measurement inputs.
+// Analyzer clusters mirrors into events and, as the batch reference, holds
+// reports.
 type Analyzer struct {
 	// reports holds every ingested report behind the flow→report routing
 	// index, extended on AddReport — ingest everything first, then query.
@@ -66,11 +62,10 @@ type Analyzer struct {
 	// the next port to become active takes, recs the unused record chunks.
 	// hot is a direct-mapped cache in front of clusters: a mirror of a port
 	// whose slot no other active port claimed since is looked up unhashed.
-	clusters    map[netsim.PortID]*portClusterer
-	hot         [256]*portClusterer
-	free        []*portClusterer
-	recs        recPool
-	mirrorCount int
+	clusters map[netsim.PortID]*portClusterer
+	hot      [256]*portClusterer
+	free     []*portClusterer
+	recs     recPool
 	// gapNs is the clustering gap the incremental state was built under.
 	gapNs int64
 }
@@ -125,14 +120,6 @@ func (a *Analyzer) AddMirror(m uevent.MirrorRecord) {
 		*slot = p
 	}
 	p.add(&m, a.gapNs)
-	a.mirrorCount++
-}
-
-// AddMirrors ingests a batch.
-func (a *Analyzer) AddMirrors(ms []uevent.MirrorRecord) {
-	for _, m := range ms {
-		a.AddMirror(m)
-	}
 }
 
 // AddMirrorPacket parses one on-the-wire mirrored packet (VLAN-tagged,
@@ -147,9 +134,6 @@ func (a *Analyzer) AddMirrorPacket(b []byte) error {
 	a.AddMirror(m)
 	return nil
 }
-
-// Mirrors reports how many mirror records have been ingested.
-func (a *Analyzer) Mirrors() int { return a.mirrorCount }
 
 // DetectEvents returns the per-port mirror clusters: observations separated
 // by less than gapNs belong to one event. Typical gapNs is a few tens of
@@ -184,9 +168,7 @@ func (a *Analyzer) DetectEvents(gapNs int64) []Event {
 func (a *Analyzer) PopClosed(dst []Event, closedBelow int64) []Event {
 	base := len(dst)
 	for port, p := range a.clusters {
-		held := p.recs.n
 		dst = p.popClosed(dst, closedBelow, a.gapNs)
-		a.mirrorCount -= held - p.recs.n
 		if p.recs.n == 0 { // and so no event: the state can serve another port
 			delete(a.clusters, port)
 			a.free = append(a.free, p)
@@ -234,15 +216,10 @@ type ReplayView struct {
 	Curves map[flowkey.Key][]float64
 }
 
-// Replay queries every flow involved in the event over the event span
-// extended by marginNs on both sides (§6.1: "the rate of several windows
-// before and after the event can be queried").
-func (a *Analyzer) Replay(ev Event, marginNs int64) *ReplayView {
-	return ReplayWith(ev, marginNs, a.QueryFlow)
-}
-
-// ReplayWith builds the replay view of ev from any flow-rate query (the
-// analyzer's own, or a collector snapshot's), one flow after the other on
+// ReplayWith builds the replay view of ev from any flow-rate query (a
+// collector snapshot's, or the batch analyzer's QueryFlow): every flow of
+// the event over its span ± marginNs (§6.1: "the rate of several windows
+// before and after the event can be queried"), one flow after the other on
 // the caller's goroutine. A replay costs microseconds, and spreading its
 // flows over worker goroutines made it slower, not faster: in one traced
 // benchmark run per workload (2-core Xeon, GOMAXPROCS 2, seed 42) the

@@ -40,8 +40,8 @@ func TestDetectEventsClustersByGap(t *testing.T) {
 		a.AddMirror(mirror(2_000_000+i*10_000, 0, 0, f2))
 	}
 	a.AddMirror(mirror(500_000, 1, 1, f1))
-	if a.Mirrors() != 9 {
-		t.Fatalf("mirrors = %d, want 9", a.Mirrors())
+	if a.heldRecords() != 9 {
+		t.Fatalf("held records = %d, want 9", a.heldRecords())
 	}
 
 	events := a.DetectEvents(50_000)
@@ -113,7 +113,7 @@ func TestReplayQueriesEventFlows(t *testing.T) {
 	evNs := int64(128) * measure.WindowNanos
 	a.AddMirror(mirror(evNs, 0, 0, f))
 	events := a.DetectEvents(0)
-	view := a.Replay(events[0], 20*measure.WindowNanos)
+	view := ReplayWith(events[0], 20*measure.WindowNanos, a.QueryFlow)
 	curve, ok := view.Curves[f]
 	if !ok {
 		t.Fatal("replay lacks the event flow")
@@ -264,7 +264,9 @@ func TestEndToEndReplayFromSimulation(t *testing.T) {
 		s.Seal()
 		a.AddReport(report.FromBasic(h, 0, s))
 	}
-	a.AddMirrors(uevent.Capture(tr.CELog, uevent.ACLRule{SampleBits: 2}, 0))
+	for _, m := range uevent.Capture(tr.CELog, uevent.ACLRule{SampleBits: 2}, 0) {
+		a.AddMirror(m)
+	}
 
 	events := a.DetectEvents(100_000)
 	if len(events) == 0 {
@@ -277,7 +279,7 @@ func TestEndToEndReplayFromSimulation(t *testing.T) {
 			best = ev
 		}
 	}
-	view := a.Replay(best, 50*measure.WindowNanos)
+	view := ReplayWith(best, 50*measure.WindowNanos, a.QueryFlow)
 	if len(view.Curves) == 0 {
 		t.Fatal("replay has no curves")
 	}

@@ -59,7 +59,7 @@ func TestAnalyzerConcurrentQueries(t *testing.T) {
 	for i, f := range flows {
 		baseline[i] = a.QueryFlow(key(f), 0, 256)
 	}
-	baseView := a.Replay(events[0], 20*measure.WindowNanos)
+	baseView := ReplayWith(events[0], 20*measure.WindowNanos, a.QueryFlow)
 
 	var wg sync.WaitGroup
 	const goroutines = 12
@@ -79,7 +79,7 @@ func TestAnalyzerConcurrentQueries(t *testing.T) {
 				}
 				routed(a, key(flows[fi]))
 				if iter%10 == 0 {
-					view := a.Replay(events[0], 20*measure.WindowNanos)
+					view := ReplayWith(events[0], 20*measure.WindowNanos, a.QueryFlow)
 					for f, c := range view.Curves {
 						want := baseView.Curves[f]
 						for i := range c {
@@ -177,10 +177,10 @@ func BenchmarkReplay(b *testing.B) {
 			best = ev
 		}
 	}
-	a.Replay(best, 30*measure.WindowNanos) // warm the reconstruction caches
+	ReplayWith(best, 30*measure.WindowNanos, a.QueryFlow) // warm the reconstruction caches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Replay(best, 30*measure.WindowNanos)
+		ReplayWith(best, 30*measure.WindowNanos, a.QueryFlow)
 	}
 }

@@ -61,7 +61,7 @@ func BenchmarkMirrorReadDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
-		rd, err := pcapio.NewReader(bytes.NewReader(raw))
+		rd, err := pcapio.NewReaderOpts(bytes.NewReader(raw), pcapio.ReaderOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkMirrorIngestE2E(b *testing.B) {
 		b.StopTimer()
 		a := analyzer.New()
 		b.StartTimer()
-		rd, err := pcapio.NewReader(bytes.NewReader(raw))
+		rd, err := pcapio.NewReaderOpts(bytes.NewReader(raw), pcapio.ReaderOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

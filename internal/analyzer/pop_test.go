@@ -36,8 +36,8 @@ func TestPopClosedTakesOldEvents(t *testing.T) {
 	if !reflect.DeepEqual(got, want[:1]) {
 		t.Errorf("popped %+v, want %+v", got, want[:1])
 	}
-	if a.Mirrors() != 2 {
-		t.Errorf("Mirrors() = %d after pop, want 2", a.Mirrors())
+	if a.heldRecords() != 2 {
+		t.Errorf("held records = %d after pop, want 2", a.heldRecords())
 	}
 	evs := a.DetectEvents(0)
 	if len(evs) != 1 || evs[0].StartNs != 200000 {
@@ -69,9 +69,9 @@ func TestPopClosedSealsQuietOpenEvent(t *testing.T) {
 	if n := len(a.DetectEvents(0)); n != 0 {
 		t.Errorf("events after full pop = %d, want 0", n)
 	}
-	if a.Mirrors() != 0 || len(a.clusters) != 0 || len(a.free) != 1 {
-		t.Errorf("Mirrors() = %d, %d active ports, %d free clusterers; want 0, 0, 1",
-			a.Mirrors(), len(a.clusters), len(a.free))
+	if a.heldRecords() != 0 || len(a.clusters) != 0 || len(a.free) != 1 {
+		t.Errorf("held records = %d, %d active ports, %d free clusterers; want 0, 0, 1",
+			a.heldRecords(), len(a.clusters), len(a.free))
 	}
 }
 
@@ -110,7 +110,7 @@ func TestPopClosedNoopOnFutureOnlyState(t *testing.T) {
 	if got := a.PopClosed(nil, 1000); len(got) != 0 {
 		t.Errorf("popped %+v from future-only state", got)
 	}
-	if len(a.DetectEvents(0)) != 1 || a.Mirrors() != 1 {
+	if len(a.DetectEvents(0)) != 1 || a.heldRecords() != 1 {
 		t.Error("future event lost by no-op pop")
 	}
 }
@@ -132,8 +132,8 @@ func TestPopClosedOrdersAcrossPortsAndAppends(t *testing.T) {
 	if !reflect.DeepEqual(got[0], sentinel) || !reflect.DeepEqual(got[1:], want) {
 		t.Fatalf("popped %+v\nwant  %+v", got[1:], want)
 	}
-	if a.Mirrors() != 0 || len(a.clusters) != 0 {
-		t.Errorf("state left behind: %d mirrors, %d ports", a.Mirrors(), len(a.clusters))
+	if a.heldRecords() != 0 || len(a.clusters) != 0 {
+		t.Errorf("state left behind: %d records, %d ports", a.heldRecords(), len(a.clusters))
 	}
 }
 
@@ -172,8 +172,8 @@ func TestRecycledClustererStartsClean(t *testing.T) {
 	if got, want := a.PopClosed(nil, 1_000_000), fresh.DetectEvents(0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recycled unsorted port popped %+v, fresh %+v", got, want)
 	}
-	if a.Mirrors() != 0 {
-		t.Errorf("Mirrors() = %d, want 0", a.Mirrors())
+	if a.heldRecords() != 0 {
+		t.Errorf("held records = %d, want 0", a.heldRecords())
 	}
 }
 
@@ -215,4 +215,12 @@ func TestHotSlotCollisionsStayCorrect(t *testing.T) {
 			t.Errorf("port %v: %d packets of flows %v, want %d of its own flow", ev.Port, ev.Packets, ev.Flows, want)
 		}
 	}
+}
+
+// heldRecords counts the mirror records a holds across its ports.
+func (a *Analyzer) heldRecords() (n int) {
+	for _, p := range a.clusters {
+		n += p.recs.n
+	}
+	return n
 }

@@ -6,9 +6,10 @@
 // watermark proves it can no longer grow, with a measured detection lag
 // and at a cost that does not depend on how many events are still open.
 //
-// The collector is the daemon counterpart of the batch analyzer: the
-// analyzer ingests everything then answers queries; the collector admits
-// and evicts under a memory budget and keeps answering while ingest runs.
+// It is the one store of reports and events: the daemon, the benchmark and
+// the in-process deployment (core.Deploy, with an unbounded window) all hold
+// them here. The analyzer package is its mirror clusterer, and the batch
+// reference that tests hold it to.
 //
 // Concurrency model: the mutators Add*, Stamp, Poll and Drain are
 // single-writer and take no lock — one owner goroutine calls them, as the
@@ -65,7 +66,9 @@ type Config struct {
 	// DecodeBudget caps decoded curves per resident Queryable (0 =
 	// unlimited); composes with window eviction to bound total memory.
 	DecodeBudget int
-	// OnEvent, when set, receives each congestion event as it closes.
+	// OnEvent, when set, receives each congestion event as it closes. It
+	// runs after the snapshot that holds the event is published, so a
+	// reader it wakes finds the event in Snapshot().EventLog().
 	OnEvent func(analyzer.Event)
 	// Stats is optional collector telemetry.
 	Stats *Stats
@@ -78,8 +81,8 @@ type Config struct {
 // /api/trace/epochs).
 const traceCap = 4096
 
-// EventLogCap bounds the emission log: Events covers the newest
-// EventLogCap events. opsapi.Hub keeps the same number.
+// EventLogCap bounds the emission log: Events and Snapshot.EventLog cover
+// the newest EventLogCap events.
 const EventLogCap = 1 << 16
 
 // Collector is the long-lived analysis daemon state.
@@ -94,7 +97,7 @@ type Collector struct {
 
 	// snap is the published window: readers Load it, mutators build a
 	// successor and Store it. version is the mutator-owned publication
-	// counter behind Snapshot.Version.
+	// counter behind Status.SnapshotVersion.
 	snap    atomic.Pointer[Snapshot]
 	version int64
 
@@ -167,7 +170,9 @@ func (c *Collector) publish(ns *Snapshot, nowNs int64) {
 	c.version++
 	ns.version = c.version
 	ns.publishNs = nowNs
-	ns.events = c.events[max(0, len(c.events)-c.eventCap):]
+	// Capped at its length: a reader that appends copies, never writing into
+	// the log's array past what it was handed.
+	ns.events = c.events[max(0, len(c.events)-c.eventCap):len(c.events):len(c.events)]
 	ns.emitted = c.emitted
 	ns.visited = &c.routeVisited
 	ns.skipped = &c.routeSkipped
@@ -439,6 +444,9 @@ func (c *Collector) emitClosed(closedBelow int64, online bool) int {
 	c.note()
 	detectNs := c.now()
 	c.closed = c.an.PopClosed(c.closed[:0], closedBelow)
+	if len(c.closed) == 0 {
+		return 0
+	}
 	for _, ev := range c.closed {
 		c.logEvent(ev)
 		c.stats.EventsEmitted.Inc()
@@ -446,25 +454,24 @@ func (c *Collector) emitClosed(closedBelow int64, online bool) int {
 			c.stats.DetectLagNs.Observe(c.wm - ev.EndNs)
 		}
 		c.noteDetect(ev.StartNs, ev.EndNs, detectNs)
-		if c.cfg.OnEvent != nil {
+	}
+	// A mirror at or below the cut could only resurrect an emitted event.
+	c.trimNs = closedBelow + 1
+	// Republish so lock-free readers see the newly emitted events. The
+	// window spine is unchanged, so the successor shares it outright.
+	cur := c.snap.Load()
+	c.publish(&Snapshot{
+		floor:    cur.floor,
+		resident: cur.resident,
+		epochs:   cur.epochs,
+		eps:      cur.eps,
+	}, detectNs)
+	if c.cfg.OnEvent != nil {
+		for _, ev := range c.closed {
 			c.cfg.OnEvent(ev)
 		}
 	}
-	emitted := len(c.closed)
-	if emitted > 0 {
-		// A mirror at or below the cut could only resurrect an emitted event.
-		c.trimNs = closedBelow + 1
-		// Republish so lock-free readers see the newly emitted events. The
-		// window spine is unchanged, so the successor shares it outright.
-		cur := c.snap.Load()
-		c.publish(&Snapshot{
-			floor:    cur.floor,
-			resident: cur.resident,
-			epochs:   cur.epochs,
-			eps:      cur.eps,
-		}, detectNs)
-	}
-	return emitted
+	return len(c.closed)
 }
 
 // logEvent appends ev to the emission log, which retains the newest

@@ -164,7 +164,7 @@ func TestStreamingPipelineMatchesBatch(t *testing.T) {
 			best = ev
 		}
 	}
-	bv := batch.Replay(best, 30_000)
+	bv := analyzer.ReplayWith(best, 30_000, batch.QueryFlow)
 	cv := coll.Replay(best, 30_000)
 	if bv.WindowStart != cv.WindowStart || bv.Windows != cv.Windows {
 		t.Fatalf("replay spans differ: batch [%d,+%d] collector [%d,+%d]",

@@ -89,10 +89,6 @@ type Snapshot struct {
 	stats            Stats
 }
 
-// Version is the publication sequence number: it advances on every
-// admit/evict/event emission, so pollers can detect window movement.
-func (s *Snapshot) Version() int64 { return s.version }
-
 // Window describes the snapshot's window: admitted epochs (ascending) and
 // total resident Queryables.
 func (s *Snapshot) Window() (epochs []uint64, resident int) {
@@ -115,6 +111,13 @@ func (s *Snapshot) Events() []analyzer.Event {
 		return a.Port < b.Port
 	})
 	return evs
+}
+
+// EventLog returns the stretch of the emission log this snapshot retains,
+// in emission order: evs[i] is the event of id first+i, where an event's id
+// is its emission index. The slice is shared; callers must not modify it.
+func (s *Snapshot) EventLog() (evs []analyzer.Event, first int) {
+	return s.events, s.emitted - len(s.events)
 }
 
 // Span returns the hull [lo, hi) of the resident reports' curve spans in

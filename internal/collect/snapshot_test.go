@@ -163,7 +163,7 @@ func TestSnapshotQueryMatchesScan(t *testing.T) {
 	}
 
 	snap := c.Snapshot()
-	if ver := snap.Version(); ver == 0 {
+	if ver := snap.version; ver == 0 {
 		t.Fatal("snapshot version did not advance past the empty window")
 	}
 	check := func(f flowkey.Key, from, to int64) {
@@ -229,7 +229,7 @@ func TestSnapshotHeldDuringIngest(t *testing.T) {
 		}
 	}
 	held := c.Snapshot()
-	heldVer := held.Version()
+	heldVer := held.version
 	var heldFlows []flowkey.Key
 	for i := 0; i < 8; i++ {
 		heldFlows = append(heldFlows, key(i))
@@ -276,8 +276,8 @@ func TestSnapshotHeldDuringIngest(t *testing.T) {
 		t.Errorf("eviction floor = %d, want %d (ingest must have evicted)", st.EvictionFloor, 4+extraEpochs-4)
 	}
 	live := c.Snapshot()
-	if live.Version() <= heldVer {
-		t.Errorf("live version %d did not advance past held %d", live.Version(), heldVer)
+	if live.version <= heldVer {
+		t.Errorf("live version %d did not advance past held %d", live.version, heldVer)
 	}
 	// The held snapshot still answers for its (long-evicted) window,
 	// bit-identical to what it said before ingest moved.
@@ -396,5 +396,31 @@ func TestEventLogBounded(t *testing.T) {
 				t.Fatalf("cap %d: snapshot held since poll %d reads %v, was published with %v", logCap, i, got, h.want)
 			}
 		}
+	}
+}
+
+// TestOnEventFollowsPublication: OnEvent runs after the snapshot that holds
+// its event is published, so a reader it wakes never looks for the event in
+// vain. Inside the callback the live EventLog already ends with the event,
+// under the event's emission id.
+func TestOnEventFollowsPublication(t *testing.T) {
+	var c *Collector
+	seen := 0
+	c = New(Config{GapNs: 50_000, OnEvent: func(ev analyzer.Event) {
+		evs, first := c.Snapshot().EventLog()
+		if id := seen; id < first || id >= first+len(evs) || !reflect.DeepEqual(evs[id-first], ev) {
+			t.Errorf("OnEvent of event %d: the published log holds ids [%d, %d) without it", id, first, first+len(evs))
+		}
+		seen++
+	}})
+	for i := 0; i < 4; i++ {
+		t0 := int64(i) * 1_000_000
+		c.AddMirror(mirrorAt(0, int16(i%2), t0+1_000, key(i)))
+		c.AddMirror(mirrorAt(0, int16(i%2), t0+2_000, key(i)))
+		c.Poll()
+	}
+	c.Drain()
+	if seen != 4 {
+		t.Fatalf("OnEvent saw %d events, want 4", seen)
 	}
 }

@@ -4,19 +4,18 @@
 // monitors matching-and-mirroring CE packets through the real wire
 // encoding, and the analyzer consuming both. Wire attaches the monitors to
 // a simulation given where reports and mirrors go, and Deploy is Wire with
-// an in-process analyzer at the far end; the same monitor types work
+// an in-process collector at the far end; the same monitor types work
 // standalone over any packet feed (e.g. pcap traces).
 package core
 
 import (
 	"sync"
 
-	"umon/internal/analyzer"
+	"umon/internal/collect"
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 	"umon/internal/netsim"
 	"umon/internal/packet"
-	"umon/internal/report"
 	"umon/internal/uevent"
 	"umon/internal/wavesketch"
 )
@@ -43,19 +42,15 @@ func DefaultHostMonitor() HostMonitorConfig {
 // SwitchMonitorConfig parameterizes µEvent capture on one switch.
 type SwitchMonitorConfig struct {
 	Rule uevent.ACLRule
-	// TruncBytes truncates mirrored copies; 0 mirrors full packets.
-	TruncBytes int32
 }
 
 // SwitchMonitor applies the match-sample-mirror pipeline of §5 to a
 // switch's CE egress feed, emitting wire-encoded mirror packets.
 type SwitchMonitor struct {
-	sw       int16
-	cfg      SwitchMonitorConfig
-	emit     func(encoded []byte)
-	scratch  []byte
-	mirrored int64
-	bytes    int64
+	sw      int16
+	cfg     SwitchMonitorConfig
+	emit    func(encoded []byte)
+	scratch []byte
 }
 
 // NewSwitchMonitor builds a monitor for switch sw. The emit callback's
@@ -81,19 +76,9 @@ func (m *SwitchMonitor) OnCEPacket(port int16, ns int64, f flowkey.Key, psn uint
 		WireBytes:   size,
 		Flow:        f,
 	}
-	if m.cfg.TruncBytes > 0 && rec.WireBytes > m.cfg.TruncBytes {
-		rec.WireBytes = m.cfg.TruncBytes
-	}
-	m.mirrored++
-	m.bytes += int64(rec.WireBytes)
-	if m.emit != nil {
-		m.scratch = uevent.AppendMirrorPacket(m.scratch[:0], rec)
-		m.emit(m.scratch)
-	}
+	m.scratch = uevent.AppendMirrorPacket(m.scratch[:0], rec)
+	m.emit(m.scratch)
 }
-
-// Stats reports mirror accounting.
-func (m *SwitchMonitor) Stats() (packets, bytes int64) { return m.mirrored, m.bytes }
 
 // SystemConfig parameterizes a full µMon deployment.
 type SystemConfig struct {
@@ -113,10 +98,11 @@ func DefaultSystem() SystemConfig {
 // wired into one simulated network, feeding a report sink and a mirror
 // consumer over the real wire formats.
 type System struct {
-	// Analyzer consumes both feeds of a Deploy'd system; nil after Wire.
-	Analyzer *analyzer.Analyzer
-	hosts    []*StreamHostMonitor
-	switches []*SwitchMonitor
+	// Collector consumes both feeds of a Deploy'd system, in a window that
+	// holds the whole run; nil after Wire.
+	Collector *collect.Collector
+	hosts     []*StreamHostMonitor
+	switches  []*SwitchMonitor
 	// The netsim callbacks fire concurrently when the network is sharded
 	// (serialized per host and per switch, not globally), so the first
 	// pipeline error is kept under a mutex.
@@ -159,23 +145,21 @@ func Wire(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig, sink Repor
 	return s, nil
 }
 
-// Deploy wires µMon to a simulated network with an in-process analyzer at
-// the far end: both paths reach it as encoded bytes that are decoded again
-// on arrival — exercising the full pipeline. The analyzer ingests on the
-// caller's goroutine, so the network must run unsharded.
+// Deploy wires µMon to a simulated network with an in-process collector at
+// the far end, its window unbounded: both paths reach it as encoded bytes
+// that are decoded again on arrival — exercising the full pipeline. Events
+// close online as the mirrors arrive, and Finish drains the rest. The
+// collector ingests on the caller's goroutine, so the network must run
+// unsharded.
 func Deploy(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System, error) {
-	an := analyzer.New()
+	col := collect.New(collect.Config{EpochNs: cfg.Host.PeriodNs})
 	s, err := Wire(n, topo, cfg, FuncSink(func(r SealedReport) error {
-		rep, err := report.DecodeBytes(r.Encoded)
-		if err != nil {
-			return err
-		}
-		return an.AddReport(rep)
-	}), an.AddMirrorPacket)
+		return col.AddEncoded(r.Epoch, r.Encoded)
+	}), col.AddMirrorPacket)
 	if err != nil {
 		return nil, err
 	}
-	s.Analyzer = an
+	s.Collector = col
 	return s, nil
 }
 
@@ -188,13 +172,17 @@ func (s *System) fail(err error) {
 	s.errMu.Unlock()
 }
 
-// Finish seals the final reporting periods and surfaces the first pipeline
-// error.
+// Finish seals the final reporting periods, drains a Deploy'd collector
+// (the end of the run is the end of its input) and surfaces the first
+// pipeline error.
 func (s *System) Finish() error {
 	for _, hm := range s.hosts {
 		if err := hm.Close(); err != nil {
 			s.fail(err)
 		}
+	}
+	if s.Collector != nil {
+		s.Collector.Drain()
 	}
 	s.errMu.Lock()
 	defer s.errMu.Unlock()

@@ -2,12 +2,16 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"umon/internal/analyzer"
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 	"umon/internal/netsim"
+	"umon/internal/report"
 	"umon/internal/uevent"
 )
 
@@ -90,23 +94,16 @@ func TestSwitchMonitorSamplesAndEncodes(t *testing.T) {
 	if len(wires) != 4 { // PSNs 0,4,8,12
 		t.Fatalf("mirrored %d, want 4", len(wires))
 	}
-	pkts, bytes := sm.Stats()
-	if pkts != 4 || bytes != 4*1058 {
-		t.Errorf("stats = %d/%d", pkts, bytes)
-	}
-}
-
-func TestSwitchMonitorTruncates(t *testing.T) {
-	sm := NewSwitchMonitor(0, SwitchMonitorConfig{TruncBytes: 64}, nil)
-	sm.OnCEPacket(0, 0, testKey(1), 0, 1058)
-	_, bytes := sm.Stats()
-	if bytes != 64 {
-		t.Errorf("truncated bytes = %d, want 64", bytes)
+	for i, b := range wires {
+		m, err := uevent.DecodeMirrorPacket(b)
+		if err != nil || m.PSN != uint32(4*i) || m.OrigBytes != 1058 || m.WireBytes != 1058 || m.Port.Switch != 4 {
+			t.Errorf("mirror %d = %+v (err %v)", i, m, err)
+		}
 	}
 }
 
 // TestDeployEndToEnd runs a full µMon deployment over a congested
-// dumbbell: reports and mirrors must reach the analyzer through the wire
+// dumbbell: reports and mirrors must reach the collector through the wire
 // formats, and the replayed event must carry rate curves.
 func TestDeployEndToEnd(t *testing.T) {
 	topo, _ := netsim.Dumbbell(2)
@@ -125,8 +122,8 @@ func TestDeployEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if sys.Analyzer.Mirrors() == 0 {
-		t.Fatal("no mirrors reached the analyzer")
+	if sys.Collector.Status().MirrorsIngested == 0 {
+		t.Fatal("no mirrors reached the collector")
 	}
 	if bw := sys.HostBandwidthBps(5_000_000); bw <= 0 {
 		t.Error("host bandwidth must be positive")
@@ -135,7 +132,7 @@ func TestDeployEndToEnd(t *testing.T) {
 		t.Error("zero duration bandwidth must be 0")
 	}
 
-	events := sys.Analyzer.DetectEvents(50_000)
+	events := sys.Collector.Events()
 	if len(events) == 0 {
 		t.Fatal("no events detected")
 	}
@@ -145,7 +142,7 @@ func TestDeployEndToEnd(t *testing.T) {
 			best = ev
 		}
 	}
-	view := sys.Analyzer.Replay(best, 30*measure.WindowNanos)
+	view := sys.Collector.Replay(best, 30*measure.WindowNanos)
 	var activity float64
 	for _, c := range view.Curves {
 		for _, v := range c {
@@ -179,16 +176,12 @@ func TestWireKeepsTheFirstError(t *testing.T) {
 	}
 	n.AddFlow(netsim.FlowSpec{Src: 0, Dst: 2, Bytes: 10_000_000, StartNs: 0})
 	n.AddFlow(netsim.FlowSpec{Src: 1, Dst: 2, Bytes: 10_000_000, StartNs: 100_000})
-	n.Run(3_000_000)
+	tr := n.Run(3_000_000)
 	if err := sys.Finish(); !errors.Is(err, errSinkDown) && !errors.Is(err, errMirror) {
 		t.Errorf("Finish returned %v, want the sink's or the mirror consumer's error", err)
 	}
-	var p int64
-	for _, sm := range sys.switches {
-		n, _ := sm.Stats()
-		p += n
-	}
-	if p == 0 || p != mirrors.Load() {
+	// The rule mirrors every CE mark.
+	if p := int64(len(tr.CELog)); p == 0 || p != mirrors.Load() {
 		t.Errorf("switches mirrored %d packets, the consumer saw %d", p, mirrors.Load())
 	}
 	if sys.ReportBytes() == 0 {
@@ -197,7 +190,7 @@ func TestWireKeepsTheFirstError(t *testing.T) {
 }
 
 // TestDeployReportsAreQueryable verifies that the flows measured through
-// the period-rolling host monitors remain queryable at the analyzer with
+// the period-rolling host monitors remain queryable at the collector with
 // sensible totals.
 func TestDeployReportsAreQueryable(t *testing.T) {
 	topo, _ := netsim.Dumbbell(1)
@@ -211,7 +204,7 @@ func TestDeployReportsAreQueryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := tr.Flows[id].Key
-	est := sys.Analyzer.QueryFlow(key, 0, 5_000_000/measure.WindowNanos)
+	est := sys.Collector.QueryFlow(key, 0, 5_000_000/measure.WindowNanos)
 	var total float64
 	for _, v := range est {
 		total += v
@@ -219,5 +212,58 @@ func TestDeployReportsAreQueryable(t *testing.T) {
 	sent := float64(tr.Flows[id].TxBytes)
 	if total < sent*0.9 || total > sent*1.1 {
 		t.Errorf("queried total %v vs sent %v", total, sent)
+	}
+}
+
+// TestDeployMatchesBatch holds Deploy's collector to the batch analyzer fed
+// the same shipped reports and mirrors, taken from a second, identical run
+// wired to a sink and a mirror consumer that feed it: the events the
+// collector emitted online equal DetectEvents', and every flow's query over
+// the whole run matches bit for bit.
+func TestDeployMatchesBatch(t *testing.T) {
+	simulate := func(wire func(*netsim.Network, *netsim.Topology, SystemConfig) (*System, error)) (*System, *netsim.Trace) {
+		topo, _ := netsim.Dumbbell(3)
+		n, _ := netsim.New(netsim.DefaultConfig(topo))
+		cfg := DefaultSystem()
+		cfg.Host.PeriodNs = 1_000_000
+		cfg.Switch.Rule = uevent.ACLRule{SampleBits: 1}
+		sys, err := wire(n, topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < 3; src++ {
+			n.AddFlow(netsim.FlowSpec{Src: src, Dst: 3, Bytes: 5_000_000, StartNs: int64(src) * 300_000})
+		}
+		tr := n.Run(4_000_000)
+		if err := sys.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return sys, tr
+	}
+	sys, tr := simulate(Deploy)
+	batch := analyzer.New()
+	simulate(func(n *netsim.Network, topo *netsim.Topology, cfg SystemConfig) (*System, error) {
+		return Wire(n, topo, cfg, FuncSink(func(r SealedReport) error {
+			rep, err := report.DecodeBytes(r.Encoded)
+			if err != nil {
+				return err
+			}
+			return batch.AddReport(rep)
+		}), batch.AddMirrorPacket)
+	})
+
+	events, want := sys.Collector.Events(), batch.DetectEvents(50_000)
+	if len(want) < 2 || !reflect.DeepEqual(events, want) {
+		t.Fatalf("the collector emitted %d events, the batch analyzer detects %d (want ≥ 2, equal)", len(events), len(want))
+	}
+	if epochs, _ := sys.Collector.Window(); len(epochs) < 4 {
+		t.Errorf("the run spans %d epochs, want every one of ≥ 4 resident", len(epochs))
+	}
+	to := int64(4_000_000 / measure.WindowNanos)
+	for _, fl := range tr.Flows {
+		got, want := sys.Collector.QueryFlow(fl.Key, 0, to), batch.QueryFlow(fl.Key, 0, to)
+		if !slices.Equal(got, want) || slices.Max(want) == 0 {
+			t.Errorf("flow %s: the collector and the batch analyzer answer differently (or nothing)", fl.Key)
+		}
 	}
 }

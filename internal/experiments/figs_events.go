@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"umon/internal/analyzer"
+	"umon/internal/collect"
 	"umon/internal/measure"
 	"umon/internal/netsim"
 	"umon/internal/report"
@@ -93,7 +94,7 @@ func Fig15MirrorBandwidth(c *Cache) (*Table, error) {
 // Fig10EventReplay regenerates Figure 10: the congestion time-location
 // map, the duration distribution and the replay of a long event — run on
 // the full µMon pipeline (WaveSketch reports + mirrored packets through
-// the analyzer).
+// the collector).
 func Fig10EventReplay(c *Cache) (*Table, error) {
 	sim, err := c.Sim(SimKey{"WebSearch", 0.35})
 	if err != nil {
@@ -101,8 +102,8 @@ func Fig10EventReplay(c *Cache) (*Table, error) {
 	}
 
 	// Host side: full-version WaveSketch per host, fed from the egress
-	// streams, uploaded as reports in host order.
-	a := analyzer.New()
+	// streams, uploaded as one epoch's reports in host order.
+	col := collect.New(collect.Config{})
 	for h, recs := range sim.Trace.HostPackets {
 		cfg := wavesketch.DefaultFull()
 		cfg.Light.K = 64
@@ -114,15 +115,16 @@ func Fig10EventReplay(c *Cache) (*Table, error) {
 			full.Update(rec.Flow, measure.WindowOf(rec.Ns), int64(rec.Size))
 		}
 		full.Seal()
-		if err := a.AddReport(report.FromFull(h, 0, full)); err != nil {
+		if err := col.Add(0, report.FromFull(h, 0, full)); err != nil {
 			return nil, err
 		}
 	}
 	// Switch side: 1/64-sampled CE mirroring.
-	mirrors := uevent.Capture(sim.Trace.CELog, uevent.ACLRule{SampleBits: 6}, 0)
-	a.AddMirrors(mirrors)
+	for _, m := range uevent.Capture(sim.Trace.CELog, uevent.ACLRule{SampleBits: 6}, 0) {
+		col.AddMirror(m)
+	}
 
-	events := a.DetectEvents(50_000)
+	events := col.Drain()
 	stats := analyzer.Durations(events)
 	pts, legend := analyzer.LocationMap(events)
 
@@ -130,7 +132,7 @@ func Fig10EventReplay(c *Cache) (*Table, error) {
 		ID: "fig10", Title: "Congestion detection and replay (WebSearch 35%, sampling 1/64)",
 		Header: []string{"metric", "value"},
 	}
-	t.AddRow("mirrored packets", fmt.Sprintf("%d", a.Mirrors()))
+	t.AddRow("mirrored packets", fmt.Sprintf("%d", col.Status().MirrorsIngested))
 	t.AddRow("detected events", fmt.Sprintf("%d", stats.Count))
 	t.AddRow("congested links", fmt.Sprintf("%d", len(legend)))
 	t.AddRow("duration p50 (µs)", fmtF(float64(stats.P50Ns)/1000))
@@ -147,7 +149,7 @@ func Fig10EventReplay(c *Cache) (*Table, error) {
 				best = ev
 			}
 		}
-		view := a.Replay(best, 30*measure.WindowNanos)
+		view := col.Replay(best, 30*measure.WindowNanos)
 		t.AddRow("replayed event", best.String())
 		flows := best.Flows
 		if len(flows) > 3 {

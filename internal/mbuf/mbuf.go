@@ -112,14 +112,8 @@ type Buf struct {
 // larger than the Alloc request).
 func (b *Buf) Data() []byte { return b.data }
 
-// Cap reports the backing size.
-func (b *Buf) Cap() int { return len(b.data) }
-
 // Ref adds one holder.
 func (b *Buf) Ref() { b.refs.Add(1) }
-
-// Refs reports the current holder count (for tests and diagnostics).
-func (b *Buf) Refs() int32 { return b.refs.Load() }
 
 // Unref drops one holder, returning the buffer to its free list when the
 // count reaches zero. Unref below zero panics: it means a double free.

@@ -131,14 +131,6 @@ func MeanFinite(vals []float64) float64 {
 	return s / float64(n)
 }
 
-// Recall = captured / total, 1 when total is zero.
-func Recall(captured, total int) float64 {
-	if total == 0 {
-		return 1
-	}
-	return float64(captured) / float64(total)
-}
-
 // CurveSet aggregates the four Appendix-E metrics over many flows,
 // producing the workload-level averages the figures plot.
 type CurveSet struct {

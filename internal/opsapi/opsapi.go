@@ -46,10 +46,11 @@ type Config struct {
 	// Collector is the live window the API answers from. Its read plane is
 	// lock-free, so the API needs no serialization with the ingest loop.
 	Collector *collect.Collector
-	// Hub, when set, backs /api/events with the live stream and names the
-	// events /api/replay takes by emission index. Without it, /api/events
-	// and /api/replay index the collector's retained events, sorted by
-	// (start, port), and ?follow= is rejected.
+	// Hub, when set, wakes /api/events long-polls and ?follow= streams, and
+	// /api/events and /api/replay name events by emission index: ids into
+	// the collector's Snapshot.EventLog. Without it, they index the
+	// collector's retained events, sorted by (start, port), and ?follow= is
+	// rejected.
 	Hub *Hub
 	// Stats, when set, adds per-stage latency summaries to
 	// /api/trace/epochs.
@@ -180,14 +181,18 @@ func (a *API) handleReplay(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The id names what /api/events lists under it: the hub's event of that
-	// emission index, or without a hub the idx-th retained event of the
+	// The id names what /api/events lists under it: the event of that
+	// emission index, or without a hub the idx-th retained event, of the
 	// snapshot that also serves the replay.
 	snap := a.col.Snapshot()
 	var ev analyzer.Event
 	first, next := 0, 0
 	if a.hub != nil {
-		ev, first, next = a.hub.Event(idx)
+		var evs []analyzer.Event
+		evs, first = snap.EventLog()
+		if next = first + len(evs); idx >= first && idx < next {
+			ev = evs[idx-first]
+		}
 	} else {
 		events := snap.Events()
 		if next = len(events); idx >= 0 && idx < next {
@@ -247,18 +252,16 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp EventsResponse
 	if a.hub != nil {
-		evs, next, open := a.hub.Snapshot(since)
-		if waitMs, _ := strconv.Atoi(q.Get("wait_ms")); waitMs > 0 && len(evs) == 0 && open {
-			// Long-poll: hold the request until news, close, or timeout.
-			// Deriving from the request context releases the handler the
-			// moment a client drops.
-			ctx, cancel := context.WithTimeout(r.Context(), time.Duration(waitMs)*time.Millisecond)
-			evs, next, open = a.hub.Wait(ctx, since)
-			cancel()
-		}
-		resp = EventsResponse{Next: next, Open: open}
+		// Long-poll: with wait_ms, hold the request until news, close, or
+		// timeout. Deriving from the request context releases the handler
+		// the moment a client drops.
+		waitMs, _ := strconv.Atoi(q.Get("wait_ms"))
+		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(max(waitMs, 0))*time.Millisecond)
+		evs, first, open := a.tail(ctx, since)
+		cancel()
+		resp = EventsResponse{Next: first + len(evs), Open: open}
 		for i, ev := range evs {
-			resp.Events = append(resp.Events, NewEventJSON(next-len(evs)+i, ev))
+			resp.Events = append(resp.Events, NewEventJSON(first+i, ev))
 		}
 	} else {
 		events := a.col.Events()
@@ -271,9 +274,32 @@ func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// tail reads the event log from cursor on: the retained events past it, the
+// id of the first of them, and whether the hub is still open. A cursor below
+// the log reads from its oldest retained event, one past its end reads
+// nothing. When there is nothing to read, tail waits for an emission, the
+// hub's close or the end of ctx.
+func (a *API) tail(ctx context.Context, cursor int) (evs []analyzer.Event, first int, open bool) {
+	for {
+		wake, closed := a.hub.state()
+		log, lo := a.col.Snapshot().EventLog()
+		cursor = min(max(cursor, lo), lo+len(log))
+		if cursor < lo+len(log) || closed {
+			return log[cursor-lo:], cursor, !closed
+		}
+		select {
+		case <-ctx.Done():
+			return nil, cursor, true
+		case <-wake:
+		}
+	}
+}
+
 // followEvents streams the backlog then live events as Server-Sent Events:
 // one "data:" line of EventJSON per event, id set to the cursor, and a
-// final "event: end" frame when the hub closes (ingest drained).
+// final "event: end" frame when the hub closes (ingest drained). A follower
+// whose cursor falls below the retained log is told with an "event: gap"
+// frame naming the ids it missed, [from, to), before the stream resumes.
 func (a *API) followEvents(w http.ResponseWriter, r *http.Request, cursor int) {
 	if a.hub == nil {
 		http.Error(w, "no live event stream on this daemon", http.StatusNotImplemented)
@@ -290,20 +316,20 @@ func (a *API) followEvents(w http.ResponseWriter, r *http.Request, cursor int) {
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	for {
-		evs, next, open := a.hub.Wait(r.Context(), cursor)
+	for cursor = max(cursor, 0); ; {
+		evs, first, open := a.tail(r.Context(), cursor)
+		if first > cursor {
+			fmt.Fprintf(w, "event: gap\ndata: {\"from\":%d,\"to\":%d}\n\n", cursor, first)
+		}
 		for i, ev := range evs {
-			id := next - len(evs) + i // past cursor if the hub dropped events
-			b, err := json.Marshal(NewEventJSON(id, ev))
+			b, err := json.Marshal(NewEventJSON(first+i, ev))
 			if err != nil {
 				return
 			}
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", id+1, b)
+			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", first+i+1, b)
 		}
-		if len(evs) > 0 {
-			fl.Flush()
-		}
-		cursor = next
+		fl.Flush()
+		cursor = first + len(evs)
 		if !open {
 			fmt.Fprint(w, "event: end\ndata: {}\n\n")
 			fl.Flush()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"umon/internal/analyzer"
 	"umon/internal/collect"
@@ -75,7 +77,7 @@ func newFixture(t testing.TB) *fixture {
 		WindowEpochs: 8,
 		GapNs:        50_000,
 		Stats:        stats,
-		OnEvent:      hub.Publish,
+		OnEvent:      func(analyzer.Event) { hub.Notify() },
 		Now:          func() int64 { clock += 100; return clock },
 	})
 	for e := uint64(0); e < 3; e++ {
@@ -366,7 +368,8 @@ func TestEventsFollowStreamsLive(t *testing.T) {
 	}
 }
 
-// TestEventsLongPoll holds a wait_ms request open until a publish lands.
+// TestEventsLongPoll holds a wait_ms request open until the collector
+// emits.
 func TestEventsLongPoll(t *testing.T) {
 	fx := newFixture(t)
 	done := make(chan EventsResponse, 1)
@@ -376,10 +379,14 @@ func TestEventsLongPoll(t *testing.T) {
 		done <- got
 	}()
 	time.Sleep(50 * time.Millisecond) // let the poller park
-	fx.hub.Publish(analyzer.Event{StartNs: 42, EndNs: 43})
+	// A mirror at 500µs closes the fixture's open cluster at 200µs on sw2.
+	fx.mu.Lock()
+	fx.col.AddMirror(mirrorAt(3, 0, 500_000, key(2)))
+	fx.col.Poll()
+	fx.mu.Unlock()
 	select {
 	case got := <-done:
-		if len(got.Events) != 1 || got.Events[0].StartNs != 42 || got.Next != 2 {
+		if len(got.Events) != 1 || got.Events[0].StartNs != 200_000 || got.Events[0].Seq != 1 || got.Next != 2 || !got.Open {
 			t.Errorf("long-poll = %+v", got)
 		}
 	case <-time.After(5 * time.Second):
@@ -565,10 +572,35 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	}
 }
 
-// TestHubLossless checks every published event reaches a follower that
-// started late and paused mid-stream.
+// shrinkEventLog sets col's emission-log bound to n. The bound is no option
+// of the collector; tests shrink it through its one unexported field so
+// that the log trims after a handful of events rather than
+// collect.EventLogCap.
+func shrinkEventLog(col *collect.Collector, n int) {
+	f := reflect.ValueOf(col).Elem().FieldByName("eventCap")
+	reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetInt(int64(n))
+}
+
+// emitEvents makes the fixture's collector emit n more events, one per poll:
+// event id (from 1 on) starts at startOf(id). Its first mirror closes the
+// fixture's open cluster at 200µs, which becomes event 1.
+func (fx *fixture) emitEvents(n int) {
+	fx.mu.Lock()
+	defer fx.mu.Unlock()
+	for emitted := fx.col.Status().EventsEmitted; n > 0; n-- {
+		fx.col.AddMirror(mirrorAt(2, 1, startOf(emitted+1), key(emitted)))
+		fx.col.Poll()
+		emitted++
+	}
+}
+
+func startOf(id int) int64 { return int64(id)*1_000_000 - 800_000 }
+
+// TestHubLossless checks every event the collector emits reaches a follower
+// that started late and paused mid-stream.
 func TestHubLossless(t *testing.T) {
-	h := NewHub()
+	fx := newFixture(t) // event 0 is emitted before the follower starts
+	api := New(Config{Collector: fx.col, Hub: fx.hub})
 	const total = 100
 	var got []int64
 	done := make(chan struct{})
@@ -576,74 +608,75 @@ func TestHubLossless(t *testing.T) {
 		defer close(done)
 		cursor := 0
 		for {
-			evs, next, open := h.Wait(context.Background(), cursor)
+			evs, first, open := api.tail(context.Background(), cursor)
+			if first != cursor {
+				t.Errorf("follower at %d resumed at %d", cursor, first)
+			}
 			for _, ev := range evs {
 				got = append(got, ev.StartNs)
 			}
-			cursor = next
+			cursor = first + len(evs)
 			if !open {
 				return
 			}
 		}
 	}()
-	for i := 0; i < total; i++ {
-		h.Publish(analyzer.Event{StartNs: int64(i)})
-		if i == total/2 {
-			time.Sleep(time.Millisecond) // let the follower catch up mid-stream
-		}
-	}
-	h.Close()
+	fx.emitEvents(total / 2)
+	time.Sleep(time.Millisecond) // let the follower catch up mid-stream
+	fx.emitEvents(total - 1 - total/2)
+	fx.hub.Close()
 	<-done
 	if len(got) != total {
 		t.Fatalf("follower saw %d events, want %d", len(got), total)
 	}
-	for i, v := range got {
-		if v != int64(i) {
-			t.Fatalf("event %d out of order: %d", i, v)
+	for id, v := range got {
+		if want := startOf(id); id > 0 && v != want {
+			t.Fatalf("event %d starts at %d, want %d", id, v, want)
 		}
 	}
-	// Post-close publishes are dropped; snapshots stay stable.
-	h.Publish(analyzer.Event{StartNs: 999})
-	if h.Len() != total {
-		t.Errorf("closed hub grew to %d", h.Len())
+	// Notifying a closed hub is a no-op, and readers see it closed.
+	fx.hub.Notify()
+	if _, _, open := api.tail(context.Background(), total); open {
+		t.Error("a closed hub reads open")
 	}
 }
 
-// TestHubBoundedIdsStable shrinks the hub's bound and publishes three
+// TestHubBoundedIdsStable shrinks the collector's log bound and emits three
 // times as many events: ids stay emission indices across every trim, a
-// dropped id is reported as outside [first, next), a stale cursor resumes at
+// dropped id is outside the log's [first, next), a stale cursor resumes at
 // the oldest kept event with its true id, and /api/replay answers 410 for a
-// dropped id, 404 past the end, and the hub's own event for a kept one.
+// dropped id, 404 past the end, and the logged event for a kept one.
 func TestHubBoundedIdsStable(t *testing.T) {
 	for _, keep := range []int{1, 4, 16} { // 16: trimmed with slack (keep/8 > 0)
 		fx := newFixture(t) // the fixture's one event has id 0
-		fx.hub.keep = keep
+		shrinkEventLog(fx.col, keep)
 		total := 3 * keep
 		for id := 1; id < total; id++ {
-			fx.hub.Publish(analyzer.Event{StartNs: int64(id) * 1000, EndNs: int64(id)*1000 + 500})
-			_, first, next := fx.hub.Event(id)
-			if next != id+1 || next-first < min(keep, id+1) || next-first > keep+keep/8 {
-				t.Fatalf("keep %d: after event %d the hub keeps [%d, %d)", keep, id, first, next)
+			fx.emitEvents(1)
+			evs, first := fx.col.Snapshot().EventLog()
+			if next := first + len(evs); next != id+1 || next-first < min(keep, id+1) || next-first > keep+keep/8 {
+				t.Fatalf("keep %d: after event %d the log keeps [%d, %d)", keep, id, first, next)
 			}
 		}
-		_, first, next := fx.hub.Event(0)
-		if fx.hub.Len() != total || next != total || first == 0 {
-			t.Fatalf("keep %d: Len %d, kept [%d, %d), want %d published and event 0 dropped", keep, fx.hub.Len(), first, next, total)
+		evs, first := fx.col.Snapshot().EventLog()
+		next := first + len(evs)
+		if emitted := fx.col.Status().EventsEmitted; emitted != total || next != total || first == 0 {
+			t.Fatalf("keep %d: %d emitted, log keeps [%d, %d), want %d emitted and event 0 dropped", keep, emitted, first, next, total)
 		}
 		for id := first; id < next; id++ {
-			if ev, _, _ := fx.hub.Event(id); ev.StartNs != int64(id)*1000 {
-				t.Errorf("keep %d: Event(%d) starts at %d", keep, id, ev.StartNs)
+			if ev := evs[id-first]; ev.StartNs != startOf(id) {
+				t.Errorf("keep %d: event %d starts at %d", keep, id, ev.StartNs)
 			}
 		}
 		var got EventsResponse
 		fx.getJSON(t, "/api/events?since=0", &got)
-		if got.Next != total || len(got.Events) != next-first || got.Events[0].Seq != first || got.Events[0].StartNs != int64(first)*1000 {
+		if got.Next != total || len(got.Events) != next-first || got.Events[0].Seq != first || got.Events[0].StartNs != startOf(first) {
 			t.Errorf("keep %d: stale cursor read %d events from seq %d, next %d; want [%d, %d)",
 				keep, len(got.Events), got.Events[0].Seq, got.Next, first, next)
 		}
 		var rep ReplayResponse
 		fx.getJSON(t, "/api/replay?event="+strconv.Itoa(next-1), &rep)
-		if rep.Event.Seq != next-1 || rep.Event.StartNs != int64(next-1)*1000 {
+		if rep.Event.Seq != next-1 || rep.Event.StartNs != startOf(next-1) {
 			t.Errorf("keep %d: replay of %d echoes %+v", keep, next-1, rep.Event)
 		}
 		for path, want := range map[string]int{
@@ -661,6 +694,47 @@ func TestHubBoundedIdsStable(t *testing.T) {
 			if resp.StatusCode != want {
 				t.Errorf("keep %d, kept [%d, %d): GET %s = %d, want %d", keep, first, next, path, resp.StatusCode, want)
 			}
+		}
+	}
+}
+
+// TestFollowerGap: a follower whose cursor fell below the retained log is
+// told which ids it missed, with a gap frame, before the stream resumes at
+// the oldest retained event under its true id.
+func TestFollowerGap(t *testing.T) {
+	fx := newFixture(t)
+	shrinkEventLog(fx.col, 4)
+	fx.emitEvents(10) // ids 1..10; the log keeps the newest 4
+	_, first := fx.col.Snapshot().EventLog()
+	if first <= 1 {
+		t.Fatalf("the log still holds event %d", first)
+	}
+	fx.hub.Close()
+	// The follower read event 0 and resumes from cursor 1.
+	resp, err := http.Get(fx.srv.URL + "/api/events?since=1&follow=")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := strings.Split(strings.TrimSuffix(string(body), "\n\n"), "\n\n")
+	want := fmt.Sprintf("event: gap\ndata: {\"from\":1,\"to\":%d}", first)
+	if len(frames) == 0 || frames[0] != want {
+		t.Fatalf("first frame %q, want %q", frames[0], want)
+	}
+	if len(frames) != 1+(11-first)+1 || frames[len(frames)-1] != "event: end\ndata: {}" {
+		t.Fatalf("%d frames, want the gap, events %d..10 and the end:\n%s", len(frames), first, body)
+	}
+	for i, fr := range frames[1 : len(frames)-1] {
+		id := first + i
+		var ev EventJSON
+		line := strings.SplitN(fr, "\n", 2)
+		if line[0] != "id: "+strconv.Itoa(id+1) || json.Unmarshal([]byte(strings.TrimPrefix(line[1], "data: ")), &ev) != nil ||
+			ev.Seq != id || ev.StartNs != startOf(id) {
+			t.Errorf("frame %q, want event %d", fr, id)
 		}
 	}
 }

@@ -227,12 +227,6 @@ type ReaderOpts struct {
 	BlockBytes int
 }
 
-// NewReader validates the file header and returns a Reader on the shared
-// buffer pool.
-func NewReader(r io.Reader) (*Reader, error) {
-	return NewReaderOpts(r, ReaderOpts{})
-}
-
 // NewReaderOpts returns a Reader drawing blocks from o.Pool.
 func NewReaderOpts(r io.Reader, o ReaderOpts) (*Reader, error) {
 	var h [fileHeaderLen]byte
@@ -448,40 +442,4 @@ func (r *Reader) ReadBatch(b *Batch, max int) (int, error) {
 		})
 	}
 	return len(b.Pkts), nil
-}
-
-// ReadAll drains the stream. All packet data is copied out of the pooled
-// blocks into one compact arena (a single backing slab holding exactly
-// the captured bytes), so holding the result does not pin pool blocks and
-// costs O(total bytes), not one heap slab per packet.
-func (r *Reader) ReadAll() ([]Packet, error) {
-	type meta struct {
-		tsNs    int64
-		off, n  int
-		origLen int
-	}
-	var arena []byte
-	var metas []meta
-	var b Batch
-	defer b.Release()
-	var rerr error
-	for {
-		n, err := r.ReadBatch(&b, 0)
-		for _, p := range b.Pkts[:n] {
-			metas = append(metas, meta{p.TimestampNs, len(arena), len(p.Data), p.OrigLen})
-			arena = append(arena, p.Data...)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rerr = err
-			break
-		}
-	}
-	out := make([]Packet, len(metas))
-	for i, m := range metas {
-		out[i] = Packet{TimestampNs: m.tsNs, Data: arena[m.off : m.off+m.n : m.off+m.n], OrigLen: m.origLen}
-	}
-	return out, rerr
 }

@@ -42,7 +42,7 @@ func TestAdmissionRefusesWhatTheIndexCannotRoute(t *testing.T) {
 				t.Fatalf("%s: the epoch's first report was refused", name)
 			}
 		}
-		v := c.Snapshot().Version()
+		v := c.Status().SnapshotVersion
 		payload := r.AppendEncode(nil)
 		if err := c.AddStamped(0, r, report.EpochStamp{}); err == nil {
 			t.Errorf("%s: AddStamped admitted it", name)
@@ -53,7 +53,7 @@ func TestAdmissionRefusesWhatTheIndexCannotRoute(t *testing.T) {
 		if n, bad, err := c.IngestStream(stream(r.Host, payload)); n != 0 || bad != 1 || err != nil {
 			t.Errorf("%s: IngestStream admitted %d, %d bad (err %v); want 0, 1 bad", name, n, bad, err)
 		}
-		if got := c.Snapshot().Version(); got != v {
+		if got := c.Status().SnapshotVersion; got != v {
 			t.Errorf("%s: refusals moved the snapshot version %d → %d", name, v, got)
 		}
 		if err := a.AddReport(r); err == nil {

@@ -220,33 +220,6 @@ func Generate(cfg Config) ([]Flow, error) {
 	return flows, nil
 }
 
-// Stats summarizes a generated workload (Table 2 rows).
-type Stats struct {
-	Flows       int
-	TotalBytes  int64
-	Packets     int64 // at the given MTU payload size
-	MeanBytes   float64
-	OfferedLoad float64
-}
-
-// Summarize computes workload statistics assuming `payload`-byte packets.
-func Summarize(flows []Flow, cfg Config, payload int64) Stats {
-	var s Stats
-	s.Flows = len(flows)
-	for _, f := range flows {
-		s.TotalBytes += f.Bytes
-		s.Packets += (f.Bytes + payload - 1) / payload
-	}
-	if s.Flows > 0 {
-		s.MeanBytes = float64(s.TotalBytes) / float64(s.Flows)
-	}
-	den := float64(cfg.Hosts) * cfg.LinkBps * float64(cfg.DurationNs) / 1e9
-	if den > 0 {
-		s.OfferedLoad = float64(s.TotalBytes) * 8 / den
-	}
-	return s
-}
-
 // CounterIncreaseFactorFromDurations computes the Figure 3 quantity
 // N(fine)/N(coarse): the ratio of per-flow window counters needed at the
 // fine granularity versus the coarse one (§2.3: n(f,δ)=t_f/δ summed over

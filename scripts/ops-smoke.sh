@@ -56,9 +56,9 @@ fi
 ./bin/umonctl -addr "$ADDR" health
 
 # Follow the live event stream while ingest runs. Started before ingest
-# finishes on purpose: the hub replays the backlog from cursor 0, so the
-# follower must still see every event.
-./bin/umonctl -addr "$ADDR" events -follow >"$OUT/followed.jsonl" &
+# finishes on purpose: the daemon streams its event log from cursor 0, so
+# the follower must still see every event, with no gap reported on stderr.
+./bin/umonctl -addr "$ADDR" events -follow >"$OUT/followed.jsonl" 2>"$OUT/follow.err" &
 FOLLOW=$!
 
 # Wait for ingest to pick up both feeds, then exercise the query routes.
@@ -84,6 +84,11 @@ followed=$(wc -l <"$OUT/followed.jsonl")
 logged=$(wc -l <"$OUT/events.jsonl")
 if [ -z "$summary" ] || [ "$summary" -eq 0 ]; then
     echo "ops-smoke: drain summary reported no events — nothing was exercised" >&2
+    exit 1
+fi
+if [ -s "$OUT/follow.err" ]; then
+    echo "ops-smoke: the follower reported:" >&2
+    cat "$OUT/follow.err" >&2
     exit 1
 fi
 if [ "$followed" -ne "$summary" ] || [ "$logged" -ne "$summary" ]; then

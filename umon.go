@@ -9,7 +9,7 @@
 //     curves at 8.192 µs windows under a fixed memory budget.
 //   - System — a deployable µMon instance: one sealed report per period
 //     from every host, CE match-sample-mirror at the switches, and the
-//     System's Analyzer consuming both (congestion event detection,
+//     System's Collector consuming both (congestion event detection,
 //     flow-rate queries, event replay).
 //   - The discrete-event data-center simulator used by the examples and
 //     the paper-reproduction benchmarks.
@@ -74,9 +74,6 @@ func Deploy(n *Network, topo *Topology, cfg SystemConfig) (*System, error) {
 
 // DefaultSystem returns the evaluation deployment (1/64 event sampling).
 func DefaultSystem() SystemConfig { return core.DefaultSystem() }
-
-// DefaultHostMonitor returns the evaluation host configuration.
-func DefaultHostMonitor() HostMonitorConfig { return core.DefaultHostMonitor() }
 
 // --- analyzer ---
 

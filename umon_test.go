@@ -48,10 +48,10 @@ func TestFacadeDeployment(t *testing.T) {
 	if err := sys.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Analyzer.Mirrors() == 0 {
+	if sys.Collector.Status().MirrorsIngested == 0 {
 		t.Error("deployment captured no mirrors")
 	}
-	if len(sys.Analyzer.DetectEvents(0)) == 0 {
+	if len(sys.Collector.Events()) == 0 {
 		t.Error("no events detected")
 	}
 }
