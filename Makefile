@@ -43,7 +43,7 @@ test-race:
 # tests: go test runs every seed through the fuzz targets without the
 # mutation engine. CI runs this; `go test -fuzz` explores further locally.
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/packet ./internal/pcapio ./internal/report -count 1
+	$(GO) test -run 'Fuzz' ./internal/packet ./internal/pcapio ./internal/report ./internal/wavelet -count 1
 
 vet:
 	$(GO) vet ./...
@@ -54,7 +54,7 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 15197
+LOC_CEILING = 15195
 LOC_SLACK = 25
 DESIGN_MAX = 866
 EXPERIMENTS_MAX = 450

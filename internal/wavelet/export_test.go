@@ -82,3 +82,12 @@ func (s *Stream) MaxOffset() int {
 	}
 	return s.maxOff
 }
+
+// CollectSink retains every coefficient (lossless): the streaming transform is
+// held to the offline Forward through it.
+type CollectSink struct{ Refs []DetailRef }
+
+// Offer implements CoeffSink.
+func (c *CollectSink) Offer(level, index int, val int64) {
+	c.Refs = append(c.Refs, DetailRef{Level: int8(level), Index: int32(index), Val: val})
+}

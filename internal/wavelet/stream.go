@@ -3,6 +3,7 @@ package wavelet
 import (
 	"math"
 	"slices"
+	"sync"
 )
 
 // levelNode is the carry state of the frontier-path node at one level: the
@@ -197,158 +198,179 @@ func (s *Stream) advance(i int, sink CoeffSink) {
 // Finish flushes every pending detail coefficient (Algorithm 2's pre-steps:
 // the caller must first Push the final counter; padding with zero counters is
 // implicit because zero contributions leave coefficients unchanged) and
-// returns the padded sequence length.
+// returns the padded sequence length. Reset the stream before its next Push.
 func (s *Stream) Finish(sink CoeffSink) int {
 	if !s.started {
 		return 0
 	}
-	var carry int64
-	childIdx := 0
-	nodes := s.nodeSlice()
-	for l := 0; l < s.levels; l++ {
-		n := &nodes[l]
-		if l > 0 && carry != 0 {
-			if childIdx&1 == 0 {
-				n.lsum += carry
-			} else {
-				n.rsum += carry
-			}
-		}
-		if d := n.lsum - n.rsum; d != 0 && sink != nil {
-			sink.Offer(l, n.idx, d)
-		}
-		carry = n.lsum + n.rsum
-		childIdx = n.idx
-		n.lsum, n.rsum = 0, 0
-	}
-	if carry != 0 {
-		for len(s.approx) <= childIdx {
-			s.approx = append(s.approx, 0)
-		}
-		s.approx[childIdx] += carry
-	}
+	s.advance(math.MinInt, sink) // an offset on no node's path completes every node
 	return padLen(s.maxOff+1, s.levels)
 }
 
 // Reset returns the stream to its initial state, keeping allocations.
-func (s *Stream) Reset() {
-	s.approx = s.approx[:0]
-	nodes := s.nodeSlice()
-	for l := range nodes {
-		nodes[l] = levelNode{}
-	}
-	s.maxOff = 0
-	s.started = false
-}
+func (s *Stream) Reset() { s.Init(s.levels, 0) }
 
 // TopKSink retains the K detail coefficients with the largest weighted
-// absolute value seen so far, using a min-heap keyed by WeightedAbs — the
-// ideal (CPU) compression stage of WaveSketch.
+// absolute value seen so far — the ideal (CPU) compression stage of
+// WaveSketch. Below K it only appends: most buckets never overflow, and a
+// Stream offers each level's details in ascending index order, which Sorted
+// keeps. The min-heap keyed by WeightedAbs is built on the first overflow
+// (or MinWeighted) by the sift-ups eager pushes would have made, in their
+// order, so the heap, every tie-break and the kept set are theirs.
 type TopKSink struct {
-	K    int
-	heap detailHeap
+	refs []DetailRef // capacity K, never grown
+	minW float64     // refs[0].WeightedAbs() while refs is a heap, else 0
 }
 
 // NewTopKSink returns a sink retaining at most k coefficients.
 func NewTopKSink(k int) *TopKSink {
-	return &TopKSink{K: k, heap: detailHeap{refs: make([]DetailRef, 0, k)}}
+	return &TopKSink{refs: make([]DetailRef, 0, k)}
 }
 
 // Offer implements CoeffSink.
 func (t *TopKSink) Offer(level, index int, val int64) {
-	if t.K <= 0 || val == 0 {
+	if val == 0 || cap(t.refs) == 0 {
 		return
 	}
 	r := DetailRef{Level: int8(level), Index: int32(index), Val: val}
-	if t.heap.Len() < t.K {
-		t.heap.push(r)
+	if len(t.refs) < cap(t.refs) {
+		t.refs = append(t.refs, r)
 		return
 	}
-	if r.WeightedAbs() > t.heap.refs[0].WeightedAbs() {
-		t.heap.refs[0] = r
-		t.heap.down(0)
+	if t.minW == 0 { // a retained detail weighs more than 0: no heap yet
+		t.heapify()
 	}
-}
-
-// Kept returns the retained coefficients in no particular order.
-func (t *TopKSink) Kept() []DetailRef {
-	return append([]DetailRef(nil), t.heap.refs...)
+	if w := r.WeightedAbs(); w > t.minW {
+		t.down(r, w)
+	}
 }
 
 // Sorted puts the retained coefficients in tree order in place and returns
-// them without copying. The slice aliases the sink and the heap order is
-// gone: Reset the sink before its next Offer.
+// them without copying. The slice aliases the sink and holds until the next
+// Offer, MinWeighted or Reset.
 func (t *TopKSink) Sorted() []DetailRef {
-	slices.SortFunc(t.heap.refs, CompareTree)
-	return t.heap.refs
+	t.minW = 0
+	treeOrder(t.refs)
+	return t.refs
 }
 
 // Len reports how many coefficients are currently retained.
-func (t *TopKSink) Len() int { return t.heap.Len() }
+func (t *TopKSink) Len() int { return len(t.refs) }
 
 // MinWeighted reports the smallest weighted magnitude currently retained,
 // or 0 if empty. Threshold calibration for the hardware version samples it.
 func (t *TopKSink) MinWeighted() float64 {
-	if t.heap.Len() == 0 {
+	if len(t.refs) == 0 {
 		return 0
 	}
-	return t.heap.refs[0].WeightedAbs()
+	if t.minW == 0 {
+		t.heapify()
+	}
+	w := t.minW
+	if len(t.refs) < cap(t.refs) {
+		t.minW = 0 // the appends to come are not in the heap
+	}
+	return w
 }
 
 // Reset empties the sink, keeping allocations.
-func (t *TopKSink) Reset() { t.heap.refs = t.heap.refs[:0] }
-
-// detailHeap is a typed min-heap keyed by WeightedAbs. It is hand-rolled
-// rather than built on container/heap because heap.Push boxes each
-// DetailRef into an interface — one heap allocation per offered
-// coefficient on the sketch's per-packet path.
-type detailHeap struct{ refs []DetailRef }
-
-func (h *detailHeap) Len() int { return len(h.refs) }
-
-func (h *detailHeap) less(i, j int) bool {
-	return h.refs[i].WeightedAbs() < h.refs[j].WeightedAbs()
+func (t *TopKSink) Reset() {
+	t.refs = t.refs[:0]
+	t.minW = 0
 }
 
-func (h *detailHeap) push(r DetailRef) {
-	h.refs = append(h.refs, r)
-	i := len(h.refs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
+// heapify sifts each ref up in turn, exactly as pushing it would have; a
+// ref already in heap order stays put. The heap is hand-rolled rather than
+// container/heap because heap.Push boxes each DetailRef into an interface.
+func (t *TopKSink) heapify() {
+	h := t.refs
+	for j := 1; j < len(h); j++ {
+		i, r := j, h[j]
+		w := r.WeightedAbs()
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !(w < h[parent].WeightedAbs()) {
+				break
+			}
+			h[i] = h[parent]
+			i = parent
 		}
-		h.refs[i], h.refs[parent] = h.refs[parent], h.refs[i]
-		i = parent
+		h[i] = r
 	}
+	t.minW = h[0].WeightedAbs()
 }
 
-func (h *detailHeap) down(i int) {
-	n := len(h.refs)
+// down replaces the root with r, of weighted magnitude w, and sifts it down
+// with the comparisons, and to the slot, a swapping sift-down would.
+func (t *TopKSink) down(r DetailRef, w float64) {
+	h := t.refs
+	i, n := 0, len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
-		least := l
-		if r := l + 1; r < n && h.less(r, l) {
-			least = r
+		least, lw := l, h[l].WeightedAbs()
+		if c := l + 1; c < n {
+			if cw := h[c].WeightedAbs(); cw < lw {
+				least, lw = c, cw
+			}
 		}
-		if !h.less(least, i) {
-			return
+		if !(lw < w) {
+			break
 		}
-		h.refs[i], h.refs[least] = h.refs[least], h.refs[i]
+		h[i] = h[least]
 		i = least
 	}
+	h[i] = r
+	t.minW = h[0].WeightedAbs()
 }
 
-// CollectSink retains every coefficient (lossless); it is used by tests to
-// compare the streaming transform against the offline Forward.
-type CollectSink struct{ Refs []DetailRef }
+// treeScratch pools the copy treeOrder scatters from.
+var treeScratch = sync.Pool{New: func() any { return new([]DetailRef) }}
 
-// Offer implements CoeffSink.
-func (c *CollectSink) Offer(level, index int, val int64) {
-	c.Refs = append(c.Refs, DetailRef{Level: int8(level), Index: int32(index), Val: val})
+// treeOrder puts refs in tree order (CompareTree) in place: one stable
+// counting pass over levels, deepest first, then an index sort of only the
+// level runs that do not already ascend. A sink fed by a Stream below its
+// capacity holds every level in ascending index order and sorts nothing.
+func treeOrder(refs []DetailRef) {
+	if len(refs) < 2 {
+		return
+	}
+	var end [64]int // per level: its count, then where its run ends
+	deepest := 0
+	for _, r := range refs {
+		l := int(r.Level)
+		if uint(l) >= uint(len(end)) {
+			slices.SortFunc(refs, CompareTree)
+			return
+		}
+		end[l]++
+		deepest = max(deepest, l)
+	}
+	n := 0
+	for l := deepest; l >= 0; l-- {
+		n += end[l]
+		end[l] = n
+	}
+	sp := treeScratch.Get().(*[]DetailRef)
+	src := append((*sp)[:0], refs...)
+	for i := len(src) - 1; i >= 0; i-- {
+		l := src[i].Level
+		end[l]--
+		refs[end[l]] = src[i]
+	}
+	*sp = src
+	treeScratch.Put(sp)
+	// end[l] is now where level l's run starts, and the next shallower
+	// level's start is where it ends.
+	hi := len(refs)
+	for l := 0; l <= deepest; l++ {
+		if run := refs[end[l]:hi]; !slices.IsSortedFunc(run, CompareTree) {
+			slices.SortFunc(run, CompareTree)
+		}
+		hi = end[l]
+	}
 }
 
 // ThresholdSink approximates top-k selection the way the hardware pipeline
@@ -418,21 +440,13 @@ func (t *ThresholdSink) Offer(level, index int, val int64) {
 	}
 }
 
-// Kept returns all retained coefficients across both parity queues.
-func (t *ThresholdSink) Kept() []DetailRef {
-	out := make([]DetailRef, 0, len(t.queues[0])+len(t.queues[1]))
-	out = append(out, t.queues[0]...)
-	out = append(out, t.queues[1]...)
-	return out
-}
-
 // Sorted merges the two queues into the first, puts it in tree order and
 // returns it without copying. The slice aliases the sink and the parity
 // split is gone: Reset the sink before its next Offer.
 func (t *ThresholdSink) Sorted() []DetailRef {
 	t.queues[0] = append(t.queues[0], t.queues[1]...)
 	t.queues[1] = t.queues[1][:0]
-	slices.SortFunc(t.queues[0], CompareTree)
+	treeOrder(t.queues[0])
 	return t.queues[0]
 }
 

@@ -131,26 +131,7 @@ func CompareTree(a, b DetailRef) int {
 // value across all levels (ties broken toward shallower level, then lower
 // index, for determinism). Zero-valued coefficients are never selected.
 func TopK(c *Coeffs, k int) []DetailRef {
-	var all []DetailRef
-	for l, det := range c.Details {
-		for i, v := range det {
-			if v != 0 {
-				all = append(all, DetailRef{Level: int8(l), Index: int32(i), Val: v})
-			}
-		}
-	}
-	// Selection by full sort: n is modest (≤ a few thousand per bucket).
-	// Descending by weighted |val|; ties toward the shallower level, then
-	// the lower index, so the order is total and the result deterministic.
-	slices.SortFunc(all, func(a, b DetailRef) int {
-		return cmp.Or(cmp.Compare(b.WeightedAbs(), a.WeightedAbs()), cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]DetailRef, k)
-	copy(out, all[:k])
-	return out
+	return topBy(c, k, func(a, b DetailRef) int { return cmp.Compare(b.WeightedAbs(), a.WeightedAbs()) })
 }
 
 // TopKUnweighted selects the k details with the largest *raw* absolute
@@ -159,6 +140,19 @@ func TopK(c *Coeffs, k int) []DetailRef {
 // coefficients (which are sums over many windows and therefore large) crowd
 // out the shallow ones that carry the fast rate changes.
 func TopKUnweighted(c *Coeffs, k int) []DetailRef {
+	abs := func(v int64) int64 {
+		if v < 0 {
+			return -v
+		}
+		return v
+	}
+	return topBy(c, k, func(a, b DetailRef) int { return cmp.Compare(abs(b.Val), abs(a.Val)) })
+}
+
+// topBy selects the k nonzero details of c that come first by rank, ties
+// toward the shallower level, then the lower index. Selection is by full
+// sort: n is modest (≤ a few thousand per bucket).
+func topBy(c *Coeffs, k int, rank func(a, b DetailRef) int) []DetailRef {
 	var all []DetailRef
 	for l, det := range c.Details {
 		for i, v := range det {
@@ -167,19 +161,10 @@ func TopKUnweighted(c *Coeffs, k int) []DetailRef {
 			}
 		}
 	}
-	abs := func(v int64) int64 {
-		if v < 0 {
-			return -v
-		}
-		return v
-	}
 	slices.SortFunc(all, func(a, b DetailRef) int {
-		return cmp.Or(cmp.Compare(abs(b.Val), abs(a.Val)), cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
+		return cmp.Or(rank(a, b), cmp.Compare(a.Level, b.Level), cmp.Compare(a.Index, b.Index))
 	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]DetailRef, k)
-	copy(out, all[:k])
+	out := make([]DetailRef, min(k, len(all)))
+	copy(out, all)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -305,7 +306,7 @@ func TestTopKSinkKeepsLargestWeighted(t *testing.T) {
 	s.Offer(3, 0, 100) // weighted 100/4 = 25
 	s.Offer(1, 0, 8)   // weighted 4 — should be evicted by next
 	s.Offer(0, 1, -30) // weighted ≈ 21.2
-	kept := s.Kept()
+	kept := s.Sorted()
 	if len(kept) != 2 {
 		t.Fatalf("kept %d coefficients, want 2", len(kept))
 	}
@@ -349,11 +350,11 @@ func TestThresholdSinkFiltersAndEvicts(t *testing.T) {
 		t.Fatal("free slot must accept any coefficient")
 	}
 	s.Offer(0, 1, 2) // full now; shifted |2| < 4 → filtered without a scan
-	if kept := s.Kept(); len(kept) != 1 || kept[0].Val != 3 {
+	if kept := queued(s); len(kept) != 1 || kept[0].Val != 3 {
 		t.Fatalf("kept = %+v, want the original 3", kept)
 	}
 	s.Offer(2, 0, 20) // shifted 20>>1=10 ≥ 4 and beats 3 → evicts
-	kept := s.Kept()
+	kept := queued(s)
 	if len(kept) != 1 || kept[0].Val != 20 {
 		t.Fatalf("kept = %+v, want the level-2 coefficient 20", kept)
 	}
@@ -365,6 +366,11 @@ func TestThresholdSinkFiltersAndEvicts(t *testing.T) {
 	if s.Len() != 0 {
 		t.Error("Reset did not empty parity queues")
 	}
+}
+
+// queued returns a copy of both parity queues, leaving the sink as it is.
+func queued(s *ThresholdSink) []DetailRef {
+	return append(slices.Clone(s.queues[0]), s.queues[1]...)
 }
 
 func TestWeightSequenceMatchesPaper(t *testing.T) {

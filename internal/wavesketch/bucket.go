@@ -13,7 +13,6 @@ import (
 // (parity-threshold) compression stages.
 type coeffSink interface {
 	wavelet.CoeffSink
-	Kept() []wavelet.DetailRef
 	Sorted() []wavelet.DetailRef
 	Len() int
 	Reset()
@@ -120,7 +119,7 @@ func (b *Bucket) Reconstruct(from, to int64) []float64 {
 	if b.w0 < 0 {
 		return out
 	}
-	curve := wavelet.Reconstruct(b.stream.Approx(), b.sink.Kept(), b.stream.Levels(), b.Len())
+	curve := wavelet.Reconstruct(b.stream.Approx(), b.sink.Sorted(), b.stream.Levels(), b.Len())
 	for w := from; w < to; w++ {
 		off := w - b.w0
 		if off >= 0 && off < int64(len(curve)) {
