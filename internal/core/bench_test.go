@@ -155,6 +155,21 @@ func BenchmarkIdleEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkNewStreamHostMonitor is what bringing a host up costs: a Table 1
+// full sketch laid out as slabs of buckets and sinks, none of them sized by
+// K — a sink allocates its detail slots when its bucket's traffic offers
+// them.
+func BenchmarkNewStreamHostMonitor(b *testing.B) {
+	cfg := StreamMonitorConfig{HostMonitorConfig: DefaultHostMonitor()}
+	discard := FuncSink(func(SealedReport) error { return nil })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewStreamHostMonitor(i, cfg, discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSwitchMonitorOnCEPacket is the switch's share of the mirror
 // path: ACL match (every CE packet mirrored), record, wire encoding into
 // the monitor's scratch buffer, and an emit callback that copies the packet

@@ -157,7 +157,7 @@ func TestTopKSinkBelowKDoesNotSift(t *testing.T) {
 // into sink.
 func streamRefs(sink CoeffSink, levels int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	st := NewStream(levels, 0)
+	st := NewStream(levels)
 	off := 0
 	for i := 0; i < 3000; i++ {
 		st.Push(off, int64(rng.Intn(9000)-1000), sink)

@@ -7,19 +7,19 @@ import (
 )
 
 // levelNode is the carry state of the frontier-path node at one level: the
-// node's index (frontier >> (level+1)) and the sums of the values pushed
-// into its left and right halves so far. The node's detail coefficient is
-// lsum-rsum and its total (propagated to the parent on completion) is
-// lsum+rsum.
+// sums of the values pushed into its left and right halves so far. The
+// node's index is not stored: it is always maxOff >> (level+1). The node's
+// detail coefficient is lsum-rsum and its total (propagated to the parent
+// on completion) is lsum+rsum.
 type levelNode struct {
-	idx  int
 	lsum int64
 	rsum int64
 }
 
 // inlineLevels is the decomposition depth covered by the Stream's inline
-// carry array. Depths up to inlineLevels (the paper uses L=8) need no
-// per-stream heap allocation, so a slab of Streams is a single allocation.
+// carry array. Depths up to inlineLevels (the paper uses L=8) keep their
+// carry chain inside the Stream, so a slab of Streams allocates nothing per
+// stream but its approximations, on first use.
 const inlineLevels = 12
 
 // CoeffSink receives finished detail coefficients from a Stream. A sink
@@ -68,19 +68,18 @@ func (s *Stream) nodeSlice() []levelNode {
 }
 
 // NewStream returns a streaming transformer decomposing over `levels`
-// levels. approxHint pre-sizes the approximation slice (n/2^levels entries
-// for an expected sequence length n); it may be 0.
-func NewStream(levels, approxHint int) *Stream {
+// levels.
+func NewStream(levels int) *Stream {
 	s := new(Stream)
-	s.Init(levels, approxHint)
+	s.Init(levels)
 	return s
 }
 
 // Init (re)initializes a Stream in place, allocating only when the depth
-// exceeds the inline capacity or when approxHint demands a larger
-// approximation array. It lets callers embed Streams by value in a
+// exceeds the inline capacity; the approximation array grows on first use
+// and keeps its allocation. It lets callers embed Streams by value in a
 // contiguous slab instead of chasing per-bucket pointers.
-func (s *Stream) Init(levels, approxHint int) {
+func (s *Stream) Init(levels int) {
 	s.levels = levels
 	if levels <= inlineLevels {
 		s.ext = nil
@@ -89,15 +88,8 @@ func (s *Stream) Init(levels, approxHint int) {
 	} else {
 		s.ext = make([]levelNode, levels)
 	}
-	nodes := s.nodeSlice()
-	for l := range nodes {
-		nodes[l] = levelNode{}
-	}
-	if cap(s.approx) < approxHint {
-		s.approx = make([]int64, 0, approxHint)
-	} else {
-		s.approx = s.approx[:0]
-	}
+	clear(s.nodeSlice())
+	s.approx = s.approx[:0]
 	s.maxOff = 0
 	s.started = false
 }
@@ -126,25 +118,19 @@ func (s *Stream) Push(i int, c int64, sink CoeffSink) {
 	if !s.started {
 		s.started = true
 		s.maxOff = i
-		nodes := s.nodeSlice()
-		for l := range nodes {
-			nodes[l] = levelNode{idx: i >> (l + 1)}
-		}
 	} else {
 		o := s.maxOff
 		s.maxOff = i
 		if i>>1 != o>>1 {
-			s.advance(i, sink)
+			s.advance(o, i, sink)
 		}
 	}
 
 	// Keep len(approx) == maxOff>>L + 1, the same eager-growth invariant as
 	// accumulating per push (memory accounting reads the length mid-stream);
 	// values land when the covering depth-L subtree completes.
-	if posA := i >> s.levels; posA >= len(s.approx) {
-		for len(s.approx) <= posA {
-			s.approx = append(s.approx, 0)
-		}
+	for len(s.approx) <= i>>s.levels {
+		s.approx = append(s.approx, 0)
 	}
 
 	// The leaf itself only touches level 0; completions carry upward.
@@ -157,11 +143,11 @@ func (s *Stream) Push(i int, c int64, sink CoeffSink) {
 }
 
 // advance completes every frontier-path node the frontier moves past on its
-// way to offset i: emit the node's detail, carry its total into the parent,
-// and restart the node at i's path. Skipped windows are implicitly zero, so
-// off-path nodes hold no state and need no work; the loop stops at the
-// first level whose node index is unchanged.
-func (s *Stream) advance(i int, sink CoeffSink) {
+// way from offset o to offset i: emit the node's detail, carry its total
+// into the parent, and restart the node at i's path. Skipped windows are
+// implicitly zero, so off-path nodes hold no state and need no work; the
+// loop stops at the first level whose node index is unchanged.
+func (s *Stream) advance(o, i int, sink CoeffSink) {
 	var carry int64
 	childIdx := 0
 	nodes := s.nodeSlice()
@@ -174,17 +160,16 @@ func (s *Stream) advance(i int, sink CoeffSink) {
 				n.rsum += carry
 			}
 		}
-		newIdx := i >> (l + 1)
-		if newIdx == n.idx {
+		idx := o >> (l + 1)
+		if i>>(l+1) == idx {
 			return
 		}
 		if d := n.lsum - n.rsum; d != 0 && sink != nil {
-			sink.Offer(l, n.idx, d)
+			sink.Offer(l, idx, d)
 		}
 		carry = n.lsum + n.rsum
-		childIdx = n.idx
+		childIdx = idx
 		n.lsum, n.rsum = 0, 0
-		n.idx = newIdx
 	}
 	// The deepest node completed: its total is one approximation counter.
 	if carry != 0 {
@@ -203,12 +188,12 @@ func (s *Stream) Finish(sink CoeffSink) int {
 	if !s.started {
 		return 0
 	}
-	s.advance(math.MinInt, sink) // an offset on no node's path completes every node
+	s.advance(s.maxOff, math.MinInt, sink) // an offset on no node's path completes every node
 	return padLen(s.maxOff+1, s.levels)
 }
 
 // Reset returns the stream to its initial state, keeping allocations.
-func (s *Stream) Reset() { s.Init(s.levels, 0) }
+func (s *Stream) Reset() { s.Init(s.levels) }
 
 // TopKSink retains the K detail coefficients with the largest weighted
 // absolute value seen so far — the ideal (CPU) compression stage of
@@ -217,23 +202,32 @@ func (s *Stream) Reset() { s.Init(s.levels, 0) }
 // keeps. The min-heap keyed by WeightedAbs is built on the first overflow
 // (or MinWeighted) by the sift-ups eager pushes would have made, in their
 // order, so the heap, every tie-break and the kept set are theirs.
+// Its slots grow by use, doubling from sinkFloor up to K, and Reset keeps
+// them; an empty sink is safe to copy, so a sketch makes its sinks a slab.
 type TopKSink struct {
-	refs []DetailRef // capacity K, never grown
-	minW float64     // refs[0].WeightedAbs() while refs is a heap, else 0
+	refs []DetailRef // grown by use, capacity at most k
+	k    int
+	minW float64 // refs[0].WeightedAbs() while refs is a heap, else 0
 }
 
-// NewTopKSink returns a sink retaining at most k coefficients.
-func NewTopKSink(k int) *TopKSink {
-	return &TopKSink{refs: make([]DetailRef, 0, k)}
-}
+// sinkFloor is the capacity a sink's first offer allocates: most buckets
+// of a Table 1 sketch peak at 8 to 15 details an epoch.
+const sinkFloor = 8
+
+// NewTopKSink returns a sink retaining at most k coefficients. It
+// allocates nothing until its first offer.
+func NewTopKSink(k int) *TopKSink { return &TopKSink{k: k} }
 
 // Offer implements CoeffSink.
 func (t *TopKSink) Offer(level, index int, val int64) {
-	if val == 0 || cap(t.refs) == 0 {
+	if val == 0 || t.k == 0 {
 		return
 	}
 	r := DetailRef{Level: int8(level), Index: int32(index), Val: val}
-	if len(t.refs) < cap(t.refs) {
+	if n := len(t.refs); n < t.k {
+		if n == cap(t.refs) {
+			t.refs = append(make([]DetailRef, 0, min(max(2*n, sinkFloor), t.k)), t.refs...)
+		}
 		t.refs = append(t.refs, r)
 		return
 	}
@@ -267,7 +261,7 @@ func (t *TopKSink) MinWeighted() float64 {
 		t.heapify()
 	}
 	w := t.minW
-	if len(t.refs) < cap(t.refs) {
+	if len(t.refs) < t.k {
 		t.minW = 0 // the appends to come are not in the heap
 	}
 	return w
@@ -391,11 +385,7 @@ type ThresholdSink struct {
 // NewThresholdSink builds a hardware-style sink with per-parity capacity
 // k/2 (minimum 1) and the given shifted-value thresholds.
 func NewThresholdSink(k int, thrEven, thrOdd int64) *ThresholdSink {
-	c := k / 2
-	if c < 1 {
-		c = 1
-	}
-	return &ThresholdSink{Threshold: [2]int64{thrEven, thrOdd}, Cap: c}
+	return &ThresholdSink{Threshold: [2]int64{thrEven, thrOdd}, Cap: max(k/2, 1)}
 }
 
 // shiftedAbs is the hardware comparison key: |val| >> ⌊level/2⌋. Within one

@@ -181,7 +181,7 @@ func TestStreamMatchesOffline(t *testing.T) {
 			signal[i] = int64(v)
 		}
 
-		st := NewStream(levels, 0)
+		st := NewStream(levels)
 		var sink CollectSink
 		for i, v := range signal {
 			st.Push(i, v, &sink)
@@ -238,7 +238,7 @@ func TestStreamWithGaps(t *testing.T) {
 			vals = append(vals, int64(rng.Intn(100)+1))
 		}
 		dense := make([]int64, off+1)
-		st := NewStream(levels, 0)
+		st := NewStream(levels)
 		var sink CollectSink
 		for i, o := range offsets {
 			dense[o] = vals[i]
@@ -256,7 +256,7 @@ func TestStreamWithGaps(t *testing.T) {
 }
 
 func TestStreamFinishEmpty(t *testing.T) {
-	st := NewStream(4, 8)
+	st := NewStream(4)
 	if n := st.Finish(nil); n != 0 {
 		t.Errorf("Finish on empty stream = %d, want 0", n)
 	}
@@ -266,7 +266,7 @@ func TestStreamFinishEmpty(t *testing.T) {
 }
 
 func TestStreamReset(t *testing.T) {
-	st := NewStream(2, 4)
+	st := NewStream(2)
 	st.Push(0, 5, nil)
 	st.Push(1, 7, nil)
 	st.Reset()
@@ -290,7 +290,7 @@ func TestStreamReset(t *testing.T) {
 }
 
 func TestStreamOutOfOrderPushIsAbsorbed(t *testing.T) {
-	st := NewStream(2, 4)
+	st := NewStream(2)
 	st.Push(0, 5, nil)
 	st.Push(3, 2, nil)
 	before := append([]int64(nil), st.Approx()...)
@@ -515,7 +515,7 @@ func TestCompressionRatioFormula(t *testing.T) {
 }
 
 func BenchmarkStreamPush(b *testing.B) {
-	st := NewStream(8, 16)
+	st := NewStream(8)
 	sink := NewTopKSink(32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -601,8 +601,8 @@ func (s *lazyRefStream) Finish(sink CoeffSink) int {
 func TestStreamMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 400; trial++ {
-		levels := 1 + rng.Intn(10)
-		st := NewStream(levels, rng.Intn(4))
+		levels := 1 + rng.Intn(16) // past inlineLevels: the spilled carry chain too
+		st := NewStream(levels)
 		ref := newLazyRef(levels)
 		var got, want CollectSink
 
@@ -647,13 +647,13 @@ func TestStreamMatchesReference(t *testing.T) {
 // TestStreamInitReuse checks that Init restores a used stream to a clean
 // state without reallocating the inline carry array.
 func TestStreamInitReuse(t *testing.T) {
-	st := NewStream(4, 2)
+	st := NewStream(4)
 	var sink CollectSink
 	for i := 0; i < 37; i++ {
 		st.Push(i, int64(i%5), &sink)
 	}
 	st.Finish(&sink)
-	st.Init(6, 0)
+	st.Init(6)
 	if st.MaxOffset() != -1 || len(st.Approx()) != 0 || st.Levels() != 6 {
 		t.Fatal("Init did not reset stream state")
 	}

@@ -59,11 +59,23 @@ func (c *Config) validate() error {
 	return nil
 }
 
-func (c *Config) newSink() coeffSink {
+// initBuckets initializes bucket(i) for i in [0, n), each with its own
+// sink of the configured variant. The sinks are made as one slab of values
+// that the buckets point into; each grows its details by use.
+func (c *Config) initBuckets(n int, bucket func(i int) *Bucket) {
 	if c.Variant == Hardware {
-		return wavelet.NewThresholdSink(c.K, c.ThresholdEven, c.ThresholdOdd)
+		sinks := make([]wavelet.ThresholdSink, n)
+		for i := range sinks {
+			sinks[i] = *wavelet.NewThresholdSink(c.K, c.ThresholdEven, c.ThresholdOdd)
+			bucket(i).Init(c.Levels, &sinks[i])
+		}
+		return
 	}
-	return wavelet.NewTopKSink(c.K)
+	sinks := make([]wavelet.TopKSink, n)
+	for i := range sinks {
+		sinks[i] = *wavelet.NewTopKSink(c.K)
+		bucket(i).Init(c.Levels, &sinks[i])
+	}
 }
 
 // Basic is the basic-version WaveSketch (Figure 6): a D×W Count-Min array
@@ -71,7 +83,8 @@ func (c *Config) newSink() coeffSink {
 //
 // The buckets live in one contiguous slab indexed r·W + w, so per-packet
 // updates walk cache-local state instead of chasing per-bucket pointers,
-// and building the array is a single allocation. A key's bucket in row r
+// and building the array takes four allocations whatever K is: the sketch,
+// the bucket slab, the sink slab and the row seeds. A key's bucket in row r
 // is Hash(RowSeed(Seed, r)) mod W — the placement report.Queryable
 // recomputes on the analyzer, and whose seeds and reducer a
 // report.RoutedSet takes from its first member to route a query.
@@ -91,9 +104,7 @@ func NewBasic(cfg Config) (*Basic, error) {
 	}
 	s := &Basic{cfg: cfg, width: flowkey.NewReducer(cfg.Width)}
 	s.buckets = make([]Bucket, cfg.Rows*cfg.Width)
-	for i := range s.buckets {
-		s.buckets[i].Init(cfg.Levels, cfg.newSink())
-	}
+	cfg.initBuckets(len(s.buckets), func(i int) *Bucket { return &s.buckets[i] })
 	s.seeds = make([]uint64, cfg.Rows)
 	for r := range s.seeds {
 		s.seeds[r] = flowkey.RowSeed(cfg.Seed, r)

@@ -25,8 +25,9 @@ type coeffSink interface {
 // Buckets embed their transform state by value so a sketch can lay all of
 // its buckets out in one contiguous slab: the counting-stage fields and
 // the wavelet carry chain land in the same cache-line neighborhood, and
-// constructing D×W buckets costs one allocation instead of D×W pointer
-// chains.
+// constructing D×W buckets costs one allocation for the buckets and one
+// for their sinks instead of D×W pointer chains. A bucket's approximations
+// and retained details are allocated when its traffic first needs them.
 type Bucket struct {
 	w0     int64 // absolute window id of the first packet; -1 while empty
 	i      int   // current window offset relative to w0
@@ -38,11 +39,8 @@ type Bucket struct {
 
 // Init prepares a (possibly slab-resident) bucket in place.
 func (b *Bucket) Init(levels int, sink coeffSink) {
-	b.w0 = -1
-	b.i = 0
-	b.c = 0
-	b.sealed = false
-	b.stream.Init(levels, 8)
+	b.w0, b.i, b.c, b.sealed = -1, 0, 0, false
+	b.stream.Init(levels)
 	b.sink = sink
 }
 
@@ -136,9 +134,7 @@ func (b *Bucket) Reset() {
 	if b.w0 < 0 {
 		return
 	}
-	b.w0 = -1
-	b.i = 0
-	b.c = 0
+	b.w0, b.i, b.c = -1, 0, 0
 	b.stream.Reset()
 	b.sink.Reset()
 }

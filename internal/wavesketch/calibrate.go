@@ -22,7 +22,7 @@ func Calibrate(samples [][]int64, levels, k int) (thrEven, thrOdd int64) {
 		if len(seq) == 0 {
 			continue
 		}
-		st := wavelet.NewStream(levels, len(seq)>>levels)
+		st := wavelet.NewStream(levels)
 		sink := wavelet.NewTopKSink(k)
 		for i, v := range seq {
 			st.Push(i, v, sink)

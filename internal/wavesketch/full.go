@@ -52,9 +52,7 @@ func NewFull(cfg FullConfig) (*Full, error) {
 	}
 	f := &Full{cfg: cfg, light: light, slots: flowkey.NewReducer(cfg.HeavyRows)}
 	f.heavy = make([]heavySlot, cfg.HeavyRows)
-	for i := range f.heavy {
-		f.heavy[i].bucket.Init(cfg.Light.Levels, cfg.Light.newSink())
-	}
+	cfg.Light.initBuckets(len(f.heavy), func(i int) *Bucket { return &f.heavy[i].bucket })
 	return f, nil
 }
 

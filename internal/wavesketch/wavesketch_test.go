@@ -3,6 +3,7 @@ package wavesketch
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -472,5 +473,81 @@ func TestFullMidFlowElectionStitchesEarlyWindows(t *testing.T) {
 		if est[w] < 1999 || est[w] > 2600 {
 			t.Fatalf("heavy window %d = %v, want ≈2000", w, est[w])
 		}
+	}
+}
+
+// TestSketchStateIsGrownByUse: building a Table 1 sketch allocates a fixed
+// handful of slabs, none of them sized by K — no sink holds a detail slot
+// before its bucket's traffic offers one.
+func TestSketchStateIsGrownByUse(t *testing.T) {
+	build := func(k int) func() {
+		cfg := DefaultFull()
+		cfg.Light.K = k
+		return func() {
+			if _, err := NewFull(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, build(64)); allocs > 10 {
+		t.Errorf("NewFull(DefaultFull()) allocates %v times, want ≤ 10", allocs)
+	}
+	bytes := func(k int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			build(k)()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	if k64, k4096 := bytes(64), bytes(4096); k4096 > k64+k64/100 {
+		t.Errorf("building the sketch takes %d B at K=64 and %d B at K=4096: state is sized by K", k64, k4096)
+	}
+}
+
+// TestTopKSinksStayWithinK runs a seeded trace through several epochs of
+// seal, read-out and reset and requires every bucket's sink to hold at most
+// K slots: a sink grows by doubling but is clamped at K, so state is
+// bounded by K × buckets however long the sketch runs.
+func TestTopKSinksStayWithinK(t *testing.T) {
+	const k = 12 // not a power of two: the last doubling is clamped
+	cfg := DefaultFull()
+	cfg.Light.K = k
+	cfg.HeavyRows = 32
+	cfg.Light.Width = 32
+	f, err := NewFull(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets := make([]*Bucket, 0, len(f.heavy)+len(f.light.buckets))
+	for i := range f.heavy {
+		buckets = append(buckets, &f.heavy[i].bucket)
+	}
+	for i := range f.light.buckets {
+		buckets = append(buckets, &f.light.buckets[i])
+	}
+	rng := rand.New(rand.NewSource(42))
+	full, grown := 0, 0
+	for epoch := 0; epoch < 6; epoch++ {
+		for w := int64(0); w < 256; w++ {
+			for n := rng.Intn(40); n > 0; n-- {
+				f.Update(key(rng.Intn(200)), w, int64(64+rng.Intn(1400)))
+			}
+		}
+		f.Seal()
+		for i, b := range buckets {
+			if c := cap(b.Details()); c > k {
+				t.Fatalf("epoch %d: bucket %d's sink holds %d slots, K is %d", epoch, i, c, k)
+			} else if c == k {
+				full++
+			} else if c > 0 {
+				grown++
+			}
+		}
+		f.Reset()
+	}
+	if full == 0 || grown == 0 {
+		t.Errorf("the trace left %d sinks at K and %d grown below it: it does not exercise the clamp", full, grown)
 	}
 }
