@@ -35,7 +35,6 @@ func TestRunProducesArtifacts(t *testing.T) {
 	}
 	defer rd.Close()
 	var batch pcapio.Batch
-	defer batch.Release()
 	pkts := 0
 	for err = nil; err != io.EOF; {
 		var n int

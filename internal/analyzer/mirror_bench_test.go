@@ -50,7 +50,7 @@ func buildMirrorCapture(tb testing.TB, n int) []byte {
 }
 
 // BenchmarkMirrorReadDecode measures the zero-copy read→decode→parse
-// path: batched pcap reads into pooled blocks, in-place view decode. The
+// path: batched pcap reads into one pooled block, in-place decode. The
 // acceptance path for the mirror-datapath rework — 0 allocs/op steady
 // state.
 func BenchmarkMirrorReadDecode(b *testing.B) {
@@ -80,7 +80,6 @@ func BenchmarkMirrorReadDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		batch.Release()
 		rd.Close()
 	}
 }
@@ -117,7 +116,6 @@ func BenchmarkMirrorIngestE2E(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		batch.Release()
 		rd.Close()
 	}
 }

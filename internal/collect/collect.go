@@ -390,13 +390,15 @@ func (c *Collector) note() {
 	}
 }
 
-// IngestMirrorPcap streams a pcap of mirrored packets through pooled batch
-// reads (the zero-copy path: decodes are in-place views of pooled
-// buffers), folding every packet and ending each batch with a detection
-// pass if mirrors folded since the last one — a batch is whatever the reader
-// had whole, so over a tailed file events close as their bytes land. It
-// takes the ingest mutex per batch, so it may run beside IngestStream.
-// Returns packets folded and packets that failed to parse.
+// IngestMirrorPcap streams a pcap of mirrored packets through batch reads
+// over one read-ahead block taken from pool (nil: the shared default
+// pool): each packet is decoded in place in the block and folded, and
+// each batch is finished — ending with a detection pass if mirrors folded
+// since the last one — before the next is read, which is all the batch
+// views' lifetime allows. A batch is whatever the reader had whole, so
+// over a tailed file events close as their bytes land. It takes the
+// ingest mutex per batch, so it may run beside IngestStream. Returns
+// packets folded and packets that failed to parse.
 func (c *Collector) IngestMirrorPcap(r io.Reader, pool *mbuf.Pool) (ingested, bad int, err error) {
 	rd, err := pcapio.NewReaderOpts(r, pcapio.ReaderOpts{Pool: pool})
 	if err != nil {
@@ -404,7 +406,6 @@ func (c *Collector) IngestMirrorPcap(r io.Reader, pool *mbuf.Pool) (ingested, ba
 	}
 	defer rd.Close()
 	var batch pcapio.Batch
-	defer batch.Release()
 	for {
 		n, rerr := rd.ReadBatch(&batch, 0)
 		c.ingestMu.Lock()

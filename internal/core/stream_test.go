@@ -203,7 +203,7 @@ func TestStreamMonitorIdleEpochsShipHeadersOnly(t *testing.T) {
 	}
 	gap()
 	gap()
-	if allocs := testing.AllocsPerRun(5, gap); allocs != 0 {
+	if allocs := testing.AllocsPerRun(5, gap); allocs != 0 && !raceEnabled {
 		t.Errorf("%d idle epochs and a seal allocate %v times, want 0", idle, allocs)
 	}
 }
@@ -272,7 +272,7 @@ func TestSealAndShipSteadyStateDoesNotAllocate(t *testing.T) {
 	oneEpoch()
 	oneEpoch()
 	before := shipped
-	if allocs := testing.AllocsPerRun(10, oneEpoch); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, oneEpoch); allocs != 0 && !raceEnabled {
 		t.Errorf("an epoch of packets and its seal allocate %v times, want 0", allocs)
 	}
 	if shipped-before < 11*1000 {

@@ -2,26 +2,14 @@ package mbuf
 
 import "testing"
 
-// BenchmarkMbufPoolAllocUnref measures the steady-state pooled
-// alloc/release cycle (free-list hit path).
-func BenchmarkMbufPoolAllocUnref(b *testing.B) {
-	p := New(Config{})
-	p.Alloc(256).Unref() // warm the class
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Alloc(256).Unref()
-	}
-}
-
-// BenchmarkMbufPoolBlockCycle measures the pcap block size class the
-// reader churns through.
+// BenchmarkMbufPoolBlockCycle measures the pcap block size the reader
+// takes from the pool and gives back.
 func BenchmarkMbufPoolBlockCycle(b *testing.B) {
 	p := New(Config{})
-	p.Alloc(1 << 18).Unref()
+	p.Free(p.Alloc(1 << 18))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Alloc(1 << 18).Unref()
+		p.Free(p.Alloc(1 << 18))
 	}
 }

@@ -7,119 +7,65 @@ import (
 	"umon/internal/telemetry"
 )
 
-func TestClassFor(t *testing.T) {
-	cases := []struct {
-		n, want int
-	}{
-		{0, 0}, {1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-		{4096, 6}, {4097, 7}, {1 << 20, classCount - 1}, {1<<20 + 1, -1},
-	}
-	for _, c := range cases {
-		if got := classFor(c.n); got != c.want {
-			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
-func TestAllocCapacityAndAlignment(t *testing.T) {
-	p := New(Config{})
-	for _, n := range []int{1, 63, 64, 100, 4096, 65536, 1 << 20} {
-		b := p.Alloc(n)
-		if b.Cap() < n {
-			t.Errorf("Alloc(%d) capacity %d too small", n, b.Cap())
-		}
-		if b.Cap()%MinClassBytes != 0 {
-			t.Errorf("Alloc(%d) capacity %d not a cache-line multiple", n, b.Cap())
-		}
-		b.Unref()
-	}
-}
-
+// TestRecycleReturnsSameBuffer: a freed block goes to the next Alloc it is
+// big enough for, and Live counts blocks out of the pool.
 func TestRecycleReturnsSameBuffer(t *testing.T) {
 	p := New(Config{})
 	b := p.Alloc(100)
-	b.Data()[0] = 0xaa
-	b.Unref()
-	b2 := p.Alloc(100)
+	if len(b.Data()) != 100 {
+		t.Fatalf("Alloc(100) has %d bytes", len(b.Data()))
+	}
+	p.Free(b)
+	big := p.Alloc(101)
+	if big == b {
+		t.Error("Alloc(101) reused a 100-byte block")
+	}
+	b2 := p.Alloc(64)
 	if b2 != b {
-		t.Error("freed buffer was not recycled")
+		t.Error("freed block was not reused")
 	}
-	if p.Live() != 1 {
-		t.Errorf("live = %d, want 1", p.Live())
+	if p.Live() != 2 {
+		t.Errorf("live = %d, want 2", p.Live())
 	}
-	b2.Unref()
+	p.Free(b2)
+	p.Free(big)
 	if p.Live() != 0 {
 		t.Errorf("live = %d, want 0", p.Live())
 	}
 }
 
-func TestRefPinsBuffer(t *testing.T) {
-	p := New(Config{})
-	b := p.Alloc(64)
-	b.Ref() // second holder
-	b.Unref()
-	if b.Refs() != 1 {
-		t.Fatalf("refs = %d, want 1", b.Refs())
-	}
-	// Still pinned: an alloc must not hand it out again.
-	if b2 := p.Alloc(64); b2 == b {
-		t.Error("pinned buffer was recycled")
-	}
-	b.Unref()
-	// Now free: some future alloc of the class may return it.
-	found := false
-	for i := 0; i < 4; i++ {
-		if p.Alloc(64) == b {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("released buffer never recycled")
-	}
-}
-
-func TestUnpooledLargeAlloc(t *testing.T) {
-	p := New(Config{})
-	b := p.Alloc(MaxClassBytes + 1)
-	if b.Cap() != MaxClassBytes+1 {
-		t.Errorf("unpooled capacity = %d", b.Cap())
-	}
-	b.Unref() // must not panic; GC takes it
-	if p.Live() != 0 {
-		t.Errorf("live = %d, want 0", p.Live())
-	}
-}
-
+// TestUnrefUnderflowPanics: freeing a block twice panics.
 func TestUnrefUnderflowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("double Unref must panic")
+			t.Error("double Free must panic")
 		}
 	}()
 	p := New(Config{})
 	b := p.Alloc(64)
-	b.Unref()
-	b.Unref()
+	p.Free(b)
+	p.Free(b)
 }
 
 func TestPoolStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := New(Config{Stats: NewPoolStats(reg)})
-	a := p.Alloc(200) // miss (fresh slab)
-	b := p.Alloc(200) // hit (slab carved many)
-	a.Unref()
-	b.Unref()
-	c := p.Alloc(200) // hit (recycled)
-	c.Unref()
-	if v := reg.Value("umon_mbuf_alloc_misses_total"); v != 1 {
-		t.Errorf("misses = %d, want 1", v)
+	a := p.Alloc(200) // miss: the free list is empty
+	b := p.Alloc(200) // miss
+	p.Free(a)
+	p.Free(b)
+	c := p.Alloc(200) // hit
+	d := p.Alloc(100) // hit: a 200-byte block serves 100
+	p.Free(c)
+	p.Free(d)
+	if v := reg.Value("umon_mbuf_alloc_misses_total"); v != 2 {
+		t.Errorf("misses = %d, want 2", v)
 	}
 	if v := reg.Value("umon_mbuf_alloc_hits_total"); v != 2 {
 		t.Errorf("hits = %d, want 2", v)
 	}
-	if v := reg.Value("umon_mbuf_recycled_total"); v != 3 {
-		t.Errorf("recycled = %d, want 3", v)
+	if v := reg.Value("umon_mbuf_recycled_total"); v != 4 {
+		t.Errorf("recycled = %d, want 4", v)
 	}
 	if v := reg.Value("umon_mbuf_live_hwm"); v != 2 {
 		t.Errorf("live hwm = %d, want 2", v)
@@ -127,11 +73,13 @@ func TestPoolStats(t *testing.T) {
 }
 
 // TestConcurrentAllocUnref hammers one pool from many goroutines (the
-// race-detector target): concurrent Alloc/Ref/Unref must neither corrupt
-// free lists nor lose buffers.
+// race-detector target): concurrent Alloc/Free must neither corrupt the
+// free list nor lose a block, and no block is handed to two owners.
 func TestConcurrentAllocUnref(t *testing.T) {
 	p := New(Config{})
 	const workers, rounds = 8, 2000
+	var mu sync.Mutex
+	blocks := map[*Buf]bool{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -139,17 +87,33 @@ func TestConcurrentAllocUnref(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				b := p.Alloc(64 << (uint(seed+i) % 4))
-				b.Data()[0] = byte(i)
+				b.Data()[0] = byte(seed)
+				b.Data()[len(b.Data())-1] = byte(seed)
 				if i%3 == 0 {
-					b.Ref()
-					b.Unref()
+					mu.Lock()
+					blocks[b] = true
+					mu.Unlock()
 				}
-				b.Unref()
+				if b.Data()[0] != byte(seed) || b.Data()[len(b.Data())-1] != byte(seed) {
+					t.Errorf("block shared by two owners")
+				}
+				p.Free(b)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if p.Live() != 0 {
-		t.Errorf("live = %d after all workers released", p.Live())
+		t.Errorf("live = %d after all workers freed", p.Live())
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	onList := map[*Buf]bool{}
+	for _, b := range p.free {
+		onList[b] = true
+	}
+	for b := range blocks {
+		if !onList[b] {
+			t.Fatal("a freed block is missing from the free list")
+		}
 	}
 }

@@ -38,11 +38,13 @@ func fuzzSeeds() [][]byte {
 		mut[18] = ihl
 		seeds = append(seeds, mut)
 	}
-	return seeds
+	// A valid mirror with IPv4 options (the IHL 0x46 seed above fails the
+	// checksum).
+	return append(seeds, optionsMirror(m))
 }
 
-// FuzzDecodeMirror differentially fuzzes the allocating decoder against
-// the zero-copy view path: both must agree on accept/reject, produce the
+// FuzzDecodeMirror differentially fuzzes the allocating reference decoder
+// against DecodeMirrorInto: both must agree on accept/reject, produce the
 // same struct on accept, and never panic or read out of bounds.
 func FuzzDecodeMirror(f *testing.F) {
 	for _, s := range fuzzSeeds() {
@@ -53,10 +55,10 @@ func FuzzDecodeMirror(f *testing.F) {
 		var fast Mirrored
 		fastErr := DecodeMirrorInto(b, &fast)
 		if (legacyErr == nil) != (fastErr == nil) {
-			t.Fatalf("decode divergence: legacy err %v, view err %v", legacyErr, fastErr)
+			t.Fatalf("decode divergence: reference err %v, DecodeMirrorInto err %v", legacyErr, fastErr)
 		}
 		if legacyErr == nil && *legacy != fast {
-			t.Fatalf("decode divergence: legacy %+v, view %+v", *legacy, fast)
+			t.Fatalf("decode divergence: reference %+v, DecodeMirrorInto %+v", *legacy, fast)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"umon/internal/flowkey"
 )
@@ -41,13 +42,15 @@ const MirrorEncodedLen = EthernetLen + VLANLen + IPv4Len + UDPLen + BTHLen + mir
 var mirrorTemplate = [MirrorEncodedLen]byte{
 	12: EtherTypeVLAN >> 8, 13: EtherTypeVLAN & 0xff,
 	16: EtherTypeIPv4 >> 8, 17: EtherTypeIPv4 & 0xff,
-	viewIPOff: 0x45, viewIPOff + 8: 63, viewIPOff + 9: IPProtoUDP,
+	mirrorIPOff: 0x45, mirrorIPOff + 8: 63, mirrorIPOff + 9: IPProtoUDP,
 	mirrorBTHOff: 0x0a, mirrorBTHOff + 1: 0x40,
 }
 
-// Header offsets inside an encoded mirror packet.
+// Header offsets inside an encoded mirror packet. The UDP and BTH offsets
+// hold for the options-free IPv4 header AppendMirror writes.
 const (
-	mirrorUDPOff = viewIPOff + IPv4Len
+	mirrorIPOff  = EthernetLen + VLANLen
+	mirrorUDPOff = mirrorIPOff + IPv4Len
 	mirrorBTHOff = mirrorUDPOff + UDPLen
 	// mirrorIPSum is the ones-complement sum of the IPv4 header words that
 	// never change: version/IHL/DSCP and TTL/protocol.
@@ -78,11 +81,11 @@ func AppendMirror(dst []byte, m *Mirrored) []byte {
 	sum = sum&0xffff + sum>>16
 	sum = sum&0xffff + sum>>16
 	binary.BigEndian.PutUint16(b[EthernetLen:], m.VLANID&0x0fff)
-	b[viewIPOff+1] = byte(ecn)
-	binary.BigEndian.PutUint16(b[viewIPOff+2:], totalLen)
-	binary.BigEndian.PutUint16(b[viewIPOff+10:], ^uint16(sum))
-	binary.BigEndian.PutUint32(b[viewIPOff+12:], src)
-	binary.BigEndian.PutUint32(b[viewIPOff+16:], dstIP)
+	b[mirrorIPOff+1] = byte(ecn)
+	binary.BigEndian.PutUint16(b[mirrorIPOff+2:], totalLen)
+	binary.BigEndian.PutUint16(b[mirrorIPOff+10:], ^uint16(sum))
+	binary.BigEndian.PutUint32(b[mirrorIPOff+12:], src)
+	binary.BigEndian.PutUint32(b[mirrorIPOff+16:], dstIP)
 	binary.BigEndian.PutUint16(b[mirrorUDPOff:], m.Flow.SrcPort)
 	binary.BigEndian.PutUint16(b[mirrorUDPOff+2:], m.Flow.DstPort)
 	binary.BigEndian.PutUint16(b[mirrorUDPOff+4:], totalLen-IPv4Len)
@@ -91,4 +94,83 @@ func AppendMirror(dst []byte, m *Mirrored) []byte {
 	b[mirrorBTHOff+11] = byte(m.PSN)
 	binary.BigEndian.PutUint64(b[mirrorBTHOff+BTHLen:], uint64(m.TimestampNs))
 	return dst
+}
+
+// DecodeMirrorInto parses a mirrored event packet into out without
+// allocating; out is left partially written on error. It never panics on
+// malformed input.
+//
+// Layout: Ethernet (14) · 802.1Q VLAN (4) · IPv4 (IHL ≥ 20, options
+// skipped) · UDP (8) at the IHL offset · RoCEv2 BTH (12, when the UDP
+// destination port is 4791) · the 8-byte switch timestamp trailer. One
+// pass checks the framing — truncation, VLAN encapsulation, IPv4
+// version/IHL/checksum, inner protocol — and reads the fields.
+func DecodeMirrorInto(b []byte, out *Mirrored) error {
+	if len(b) < EthernetLen {
+		return malformed("ethernet header truncated (%d bytes)", len(b))
+	}
+	if et := binary.BigEndian.Uint16(b[12:14]); et != EtherTypeVLAN {
+		return malformed("mirrored packet lacks VLAN tag (ethertype %#04x)", et)
+	}
+	if len(b) < mirrorIPOff {
+		return malformed("vlan tag truncated (%d bytes)", len(b)-EthernetLen)
+	}
+	if et := binary.BigEndian.Uint16(b[16:18]); et != EtherTypeIPv4 {
+		return malformed("unsupported inner ethertype %#04x", et)
+	}
+	if len(b)-mirrorIPOff < mirrorTrailerLen {
+		return malformed("missing mirror timestamp trailer")
+	}
+	trailer := b[len(b)-mirrorTrailerLen:]
+	ip := b[mirrorIPOff : len(b)-mirrorTrailerLen]
+	if len(ip) < IPv4Len {
+		return malformed("ipv4 header truncated (%d bytes)", len(ip))
+	}
+	if ver := ip[0] >> 4; ver != 4 {
+		return malformed("not IPv4 (version %d)", ver)
+	}
+	ihl := int(ip[0]&0x0f) * 4
+	if ihl < IPv4Len || len(ip) < ihl {
+		return malformed("bad IHL %d", ihl)
+	}
+	if ipChecksum(ip[:ihl]) != 0 {
+		return malformed("ipv4 checksum mismatch")
+	}
+	if proto := ip[9]; proto != IPProtoUDP {
+		return malformed("unsupported inner protocol %d", proto)
+	}
+	udp := ip[ihl:]
+	if len(udp) < UDPLen {
+		return malformed("udp header truncated (%d bytes)", len(udp))
+	}
+	dstPort := binary.BigEndian.Uint16(udp[2:4])
+	psn := uint32(0)
+	if dstPort == UDPPortRoCE {
+		bth := udp[UDPLen:]
+		if len(bth) < BTHLen {
+			return malformed("BTH truncated (%d bytes)", len(bth))
+		}
+		psn = uint32(bth[9])<<16 | uint32(bth[10])<<8 | uint32(bth[11])
+	}
+	out.VLANID = binary.BigEndian.Uint16(b[EthernetLen:]) & 0x0fff
+	out.TimestampNs = int64(binary.BigEndian.Uint64(trailer))
+	// Field by field: a composite literal is built on the stack and copied
+	// with one wide load, which stalls on the narrow stores before it.
+	out.Flow.SrcIP = binary.BigEndian.Uint32(ip[12:16])
+	out.Flow.DstIP = binary.BigEndian.Uint32(ip[16:20])
+	out.Flow.SrcPort = binary.BigEndian.Uint16(udp[0:2])
+	out.Flow.DstPort = dstPort
+	out.Flow.Proto = flowkey.ProtoUDP
+	out.PSN = psn
+	out.CE = ip[1]&0x3 == ECNCE
+	out.OrigLen = int(binary.BigEndian.Uint16(ip[2:4])) + EthernetLen + 4
+	return nil
+}
+
+// malformed builds DecodeMirrorInto's errors out of line, so its accepting
+// path does no formatting.
+//
+//go:noinline
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("packet: "+format, args...)
 }

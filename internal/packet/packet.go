@@ -1,9 +1,9 @@
 // Package packet encodes and decodes µMon's mirrored event packets on the
 // wire: Ethernet, 802.1Q VLAN (remote-mirror tagging, §5), IPv4, UDP and
 // the RoCEv2 Base Transport Header whose 24-bit PSN the sampling ACL
-// matches, plus the switch's timestamp trailer. Both directions work on
-// fixed offsets into one buffer; the per-header structs that build the
-// same bytes field by field live in the tests, as the oracle.
+// matches, plus the switch's timestamp trailer. Both directions work in
+// place on one buffer; the per-header structs that build the same bytes
+// field by field live in the tests, as the oracle.
 package packet
 
 import "encoding/binary"
@@ -37,18 +37,29 @@ const (
 	ECNCE     = 0b11 // congestion experienced: the µEvent ACL match
 )
 
-// ipChecksum is the RFC 1071 ones-complement sum; computing it over a
-// header whose checksum field is filled yields 0 for a valid header.
+// ipChecksum is the RFC 1071 ones-complement checksum, summed over
+// 32-bit words — 2^16 ≡ 1 modulo 0xffff, so how the 16-bit words are
+// grouped does not change the folded sum — with a short tail padded with
+// zero bytes. The 20 bytes every IPv4 header has are summed in five
+// straight loads, options word by word. Over a header whose checksum
+// field is filled it yields 0 for a valid header.
 func ipChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var sum uint64
+	if len(b) >= IPv4Len {
+		sum = uint64(binary.BigEndian.Uint32(b)) + uint64(binary.BigEndian.Uint32(b[4:])) +
+			uint64(binary.BigEndian.Uint32(b[8:])) + uint64(binary.BigEndian.Uint32(b[12:])) +
+			uint64(binary.BigEndian.Uint32(b[16:]))
+		b = b[IPv4Len:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for ; len(b) >= 4; b = b[4:] {
+		sum += uint64(binary.BigEndian.Uint32(b))
 	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
+	for i, c := range b {
+		sum += uint64(c) << (24 - 8*i)
 	}
+	sum = sum>>32 + sum&0xffffffff // < 2^33
+	sum = sum>>32 + sum&0xffffffff // ≤ 2^32
+	sum = sum>>16 + sum&0xffff     // ≤ 0x1fffe
+	sum = sum>>16 + sum&0xffff     // ≤ 0xffff
 	return ^uint16(sum)
 }

@@ -55,15 +55,9 @@ func checkPackets(t *testing.T, got, want []Packet) {
 func drainBatches(t *testing.T, r *Reader, max int) []Packet {
 	t.Helper()
 	var b Batch
-	defer b.Release()
-	return drainInto(t, r, &b, max)
-}
-
-func drainInto(t *testing.T, r *Reader, b *Batch, max int) []Packet {
-	t.Helper()
 	var out []Packet
 	for {
-		n, err := r.ReadBatch(b, max)
+		n, err := r.ReadBatch(&b, max)
 		for _, p := range b.Pkts[:n] {
 			out = append(out, Packet{
 				TimestampNs: p.TimestampNs,
@@ -96,7 +90,7 @@ func TestReadBatchMatchesWriter(t *testing.T) {
 func TestBatchBlockBoundaries(t *testing.T) {
 	raw, want := buildCapture(t, 300)
 	for _, blk := range []int{16, 17, 31, 64, 100, 137, 256} {
-		r, err := NewReaderOpts(bytes.NewReader(raw), ReaderOpts{BlockBytes: blk})
+		r, err := newBlockReader(bytes.NewReader(raw), ReaderOpts{}, blk)
 		if err != nil {
 			t.Fatalf("block %d: %v", blk, err)
 		}
@@ -106,30 +100,41 @@ func TestBatchBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestBatchViewsStayValidUntilNextReadBatch pins the refcount contract: a
-// batch's views stay readable after the reader has moved on to other
-// blocks — here by filling a second Batch to the end of the stream — and its
-// block goes back to the pool at Release.
+// TestBatchViewsStayValidUntilNextReadBatch pins the one-block contract:
+// with blocks a few records long, so that nearly every ReadBatch moves a
+// record tail to the front of the block, each batch's views read back the
+// capture until the next ReadBatch, and the block goes back to the pool at
+// Close.
 func TestBatchViewsStayValidUntilNextReadBatch(t *testing.T) {
 	raw, want := buildCapture(t, 200)
 	pool := mbuf.New(mbuf.Config{})
-	r, err := NewReaderOpts(bytes.NewReader(raw), ReaderOpts{Pool: pool, BlockBytes: 512})
+	r, err := newBlockReader(bytes.NewReader(raw), ReaderOpts{Pool: pool}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	var held, b Batch
-	n, err := r.ReadBatch(&held, 0)
-	if err != nil || n < 2 {
-		t.Fatalf("first batch: %d packets, %v", n, err)
+	var b Batch
+	got, batches := 0, 0
+	for {
+		n, err := r.ReadBatch(&b, 0)
+		checkPackets(t, b.Pkts[:n], want[got:got+n])
+		got += n
+		batches++
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	rest := drainInto(t, r, &b, 0)
-	checkPackets(t, held.Pkts, want[:n])
-	checkPackets(t, rest, want[n:])
-	held.Release()
-	b.Release()
-	if live := pool.Live(); live > 1 { // reader still holds its block
-		t.Errorf("pool live = %d after release, want ≤1", live)
+	if got != len(want) || batches < len(raw)/512 {
+		t.Fatalf("read %d of %d packets in %d batches", got, len(want), batches)
+	}
+	if live := pool.Live(); live != 1 {
+		t.Errorf("pool live = %d before Close, want 1", live)
+	}
+	r.Close()
+	if live := pool.Live(); live != 0 {
+		t.Errorf("pool live = %d after Close, want 0", live)
 	}
 }
 
@@ -197,14 +202,13 @@ func TestReadBatchHandsOverWhatItHolds(t *testing.T) {
 				got = append(got, p)
 			}
 		}
-		b.Release()
 		r.Close()
 		checkPackets(t, got, want)
 	}
 }
 
-// TestBatchRelease recycles blocks: after Release+Close everything is
-// back in the pool.
+// TestBatchRelease: closing a Reader in the middle of its stream gives
+// its block back to the pool.
 func TestBatchRelease(t *testing.T) {
 	raw, _ := buildCapture(t, 50)
 	pool := mbuf.New(mbuf.Config{})
@@ -216,10 +220,9 @@ func TestBatchRelease(t *testing.T) {
 	if _, err := r.ReadBatch(&b, 0); err != nil {
 		t.Fatal(err)
 	}
-	b.Release()
 	r.Close()
 	if live := pool.Live(); live != 0 {
-		t.Errorf("pool live = %d after release+close, want 0", live)
+		t.Errorf("pool live = %d after Close, want 0", live)
 	}
 }
 
@@ -240,7 +243,7 @@ func TestBigEndianRoundTripThroughBatches(t *testing.T) {
 	buf.Write(rec[:])
 	buf.Write([]byte{1, 2, 3, 4})
 
-	r, err := NewReaderOpts(&buf, ReaderOpts{BlockBytes: 16})
+	r, err := newBlockReader(&buf, ReaderOpts{}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +269,7 @@ func TestMicrosecondMagicThroughBatches(t *testing.T) {
 	buf.Write(rec[:])
 	buf.WriteByte(0x7f)
 
-	r, err := NewReaderOpts(&buf, ReaderOpts{BlockBytes: 16})
+	r, err := newBlockReader(&buf, ReaderOpts{}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +309,8 @@ func TestTruncatedRecordBatch(t *testing.T) {
 	w.WritePacket(Packet{TimestampNs: 1, Data: bytes.Repeat([]byte{6}, 40), OrigLen: 40})
 	w.Flush()
 	raw := buf.Bytes()
-	r, _ := NewReaderOpts(bytes.NewReader(raw[:len(raw)-7]), ReaderOpts{BlockBytes: 32})
+	r, _ := newBlockReader(bytes.NewReader(raw[:len(raw)-7]), ReaderOpts{}, 32)
 	var b Batch
-	defer b.Release()
 	if _, err := r.ReadBatch(&b, 0); err == nil || err == io.EOF {
 		t.Errorf("truncated record body must error, got %v", err)
 	}
@@ -370,7 +372,7 @@ func TestWritePacketBatchRoundTrip(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, 0, WriterOpts{BlockBytes: 512})
+	w := newBlockWriter(&buf, 512)
 	if err := w.WritePacketBatch(ps); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +391,7 @@ func TestWritePacketBatchRoundTrip(t *testing.T) {
 // larger than the coalescing block.
 func TestWriterOversizedRecord(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriterOpts(&buf, 0, WriterOpts{BlockBytes: 64})
+	w := newBlockWriter(&buf, 64)
 	big := bytes.Repeat([]byte{0xbe}, 500)
 	ps := []Packet{
 		{TimestampNs: 1, Data: []byte{1}, OrigLen: 1},

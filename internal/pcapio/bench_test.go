@@ -50,8 +50,8 @@ func BenchmarkPcapReadPacket(b *testing.B) {
 	}
 }
 
-// BenchmarkPcapReadBatch measures the zero-copy batch read path: pooled
-// block buffers, views handed out in batches.
+// BenchmarkPcapReadBatch measures the zero-copy batch read path: one
+// pooled block, views handed out in batches.
 func BenchmarkPcapReadBatch(b *testing.B) {
 	const pkts = 8192
 	raw := benchCapture(b, pkts, 66)
@@ -74,7 +74,6 @@ func BenchmarkPcapReadBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		batch.Release()
 		rd.Close()
 	}
 }

@@ -22,15 +22,15 @@ func (r *Reader) ReadPacket() (Packet, error) {
 }
 
 // NewReader validates the file header and returns a Reader on the shared
-// buffer pool.
+// default pool.
 func NewReader(r io.Reader) (*Reader, error) {
 	return NewReaderOpts(r, ReaderOpts{})
 }
 
-// ReadAll drains the stream. All packet data is copied out of the pooled
-// blocks into one compact arena (a single backing slab holding exactly
-// the captured bytes), so holding the result does not pin pool blocks and
-// costs O(total bytes), not one heap slab per packet.
+// ReadAll drains the stream. All packet data is copied out of the block
+// into one compact arena (a single backing slab holding exactly the
+// captured bytes), so the result outlives the block and costs O(total
+// bytes), not one heap slab per packet.
 func (r *Reader) ReadAll() ([]Packet, error) {
 	type meta struct {
 		tsNs    int64
@@ -40,7 +40,6 @@ func (r *Reader) ReadAll() ([]Packet, error) {
 	var arena []byte
 	var metas []meta
 	var b Batch
-	defer b.Release()
 	var rerr error
 	for {
 		n, err := r.ReadBatch(&b, 0)
@@ -61,4 +60,22 @@ func (r *Reader) ReadAll() ([]Packet, error) {
 		out[i] = Packet{TimestampNs: m.tsNs, Data: arena[m.off : m.off+m.n : m.off+m.n], OrigLen: m.origLen}
 	}
 	return out, rerr
+}
+
+// newBlockWriter is NewWriter with a blockBytes coalescing buffer, which
+// must hold the file header.
+func newBlockWriter(w io.Writer, blockBytes int) *Writer {
+	wr := NewWriter(w, 0)
+	wr.buf = wr.buf[:blockBytes]
+	return wr
+}
+
+// newBlockReader is NewReaderOpts with blockBytes-byte blocks, which must
+// hold a record header.
+func newBlockReader(r io.Reader, o ReaderOpts, blockBytes int) (*Reader, error) {
+	rd, err := NewReaderOpts(r, o)
+	if err == nil {
+		rd.blkSize = blockBytes
+	}
+	return rd, err
 }

@@ -107,7 +107,6 @@ func FuzzReader(f *testing.F) {
 				break
 			}
 		}
-		batch.Release()
 
 		if len(legacy) != len(got) {
 			t.Fatalf("packet count divergence: legacy %d, batch %d", len(legacy), len(got))

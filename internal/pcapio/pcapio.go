@@ -3,18 +3,18 @@
 // mirrored event packets can be exchanged with standard tooling. Stdlib
 // plus internal/mbuf only.
 //
-// The datapath is zero-copy: both directions move bytes through pooled
-// blocks (internal/mbuf) instead of per-record heap slabs. The Reader
-// fills a large block per underlying read and parses many records out of
-// it; ReadBatch hands out Packet views directly into the block, with the
-// Batch holding a reference on it. The Writer coalesces records into a
-// block and emits one large write when it fills.
+// Each direction moves bytes through one block instead of per-record heap
+// slabs. The Reader fills its block (taken from an mbuf pool) per
+// underlying read and parses many records out of it in place; ReadBatch
+// hands out Packet views directly into the block. The Writer coalesces
+// records into one plain buffer it keeps for its life and emits one large
+// write when it fills.
 //
-// View lifetime contract: packets returned by ReadBatch alias pooled
-// memory and stay valid only until the next ReadBatch call on the same
-// Batch (which releases the previous block back to the pool) or until
-// Batch.Release. Callers that need longer-lived bytes must copy, or use
-// ReadAll, which returns owned (copied) data.
+// View lifetime contract: packets returned by ReadBatch alias the
+// Reader's block and stay valid only until the next ReadBatch or Close on
+// that Reader, which may move or overwrite the bytes. Callers that need
+// longer-lived bytes must copy, or use ReadAll, which returns owned
+// (copied) data.
 package pcapio
 
 import (
@@ -38,132 +38,78 @@ const (
 	fileHeaderLen   = 24
 	recordHeaderLen = 16
 
-	// defaultBlockBytes is the pooled block size both directions use: one
+	// defaultBlockBytes is the block size both directions use: one
 	// underlying read/write per ~256 KiB instead of two per record.
 	defaultBlockBytes = 1 << 18
 
 	// maxRecordBytes bounds one record (header + captured bytes) so a
 	// corrupt capture length cannot demand an arbitrarily large buffer.
-	maxRecordBytes = mbuf.MaxClassBytes
+	maxRecordBytes = 1 << 20
 )
 
 // Packet is one captured record.
 type Packet struct {
 	TimestampNs int64
 	// Data holds the captured bytes (possibly truncated to SnapLen). For
-	// packets produced by ReadBatch this is a view into a pooled block —
-	// see the package lifetime contract.
+	// packets produced by ReadBatch this is a view into the Reader's block
+	// — see the package lifetime contract.
 	Data []byte
 	// OrigLen is the original wire length.
 	OrigLen int
 }
 
-// Writer emits a pcap stream, coalescing records into pooled blocks.
-// Call Flush when done: records may be buffered until then.
+// Writer emits a pcap stream, coalescing records into one buffer. Call
+// Flush when done: records may be buffered until then.
 type Writer struct {
 	w       io.Writer
 	snapLen uint32
-	started bool
-	pool    *mbuf.Pool
-	blkSize int
-	blk     *mbuf.Buf
-	buf     []byte // blk.Data()
+	buf     []byte // the coalescing buffer, kept for the Writer's life
 	n       int    // bytes buffered
 }
 
-// WriterOpts parameterizes a Writer.
-type WriterOpts struct {
-	// Pool supplies blocks (nil: the shared default pool).
-	Pool *mbuf.Pool
-	// BlockBytes is the coalescing buffer size (0: 256 KiB).
-	BlockBytes int
-}
-
-// NewWriter returns a Writer with the given snap length (0 = 65535) on
-// the shared buffer pool.
+// NewWriter returns a Writer with the given snap length (0 = 65535). The
+// file header is buffered at once, so a Flush with no packets written
+// still emits a valid (empty) capture.
 func NewWriter(w io.Writer, snapLen int) *Writer {
-	return NewWriterOpts(w, snapLen, WriterOpts{})
-}
-
-// NewWriterOpts returns a Writer drawing blocks from o.Pool.
-func NewWriterOpts(w io.Writer, snapLen int, o WriterOpts) *Writer {
 	if snapLen <= 0 {
 		snapLen = 65535
 	}
-	if o.Pool == nil {
-		o.Pool = mbuf.Default()
-	}
-	if o.BlockBytes <= 0 {
-		o.BlockBytes = defaultBlockBytes
-	}
-	return &Writer{w: w, snapLen: uint32(snapLen), pool: o.Pool, blkSize: o.BlockBytes}
+	wr := &Writer{w: w, snapLen: uint32(snapLen), buf: make([]byte, defaultBlockBytes), n: fileHeaderLen}
+	putFileHeader(wr.buf, wr.snapLen)
+	return wr
 }
 
 func putFileHeader(h []byte, snapLen uint32) {
 	binary.LittleEndian.PutUint32(h[0:4], magicNano)
-	binary.LittleEndian.PutUint16(h[4:6], 2) // major
-	binary.LittleEndian.PutUint16(h[6:8], 4) // minor
-	// thiszone and sigfigs: h lies in a recycled block, which is not zeroed.
-	binary.LittleEndian.PutUint64(h[8:16], 0)
+	binary.LittleEndian.PutUint16(h[4:6], 2)  // major
+	binary.LittleEndian.PutUint16(h[6:8], 4)  // minor
+	binary.LittleEndian.PutUint64(h[8:16], 0) // thiszone and sigfigs
 	binary.LittleEndian.PutUint32(h[16:20], snapLen)
 	binary.LittleEndian.PutUint32(h[20:24], LinkTypeEthernet)
-}
-
-// reserve makes room for m more buffered bytes, flushing the block first
-// if needed. m must not exceed the block size.
-func (w *Writer) reserve(m int) error {
-	if w.blk == nil {
-		w.blk = w.pool.Alloc(w.blkSize)
-		w.buf = w.blk.Data()
-		w.n = 0
-	}
-	if w.n+m > len(w.buf) {
-		return w.flushBlock()
-	}
-	return nil
-}
-
-func (w *Writer) flushBlock() error {
-	if w.n == 0 {
-		return nil
-	}
-	_, err := w.w.Write(w.buf[:w.n])
-	w.n = 0
-	return err
 }
 
 // WritePacket appends one record, truncating to the snap length. The
 // record is buffered; Flush forces it out.
 func (w *Writer) WritePacket(p Packet) error {
-	if !w.started {
-		if err := w.reserve(fileHeaderLen); err != nil {
-			return err
-		}
-		putFileHeader(w.buf[w.n:w.n+fileHeaderLen], w.snapLen)
-		w.n += fileHeaderLen
-		w.started = true
-	}
 	data := p.Data
 	if uint32(len(data)) > w.snapLen {
 		data = data[:w.snapLen]
 	}
-	orig := p.OrigLen
-	if orig < len(data) {
-		orig = len(data)
-	}
+	orig := max(p.OrigLen, len(data))
 	need := recordHeaderLen + len(data)
-	if err := w.reserve(need); err != nil {
-		return err
-	}
-	if need > len(w.buf) {
-		// Record larger than the block: emit it directly.
-		var h [recordHeaderLen]byte
-		putRecordHeader(h[:], p.TimestampNs, len(data), orig)
-		if _, err := w.w.Write(h[:]); err != nil {
+	if w.n+need > len(w.buf) {
+		if err := w.Flush(); err != nil {
 			return err
 		}
-		_, err := w.w.Write(data)
-		return err
+		if need > len(w.buf) {
+			// Record larger than the buffer: emit it directly.
+			putRecordHeader(w.buf[:recordHeaderLen], p.TimestampNs, len(data), orig)
+			if _, err := w.w.Write(w.buf[:recordHeaderLen]); err != nil {
+				return err
+			}
+			_, err := w.w.Write(data)
+			return err
+		}
 	}
 	putRecordHeader(w.buf[w.n:w.n+recordHeaderLen], p.TimestampNs, len(data), orig)
 	copy(w.buf[w.n+recordHeaderLen:], data)
@@ -178,30 +124,20 @@ func putRecordHeader(h []byte, tsNs int64, capLen, origLen int) {
 	binary.LittleEndian.PutUint32(h[12:16], uint32(origLen))
 }
 
-// Flush forces buffered records to the underlying writer and returns the
-// coalescing block to the pool; with no packets written it still emits
-// the file header so the output is a valid (empty) capture. The Writer
+// Flush forces buffered records to the underlying writer. The Writer
 // remains usable after Flush.
 func (w *Writer) Flush() error {
-	if !w.started {
-		if err := w.reserve(fileHeaderLen); err != nil {
-			return err
-		}
-		putFileHeader(w.buf[w.n:w.n+fileHeaderLen], w.snapLen)
-		w.n += fileHeaderLen
-		w.started = true
+	if w.n == 0 {
+		return nil
 	}
-	err := w.flushBlock()
-	if w.blk != nil {
-		w.blk.Unref()
-		w.blk, w.buf = nil, nil
-	}
+	_, err := w.w.Write(w.buf[:w.n])
+	w.n = 0
 	return err
 }
 
-// Reader consumes a pcap stream through pooled blocks: one underlying
-// read fills a block, then records are parsed in place. Not safe for
-// concurrent use.
+// Reader consumes a pcap stream through one block taken from an mbuf
+// pool: one underlying read fills it, then records are parsed in place.
+// Not safe for concurrent use.
 type Reader struct {
 	r        io.Reader
 	bigEnd   bool
@@ -210,7 +146,7 @@ type Reader struct {
 	LinkType uint32
 
 	pool    *mbuf.Pool
-	blkSize int
+	blkSize int // the block size (tests set small ones)
 	blk     *mbuf.Buf
 	buf     []byte // blk.Data()
 	pos     int    // consumed bytes
@@ -220,14 +156,11 @@ type Reader struct {
 
 // ReaderOpts parameterizes a Reader.
 type ReaderOpts struct {
-	// Pool supplies blocks (nil: the shared default pool).
+	// Pool supplies the block (nil: the shared default pool).
 	Pool *mbuf.Pool
-	// BlockBytes is the read-ahead block size (0: 256 KiB). Must hold at
-	// least one record header; tiny values are raised to it.
-	BlockBytes int
 }
 
-// NewReaderOpts returns a Reader drawing blocks from o.Pool.
+// NewReaderOpts returns a Reader drawing its block from o.Pool.
 func NewReaderOpts(r io.Reader, o ReaderOpts) (*Reader, error) {
 	var h [fileHeaderLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -236,13 +169,7 @@ func NewReaderOpts(r io.Reader, o ReaderOpts) (*Reader, error) {
 	if o.Pool == nil {
 		o.Pool = mbuf.Default()
 	}
-	if o.BlockBytes <= 0 {
-		o.BlockBytes = defaultBlockBytes
-	}
-	if o.BlockBytes < recordHeaderLen {
-		o.BlockBytes = recordHeaderLen
-	}
-	rd := &Reader{r: r, pool: o.Pool, blkSize: o.BlockBytes}
+	rd := &Reader{r: r, pool: o.Pool, blkSize: defaultBlockBytes}
 	magicLE := binary.LittleEndian.Uint32(h[0:4])
 	magicBE := binary.BigEndian.Uint32(h[0:4])
 	switch {
@@ -268,11 +195,11 @@ func (r *Reader) u32(b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// Close releases the Reader's current block back to the pool. Views
-// handed out earlier stay valid while their Batch still holds them.
+// Close gives the Reader's block back to the pool. Views handed out
+// earlier die with it.
 func (r *Reader) Close() error {
 	if r.blk != nil {
-		r.blk.Unref()
+		r.pool.Free(r.blk)
 		r.blk, r.buf = nil, nil
 		r.pos, r.filled = 0, 0
 	}
@@ -282,28 +209,28 @@ func (r *Reader) Close() error {
 // avail reports the unconsumed buffered bytes.
 func (r *Reader) avail() int { return r.filled - r.pos }
 
-// ensure buffers at least need unconsumed bytes, switching to a fresh
-// block (copying the unconsumed tail across) when the current one cannot
-// hold them; views into the outgoing block die with it unless a Batch
-// holds a reference. Returns false when the stream ends first (r.rerr
-// holds the cause).
+// ensure buffers at least need unconsumed bytes. When they would run past
+// the end of the block it moves the unconsumed tail to the front, into a
+// bigger block only when need is larger than this one; either way the
+// views handed out earlier die. Returns false when the stream ends first
+// (r.rerr holds the cause).
 func (r *Reader) ensure(need int) bool {
 	if r.avail() >= need {
 		return true
 	}
-	if r.blk == nil || r.pos+need > len(r.buf) {
-		// Move the unconsumed tail into a fresh block with room for need.
-		size := r.blkSize
-		if need > size {
-			size = need
+	if r.pos+need > len(r.buf) {
+		tail := r.buf[r.pos:r.filled]
+		if need > len(r.buf) {
+			nb := r.pool.Alloc(max(r.blkSize, need))
+			copy(nb.Data(), tail)
+			if r.blk != nil {
+				r.pool.Free(r.blk)
+			}
+			r.blk, r.buf = nb, nb.Data()
+		} else {
+			copy(r.buf, tail)
 		}
-		nb := r.pool.Alloc(size)
-		tail := copy(nb.Data(), r.buf[r.pos:r.filled])
-		if r.blk != nil {
-			r.blk.Unref()
-		}
-		r.blk, r.buf = nb, nb.Data()
-		r.pos, r.filled = 0, tail
+		r.pos, r.filled = 0, len(tail)
 	}
 	for r.avail() < need {
 		if r.rerr != nil {
@@ -325,8 +252,8 @@ func (r *Reader) plausible(capLen uint32) bool {
 	return !(r.snapLen > 0 && capLen > r.snapLen+65536 || capLen > maxRecordBytes-recordHeaderLen)
 }
 
-// buffered reports whether the next record lies wholly in the current
-// block, so that parsing it reads nothing and switches no block.
+// buffered reports whether the next record lies wholly in the block, so
+// that parsing it reads nothing and moves no bytes.
 func (r *Reader) buffered() bool {
 	avail := r.avail()
 	if avail < recordHeaderLen {
@@ -337,7 +264,7 @@ func (r *Reader) buffered() bool {
 }
 
 // readRecord parses the next record, reading (and blocking) until it is
-// whole. Data is a view into the current block.
+// whole. Data is a view into the block.
 func (r *Reader) readRecord() (Packet, error) {
 	if !r.ensure(recordHeaderLen) {
 		// A clean end or a partial record header both map to EOF, matching
@@ -376,49 +303,35 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// Batch is the destination of ReadBatch: a reusable set of packet views
-// plus a reference on the pooled block backing them. The zero value is
-// ready to use. Call Release when done with the final batch.
+// Batch is the destination of ReadBatch: a reusable set of packet views.
+// The zero value is ready to use.
 type Batch struct {
-	// Pkts holds the batch's packets; Data fields alias the pooled block.
+	// Pkts holds the batch's packets; Data fields alias the Reader's block.
 	Pkts []Packet
-
-	blk *mbuf.Buf
-}
-
-// Release drops the batch's block reference and resets Pkts. The views
-// handed out by the previous ReadBatch become invalid.
-func (b *Batch) Release() {
-	if b.blk != nil {
-		b.blk.Unref()
-		b.blk = nil
-	}
-	b.Pkts = b.Pkts[:0]
 }
 
 // DefaultBatchSize is the ReadBatch record cap when the caller passes 0.
 const DefaultBatchSize = 256
 
-// ReadBatch releases b's previous contents and refills it with up to max
-// records (0: DefaultBatchSize) as views into one pooled block. It blocks
-// in the underlying reader only while it holds no packet: once it has one
-// it takes the records already wholly buffered and hands the batch over, so
-// a batch is short at every block boundary and whenever a tailed stream has
-// no more to give yet, and an error past the first record waits for the
-// next call. Returns the number of packets read, never 0 with a nil error;
-// 0 with io.EOF at the end of the stream.
+// ReadBatch refills b with up to max records (0: DefaultBatchSize) as
+// views into the Reader's block, valid until the next ReadBatch or Close;
+// the previous batch's views die here. It blocks in the underlying reader
+// only while it holds no packet: once it has one it takes the records
+// already wholly buffered and hands the batch over, so a batch is short at
+// every block boundary and whenever a tailed stream has no more to give
+// yet, and an error past the first record waits for the next call. Returns
+// the number of packets read, never 0 with a nil error; 0 with io.EOF at
+// the end of the stream.
 func (r *Reader) ReadBatch(b *Batch, max int) (int, error) {
 	if max <= 0 {
 		max = DefaultBatchSize
 	}
-	b.Release()
+	b.Pkts = b.Pkts[:0]
 	p, err := r.readRecord()
 	if err != nil {
 		return 0, err
 	}
 	b.Pkts = append(b.Pkts, p)
-	b.blk = r.blk
-	b.blk.Ref()
 	for len(b.Pkts) < max && r.buffered() {
 		if r.bigEnd {
 			p, _ := r.readRecord() // wholly buffered and plausible: cannot fail

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
-
-	"umon/internal/mbuf"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -81,22 +79,18 @@ func TestEmptyCapture(t *testing.T) {
 	}
 }
 
-// TestFileHeaderOnRecycledBlock: the header's thiszone and sigfigs fields
-// are zero even when the pool hands the writer a block another user left
-// full of bytes, so a run's capture does not depend on what ran before it.
+// TestFileHeaderOnRecycledBlock: putFileHeader writes every header byte —
+// thiszone and sigfigs come out zero over a buffer full of stale bytes — so
+// a capture does not depend on what its buffer held before.
 func TestFileHeaderOnRecycledBlock(t *testing.T) {
-	pool := mbuf.New(mbuf.Config{})
-	dirty := pool.Alloc(defaultBlockBytes)
-	for i := range dirty.Data() {
-		dirty.Data()[i] = 0xa5
-	}
-	dirty.Unref()
+	h := bytes.Repeat([]byte{0xa5}, fileHeaderLen)
+	putFileHeader(h, 65535)
 	var buf bytes.Buffer
-	if err := NewWriterOpts(&buf, 0, WriterOpts{Pool: pool}).Flush(); err != nil {
+	if err := NewWriter(&buf, 0).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if h := buf.Bytes(); len(h) != fileHeaderLen || !bytes.Equal(h[8:16], make([]byte, 8)) {
-		t.Errorf("file header % x: bytes 8..16 must be zero", h)
+	if !bytes.Equal(h, buf.Bytes()) || !bytes.Equal(h[8:16], make([]byte, 8)) {
+		t.Errorf("file header % x over stale bytes, % x from a Writer: bytes 8..16 must be zero", h, buf.Bytes())
 	}
 }
 
