@@ -18,10 +18,12 @@ package netsim
 //   - events beyond the wheel horizon (RTOs, flow starts, long timers)
 //     wait in a small overflow min-heap on the cold path and cascade into
 //     the wheel as it turns;
-//   - dispatch drains the current tick through `cur`, a tiny (at, seq)
-//     min-heap: advancing to a tick heapifies its bucket (O(m)) plus any
-//     overflow events that became in-range, and same-tick events scheduled
-//     *during* dispatch sift into `cur` directly.
+//   - dispatch orders keys, not events: advancing to a tick copies its
+//     bucket (plus any overflow events that became due) into the tick's
+//     payload slab and heapifies one 16-byte order key per event — a tick
+//     holds 70–95 events at the bench's loads. Events scheduled into the
+//     tick *during* its dispatch (a third of all events) push a key into
+//     the same heap. Payloads stay put until the tick drains.
 //
 // Determinism is structural: every event executes in the total order
 // (at, lkey, seq). Local events (timers, injections, serialization
@@ -44,6 +46,17 @@ const (
 	// (55/150 µs) schedule without touching the overflow heap.
 	numBuckets = 1 << 10
 	bucketMask = numBuckets - 1
+
+	// An order key packs an event's (at, lkey, seq) within its tick into
+	// one word, so one integer compare is the dispatch order: at's offset
+	// into the tick in the top bucketShift bits, lkey+1 in the next
+	// lkeyBits, seq in the low seqBits. New refuses a topology with more
+	// than maxLinks directed links, and nextSeq refuses to pass maxSeq.
+	lkeyBits = 16
+	offShift = 64 - bucketShift
+	seqBits  = offShift - lkeyBits
+	maxSeq   = 1<<seqBits - 1
+	maxLinks = 1<<lkeyBits - 1
 )
 
 // Engine is a deterministic discrete-event scheduler with nanosecond time.
@@ -59,14 +72,20 @@ type Engine struct {
 	net      *Network
 	shardIdx int
 
-	// curTick is the tick whose bucket has been moved into cur; every
-	// pending event at tick ≤ curTick lives in cur, ticks in
-	// (curTick, curTick+numBuckets) live in the wheel, later ones overflow.
+	// curTick is the tick being dispatched; every pending event at tick
+	// curTick has its payload in tickEvs and its order key in keys. Ticks
+	// in (curTick, curTick+numBuckets) live in the wheel, later ones
+	// overflow. The clock never trails curTick: Run loads a tick only if
+	// it starts at or before the horizon.
 	curTick    int64
-	cur        eventHeap
+	tickEvs    []event
+	keys       keyHeap
 	wheel      [][]event // numBuckets unordered per-tick buckets
 	wheelCount int       // events parked in wheel buckets
 	overflow   eventHeap // events ≥ numBuckets ticks ahead
+	// scanFrom is a tick no later than the first occupied bucket, so a Run
+	// that stops short of it does not rescan the empty ones between.
+	scanFrom int64
 
 	// Telemetry accumulators: plain (non-atomic) counts folded into the
 	// nil-safe SimStats handles once per 4096 events and at Run exit, so
@@ -107,7 +126,6 @@ type event struct {
 	// engine-local seq), or the directed-link id for link events (packet
 	// arrivals), which order by (lkey, sender's per-link seq) so a sharded
 	// run reproduces the serial dispatch order exactly.
-	// It packs into the comparator as a single tiebreak field.
 	lkey int32
 	fn   func()
 	port *port
@@ -117,15 +135,75 @@ type event struct {
 	host *host
 }
 
-// eventHeap is a typed binary min-heap ordered by (at, lkey, seq). It is
-// hand-rolled rather than built on container/heap because heap.Push boxes
-// every event into an interface — one heap allocation per scheduled event.
-// It serves two roles: the current-tick dispatch heap and the far-future
-// overflow store. push/pop/heapify reuse the same backing array, so both
-// reach a steady state with no per-event allocation at all.
-type eventHeap []event
+// nextSeq advances a sequence counter, refusing to pass the seqBits an
+// order key holds for it.
+func nextSeq(s *uint64) uint64 {
+	if *s >= maxSeq {
+		panic("netsim: event sequence exhausted")
+	}
+	*s++
+	return *s
+}
 
-func (h eventHeap) Len() int { return len(h) }
+// tickKey is one current-tick event's place in the dispatch order: ord
+// packs its (at, lkey, seq) (see lkeyBits), idx names its payload in
+// tickEvs.
+type tickKey struct {
+	ord uint64
+	idx int
+}
+
+// key builds the order key of tickEvs[i], an event of the current tick.
+func (e *Engine) key(i int) tickKey {
+	ev := &e.tickEvs[i]
+	off := uint64(ev.at - e.curTick<<bucketShift)
+	return tickKey{ord: off<<offShift | uint64(ev.lkey+1)<<seqBits | ev.seq, idx: i}
+}
+
+// keyHeap is a binary min-heap of order keys: the current tick's pending
+// events.
+type keyHeap []tickKey
+
+func (h *keyHeap) push(k tickKey) {
+	s := append(*h, k)
+	i := len(s) - 1
+	for ; i > 0 && k.ord < s[(i-1)/2].ord; i = (i - 1) / 2 {
+		s[i] = s[(i-1)/2]
+	}
+	s[i] = k
+	*h = s
+}
+
+func (h *keyHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	*h = s[:n]
+	if n > 0 {
+		h.down(0)
+	}
+}
+
+// down sifts key i toward the leaves until the heap order holds.
+func (h keyHeap) down(i int) {
+	k, n := h[i], len(h)
+	for l := 2*i + 1; l < n; l = 2*i + 1 {
+		if l+1 < n && h[l+1].ord < h[l].ord {
+			l++
+		}
+		if k.ord <= h[l].ord {
+			break
+		}
+		h[i], i = h[l], l
+	}
+	h[i] = k
+}
+
+// eventHeap is a typed binary min-heap of whole events ordered by (at,
+// lkey, seq): the far-future overflow store. It is hand-rolled rather than
+// built on container/heap because heap.Push boxes every event into an
+// interface — one heap allocation per scheduled event.
+type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
@@ -182,13 +260,6 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-// heapify establishes the heap order over arbitrary contents (Floyd).
-func (h eventHeap) heapify() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
 // NewEngine returns an engine at time 0. Every wheel bucket starts with a
 // few slots carved out of one contiguous slab, so the schedule path is
 // allocation-free from the first event — not just after every slot has
@@ -214,8 +285,7 @@ func (e *Engine) push(ev event) {
 	if ev.at < e.now {
 		ev.at = e.now
 	}
-	e.seq++
-	ev.seq = e.seq
+	ev.seq = nextSeq(&e.seq)
 	ev.lkey = -1
 	e.schedByKind[ev.kind]++
 	e.place(ev)
@@ -235,21 +305,25 @@ func (e *Engine) pushLink(ev event) {
 }
 
 // place files an already-sequenced event into the tier its tick selects.
-// Ticks at or before curTick (only reachable for the tick being dispatched,
-// since at ≥ now) join the dispatch heap so same-tick scheduling stays in
-// order; in-span ticks append to their wheel bucket in O(1); the far future
-// waits in the overflow heap.
+// The current tick (the only one at or before curTick, since the clock
+// never trails it) takes the payload into its slab and the key into its
+// heap, so same-tick scheduling stays in order; in-span ticks append
+// to their wheel bucket in O(1); the far future waits in the overflow heap.
 func (e *Engine) place(ev event) {
 	tick := ev.at >> bucketShift
 	switch {
-	case tick <= e.curTick:
-		e.cur.push(ev)
-	case tick < e.curTick+numBuckets:
+	case tick == e.curTick:
+		e.tickEvs = append(e.tickEvs, ev)
+		e.keys.push(e.key(len(e.tickEvs) - 1))
+	case tick > e.curTick && tick < e.curTick+numBuckets:
 		b := tick & bucketMask
 		e.wheel[b] = append(e.wheel[b], ev)
 		e.wheelCount++
-	default:
+		e.scanFrom = min(e.scanFrom, tick)
+	case tick > e.curTick:
 		e.overflow.push(ev)
+	default:
+		panic("netsim: event scheduled before the current tick")
 	}
 }
 
@@ -267,32 +341,46 @@ func (e *Engine) afterInject(d int64, h *host, fs *flowState) {
 	e.push(event{at: e.now + d, kind: evInject, host: h, flow: fs})
 }
 
+// keyAt is the time of a current-tick key.
+func (e *Engine) keyAt(k tickKey) int64 { return e.curTick<<bucketShift + int64(k.ord>>offShift) }
+
+// nextTick reports the earliest pending tick after curTick. With buckets
+// in-span the scan walks at most numBuckets empty slots (cheap: one slice
+// length check each, amortized far below one per event); with only
+// overflow pending it jumps straight to the overflow's earliest tick. The
+// tiers strictly partition time, so the first non-empty one owns it.
+func (e *Engine) nextTick() (int64, bool) {
+	if e.wheelCount > 0 {
+		t := max(e.curTick+1, e.scanFrom)
+		for len(e.wheel[t&bucketMask]) == 0 {
+			t++
+		}
+		e.scanFrom = t
+		return t, true
+	}
+	if len(e.overflow) > 0 {
+		return e.overflow[0].at >> bucketShift, true
+	}
+	return 0, false
+}
+
 // NextEventAt reports the earliest pending event time, if any. The
 // parallel coordinator uses it between windows to skip empty lookahead
-// spans; the scan cost is bounded by one pass over the wheel's buckets
-// (cheap length checks), and during active traffic the first non-empty
-// bucket is near the current tick.
+// spans.
 func (e *Engine) NextEventAt() (int64, bool) {
-	// The tiers strictly partition time — cur holds ticks ≤ curTick, the
-	// wheel ticks in (curTick, curTick+numBuckets), overflow everything
-	// later — so the first non-empty tier owns the minimum.
-	if len(e.cur) > 0 {
-		return e.cur[0].at, true
+	if len(e.keys) > 0 {
+		return e.keyAt(e.keys[0]), true
 	}
 	if e.wheelCount > 0 {
-		for t := e.curTick + 1; ; t++ {
-			b := e.wheel[t&bucketMask]
-			if len(b) == 0 {
-				continue
+		t, _ := e.nextTick()
+		b := e.wheel[t&bucketMask]
+		min := b[0].at
+		for _, ev := range b[1:] {
+			if ev.at < min {
+				min = ev.at
 			}
-			min := b[0].at
-			for _, ev := range b[1:] {
-				if ev.at < min {
-					min = ev.at
-				}
-			}
-			return min, true
 		}
+		return min, true
 	}
 	if len(e.overflow) > 0 {
 		return e.overflow[0].at, true
@@ -300,68 +388,61 @@ func (e *Engine) NextEventAt() (int64, bool) {
 	return 0, false
 }
 
-// advance turns the wheel to the given tick: overflow events that came
-// in-range cascade into the wheel (or straight into cur), then the tick's
-// bucket is folded into cur and heapified. The caller guarantees cur holds
-// no event earlier than the tick (it is drained, or drained up to the
-// horizon).
+// advance loads the given tick, whose caller guarantees the current one is
+// drained: the tick's bucket is copied into the payload slab (one slab,
+// reused tick after tick, so it stays in cache and grows once), overflow
+// events that came in-range cascade into the wheel (or straight into the
+// slab), and the tick's keys are heapified.
 func (e *Engine) advance(tick int64) {
 	e.curTick = tick
+	b := tick & bucketMask
+	clear(e.tickEvs)
+	e.tickEvs = append(e.tickEvs[:0], e.wheel[b]...)
+	e.wheelCount -= len(e.wheel[b])
+	clear(e.wheel[b])
+	e.wheel[b] = e.wheel[b][:0]
 	for len(e.overflow) > 0 && e.overflow[0].at>>bucketShift < tick+numBuckets {
 		ev := e.overflow.pop()
-		if ev.at>>bucketShift <= tick {
-			e.cur = append(e.cur, ev) // heapified below
+		if ev.at>>bucketShift == tick {
+			e.tickEvs = append(e.tickEvs, ev)
 		} else {
 			b := ev.at >> bucketShift & bucketMask
 			e.wheel[b] = append(e.wheel[b], ev)
 			e.wheelCount++
 		}
 	}
-	b := tick & bucketMask
-	if s := e.wheel[b]; len(s) > 0 {
-		e.cur = append(e.cur, s...)
-		e.wheelCount -= len(s)
-		clear(s)
-		e.wheel[b] = s[:0]
+	e.keys = e.keys[:0]
+	for i := range e.tickEvs {
+		e.keys = append(e.keys, e.key(i))
 	}
-	e.cur.heapify()
-}
-
-// advanceNext turns the wheel to the earliest pending tick. With buckets
-// in-span the scan walks at most numBuckets empty slots (cheap: one slice
-// length check each, amortized far below one per event); with only
-// overflow pending it jumps straight to the overflow's earliest tick.
-func (e *Engine) advanceNext() {
-	if e.wheelCount == 0 {
-		e.advance(e.overflow[0].at >> bucketShift)
-		return
+	for i := len(e.keys)/2 - 1; i >= 0; i-- {
+		e.keys.down(i)
 	}
-	t := e.curTick + 1
-	for len(e.wheel[t&bucketMask]) == 0 {
-		t++
-	}
-	e.advance(t)
 }
 
 // Run executes events until the queue drains or the clock passes `until`
-// (inclusive). Events scheduled beyond the horizon stay queued (including
-// partially dispatched ticks: cur persists across calls). It returns the
-// number of events executed.
+// (inclusive). Events scheduled beyond the horizon stay queued, including
+// the rest of a partially dispatched tick, and a tick that starts past the
+// horizon is not loaded. It returns the number of events executed.
 func (e *Engine) Run(until int64) int {
 	n := 0
 	for {
-		for len(e.cur) == 0 {
-			if e.wheelCount == 0 && len(e.overflow) == 0 {
-				goto drained
+		if len(e.keys) == 0 {
+			t, more := e.nextTick()
+			if !more || t<<bucketShift > until {
+				break
 			}
-			e.advanceNext()
+			e.advance(t)
+			continue
 		}
-		if e.cur[0].at > until {
+		k := e.keys[0]
+		at := e.keyAt(k)
+		if at > until {
 			break
 		}
-		ev := e.cur.pop()
-		e.now = ev.at
-		e.dispatch(ev)
+		e.keys.pop()
+		e.now = at
+		e.dispatch(&e.tickEvs[k.idx])
 		n++
 		// Flush telemetry in 4096-event chunks so a live scrape sees
 		// progress without an atomic add per event.
@@ -370,7 +451,6 @@ func (e *Engine) Run(until int64) int {
 			e.flushStats()
 		}
 	}
-drained:
 	e.eventsRun += int64(n & 4095)
 	e.flushStats()
 	if e.now < until {
@@ -380,8 +460,10 @@ drained:
 }
 
 // dispatch executes one event. Typed events carry their target state
-// directly — no closure environment, no indirect call.
-func (e *Engine) dispatch(ev event) {
+// directly — no closure environment, no indirect call. ev may point into
+// tickEvs, which a handler's same-tick push can regrow: every field is read
+// before the handler runs.
+func (e *Engine) dispatch(ev *event) {
 	switch ev.kind {
 	case evFunc:
 		ev.fn()
@@ -404,8 +486,8 @@ func (e *Engine) dispatch(ev event) {
 
 // flushStats folds the engine's plain accumulators into the simulation's
 // telemetry handles (all nil-safe no-ops when telemetry is disabled). The
-// depth gauges are high-water marks: wheel occupancy counts cur plus the
-// in-span buckets, overflow counts the far-future heap.
+// depth gauges are high-water marks: wheel occupancy counts the current
+// tick plus the in-span buckets, overflow counts the far-future heap.
 func (e *Engine) flushStats() {
 	if e.net == nil {
 		return
@@ -422,7 +504,7 @@ func (e *Engine) flushStats() {
 		}
 		e.eventsFlushed = e.eventsRun
 	}
-	st.WheelDepth.SetMax(int64(len(e.cur) + e.wheelCount))
+	st.WheelDepth.SetMax(int64(len(e.keys) + e.wheelCount))
 	st.OverflowDepth.SetMax(int64(len(e.overflow)))
 	if v := st.EventsByKind; v != nil {
 		for k := range e.schedByKind {

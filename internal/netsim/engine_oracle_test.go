@@ -37,8 +37,9 @@ type scheduler interface {
 }
 
 // heapScheduler keeps every pending func in one binary min-heap ordered by
-// (at, seq), seq counting schedule calls; a past time clamps to now and
-// Run leaves the clock at its horizon, as the Engine does.
+// (at, lkey, seq): At gives lkey -1 and a seq counting At calls, atLink
+// takes both from its caller. A past time clamps to now and Run leaves the
+// clock at its horizon, as the Engine does.
 type heapScheduler struct {
 	now int64
 	seq uint64
@@ -46,9 +47,10 @@ type heapScheduler struct {
 }
 
 type oracleEvent struct {
-	at  int64
-	seq uint64
-	fn  func()
+	at   int64
+	lkey int32
+	seq  uint64
+	fn   func()
 }
 
 type oracleQueue []oracleEvent
@@ -57,6 +59,9 @@ func (q oracleQueue) Len() int { return len(q) }
 func (q oracleQueue) Less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
+	}
+	if q[i].lkey != q[j].lkey {
+		return q[i].lkey < q[j].lkey
 	}
 	return q[i].seq < q[j].seq
 }
@@ -73,7 +78,17 @@ func (s *heapScheduler) Now() int64 { return s.now }
 
 func (s *heapScheduler) At(t int64, fn func()) {
 	s.seq++
-	heap.Push(&s.q, oracleEvent{at: max(t, s.now), seq: s.seq, fn: fn})
+	heap.Push(&s.q, oracleEvent{at: max(t, s.now), lkey: -1, seq: s.seq, fn: fn})
+}
+
+func (s *heapScheduler) atLink(t int64, lkey int32, seq uint64, fn func()) {
+	heap.Push(&s.q, oracleEvent{at: max(t, s.now), lkey: lkey, seq: seq, fn: fn})
+}
+
+// atLink schedules fn as a link event with the given order key, as a
+// packet arrival over directed link lkey would be.
+func (e *Engine) atLink(t int64, lkey int32, seq uint64, fn func()) {
+	e.pushLink(event{at: t, kind: evFunc, fn: fn, lkey: lkey, seq: seq})
 }
 
 func (s *heapScheduler) After(d int64, fn func()) { s.At(s.now+d, fn) }
@@ -101,7 +116,7 @@ func pinHeapOracle(n *Network) { n.eng.curTick = math.MinInt64 / 2 }
 func (n *Network) runHeapOracle(t *testing.T, until int64) *Trace {
 	t.Helper()
 	e := n.eng
-	if e.curTick != math.MinInt64/2 || e.wheelCount != 0 || len(e.cur) != 0 {
+	if e.curTick != math.MinInt64/2 || e.wheelCount != 0 || len(e.tickEvs) != 0 {
 		t.Fatal("runHeapOracle: the engine was not pinned before events were scheduled")
 	}
 	for _, sh := range n.shards {
@@ -113,10 +128,10 @@ func (n *Network) runHeapOracle(t *testing.T, until int64) *Trace {
 	for len(e.overflow) > 0 && e.overflow[0].at <= until {
 		ev := e.overflow.pop()
 		e.now = ev.at
-		e.dispatch(ev)
+		e.dispatch(&ev)
 		n.trace.Events++
 	}
-	if e.wheelCount != 0 || len(e.cur) != 0 {
+	if e.wheelCount != 0 || len(e.tickEvs) != 0 {
 		t.Fatal("runHeapOracle: an event bypassed the heap")
 	}
 	e.now = max(e.now, until)
@@ -200,6 +215,92 @@ func TestEngineWheelMatchesHeapOracle(t *testing.T) {
 	for i := range wheel {
 		if wheel[i] != heap[i] {
 			t.Fatalf("execution diverges at event %d: wheel %+v vs heap %+v", i, wheel[i], heap[i])
+		}
+	}
+}
+
+// seamScheduler is a scheduler that also takes link events.
+type seamScheduler interface {
+	scheduler
+	atLink(t int64, lkey int32, seq uint64, fn func())
+}
+
+// scheduleTickSeams loads one tick, T, from every place an event can reach
+// it from, with ties on at throughout and local and link events mixed:
+// from time 0 (the overflow heap, cascading into T's bucket or, with
+// stepped false, straight into T as the wheel jumps there), from
+// dispatches in earlier ticks (T's wheel bucket), and from dispatches
+// inside T itself (pushed while T runs). It returns T's start and a
+// function that schedules more of the same from outside a dispatch, for
+// use between Run calls that stop before T ends.
+func scheduleTickSeams(e seamScheduler, seed uint64, stepped bool, log *[]execRecord) (int64, func(n int)) {
+	rng := rngState{s: seed}
+	base := int64(2*numBuckets) << bucketShift
+	ats := [...]int64{base, base + 100, base + 100, base + 101, base + 255}
+	var lseq [3]uint64
+	id := 0
+	var add func(n, depth int)
+	rec := func(depth int) func() {
+		me := id
+		id++
+		return func() {
+			*log = append(*log, execRecord{at: e.Now(), id: me, now: e.Now()})
+			if depth > 0 && rng.next()%2 == 0 {
+				add(1+int(rng.next()%3), depth-1)
+			}
+		}
+	}
+	add = func(n, depth int) {
+		for ; n > 0; n-- {
+			at := ats[rng.next()%uint64(len(ats))]
+			if e.Now() >= base {
+				at = e.Now() + int64(rng.next()%uint64(base+256-e.Now())) // still inside T
+				if rng.next()%3 == 0 {
+					at = e.Now() // a tie with the running event
+				}
+			}
+			if lk := int32(rng.next()%4) - 1; lk < 0 {
+				e.At(at, rec(depth))
+			} else {
+				lseq[lk]++
+				e.atLink(at, lk, lseq[lk], rec(depth))
+			}
+		}
+	}
+	add(24, 3)
+	if stepped {
+		for _, d := range []int64{300 * tickNs, tickNs, 1} {
+			e.At(base-d, func() { add(12, 3) })
+		}
+	}
+	return base, func(n int) { add(n, 3) }
+}
+
+// TestWheelTickSeamsMatchHeapOracle pins the dispatch order where a tick's
+// key heap meets the rest: events that tie on at but came in through the
+// overflow cascade, the wheel bucket and pushes during the tick's own
+// dispatch, local and link events mixed, and Runs that stop inside the
+// tick and take new pushes into it before they resume. Every seed must
+// replay event-for-event as the heap oracle does.
+func TestWheelTickSeamsMatchHeapOracle(t *testing.T) {
+	drive := func(e seamScheduler, seed uint64, stepped bool) []execRecord {
+		var log []execRecord
+		base, more := scheduleTickSeams(e, seed, stepped, &log)
+		for _, until := range []int64{base - 1, base + 99, base + 100, base + 100, base + 200} {
+			e.Run(until)
+			more(3)
+		}
+		e.Run(base + 1<<20)
+		return log
+	}
+	for seed := uint64(1); seed <= 64; seed++ {
+		for _, stepped := range []bool{false, true} {
+			got := drive(NewEngine(), seed*0x9e3779b97f4a7c15, stepped)
+			want := drive(&heapScheduler{}, seed*0x9e3779b97f4a7c15, stepped)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d stepped=%v: the wheel's order diverges from the heap oracle's (%d vs %d events)",
+					seed, stepped, len(got), len(want))
+			}
 		}
 	}
 }

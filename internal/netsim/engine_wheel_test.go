@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // Edge cases of the timing-wheel geometry: tick boundaries, FIFO ties,
 // horizon clamping mid-bucket, overflow cascade and long idle jumps.
@@ -79,7 +82,7 @@ func TestWheelHorizonClampsMidBucket(t *testing.T) {
 		t.Errorf("Now = %d, want clamped to %d", e.Now(), base+15)
 	}
 	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (event 2 held in the dispatch heap)", e.Pending())
+		t.Errorf("pending = %d, want 1 (event 2 held in the current tick)", e.Pending())
 	}
 	// Scheduling against the clamped clock must still order correctly.
 	e.At(base+16, rec(3))
@@ -223,5 +226,63 @@ func TestTimerArmIdempotentAndDisarming(t *testing.T) {
 	n.eng.Run(n.eng.Now() + 2*dctcpRTONs)
 	if n.eng.Pending() != 0 || fsw.rtoArmed {
 		t.Error("finished window flow did not disarm its RTO chain")
+	}
+}
+
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestWheelOrderKeyBounds pins the fields an order key packs at their
+// bounds: events at a tick's last nanosecond with the largest lkey and seq
+// a key holds (the key MaxUint64) still order by (at, lkey, seq), and the
+// sequence one past the bound is refused, for local and link events alike.
+func TestWheelOrderKeyBounds(t *testing.T) {
+	if bucketShift+lkeyBits+seqBits != 64 || maxLinks != 1<<16-1 || maxSeq != 1<<40-1 {
+		t.Fatalf("key layout %d+%d+%d bits, maxLinks %d, maxSeq %d", bucketShift, lkeyBits, seqBits, maxLinks, maxSeq)
+	}
+	e := NewEngine()
+	var got []int
+	rec := func(id int) func() { return func() { got = append(got, id) } }
+	last := 2*tickNs - 1 // tick 1's last nanosecond
+	e.seq = maxSeq - 1
+	e.atLink(last+1, 0, 1, rec(5))             // the next tick's first event
+	e.atLink(last, maxLinks-1, maxSeq, rec(4)) // the largest key
+	e.atLink(last, maxLinks-1, 1, rec(3))
+	e.atLink(last, 0, maxSeq, rec(2))
+	e.At(last, rec(1)) // the last local seq: maxSeq
+	mustPanic(t, "a local event past the last seq", func() { e.At(last, rec(0)) })
+	e.Run(last + 1)
+	if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("order = %v, want %v", got, want)
+	}
+
+	topo, _ := Dumbbell(1)
+	n, _ := New(DefaultConfig(topo))
+	p := n.ports[0][0]
+	p.lseq = maxSeq - 1
+	n.routeArrive(p, new(Packet)) // takes maxSeq
+	mustPanic(t, "a link event past the last seq", func() { n.routeArrive(p, new(Packet)) })
+}
+
+// TestNewRefusesTooManyLinks pins the lkey bound: a key holds lkey+1 in
+// lkeyBits, so New takes maxLinks directed links and refuses one more.
+func TestNewRefusesTooManyLinks(t *testing.T) {
+	// One host wired to one switch, which has links-1 ports back to it.
+	star := func(links int) *Topology {
+		return &Topology{Hosts: 1, Switches: 1, Ports: [][]PortDef{{{Peer: 1}}, make([]PortDef, links-1)}}
+	}
+	if _, err := New(DefaultConfig(star(maxLinks))); err != nil {
+		t.Errorf("New refused %d directed links: %v", maxLinks, err)
+	}
+	if _, err := New(DefaultConfig(star(maxLinks + 1))); err == nil {
+		t.Errorf("New took %d directed links, one more than a key holds", maxLinks+1)
 	}
 }

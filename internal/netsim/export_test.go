@@ -3,7 +3,9 @@ package netsim
 import "fmt"
 
 // Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.cur) + e.wheelCount + len(e.overflow) }
+func (e *Engine) Pending() int {
+	return len(e.keys) + e.wheelCount + len(e.overflow)
+}
 
 // FlowRate reports the current sending rate of a flow in bps (for tests).
 // Window flows report cwnd/RTT-free pacing as 0 (they are ACK-clocked).

@@ -228,7 +228,12 @@ type port struct {
 	// would depend on the interleaving of unrelated ports.
 	rng rngState
 
+	// queue[qhead:] is the FIFO, head first. Dequeuing advances qhead; a
+	// drained port restarts at the front of its backing array, and a full
+	// one at least half dequeued slides its live packets there, so a port
+	// stops allocating once its array fits twice its deepest backlog.
 	queue  []*Packet
+	qhead  int
 	qbytes int64
 	busy   bool
 	drops  int64
@@ -305,6 +310,13 @@ func mix64(x uint64) uint64 {
 func New(cfg Config) (*Network, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("netsim: Config.Topo is required")
+	}
+	links := 0
+	for _, defs := range cfg.Topo.Ports {
+		links += len(defs)
+	}
+	if links > maxLinks {
+		return nil, fmt.Errorf("netsim: %d directed links, more than the %d an event order key holds", links, maxLinks)
 	}
 	cfg.fillDefaults()
 	n := &Network{
@@ -397,6 +409,11 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 			n.stats.ECNMarks.Inc()
 		}
 	}
+	if len(p.queue) == cap(p.queue) && 2*p.qhead >= len(p.queue) {
+		live := copy(p.queue, p.queue[p.qhead:])
+		clear(p.queue[live:])
+		p.queue, p.qhead = p.queue[:live], 0
+	}
 	p.queue = append(p.queue, pkt)
 	p.qbytes += int64(pkt.Size)
 
@@ -420,7 +437,7 @@ func (n *Network) trackEpisode(p *port, pkt *Packet, now int64) {
 			if p.epFlows == nil {
 				p.epFlows = make(map[int32]struct{})
 			}
-			for _, q := range p.queue {
+			for _, q := range p.queue[p.qhead:] {
 				if q.Type == Data {
 					p.epFlows[q.FlowID] = struct{}{}
 				}
@@ -469,12 +486,13 @@ func (n *Network) finishEpisode(p *port, now int64) {
 
 // startTx begins serializing the head-of-line packet.
 func (n *Network) startTx(p *port) {
-	if len(p.queue) == 0 {
+	if p.qhead == len(p.queue) {
+		p.queue, p.qhead = p.queue[:0], 0
 		p.busy = false
 		return
 	}
 	p.busy = true
-	pkt := p.queue[0]
+	pkt := p.queue[p.qhead]
 	txNs := int64(float64(pkt.Size) * 8 / p.rateBps * 1e9)
 	if txNs < 1 {
 		txNs = 1
@@ -487,7 +505,8 @@ func (n *Network) startTx(p *port) {
 func (n *Network) finishTx(p *port, pkt *Packet) {
 	sh := p.sh
 	now := sh.eng.Now()
-	p.queue = p.queue[1:]
+	p.queue[p.qhead] = nil
+	p.qhead++
 	p.qbytes -= int64(pkt.Size)
 
 	if n.topo.IsHost(p.owner) {

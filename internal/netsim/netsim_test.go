@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"umon/internal/measure"
@@ -395,6 +396,47 @@ func TestFatTreeWorkloadEndToEnd(t *testing.T) {
 	}
 	if rx > tx {
 		t.Errorf("received %d > transmitted %d", rx, tx)
+	}
+}
+
+// TestSimulationDoesNotAllocatePerPacket pins the simulator's steady
+// state: a loaded fat-tree run allocates only as its trace and its queues
+// grow, not per packet or per event. A port FIFO that re-slices its head
+// off reallocates every few packets (0.38 allocations an event).
+func TestSimulationDoesNotAllocatePerPacket(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-ms fat-tree simulation")
+	}
+	topo, _ := FatTree(4)
+	cfg := DefaultConfig(topo)
+	cfg.Seed = 42
+	flows, err := workload.Generate(workload.Config{
+		Dist: workload.WebSearch(), Load: 0.35, Hosts: topo.Hosts,
+		LinkBps: cfg.LinkBps, DurationNs: 3_000_000, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flows {
+		if _, err := n.AddFlow(FlowSpec{Src: f.Src, Dst: f.Dst, Bytes: f.Bytes, StartNs: f.StartNs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := n.Run(4_000_000)
+	runtime.ReadMemStats(&after)
+	if tr.Events < 1_000_000 {
+		t.Fatalf("ran %d events, want a loaded fabric (≥ 1M)", tr.Events)
+	}
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(tr.Events)
+	t.Logf("%d events, %.4f allocations an event", tr.Events, perEvent)
+	if perEvent > 0.01 && !raceEnabled {
+		t.Errorf("%.4f allocations an event, want ≤ 0.01", perEvent)
 	}
 }
 

@@ -139,9 +139,8 @@ func partitionNodes(t *Topology, n int) []int32 {
 // on the sending shard enter the local wheel immediately; remote peers go
 // to the outbox for barrier delivery.
 func (n *Network) routeArrive(p *port, pkt *Packet) {
-	p.lseq++
 	ev := event{
-		at: p.sh.eng.Now() + n.cfg.PropDelayNs, seq: p.lseq,
+		at: p.sh.eng.Now() + n.cfg.PropDelayNs, seq: nextSeq(&p.lseq),
 		kind: evArrive, lkey: p.lkey, node: p.peer, pkt: pkt,
 	}
 	if dst := n.shards[n.shardOf[p.peer]]; dst != p.sh {
