@@ -19,10 +19,12 @@ test-short:
 # index read beside its one writer, concurrent replay, one decoded report queried
 # through a collector and an analyzer at once), the telemetry plane (atomic
 # counters/histograms, registry, tracer), the netsim event engine (timing
-# wheel vs the tests' heap oracles), and the zero-copy mirror datapath (the
-# mbuf free list under concurrent Alloc/Free, the pcapio one-block reader and
-# writer, the in-place mirror decoder), the collector window and its event log,
-# and the ops API serving queries against live ingest.
+# wheel vs the tests' heap oracles; sharded runs, whose recorded CE tap
+# writes a shard's buffer from that shard's goroutine), and the zero-copy
+# mirror datapath (the mbuf free list under concurrent Alloc/Free, the pcapio
+# one-block reader and writer, the in-place mirror decoder), the collector
+# window and its event log, and the ops API serving queries against live
+# ingest.
 test-race:
 	$(GO) test -race ./internal/report -run 'TestQueryable|TestDecodeBudget|TestRoutedSetExtendMatchesCopyingOracle'
 	$(GO) test -race ./internal/analyzer -run 'TestAnalyzerConcurrent|TestDetectEventsIncremental|TestPopClosed|TestRecycledClusterer'
@@ -54,9 +56,9 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 14997
+LOC_CEILING = 14978
 LOC_SLACK = 25
-DESIGN_MAX = 864
+DESIGN_MAX = 861
 EXPERIMENTS_MAX = 450
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1}'); \

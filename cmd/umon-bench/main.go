@@ -3,17 +3,15 @@
 // Usage:
 //
 //	umon-bench [-run fig11,fig14] [-ms 20] [-seed 42] [-list]
-//	           [-shards N]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	           [-telemetry-addr :8080] [-telemetry-dump]
 //
 // With no -run it executes every registered experiment in presentation
 // order, prewarming the six shared fat-tree simulations and then sharing
 // them across experiments. -ms scales the trace duration (the paper uses
-// 20 ms traces; smaller values are useful for smoke runs). -shards runs
-// the simulation engine sharded (default 1); sharded traces are
-// byte-identical to serial ones, so every table is unchanged — only
-// wall-clock time moves.
+// 20 ms traces; smaller values are useful for smoke runs). The
+// simulations run on the serial engine and record their packet logs, which
+// the experiments grade against.
 // -cpuprofile/-memprofile write pprof profiles for the run.
 // -telemetry-addr serves the live operational counters (Prometheus
 // /metrics, JSON /vars, /debug/pprof); -telemetry-dump prints a summary to
@@ -48,7 +46,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	ms := fs.Int64("ms", 20, "trace duration in milliseconds")
 	seed := fs.Int64("seed", 42, "workload/marking seed")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	shards := fs.Int("shards", 1, "simulation engine shards (traces are identical at any count)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve live telemetry on this address (/metrics Prometheus, /vars JSON, /debug/pprof)")
@@ -92,7 +89,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	}
 	tracer := telemetry.NewTracer(reg)
 
-	cache := experiments.NewCache(experiments.Options{DurationNs: *ms * 1_000_000, Seed: *seed, Telemetry: reg, Shards: *shards})
+	cache := experiments.NewCache(experiments.Options{DurationNs: *ms * 1_000_000, Seed: *seed, Telemetry: reg})
 	runner := experiments.NewRunner(cache)
 
 	var ids []string

@@ -1,8 +1,10 @@
 // umon-sim runs a µMon-instrumented data-center simulation and exports
 // its artifacts: the mirrored event packets as a pcap capture
-// (mirrors.pcap, written after the run in (time, switch, port) order — the
-// same bytes at every -shards count), the host WaveSketch reports as one
-// epoch-rotated framed stream (reports.umstream), and a summary of the run.
+// (mirrors.pcap, written as the switches emit them, in (time, switch,
+// port) order), the host WaveSketch reports as one epoch-rotated framed
+// stream (reports.umstream), and a summary of the run. It records no
+// packet log: the summary's counts come from the same taps that feed the
+// monitors.
 //
 // Usage:
 //
@@ -17,11 +19,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"umon/internal/core"
 	"umon/internal/netsim"
@@ -38,7 +40,6 @@ func main() {
 	ms := flag.Int64("ms", 20, "traffic duration in milliseconds")
 	seed := flag.Int64("seed", 42, "generation seed")
 	sampleBits := flag.Uint("sample-bits", 6, "event sampling: probability 1/2^bits")
-	shards := flag.Int("shards", 1, "simulation engine shards (the trace is identical at any count)")
 	outDir := flag.String("out", "umon-out", "output directory")
 	epochMs := flag.Int64("epoch-ms", 0, "host sealing period in milliseconds (0: one period spanning the whole run)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live telemetry on this address (/metrics Prometheus, /vars JSON, /debug/pprof)")
@@ -58,7 +59,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "umon-sim: telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	err := run(*wl, *load, *ms, *seed, *sampleBits, *shards, *outDir, *epochMs, reg)
+	err := run(os.Stdout, *wl, *load, *ms, *seed, *sampleBits, *outDir, *epochMs, reg)
 	if *telemetryDump {
 		reg.WriteSummary(os.Stderr)
 	}
@@ -68,7 +69,7 @@ func main() {
 	}
 }
 
-func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, outDir string, epochMs int64, reg *telemetry.Registry) error {
+func run(stdout io.Writer, wl string, load float64, ms, seed int64, sampleBits uint, outDir string, epochMs int64, reg *telemetry.Registry) error {
 	var dist *workload.Distribution
 	switch strings.ToLower(wl) {
 	case "hadoop":
@@ -89,7 +90,6 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	cfg := netsim.DefaultConfig(topo)
 	cfg.Seed = uint64(seed)
 	cfg.Stats = netsim.NewSimStats(reg)
-	cfg.Shards = shards
 	hostSamples := reg.CounterVec("umon_host_samples_total", "packets fed to each host's sketch", "host", topo.Hosts)
 	tracer := telemetry.NewTracer(reg)
 	flows, err := workload.Generate(workload.Config{
@@ -112,8 +112,7 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	sysCfg.Switch.Rule = uevent.ACLRule{SampleBits: sampleBits}
 
 	// Every host's sealed epochs go into one framed stream file — the
-	// input umon-collect reads or tails. The sink serializes
-	// concurrent Ship calls, so it is safe at any shard count.
+	// input umon-collect reads or tails.
 	sf, err := os.Create(filepath.Join(outDir, "reports.umstream"))
 	if err != nil {
 		return err
@@ -123,24 +122,27 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	if err != nil {
 		return err
 	}
-	// The switches' mirrors are held back, wire-encoded and back to back,
-	// and written once the run is over (see writeMirrors).
-	var mirrorMu sync.Mutex
-	var mirrors []byte
-	sys, err := core.Wire(n, topo, sysCfg, streamSink, func(encoded []byte) error {
-		mirrorMu.Lock()
-		mirrors = append(mirrors, encoded...)
-		mirrorMu.Unlock()
-		return nil
-	})
+	mf, err := os.Create(filepath.Join(outDir, "mirrors.pcap"))
+	if err != nil {
+		return err
+	}
+	defer mf.Close()
+	mirrors := &mirrorWriter{w: pcapio.NewWriter(mf, 0)}
+	sys, err := core.Wire(n, topo, sysCfg, streamSink, mirrors.add)
 	if err != nil {
 		return err
 	}
 
-	wired := n.OnHostEgress
+	var packets, ceSeen int64
+	wiredHost, wiredCE := n.OnHostEgress, n.OnSwitchCE
 	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
-		wired(host, pkt, now)
+		wiredHost(host, pkt, now)
 		hostSamples.At(host).Inc()
+		packets++
+	}
+	n.OnSwitchCE = func(sw, port int16, pkt *netsim.Packet, now int64) {
+		wiredCE(sw, port, pkt, now)
+		ceSeen++
 	}
 
 	for _, f := range flows {
@@ -158,7 +160,13 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 	if err != nil {
 		return err
 	}
-	if err := writeMirrors(filepath.Join(outDir, "mirrors.pcap"), mirrors); err != nil {
+	if err := mirrors.flush(); err != nil {
+		return err
+	}
+	if err := mirrors.w.Flush(); err != nil {
+		return err
+	}
+	if err := mf.Close(); err != nil {
 		return err
 	}
 	if err := streamSink.Close(); err != nil {
@@ -168,52 +176,67 @@ func run(wl string, load float64, ms, seed int64, sampleBits uint, shards int, o
 		return err
 	}
 
-	fmt.Printf("workload      %s %.0f%% load, %d flows, %d packets\n", dist.Name, load*100, len(flows), tr.TotalPackets())
-	fmt.Printf("events        %d ground-truth episodes, %d CE observations\n", len(tr.Episodes), len(tr.CELog))
-	fmt.Printf("reports       %d framed epochs in reports.umstream, %d bytes (%.2f Mbps/host avg)\n",
+	fmt.Fprintf(stdout, "workload      %s %.0f%% load, %d flows, %d packets\n", dist.Name, load*100, len(flows), packets)
+	fmt.Fprintf(stdout, "events        %d ground-truth episodes, %d CE observations\n", len(tr.Episodes), ceSeen)
+	fmt.Fprintf(stdout, "reports       %d framed epochs in reports.umstream, %d bytes (%.2f Mbps/host avg)\n",
 		streamSink.Frames(), sys.ReportBytes(), sys.HostBandwidthBps(horizon)/1e6)
-	fmt.Printf("output        %s\n", outDir)
+	fmt.Fprintf(stdout, "output        %s\n", outDir)
 	return nil
 }
 
-// writeMirrors writes the wire-encoded mirror packets of a run as a pcap
-// capture in (time, switch, port) order. One port CE-marks at most one
-// packet per nanosecond, so the key is total and the file is the same
-// whatever order the switches emitted in — at every shard count.
-func writeMirrors(path string, wire []byte) error {
-	const pktLen = packet.MirrorEncodedLen
-	recs := make([]uevent.MirrorRecord, len(wire)/pktLen)
-	order := make([]int, len(recs))
-	for i := range recs {
-		var err error
-		if recs[i], err = uevent.DecodeMirrorPacket(wire[i*pktLen:][:pktLen]); err != nil {
-			return err
-		}
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := &recs[order[i]], &recs[order[j]]
-		if a.TimestampNs != b.TimestampNs {
-			return a.TimestampNs < b.TimestampNs
-		}
-		if a.Port.Switch != b.Port.Switch {
-			return a.Port.Switch < b.Port.Switch
-		}
-		return a.Port.Port < b.Port.Port
-	})
-	f, err := os.Create(path)
+// mirrorWriter writes a run's wire-encoded mirrors to a pcap capture as
+// the switches emit them, in (time, switch, port) order. The serial engine
+// emits them in time order, but CE egresses that share a nanosecond
+// dispatch in event order, so the current nanosecond's mirrors are held
+// back and written sorted by (switch, port). One port CE-marks at most one
+// packet per nanosecond, so the key is total and the file is a function of
+// the traffic alone.
+type mirrorWriter struct {
+	w    *pcapio.Writer
+	ns   int64 // the nanosecond held mirrors share
+	held []heldMirror
+}
+
+type heldMirror struct {
+	rec  uevent.MirrorRecord
+	wire [packet.MirrorEncodedLen]byte
+}
+
+// add takes one encoded mirror, writing out the held ones once time has
+// moved past their nanosecond.
+func (m *mirrorWriter) add(encoded []byte) error {
+	rec, err := uevent.DecodeMirrorPacket(encoded)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := pcapio.NewWriter(f, 0)
-	for _, i := range order {
-		if err := w.WritePacket(pcapio.Packet{TimestampNs: recs[i].TimestampNs, Data: wire[i*pktLen:][:pktLen], OrigLen: pktLen}); err != nil {
+	switch {
+	case rec.TimestampNs < m.ns:
+		return fmt.Errorf("mirror at %d ns arrived after one at %d ns", rec.TimestampNs, m.ns)
+	case rec.TimestampNs > m.ns:
+		if err := m.flush(); err != nil {
+			return err
+		}
+		m.ns = rec.TimestampNs
+	}
+	m.held = append(m.held, heldMirror{rec: rec})
+	copy(m.held[len(m.held)-1].wire[:], encoded)
+	return nil
+}
+
+// flush writes the held mirrors in (switch, port) order.
+func (m *mirrorWriter) flush() error {
+	slices.SortFunc(m.held, func(a, b heldMirror) int {
+		if a.rec.Port.Switch != b.rec.Port.Switch {
+			return int(a.rec.Port.Switch) - int(b.rec.Port.Switch)
+		}
+		return int(a.rec.Port.Port) - int(b.rec.Port.Port)
+	})
+	for i := range m.held {
+		h := &m.held[i]
+		if err := m.w.WritePacket(pcapio.Packet{TimestampNs: h.rec.TimestampNs, Data: h.wire[:], OrigLen: len(h.wire)}); err != nil {
 			return err
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+	m.held = m.held[:0]
+	return nil
 }

@@ -20,7 +20,7 @@ import (
 
 func TestRunProducesArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 0, nil); err != nil {
+	if err := run(io.Discard, "hadoop", 0.15, 2, 7, 4, dir, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Mirror pcap exists and parses.
@@ -53,7 +53,7 @@ func TestRunProducesArtifacts(t *testing.T) {
 }
 
 func TestRunRejectsUnknownWorkload(t *testing.T) {
-	if err := run("netflix", 0.15, 1, 7, 4, 1, t.TempDir(), 0, nil); err == nil {
+	if err := run(io.Discard, "netflix", 0.15, 1, 7, 4, t.TempDir(), 0, nil); err == nil {
 		t.Error("unknown workload must fail")
 	}
 }
@@ -64,7 +64,7 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 // could move: umon-sim runs neither.
 func TestRunTelemetryCoversAcceptanceFamilies(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	if err := run("hadoop", 0.15, 1, 7, 4, 1, t.TempDir(), 0, reg); err != nil {
+	if err := run(io.Discard, "hadoop", 0.15, 1, 7, 4, t.TempDir(), 0, reg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -132,10 +132,14 @@ func readReports(t *testing.T, dir string) map[string][]byte {
 // The artifacts of `hadoop, -ms 1, -seed 7, -sample-bits 4`, taken from the
 // files the commit before core.Wire wrote at -shards 3: SHA-256 of
 // mirrors.pcap, and of every report frame's payload in (host, epoch) order,
-// each behind its host, epoch and length as three little-endian u64s.
+// each behind its host, epoch and length as three little-endian u64s. The
+// summary's workload and events lines of the same run are pinned as the
+// commit that still recorded the trace printed them from its logs.
 const (
 	pinnedMirrorsSHA = "edfec7b73e700cd5ea4c129a67a8930495580fd0f39b4733b5df349900227afd"
 	pinnedReportsSHA = "099519ffccf7a57461599e4363d5fd8c049a47f734a0b9bb376b91eeb32f2035"
+	pinnedSummary    = "workload      FacebookHadoop 15% load, 262 flows, 19471 packets\n" +
+		"events        13 ground-truth episodes, 4830 CE observations\n"
 )
 
 // artifactDigests hashes dir's mirrors.pcap and report payloads as the
@@ -190,25 +194,27 @@ func artifactDigests(t *testing.T, dir string) (mirrors, reports string) {
 	return hex.EncodeToString(sum[:]), hex.EncodeToString(h.Sum(nil))
 }
 
-// TestRunShardedMatchesSerialArtifacts runs the same short simulation with
-// the serial engine and with 3 shards: both must write the pinned bytes —
-// mirrors.pcap whole (the mirrors are written after the run in (time,
-// switch, port) order, whatever order the switches emitted in) and every
-// (host, epoch) report payload (each host's egress stream is identical at
-// any shard count; the shared sink interleaves hosts as they seal).
-func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		dir := t.TempDir()
-		if err := run("hadoop", 0.15, 1, 7, 4, shards, dir, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		mirrors, reports := artifactDigests(t, dir)
-		if mirrors != pinnedMirrorsSHA {
-			t.Errorf("-shards %d: mirrors.pcap hashes to %s, pinned %s", shards, mirrors, pinnedMirrorsSHA)
-		}
-		if reports != pinnedReportsSHA {
-			t.Errorf("-shards %d: report payloads hash to %s, pinned %s", shards, reports, pinnedReportsSHA)
-		}
+// TestRunMatchesPinnedArtifacts runs a short simulation and requires the
+// pinned bytes: mirrors.pcap whole (the mirrors are written in (time,
+// switch, port) order as the switches emit them), every (host, epoch)
+// report payload (the shared sink interleaves hosts as they seal), and the
+// summary's packet and CE counts, which the taps count without a recorded
+// trace.
+func TestRunMatchesPinnedArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := run(&out, "hadoop", 0.15, 1, 7, 4, dir, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	mirrors, reports := artifactDigests(t, dir)
+	if mirrors != pinnedMirrorsSHA {
+		t.Errorf("mirrors.pcap hashes to %s, pinned %s", mirrors, pinnedMirrorsSHA)
+	}
+	if reports != pinnedReportsSHA {
+		t.Errorf("report payloads hash to %s, pinned %s", reports, pinnedReportsSHA)
+	}
+	if !strings.HasPrefix(out.String(), pinnedSummary) {
+		t.Errorf("summary starts\n%s\npinned\n%s", out.String(), pinnedSummary)
 	}
 }
 
@@ -216,7 +222,7 @@ func TestRunShardedMatchesSerialArtifacts(t *testing.T) {
 // decodable, one frame per (host, epoch) — and nowhere else.
 func TestRunStreamMode(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("hadoop", 0.15, 2, 7, 4, 1, dir, 1, nil); err != nil {
+	if err := run(io.Discard, "hadoop", 0.15, 2, 7, 4, dir, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// 16 fat-tree hosts × (-ms 2 split into 1 ms epochs + final partial).

@@ -39,6 +39,7 @@ func main() {
 			id++
 		}
 	}
+	n.Record()
 	tr := n.Run(6_000_000)
 
 	fmt.Printf("ground truth: %d congestion episodes, %d CE packet observations\n\n",

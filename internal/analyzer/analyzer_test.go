@@ -254,9 +254,10 @@ func TestEndToEndReplayFromSimulation(t *testing.T) {
 	}
 	n.AddFlow(netsim.FlowSpec{Src: 0, Dst: 2, Bytes: 8_000_000, StartNs: 0})
 	n.AddFlow(netsim.FlowSpec{Src: 1, Dst: 2, Bytes: 8_000_000, StartNs: 200_000})
+	n.Record()
 	tr := n.Run(4_000_000)
 	if len(tr.CELog) == 0 {
-		t.Skip("no congestion to replay")
+		t.Fatal("no CE record: the 2:1 bottleneck must congest and be recorded")
 	}
 
 	a := New()

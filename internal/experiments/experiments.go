@@ -32,10 +32,6 @@ type Options struct {
 	// counters aggregate across the six standard simulations. Nil (the
 	// default) is the disabled, zero-overhead configuration.
 	Telemetry *telemetry.Registry
-	// Shards selects the simulation engine's shard count (≤ 1 runs the
-	// serial engine). Traces are byte-identical at every shard count, so
-	// this trades nothing but wall-clock time on multi-core machines.
-	Shards int
 }
 
 func (o Options) filled() Options {
@@ -144,7 +140,6 @@ func (c *Cache) build(key SimKey) (*SimResult, error) {
 	cfg := netsim.DefaultConfig(topo)
 	cfg.Seed = uint64(c.opt.Seed)
 	cfg.Stats = netsim.NewSimStats(c.opt.Telemetry)
-	cfg.Shards = c.opt.Shards
 	flows, err := workload.Generate(workload.Config{
 		Dist: dist, Load: key.Load, Hosts: topo.Hosts,
 		LinkBps: cfg.LinkBps, DurationNs: c.opt.DurationNs, Seed: c.opt.Seed,

@@ -147,6 +147,7 @@ func contendedFlowSim(horizonNs int64) (*netsim.Network, int32, *netsim.Trace, e
 	}); err != nil {
 		return nil, 0, nil, err
 	}
+	n.Record()
 	tr := n.Run(horizonNs)
 	return n, id, tr, nil
 }

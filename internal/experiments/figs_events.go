@@ -213,6 +213,7 @@ func ExtLossForensics(*Cache) (*Table, error) {
 			return nil, err
 		}
 	}
+	n.Record()
 	tr := n.Run(5_000_000)
 
 	t := &Table{

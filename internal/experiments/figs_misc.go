@@ -119,6 +119,7 @@ func Fig09FlowBehaviors(c *Cache) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		n.Record()
 		tr := n.Run(3_000_000)
 		truth, est, start := sketchOneFlow(tr, 0, id, 64)
 		emitCurve(t, "gappy-TCP-like", truth, est, start, 24)

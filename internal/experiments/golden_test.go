@@ -111,32 +111,3 @@ func TestGoldenAccuracyTables(t *testing.T) {
 		t.Error("free-list hit counter not live")
 	}
 }
-
-// TestGoldenTablesShardedEngine regenerates the same accuracy tables with
-// the simulation engine sharded 4 ways and compares them byte-for-byte
-// against the committed goldens: the parallel engine must reproduce the
-// serial traces exactly, all the way through sketching, encode/decode, and
-// table rendering. Full-scale simulation; skipped under -short.
-func TestGoldenTablesShardedEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale golden run skipped in -short mode")
-	}
-	cache := NewCache(Options{Shards: 4})
-	runner := NewRunner(cache)
-	for _, id := range []string{"fig10", "fig11", "fig12"} {
-		tab, err := runner.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		tab.Fprint(&buf)
-		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s: 4-shard engine diverged from the serial golden\n--- got ---\n%s--- want ---\n%s",
-				id, buf.String(), string(want))
-		}
-	}
-}

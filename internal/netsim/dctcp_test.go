@@ -90,6 +90,7 @@ func TestDCTCPReactsToECN(t *testing.T) {
 	a, _ := n.AddFlow(FlowSpec{Src: 0, Dst: 2, Bytes: 1 << 30, CC: CCDCTCP})
 	b, _ := n.AddFlow(FlowSpec{Src: 1, Dst: 2, Bytes: 1 << 30, CC: CCDCTCP})
 	horizon := int64(10_000_000)
+	n.Record()
 	tr := n.Run(horizon)
 	gA := float64(tr.Flows[a].RxBytes) * 8 / float64(horizon) * 1e9
 	gB := float64(tr.Flows[b].RxBytes) * 8 / float64(horizon) * 1e9
@@ -160,6 +161,7 @@ func TestDCTCPOnOffGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.Record()
 	tr := n.Run(2_000_000)
 	var onBytes, offBytes int64
 	for _, r := range tr.HostPackets[0] {

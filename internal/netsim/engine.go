@@ -67,10 +67,8 @@ const (
 type Engine struct {
 	now int64
 	seq uint64
-	// net is set by Network to dispatch typed events; shardIdx names the
-	// engine's shard for per-shard telemetry (0 in serial runs).
-	net      *Network
-	shardIdx int
+	// net is set by Network to dispatch typed events.
+	net *Network
 
 	// curTick is the tick being dispatched; every pending event at tick
 	// curTick has its payload in tickEvs and its order key in keys. Ticks
@@ -495,13 +493,6 @@ func (e *Engine) flushStats() {
 	st := &e.net.stats
 	if d := e.eventsRun - e.eventsFlushed; d != 0 {
 		st.Events.Add(d)
-		if v := st.ShardEvents; v != nil {
-			i := e.shardIdx
-			if i >= v.Len() {
-				i = v.Len() - 1 // fold oversized shard counts into the last cell
-			}
-			v.At(i).Add(d)
-		}
 		e.eventsFlushed = e.eventsRun
 	}
 	st.WheelDepth.SetMax(int64(len(e.keys) + e.wheelCount))

@@ -128,7 +128,9 @@ func BenchmarkEngineArmTimers(b *testing.B) {
 // 1, 2 and 4 shards. One op is a full build-and-run, so ns/op is the
 // wall-clock cost of the whole simulation; the shards=1 row is the serial
 // engine (run inline, no goroutines), and the speedup of shards=N over it
-// is the number a multi-core runner demonstrates.
+// is the number a multi-core runner demonstrates. Each run records its
+// packet logs, as RunWorkload does, so the committed baseline measures the
+// same work it always has.
 func BenchmarkFabricSim(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -166,6 +168,7 @@ func BenchmarkFabricSim(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
+					n.Record()
 					tr := n.Run(tc.horizon)
 					if tr.TotalPackets() == 0 {
 						b.Fatal("benchmark moved no packets")

@@ -185,7 +185,9 @@ func (f *FlowStat) DurationNs() int64 {
 	return f.LastRxNs - f.FirstTxNs
 }
 
-// Trace is everything the monitoring experiments consume.
+// Trace is everything the monitoring experiments consume. The packet logs,
+// HostPackets and CELog, are kept only for a network that Record was
+// called on (RunWorkload does); the rest is kept for every run.
 type Trace struct {
 	DurationNs   int64
 	HostPackets  [][]EgressRecord // indexed by host
@@ -197,7 +199,7 @@ type Trace struct {
 	Events       int // engine events executed
 }
 
-// TotalPackets counts host egress data packets.
+// TotalPackets counts the recorded host egress data packets.
 func (t *Trace) TotalPackets() int64 {
 	var n int64
 	for _, h := range t.HostPackets {
@@ -267,17 +269,46 @@ type Network struct {
 	// pay one nil check per site.
 	stats SimStats
 	// OnHostEgress, if set, is invoked for every data packet leaving a
-	// host NIC (in addition to trace recording). The callback must not
-	// retain pkt beyond the call: the packet continues through the fabric
-	// and is recycled on delivery. With Shards > 1 it is invoked
-	// concurrently from shard goroutines — one goroutine per host, so
-	// per-host state needs no locking, but anything shared does.
+	// host NIC: with OnSwitchCE, the only way the network reports a packet
+	// (Record is one subscriber). The callback must not retain pkt beyond
+	// the call: the packet continues through the fabric and is recycled on
+	// delivery. With Shards > 1 it is invoked concurrently from shard
+	// goroutines — one goroutine per host, so per-host state needs no
+	// locking, but anything shared does.
 	OnHostEgress func(host int, pkt *Packet, now int64)
 	// OnSwitchCE, if set, is invoked for every CE-marked packet leaving a
 	// switch egress port — the live feed a µMon switch monitor taps. As
 	// with OnHostEgress, pkt must not be retained beyond the call, and
 	// with Shards > 1 calls arrive concurrently (serialized per switch).
 	OnSwitchCE func(sw, port int16, pkt *Packet, now int64)
+}
+
+// Record makes the run's Trace log the packets its taps see: every host
+// egress data packet into HostPackets and every switch CE egress into
+// CELog. It wraps the taps installed so far: install those first, and
+// call it once, before Run. An unrecorded Trace has no packet logs.
+func (n *Network) Record() {
+	onHost, onCE := n.OnHostEgress, n.OnSwitchCE
+	n.OnHostEgress = func(h int, pkt *Packet, now int64) {
+		n.trace.HostPackets[h] = append(n.trace.HostPackets[h], EgressRecord{
+			Ns: now, FlowID: pkt.FlowID, Size: pkt.Size, Flow: pkt.Flow,
+		})
+		if onHost != nil {
+			onHost(h, pkt, now)
+		}
+	}
+	// CE records go to the switch's shard buffer, from that shard's
+	// goroutine; finalize merges the buffers in canonical order.
+	n.OnSwitchCE = func(sw, port int16, pkt *Packet, now int64) {
+		sh := n.shards[n.shardOf[n.topo.Hosts+int(sw)]]
+		sh.ce = append(sh.ce, CERecord{
+			Ns: now, Switch: sw, Port: port,
+			FlowID: pkt.FlowID, PSN: pkt.PSN, Size: pkt.Size, Flow: pkt.Flow,
+		})
+		if onCE != nil {
+			onCE(sw, port, pkt, now)
+		}
+	}
 }
 
 // rngState is a tiny deterministic PRNG (xorshift*) so that marking
@@ -359,7 +390,6 @@ func New(cfg Config) (*Network, error) {
 			outbox:  make([][]event, cfg.Shards),
 		}
 		sh.eng.net = n
-		sh.eng.shardIdx = i
 		n.shards[i] = sh
 	}
 	n.eng = n.shards[0].eng
@@ -503,8 +533,7 @@ func (n *Network) startTx(p *port) {
 // finishTx completes serialization: the packet leaves the port and arrives
 // at the peer after the propagation delay.
 func (n *Network) finishTx(p *port, pkt *Packet) {
-	sh := p.sh
-	now := sh.eng.Now()
+	now := p.sh.eng.Now()
 	p.queue[p.qhead] = nil
 	p.qhead++
 	p.qbytes -= int64(pkt.Size)
@@ -512,12 +541,8 @@ func (n *Network) finishTx(p *port, pkt *Packet) {
 	if n.topo.IsHost(p.owner) {
 		// Host NIC egress: the measurement point of §3 (µFlow at hosts).
 		if pkt.Type == Data {
-			h := int(p.owner)
-			n.trace.HostPackets[h] = append(n.trace.HostPackets[h], EgressRecord{
-				Ns: now, FlowID: pkt.FlowID, Size: pkt.Size, Flow: pkt.Flow,
-			})
 			if n.OnHostEgress != nil {
-				n.OnHostEgress(h, pkt, now)
+				n.OnHostEgress(int(p.owner), pkt, now)
 			}
 			if int(pkt.FlowID) < len(n.trace.Flows) {
 				n.trace.Flows[pkt.FlowID].TxBytes += int64(pkt.Size)
@@ -527,20 +552,8 @@ func (n *Network) finishTx(p *port, pkt *Packet) {
 	} else {
 		// Switch egress: the µEvent observation point — CE packets are the
 		// ACL match candidates.
-		if pkt.CE {
-			sw := n.switchIndex(p.owner)
-			sh.ce = append(sh.ce, CERecord{
-				Ns:     now,
-				Switch: sw,
-				Port:   int16(p.index),
-				FlowID: pkt.FlowID,
-				PSN:    pkt.PSN,
-				Size:   pkt.Size,
-				Flow:   pkt.Flow,
-			})
-			if n.OnSwitchCE != nil {
-				n.OnSwitchCE(sw, int16(p.index), pkt, now)
-			}
+		if pkt.CE && n.OnSwitchCE != nil {
+			n.OnSwitchCE(n.switchIndex(p.owner), int16(p.index), pkt, now)
 		}
 		n.closeEpisodeIfDrained(p, now)
 	}

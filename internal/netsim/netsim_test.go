@@ -174,6 +174,7 @@ func TestSingleFlowDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.Record()
 	tr := n.Run(5_000_000)
 	st := tr.Flows[id]
 	if st.RxBytes != size {
@@ -202,6 +203,7 @@ func TestContentionTriggersECNAndCNPs(t *testing.T) {
 	n, _ := New(cfg)
 	a, _ := n.AddFlow(FlowSpec{Src: 0, Dst: 2, Bytes: 20_000_000, StartNs: 0})
 	b, _ := n.AddFlow(FlowSpec{Src: 1, Dst: 2, Bytes: 20_000_000, StartNs: 0})
+	n.Record()
 	tr := n.Run(3_000_000)
 
 	if len(tr.CELog) == 0 {
@@ -261,6 +263,7 @@ func TestOnOffFlowGates(t *testing.T) {
 		Src: 0, Dst: 1, Bytes: 1 << 30, StartNs: 0,
 		FixedRateBps: 40e9, OnNs: 100_000, OffNs: 100_000,
 	})
+	n.Record()
 	tr := n.Run(1_000_000)
 	// Build the per-window tx series and verify off-phase silence.
 	recs := tr.HostPackets[0]
@@ -344,6 +347,7 @@ func TestDeterministicRuns(t *testing.T) {
 		n.AddFlow(FlowSpec{Src: 0, Dst: 15, Bytes: 5_000_000, StartNs: 0})
 		n.AddFlow(FlowSpec{Src: 1, Dst: 15, Bytes: 5_000_000, StartNs: 10_000})
 		n.AddFlow(FlowSpec{Src: 2, Dst: 14, Bytes: 3_000_000, StartNs: 20_000})
+		n.Record()
 		return n.Run(2_000_000)
 	}
 	a, b := run(), run()
@@ -402,7 +406,8 @@ func TestFatTreeWorkloadEndToEnd(t *testing.T) {
 // TestSimulationDoesNotAllocatePerPacket pins the simulator's steady
 // state: a loaded fat-tree run allocates only as its trace and its queues
 // grow, not per packet or per event. A port FIFO that re-slices its head
-// off reallocates every few packets (0.38 allocations an event).
+// off reallocates every few packets (0.38 allocations an event), and a
+// network that logged every packet without Record allocated 33 B an event.
 func TestSimulationDoesNotAllocatePerPacket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-ms fat-tree simulation")
@@ -434,9 +439,13 @@ func TestSimulationDoesNotAllocatePerPacket(t *testing.T) {
 		t.Fatalf("ran %d events, want a loaded fabric (≥ 1M)", tr.Events)
 	}
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(tr.Events)
-	t.Logf("%d events, %.4f allocations an event", tr.Events, perEvent)
+	bytesPerEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Events)
+	t.Logf("%d events, %.4f allocations and %.1f B an event", tr.Events, perEvent, bytesPerEvent)
 	if perEvent > 0.01 && !raceEnabled {
 		t.Errorf("%.4f allocations an event, want ≤ 0.01", perEvent)
+	}
+	if bytesPerEvent > 20 {
+		t.Errorf("%.1f B allocated an event, want ≤ 20", bytesPerEvent)
 	}
 }
 

@@ -20,13 +20,10 @@ package netsim
 // sending port (see engine.go), so the destination wheel dispatches them
 // in exactly the order a serial run would have. A 1-shard run takes the
 // inline path with no goroutines and is the determinism baseline; the
-// serial-vs-parallel trace tests in shard_test.go and the fig goldens pin
-// byte-identical output at every shard count.
+// serial-vs-parallel trace tests in shard_test.go pin byte-identical
+// recorded traces at every shard count.
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // shard is one event-engine domain: a set of nodes whose events execute on
 // a private engine, plus everything that engine's handlers mutate.
@@ -45,7 +42,8 @@ type shard struct {
 	// a packet crossing shards is adopted by the destination's free list.
 	pktFree []*Packet
 
-	// Private trace buffers, merged canonically by Network.finalize.
+	// Private trace buffers, merged canonically by Network.finalize; ce
+	// is filled only on a recorded network (Record's CE tap).
 	ce        []CERecord
 	dropLog   []DropRecord
 	episodes  []Episode
@@ -57,9 +55,8 @@ type shard struct {
 	outbox [][]event
 
 	// Worker plumbing (multi-shard runs only).
-	work   chan int64
-	ran    int       // events dispatched, accumulated across windows
-	doneAt time.Time // window completion stamp for barrier-wait telemetry
+	work chan int64
+	ran  int // events dispatched, accumulated across windows
 }
 
 // newPacket draws from the shard's free list or allocates. The caller must
@@ -157,7 +154,6 @@ func (n *Network) routeArrive(p *port, pkt *Packet) {
 // useful for pinning the machinery without goroutine scheduling in play.
 func (n *Network) runParallel(until int64) int {
 	l := n.cfg.PropDelayNs
-	timed := n.stats.BarrierWaitNs != nil
 	var workerDone chan *shard
 	if !n.lockstep {
 		workerDone = make(chan *shard, len(n.shards))
@@ -166,9 +162,6 @@ func (n *Network) runParallel(until int64) int {
 			go func(sh *shard) {
 				for end := range sh.work {
 					sh.ran += sh.eng.Run(end)
-					if timed {
-						sh.doneAt = time.Now()
-					}
 					workerDone <- sh
 				}
 			}(sh)
@@ -190,7 +183,6 @@ func (n *Network) runParallel(until int64) int {
 				if len(box) == 0 {
 					continue
 				}
-				n.stats.HandoffHWM.SetMax(int64(len(box)))
 				dst := n.shards[d].eng
 				for i := range box {
 					dst.pushLink(box[i])
@@ -224,23 +216,8 @@ func (n *Network) runParallel(until int64) int {
 			for _, sh := range n.shards {
 				sh.work <- end
 			}
-			if timed {
-				finished := make([]*shard, 0, len(n.shards))
-				var last time.Time
-				for range n.shards {
-					sh := <-workerDone
-					finished = append(finished, sh)
-					if sh.doneAt.After(last) {
-						last = sh.doneAt
-					}
-				}
-				for _, sh := range finished {
-					n.stats.BarrierWaitNs.Observe(last.Sub(sh.doneAt).Nanoseconds())
-				}
-			} else {
-				for range n.shards {
-					<-workerDone
-				}
+			for range n.shards {
+				<-workerDone
 			}
 		}
 		h = end + 1

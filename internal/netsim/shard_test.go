@@ -35,6 +35,7 @@ func (sc *shardScenario) build(t *testing.T, shards int, prep func(n *Network)) 
 		prep(n)
 	}
 	sc.populate(t, n)
+	n.Record()
 	return n
 }
 
@@ -254,6 +255,7 @@ func TestShardsCappedAtNodes(t *testing.T) {
 		t.Fatalf("shards = %d, want clamp to %d nodes", len(n.shards), topo.Nodes())
 	}
 	n.AddFlow(FlowSpec{Src: 0, Dst: 2, Bytes: 100_000})
+	n.Record()
 	got := n.Run(1_000_000)
 	normalizeShardTrace(got)
 
@@ -263,6 +265,7 @@ func TestShardsCappedAtNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	n2.AddFlow(FlowSpec{Src: 0, Dst: 2, Bytes: 100_000})
+	n2.Record()
 	want := n2.Run(1_000_000)
 	normalizeShardTrace(want)
 	if !reflect.DeepEqual(got, want) {

@@ -35,22 +35,7 @@ type SimStats struct {
 	// QueueHWM tracks the maximum switch egress queue depth in bytes — a
 	// high-water-mark gauge.
 	QueueHWM *telemetry.Gauge
-	// ShardEvents counts events executed per engine shard (flushed on the
-	// same cadence as Events). The vec has maxShardCells cells; runs with
-	// more shards fold the excess into the last cell.
-	ShardEvents *telemetry.CounterVec
-	// BarrierWaitNs observes, at every lookahead barrier of a sharded run,
-	// how long each shard sat waiting for the slowest shard (wall ns) —
-	// the direct measure of partition imbalance.
-	BarrierWaitNs *telemetry.Histogram
-	// HandoffHWM is the largest single cross-shard handoff batch delivered
-	// at a barrier (events staged by one shard for one destination).
-	HandoffHWM *telemetry.Gauge
 }
-
-// maxShardCells bounds the per-shard event counter vector (registered
-// before the shard count is known).
-const maxShardCells = 16
 
 // NewSimStats registers the simulator metric set on reg (nil reg yields
 // nil, the disabled configuration).
@@ -71,11 +56,5 @@ func NewSimStats(reg *telemetry.Registry) *SimStats {
 		ECNMarks: reg.Counter("umon_netsim_ecn_marks_total", "packets CE-marked by RED at switch egress"),
 		Drops:    reg.Counter("umon_netsim_drops_total", "packets tail-dropped at egress queues"),
 		QueueHWM: reg.Gauge("umon_netsim_queue_high_water_bytes", "maximum switch egress queue depth observed"),
-		ShardEvents: reg.CounterVec("umon_netsim_shard_events_total",
-			"events executed per engine shard", "shard", maxShardCells),
-		BarrierWaitNs: reg.Histogram("umon_netsim_barrier_wait_ns",
-			"per-shard wait for the slowest shard at each lookahead barrier"),
-		HandoffHWM: reg.Gauge("umon_netsim_handoff_batch_high_water",
-			"largest cross-shard handoff batch delivered at a barrier"),
 	}
 }

@@ -196,6 +196,7 @@ func TestOversubFabricSimulates(t *testing.T) {
 		for s := 0; s < 4; s++ {
 			n.AddFlow(FlowSpec{Src: s, Dst: 8, Bytes: 500_000, StartNs: int64(s) * 500})
 		}
+		n.Record()
 		tr := n.Run(2_000_000)
 		if tr.Flows[0].RxBytes == 0 {
 			t.Fatalf("shards=%d: no bytes delivered across the trunk", shards)

@@ -40,6 +40,7 @@ func TestLossAttributionEndToEnd(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		n.AddFlow(netsim.FlowSpec{Src: s, Dst: 4, Bytes: 20_000_000, StartNs: 0, FixedRateBps: 90e9})
 	}
+	n.Record()
 	tr := n.Run(3_000_000)
 	if len(tr.DropLog) == 0 {
 		t.Skip("no drops to attribute")

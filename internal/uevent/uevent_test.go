@@ -201,9 +201,10 @@ func TestEndToEndRecallShape(t *testing.T) {
 	for s := 0; s < 4; s++ {
 		n.AddFlow(netsim.FlowSpec{Src: s, Dst: 4, Bytes: 4_000_000, StartNs: int64(s) * 50_000})
 	}
+	n.Record()
 	tr := n.Run(5_000_000)
 	if len(tr.Episodes) == 0 || len(tr.CELog) == 0 {
-		t.Skip("no congestion produced; nothing to grade")
+		t.Fatalf("%d episodes, %d CE records: the 4:1 incast must congest and be recorded", len(tr.Episodes), len(tr.CELog))
 	}
 	var prevRecall, prevBw float64 = -1, math.Inf(1)
 	for _, bits := range []uint{0, 3, 6} {
