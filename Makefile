@@ -30,7 +30,7 @@ test-race:
 	$(GO) test -race ./internal/analyzer -run 'TestAnalyzerConcurrent|TestDetectEventsIncremental|TestPopClosed|TestRecycledClusterer'
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race ./internal/netsim -run 'TestEngineWheelMatchesHeapOracle|TestSimulationWheelMatchesHeapOracle|TestWheel|TestTimerArm'
-	$(GO) test -race ./internal/netsim -run 'TestParallelMatchesSerial|TestLockstepMatchesGoroutines|TestShardedWheelMatchesHeapOracle|TestShardedEngineStormMatchesOracle'
+	$(GO) test -race ./internal/netsim -run 'TestParallelMatchesSerial|TestLockstepMatchesGoroutines|TestShardedWheelMatchesHeapOracle|TestShardedEngineStormMatchesOracle|TestTickCalendarStormMatchesHeapOracle'
 	$(GO) test -race ./internal/mbuf
 	$(GO) test -race ./internal/pcapio
 	$(GO) test -race ./internal/packet
@@ -56,7 +56,7 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 14978
+LOC_CEILING = 15029
 LOC_SLACK = 25
 DESIGN_MAX = 861
 EXPERIMENTS_MAX = 450

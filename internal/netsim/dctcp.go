@@ -29,7 +29,7 @@ func (h *host) armRTOTimer(fs *flowState) {
 	}
 	fs.rtoArmed = true
 	e := h.sh.eng
-	e.push(event{at: e.now + dctcpRTONs, kind: evRTO, host: h, flow: fs})
+	e.push(event{at: e.now + dctcpRTONs, kind: evRTO, flow: fs})
 }
 
 // rtoTick runs one evRTO event: on a stall past the timeout, presume tail
@@ -47,7 +47,7 @@ func (h *host) rtoTick(fs *flowState) {
 		fs.lastProgressNs = now
 		h.trySendWindow(fs)
 	}
-	h.sh.eng.push(event{at: now + dctcpRTONs, kind: evRTO, host: h, flow: fs})
+	h.sh.eng.push(event{at: now + dctcpRTONs, kind: evRTO, flow: fs})
 }
 
 // dctcpState is the per-flow window controller.

@@ -6,6 +6,8 @@
 // ground-truth congestion episodes.
 package netsim
 
+import "math/bits"
+
 // The event scheduler is a hierarchical timing wheel (calendar queue).
 // Millions of events per run — serialization completions every ~85 ns,
 // arrivals every 1 µs, CNP/DCQCN/RTO timers every 25–500 µs — would cost
@@ -20,10 +22,14 @@ package netsim
 //     the wheel as it turns;
 //   - dispatch orders keys, not events: advancing to a tick copies its
 //     bucket (plus any overflow events that became due) into the tick's
-//     payload slab and heapifies one 16-byte order key per event — a tick
-//     holds 70–95 events at the bench's loads. Events scheduled into the
-//     tick *during* its dispatch (a third of all events) push a key into
-//     the same heap. Payloads stay put until the tick drains.
+//     payload slab and files one order key per event into a calendar of
+//     the tick's 256 nanoseconds — an occupancy bitmap and one list of
+//     keys per nanosecond, kept in key order. The next event is the head
+//     of the first occupied nanosecond, one TrailingZeros64 away. Events
+//     scheduled into the tick *during* its dispatch (a third of all
+//     events) file the same way, mostly into an empty nanosecond or at a
+//     list's head (a local event at now goes ahead of pending link events)
+//     or tail. Payloads stay put until the tick drains.
 //
 // Determinism is structural: every event executes in the total order
 // (at, lkey, seq). Local events (timers, injections, serialization
@@ -41,6 +47,7 @@ package netsim
 const (
 	// bucketShift sets the tick width: 256 ns, a few serialization times.
 	bucketShift = 8
+	tickNs      = int64(1) << bucketShift
 	// numBuckets sets the wheel span: 1024 ticks ≈ 262 µs, wide enough
 	// that per-packet events, CNP pacing (25 µs) and both DCQCN timers
 	// (55/150 µs) schedule without touching the overflow heap.
@@ -71,19 +78,25 @@ type Engine struct {
 	net *Network
 
 	// curTick is the tick being dispatched; every pending event at tick
-	// curTick has its payload in tickEvs and its order key in keys. Ticks
-	// in (curTick, curTick+numBuckets) live in the wheel, later ones
-	// overflow. The clock never trails curTick: Run loads a tick only if
-	// it starts at or before the horizon.
+	// curTick has its payload in tickEvs and its order key in the
+	// calendar. Ticks in (curTick, curTick+numBuckets) live in the wheel,
+	// later ones overflow. The clock never trails curTick: Run loads a
+	// tick only if it starts at or before the horizon.
 	curTick    int64
 	tickEvs    []event
-	keys       keyHeap
+	cal        calendar
 	wheel      [][]event // numBuckets unordered per-tick buckets
 	wheelCount int       // events parked in wheel buckets
 	overflow   eventHeap // events ≥ numBuckets ticks ahead
 	// scanFrom is a tick no later than the first occupied bucket, so a Run
 	// that stops short of it does not rescan the empty ones between.
 	scanFrom int64
+
+	// funcs holds the closures of pending evFunc events, which name their
+	// slot; a dispatched slot joins freeFuncs, so a self-rearming func
+	// (the queue-sampling tick) reuses one slot.
+	funcs     []func()
+	freeFuncs []int32
 
 	// Telemetry accumulators: plain (non-atomic) counts folded into the
 	// nil-safe SimStats handles once per 4096 events and at Run exit, so
@@ -116,21 +129,23 @@ var eventKindNames = [numEventKinds]string{
 	"dcqcn_alpha", "dcqcn_rate", "rto",
 }
 
+// event is one scheduled event, 56 bytes: the wheel, the tick slab and
+// the shard outboxes copy it by value. A flow event's host is its flow's
+// source; an evFunc's closure waits in its engine's funcs table.
 type event struct {
 	at   int64
 	seq  uint64 // tiebreak: engine-local FIFO, or per-link sequence
-	kind eventKind
+	port *port
+	pkt  *Packet
+	flow *flowState
 	// lkey is the total-order class: -1 for local events (ordered by the
 	// engine-local seq), or the directed-link id for link events (packet
 	// arrivals), which order by (lkey, sender's per-link seq) so a sharded
 	// run reproduces the serial dispatch order exactly.
 	lkey int32
-	fn   func()
-	port *port
-	pkt  *Packet
-	node NodeID
-	flow *flowState
-	host *host
+	node int32 // an arrival's node
+	kind eventKind
+	fn   int32 // an evFunc's slot in Engine.funcs
 }
 
 // nextSeq advances a sequence counter, refusing to pass the seqBits an
@@ -143,58 +158,84 @@ func nextSeq(s *uint64) uint64 {
 	return *s
 }
 
-// tickKey is one current-tick event's place in the dispatch order: ord
-// packs its (at, lkey, seq) (see lkeyBits), idx names its payload in
-// tickEvs.
-type tickKey struct {
-	ord uint64
-	idx int
+// calendar orders the current tick's events: one list of tickEvs
+// indices per nanosecond of the tick, each in order-key order, and a
+// bitmap of the nanoseconds whose list is not empty. ord and next are
+// indexed like tickEvs: an event's order key (see lkeyBits) and the next
+// index in its list, -1 at the tail. head and tail are valid only for
+// occupied nanoseconds, so a drained calendar resets only ord and next.
+type calendar struct {
+	occ        [tickNs / 64]uint64
+	lo         int // no word below occ[lo] is occupied
+	head, tail [tickNs]int32
+	ord        []uint64
+	next       []int32
+	n          int // pending events
 }
 
-// key builds the order key of tickEvs[i], an event of the current tick.
-func (e *Engine) key(i int) tickKey {
+// reset readies a drained calendar for a new tick.
+func (c *calendar) reset() { c.ord, c.next = c.ord[:0], c.next[:0] }
+
+// file adds the next tickEvs index, an event of the current tick, with
+// order key ord. Most keys land in an empty nanosecond or at an end of its
+// list; the rest walk the list, which seldom holds more than a few.
+func (c *calendar) file(ord uint64) {
+	i := int32(len(c.ord))
+	c.ord = append(c.ord, ord)
+	c.next = append(c.next, -1)
+	c.n++
+	off := ord >> offShift
+	w, bit := off>>6, uint64(1)<<(off&63)
+	c.lo = min(c.lo, int(w))
+	switch {
+	case c.occ[w]&bit == 0:
+		c.occ[w] |= bit
+		c.head[off], c.tail[off] = i, i
+	case ord > c.ord[c.tail[off]]:
+		c.next[c.tail[off]] = i
+		c.tail[off] = i
+	case ord < c.ord[c.head[off]]:
+		c.next[i] = c.head[off]
+		c.head[off] = i
+	default:
+		p := c.head[off]
+		for c.ord[c.next[p]] < ord {
+			p = c.next[p]
+		}
+		c.next[i], c.next[p] = c.next[p], i
+	}
+}
+
+// first reports the first occupied nanosecond of the tick, -1 if none.
+func (c *calendar) first() int {
+	if c.n == 0 {
+		return -1
+	}
+	for c.occ[c.lo] == 0 {
+		c.lo++
+	}
+	return c.lo<<6 | bits.TrailingZeros64(c.occ[c.lo])
+}
+
+// pop removes and returns the head of nanosecond off's list, which must
+// be occupied.
+func (c *calendar) pop(off int) int32 {
+	i := c.head[off]
+	if nx := c.next[i]; nx >= 0 {
+		c.head[off] = nx
+	} else {
+		c.occ[off>>6] &^= 1 << (off & 63)
+	}
+	c.n--
+	return i
+}
+
+// fileTick files tickEvs[i], an event of the current tick, into the
+// calendar; i must be the calendar's next index.
+func (e *Engine) fileTick(i int) {
 	ev := &e.tickEvs[i]
 	off := uint64(ev.at - e.curTick<<bucketShift)
-	return tickKey{ord: off<<offShift | uint64(ev.lkey+1)<<seqBits | ev.seq, idx: i}
-}
-
-// keyHeap is a binary min-heap of order keys: the current tick's pending
-// events.
-type keyHeap []tickKey
-
-func (h *keyHeap) push(k tickKey) {
-	s := append(*h, k)
-	i := len(s) - 1
-	for ; i > 0 && k.ord < s[(i-1)/2].ord; i = (i - 1) / 2 {
-		s[i] = s[(i-1)/2]
-	}
-	s[i] = k
-	*h = s
-}
-
-func (h *keyHeap) pop() {
-	s := *h
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	if n > 0 {
-		h.down(0)
-	}
-}
-
-// down sifts key i toward the leaves until the heap order holds.
-func (h keyHeap) down(i int) {
-	k, n := h[i], len(h)
-	for l := 2*i + 1; l < n; l = 2*i + 1 {
-		if l+1 < n && h[l+1].ord < h[l].ord {
-			l++
-		}
-		if k.ord <= h[l].ord {
-			break
-		}
-		h[i], i = h[l], l
-	}
-	h[i] = k
+	e.cal.file(off<<offShift | uint64(ev.lkey+1)<<seqBits | ev.seq)
 }
 
 // eventHeap is a typed binary min-heap of whole events ordered by (at,
@@ -305,14 +346,14 @@ func (e *Engine) pushLink(ev event) {
 // place files an already-sequenced event into the tier its tick selects.
 // The current tick (the only one at or before curTick, since the clock
 // never trails it) takes the payload into its slab and the key into its
-// heap, so same-tick scheduling stays in order; in-span ticks append
+// calendar, so same-tick scheduling stays in order; in-span ticks append
 // to their wheel bucket in O(1); the far future waits in the overflow heap.
 func (e *Engine) place(ev event) {
 	tick := ev.at >> bucketShift
 	switch {
 	case tick == e.curTick:
 		e.tickEvs = append(e.tickEvs, ev)
-		e.keys.push(e.key(len(e.tickEvs) - 1))
+		e.fileTick(len(e.tickEvs) - 1)
 	case tick > e.curTick && tick < e.curTick+numBuckets:
 		b := tick & bucketMask
 		e.wheel[b] = append(e.wheel[b], ev)
@@ -326,7 +367,19 @@ func (e *Engine) place(ev event) {
 }
 
 // At schedules fn at absolute time t (clamped to now for past times).
-func (e *Engine) At(t int64, fn func()) { e.push(event{at: t, kind: evFunc, fn: fn}) }
+func (e *Engine) At(t int64, fn func()) { e.push(event{at: t, kind: evFunc, fn: e.funcSlot(fn)}) }
+
+// funcSlot parks fn in a free slot of the funcs table and returns it.
+func (e *Engine) funcSlot(fn func()) int32 {
+	if k := len(e.freeFuncs); k > 0 {
+		i := e.freeFuncs[k-1]
+		e.freeFuncs = e.freeFuncs[:k-1]
+		e.funcs[i] = fn
+		return i
+	}
+	e.funcs = append(e.funcs, fn)
+	return int32(len(e.funcs) - 1)
+}
 
 // After schedules fn d nanoseconds from now.
 func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
@@ -335,12 +388,9 @@ func (e *Engine) afterFinishTx(d int64, p *port, pkt *Packet) {
 	e.push(event{at: e.now + d, kind: evFinishTx, port: p, pkt: pkt})
 }
 
-func (e *Engine) afterInject(d int64, h *host, fs *flowState) {
-	e.push(event{at: e.now + d, kind: evInject, host: h, flow: fs})
+func (e *Engine) afterInject(d int64, fs *flowState) {
+	e.push(event{at: e.now + d, kind: evInject, flow: fs})
 }
-
-// keyAt is the time of a current-tick key.
-func (e *Engine) keyAt(k tickKey) int64 { return e.curTick<<bucketShift + int64(k.ord>>offShift) }
 
 // nextTick reports the earliest pending tick after curTick. With buckets
 // in-span the scan walks at most numBuckets empty slots (cheap: one slice
@@ -366,8 +416,8 @@ func (e *Engine) nextTick() (int64, bool) {
 // parallel coordinator uses it between windows to skip empty lookahead
 // spans.
 func (e *Engine) NextEventAt() (int64, bool) {
-	if len(e.keys) > 0 {
-		return e.keyAt(e.keys[0]), true
+	if off := e.cal.first(); off >= 0 {
+		return e.curTick<<bucketShift + int64(off), true
 	}
 	if e.wheelCount > 0 {
 		t, _ := e.nextTick()
@@ -390,7 +440,7 @@ func (e *Engine) NextEventAt() (int64, bool) {
 // drained: the tick's bucket is copied into the payload slab (one slab,
 // reused tick after tick, so it stays in cache and grows once), overflow
 // events that came in-range cascade into the wheel (or straight into the
-// slab), and the tick's keys are heapified.
+// slab), and the tick's keys are filed into its calendar.
 func (e *Engine) advance(tick int64) {
 	e.curTick = tick
 	b := tick & bucketMask
@@ -409,12 +459,9 @@ func (e *Engine) advance(tick int64) {
 			e.wheelCount++
 		}
 	}
-	e.keys = e.keys[:0]
+	e.cal.reset()
 	for i := range e.tickEvs {
-		e.keys = append(e.keys, e.key(i))
-	}
-	for i := len(e.keys)/2 - 1; i >= 0; i-- {
-		e.keys.down(i)
+		e.fileTick(i)
 	}
 }
 
@@ -425,7 +472,8 @@ func (e *Engine) advance(tick int64) {
 func (e *Engine) Run(until int64) int {
 	n := 0
 	for {
-		if len(e.keys) == 0 {
+		off := e.cal.first()
+		if off < 0 {
 			t, more := e.nextTick()
 			if !more || t<<bucketShift > until {
 				break
@@ -433,14 +481,13 @@ func (e *Engine) Run(until int64) int {
 			e.advance(t)
 			continue
 		}
-		k := e.keys[0]
-		at := e.keyAt(k)
+		at := e.curTick<<bucketShift + int64(off)
 		if at > until {
 			break
 		}
-		e.keys.pop()
+		i := e.cal.pop(off)
 		e.now = at
-		e.dispatch(&e.tickEvs[k.idx])
+		e.dispatch(&e.tickEvs[i])
 		n++
 		// Flush telemetry in 4096-event chunks so a live scrape sees
 		// progress without an atomic add per event.
@@ -464,21 +511,24 @@ func (e *Engine) Run(until int64) int {
 func (e *Engine) dispatch(ev *event) {
 	switch ev.kind {
 	case evFunc:
-		ev.fn()
+		fn := e.funcs[ev.fn]
+		e.funcs[ev.fn] = nil
+		e.freeFuncs = append(e.freeFuncs, ev.fn)
+		fn()
 	case evFinishTx:
 		e.net.finishTx(ev.port, ev.pkt)
 	case evArrive:
-		e.net.arrive(ev.node, ev.pkt)
+		e.net.arrive(NodeID(ev.node), ev.pkt)
 	case evInject:
-		ev.host.inject(ev.flow)
+		e.net.hosts[ev.flow.spec.Src].inject(ev.flow)
 	case evStart:
-		ev.host.startFlow(ev.flow)
+		e.net.hosts[ev.flow.spec.Src].startFlow(ev.flow)
 	case evDCQCNAlpha:
 		e.net.dcqcnAlphaTick(e, ev.flow)
 	case evDCQCNRate:
 		e.net.dcqcnRateTick(e, ev.flow)
 	case evRTO:
-		ev.host.rtoTick(ev.flow)
+		e.net.hosts[ev.flow.spec.Src].rtoTick(ev.flow)
 	}
 }
 
@@ -495,7 +545,7 @@ func (e *Engine) flushStats() {
 		st.Events.Add(d)
 		e.eventsFlushed = e.eventsRun
 	}
-	st.WheelDepth.SetMax(int64(len(e.keys) + e.wheelCount))
+	st.WheelDepth.SetMax(int64(e.cal.n + e.wheelCount))
 	st.OverflowDepth.SetMax(int64(len(e.overflow)))
 	if v := st.EventsByKind; v != nil {
 		for k := range e.schedByKind {

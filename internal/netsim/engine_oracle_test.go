@@ -88,7 +88,7 @@ func (s *heapScheduler) atLink(t int64, lkey int32, seq uint64, fn func()) {
 // atLink schedules fn as a link event with the given order key, as a
 // packet arrival over directed link lkey would be.
 func (e *Engine) atLink(t int64, lkey int32, seq uint64, fn func()) {
-	e.pushLink(event{at: t, kind: evFunc, fn: fn, lkey: lkey, seq: seq})
+	e.pushLink(event{at: t, kind: evFunc, fn: e.funcSlot(fn), lkey: lkey, seq: seq})
 }
 
 func (s *heapScheduler) After(d int64, fn func()) { s.At(s.now+d, fn) }
@@ -382,6 +382,171 @@ func TestShardedEngineStormMatchesOracle(t *testing.T) {
 			if !reflect.DeepEqual(lg, refLog) {
 				t.Errorf("%s: shard %d storm order diverges from the heap oracle (%d vs %d events)",
 					mode.name, i, len(lg), len(refLog))
+			}
+		}
+	}
+}
+
+// calendarStorm is a seeded schedule aimed at the tick calendar: bursts of
+// 8–16 events on one nanosecond, local events and link events on
+// interleaved lkeys — one link's seqs pushed in reverse — so keys land at
+// a list's head, in its middle and at its tail; dispatches that push local
+// events at now, which must run ahead of link events already pending at
+// the same instant; and events into the same tick, across tick
+// boundaries and past the wheel span, through the overflow cascade. The
+// same seed replays on any seamScheduler.
+type calendarStorm struct {
+	e      seamScheduler
+	rng    rngState
+	log    []execRecord
+	lseq   [6]uint64
+	id     int
+	linkAt map[int64]int // link events pending per instant
+	// ahead counts local pushes at now with a link event pending at now;
+	// far counts pushes past the wheel span.
+	ahead, far int
+}
+
+func newCalendarStorm(e seamScheduler, seed uint64) *calendarStorm {
+	s := &calendarStorm{e: e, rng: rngState{s: seed}, linkAt: map[int64]int{}}
+	span := int64(numBuckets) * tickNs
+	s.burst(0, 12, 4)
+	s.burst(tickNs-1, 9, 4) // tick 0's last nanosecond
+	s.burst(tickNs, 10, 4)  // tick 1's first
+	s.burst(span+3, 8, 3)   // past the span: waits in the overflow heap
+	s.burst(3*span/2+tickNs-1, 8, 3)
+	return s
+}
+
+// add schedules one storm event at at: local when lk < 0, else a link
+// event on lk with sequence seq. Its dispatch logs it and, while depth
+// lasts, fans out.
+func (s *calendarStorm) add(at int64, lk int32, seq uint64, depth int) {
+	me := s.id
+	s.id++
+	fn := func() {
+		now := s.e.Now()
+		s.log = append(s.log, execRecord{at: now, id: me, now: now})
+		if lk >= 0 {
+			s.linkAt[now]--
+		}
+		if depth > 0 && s.id < 20_000 {
+			s.fanOut(depth - 1)
+		}
+	}
+	at = max(at, s.e.Now())
+	if at-s.e.Now() >= int64(numBuckets)*tickNs {
+		s.far++
+	}
+	if lk < 0 {
+		if s.linkAt[at] > 0 && at == s.e.Now() {
+			s.ahead++
+		}
+		s.e.At(at, fn)
+		return
+	}
+	s.linkAt[at]++
+	s.e.atLink(at, lk, seq, fn)
+}
+
+// link schedules a link event on a random lkey with that link's next seq.
+func (s *calendarStorm) link(at int64, depth int) {
+	lk := int32(s.rng.next() % uint64(len(s.lseq)))
+	s.lseq[lk]++
+	s.add(at, lk, s.lseq[lk], depth)
+}
+
+// burst schedules n events on one instant: locals, links on random lkeys,
+// and a run of one link's seqs in reverse, all interleaved.
+func (s *calendarStorm) burst(at int64, n, depth int) {
+	lk := int32(s.rng.next() % uint64(len(s.lseq)))
+	rev := 2 + int(s.rng.next()%3)
+	base := s.lseq[lk]
+	s.lseq[lk] += uint64(rev)
+	for i := 0; i < n; i++ {
+		switch r := s.rng.next() % 3; {
+		case r == 0:
+			s.add(at, -1, 0, depth)
+		case r == 1 && rev > 0:
+			s.add(at, lk, base+uint64(rev), depth)
+			rev--
+		default:
+			s.link(at, depth)
+		}
+	}
+}
+
+// fanOut schedules what one dispatched storm event causes.
+func (s *calendarStorm) fanOut(depth int) {
+	now := s.e.Now()
+	switch r := s.rng.next() % 10; {
+	case r < 3:
+		s.add(now, -1, 0, depth) // ahead of the links pending at now
+	case r < 4:
+		s.link(now, depth)
+	case r < 6:
+		s.link(now+int64(s.rng.next()%uint64(tickNs)), depth)
+	case r < 7:
+		s.add(now|(tickNs-1)+int64(s.rng.next()%3), -1, 0, depth) // a tick's end or the next's start
+	case r < 9:
+		s.burst(now+int64(s.rng.next()%uint64(3*tickNs)), 8+int(s.rng.next()%9), depth)
+	default:
+		s.link(now+int64(numBuckets)*tickNs+int64(s.rng.next()%uint64(8*tickNs)), depth)
+	}
+}
+
+// TestTickCalendarStormMatchesHeapOracle replays the calendar storm on an
+// engine, in Run slices that end on busy instants, and on a 2-shard
+// network's engines under the windowed runner; every log must match the
+// heap oracle's event for event. The oracle's run must show the storm's
+// shape: 8 or more events on one nanosecond, local pushes at now that
+// overtook pending link events, and overflow traffic.
+func TestTickCalendarStormMatchesHeapOracle(t *testing.T) {
+	const horizon = 1 << 22
+	slices := []int64{0, tickNs - 1, tickNs, 3*tickNs + 7, 1 << 16, int64(numBuckets)*tickNs + 3, horizon}
+	drive := func(e seamScheduler, seed uint64) *calendarStorm {
+		s := newCalendarStorm(e, seed)
+		for _, until := range slices {
+			e.Run(until)
+		}
+		return s
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		seed := seed * 0x9e3779b97f4a7c15
+		want := drive(&heapScheduler{}, seed)
+		perNs, most := map[int64]int{}, 0
+		for _, r := range want.log {
+			perNs[r.at]++
+			most = max(most, perNs[r.at])
+		}
+		if most < 8 || want.ahead == 0 || want.far == 0 || len(want.log) < 1000 {
+			t.Fatalf("seed %x: storm too tame: %d events, %d at most on one ns, %d locals ahead of links, %d past the span",
+				seed, len(want.log), most, want.ahead, want.far)
+		}
+		if got := drive(NewEngine(), seed); !reflect.DeepEqual(got.log, want.log) {
+			t.Fatalf("seed %x: the engine's order diverges from the heap oracle's (%d vs %d events)",
+				seed, len(got.log), len(want.log))
+		}
+
+		topo, err := Dumbbell(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(topo)
+		cfg.Shards = 2
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		storms := make([]*calendarStorm, len(n.shards))
+		for i, sh := range n.shards {
+			storms[i] = newCalendarStorm(sh.eng, seed)
+		}
+		n.Run(horizon)
+		for i, s := range storms {
+			if !reflect.DeepEqual(s.log, want.log) {
+				t.Errorf("seed %x: shard %d diverges from the heap oracle (%d vs %d events)",
+					seed, i, len(s.log), len(want.log))
 			}
 		}
 	}

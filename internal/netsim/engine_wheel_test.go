@@ -3,12 +3,11 @@ package netsim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // Edge cases of the timing-wheel geometry: tick boundaries, FIFO ties,
 // horizon clamping mid-bucket, overflow cascade and long idle jumps.
-
-const tickNs = int64(1) << bucketShift
 
 func collectOrder(t *testing.T, e *Engine, schedule func(record func(id int) func())) []int {
 	t.Helper()
@@ -284,5 +283,14 @@ func TestNewRefusesTooManyLinks(t *testing.T) {
 	}
 	if _, err := New(DefaultConfig(star(maxLinks + 1))); err == nil {
 		t.Errorf("New took %d directed links, one more than a key holds", maxLinks+1)
+	}
+}
+
+// TestEventSize pins an event at 56 bytes or less: the wheel, the tick
+// slab and the shard outboxes copy and clear it by value, and the garbage
+// collector scans it there.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 56 {
+		t.Errorf("an event is %d bytes, want ≤ 56", got)
 	}
 }

@@ -4,7 +4,7 @@ import "fmt"
 
 // Pending reports the number of scheduled events.
 func (e *Engine) Pending() int {
-	return len(e.keys) + e.wheelCount + len(e.overflow)
+	return e.cal.n + e.wheelCount + len(e.overflow)
 }
 
 // FlowRate reports the current sending rate of a flow in bps (for tests).

@@ -136,7 +136,7 @@ func (n *Network) AddFlow(spec FlowSpec) (int32, error) {
 		ID: id, Key: key, Src: spec.Src, Dst: spec.Dst,
 		Bytes: spec.Bytes, StartNs: spec.StartNs,
 	})
-	h.sh.eng.push(event{at: spec.StartNs, kind: evStart, host: h, flow: fs})
+	h.sh.eng.push(event{at: spec.StartNs, kind: evStart, flow: fs})
 	return id, nil
 }
 
@@ -171,7 +171,7 @@ func (h *host) inject(fs *flowState) {
 		cycle := fs.spec.OnNs + fs.spec.OffNs
 		phase := (now - fs.spec.StartNs) % cycle
 		if phase >= fs.spec.OnNs {
-			h.sh.eng.afterInject(cycle-phase, h, fs)
+			h.sh.eng.afterInject(cycle-phase, fs)
 			return
 		}
 	}
@@ -194,7 +194,7 @@ func (h *host) inject(fs *flowState) {
 	if gapNs < 1 {
 		gapNs = 1
 	}
-	h.sh.eng.afterInject(gapNs, h, fs)
+	h.sh.eng.afterInject(gapNs, fs)
 }
 
 // trySendWindow emits segments while the DCTCP window and the NIC queue
@@ -208,7 +208,7 @@ func (h *host) trySendWindow(fs *flowState) {
 		if phase >= fs.spec.OnNs {
 			if !fs.pacing {
 				fs.pacing = true
-				h.sh.eng.afterInject(cycle-phase, h, fs)
+				h.sh.eng.afterInject(cycle-phase, fs)
 			}
 			return
 		}

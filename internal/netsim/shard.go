@@ -138,7 +138,7 @@ func partitionNodes(t *Topology, n int) []int32 {
 func (n *Network) routeArrive(p *port, pkt *Packet) {
 	ev := event{
 		at: p.sh.eng.Now() + n.cfg.PropDelayNs, seq: nextSeq(&p.lseq),
-		kind: evArrive, lkey: p.lkey, node: p.peer, pkt: pkt,
+		kind: evArrive, lkey: p.lkey, node: int32(p.peer), pkt: pkt,
 	}
 	if dst := n.shards[n.shardOf[p.peer]]; dst != p.sh {
 		p.sh.outbox[dst.idx] = append(p.sh.outbox[dst.idx], ev)
@@ -258,8 +258,9 @@ func (n *Network) finalize(untilNs int64) {
 				sh.flowDrops[id] = 0
 			}
 		}
+		// A port belongs to one shard, so its series moves over as is.
 		for id, ss := range sh.samples {
-			t.QueueSamples[id] = append(t.QueueSamples[id], ss...)
+			t.QueueSamples[id] = ss
 			delete(sh.samples, id)
 		}
 	}

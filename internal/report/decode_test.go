@@ -437,6 +437,7 @@ func allocatedPerRun(f func()) (bytes uint64, allocs float64) {
 // rejected, and must cost under 4 KB and a handful of allocations; and no
 // payload of the corpus costs more than its own copy and the report or the
 // error message, and the index its header declares if it is accepted.
+// Under -race only the rejections are checked (see raceEnabled).
 func TestDecodeBoundsAllocationByPayload(t *testing.T) {
 	for _, h := range hostilePayloads() {
 		if len(h.payload) > 64 {
@@ -445,9 +446,15 @@ func TestDecodeBoundsAllocationByPayload(t *testing.T) {
 		if _, err := DecodeBytes(h.payload); err == nil {
 			t.Errorf("%s: decoded, want an error", h.name)
 		}
+		if raceEnabled {
+			continue
+		}
 		if perRun, allocs := allocatedPerRun(func() { DecodeBytes(h.payload) }); perRun >= 4<<10 || allocs > 8 {
 			t.Errorf("%s: %d bytes in %v allocations per decode, want < 4 KB", h.name, perRun, allocs)
 		}
+	}
+	if raceEnabled {
+		return
 	}
 	for i, payload := range decodeSeeds(t) {
 		// 512 bytes cover the HostReport itself or the error's message, and
@@ -482,6 +489,9 @@ func indexBytes(payload []byte) uint64 {
 // walk: the curve offsets, the row bitmaps and, with a heavy part, the
 // heavy keys.
 func TestDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch, so decodes allocate more")
+	}
 	for _, c := range benchReports {
 		enc := c.build(t, 0).AppendEncode(nil)
 		if got := testing.AllocsPerRun(20, func() { DecodeBytes(enc) }); got > 5 {

@@ -408,7 +408,8 @@ func TestQueryRangeIntoMatchesQueryRange(t *testing.T) {
 
 // TestQueryRangeIntoNoAllocs pins the merge-loop contract: with decoded
 // curves resident and a warm scratch pool, QueryRangeInto into a
-// pre-sized buffer performs zero allocations.
+// pre-sized buffer performs zero allocations (not under -race, whose
+// sync.Pool drops Puts).
 func TestQueryRangeIntoNoAllocs(t *testing.T) {
 	full, flows := buildRandomFull(t, 9)
 	q := mustQueryable(t, FromFull(0, 0, full))
@@ -428,7 +429,7 @@ func TestQueryRangeIntoNoAllocs(t *testing.T) {
 		buf = q.QueryRangeInto(buf[:0], heavy, 0, 128)
 		buf = q.QueryRangeInto(buf[:0], light, 0, 128)
 	})
-	if n != 0 {
+	if n != 0 && !raceEnabled {
 		t.Errorf("QueryRangeInto allocated %.1f per run, want 0", n)
 	}
 }
