@@ -13,29 +13,27 @@ import (
 
 	"umon/internal/collect"
 	"umon/internal/flowkey"
-	"umon/internal/measure"
 	"umon/internal/netsim"
 	"umon/internal/packet"
 	"umon/internal/uevent"
 	"umon/internal/wavesketch"
 )
 
-// HostMonitorConfig parameterizes one host's µFlow measurement.
+// HostMonitorConfig parameterizes one host's µFlow measurement. Its windows
+// are always measure.DefaultWindowShift (8.192 µs), the windows the
+// analyzer replays reports in.
 type HostMonitorConfig struct {
 	// Sketch configures the full-version WaveSketch.
 	Sketch wavesketch.FullConfig
 	// PeriodNs is the measurement/reporting period (paper: 20 ms).
 	PeriodNs int64
-	// WindowShift converts nanoseconds to windows (default 13 → 8.192 µs).
-	WindowShift uint
 }
 
 // DefaultHostMonitor returns the evaluation configuration.
 func DefaultHostMonitor() HostMonitorConfig {
 	return HostMonitorConfig{
-		Sketch:      wavesketch.DefaultFull(),
-		PeriodNs:    20_000_000,
-		WindowShift: measure.DefaultWindowShift,
+		Sketch:   wavesketch.DefaultFull(),
+		PeriodNs: 20_000_000,
 	}
 }
 

@@ -46,9 +46,6 @@ func NewStreamHostMonitor(host int, cfg StreamMonitorConfig, sink ReportSink) (*
 	if cfg.PeriodNs <= 0 {
 		return nil, fmt.Errorf("core: PeriodNs must be positive, got %d", cfg.PeriodNs)
 	}
-	if cfg.WindowShift == 0 {
-		cfg.WindowShift = measure.DefaultWindowShift
-	}
 	if sink == nil {
 		return nil, fmt.Errorf("core: streaming monitor needs a sink")
 	}
@@ -57,7 +54,7 @@ func NewStreamHostMonitor(host int, cfg StreamMonitorConfig, sink ReportSink) (*
 		return nil, err
 	}
 	sk := live.Light().Config()
-	hdr := report.Header{Host: host, WindowShift: uint8(cfg.WindowShift),
+	hdr := report.Header{Host: host, WindowShift: measure.DefaultWindowShift,
 		Meta: report.SketchMeta{Rows: sk.Rows, Width: sk.Width, Levels: sk.Levels, Seed: sk.Seed}}
 	return &StreamHostMonitor{host: host, cfg: cfg, sink: sink, live: live, hdr: hdr}, nil
 }
@@ -75,7 +72,7 @@ func (m *StreamHostMonitor) OnPacket(f flowkey.Key, ns int64, size int) error {
 			return err
 		}
 	}
-	m.live.Update(f, ns>>m.cfg.WindowShift, int64(size))
+	m.live.Update(f, measure.WindowOf(ns), int64(size))
 	return nil
 }
 
@@ -89,7 +86,7 @@ func (m *StreamHostMonitor) rotate() error {
 	sealedAt := unixNow()
 	periodStart := m.periodStart
 	m.periodStart += m.cfg.PeriodNs
-	m.hdr.PeriodStart = periodStart >> m.cfg.WindowShift
+	m.hdr.PeriodStart = measure.WindowOf(periodStart)
 	m.buckets, m.heavy = m.buckets[:0], m.heavy[:0]
 	busy := m.live.Light().Updates() > 0
 	if busy {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"umon/internal/measure"
 	"umon/internal/report"
 )
 
@@ -220,10 +221,10 @@ func queryable(t *testing.T, rep *report.HostReport) *report.Queryable {
 }
 
 // TestStreamMonitorStampsItsWindowShift: the header carries the shift the
-// monitor turns nanoseconds into windows by, not the default.
+// monitor turns nanoseconds into windows by, the one the analyzer replays
+// with (measure.WindowOf).
 func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
 	cfg := streamCfg(1_000_000)
-	cfg.WindowShift = 10
 	var got *report.HostReport
 	m, err := NewStreamHostMonitor(0, cfg, FuncSink(func(sr SealedReport) (err error) {
 		got, err = report.DecodeBytes(sr.Encoded)
@@ -232,14 +233,14 @@ func TestStreamMonitorStampsItsWindowShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.OnPacket(testKey(1), 3_000_000+5<<10, 1000); err != nil {
+	if err := m.OnPacket(testKey(1), 3_000_000+5<<measure.DefaultWindowShift, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || got.WindowShift != 10 || got.PeriodStart != 3_000_000>>10 {
-		t.Fatalf("shipped %+v, want WindowShift 10 and period start %d", got, 3_000_000>>10)
+	if got == nil || got.WindowShift != measure.DefaultWindowShift || got.PeriodStart != measure.WindowOf(3_000_000) {
+		t.Fatalf("shipped %+v, want WindowShift %d and period start %d", got, measure.DefaultWindowShift, measure.WindowOf(3_000_000))
 	}
 	if w0, _ := queryable(t, got).Span(); w0 != got.PeriodStart+5 {
 		t.Errorf("the packet landed in window %d, want %d", w0, got.PeriodStart+5)

@@ -1,42 +1,25 @@
 package netsim
 
-// DCQCNConfig holds the DCQCN congestion-control parameters (§7.2: "the
-// parameters of the DCQCN algorithm remain consistent with the original
-// paper" [Zhu et al., SIGCOMM'15]).
-type DCQCNConfig struct {
-	LinkBps float64
-	// G is the alpha EWMA gain (1/256 in the DCQCN paper).
-	G float64
-	// AlphaTimerNs decays alpha when no CNP arrives within it (55 µs).
-	AlphaTimerNs int64
-	// RateTimerNs drives rate-increase events (55 µs).
-	RateTimerNs int64
-	// F is the number of fast-recovery stages before additive increase.
-	F int
-	// RaiBps is the additive increase step.
-	RaiBps float64
-	// RhaiBps is the hyper increase step.
-	RhaiBps float64
-	// MinRateBps floors the sending rate.
-	MinRateBps float64
-	// CNPIntervalNs paces receiver CNP generation per flow (50 µs).
-	CNPIntervalNs int64
-}
-
-// DefaultDCQCN returns DCQCN parameters scaled for 100 Gbps links.
-func DefaultDCQCN() DCQCNConfig {
-	return DCQCNConfig{
-		LinkBps:       100e9,
-		G:             1.0 / 256,
-		AlphaTimerNs:  55_000,
-		RateTimerNs:   150_000,
-		F:             5,
-		RaiBps:        200e6,
-		RhaiBps:       1e9,
-		MinRateBps:    100e6,
-		CNPIntervalNs: 25_000,
-	}
-}
+// DCQCN's parameters (§7.2: "the parameters of the DCQCN algorithm remain
+// consistent with the original paper" [Zhu et al., SIGCOMM'15]). The line
+// rate a flow starts at and recovers to is Config.LinkBps.
+const (
+	// dcqcnG is the alpha EWMA gain.
+	dcqcnG = 1.0 / 256
+	// dcqcnAlphaTimerNs decays alpha when no CNP arrives within it.
+	dcqcnAlphaTimerNs = 55_000
+	// dcqcnRateTimerNs drives rate-increase events.
+	dcqcnRateTimerNs = 150_000
+	// dcqcnF is the number of fast-recovery stages before additive increase.
+	dcqcnF = 5
+	// dcqcnRaiBps is the additive increase step, dcqcnRhaiBps the hyper one.
+	dcqcnRaiBps  = 200e6
+	dcqcnRhaiBps = 1e9
+	// dcqcnMinRateBps floors the sending rate.
+	dcqcnMinRateBps = 100e6
+	// cnpIntervalNs paces receiver CNP generation per flow.
+	cnpIntervalNs = 25_000
+)
 
 // --- engine integration: zero-closure self-rearming timer chains ---
 
@@ -49,10 +32,9 @@ func (h *host) armDCQCNTimers(fs *flowState) {
 		return
 	}
 	fs.ccArmed = true
-	cfg := h.net.cfg.DCQCN
 	e := h.sh.eng
-	e.push(event{at: e.now + cfg.AlphaTimerNs, kind: evDCQCNAlpha, flow: fs})
-	e.push(event{at: e.now + cfg.RateTimerNs, kind: evDCQCNRate, flow: fs})
+	e.push(event{at: e.now + dcqcnAlphaTimerNs, kind: evDCQCNAlpha, flow: fs})
+	e.push(event{at: e.now + dcqcnRateTimerNs, kind: evDCQCNRate, flow: fs})
 }
 
 // dcqcnAlphaTick runs one evDCQCNAlpha event: decay alpha if the flow has
@@ -64,7 +46,7 @@ func (n *Network) dcqcnAlphaTick(e *Engine, fs *flowState) {
 		return
 	}
 	fs.cc.onAlphaTimer(e.now)
-	e.push(event{at: e.now + fs.cc.cfg.AlphaTimerNs, kind: evDCQCNAlpha, flow: fs})
+	e.push(event{at: e.now + dcqcnAlphaTimerNs, kind: evDCQCNAlpha, flow: fs})
 }
 
 // dcqcnRateTick runs one evDCQCNRate event: one rate-increase step, then
@@ -73,13 +55,12 @@ func (n *Network) dcqcnRateTick(e *Engine, fs *flowState) {
 	if fs.finished {
 		return
 	}
-	fs.cc.onRateTimer()
-	e.push(event{at: e.now + fs.cc.cfg.RateTimerNs, kind: evDCQCNRate, flow: fs})
+	fs.cc.onRateTimer(n.cfg.LinkBps)
+	e.push(event{at: e.now + dcqcnRateTimerNs, kind: evDCQCNRate, flow: fs})
 }
 
 // dcqcnState is the per-flow rate controller.
 type dcqcnState struct {
-	cfg       DCQCNConfig
 	rc        float64 // current rate (bps)
 	rt        float64 // target rate
 	alpha     float64
@@ -89,20 +70,20 @@ type dcqcnState struct {
 	fixed     bool // scripted constant-rate flow: CC disabled
 }
 
-func newDCQCNState(cfg DCQCNConfig) dcqcnState {
-	// Flows start at line rate (§2.1: traffic "rapidly initiated ... with
-	// a high initial rate").
-	return dcqcnState{cfg: cfg, rc: cfg.LinkBps, rt: cfg.LinkBps, alpha: 1}
+// newDCQCNState starts a flow at the line rate (§2.1: traffic "rapidly
+// initiated ... with a high initial rate").
+func newDCQCNState(lineBps float64) dcqcnState {
+	return dcqcnState{rc: lineBps, rt: lineBps, alpha: 1}
 }
 
 // onCNP applies the DCQCN rate decrease.
 func (d *dcqcnState) onCNP(now int64) {
 	d.rt = d.rc
 	d.rc *= 1 - d.alpha/2
-	if d.rc < d.cfg.MinRateBps {
-		d.rc = d.cfg.MinRateBps
+	if d.rc < dcqcnMinRateBps {
+		d.rc = dcqcnMinRateBps
 	}
-	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G
+	d.alpha = (1-dcqcnG)*d.alpha + dcqcnG
 	d.stage = 0
 	d.lastCNPNs = now
 	d.sawCNP = true
@@ -111,29 +92,30 @@ func (d *dcqcnState) onCNP(now int64) {
 // onAlphaTimer decays alpha when the flow has been CNP-free for a full
 // timer period.
 func (d *dcqcnState) onAlphaTimer(now int64) {
-	if d.sawCNP && now-d.lastCNPNs < d.cfg.AlphaTimerNs {
+	if d.sawCNP && now-d.lastCNPNs < dcqcnAlphaTimerNs {
 		return
 	}
-	d.alpha *= 1 - d.cfg.G
+	d.alpha *= 1 - dcqcnG
 }
 
 // onRateTimer performs one rate-increase event: F fast-recovery halvings
-// toward the target, then additive increase, then hyper increase.
-func (d *dcqcnState) onRateTimer() {
+// toward the target, then additive increase, then hyper increase, capped
+// at the line rate.
+func (d *dcqcnState) onRateTimer(lineBps float64) {
 	d.stage++
 	switch {
-	case d.stage <= d.cfg.F: // fast recovery
+	case d.stage <= dcqcnF: // fast recovery
 		// rt unchanged
-	case d.stage <= 2*d.cfg.F: // additive increase
-		d.rt += d.cfg.RaiBps
+	case d.stage <= 2*dcqcnF: // additive increase
+		d.rt += dcqcnRaiBps
 	default: // hyper increase
-		d.rt += d.cfg.RhaiBps
+		d.rt += dcqcnRhaiBps
 	}
-	if d.rt > d.cfg.LinkBps {
-		d.rt = d.cfg.LinkBps
+	if d.rt > lineBps {
+		d.rt = lineBps
 	}
 	d.rc = (d.rc + d.rt) / 2
-	if d.rc > d.cfg.LinkBps {
-		d.rc = d.cfg.LinkBps
+	if d.rc > lineBps {
+		d.rc = lineBps
 	}
 }

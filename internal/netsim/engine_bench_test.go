@@ -86,10 +86,10 @@ func BenchmarkEngineEventLoopTyped(b *testing.B) {
 func BenchmarkEngineDCQCNTimerRearm(b *testing.B) {
 	topo, _ := Dumbbell(1)
 	n, _ := New(DefaultConfig(topo))
-	fs := &flowState{cc: newDCQCNState(n.cfg.DCQCN)}
+	fs := &flowState{cc: newDCQCNState(n.cfg.LinkBps)}
 	e := n.eng
-	e.push(event{at: n.cfg.DCQCN.AlphaTimerNs, kind: evDCQCNAlpha, flow: fs})
-	step := n.cfg.DCQCN.AlphaTimerNs
+	e.push(event{at: dcqcnAlphaTimerNs, kind: evDCQCNAlpha, flow: fs})
+	step := int64(dcqcnAlphaTimerNs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,7 +104,7 @@ func BenchmarkEngineArmTimers(b *testing.B) {
 	topo, _ := Dumbbell(1)
 	n, _ := New(DefaultConfig(topo))
 	h := n.hosts[0]
-	fs := &flowState{cc: newDCQCNState(n.cfg.DCQCN)}
+	fs := &flowState{cc: newDCQCNState(n.cfg.LinkBps)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,7 +116,7 @@ func BenchmarkEngineArmTimers(b *testing.B) {
 			// disarms instead of rearming — the queue returns to empty and
 			// arming stays the only measured operation.
 			fs.finished = true
-			n.eng.Run(n.eng.Now() + n.cfg.DCQCN.RateTimerNs + 1)
+			n.eng.Run(n.eng.Now() + dcqcnRateTimerNs + 1)
 			fs.finished = false
 			b.StartTimer()
 		}

@@ -178,7 +178,7 @@ func TestWheelZeroAllocSteadyState(t *testing.T) {
 	// Typed DCQCN rearm path through a real network.
 	topo, _ := Dumbbell(1)
 	n, _ := New(DefaultConfig(topo))
-	fs := &flowState{cc: newDCQCNState(n.cfg.DCQCN)}
+	fs := &flowState{cc: newDCQCNState(n.cfg.LinkBps)}
 	n.hosts[0].armDCQCNTimers(fs)
 	horizon := int64(10_000_000)
 	n.eng.Run(horizon) // warm
@@ -198,7 +198,7 @@ func TestTimerArmIdempotentAndDisarming(t *testing.T) {
 	topo, _ := Dumbbell(1)
 	n, _ := New(DefaultConfig(topo))
 	h := n.hosts[0]
-	fs := &flowState{cc: newDCQCNState(n.cfg.DCQCN)}
+	fs := &flowState{cc: newDCQCNState(n.cfg.LinkBps)}
 	h.armDCQCNTimers(fs)
 	p1 := n.eng.Pending()
 	h.armDCQCNTimers(fs) // second arm must not add events
@@ -206,7 +206,7 @@ func TestTimerArmIdempotentAndDisarming(t *testing.T) {
 		t.Errorf("double arm grew pending %d → %d", p1, got)
 	}
 	fs.finished = true
-	n.eng.Run(n.cfg.DCQCN.RateTimerNs + n.cfg.DCQCN.AlphaTimerNs + 1)
+	n.eng.Run(dcqcnRateTimerNs + dcqcnAlphaTimerNs + 1)
 	if got := n.eng.Pending(); got != 0 {
 		t.Errorf("finished flow still has %d timer events pending", got)
 	}

@@ -62,6 +62,10 @@ type flowState struct {
 	rtoArmed bool
 }
 
+// hostInjectCapBytes bounds a host NIC's egress queue: a flow that finds
+// the queue this full blocks until it drains (NIC backpressure).
+const hostInjectCapBytes = 8 << 10
+
 type host struct {
 	net     *Network
 	sh      *shard // owning shard: all of this host's events run on its engine
@@ -123,7 +127,7 @@ func (n *Network) AddFlow(spec FlowSpec) (int32, error) {
 		Proto:   proto,
 	}
 	fs := &flowState{id: id, key: key, spec: spec, remaining: spec.Bytes}
-	fs.cc = newDCQCNState(n.cfg.DCQCN)
+	fs.cc = newDCQCNState(n.cfg.LinkBps)
 	switch {
 	case spec.CC == CCDCTCP:
 		fs.win = newDCTCPState()
@@ -177,7 +181,7 @@ func (h *host) inject(fs *flowState) {
 	}
 
 	// NIC backpressure: wait until the egress queue drains.
-	if h.port.qbytes >= h.net.cfg.HostInjectCapBytes {
+	if h.port.qbytes >= hostInjectCapBytes {
 		if !fs.blocked {
 			fs.blocked = true
 			h.blocked = append(h.blocked, fs)
@@ -218,7 +222,7 @@ func (h *host) trySendWindow(fs *flowState) {
 		if float64(inflight) >= fs.win.cwnd {
 			return
 		}
-		if h.port.qbytes >= h.net.cfg.HostInjectCapBytes {
+		if h.port.qbytes >= hostInjectCapBytes {
 			if !fs.blocked {
 				fs.blocked = true
 				h.blocked = append(h.blocked, fs)
@@ -276,7 +280,7 @@ func (h *host) rewind(fs *flowState, to uint32) {
 
 // onPortDrained wakes injection-blocked flows once the NIC queue has room.
 func (h *host) onPortDrained(p *port) {
-	if p.qbytes >= h.net.cfg.HostInjectCapBytes || len(h.blocked) == 0 {
+	if p.qbytes >= hostInjectCapBytes || len(h.blocked) == 0 {
 		return
 	}
 	woken := h.blocked
@@ -367,7 +371,7 @@ func (h *host) sendCtl(data *Packet, typ PacketType, psn uint32, ce bool) {
 // maybeCNP applies the DCQCN receiver's CNP pacing.
 func (h *host) maybeCNP(pkt *Packet, now int64) {
 	last, seen := h.lastCNP[pkt.FlowID]
-	if seen && now-last < h.net.cfg.DCQCN.CNPIntervalNs {
+	if seen && now-last < cnpIntervalNs {
 		return
 	}
 	h.lastCNP[pkt.FlowID] = now

@@ -7,54 +7,39 @@ import (
 	"umon/internal/flowkey"
 )
 
-// RedConfig is the ECN marking configuration (§7.2: KMin 20 KiB, KMax
-// 200 KiB, PMax 0.01). Marking probability is 0 below KMin, rises linearly
-// to PMax at KMax, and is 1 above KMax.
-type RedConfig struct {
-	KMinBytes int64
-	KMaxBytes int64
-	PMax      float64
-}
-
-// DefaultRed returns the paper's marking thresholds.
-func DefaultRed() RedConfig {
-	return RedConfig{KMinBytes: 20 << 10, KMaxBytes: 200 << 10, PMax: 0.01}
-}
+// RED marks ECN-capable packets at switch egress (§7.2: KMin 20 KiB, KMax
+// 200 KiB, PMax 0.01): never below KMin, with a probability rising
+// linearly to PMax at KMax, always above KMax.
+const (
+	redKMinBytes = 20 << 10
+	redKMaxBytes = 200 << 10
+	redPMax      = 0.01
+)
 
 // markProb returns the marking probability at queue length q.
-func (r RedConfig) markProb(q int64) float64 {
+func markProb(q int64) float64 {
 	switch {
-	case q < r.KMinBytes:
+	case q < redKMinBytes:
 		return 0
-	case q >= r.KMaxBytes:
+	case q >= redKMaxBytes:
 		return 1
 	default:
-		return r.PMax * float64(q-r.KMinBytes) / float64(r.KMaxBytes-r.KMinBytes)
+		return redPMax * float64(q-redKMinBytes) / (redKMaxBytes - redKMinBytes)
 	}
 }
 
-// Config parameterizes a simulation.
+// Config parameterizes a simulation. The fabric's constants (1 µs hops,
+// RED, DCQCN, the NIC's inject cap) are the paper's and live next to the
+// code that reads them.
 type Config struct {
 	Topo        *Topology
-	LinkBps     float64 // link rate, default 100 Gbps
-	PropDelayNs int64   // per-hop propagation latency, default 1 µs
+	LinkBps     float64 // link rate and DCQCN line rate, default 100 Gbps
 	BufferBytes int64   // per egress port buffer, default 2 MiB
-	ECN         RedConfig
-	DCQCN       DCQCNConfig
-	// QueueSampleNs is the switch-port queue sampling period (Fig. 16c);
-	// 0 disables sampling.
-	QueueSampleNs int64
-	// EpisodeThresholdBytes opens a ground-truth congestion episode when a
-	// switch egress queue reaches it (default: ECN KMin).
-	EpisodeThresholdBytes int64
-	// HostInjectCapBytes bounds the host NIC egress queue before flow
-	// injection blocks (models NIC backpressure), default 8 KB.
-	HostInjectCapBytes int64
-	Seed               uint64
+	Seed        uint64
 	// Shards selects how many event-engine domains the simulation runs on.
 	// 1 (the default) is the serial engine: one wheel, no goroutines.
 	// Larger values partition the topology at link boundaries and run the
-	// shards concurrently under conservative lookahead = PropDelayNs; the
+	// shards concurrently under conservative lookahead = propDelayNs; the
 	// trace is byte-identical at every shard count (see shard.go).
 	Shards int
 	// Stats, when non-nil, receives operational telemetry (event counts,
@@ -65,40 +50,15 @@ type Config struct {
 
 // DefaultConfig returns the evaluation configuration on the given topology.
 func DefaultConfig(topo *Topology) Config {
-	return Config{
-		Topo:          topo,
-		LinkBps:       100e9,
-		PropDelayNs:   1000,
-		BufferBytes:   2 << 20,
-		ECN:           DefaultRed(),
-		DCQCN:         DefaultDCQCN(),
-		QueueSampleNs: 10_000,
-		Seed:          1,
-	}
+	return Config{Topo: topo, LinkBps: 100e9, BufferBytes: 2 << 20, Seed: 1}
 }
 
 func (c *Config) fillDefaults() {
 	if c.LinkBps <= 0 {
 		c.LinkBps = 100e9
 	}
-	if c.PropDelayNs <= 0 {
-		c.PropDelayNs = 1000
-	}
 	if c.BufferBytes <= 0 {
 		c.BufferBytes = 2 << 20
-	}
-	if c.ECN.KMaxBytes <= 0 {
-		c.ECN = DefaultRed()
-	}
-	if c.DCQCN.LinkBps <= 0 {
-		c.DCQCN = DefaultDCQCN()
-		c.DCQCN.LinkBps = c.LinkBps
-	}
-	if c.EpisodeThresholdBytes <= 0 {
-		c.EpisodeThresholdBytes = c.ECN.KMinBytes
-	}
-	if c.HostInjectCapBytes <= 0 {
-		c.HostInjectCapBytes = 8 << 10
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -186,8 +146,9 @@ func (f *FlowStat) DurationNs() int64 {
 }
 
 // Trace is everything the monitoring experiments consume. The packet logs,
-// HostPackets and CELog, are kept only for a network that Record was
-// called on (RunWorkload does); the rest is kept for every run.
+// HostPackets and CELog, and the queue series, QueueSamples, are kept only
+// for a network that Record was called on (RunWorkload does); the rest is
+// kept for every run.
 type Trace struct {
 	DurationNs   int64
 	HostPackets  [][]EgressRecord // indexed by host
@@ -285,9 +246,11 @@ type Network struct {
 
 // Record makes the run's Trace log the packets its taps see: every host
 // egress data packet into HostPackets and every switch CE egress into
-// CELog. It wraps the taps installed so far: install those first, and
-// call it once, before Run. An unrecorded Trace has no packet logs.
+// CELog. It also samples every switch port's queue into QueueSamples. It
+// wraps the taps installed so far: install those first, and call it once,
+// before Run. An unrecorded Trace has no packet logs and no queue samples.
 func (n *Network) Record() {
+	n.trace.QueueSamples = make(map[PortID][]QueueSample)
 	onHost, onCE := n.OnHostEgress, n.OnSwitchCE
 	n.OnHostEgress = func(h int, pkt *Packet, now int64) {
 		n.trace.HostPackets[h] = append(n.trace.HostPackets[h], EgressRecord{
@@ -357,10 +320,7 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Stats != nil {
 		n.stats = *cfg.Stats
 	}
-	n.trace = &Trace{
-		HostPackets:  make([][]EgressRecord, cfg.Topo.Hosts),
-		QueueSamples: make(map[PortID][]QueueSample),
-	}
+	n.trace = &Trace{HostPackets: make([][]EgressRecord, cfg.Topo.Hosts)}
 	n.ports = make([][]*port, cfg.Topo.Nodes())
 	lk := int32(0)
 	for v := 0; v < cfg.Topo.Nodes(); v++ {
@@ -434,7 +394,7 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	}
 	isSwitch := !n.topo.IsHost(p.owner)
 	if isSwitch && pkt.ECT && !pkt.CE {
-		if prob := n.cfg.ECN.markProb(p.qbytes); prob > 0 && (prob >= 1 || p.rng.float64() < prob) {
+		if prob := markProb(p.qbytes); prob > 0 && (prob >= 1 || p.rng.float64() < prob) {
 			pkt.CE = true
 			n.stats.ECNMarks.Inc()
 		}
@@ -456,11 +416,14 @@ func (n *Network) enqueue(p *port, pkt *Packet) {
 	}
 }
 
+// episodeBytes opens a ground-truth congestion episode when a switch egress
+// queue reaches it: RED's KMin, where marking starts.
+const episodeBytes = redKMinBytes
+
 // trackEpisode maintains ground-truth congestion episodes on switch ports.
 func (n *Network) trackEpisode(p *port, pkt *Packet, now int64) {
-	thr := n.cfg.EpisodeThresholdBytes
 	if !p.epActive {
-		if p.qbytes >= thr {
+		if p.qbytes >= episodeBytes {
 			p.epActive = true
 			p.epStart = now
 			p.epMax = p.qbytes
@@ -487,7 +450,7 @@ func (n *Network) trackEpisode(p *port, pkt *Packet, now int64) {
 // half the opening threshold (hysteresis, so that flapping right at the
 // threshold does not fragment one burst into many zero-length episodes).
 func (n *Network) closeEpisodeIfDrained(p *port, now int64) {
-	if !p.epActive || p.qbytes >= n.cfg.EpisodeThresholdBytes/2 {
+	if !p.epActive || p.qbytes >= episodeBytes/2 {
 		return
 	}
 	n.finishEpisode(p, now)
@@ -582,12 +545,15 @@ func (n *Network) arrive(v NodeID, pkt *Packet) {
 	n.enqueue(n.ports[v][pi], pkt)
 }
 
-// scheduleQueueSampling arms periodic queue sampling: one tick chain per
-// shard, each sampling the switch ports that shard owns, so sampling needs
-// no cross-shard reads and the per-port series is identical at every shard
-// count.
+// queueSampleNs is a recorded network's queue sampling period (Fig. 16c).
+const queueSampleNs = 10_000
+
+// scheduleQueueSampling arms periodic queue sampling on a recorded network:
+// one tick chain per shard, each sampling the switch ports that shard owns,
+// so sampling needs no cross-shard reads and the per-port series is
+// identical at every shard count.
 func (n *Network) scheduleQueueSampling(until int64) {
-	if n.cfg.QueueSampleNs <= 0 {
+	if n.trace.QueueSamples == nil {
 		return
 	}
 	for _, sh := range n.shards {
@@ -602,8 +568,8 @@ func (n *Network) scheduleQueueSampling(until int64) {
 				id := PortID{Switch: n.switchIndex(p.owner), Port: int16(p.index)}
 				sh.samples[id] = append(sh.samples[id], QueueSample{Ns: now, Bytes: p.qbytes})
 			}
-			if now+n.cfg.QueueSampleNs <= until {
-				sh.eng.After(n.cfg.QueueSampleNs, tick)
+			if now+queueSampleNs <= until {
+				sh.eng.After(queueSampleNs, tick)
 			}
 		}
 		sh.eng.At(0, tick)

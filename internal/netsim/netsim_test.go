@@ -148,16 +148,15 @@ func TestDumbbell(t *testing.T) {
 // --- RED ---
 
 func TestRedMarkProb(t *testing.T) {
-	r := DefaultRed()
-	if got := r.markProb(10 << 10); got != 0 {
+	if got := markProb(10 << 10); got != 0 {
 		t.Errorf("below KMin prob = %v, want 0", got)
 	}
-	if got := r.markProb(300 << 10); got != 1 {
+	if got := markProb(300 << 10); got != 1 {
 		t.Errorf("above KMax prob = %v, want 1", got)
 	}
-	mid := r.markProb(110 << 10) // halfway
-	if mid <= 0 || mid >= r.PMax+1e-12 {
-		t.Errorf("mid-range prob = %v, want in (0, %v]", mid, r.PMax)
+	mid := markProb(110 << 10) // halfway
+	if mid <= 0 || mid >= redPMax+1e-12 {
+		t.Errorf("mid-range prob = %v, want in (0, %v]", mid, redPMax)
 	}
 }
 
@@ -220,7 +219,7 @@ func TestContentionTriggersECNAndCNPs(t *testing.T) {
 		t.Fatal("no ground-truth congestion episodes recorded")
 	}
 	ep := tr.Episodes[0]
-	if ep.MaxBytes < cfg.ECN.KMinBytes {
+	if ep.MaxBytes < episodeBytes {
 		t.Errorf("episode max queue %d below threshold", ep.MaxBytes)
 	}
 	if len(ep.Flows) == 0 {
@@ -311,14 +310,23 @@ func TestAddFlowValidation(t *testing.T) {
 	}
 }
 
+// TestQueueSampling: a recorded network samples every switch port's queue
+// every 10 µs; an unrecorded run of the same traffic builds no series.
 func TestQueueSampling(t *testing.T) {
-	topo, _ := Dumbbell(2)
-	cfg := DefaultConfig(topo)
-	cfg.QueueSampleNs = 10_000
-	n, _ := New(cfg)
-	n.AddFlow(FlowSpec{Src: 0, Dst: 2, Bytes: 10_000_000, StartNs: 0})
-	n.AddFlow(FlowSpec{Src: 1, Dst: 2, Bytes: 10_000_000, StartNs: 0})
-	tr := n.Run(1_000_000)
+	run := func(record bool) *Trace {
+		topo, _ := Dumbbell(2)
+		n, _ := New(DefaultConfig(topo))
+		n.AddFlow(FlowSpec{Src: 0, Dst: 2, Bytes: 10_000_000, StartNs: 0})
+		n.AddFlow(FlowSpec{Src: 1, Dst: 2, Bytes: 10_000_000, StartNs: 0})
+		if record {
+			n.Record()
+		}
+		return n.Run(1_000_000)
+	}
+	if bare := run(false); len(bare.QueueSamples) != 0 {
+		t.Errorf("an unrecorded run sampled %d ports", len(bare.QueueSamples))
+	}
+	tr := run(true)
 	if len(tr.QueueSamples) == 0 {
 		t.Fatal("no queue samples collected")
 	}
@@ -451,36 +459,36 @@ func TestSimulationDoesNotAllocatePerPacket(t *testing.T) {
 }
 
 func TestDCQCNStateMachine(t *testing.T) {
-	cfg := DefaultDCQCN()
-	d := newDCQCNState(cfg)
-	if d.rc != cfg.LinkBps {
+	const line = 100e9
+	d := newDCQCNState(line)
+	if d.rc != line {
 		t.Fatal("flows must start at line rate")
 	}
 	d.onCNP(0)
-	if d.rc >= cfg.LinkBps {
+	if d.rc >= line {
 		t.Error("CNP must cut the rate")
 	}
 	afterCut := d.rc
-	if d.rt != cfg.LinkBps {
+	if d.rt != line {
 		t.Error("target rate should remember the pre-cut rate")
 	}
 	// Fast recovery converges rc toward rt.
-	for i := 0; i < cfg.F; i++ {
-		d.onRateTimer()
+	for i := 0; i < dcqcnF; i++ {
+		d.onRateTimer(line)
 	}
 	if d.rc <= afterCut || d.rc > d.rt {
 		t.Errorf("fast recovery rc = %v, want in (%v, %v]", d.rc, afterCut, d.rt)
 	}
 	// Additive then hyper increase push rt up to line rate.
 	for i := 0; i < 100; i++ {
-		d.onRateTimer()
+		d.onRateTimer(line)
 	}
-	if d.rc != cfg.LinkBps {
+	if d.rc != line {
 		t.Errorf("rc after long increase = %v, want line rate", d.rc)
 	}
 	// Alpha decays when CNP-free.
 	alpha := d.alpha
-	d.onAlphaTimer(cfg.AlphaTimerNs * 10)
+	d.onAlphaTimer(dcqcnAlphaTimerNs * 10)
 	if d.alpha >= alpha {
 		t.Error("alpha should decay on a quiet timer")
 	}
@@ -489,8 +497,24 @@ func TestDCQCNStateMachine(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		d.onCNP(int64(i))
 	}
-	if d.rc < cfg.MinRateBps {
-		t.Errorf("rate %v fell below the floor %v", d.rc, cfg.MinRateBps)
+	if d.rc < dcqcnMinRateBps {
+		t.Errorf("rate %v fell below the floor %v", d.rc, dcqcnMinRateBps)
+	}
+}
+
+// TestDCQCNLineRateFollowsLinkBps: a DCQCN flow starts at the configured
+// link rate, not a fixed 100 Gbps.
+func TestDCQCNLineRateFollowsLinkBps(t *testing.T) {
+	topo, _ := Dumbbell(1)
+	cfg := DefaultConfig(topo)
+	cfg.LinkBps = 25e9
+	n, _ := New(cfg)
+	id, err := n.AddFlow(FlowSpec{Src: 0, Dst: 1, Bytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc := n.hosts[0].flows[id].cc; cc.rc != 25e9 || cc.rt != 25e9 {
+		t.Errorf("flow starts at rc = %v, rt = %v, want the 25 Gbps line rate", cc.rc, cc.rt)
 	}
 }
 
@@ -498,8 +522,6 @@ func TestTailDropUnderOverload(t *testing.T) {
 	topo, _ := Dumbbell(4)
 	cfg := DefaultConfig(topo)
 	cfg.BufferBytes = 50 << 10 // tiny buffer
-	cfg.DCQCN.MinRateBps = 50e9
-	cfg.DCQCN.G = 0 // neuter rate cuts: keep overloading
 	n, _ := New(cfg)
 	for s := 0; s < 4; s++ {
 		n.AddFlow(FlowSpec{Src: s, Dst: 4, Bytes: 1 << 30, StartNs: 0, FixedRateBps: 90e9})

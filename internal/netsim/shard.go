@@ -6,7 +6,7 @@ package netsim
 // free list, so a shard's window executes with zero shared mutable state.
 //
 // Synchronization is classic conservative PDES with lookahead equal to the
-// per-hop propagation delay L = Config.PropDelayNs: any event one shard can
+// per-hop propagation delay L = propDelayNs: any event one shard can
 // cause on another travels a link, so it lands at least L after the moment
 // it was sent. The coordinator therefore runs all shards concurrently over
 // the window [H, H+L), collects the link events they emitted for other
@@ -131,13 +131,17 @@ func partitionNodes(t *Topology, n int) []int32 {
 	return out
 }
 
+// propDelayNs is every link's propagation latency (§7.2: 1 µs a hop), and
+// so the lookahead of the windowed loop.
+const propDelayNs = 1000
+
 // routeArrive sends pkt across port p's link: it arrives at the peer one
 // propagation delay later, stamped with p's directed-link order key. Peers
 // on the sending shard enter the local wheel immediately; remote peers go
 // to the outbox for barrier delivery.
 func (n *Network) routeArrive(p *port, pkt *Packet) {
 	ev := event{
-		at: p.sh.eng.Now() + n.cfg.PropDelayNs, seq: nextSeq(&p.lseq),
+		at: p.sh.eng.Now() + propDelayNs, seq: nextSeq(&p.lseq),
 		kind: evArrive, lkey: p.lkey, node: int32(p.peer), pkt: pkt,
 	}
 	if dst := n.shards[n.shardOf[p.peer]]; dst != p.sh {
@@ -153,7 +157,6 @@ func (n *Network) routeArrive(p *port, pkt *Packet) {
 // same loop with the shards executed inline in index order instead —
 // useful for pinning the machinery without goroutine scheduling in play.
 func (n *Network) runParallel(until int64) int {
-	l := n.cfg.PropDelayNs
 	var workerDone chan *shard
 	if !n.lockstep {
 		workerDone = make(chan *shard, len(n.shards))
@@ -204,7 +207,7 @@ func (n *Network) runParallel(until int64) int {
 		if next > h {
 			h = next
 		}
-		end := h + l - 1
+		end := h + propDelayNs - 1
 		if end > until {
 			end = until
 		}

@@ -35,6 +35,12 @@ var reachAllow = map[string]string{
 	"internal/mbuf.Pool.Live": "ROADMAP item 2", // the leak check behind "memory is a function of flags"
 }
 
+// configFields pins the configuration surface: the exported fields of the
+// exported structs under internal/ whose names end in Config or Options.
+// The test fails when the count rises above it, and when it sits above
+// the count: a change that removes a field lowers it.
+const configFields = 43
+
 // stdlibCalled are the method names only the standard library calls,
 // through interfaces of its own: fmt.Stringer, error, io.Reader, io.Writer,
 // io.Closer and http.Handler.
@@ -50,6 +56,7 @@ func TestReachable(t *testing.T) {
 		exempt[name] = true
 	}
 	pkgDirs := map[string]bool{}
+	cfgFields, cfgTypes := 0, 0
 
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // package directory → its non-test files
@@ -87,8 +94,25 @@ func TestReachable(t *testing.T) {
 			path += "/" + dir
 		}
 		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		if _, err := conf.Check(path, fset, fs, info); err != nil {
+		pkg, err := conf.Check(path, fset, fs, info)
+		if err != nil {
 			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		if strings.HasPrefix(dir, "internal/") {
+			for _, name := range pkg.Scope().Names() {
+				tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+					continue
+				}
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					cfgTypes++
+					for i := 0; i < st.NumFields(); i++ {
+						if st.Field(i).Exported() {
+							cfgFields++
+						}
+					}
+				}
+			}
 		}
 		for _, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
@@ -119,6 +143,13 @@ func TestReachable(t *testing.T) {
 		}
 	}
 	t.Logf("type-checked %d packages in %v", len(files), time.Since(begin).Round(time.Millisecond))
+	t.Logf("%d exported fields in %d config structs under internal/", cfgFields, cfgTypes)
+	switch {
+	case cfgFields > configFields:
+		t.Errorf("%d exported config fields, more than the ceiling of %d: remove one, or raise configFields and say why", cfgFields, configFields)
+	case cfgFields < configFields:
+		t.Errorf("%d exported config fields, under the ceiling of %d: lower configFields to the count", cfgFields, configFields)
+	}
 
 	seen := map[string]bool{}
 	for _, d := range decls {

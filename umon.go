@@ -64,7 +64,8 @@ type System = core.System
 // SystemConfig parameterizes a deployment.
 type SystemConfig = core.SystemConfig
 
-// HostMonitorConfig parameterizes host-side measurement.
+// HostMonitorConfig parameterizes host-side measurement: the sketch and the
+// reporting period. Windows are always 8.192 µs (WindowNanos).
 type HostMonitorConfig = core.HostMonitorConfig
 
 // Deploy attaches a µMon instance to a simulated network.
@@ -123,6 +124,7 @@ func Dumbbell(senders int) (*Topology, error) { return netsim.Dumbbell(senders) 
 // NewNetwork builds a simulation over a topology.
 func NewNetwork(cfg SimConfig) (*Network, error) { return netsim.New(cfg) }
 
-// DefaultSimConfig returns the paper's simulation parameters (100 Gbps,
-// 1 µs hops, DCQCN, RED KMin/KMax/PMax).
+// DefaultSimConfig returns the paper's simulation parameters (100 Gbps
+// links, 2 MiB port buffers); 1 µs hops, DCQCN and RED KMin/KMax/PMax are
+// the simulator's constants.
 func DefaultSimConfig(topo *Topology) SimConfig { return netsim.DefaultConfig(topo) }
