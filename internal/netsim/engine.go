@@ -88,6 +88,12 @@ type Engine struct {
 	wheel      [][]event // numBuckets unordered per-tick buckets
 	wheelCount int       // events parked in wheel buckets
 	overflow   eventHeap // events ≥ numBuckets ticks ahead
+	// pieces gives every bucket slabPerBucket slots of its own. A bucket
+	// that outgrows its piece moves into a spare array, which a drained
+	// bucket gave back, so the few arrays that near ticks fill circulate
+	// hot in cache and a run's wheel stays near its pieces' size.
+	pieces []event
+	spare  [][]event
 	// scanFrom is a tick no later than the first occupied bucket, so a Run
 	// that stops short of it does not rescan the empty ones between.
 	scanFrom int64
@@ -230,12 +236,9 @@ func (c *calendar) pop(off int) int32 {
 	return i
 }
 
-// fileTick files tickEvs[i], an event of the current tick, into the
-// calendar; i must be the calendar's next index.
-func (e *Engine) fileTick(i int) {
-	ev := &e.tickEvs[i]
-	off := uint64(ev.at - e.curTick<<bucketShift)
-	e.cal.file(off<<offShift | uint64(ev.lkey+1)<<seqBits | ev.seq)
+// orderKey packs the order key of an event of the current tick.
+func (e *Engine) orderKey(at int64, lkey int32, seq uint64) uint64 {
+	return uint64(at-e.curTick<<bucketShift)<<offShift | uint64(lkey+1)<<seqBits | seq
 }
 
 // eventHeap is a typed binary min-heap of whole events ordered by (at,
@@ -299,19 +302,23 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-// NewEngine returns an engine at time 0. Every wheel bucket starts with a
-// few slots carved out of one contiguous slab, so the schedule path is
-// allocation-free from the first event — not just after every slot has
-// been touched once — and adjacent buckets share cache lines. Buckets that
-// outgrow their slab piece fall back to ordinary append growth.
+// slabPerBucket is the slots of a bucket's own piece.
+const slabPerBucket = 4
+
+// NewEngine returns an engine at time 0. Every wheel bucket starts with its
+// piece of one contiguous slab, so the schedule path is allocation-free
+// from the first event, and adjacent buckets share cache lines.
 func NewEngine() *Engine {
-	const slabPerBucket = 4
-	slab := make([]event, numBuckets*slabPerBucket)
-	wheel := make([][]event, numBuckets)
-	for i := range wheel {
-		wheel[i] = slab[i*slabPerBucket : i*slabPerBucket : (i+1)*slabPerBucket]
+	e := &Engine{wheel: make([][]event, numBuckets), pieces: make([]event, numBuckets*slabPerBucket)}
+	for b := range e.wheel {
+		e.wheel[b] = e.piece(int64(b))
 	}
-	return &Engine{wheel: wheel}
+	return e
+}
+
+// piece returns bucket b's own slots, empty.
+func (e *Engine) piece(b int64) []event {
+	return e.pieces[b*slabPerBucket : b*slabPerBucket : (b+1)*slabPerBucket]
 }
 
 // Now returns the current simulation time in nanoseconds.
@@ -344,26 +351,64 @@ func (e *Engine) pushLink(ev event) {
 }
 
 // place files an already-sequenced event into the tier its tick selects.
-// The current tick (the only one at or before curTick, since the clock
-// never trails it) takes the payload into its slab and the key into its
-// calendar, so same-tick scheduling stays in order; in-span ticks append
-// to their wheel bucket in O(1); the far future waits in the overflow heap.
 func (e *Engine) place(ev event) {
-	tick := ev.at >> bucketShift
+	if s := e.slot(ev.at, ev.lkey, ev.seq); s != nil {
+		*s = ev
+	} else {
+		e.overflow.push(ev)
+	}
+}
+
+// pushPacket schedules a finishTx or an arrival, nine events in ten, by
+// writing it into its slot: built on the stack, it would be written twice
+// and reloaded before its stores had landed.
+func (e *Engine) pushPacket(kind eventKind, at int64, lkey int32, seq uint64, p *port, pkt *Packet, node NodeID) {
+	at = max(at, e.now)
+	e.schedByKind[kind]++
+	ev := e.slot(at, lkey, seq)
+	if ev == nil {
+		e.overflow.push(event{at: at, seq: seq, port: p, pkt: pkt, lkey: lkey, node: int32(node), kind: kind})
+		return
+	}
+	ev.at, ev.seq, ev.port, ev.pkt, ev.flow = at, seq, p, pkt, nil
+	ev.lkey, ev.node, ev.kind, ev.fn = lkey, int32(node), kind, 0
+}
+
+// slot returns the slot for an event (at, lkey, seq) in the current tick's
+// slab, whose calendar it files the key in, or in an in-span tick's wheel
+// bucket; the caller writes the whole event there. The far future gets
+// nil: the overflow heap takes whole events. The clock never trails the
+// current tick, so it is the only one at or before it.
+func (e *Engine) slot(at int64, lkey int32, seq uint64) *event {
+	tick := at >> bucketShift
 	switch {
 	case tick == e.curTick:
-		e.tickEvs = append(e.tickEvs, ev)
-		e.fileTick(len(e.tickEvs) - 1)
+		e.tickEvs = grow1(e.tickEvs)
+		e.cal.file(e.orderKey(at, lkey, seq))
+		return &e.tickEvs[len(e.tickEvs)-1]
 	case tick > e.curTick && tick < e.curTick+numBuckets:
 		b := tick & bucketMask
-		e.wheel[b] = append(e.wheel[b], ev)
+		if w := e.wheel[b]; len(w) == slabPerBucket && cap(w) == slabPerBucket && len(e.spare) > 0 {
+			e.wheel[b] = append(e.spare[len(e.spare)-1], w...)
+			e.spare = e.spare[:len(e.spare)-1]
+			clear(w)
+		}
+		e.wheel[b] = grow1(e.wheel[b])
 		e.wheelCount++
 		e.scanFrom = min(e.scanFrom, tick)
+		return &e.wheel[b][len(e.wheel[b])-1]
 	case tick > e.curTick:
-		e.overflow.push(ev)
-	default:
-		panic("netsim: event scheduled before the current tick")
+		return nil
 	}
+	panic("netsim: event scheduled before the current tick")
+}
+
+// grow1 extends s by one slot, for the caller to overwrite.
+func grow1(s []event) []event {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	return append(s, event{})
 }
 
 // At schedules fn at absolute time t (clamped to now for past times).
@@ -385,7 +430,7 @@ func (e *Engine) funcSlot(fn func()) int32 {
 func (e *Engine) After(d int64, fn func()) { e.At(e.now+d, fn) }
 
 func (e *Engine) afterFinishTx(d int64, p *port, pkt *Packet) {
-	e.push(event{at: e.now + d, kind: evFinishTx, port: p, pkt: pkt})
+	e.pushPacket(evFinishTx, e.now+d, -1, nextSeq(&e.seq), p, pkt, 0)
 }
 
 func (e *Engine) afterInject(d int64, fs *flowState) {
@@ -438,30 +483,30 @@ func (e *Engine) NextEventAt() (int64, bool) {
 
 // advance loads the given tick, whose caller guarantees the current one is
 // drained: the tick's bucket is copied into the payload slab (one slab,
-// reused tick after tick, so it stays in cache and grows once), overflow
-// events that came in-range cascade into the wheel (or straight into the
-// slab), and the tick's keys are filed into its calendar.
+// reused tick after tick, so it stays in cache and grows once) and gives
+// the spares its array if it outgrew its piece, the tick's keys are filed
+// into its calendar, and overflow events that came in-range cascade into
+// the wheel or the tick.
 func (e *Engine) advance(tick int64) {
 	e.curTick = tick
 	b := tick & bucketMask
+	w := e.wheel[b]
 	clear(e.tickEvs)
-	e.tickEvs = append(e.tickEvs[:0], e.wheel[b]...)
-	e.wheelCount -= len(e.wheel[b])
-	clear(e.wheel[b])
-	e.wheel[b] = e.wheel[b][:0]
-	for len(e.overflow) > 0 && e.overflow[0].at>>bucketShift < tick+numBuckets {
-		ev := e.overflow.pop()
-		if ev.at>>bucketShift == tick {
-			e.tickEvs = append(e.tickEvs, ev)
-		} else {
-			b := ev.at >> bucketShift & bucketMask
-			e.wheel[b] = append(e.wheel[b], ev)
-			e.wheelCount++
-		}
+	e.tickEvs = append(e.tickEvs[:0], w...)
+	e.wheelCount -= len(w)
+	clear(w)
+	if cap(w) > slabPerBucket {
+		e.spare = append(e.spare, w[:0])
+		w = e.piece(b)
 	}
+	e.wheel[b] = w[:0]
 	e.cal.reset()
 	for i := range e.tickEvs {
-		e.fileTick(i)
+		ev := &e.tickEvs[i]
+		e.cal.file(e.orderKey(ev.at, ev.lkey, ev.seq))
+	}
+	for len(e.overflow) > 0 && e.overflow[0].at>>bucketShift < tick+numBuckets {
+		e.place(e.overflow.pop())
 	}
 }
 

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"umon/internal/flowkey"
 )
@@ -148,7 +148,8 @@ func (f *FlowStat) DurationNs() int64 {
 // Trace is everything the monitoring experiments consume. The packet logs,
 // HostPackets and CELog, and the queue series, QueueSamples, are kept only
 // for a network that Record was called on (RunWorkload does); the rest is
-// kept for every run.
+// kept for every run. Each packet log ends exact-size (len == cap), so a
+// kept Trace holds no room it will not use.
 type Trace struct {
 	DurationNs   int64
 	HostPackets  [][]EgressRecord // indexed by host
@@ -225,6 +226,9 @@ type Network struct {
 	// lockstep (tests only) makes multi-shard runs execute the windowed
 	// loop inline, one shard at a time, instead of on worker goroutines.
 	lockstep bool
+	// hostLogs are a recorded network's per-host egress logs, each written
+	// by its host's shard; finalize joins them into Trace.HostPackets.
+	hostLogs []chunkLog[EgressRecord]
 	// stats is a value copy of Config.Stats (zero value when absent):
 	// every field is a nil-safe telemetry handle, so uninstrumented runs
 	// pay one nil check per site.
@@ -248,23 +252,25 @@ type Network struct {
 // egress data packet into HostPackets and every switch CE egress into
 // CELog. It also samples every switch port's queue into QueueSamples. It
 // wraps the taps installed so far: install those first, and call it once,
-// before Run. An unrecorded Trace has no packet logs and no queue samples.
+// before Run. A log is written in chunks and joined once (see chunkLog).
+// An unrecorded Trace has no packet logs and no queue samples.
 func (n *Network) Record() {
 	n.trace.QueueSamples = make(map[PortID][]QueueSample)
+	n.hostLogs = make([]chunkLog[EgressRecord], n.topo.Hosts)
 	onHost, onCE := n.OnHostEgress, n.OnSwitchCE
 	n.OnHostEgress = func(h int, pkt *Packet, now int64) {
-		n.trace.HostPackets[h] = append(n.trace.HostPackets[h], EgressRecord{
+		n.hostLogs[h].add(EgressRecord{
 			Ns: now, FlowID: pkt.FlowID, Size: pkt.Size, Flow: pkt.Flow,
 		})
 		if onHost != nil {
 			onHost(h, pkt, now)
 		}
 	}
-	// CE records go to the switch's shard buffer, from that shard's
-	// goroutine; finalize merges the buffers in canonical order.
+	// CE records go to the switch's shard log, from that shard's
+	// goroutine; finalize merges the logs in canonical order.
 	n.OnSwitchCE = func(sw, port int16, pkt *Packet, now int64) {
 		sh := n.shards[n.shardOf[n.topo.Hosts+int(sw)]]
-		sh.ce = append(sh.ce, CERecord{
+		sh.ce.add(CERecord{
 			Ns: now, Switch: sw, Port: port,
 			FlowID: pkt.FlowID, PSN: pkt.PSN, Size: pkt.Size, Flow: pkt.Flow,
 		})
@@ -272,6 +278,52 @@ func (n *Network) Record() {
 			onCE(sw, port, pkt, now)
 		}
 	}
+}
+
+// A log's chunks start at minChunk records and double up to maxChunk, so
+// a short log stays small and a long one wastes less than a chunk.
+const (
+	minChunk   = 64
+	chunkSteps = 6
+	maxChunk   = minChunk << chunkSteps
+)
+
+// chunkLog is a recorded log written in chunks that never move: each
+// record is written once into its chunk, and joinLogs copies it once into
+// the final log, where a slice grown by append would copy it about four
+// times. Nothing pools the chunks: they are garbage once joined.
+type chunkLog[T any] [][]T
+
+func (l *chunkLog[T]) add(r T) {
+	k := len(*l) - 1
+	if k < 0 || len((*l)[k]) == cap((*l)[k]) {
+		*l = append(*l, make([]T, 0, minChunk<<min(len(*l), chunkSteps)))
+		k++
+	}
+	(*l)[k] = append((*l)[k], r)
+}
+
+// joinLogs returns dst followed by the records of logs, in order, as one
+// slice of exactly their joint length, and empties the logs. With no
+// records to add it returns dst as it is.
+func joinLogs[T any](dst []T, logs ...*chunkLog[T]) []T {
+	n := len(dst)
+	for _, l := range logs {
+		for _, c := range *l {
+			n += len(c)
+		}
+	}
+	if n == len(dst) {
+		return dst
+	}
+	out := append(make([]T, 0, n), dst...)
+	for _, l := range logs {
+		for _, c := range *l {
+			out = append(out, c...)
+		}
+		*l = nil
+	}
+	return out
 }
 
 // rngState is a tiny deterministic PRNG (xorshift*) so that marking
@@ -463,7 +515,7 @@ func (n *Network) finishEpisode(p *port, now int64) {
 	}
 	// Canonical order: map iteration would otherwise leak randomness into
 	// the trace (and shard-count dependence into the merged log).
-	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
+	slices.Sort(flows)
 	p.sh.episodes = append(p.sh.episodes, Episode{
 		Port:     PortID{Switch: n.switchIndex(p.owner), Port: int16(p.index)},
 		StartNs:  p.epStart,
@@ -540,7 +592,10 @@ func (n *Network) arrive(v NodeID, pkt *Packet) {
 	}
 	pi := hops[0]
 	if len(hops) > 1 {
-		pi = hops[int(pkt.Flow.Hash(ecmpSeed)%uint64(len(hops)))]
+		if pkt.ecmp == 0 {
+			pkt.ecmp = pkt.Flow.Hash(ecmpSeed)
+		}
+		pi = hops[int(pkt.ecmp%uint64(len(hops)))]
 	}
 	n.enqueue(n.ports[v][pi], pkt)
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"umon/internal/measure"
 	"umon/internal/workload"
@@ -411,13 +412,10 @@ func TestFatTreeWorkloadEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSimulationDoesNotAllocatePerPacket pins the simulator's steady
-// state: a loaded fat-tree run allocates only as its trace and its queues
-// grow, not per packet or per event. A port FIFO that re-slices its head
-// off reallocates every few packets (0.38 allocations an event), a
-// network that logged every packet without Record allocated 33 B an event,
-// and 72-byte events and copied queue samples cost 14.5 B an event.
-func TestSimulationDoesNotAllocatePerPacket(t *testing.T) {
+// loadedFatTree is the allocation tests' network: a fat-tree with 3 ms of
+// WebSearch traffic at 35 % load, which runs 4 ms in over a million events.
+func loadedFatTree(t *testing.T) *Network {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("multi-ms fat-tree simulation")
 	}
@@ -440,21 +438,78 @@ func TestSimulationDoesNotAllocatePerPacket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return n
+}
+
+// unrecordedBytesPerEvent bounds the bytes an unrecorded run allocates
+// an event.
+const unrecordedBytesPerEvent = 2
+
+// runAllocs runs n to 4 ms and reports its trace, allocations and bytes.
+func runAllocs(t *testing.T, n *Network) (tr *Trace, mallocs, bytes uint64) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tr := n.Run(4_000_000)
+	tr = n.Run(4_000_000)
 	runtime.ReadMemStats(&after)
 	if tr.Events < 1_000_000 {
 		t.Fatalf("ran %d events, want a loaded fabric (≥ 1M)", tr.Events)
 	}
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(tr.Events)
-	bytesPerEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Events)
+	return tr, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSimulationDoesNotAllocatePerPacket pins the simulator's steady
+// state: a loaded fat-tree run allocates only as its trace and its queues
+// grow, not per packet or per event. A port FIFO that re-slices its head
+// off reallocates every few packets (0.38 allocations an event), a
+// network that logged every packet without Record allocated 33 B an event,
+// 72-byte events and copied queue samples cost 14.5 B an event, and wheel
+// buckets that each grew an array of their own 10.3 B.
+func TestSimulationDoesNotAllocatePerPacket(t *testing.T) {
+	tr, mallocs, bytes := runAllocs(t, loadedFatTree(t))
+	perEvent := float64(mallocs) / float64(tr.Events)
+	bytesPerEvent := float64(bytes) / float64(tr.Events)
 	t.Logf("%d events, %.4f allocations and %.1f B an event", tr.Events, perEvent, bytesPerEvent)
 	if perEvent > 0.01 && !raceEnabled {
 		t.Errorf("%.4f allocations an event, want ≤ 0.01", perEvent)
 	}
-	if bytesPerEvent > 12 {
-		t.Errorf("%.1f B allocated an event, want ≤ 12", bytesPerEvent)
+	if bytesPerEvent > unrecordedBytesPerEvent {
+		t.Errorf("%.1f B allocated an event, want ≤ %d", bytesPerEvent, unrecordedBytesPerEvent)
+	}
+}
+
+// TestRecordedSimulationWritesLogsOnce is the recorded twin: Record's logs
+// cost their final bytes twice, once in chunks and once joined, plus one
+// partial chunk a log, and keep no slack. Logs grown by append cost about
+// five times their final bytes.
+func TestRecordedSimulationWritesLogsOnce(t *testing.T) {
+	n := loadedFatTree(t)
+	n.Record()
+	tr, _, bytes := runAllocs(t, n)
+	var logBytes, records int
+	for h, pkts := range tr.HostPackets {
+		if len(pkts) != cap(pkts) {
+			t.Errorf("host %d log holds %d records in room for %d", h, len(pkts), cap(pkts))
+		}
+		logBytes += len(pkts) * int(unsafe.Sizeof(EgressRecord{}))
+		records += len(pkts)
+	}
+	if len(tr.CELog) != cap(tr.CELog) {
+		t.Errorf("CE log holds %d records in room for %d", len(tr.CELog), cap(tr.CELog))
+	}
+	logBytes += len(tr.CELog) * int(unsafe.Sizeof(CERecord{}))
+	for _, ss := range tr.QueueSamples {
+		logBytes += len(ss) * int(unsafe.Sizeof(QueueSample{}))
+	}
+	if records == 0 || len(tr.CELog) == 0 {
+		t.Fatalf("recorded %d egress and %d CE records, want both", records, len(tr.CELog))
+	}
+	partial := maxChunk * (len(tr.HostPackets)*int(unsafe.Sizeof(EgressRecord{})) + len(n.shards)*int(unsafe.Sizeof(CERecord{})))
+	bound := unrecordedBytesPerEvent*tr.Events + 2*logBytes + partial
+	t.Logf("%d events, %d B allocated for %d B of logs (bound %d B)", tr.Events, bytes, logBytes, bound)
+	if int(bytes) > bound {
+		t.Errorf("allocated %d B, want ≤ %d B: %d an event, twice %d B of logs and %d B of partial chunks",
+			bytes, bound, unrecordedBytesPerEvent, logBytes, partial)
 	}
 }
 

@@ -42,7 +42,7 @@ const (
 
 // Packet is a simulated packet. Packets are heap-allocated once at the
 // sender and flow through the fabric by pointer; switches only mutate the
-// CE bit.
+// CE bit and cache the flow's ECMP hash.
 type Packet struct {
 	Flow   flowkey.Key
 	FlowID int32
@@ -57,4 +57,7 @@ type Packet struct {
 	// Win marks a window-based (DCTCP) flow's segment, whose go-back-N
 	// receiver ACKs cumulatively and echoes CE.
 	Win bool
+	// ecmp is Flow's ECMP hash, computed by the first switch with a choice
+	// of next hops (0: not yet; a hash of 0 is just computed again).
+	ecmp uint64
 }

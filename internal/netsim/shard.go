@@ -23,7 +23,10 @@ package netsim
 // serial-vs-parallel trace tests in shard_test.go pin byte-identical
 // recorded traces at every shard count.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // shard is one event-engine domain: a set of nodes whose events execute on
 // a private engine, plus everything that engine's handlers mutate.
@@ -44,7 +47,7 @@ type shard struct {
 
 	// Private trace buffers, merged canonically by Network.finalize; ce
 	// is filled only on a recorded network (Record's CE tap).
-	ce        []CERecord
+	ce        chunkLog[CERecord]
 	dropLog   []DropRecord
 	episodes  []Episode
 	samples   map[PortID][]QueueSample
@@ -140,14 +143,13 @@ const propDelayNs = 1000
 // on the sending shard enter the local wheel immediately; remote peers go
 // to the outbox for barrier delivery.
 func (n *Network) routeArrive(p *port, pkt *Packet) {
-	ev := event{
-		at: p.sh.eng.Now() + propDelayNs, seq: nextSeq(&p.lseq),
-		kind: evArrive, lkey: p.lkey, node: int32(p.peer), pkt: pkt,
-	}
+	at, seq := p.sh.eng.Now()+propDelayNs, nextSeq(&p.lseq)
 	if dst := n.shards[n.shardOf[p.peer]]; dst != p.sh {
-		p.sh.outbox[dst.idx] = append(p.sh.outbox[dst.idx], ev)
+		p.sh.outbox[dst.idx] = append(p.sh.outbox[dst.idx], event{
+			at: at, seq: seq, kind: evArrive, lkey: p.lkey, node: int32(p.peer), pkt: pkt,
+		})
 	} else {
-		p.sh.eng.pushLink(ev)
+		p.sh.eng.pushPacket(evArrive, at, p.lkey, seq, nil, pkt, p.peer)
 	}
 }
 
@@ -248,9 +250,12 @@ func (n *Network) finalize(untilNs int64) {
 		}
 	}
 	t := n.trace
-	for _, sh := range n.shards {
-		t.CELog = append(t.CELog, sh.ce...)
-		sh.ce = sh.ce[:0]
+	for h := range n.hostLogs {
+		t.HostPackets[h] = joinLogs(t.HostPackets[h], &n.hostLogs[h])
+	}
+	ces := make([]*chunkLog[CERecord], len(n.shards))
+	for i, sh := range n.shards {
+		ces[i] = &sh.ce
 		t.DropLog = append(t.DropLog, sh.dropLog...)
 		sh.dropLog = sh.dropLog[:0]
 		t.Episodes = append(t.Episodes, sh.episodes...)
@@ -267,40 +272,16 @@ func (n *Network) finalize(untilNs int64) {
 			delete(sh.samples, id)
 		}
 	}
-	sort.SliceStable(t.CELog, func(i, j int) bool {
-		a, b := &t.CELog[i], &t.CELog[j]
-		if a.Ns != b.Ns {
-			return a.Ns < b.Ns
-		}
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		return a.Port < b.Port
+	t.CELog = joinLogs(t.CELog, ces...)
+	slices.SortStableFunc(t.CELog, func(a, b CERecord) int {
+		return cmp.Or(cmp.Compare(a.Ns, b.Ns), cmp.Compare(a.Switch, b.Switch), cmp.Compare(a.Port, b.Port))
 	})
-	sort.SliceStable(t.DropLog, func(i, j int) bool {
-		a, b := &t.DropLog[i], &t.DropLog[j]
-		if a.Ns != b.Ns {
-			return a.Ns < b.Ns
-		}
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.FlowID < b.FlowID
+	slices.SortStableFunc(t.DropLog, func(a, b DropRecord) int {
+		return cmp.Or(cmp.Compare(a.Ns, b.Ns), cmp.Compare(a.Switch, b.Switch),
+			cmp.Compare(a.Port, b.Port), cmp.Compare(a.FlowID, b.FlowID))
 	})
-	sort.SliceStable(t.Episodes, func(i, j int) bool {
-		a, b := &t.Episodes[i], &t.Episodes[j]
-		if a.EndNs != b.EndNs {
-			return a.EndNs < b.EndNs
-		}
-		if a.Port.Switch != b.Port.Switch {
-			return a.Port.Switch < b.Port.Switch
-		}
-		if a.Port.Port != b.Port.Port {
-			return a.Port.Port < b.Port.Port
-		}
-		return a.StartNs < b.StartNs
+	slices.SortStableFunc(t.Episodes, func(a, b Episode) int {
+		return cmp.Or(cmp.Compare(a.EndNs, b.EndNs), cmp.Compare(a.Port.Switch, b.Port.Switch),
+			cmp.Compare(a.Port.Port, b.Port.Port), cmp.Compare(a.StartNs, b.StartNs))
 	})
 }
