@@ -202,7 +202,9 @@ func (a *Analyzer) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 		to = from
 	}
 	out := make([]float64, to-from)
-	a.reports.MergeFlow(out, f, from, to)
+	fq := report.NewFlowQuery(f, from, to)
+	a.reports.MergeFlow(out, fq)
+	fq.Release()
 	return out
 }
 

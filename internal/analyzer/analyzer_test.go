@@ -181,7 +181,9 @@ func TestQueryFlowRoutesByTime(t *testing.T) {
 			}
 		}
 		got := a.QueryFlow(f, r[0], r[1])
-		visited += a.reports.MergeFlow(make([]float64, r[1]-r[0]), f, r[0], r[1])
+		fq := report.NewFlowQuery(f, r[0], r[1])
+		visited += a.reports.MergeFlow(make([]float64, r[1]-r[0]), fq)
+		fq.Release()
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("[%d, %d) window %d: %v, un-routed merge %v", r[0], r[1], r[0]+int64(i), got[i], want[i])
@@ -196,7 +198,9 @@ func TestQueryFlowRoutesByTime(t *testing.T) {
 
 // routed counts the reports a query for f over all of time visits.
 func routed(a *Analyzer, f flowkey.Key) int {
-	return len(a.reports.Route(f, math.MinInt64, math.MaxInt64, nil))
+	fq := report.NewFlowQuery(f, math.MinInt64, math.MaxInt64)
+	defer fq.Release()
+	return len(a.reports.Route(fq, nil))
 }
 
 func TestDurations(t *testing.T) {

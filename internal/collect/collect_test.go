@@ -149,6 +149,31 @@ func TestQueryFlowMergesWindow(t *testing.T) {
 	}
 }
 
+// TestQueryFlowAllocatesOnlyItsAnswer pins the query path's allocations:
+// on a warm window — every curve the queries reach resident, the plan pool
+// warm — Collector.QueryFlow allocates the answer it returns and nothing
+// else (not under -race, whose sync.Pool drops Puts).
+func TestQueryFlowAllocatesOnlyItsAnswer(t *testing.T) {
+	c := New(Config{WindowEpochs: 8})
+	for e := 0; e < 8; e++ {
+		for h := 0; h < 4; h++ {
+			c.Add(uint64(e), mkReport(h, key(h), int64(8*e+h), 100))
+		}
+	}
+	query := func() {
+		c.QueryFlow(key(1), 0, 64)
+		c.QueryFlow(key(2), 20, 40)
+	}
+	query()
+	routed := c.Status().ReportsRouted
+	if allocs := testing.AllocsPerRun(200, query); allocs != 2 && !raceEnabled {
+		t.Errorf("two warm QueryFlow calls allocated %v times, want 2: their answers", allocs)
+	}
+	if n := c.Status().ReportsRouted - routed; n < 201*8 {
+		t.Fatalf("the queries visited %d reports, want at least 8 a call: fixture is off", n)
+	}
+}
+
 func TestOnlineDetectionEmitsClosedEvents(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	st := NewStats(reg)

@@ -18,9 +18,10 @@ package collect
 // Each epochIndex carries a report.RoutedSet — the same routed max-merge
 // the batch analyzer answers from: a query visits only the reports that
 // might see the flow and whose curves meet the queried windows, and an
-// epoch whose span misses the range costs one comparison, no hash. Skipped
-// reports estimate identically zero, so routed answers are bit-identical
-// to a scan of the whole window.
+// epoch whose span misses the range costs one comparison, no hash. One
+// report.FlowQuery carries a query across the window: one hash per sketch,
+// one pooled scratch. Skipped reports estimate identically zero, so routed
+// answers are bit-identical to a scan of the whole window.
 
 import (
 	"slices"
@@ -149,18 +150,20 @@ func (s *Snapshot) ResidentCurves() int {
 }
 
 // QueryFlow estimates flow f's per-window byte counts over [from, to) by
-// folding every resident epoch's routed max-merge into one answer —
-// bit-identical to scanning the whole window, at a cost that scales with
-// the flow's footprint instead of (window × hosts).
+// folding every resident epoch's routed max-merge into its one allocation,
+// the answer — bit-identical to scanning the whole window, at a cost that
+// scales with the flow's footprint instead of (window × hosts).
 func (s *Snapshot) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 	if to < from {
 		to = from
 	}
 	out := make([]float64, to-from)
 	visited := 0
+	fq := report.NewFlowQuery(f, from, to)
 	for _, ei := range s.eps {
-		visited += ei.set.MergeFlow(out, f, from, to)
+		visited += ei.set.MergeFlow(out, fq)
 	}
+	fq.Release()
 	if s.visited != nil {
 		s.visited.Add(int64(visited))
 		s.skipped.Add(int64(s.resident - visited))

@@ -177,7 +177,6 @@ type port struct {
 	index    int
 	peer     NodeID
 	peerPort int
-	rateBps  float64
 
 	// sh is the owning node's shard: every event touching this port
 	// executes on its engine.
@@ -386,9 +385,8 @@ func New(cfg Config) (*Network, error) {
 			n.ports[v][i] = &port{
 				owner: NodeID(v), index: i,
 				peer: d.Peer, peerPort: d.PeerPort,
-				rateBps: cfg.LinkBps,
-				lkey:    lk,
-				rng:     rngState{s: seed},
+				lkey: lk,
+				rng:  rngState{s: seed},
 			}
 			lk++
 		}
@@ -538,11 +536,7 @@ func (n *Network) startTx(p *port) {
 	}
 	p.busy = true
 	pkt := p.queue[p.qhead]
-	txNs := int64(float64(pkt.Size) * 8 / p.rateBps * 1e9)
-	if txNs < 1 {
-		txNs = 1
-	}
-	p.sh.eng.afterFinishTx(txNs, p, pkt)
+	p.sh.eng.afterFinishTx(p.sh.txTime(pkt.Size), p, pkt)
 }
 
 // finishTx completes serialization: the packet leaves the port and arrives

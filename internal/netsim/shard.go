@@ -44,6 +44,9 @@ type shard struct {
 	// pktFree recycles packets that ended their journey on this shard;
 	// a packet crossing shards is adopted by the destination's free list.
 	pktFree []*Packet
+	// txNs[size] is the serialization time of a size-byte packet, 0 until
+	// a packet of that size first starts.
+	txNs []int64
 
 	// Private trace buffers, merged canonically by Network.finalize; ce
 	// is filled only on a recorded network (Record's CE tap).
@@ -60,6 +63,18 @@ type shard struct {
 	// Worker plumbing (multi-shard runs only).
 	work chan int64
 	ran  int // events dispatched, accumulated across windows
+}
+
+// txTime returns the serialization time of a size-byte packet at the link
+// rate, at least 1 ns, computing each size's once.
+func (sh *shard) txTime(size int32) int64 {
+	for int(size) >= len(sh.txNs) {
+		sh.txNs = append(sh.txNs, 0)
+	}
+	if sh.txNs[size] == 0 {
+		sh.txNs[size] = max(int64(float64(size)*8/sh.net.cfg.LinkBps*1e9), 1)
+	}
+	return sh.txNs[size]
 }
 
 // newPacket draws from the shard's free list or allocates. The caller must

@@ -114,11 +114,11 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	for _, k := range append(q.HeavyFlows(), checkedFlows...) {
 		// Whatever NewQueryable admits routes: the index finds the report
 		// for a flow exactly when MightSee does.
-		ids := g.Route(k, math.MinInt64, math.MaxInt64, nil)
+		ids := byKey{g}.Route(k, math.MinInt64, math.MaxInt64, nil)
 		if want := routeOracle([]*Queryable{q}, k, math.MinInt64, math.MaxInt64); !slices.Equal(ids, want) {
 			t.Fatalf("Route(%s) = %v, want %v", k, ids, want)
 		}
-		if rids := rg.Route(k, math.MinInt64, math.MaxInt64, nil); !slices.Equal(ids, rids) || q.MightSee(k) != oracle.MightSee(k) {
+		if rids := (byKey{rg}).Route(k, math.MinInt64, math.MaxInt64, nil); !slices.Equal(ids, rids) || q.MightSee(k) != oracle.MightSee(k) {
 			t.Fatalf("Route(%s) = %v, from the slabs %v", k, ids, rids)
 		}
 		for _, r := range ranges {

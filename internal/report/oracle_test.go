@@ -413,7 +413,7 @@ func slabs(rep *HostReport) *slabReport {
 	q := &Queryable{rep: rep} // what parsing a curve reads
 	r := &slabReport{Host: rep.Host, PeriodStart: rep.PeriodStart, WindowShift: rep.WindowShift, Meta: rep.Meta}
 	curve := func(c int32) (w0 int64, length int, approx []int64, details []wavelet.DetailRef) {
-		w0, _ = q.meets(c, 0, 0)
+		w0, _ = q.lookup(c, 0, 0)
 		s := &curveBufs{approx: []int64{}, details: []wavelet.DetailRef{}}
 		length = q.parseCurve(rep.curves[c], s)
 		return w0, length, s.approx, s.details

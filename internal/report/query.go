@@ -13,13 +13,66 @@ import (
 
 // curveCache memoizes one wavelet reconstruction. Readers load the pointer
 // lock-free; a nil pointer means not resident (never decoded, or evicted
-// by the clock sweep when a decode budget is set). The hot bit is the
-// clock algorithm's second-chance marker, set on every hit. Decodes are
-// deterministic, so re-decoding after an eviction returns identical
-// curves — residency is purely a memory/CPU trade.
+// by the clock sweep when a decode budget is set). A resident curve carries
+// its w0, so a lookup that hits reads nothing of the payload. The hot bit is
+// the clock algorithm's second-chance marker, set by a hit that finds it
+// clear. Decodes are deterministic, so re-decoding after an eviction
+// returns identical curves — residency is purely a memory/CPU trade.
 type curveCache struct {
-	curve atomic.Pointer[[]float64]
+	curve atomic.Pointer[residentCurve]
 	hot   atomic.Bool
+}
+
+// residentCurve is a reconstructed curve and the window of its first
+// sample.
+type residentCurve struct {
+	w0      int64
+	samples []float64
+}
+
+// FlowQuery is one flow query's plan and working memory: the flow, the
+// windows [from, to) it asks about, its bucket index in each row of the
+// sketch it was last hashed for, and the buffers routing and the per-report
+// estimates fill. A query over many reports — every epoch of a window, and
+// every report each epoch routes it to — hashes the flow once per sketch
+// and takes one scratch from the pool. A FlowQuery is one goroutine's.
+type FlowQuery struct {
+	f        flowkey.Key
+	from, to int64
+	meta     SketchMeta // the sketch idx holds f's buckets of
+	idx      []int      // f's bucket index in each row of meta
+	hashes   int        // sketches f was hashed for
+	acc      []uint64   // routed member bitset
+	ids      []int      // routed member ids
+	buf, row []float64  // one report's answer; one row's light estimate
+}
+
+var flowQueries = sync.Pool{New: func() any { return new(FlowQuery) }}
+
+// NewFlowQuery returns a pooled plan for flow f over windows [from, to) (an
+// inverted range reads as empty). Release it when the query is done.
+func NewFlowQuery(f flowkey.Key, from, to int64) *FlowQuery {
+	fq := flowQueries.Get().(*FlowQuery)
+	fq.f, fq.from, fq.to, fq.hashes = f, from, max(from, to), 0
+	return fq
+}
+
+// Release returns fq's buffers to the pool; fq must not be used after.
+func (fq *FlowQuery) Release() { flowQueries.Put(fq) }
+
+// rows returns f's bucket index in each row of q's sketch, hashing f only
+// when that sketch is not the one it was last hashed for.
+func (fq *FlowQuery) rows(q *Queryable) []int {
+	if fq.hashes == 0 || q.rep.Meta != fq.meta {
+		fq.idx = fq.idx[:0]
+		p := fq.f.Pack()
+		for _, seed := range q.seeds {
+			fq.idx = append(fq.idx, q.width.Index(p.Hash(seed)))
+		}
+		fq.meta = q.rep.Meta
+		fq.hashes++
+	}
+	return fq.idx
 }
 
 // Queryable is a report indexed for flow-rate queries on the analyzer: the
@@ -170,41 +223,46 @@ func (q *Queryable) bucket(r, idx int) int32 {
 // [from, to) share a window.
 func overlaps(lo, hi, from, to int64) bool { return lo < to && hi > from }
 
-// meets returns curve c's w0, read in place, and whether it has a sample in
-// [from, to). One that has none contributes exactly nothing to an estimate
-// over the range, so it need not be reconstructed.
-func (q *Queryable) meets(c int32, from, to int64) (w0 int64, ok bool) {
-	d := decoder{b: q.rep.wire, off: int(q.rep.curves[c])}
-	var h [3]uint64
-	d.uvarints(h[:])
-	w0, n := q.rep.span(h[:])
-	return w0, overlaps(w0, w0+n, from, to)
-}
-
 // Span returns the hull [lo, hi) of the windows this report's curves
 // cover: QueryRange is identically zero outside it. lo > hi for a report
 // without a sample.
 func (q *Queryable) Span() (lo, hi int64) { return q.rep.lo, q.rep.hi }
 
-// curve returns curve i's samples, memoized in its cache.
-func (q *Queryable) curve(i int32) []float64 {
+// lookup returns curve c's w0 and, when it has a sample in [from, to), its
+// samples, memoized in its cache. A curve that has none contributes exactly
+// nothing to an estimate over the range: lookup returns nil samples and
+// does not reconstruct it. A resident curve answers from its cache entry;
+// only a curve that is not reads its header off the payload.
+func (q *Queryable) lookup(c int32, from, to int64) (w0 int64, samples []float64) {
 	if caches := q.caches.Load(); caches != nil {
-		c := &(*caches)[i]
-		if p := c.curve.Load(); p != nil {
-			c.hot.Store(true)
+		e := &(*caches)[c]
+		if r := e.curve.Load(); r != nil {
+			if !overlaps(r.w0, r.w0+int64(len(r.samples)), from, to) {
+				return r.w0, nil
+			}
+			if !e.hot.Load() {
+				e.hot.Store(true)
+			}
 			q.stats.DecodeHits.Inc()
-			return *p
+			return r.w0, r.samples
 		}
 	}
+	d := decoder{b: q.rep.wire, off: int(q.rep.curves[c])}
+	var h [3]uint64
+	d.uvarints(h[:])
+	w0, n := q.rep.span(h[:])
+	if !overlaps(w0, w0+n, from, to) {
+		return w0, nil
+	}
 	s := curveScratch.Get().(*curveBufs)
-	length := q.parseCurve(q.rep.curves[i], s)
-	curve := wavelet.Reconstruct(s.approx, s.details, q.rep.Meta.Levels, length)
+	length := q.parseCurve(q.rep.curves[c], s)
+	r := &residentCurve{w0: w0, samples: wavelet.Reconstruct(s.approx, s.details, q.rep.Meta.Levels, length)}
 	if max(cap(s.approx), cap(s.details)) <= 1<<16 { // a long curve's scratch is let go
 		curveScratch.Put(s)
 	}
 	q.stats.DecodeCold.Inc()
-	q.install(i, &curve)
-	return curve
+	q.install(c, r)
+	return w0, r.samples
 }
 
 // curveBufs is the pooled scratch a curve is parsed into.
@@ -236,7 +294,7 @@ func (q *Queryable) parseCurve(off uint32, s *curveBufs) (length int) {
 // budget the mutex guards the clock sweep: rotate over every cache, clear
 // hot bits (second chance), evict the first cold resident curve, until the
 // cache is back under budget.
-func (q *Queryable) install(i int32, curve *[]float64) {
+func (q *Queryable) install(i int32, curve *residentCurve) {
 	if q.caches.Load() == nil {
 		made := make([]curveCache, len(q.rep.curves))
 		q.caches.CompareAndSwap(nil, &made)
@@ -293,26 +351,19 @@ func addInto(dst []float64, w0 int64, curve []float64, from, to int64, sign floa
 // estimate for windows before the heavy entry began (mid-flow election),
 // matching wavesketch.Full.QueryRange. Safe for concurrent use.
 func (q *Queryable) QueryRange(f flowkey.Key, from, to int64) []float64 {
-	if to < from {
-		to = from
-	}
-	return q.QueryRangeInto(make([]float64, 0, to-from), f, from, to)
+	fq := NewFlowQuery(f, from, to)
+	defer fq.Release()
+	return q.QueryRangeInto(make([]float64, 0, fq.to-fq.from), fq)
 }
 
-// lightScratch pools the per-row working buffer of light estimates, so the
-// alloc-free query path stays alloc-free across reports and goroutines.
-var lightScratch = sync.Pool{New: func() any { return new([]float64) }}
-
-// QueryRangeInto appends flow f's per-window estimates over [from, to) to
-// dst and returns the extended slice — the allocation-free form of
-// QueryRange for merge loops that reuse one buffer across reports. The
+// QueryRangeInto appends the estimates of fq's flow over its windows to dst
+// and returns the extended slice — the allocation-free form of QueryRange
+// for merge loops that reuse one buffer and one plan across reports. The
 // appended region is fully overwritten. Identical arithmetic to QueryRange
 // (same operations in the same order), so results are bit-equal. Safe for
-// concurrent use.
-func (q *Queryable) QueryRangeInto(dst []float64, f flowkey.Key, from, to int64) []float64 {
-	if to < from {
-		to = from
-	}
+// concurrent use, each goroutine with its own plan.
+func (q *Queryable) QueryRangeInto(dst []float64, fq *FlowQuery) []float64 {
+	from, to := fq.from, fq.to
 	n := int(to - from)
 	base := len(dst)
 	if cap(dst)-base >= n {
@@ -321,19 +372,19 @@ func (q *Queryable) QueryRangeInto(dst []float64, f flowkey.Key, from, to int64)
 		dst = append(dst, make([]float64, n)...)
 	}
 	out := dst[base : base+n]
-	h, ok := q.heavy[f]
+	h, ok := q.heavy[fq.f]
 	if !ok {
-		q.lightInto(out, f, -1, from, to)
+		q.lightInto(out, fq, -1, from, to)
 		return dst
 	}
-	w0, hit := q.meets(h, from, to)
-	if hit {
-		sliceInto(out, w0, q.curve(h), from, to)
+	w0, curve := q.lookup(h, from, to)
+	if curve != nil {
+		sliceInto(out, w0, curve, from, to)
 	} else {
 		clear(out)
 	}
 	if cut := min(w0, to); w0 > from {
-		q.lightInto(out[:cut-from], f, h, from, cut)
+		q.lightInto(out[:cut-from], fq, h, from, cut)
 	}
 	return dst
 }
@@ -344,17 +395,10 @@ func (q *Queryable) QueryRangeInto(dst []float64, f flowkey.Key, from, to int64)
 // flows the inverted index lists for that bucket, clamp at zero (Count-Min
 // estimates are non-negative) and fold the per-window minimum in place.
 // self is f's own heavy curve, which is not subtracted (-1 for none).
-func (q *Queryable) lightInto(out []float64, f flowkey.Key, self int32, from, to int64) {
-	n := int(to - from)
-	sp := lightScratch.Get().(*[]float64)
-	scratch := *sp
-	if cap(scratch) < n {
-		scratch = make([]float64, n)
-	}
-	scratch = scratch[:n]
-	p := f.Pack()
-	for r := range q.seeds {
-		b := q.bucket(r, q.width.Index(p.Hash(q.seeds[r])))
+func (q *Queryable) lightInto(out []float64, fq *FlowQuery, self int32, from, to int64) {
+	scratch := slices.Grow(fq.row[:0], len(out))[:len(out)]
+	for r, idx := range fq.rows(q) {
+		b := q.bucket(r, idx)
 		if b < 0 {
 			// An absent bucket means zero traffic hashed there: the min is 0.
 			clear(out)
@@ -363,8 +407,8 @@ func (q *Queryable) lightInto(out []float64, f flowkey.Key, self int32, from, to
 		// Only curves that meet the range are reconstructed. A bucket that
 		// misses it starts the row at zero, but its co-located heavies are
 		// still subtracted: reconstructed samples can be negative.
-		if w0, ok := q.meets(b, from, to); ok {
-			sliceInto(scratch, w0, q.curve(b), from, to)
+		if w0, curve := q.lookup(b, from, to); curve != nil {
+			sliceInto(scratch, w0, curve, from, to)
 		} else {
 			clear(scratch)
 		}
@@ -372,8 +416,11 @@ func (q *Queryable) lightInto(out []float64, f flowkey.Key, self int32, from, to
 		// inverted index recorded for this bucket.
 		if q.colAt != nil {
 			for _, h := range q.coloc[q.colAt[b]:q.colAt[b+1]] {
-				if w0, ok := q.meets(h, from, to); h != self && ok {
-					addInto(scratch, w0, q.curve(h), from, to, -1)
+				if h == self {
+					continue
+				}
+				if w0, curve := q.lookup(h, from, to); curve != nil {
+					addInto(scratch, w0, curve, from, to, -1)
 				}
 			}
 		}
@@ -386,6 +433,5 @@ func (q *Queryable) lightInto(out []float64, f flowkey.Key, self int32, from, to
 			}
 		}
 	}
-	*sp = scratch
-	lightScratch.Put(sp)
+	fq.row = scratch
 }

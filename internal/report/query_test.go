@@ -115,7 +115,7 @@ func TestQueryableMatchesFullSketchProperty(t *testing.T) {
 		// fallback: a heavy entry whose curve starts after window 0.
 		for _, f := range flows {
 			if h, ok := q.heavy[f]; ok {
-				if w0, _ := q.meets(h, 0, 0); w0 > 0 {
+				if w0, _ := q.lookup(h, 0, 0); w0 > 0 {
 					midFlow++
 				}
 			}
@@ -320,7 +320,7 @@ func TestQueryableCachesMadeOnFirstDecode(t *testing.T) {
 	g := mustExtend(t, &RoutedSet{}, q)
 	lo, hi := q.Span()
 	for _, f := range flows {
-		g.Route(f, lo, hi, nil)
+		byKey{g}.Route(f, lo, hi, nil)
 		q.MightSee(f)
 		q.QueryRange(f, hi, hi+64) // after every curve
 		q.QueryRange(f, lo-64, lo) // before every curve
@@ -353,6 +353,56 @@ func TestQueryableCachesMadeOnFirstDecode(t *testing.T) {
 		wg.Wait()
 		if got, scan := q.ResidentCurves(), residentScan(q); got != want.ResidentCurves() || scan != got {
 			t.Errorf("budget %d: %d curves counted resident, %d in the caches, want %d", budget, got, scan, want.ResidentCurves())
+		}
+	}
+}
+
+// TestResidentCurveReadsNoPayload pins that a resident curve answers from
+// its cache entry: once the queries below have made every curve they reach
+// resident, each resident curve's three header varints are overwritten in
+// the report's payload (a value changed, its length kept), and the same
+// queries still answer bit for bit as before. A lookup that read a header
+// would see another w0, length or |A|.
+func TestResidentCurveReadsNoPayload(t *testing.T) {
+	full, flows := buildRandomFull(t, 7)
+	dec, err := DecodeBytes(FromFull(0, 0, full).AppendEncode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mustQueryable(t, dec)
+	lo, hi := q.Span()
+	ranges := [][2]int64{{lo, hi}, {lo + (hi-lo)/3, lo + (hi-lo)/2}, {hi - 8, hi + 8}}
+	var want [][]float64
+	for _, f := range flows {
+		for _, r := range ranges {
+			want = append(want, q.QueryRange(f, r[0], r[1]))
+		}
+	}
+	caches, overwritten := *q.caches.Load(), 0
+	for c := range caches {
+		if caches[c].curve.Load() == nil {
+			continue
+		}
+		d := decoder{b: dec.wire, off: int(dec.curves[c])}
+		for range 3 {
+			dec.wire[d.off] ^= 0x15 // the continuation bit stays
+			d.uvarint()
+		}
+		overwritten++
+	}
+	if overwritten < len(caches)/2 {
+		t.Fatalf("%d of %d curves resident: the queries reach too few", overwritten, len(caches))
+	}
+	i := 0
+	for _, f := range flows {
+		for _, r := range ranges {
+			got := q.QueryRange(f, r[0], r[1])
+			for w := range got {
+				if math.Float64bits(got[w]) != math.Float64bits(want[i][w]) {
+					t.Fatalf("flow %s [%d, %d) window %d: %v after the headers were overwritten, %v before", f, r[0], r[1], r[0]+int64(w), got[w], want[i][w])
+				}
+			}
+			i++
 		}
 	}
 }

@@ -4,20 +4,22 @@ package report
 // the per-report non-empty-bucket bitmaps of its members into one index, so
 // a query plane holding thousands of reports finds the handful that can
 // answer a flow without probing each report. Members are dense ids 0..n-1
-// in admission order; Route returns exactly the members that might see f —
-// a heavy entry for f, or a non-empty bucket at f's position in every row —
-// and whose curve span meets the queried windows, so MergeFlow, which
-// max-merges the routed reports, answers identically to a full scan: every
-// member left out estimates identically zero over the range.
+// in admission order; Route returns exactly the members that might see a
+// flow — a heavy entry for it, or a non-empty bucket at its position in
+// every row — and whose curve span, kept beside the member, meets the
+// queried windows, so MergeFlow, which max-merges the routed reports,
+// answers identically to a full scan: every member left out estimates
+// identically zero over the range.
 //
 // Every member shares one sketch: the set takes its SketchMeta from its
-// first member, and the row seeds and width reducer with it, so a queried
-// flow is hashed once per row for the whole set. The per-bucket occupancy
-// of all members is held transposed (one member bitset per (row, bucket)
-// position), so the AND-across-rows a per-report check would do becomes a
-// handful of word ANDs whose result words are the member ids. A per-row
-// union bitmap bails out early when no member has the flow's bucket
-// occupied. Extend refuses a report of another sketch.
+// first member, and the row seeds and width reducer with it. A FlowQuery
+// hashes the flow once for that sketch: routing and each routed member's
+// light estimate, in every set of the sketch, read those bucket indexes. The
+// per-bucket occupancy of all members is held transposed (one member bitset
+// per (row, bucket) position), so the AND-across-rows a per-report check
+// would do becomes a handful of word ANDs whose result words are the member
+// ids. A per-row union bitmap bails out early when no member has the flow's
+// bucket occupied. Extend refuses a report of another sketch.
 //
 // Heavy flows need no postings of their own: a sketch updates its light
 // part for every packet (§4.2), so a heavy key's light buckets are occupied
@@ -38,10 +40,8 @@ package report
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"slices"
 	"sync/atomic"
-
-	"umon/internal/flowkey"
 )
 
 // RoutedSet is a set of Queryables of one sketch behind their routing
@@ -53,6 +53,7 @@ import (
 // member. The zero value is an empty set.
 type RoutedSet struct {
 	qs     []*Queryable // member id → report, admission order
+	spans  [][2]int64   // member id → its report's curve span [lo, hi)
 	stride int          // words per member bitset
 	// union[r*words+w] ORs every member's row-r occupancy bitmap.
 	union []atomic.Uint64
@@ -105,6 +106,7 @@ func (s *RoutedSet) Extend(q *Queryable) (*RoutedSet, error) {
 		ns.grow()
 	}
 	ns.qs = append(s.qs, q)
+	ns.spans = append(s.spans, [2]int64{lo, hi})
 	// One writer, so a load and a store make the OR; readers that share the
 	// word load it atomically.
 	lw, lb := id>>6, uint64(1)<<(id&63)
@@ -147,55 +149,46 @@ func (s *RoutedSet) misses(from, to int64) bool {
 	return len(s.qs) == 0 || from >= to || !overlaps(s.lo, s.hi, from, to)
 }
 
-// routeScratch pools Route's member bitset.
-var routeScratch = sync.Pool{New: func() any { return new([]uint64) }}
-
 // Route appends to dst the ids, ascending, of exactly the members that
-// might see f — every member whose row bitmaps cover f's bucket in all
-// rows — and whose span meets the windows [from, to). A range the hull
-// misses returns before f is hashed; all-time callers pass the full int64
-// range. Safe for concurrent use, also beside an Extend of s.
-func (s *RoutedSet) Route(f flowkey.Key, from, to int64, dst []int) []int {
-	if s.misses(from, to) {
+// might see fq's flow — every member whose row bitmaps cover the flow's
+// bucket in all rows — and whose span meets fq's windows. A range the hull
+// misses returns before the flow is hashed; all-time callers pass the full
+// int64 range. Safe for concurrent use, also beside an Extend of s.
+func (s *RoutedSet) Route(fq *FlowQuery, dst []int) []int {
+	if s.misses(fq.from, fq.to) {
 		return dst
 	}
-	sp := routeScratch.Get().(*[]uint64)
 	n := len(s.qs)
-	acc := *sp
-	if cap(acc) < (n+63)>>6 {
-		acc = make([]uint64, (n+63)>>6)
+	acc := slices.Grow(fq.acc[:0], (n+63)>>6)[:(n+63)>>6]
+	fq.acc = acc
+	if !s.occupied(fq.rows(s.qs[0]), acc) {
+		return dst
 	}
-	acc = acc[:(n+63)>>6]
-	if s.occupied(f, acc) {
-		// Only s's own members: the shared bitmaps may already hold members
-		// of a successor.
-		acc[len(acc)-1] &= ^uint64(0) >> (-n & 63)
-		for w, word := range acc {
-			for word != 0 {
-				id := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if lo, hi := s.qs[id].Span(); overlaps(lo, hi, from, to) {
-					dst = append(dst, id)
-				}
+	// Only s's own members: the shared bitmaps may already hold members of a
+	// successor.
+	acc[len(acc)-1] &= ^uint64(0) >> (-n & 63)
+	for w, word := range acc {
+		for word != 0 {
+			id := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if sp := s.spans[id]; overlaps(sp[0], sp[1], fq.from, fq.to) {
+				dst = append(dst, id)
 			}
 		}
 	}
-	*sp = acc
-	routeScratch.Put(sp)
 	return dst
 }
 
 // occupied ANDs into acc, over every row, the bitset of the members with
-// f's bucket occupied, and reports false as soon as it is empty.
-func (s *RoutedSet) occupied(f flowkey.Key, acc []uint64) bool {
+// the bucket at idx[row] occupied, and reports false as soon as it is
+// empty.
+func (s *RoutedSet) occupied(idx []int, acc []uint64) bool {
 	q0 := s.qs[0] // the set's geometry
-	p := f.Pack()
-	for r, seed := range q0.seeds {
-		idx := q0.width.Index(p.Hash(seed))
-		if s.union[r*q0.words+idx>>6].Load()&(1<<(idx&63)) == 0 {
+	for r, i := range idx {
+		if s.union[r*q0.words+i>>6].Load()&(1<<(i&63)) == 0 {
 			return false
 		}
-		mb := s.bits[(r*q0.rep.Meta.Width+idx)*s.stride:]
+		mb := s.bits[(r*q0.rep.Meta.Width+i)*s.stride:]
 		any := uint64(0)
 		for w := range acc {
 			if r == 0 {
@@ -212,35 +205,21 @@ func (s *RoutedSet) occupied(f flowkey.Key, acc []uint64) bool {
 	return true
 }
 
-// mergeScratch is MergeFlow's working memory: routed ids and one report's
-// answer. Pooled, so a query allocates only its caller's out.
-type mergeScratch struct {
-	ids []int
-	buf []float64
-}
-
-var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
-
-// MergeFlow folds flow f's per-window estimates over [from, to) from every
-// member the index routes the query to into out by element-wise maximum,
-// and returns how many members it visited. out must hold to-from elements;
-// callers folding several sets pass the same out to each. A range the
-// set's span misses costs one comparison.
-func (s *RoutedSet) MergeFlow(out []float64, f flowkey.Key, from, to int64) (visited int) {
-	if s.misses(from, to) {
-		return 0
-	}
-	sc := mergePool.Get().(*mergeScratch)
-	sc.ids = s.Route(f, from, to, sc.ids[:0])
-	for _, id := range sc.ids {
-		sc.buf = s.qs[id].QueryRangeInto(sc.buf[:0], f, from, to)
-		for i, v := range sc.buf {
+// MergeFlow folds fq's per-window estimates from every member the index
+// routes the query to into out by element-wise maximum, and returns how
+// many members it visited. out must hold fq's to-from elements; callers
+// folding several sets pass the same out and the same plan to each, so the
+// flow is hashed once for every set of one sketch. A range the set's span
+// misses costs one comparison.
+func (s *RoutedSet) MergeFlow(out []float64, fq *FlowQuery) (visited int) {
+	fq.ids = s.Route(fq, fq.ids[:0])
+	for _, id := range fq.ids {
+		fq.buf = s.qs[id].QueryRangeInto(fq.buf[:0], fq)
+		for i, v := range fq.buf {
 			if v > out[i] {
 				out[i] = v
 			}
 		}
 	}
-	visited = len(sc.ids)
-	mergePool.Put(sc)
-	return visited
+	return len(fq.ids)
 }

@@ -47,6 +47,22 @@ func mkBasicQueryable(t testing.TB, cfg wavesketch.Config, host int, w0 int64, f
 	return mustQueryable(t, FromBasic(host, 0, s))
 }
 
+// byKey is a RoutedSet asked in the (flow, from, to) form the oracles
+// answer in, each call with a plan of its own.
+type byKey struct{ s *RoutedSet }
+
+func (b byKey) Route(f flowkey.Key, from, to int64, dst []int) []int {
+	fq := NewFlowQuery(f, from, to)
+	defer fq.Release()
+	return b.s.Route(fq, dst)
+}
+
+func (b byKey) MergeFlow(out []float64, f flowkey.Key, from, to int64) int {
+	fq := NewFlowQuery(f, from, to)
+	defer fq.Release()
+	return b.s.MergeFlow(out, fq)
+}
+
 // routeOracle is the brute-force routing answer: every member whose
 // MightSee is true and whose span meets [from, to), in member order.
 func routeOracle(qs []*Queryable, f flowkey.Key, from, to int64) []int {
@@ -169,7 +185,7 @@ func TestRoutedSetMatchesMightSee(t *testing.T) {
 		t.Helper()
 		for _, r := range ranges {
 			want := routeOracle(qs, f, r[0], r[1])
-			got := g.Route(f, r[0], r[1], nil)
+			got := byKey{g}.Route(f, r[0], r[1], nil)
 			if len(got) == 0 && len(want) == 0 {
 				continue
 			}
@@ -282,7 +298,7 @@ func TestRoutedSetExtendMatchesCopyingOracle(t *testing.T) {
 			t.Errorf("successor %d %s: %d members over [%d, %d), want %d over %v", k, when, s.Len(), lo, hi, k+1, wantSpan[k])
 			return false
 		}
-		for i, got := range answers(s.Route, s.MergeFlow) {
+		for i, got := range answers((byKey{s}).Route, (byKey{s}).MergeFlow) {
 			if !reflect.DeepEqual(got, want[k][i]) {
 				t.Errorf("successor %d %s, flow %s: differs from the oracle\n got %v\nwant %v", k, when, probes[i], got, want[k][i])
 				return false
@@ -365,12 +381,77 @@ func TestRoutedSetStrideGrowth(t *testing.T) {
 			}
 			for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {16, 48}, {100, 140}} {
 				want := routeOracle(qs[:n], f, r[0], r[1])
-				got := s.Route(f, r[0], r[1], nil)
+				got := byKey{s}.Route(f, r[0], r[1], nil)
 				if len(got) == 0 && len(want) == 0 {
 					continue
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("set of %d: Route(%s, %d, %d) = %v, want %v", n, f, r[0], r[1], got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFlowQueryHashesOncePerSketch pins how often a query hashes its flow:
+// once over a 17-epoch window of one sketch, however many epochs route it
+// and reports answer it, and once more for each change of sketch along the
+// window — twice when the newer epochs carry another seed. On that mixed
+// window too, the routed max-merge answers bit for bit what a scan of every
+// report answers.
+func TestFlowQueryHashesOncePerSketch(t *testing.T) {
+	const epochs, hosts = 17, 8
+	seedA := wavesketch.Config{Rows: 3, Width: 512, Levels: 8, K: 4, Seed: 0x5eed0f}
+	seedB := seedA
+	seedB.Seed = 0x1234
+	shared := key(5000)
+	for _, c := range []struct {
+		name     string
+		switchAt int // the first epoch of seed B
+		hashes   int
+	}{{"one seed", epochs, 1}, {"two seeds", 9, 2}} {
+		sets := make([]*RoutedSet, epochs)
+		for e := range sets {
+			cfg := seedA
+			if e >= c.switchAt {
+				cfg = seedB
+			}
+			sets[e] = &RoutedSet{}
+			for h := 0; h < hosts; h++ {
+				flows := []flowkey.Key{shared}
+				for j := 0; j < 16; j++ {
+					flows = append(flows, key(100*h+j))
+				}
+				sets[e] = mustExtend(t, sets[e], mkBasicQueryable(t, cfg, h, int64(32*e), flows))
+			}
+		}
+		for _, f := range []flowkey.Key{shared, key(3), key(715), key(424242)} {
+			for _, r := range [][2]int64{{0, 32 * epochs}, {20, 300}} {
+				fq := NewFlowQuery(f, r[0], r[1])
+				got := make([]float64, r[1]-r[0])
+				visited := 0
+				for _, s := range sets {
+					visited += s.MergeFlow(got, fq)
+				}
+				if fq.hashes != c.hashes {
+					t.Errorf("%s: flow %s over [%d, %d) hashed for %d sketches, visiting %d reports; want %d", c.name, f, r[0], r[1], fq.hashes, visited, c.hashes)
+				}
+				fq.Release()
+				if f == shared && r[0] == 0 && visited != epochs*hosts {
+					t.Fatalf("%s: the shared flow visited %d reports, want all %d", c.name, visited, epochs*hosts)
+				}
+				want := make([]float64, r[1]-r[0])
+				for _, s := range sets {
+					for _, q := range s.Queryables() {
+						for i, v := range q.QueryRange(f, r[0], r[1]) {
+							want[i] = max(want[i], v)
+						}
+					}
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: flow %s window %d: routed %v, scan %v", c.name, f, r[0]+int64(i), got[i], want[i])
+					}
 				}
 			}
 		}
@@ -391,7 +472,9 @@ func TestQueryRangeIntoMatchesQueryRange(t *testing.T) {
 			to := from + int64(rng.Intn(int(513-from)))
 			want := q.QueryRange(f, from, to)
 			buf = append(buf[:0], -1, -2)
-			buf = q.QueryRangeInto(buf, f, from, to)
+			fq := NewFlowQuery(f, from, to)
+			buf = q.QueryRangeInto(buf, fq)
+			fq.Release()
 			if buf[0] != -1 || buf[1] != -2 {
 				t.Fatalf("flow %s: QueryRangeInto clobbered dst prefix", f)
 			}
@@ -401,21 +484,21 @@ func TestQueryRangeIntoMatchesQueryRange(t *testing.T) {
 		}
 	}
 	// Inverted and empty ranges behave like QueryRange: nothing appended.
-	if got := q.QueryRangeInto(nil, flows[0], 9, 3); len(got) != 0 {
+	if got := q.QueryRangeInto(nil, NewFlowQuery(flows[0], 9, 3)); len(got) != 0 {
 		t.Errorf("inverted range appended %v", got)
 	}
 }
 
 // TestQueryRangeIntoNoAllocs pins the merge-loop contract: with decoded
-// curves resident and a warm scratch pool, QueryRangeInto into a
-// pre-sized buffer performs zero allocations (not under -race, whose
+// curves resident and a warm plan pool, a plan and QueryRangeInto into a
+// pre-sized buffer perform zero allocations (not under -race, whose
 // sync.Pool drops Puts).
 func TestQueryRangeIntoNoAllocs(t *testing.T) {
 	full, flows := buildRandomFull(t, 9)
 	q := mustQueryable(t, FromFull(0, 0, full))
 	buf := make([]float64, 0, 128)
 	for _, f := range flows {
-		buf = q.QueryRangeInto(buf[:0], f, 0, 128) // decode curves, warm pool
+		buf = queryInto(q, buf[:0], f, 0, 128) // decode curves, warm pool
 	}
 	heavy, light := flows[0], flows[0]
 	for _, f := range flows {
@@ -426,10 +509,17 @@ func TestQueryRangeIntoNoAllocs(t *testing.T) {
 		}
 	}
 	n := testing.AllocsPerRun(200, func() {
-		buf = q.QueryRangeInto(buf[:0], heavy, 0, 128)
-		buf = q.QueryRangeInto(buf[:0], light, 0, 128)
+		buf = queryInto(q, buf[:0], heavy, 0, 128)
+		buf = queryInto(q, buf[:0], light, 0, 128)
 	})
 	if n != 0 && !raceEnabled {
 		t.Errorf("QueryRangeInto allocated %.1f per run, want 0", n)
 	}
+}
+
+// queryInto is q.QueryRangeInto of a pooled plan for f over [from, to).
+func queryInto(q *Queryable, dst []float64, f flowkey.Key, from, to int64) []float64 {
+	fq := NewFlowQuery(f, from, to)
+	defer fq.Release()
+	return q.QueryRangeInto(dst, fq)
 }
