@@ -15,18 +15,19 @@ test-short:
 # Race coverage for the concurrent surfaces: the analyzer query plane
 # (memoized reconstruction caches, made once by racing first decodes, first
 # queries parsing curves off one payload at decode budgets 1, 4 and 0, the
-# resident count against a scan of the caches, the append-only routing
-# index read beside its one writer, concurrent replay, one decoded report queried
-# through a collector and an analyzer at once), the telemetry plane (atomic
-# counters/histograms, registry, tracer), the netsim event engine (timing
-# wheel vs the tests' heap oracles; sharded runs, whose recorded CE tap
-# writes a shard's buffer from that shard's goroutine), and the zero-copy
-# mirror datapath (the mbuf free list under concurrent Alloc/Free, the pcapio
-# one-block reader and writer, the in-place mirror decoder), the collector
-# window and its event log, and the ops API serving queries against live
-# ingest.
+# light estimate's span pass reading cache entries while decodes install and
+# evict them, the resident count against a scan of the caches, the
+# append-only routing index read beside its one writer, concurrent replay,
+# one decoded report queried through a collector and an analyzer at once),
+# the telemetry plane (atomic counters/histograms, registry, tracer), the
+# netsim event engine (timing wheel vs the tests' heap oracles; sharded runs,
+# whose recorded CE tap writes a shard's buffer from that shard's goroutine),
+# and the zero-copy mirror datapath (the mbuf free list under concurrent
+# Alloc/Free, the pcapio one-block reader and writer, the in-place mirror
+# decoder), the collector window and its event log, and the ops API serving
+# queries against live ingest.
 test-race:
-	$(GO) test -race ./internal/report -run 'TestQueryable|TestDecodeBudget|TestRoutedSetExtendMatchesCopyingOracle'
+	$(GO) test -race ./internal/report -run 'TestQueryable|TestDecodeBudget|TestRoutedSetExtendMatchesCopyingOracle|TestLightSpanPassMatchesRowLoop|TestLightSpanPassConcurrentDecodes'
 	$(GO) test -race ./internal/analyzer -run 'TestAnalyzerConcurrent|TestDetectEventsIncremental|TestPopClosed|TestRecycledClusterer'
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race ./internal/netsim -run 'TestEngineWheelMatchesHeapOracle|TestSimulationWheelMatchesHeapOracle|TestWheel|TestTimerArm'
@@ -56,7 +57,7 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 15104
+LOC_CEILING = 15167
 LOC_SLACK = 25
 DESIGN_MAX = 861
 EXPERIMENTS_MAX = 450
@@ -115,6 +116,8 @@ loc:
 #           curve came to be reconstructed to its len only: admits allocate
 #           less, and a cold query pays for the caches but expands fewer
 #           samples. The Decode/* and AppendEncode/* rows kept theirs.
+#           AdmitEpoch/table1 was re-baselined alone when its 125 payloads
+#           came to name 125 hosts: they had all said host 0.
 PERF_GATE_THRESHOLD ?= 25
 PERF_GATE_API_THRESHOLD ?= 60
 

@@ -59,8 +59,8 @@ func table1Epoch(tb testing.TB) [][]byte {
 	}
 	rng := rand.New(rand.NewSource(1))
 	enc := make([][]byte, admitHosts)
-	var reps [8]*report.HostReport
-	for c := range reps {
+	const sketches = 8
+	for c := range sketches {
 		full.Reset()
 		for w := int64(0); w < 512; w++ {
 			for f := 0; f < 96; f++ {
@@ -73,10 +73,8 @@ func table1Epoch(tb testing.TB) [][]byte {
 			}
 		}
 		full.Seal()
-		rep := report.FromFull(0, 0, full)
-		for h := c; h < admitHosts; h += len(reps) {
-			rep.Host = h
-			enc[h] = rep.AppendEncode(nil)
+		for h := c; h < admitHosts; h += sketches {
+			enc[h] = report.FromFull(h, 0, full).AppendEncode(nil)
 		}
 	}
 	return enc
@@ -104,6 +102,9 @@ func BenchmarkAdmitEpoch(b *testing.B) {
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
+			if _, resident := col.Window(); resident != len(enc) {
+				b.Fatalf("an epoch of %d payloads left %d reports resident: two payloads name one host", len(enc), resident)
+			}
 			reports := float64(b.N * len(enc))
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/reports, "B/report")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reports, "allocs/report")

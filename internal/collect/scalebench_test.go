@@ -12,6 +12,7 @@ import (
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
 	"umon/internal/report"
+	"umon/internal/telemetry"
 	"umon/internal/wavesketch"
 )
 
@@ -204,6 +205,43 @@ func scaleSelectivity(t *testing.T, build func(testing.TB) *scaleFixture) float6
 	t.Logf("routing selectivity: %.2f reports/query of %d resident (%.2f%%), %d/%d answers non-zero",
 		perQuery, scaleReports, 100*perQuery/scaleReports, answered, queries)
 	return perQuery
+}
+
+// TestScaleCurveReadsPerQuery is the exact companion of the light
+// estimate's span pass, on the stacked window admitted afresh with decode
+// telemetry attached: over scaleSelectivity's 500 probes routing visits the
+// very reports it did before the pass, 2,117, and those reports read — from
+// the memo or by a cold decode — at most half the 6,351 curves they read
+// before it (12.7 a query), since a report whose rows' curves share no
+// window, most routing false passes here, reads none.
+func TestScaleCurveReadsPerQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale fixture is expensive")
+	}
+	fx := buildScaleFixture(t)
+	reg := telemetry.NewRegistry()
+	col := New(Config{WindowEpochs: scaleEpochs, Stats: NewStats(reg)})
+	for ri, rep := range fx.reps {
+		if err := col.Add(uint64(ri%scaleEpochs), rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := col.Snapshot()
+	const queries = 500
+	for i := 0; i < queries; i++ {
+		id := scaleProbe(int64(i))
+		from, to := fx.probeRange(id)
+		snap.QueryFlow(scaleKey(id), from, to)
+	}
+	reads := reg.Value("umon_decode_cold_total") + reg.Value("umon_decode_cache_hits_total")
+	visited := col.routeVisited.Load()
+	t.Logf("%.2f curves read and %.3f reports visited a query", float64(reads)/queries, float64(visited)/queries)
+	if visited != 2117 {
+		t.Errorf("%d reports visited over %d queries, want 2117", visited, queries)
+	}
+	if 2*reads > 6351 {
+		t.Errorf("%d curves read over %d queries, want at most half of 6351", reads, queries)
+	}
 }
 
 // reportLatencies attaches p50/p99 latency and overall QPS to a benchmark

@@ -265,6 +265,21 @@ func (q *Queryable) lookup(c int32, from, to int64) (w0 int64, samples []float64
 	return w0, r.samples
 }
 
+// span returns curve c's windows [w0, w0+n): off its entry in caches when
+// it is resident there, else off its header in the payload, as lookup reads
+// them.
+func (q *Queryable) span(caches *[]curveCache, c int32) (w0, n int64) {
+	if caches != nil {
+		if r := (*caches)[c].curve.Load(); r != nil {
+			return r.w0, int64(len(r.samples))
+		}
+	}
+	d := decoder{b: q.rep.wire, off: int(q.rep.curves[c])}
+	var h [3]uint64
+	d.uvarints(h[:])
+	return q.rep.span(h[:])
+}
+
 // curveBufs is the pooled scratch a curve is parsed into.
 type curveBufs struct {
 	approx  []int64
@@ -363,6 +378,12 @@ func (q *Queryable) QueryRange(f flowkey.Key, from, to int64) []float64 {
 // (same operations in the same order), so results are bit-equal. Safe for
 // concurrent use, each goroutine with its own plan.
 func (q *Queryable) QueryRangeInto(dst []float64, fq *FlowQuery) []float64 {
+	return q.rangeInto(dst, fq, fq.rows(q))
+}
+
+// rangeInto is QueryRangeInto with the flow's bucket index in each row at
+// hand: a routed set hands its members the ones hashed for its sketch.
+func (q *Queryable) rangeInto(dst []float64, fq *FlowQuery, idx []int) []float64 {
 	from, to := fq.from, fq.to
 	n := int(to - from)
 	base := len(dst)
@@ -374,7 +395,7 @@ func (q *Queryable) QueryRangeInto(dst []float64, fq *FlowQuery) []float64 {
 	out := dst[base : base+n]
 	h, ok := q.heavy[fq.f]
 	if !ok {
-		q.lightInto(out, fq, -1, from, to)
+		q.lightInto(out, fq, idx, -1, from, to)
 		return dst
 	}
 	w0, curve := q.lookup(h, from, to)
@@ -384,7 +405,7 @@ func (q *Queryable) QueryRangeInto(dst []float64, fq *FlowQuery) []float64 {
 		clear(out)
 	}
 	if cut := min(w0, to); w0 > from {
-		q.lightInto(out[:cut-from], fq, h, from, cut)
+		q.lightInto(out[:cut-from], fq, idx, h, from, cut)
 	}
 	return dst
 }
@@ -394,11 +415,26 @@ func (q *Queryable) QueryRangeInto(dst []float64, fq *FlowQuery) []float64 {
 // overwritten): per row, reconstruct the flow's bucket, subtract the heavy
 // flows the inverted index lists for that bucket, clamp at zero (Count-Min
 // estimates are non-negative) and fold the per-window minimum in place.
-// self is f's own heavy curve, which is not subtracted (-1 for none).
-func (q *Queryable) lightInto(out []float64, fq *FlowQuery, self int32, from, to int64) {
+// self is f's own heavy curve, which is not subtracted (-1 for none); idx
+// holds f's bucket index in each row. A sketch of several rows runs the
+// loops only where every clean row's curve has a window (cleanSpan):
+// outside it that row is +0 after the clamp, and so is the minimum (no path
+// makes -0: samples are float64 of integers, their halved sums and
+// differences).
+func (q *Queryable) lightInto(out []float64, fq *FlowQuery, idx []int, self int32, from, to int64) {
+	if len(idx) > 1 {
+		lo, hi := q.cleanSpan(idx, self, from, to)
+		if lo >= hi {
+			clear(out)
+			return
+		}
+		clear(out[:lo-from])
+		clear(out[hi-from:])
+		out, from, to = out[lo-from:hi-from], lo, hi
+	}
 	scratch := slices.Grow(fq.row[:0], len(out))[:len(out)]
-	for r, idx := range fq.rows(q) {
-		b := q.bucket(r, idx)
+	for r, pos := range idx {
+		b := q.bucket(r, pos)
 		if b < 0 {
 			// An absent bucket means zero traffic hashed there: the min is 0.
 			clear(out)
@@ -434,4 +470,27 @@ func (q *Queryable) lightInto(out []float64, fq *FlowQuery, self int32, from, to
 		}
 	}
 	fq.row = scratch
+}
+
+// cleanSpan narrows [from, to) to the span of the flow's bucket curve in
+// each clean row — one whose bucket has no co-located heavy but self — read
+// off its cache entry or header, not its samples; lo >= hi when no window
+// is left or a row lacks the bucket.
+func (q *Queryable) cleanSpan(idx []int, self int32, from, to int64) (lo, hi int64) {
+	lo, hi = from, to
+	caches := q.caches.Load()
+	for r, pos := range idx {
+		b := q.bucket(r, pos)
+		if b < 0 {
+			return lo, lo
+		}
+		if q.colAt != nil && slices.ContainsFunc(q.coloc[q.colAt[b]:q.colAt[b+1]], func(h int32) bool { return h != self }) {
+			continue // 0 minus a heavy's negative sample is positive
+		}
+		w0, n := q.span(caches, b)
+		if lo, hi = max(lo, w0), min(hi, w0+n); lo >= hi {
+			break
+		}
+	}
+	return lo, hi
 }

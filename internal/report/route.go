@@ -213,8 +213,12 @@ func (s *RoutedSet) occupied(idx []int, acc []uint64) bool {
 // misses costs one comparison.
 func (s *RoutedSet) MergeFlow(out []float64, fq *FlowQuery) (visited int) {
 	fq.ids = s.Route(fq, fq.ids[:0])
+	if len(fq.ids) == 0 {
+		return 0
+	}
+	idx := fq.rows(s.qs[0]) // as Route hashed it: Extend admits one sketch
 	for _, id := range fq.ids {
-		fq.buf = s.qs[id].QueryRangeInto(fq.buf[:0], fq)
+		fq.buf = s.qs[id].rangeInto(fq.buf[:0], fq, idx)
 		for i, v := range fq.buf {
 			if v > out[i] {
 				out[i] = v
