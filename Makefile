@@ -57,7 +57,7 @@ vet:
 # room to grow into. Raising it needs a reason in the PR. The two long
 # documents have a line budget each: a PR's write-up is a row of
 # EXPERIMENTS.md's per-PR table, not a section.
-LOC_CEILING = 15167
+LOC_CEILING = 15082
 LOC_SLACK = 25
 DESIGN_MAX = 861
 EXPERIMENTS_MAX = 450

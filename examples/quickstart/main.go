@@ -1,5 +1,6 @@
 // Quickstart: measure one flow's microsecond-level rate curve with
-// WaveSketch, then reconstruct it from the compressed coefficients.
+// WaveSketch, then reconstruct it from the compressed coefficients of the
+// sketch's report.
 //
 //	go run ./examples/quickstart
 package main
@@ -48,10 +49,9 @@ func main() {
 		sk.Update(flow, int64(w), bytes)
 	}
 
-	// Seal ends the measurement period; queries reconstruct the curve
-	// from the retained wavelet coefficients.
-	sk.Seal()
-	est := sk.QueryRange(flow, 0, windows)
+	// Sealing ends the measurement period; the report's queries
+	// reconstruct the curve from the retained wavelet coefficients.
+	est := umon.SealReport(sk).QueryRange(flow, 0, windows)
 
 	fmt.Println("window   truth(Gbps)  wavesketch(Gbps)")
 	for w := 0; w < windows; w += 100 {

@@ -35,10 +35,9 @@ func sketchFlow(n *umon.Network, id int32, horizonNs int64) {
 		}
 	}
 	n.Run(horizonNs)
-	sk.Seal()
 
 	from, to := int64(0), umon.WindowOf(horizonNs)
-	est := sk.QueryRange(key, from, to)
+	est := umon.SealReport(sk).QueryRange(key, from, to)
 
 	var total, idle int
 	for _, v := range est {

@@ -156,7 +156,7 @@ func (a *Analyzer) DetectEvents(gapNs int64) []Event {
 	for _, p := range a.clusters {
 		events = p.events(events, a.gapNs)
 	}
-	sortEvents(events)
+	SortEvents(events)
 	return events
 }
 
@@ -177,16 +177,17 @@ func (a *Analyzer) PopClosed(dst []Event, closedBelow int64) []Event {
 			}
 		}
 	}
-	sortEvents(dst[base:])
+	SortEvents(dst[base:])
 	return dst
 }
 
 // hotSlot spreads 32 switches of 8 ports over distinct slots of Analyzer.hot.
 func hotSlot(p netsim.PortID) uint8 { return uint8(p.Switch)<<3 ^ uint8(p.Port) }
 
-// sortEvents orders events by (StartNs, switch, port). One port's events
-// never share a start, so the order is total.
-func sortEvents(events []Event) {
+// SortEvents orders events by (StartNs, switch, port), the one order every
+// event list is read in. One port's events never share a start, so the
+// order is total.
+func SortEvents(events []Event) {
 	slices.SortFunc(events, func(a, b Event) int {
 		return cmp.Or(cmp.Compare(a.StartNs, b.StartNs),
 			cmp.Compare(a.Port.Switch, b.Port.Switch), cmp.Compare(a.Port.Port, b.Port.Port))

@@ -1,7 +1,8 @@
 // Package baselines implements the three comparison schemes of §7.1 —
-// the Fourier transform scheme, OmniWindow-Avg and Persist-CMS — behind the
-// same measure.SeriesEstimator interface as WaveSketch, so the accuracy
-// figures can sweep all schemes at equal memory.
+// the Fourier transform scheme, OmniWindow-Avg and Persist-CMS — behind
+// measure.SeriesEstimator, the interface the accuracy figures grade a
+// WaveSketch through (by its report), so they sweep all schemes at equal
+// memory.
 package baselines
 
 import "math"

@@ -490,17 +490,17 @@ func (c *Collector) logEvent(ev analyzer.Event) {
 }
 
 // Drain closes every still-open event (end of input: nothing can extend
-// them) and returns the retained emitted events, sorted like the batch
-// analyzer's DetectEvents. After ingesting the same ordered feeds, Drain's
-// result is identical to the batch pipeline's (up to EventLogCap events).
-// The mirror watermark stays where the last mirror left it.
+// them) and returns the retained emitted events in analyzer.SortEvents
+// order. After ingesting the same ordered feeds, Drain's result is
+// identical to the batch pipeline's (up to EventLogCap events). The mirror
+// watermark stays where the last mirror left it.
 func (c *Collector) Drain() []analyzer.Event {
 	c.emitClosed(math.MaxInt64-1, false) // the trim horizon is the cut plus one
 	return c.Events()
 }
 
 // Events returns the retained events (the newest EventLogCap emitted so
-// far), sorted by (start, port). Lock-free: reads the published snapshot.
+// far) in analyzer.SortEvents order, lock-free from the published snapshot.
 func (c *Collector) Events() []analyzer.Event {
 	return c.snap.Load().Events()
 }

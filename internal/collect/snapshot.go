@@ -25,7 +25,6 @@ package collect
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"umon/internal/analyzer"
@@ -97,20 +96,11 @@ func (s *Snapshot) Window() (epochs []uint64, resident int) {
 }
 
 // Events returns the events retained at this snapshot — the newest
-// EventLogCap emitted up to it — sorted by (start, port).
+// EventLogCap emitted up to it — sorted by analyzer.SortEvents.
 func (s *Snapshot) Events() []analyzer.Event {
 	evs := make([]analyzer.Event, len(s.events))
 	copy(evs, s.events)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].StartNs != evs[j].StartNs {
-			return evs[i].StartNs < evs[j].StartNs
-		}
-		a, b := evs[i].Port, evs[j].Port
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		return a.Port < b.Port
-	})
+	analyzer.SortEvents(evs)
 	return evs
 }
 

@@ -93,7 +93,7 @@ func AblationDepth(c *Cache) (*Table, error) {
 		for _, f := range flows {
 			ts := sim.Truth.Flow(f)
 			cfg := wavesketch.Config{Rows: 1, Width: 1, Levels: levels, K: 32, Seed: 3}
-			s, err := wavesketch.NewBasic(cfg)
+			s, err := viaReport(wavesketch.NewBasic(cfg))
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +132,7 @@ func AblationRows(c *Cache) (*Table, error) {
 		cfg := wavesketch.Config{Rows: rows, Width: 128, Levels: 8, K: 32, Seed: 5}
 		run := hostRun{name: "ws", instances: make([]measure.SeriesEstimator, len(sim.Trace.HostPackets))}
 		for h := range run.instances {
-			inst, err := wavesketch.NewBasic(cfg)
+			inst, err := viaReport(wavesketch.NewBasic(cfg))
 			if err != nil {
 				return nil, err
 			}
@@ -208,7 +208,7 @@ func AblationHeavy(c *Cache) (*Table, error) {
 
 	fullCfg := wavesketch.DefaultFull()
 	fullCfg.Light.Width = 32 // scarce light buckets: elephants need protection
-	full, err := wavesketch.NewFull(fullCfg)
+	full, err := viaReport(wavesketch.NewFull(fullCfg))
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +220,7 @@ func AblationHeavy(c *Cache) (*Table, error) {
 	basicCfg := wavesketch.Default(64)
 	basicCfg.Rows = 1
 	basicCfg.Width = 32 + fullCfg.HeavyRows // heavy slots recycled as buckets
-	basic, err := wavesketch.NewBasic(basicCfg)
+	basic, err := viaReport(wavesketch.NewBasic(basicCfg))
 	if err != nil {
 		return nil, err
 	}

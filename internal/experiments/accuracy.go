@@ -9,6 +9,7 @@ import (
 	"umon/internal/flowkey"
 	"umon/internal/measure"
 	"umon/internal/metrics"
+	"umon/internal/report"
 	"umon/internal/wavesketch"
 )
 
@@ -45,9 +46,9 @@ func buildScheme(name string, memBytes int64, periodWindows int64, samples [][]i
 		}
 		cfg := wavesketch.Config{Rows: accRows, Width: accWidth, Levels: accLvls, K: k, Seed: seed}
 		if name == "WaveSketch-HW" {
-			return wavesketch.NewHardware(cfg, samples)
+			return viaReport(wavesketch.NewHardware(cfg, samples))
 		}
-		return wavesketch.NewBasic(cfg)
+		return viaReport(wavesketch.NewBasic(cfg))
 	case "OmniWindow-Avg":
 		m := int((bb - 4) / 4)
 		if m < 1 {
@@ -68,6 +69,51 @@ func buildScheme(name string, memBytes int64, periodWindows int64, samples [][]i
 		return baselines.NewFourier(accRows, accWidth, top, seed)
 	}
 	return nil, fmt.Errorf("experiments: unknown scheme %q", name)
+}
+
+// sketch is what the basic and the full WaveSketch share: all of
+// measure.SeriesEstimator but the query, which only a report answers.
+type sketch interface {
+	Name() string
+	Update(f flowkey.Key, w int64, v int64)
+	Seal()
+	MemoryBytes() int64
+	ReportBytes() int64
+}
+
+// reportedSketch is a WaveSketch graded the way the analyzer reads it: Seal
+// seals the sketch and indexes its report, and QueryRange reads the report.
+type reportedSketch struct {
+	sketch
+	q *report.Queryable
+}
+
+// viaReport wraps a sketch just built, passing its build error on.
+func viaReport(s sketch, err error) (measure.SeriesEstimator, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &reportedSketch{sketch: s}, nil
+}
+
+func (r *reportedSketch) Seal() {
+	r.sketch.Seal()
+	var rep *report.HostReport
+	switch s := r.sketch.(type) {
+	case *wavesketch.Basic:
+		rep = report.FromBasic(0, 0, s)
+	case *wavesketch.Full:
+		rep = report.FromFull(0, 0, s)
+	}
+	q, err := report.NewQueryable(rep)
+	if err != nil {
+		panic(err) // a sealed sketch counts every heavy flow in its light part too
+	}
+	r.q = q
+}
+
+func (r *reportedSketch) QueryRange(f flowkey.Key, from, to int64) []float64 {
+	return r.q.QueryRange(f, from, to)
 }
 
 // calibrationSamples extracts the largest flows' exact window series for

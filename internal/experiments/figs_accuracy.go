@@ -175,7 +175,7 @@ func Fig13Reconstruction(c *Cache) (*Table, error) {
 	// WaveSketch with K=32 on a single bucket (the testbed measures one
 	// flow), OmniWindow-Avg given identical memory.
 	wsCfg := wavesketch.Config{Rows: 1, Width: 1, Levels: 8, K: 32, Seed: 7}
-	ws, err := wavesketch.NewBasic(wsCfg)
+	ws, err := viaReport(wavesketch.NewBasic(wsCfg))
 	if err != nil {
 		return nil, err
 	}

@@ -149,7 +149,7 @@ func Fig09FlowBehaviors(c *Cache) (*Table, error) {
 // (truth, estimate, firstWindow) in Gbps.
 func sketchOneFlow(tr *netsim.Trace, host int, id int32, k int) ([]float64, []float64, int64) {
 	truthG := measure.NewGroundTruth()
-	s, _ := wavesketch.NewBasic(wavesketch.Config{Rows: 1, Width: 4, Levels: 8, K: k, Seed: 3})
+	s, _ := viaReport(wavesketch.NewBasic(wavesketch.Config{Rows: 1, Width: 4, Levels: 8, K: k, Seed: 3}))
 	var key = tr.Flows[id].Key
 	for _, rec := range tr.HostPackets[host] {
 		if rec.FlowID != id {

@@ -1,7 +1,6 @@
-// Package measure defines the common interface implemented by every
-// flow-rate measurement scheme in the repository (WaveSketch and the
-// baselines of §7.1) plus the ground-truth series builder used to grade
-// them.
+// Package measure defines the common interface every flow-rate measurement
+// scheme is graded through (the baselines of §7.1, and WaveSketch read back
+// from its report) plus the ground-truth series builder used to grade them.
 //
 // All schemes see the same input: (flow, absolute window id, byte count)
 // updates, one per packet, where window id = timestamp >> WindowShift.
@@ -25,7 +24,9 @@ const WindowNanos = 1 << DefaultWindowShift
 // WindowOf maps a nanosecond timestamp to its absolute window id.
 func WindowOf(ns int64) int64 { return ns >> DefaultWindowShift }
 
-// SeriesEstimator measures per-flow, per-window byte counts.
+// SeriesEstimator measures per-flow, per-window byte counts and answers
+// them back. A WaveSketch only measures, so it is graded through this
+// interface wrapped with its report, which answers (report.Queryable).
 type SeriesEstimator interface {
 	// Name identifies the scheme in reports ("WaveSketch-Ideal", …).
 	Name() string

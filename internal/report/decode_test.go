@@ -412,12 +412,17 @@ func hostilePayloads() []hostile {
 		return uv(b, version, 1, 0, 13, 1, 8, 8, 42, 1, 0, 0, 0, 8, 1, 6, nd)
 	}
 	// And a 64×2²⁴ sketch, whose row bitmaps would take 128 MiB, with its
-	// one bucket's |A| = 2²⁴.
-	shape := uv(binary.LittleEndian.AppendUint32(nil, magic), version, 1, 0, 13, 64, 1<<24, 8, 42, 1, 0, 0, 0, 8, 1<<24)
+	// one bucket's |A| = 2²⁴, and with one well-formed bucket: the shape
+	// alone is past what a sketch may take (Rows×Width ≤ 2²⁴).
+	shape := func(curve ...uint64) []byte {
+		b := uv(binary.LittleEndian.AppendUint32(nil, magic), version, 1, 0, 13, 64, 1<<24, 8, 42, 1, 0, 0)
+		return uv(b, curve...)
+	}
 	return append(out,
 		hostile{"two bytes a detail, version 2", append(head(21), tail...)},
 		hostile{"details off the tree, version 2", append(head(20), tail...)},
-		hostile{"declared shape, version 2", shape},
+		hostile{"declared shape, version 2", shape(0, 8, 1<<24)},
+		hostile{"declared shape, one bucket, version 2", shape(0, 8, 1, 6, 0)},
 	)
 }
 

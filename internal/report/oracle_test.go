@@ -336,7 +336,8 @@ func oracleDecodeV2(data []byte) (*slabReport, error) {
 	}
 	nBuckets, nHeavy, levels := hdr[8], hdr[9], hdr[6]
 	if nBuckets > sane || nHeavy > sane || levels < 1 || levels > 24 ||
-		r.Meta.Rows < 1 || r.Meta.Rows > 64 || r.Meta.Width < 1 || r.Meta.Width > sane {
+		r.Meta.Rows < 1 || r.Meta.Rows > 64 || r.Meta.Width < 1 || r.Meta.Width > sane ||
+		r.Meta.Rows*r.Meta.Width > sane {
 		return nil, fmt.Errorf("report: implausible header %v", hdr)
 	}
 	readCurve := func() (w0 int64, length int, approx []int64, details []wavelet.DetailRef, err error) {

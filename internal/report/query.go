@@ -361,10 +361,10 @@ func addInto(dst []float64, w0 int64, curve []float64, from, to int64, sign floa
 	}
 }
 
-// QueryRange estimates flow f's per-window byte counts over [from, to).
-// Heavy flows answer from their dedicated curve, falling back to the light
-// estimate for windows before the heavy entry began (mid-flow election),
-// matching wavesketch.Full.QueryRange. Safe for concurrent use.
+// QueryRange estimates flow f's per-window byte counts over [from, to): the
+// one code that answers a WaveSketch flow query. Heavy flows answer from
+// their dedicated curve, falling back to the light estimate for windows
+// before the heavy entry began (mid-flow election). Safe for concurrent use.
 func (q *Queryable) QueryRange(f flowkey.Key, from, to int64) []float64 {
 	fq := NewFlowQuery(f, from, to)
 	defer fq.Release()

@@ -64,12 +64,14 @@ func buildRandomFullOf(t testing.TB, cfg wavesketch.FullConfig, seed int64) (*wa
 
 // TestQueryableMatchesFullSketchProperty is the decode-fidelity property
 // test: for randomized workloads and query ranges, the decoded Queryable
-// must answer exactly what the live wavesketch.Full answers — across heavy
-// flows, light flows, and mid-flow elections (heavy entries whose curve
-// starts after the query range, exercising the light fallback).
+// must answer bit for bit what the map-indexed oracle answers over the
+// sealed wavesketch.Full's own exports — across heavy flows, light flows,
+// and mid-flow elections (heavy entries whose curve starts after the query
+// range, exercising the light fallback).
 func TestQueryableMatchesFullSketchProperty(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		full, flows := buildRandomFull(t, seed)
+		live := newOracleQueryable(sealedSlab(0, full.Light(), full.ExportHeavy(nil)))
 		rep := FromFull(0, 0, full)
 		var buf bytes.Buffer
 		if _, err := rep.Encode(&buf); err != nil {
@@ -98,15 +100,15 @@ func TestQueryableMatchesFullSketchProperty(t *testing.T) {
 				ranges = append(ranges, [2]int64{from, to})
 			}
 			for _, r := range ranges {
-				live := full.QueryRange(f, r[0], r[1])
+				want := live.QueryRange(f, r[0], r[1])
 				remote := q.QueryRange(f, r[0], r[1])
-				if len(live) != len(remote) {
-					t.Fatalf("seed %d flow %s [%d,%d): len %d vs %d", seed, f, r[0], r[1], len(live), len(remote))
+				if len(want) != len(remote) {
+					t.Fatalf("seed %d flow %s [%d,%d): len %d vs %d", seed, f, r[0], r[1], len(want), len(remote))
 				}
-				for i := range live {
-					if math.Abs(live[i]-remote[i]) > 1e-6 {
-						t.Fatalf("seed %d flow %s [%d,%d) win %d: live %v vs decoded %v",
-							seed, f, r[0], r[1], i, live[i], remote[i])
+				for i := range want {
+					if math.Float64bits(want[i]) != math.Float64bits(remote[i]) {
+						t.Fatalf("seed %d flow %s [%d,%d) win %d: sketch %v vs decoded %v",
+							seed, f, r[0], r[1], i, want[i], remote[i])
 					}
 				}
 			}
@@ -190,12 +192,13 @@ func residentScan(q *Queryable) int {
 
 // TestDecodeBudgetEvictionCorrectness pins the bounded decode cache: with
 // a budget far below the report's curve count, queries keep matching the
-// live wavesketch.Full exactly — an evicted curve re-decodes to identical
-// values — and the clock sweep both evicts (evictions counter moves) and
-// keeps residency at the budget, whether the budget is set before the
-// first query or after unbounded ones.
+// oracle over the sealed wavesketch.Full's exports bit for bit — an evicted
+// curve re-decodes to identical values — and the clock sweep both evicts
+// (evictions counter moves) and keeps residency at the budget, whether the
+// budget is set before the first query or after unbounded ones.
 func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 	full, flows := buildRandomFull(t, 9)
+	live := newOracleQueryable(sealedSlab(0, full.Light(), full.ExportHeavy(nil)))
 	rep := FromFull(0, 0, full)
 	var buf bytes.Buffer
 	if _, err := rep.Encode(&buf); err != nil {
@@ -227,11 +230,11 @@ func TestDecodeBudgetEvictionCorrectness(t *testing.T) {
 		// evicted, so correctness covers decode-after-evict.
 		for pass := 0; pass < 2; pass++ {
 			for _, f := range flows {
-				live := full.QueryRange(f, 0, 512)
+				want := live.QueryRange(f, 0, 512)
 				got := q.QueryRange(f, 0, 512)
-				for i := range live {
-					if math.Abs(live[i]-got[i]) > 1e-6 {
-						t.Fatalf("late %v pass %d flow %s win %d: live %v vs budgeted %v", late, pass, f, i, live[i], got[i])
+				for i := range want {
+					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("late %v pass %d flow %s win %d: sketch %v vs budgeted %v", late, pass, f, i, want[i], got[i])
 					}
 				}
 			}

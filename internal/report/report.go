@@ -239,12 +239,13 @@ func parse(payload []byte) (*HostReport, error) {
 	if nBuckets > sane || nHeavy > sane || nBuckets > left/(bucketKeys+minCurveBytes) || nHeavy > left/(heavyKeys+minCurveBytes) || left > math.MaxUint32 {
 		return nil, fmt.Errorf("report: implausible counts %d/%d in %d bytes", nBuckets, nHeavy, left)
 	}
-	// Bound the sketch shape: reconstruction allocates O(len(A)·2^Levels),
-	// so a corrupted Levels field must be rejected, not obeyed.
-	if r.Meta.Levels < 1 || r.Meta.Levels > 24 {
+	// Bound the sketch shape by what a sketch may take: reconstruction
+	// allocates O(len(A)·2^Levels) and the row bitmaps O(Rows×Width), so a
+	// corrupted field must be rejected, not obeyed.
+	if r.Meta.Levels < 1 || r.Meta.Levels > wavesketch.MaxLevels {
 		return nil, fmt.Errorf("report: implausible wavelet depth %d", r.Meta.Levels)
 	}
-	if r.Meta.Rows < 1 || r.Meta.Rows > 64 || r.Meta.Width < 1 || r.Meta.Width > sane {
+	if r.Meta.Rows < 1 || r.Meta.Rows > wavesketch.MaxRows || r.Meta.Width < 1 || r.Meta.Width > wavesketch.MaxBuckets/r.Meta.Rows {
 		return nil, fmt.Errorf("report: implausible sketch shape %d×%d", r.Meta.Rows, r.Meta.Width)
 	}
 	d.levels = uint(r.Meta.Levels)
@@ -275,7 +276,7 @@ func parse(payload []byte) (*HostReport, error) {
 		for pos >= rowStart+width {
 			row, rowStart = row+1, rowStart+width
 		}
-		s.bits[i] = uint32(row*words*64 + pos - rowStart) // < 2³⁰: 64 rows of 2²⁴ bits
+		s.bits[i] = uint32(row*words*64 + pos - rowStart) // < 2²⁵: Rows×Width ≤ 2²⁴, each row padded to 64 bits
 		next = pos + 1
 		r.cover(d.f[1:4])
 	}

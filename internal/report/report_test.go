@@ -49,14 +49,21 @@ func sealedSlab(host int, s *wavesketch.Basic, heavy []wavesketch.HeavyExport) *
 // TestSealedSketchesParse is what lets the encoder take a sealed sketch's
 // curves as they come, with no canonical form to fall back on: over seeded
 // workloads on basic, full and hardware sketches of random shape — the full
-// ones with heavy entries elected mid-flow — parse accepts every encoding,
-// FromBasic and FromFull write it, and it reads back unchanged.
+// ones with heavy entries elected mid-flow — and of the deepest and the
+// tallest shape a sketch may take, parse accepts every encoding, FromBasic
+// and FromFull write it, and it reads back unchanged.
 func TestSealedSketchesParse(t *testing.T) {
 	elections := 0
-	for seed := int64(1); seed <= 12; seed++ {
+	for seed := int64(1); seed <= 14; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := wavesketch.Config{Rows: 1 + rng.Intn(4), Width: []int{1, 7, 64, 250, 1024}[rng.Intn(5)],
 			Levels: 1 + rng.Intn(10), K: 1 + rng.Intn(48), Seed: rng.Uint64()}
+		switch seed {
+		case 13:
+			cfg.Rows, cfg.Width = wavesketch.MaxRows, 1
+		case 14:
+			cfg.Levels, cfg.Width = wavesketch.MaxLevels, 1
+		}
 		start := int64(rng.Intn(1 << 20))
 		calibration := make([][]int64, 4)
 		for i := range calibration {
@@ -174,8 +181,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedQueriesMatchLiveSketch: a decoded basic report answers bit for
+// bit what the oracle answers over the sealed sketch's own exports.
 func TestDecodedQueriesMatchLiveSketch(t *testing.T) {
 	s := buildBasic(t)
+	live := newOracleQueryable(sealedSlab(0, s, nil))
 	r := FromBasic(0, 1000, s)
 	var buf bytes.Buffer
 	if _, err := r.Encode(&buf); err != nil {
@@ -187,11 +197,11 @@ func TestDecodedQueriesMatchLiveSketch(t *testing.T) {
 	}
 	q := mustQueryable(t, dec)
 	for f := 0; f < 8; f++ {
-		live := s.QueryRange(key(f), 1000, 1512)
+		want := live.QueryRange(key(f), 1000, 1512)
 		remote := q.QueryRange(key(f), 1000, 1512)
-		for w := range live {
-			if math.Abs(live[w]-remote[w]) > 1e-9 {
-				t.Fatalf("flow %d window %d: live %v vs decoded %v", f, w, live[w], remote[w])
+		for w := range want {
+			if math.Float64bits(want[w]) != math.Float64bits(remote[w]) {
+				t.Fatalf("flow %d window %d: sketch %v vs decoded %v", f, w, want[w], remote[w])
 			}
 		}
 	}
@@ -210,6 +220,7 @@ func TestFullReportHeavyRoundTrip(t *testing.T) {
 		}
 	}
 	full.Seal()
+	live := newOracleQueryable(sealedSlab(9, full.Light(), full.ExportHeavy(nil)))
 	r := FromFull(9, 0, full)
 	elected := len(full.ExportHeavy(nil))
 	if elected == 0 {
@@ -230,24 +241,16 @@ func TestFullReportHeavyRoundTrip(t *testing.T) {
 	if len(q.HeavyFlows()) != elected {
 		t.Errorf("heavy flows = %d, want %d", len(q.HeavyFlows()), elected)
 	}
-	live := full.QueryRange(heavy, 0, 400)
-	remote := q.QueryRange(heavy, 0, 400)
-	for w := range live {
-		if math.Abs(live[w]-remote[w]) > 1e-9 {
-			t.Fatalf("heavy window %d: live %v vs decoded %v", w, live[w], remote[w])
+	// The heavy flow, and a mouse colliding with it that must benefit from
+	// heavy subtraction in the decoded form too.
+	for _, f := range []flowkey.Key{heavy, key(3)} {
+		want := live.QueryRange(f, 0, 400)
+		remote := q.QueryRange(f, 0, 400)
+		for w := range want {
+			if math.Float64bits(want[w]) != math.Float64bits(remote[w]) {
+				t.Fatalf("flow %s window %d: sketch %v vs decoded %v", f, w, want[w], remote[w])
+			}
 		}
-	}
-	// A mouse colliding with the heavy flow must benefit from heavy
-	// subtraction in the decoded form too.
-	mouseLive := full.QueryRange(key(3), 0, 400)
-	mouseRemote := q.QueryRange(key(3), 0, 400)
-	var dl, dr float64
-	for w := range mouseLive {
-		dl += mouseLive[w]
-		dr += mouseRemote[w]
-	}
-	if math.Abs(dl-dr) > 1 {
-		t.Errorf("mouse totals differ: live %v vs decoded %v", dl, dr)
 	}
 }
 

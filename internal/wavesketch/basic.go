@@ -46,12 +46,20 @@ func Default(k int) Config {
 	return Config{Rows: 3, Width: 256, Levels: 8, K: k, Seed: 0x5eed0f}
 }
 
+// The largest sketch shape a report carries: report.parse refuses a header
+// past these bounds, so a sketch is refused at construction instead.
+const (
+	MaxRows    = 64
+	MaxLevels  = 24
+	MaxBuckets = 1 << 24 // Width, Rows×Width and HeavyRows
+)
+
 func (c *Config) validate() error {
-	if c.Rows < 1 || c.Width < 1 {
-		return fmt.Errorf("wavesketch: need Rows ≥ 1 and Width ≥ 1, got %d×%d", c.Rows, c.Width)
+	if c.Rows < 1 || c.Width < 1 || c.Rows > MaxRows || c.Width > MaxBuckets || c.Rows*c.Width > MaxBuckets {
+		return fmt.Errorf("wavesketch: need 1 ≤ Rows ≤ %d, Width ≥ 1 and Rows×Width ≤ %d, got %d×%d", MaxRows, MaxBuckets, c.Rows, c.Width)
 	}
-	if c.Levels < 1 {
-		return fmt.Errorf("wavesketch: need Levels ≥ 1, got %d", c.Levels)
+	if c.Levels < 1 || c.Levels > MaxLevels {
+		return fmt.Errorf("wavesketch: need 1 ≤ Levels ≤ %d, got %d", MaxLevels, c.Levels)
 	}
 	if c.K < 1 {
 		return fmt.Errorf("wavesketch: need K ≥ 1, got %d", c.K)
@@ -79,7 +87,7 @@ func (c *Config) initBuckets(n int, bucket func(i int) *Bucket) {
 }
 
 // Basic is the basic-version WaveSketch (Figure 6): a D×W Count-Min array
-// of wavelet buckets. It implements measure.SeriesEstimator.
+// of wavelet buckets. It only measures; its report answers flow queries.
 //
 // The buckets live in one contiguous slab indexed r·W + w, so per-packet
 // updates walk cache-local state instead of chasing per-bucket pointers,
@@ -112,13 +120,13 @@ func NewBasic(cfg Config) (*Basic, error) {
 	return s, nil
 }
 
-// Name implements measure.SeriesEstimator.
+// Name is the variant's figure legend.
 func (s *Basic) Name() string { return s.cfg.Variant.String() }
 
 // Config returns the sketch configuration.
 func (s *Basic) Config() Config { return s.cfg }
 
-// Update implements measure.SeriesEstimator.
+// Update adds v bytes of flow f to window w in every row's bucket.
 func (s *Basic) Update(f flowkey.Key, w int64, v int64) {
 	s.updatePacked(f.Pack(), w, v)
 }
@@ -132,7 +140,8 @@ func (s *Basic) updatePacked(p flowkey.Packed, w int64, v int64) {
 	}
 }
 
-// Seal implements measure.SeriesEstimator.
+// Seal ends the measurement period: every bucket flushes its open window
+// and ignores later updates.
 func (s *Basic) Seal() {
 	if s.sealed {
 		return
@@ -143,64 +152,7 @@ func (s *Basic) Seal() {
 	}
 }
 
-// bucketIndex returns the slab index of flow f's bucket in row r.
-func (s *Basic) bucketIndex(f flowkey.Key, r int) int {
-	return r*s.cfg.Width + s.width.Index(f.Hash(s.seeds[r]))
-}
-
-// bucketsFor returns the D buckets flow f maps to.
-func (s *Basic) bucketsFor(f flowkey.Key) []*Bucket {
-	out := make([]*Bucket, s.cfg.Rows)
-	for r := range out {
-		out[r] = &s.buckets[s.bucketIndex(f, r)]
-	}
-	return out
-}
-
-// QueryRange implements measure.SeriesEstimator: reconstruct the flow's
-// buckets over [from, to) and take the per-window minimum across rows — the
-// Count-Min estimate extended to window series.
-func (s *Basic) QueryRange(f flowkey.Key, from, to int64) []float64 {
-	return minAcross(s.bucketsFor(f), from, to, nil)
-}
-
-// minAcross reconstructs each bucket over [from, to), optionally subtracting
-// the per-window values in deduct (same length as the range) from every
-// bucket before taking the elementwise minimum, and clamps at zero.
-func minAcross(buckets []*Bucket, from, to int64, deduct [][]float64) []float64 {
-	if to < from {
-		to = from
-	}
-	n := int(to - from)
-	est := make([]float64, n)
-	for i := range est {
-		est[i] = -1 // sentinel: unset
-	}
-	for bi, b := range buckets {
-		cur := b.Reconstruct(from, to)
-		if deduct != nil && deduct[bi] != nil {
-			for i := range cur {
-				cur[i] -= deduct[bi][i]
-			}
-		}
-		for i := range cur {
-			if cur[i] < 0 {
-				cur[i] = 0
-			}
-			if est[i] < 0 || cur[i] < est[i] {
-				est[i] = cur[i]
-			}
-		}
-	}
-	for i := range est {
-		if est[i] < 0 {
-			est[i] = 0
-		}
-	}
-	return est
-}
-
-// MemoryBytes implements measure.SeriesEstimator.
+// MemoryBytes is the device memory the sketch holds.
 func (s *Basic) MemoryBytes() int64 {
 	var total int64
 	for i := range s.buckets {
@@ -209,7 +161,7 @@ func (s *Basic) MemoryBytes() int64 {
 	return total
 }
 
-// ReportBytes implements measure.SeriesEstimator.
+// ReportBytes is §4.2's estimate of the period's upload.
 func (s *Basic) ReportBytes() int64 {
 	var total int64
 	for i := range s.buckets {

@@ -2,7 +2,9 @@
 // the heart of µMon (§4): a Count-Min-style sketch whose buckets compress a
 // microsecond-level window-counter series online with the integer Haar
 // wavelet transform, keeping all deepest-level approximation sums and only
-// the weighted top-K detail coefficients.
+// the weighted top-K detail coefficients. A sketch only measures (Algorithm
+// 1): a sealed one is exported into a report, and rate curves are read back
+// from that report (report.Queryable, Algorithm 2).
 package wavesketch
 
 import (
@@ -105,27 +107,6 @@ func (b *Bucket) Approx() []int64 { return b.stream.Approx() }
 // bucket in tree order (wavelet.CompareTree). The slice aliases the sink's
 // storage, sorted in place, and holds until Reset.
 func (b *Bucket) Details() []wavelet.DetailRef { return b.sink.Sorted() }
-
-// Reconstruct rebuilds the bucket's window series over [from, to) absolute
-// windows. The bucket must be sealed first. Windows outside the bucket's
-// own span are zero.
-func (b *Bucket) Reconstruct(from, to int64) []float64 {
-	if to < from {
-		to = from
-	}
-	out := make([]float64, to-from)
-	if b.w0 < 0 {
-		return out
-	}
-	curve := wavelet.Reconstruct(b.stream.Approx(), b.sink.Sorted(), b.stream.Levels(), b.Len())
-	for w := from; w < to; w++ {
-		off := w - b.w0
-		if off >= 0 && off < int64(len(curve)) {
-			out[w-from] = curve[off]
-		}
-	}
-	return out
-}
 
 // Reset returns the bucket to its empty state, keeping allocations. An
 // empty bucket has touched neither its transform state nor its sink.

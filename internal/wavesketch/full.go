@@ -31,8 +31,9 @@ type heavySlot struct {
 	bucket Bucket // slab-resident: the heavy part is one contiguous array
 }
 
-// Full is the full-version WaveSketch. It implements
-// measure.SeriesEstimator.
+// Full is the full-version WaveSketch. It only measures; its report answers
+// flow queries, heavy flows from their own curves and the rest from the light
+// part less the heavy curves that share its buckets (§4.2).
 type Full struct {
 	cfg    FullConfig
 	heavy  []heavySlot
@@ -43,8 +44,8 @@ type Full struct {
 
 // NewFull builds a full WaveSketch.
 func NewFull(cfg FullConfig) (*Full, error) {
-	if cfg.HeavyRows < 1 {
-		return nil, fmt.Errorf("wavesketch: need HeavyRows ≥ 1, got %d", cfg.HeavyRows)
+	if cfg.HeavyRows < 1 || cfg.HeavyRows > MaxBuckets {
+		return nil, fmt.Errorf("wavesketch: need 1 ≤ HeavyRows ≤ %d, got %d", MaxBuckets, cfg.HeavyRows)
 	}
 	light, err := NewBasic(cfg.Light)
 	if err != nil {
@@ -56,10 +57,10 @@ func NewFull(cfg FullConfig) (*Full, error) {
 	return f, nil
 }
 
-// Name implements measure.SeriesEstimator.
+// Name is the variant's figure legend.
 func (f *Full) Name() string { return f.cfg.Light.Variant.String() + "-Full" }
 
-// Update implements measure.SeriesEstimator. Per §4.2, the light part is
+// Update adds v bytes of flow k to window w. Per §4.2, the light part is
 // updated for *every* packet (so evicting a heavy candidate loses nothing),
 // while the heavy slot tracks the current majority-vote candidate. The key
 // is packed once and hashed D+1 times: per light row and for the slot.
@@ -96,7 +97,7 @@ func (f *Full) updateHeavy(k flowkey.Key, idx int, w int64, v int64) {
 	}
 }
 
-// Seal implements measure.SeriesEstimator.
+// Seal ends the measurement period in both parts.
 func (f *Full) Seal() {
 	if f.sealed {
 		return
@@ -110,75 +111,7 @@ func (f *Full) Seal() {
 	}
 }
 
-// heavyFor returns the heavy slot currently owned by k, if any.
-func (f *Full) heavyFor(k flowkey.Key) *heavySlot {
-	slot := &f.heavy[f.slots.Index(k.Hash(f.cfg.HeavySeed))]
-	if slot.valid && slot.key == k {
-		return slot
-	}
-	return nil
-}
-
-// QueryRange implements measure.SeriesEstimator. Heavy flows are answered
-// from their dedicated bucket; windows before the heavy bucket's first
-// window (a candidate elected mid-flow) fall back to the light part, which
-// counts every packet. Mice flows are answered from the light part after
-// subtracting the reconstructed curves of heavy flows that share each
-// light bucket (§4.2: "subtract the value of the heavy part flows when
-// reconstructing the light part").
-func (f *Full) QueryRange(k flowkey.Key, from, to int64) []float64 {
-	if slot := f.heavyFor(k); slot != nil {
-		if to < from {
-			to = from
-		}
-		est := slot.bucket.Reconstruct(from, to)
-		if w0 := slot.bucket.W0(); w0 > from {
-			// Early windows come from the light estimate of this flow.
-			cut := w0
-			if cut > to {
-				cut = to
-			}
-			early := f.lightEstimate(k, from, cut)
-			copy(est[:cut-from], early)
-		}
-		return est
-	}
-	return f.lightEstimate(k, from, to)
-}
-
-// lightEstimate is the light-part Count-Min estimate with co-located
-// heavy-flow subtraction.
-func (f *Full) lightEstimate(k flowkey.Key, from, to int64) []float64 {
-	buckets := f.light.bucketsFor(k)
-	deduct := make([][]float64, len(buckets))
-	for i := range f.heavy {
-		slot := &f.heavy[i]
-		if !slot.valid || slot.key == k {
-			continue
-		}
-		hb := f.light.bucketsFor(slot.key)
-		var curve []float64
-		for bi, b := range buckets {
-			for _, ob := range hb {
-				if ob == b {
-					if curve == nil {
-						curve = slot.bucket.Reconstruct(from, to)
-					}
-					if deduct[bi] == nil {
-						deduct[bi] = make([]float64, to-from)
-					}
-					for j := range curve {
-						deduct[bi][j] += curve[j]
-					}
-					break
-				}
-			}
-		}
-	}
-	return minAcross(buckets, from, to, deduct)
-}
-
-// MemoryBytes implements measure.SeriesEstimator.
+// MemoryBytes is the device memory the sketch holds.
 func (f *Full) MemoryBytes() int64 {
 	total := f.light.MemoryBytes()
 	for i := range f.heavy {
@@ -188,7 +121,7 @@ func (f *Full) MemoryBytes() int64 {
 	return total
 }
 
-// ReportBytes implements measure.SeriesEstimator.
+// ReportBytes is §4.2's estimate of the period's upload.
 func (f *Full) ReportBytes() int64 {
 	total := f.light.ReportBytes()
 	for i := range f.heavy {

@@ -5,8 +5,9 @@
 //
 // The facade re-exports the pieces a downstream user composes:
 //
-//   - WaveSketch and its Config — measure per-flow rate
-//     curves at 8.192 µs windows under a fixed memory budget.
+//   - WaveSketch and its Config — measure per-flow rate curves at 8.192 µs
+//     windows under a fixed memory budget; SealReport reads them back from
+//     the sealed sketch's report, as the analyzer does.
 //   - System — a deployable µMon instance: one sealed report per period
 //     from every host, CE match-sample-mirror at the switches, and the
 //     System's Collector consuming both (congestion event detection,
@@ -46,11 +47,20 @@ func WindowOf(ns int64) int64 { return measure.WindowOf(ns) }
 type SketchConfig = wavesketch.Config
 
 // WaveSketch is the basic-version sketch: a Count-Min array of wavelet
-// buckets.
+// buckets. It only measures; SealReport answers its flow queries.
 type WaveSketch = wavesketch.Basic
 
 // NewWaveSketch builds a basic sketch.
 func NewWaveSketch(cfg SketchConfig) (*WaveSketch, error) { return wavesketch.NewBasic(cfg) }
+
+// SealReport ends sk's measurement period and returns its report, indexed
+// for flow queries as the analyzer indexes every host's upload:
+// QueryRange(flow, from, to) estimates the flow's bytes in each window.
+func SealReport(sk *WaveSketch) *report.Queryable {
+	sk.Seal()
+	q, _ := report.NewQueryable(report.FromBasic(0, 0, sk)) // refuses only a heavy part, which a basic sketch lacks
+	return q
+}
 
 // DefaultSketch returns the paper's evaluation configuration (D=3, W=256,
 // L=8) with the given coefficient budget K.

@@ -18,8 +18,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	for w := int64(0); w < 128; w++ {
 		sk.Update(f, w, 8192)
 	}
-	sk.Seal()
-	est := sk.QueryRange(f, 0, 128)
+	est := umon.SealReport(sk).QueryRange(f, 0, 128)
 	for w, v := range est {
 		if math.Abs(umon.RateGbps(v)-8) > 0.5 {
 			t.Fatalf("window %d rate = %v Gbps, want ≈8", w, umon.RateGbps(v))
