@@ -184,7 +184,6 @@ type runSummary struct {
 }
 
 func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
-	stats := collect.NewStats(reg)
 	// Reads — the ops API handlers and the end-of-run summary — go through
 	// the collector's lock-free snapshot plane, events included: the hub
 	// only wakes the API's followers. Events print from whichever feed loop
@@ -222,13 +221,14 @@ func run(ctx context.Context, opt options, reg *telemetry.Registry) error {
 		GapNs:        opt.gapNs,
 		DecodeBudget: opt.decodeBudget,
 		OnEvent:      onEvent,
-		Stats:        stats,
+		Stats:        collect.NewStats(reg),
 	})
+	stats := c.Stats()
 
 	var srv *telemetry.Server
 	if opt.telemetryAddr != "" {
 		mux := telemetry.NewMux(reg)
-		opsapi.New(opsapi.Config{Collector: c, Hub: hub, Stats: stats}).Mount(mux)
+		opsapi.New(opsapi.Config{Collector: c, Hub: hub}).Mount(mux)
 		var err error
 		if srv, err = telemetry.ServeHandler(opt.telemetryAddr, mux); err != nil {
 			return err

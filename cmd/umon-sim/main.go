@@ -90,7 +90,10 @@ func run(stdout io.Writer, wl string, load float64, ms, seed int64, sampleBits u
 	cfg := netsim.DefaultConfig(topo)
 	cfg.Seed = uint64(seed)
 	cfg.Stats = netsim.NewSimStats(reg)
-	hostSamples := reg.CounterVec("umon_host_samples_total", "packets fed to each host's sketch", "host", topo.Hosts)
+	hostSamples := make([]*telemetry.Counter, topo.Hosts)
+	for h := range hostSamples {
+		hostSamples[h] = reg.CounterL("umon_host_samples_total", "packets fed to each host's sketch", fmt.Sprintf("host=\"%d\"", h))
+	}
 	tracer := telemetry.NewTracer(reg)
 	flows, err := workload.Generate(workload.Config{
 		Dist: dist, Load: load, Hosts: topo.Hosts,
@@ -137,7 +140,7 @@ func run(stdout io.Writer, wl string, load float64, ms, seed int64, sampleBits u
 	wiredHost, wiredCE := n.OnHostEgress, n.OnSwitchCE
 	n.OnHostEgress = func(host int, pkt *netsim.Packet, now int64) {
 		wiredHost(host, pkt, now)
-		hostSamples.At(host).Inc()
+		hostSamples[host].Inc()
 		packets++
 	}
 	n.OnSwitchCE = func(sw, port int16, pkt *netsim.Packet, now int64) {

@@ -68,7 +68,7 @@ func startDaemon(t *testing.T) (addr string, col *collect.Collector, hub *opsapi
 
 	mu = &sync.Mutex{}
 	mux := telemetry.NewMux(reg)
-	opsapi.New(opsapi.Config{Collector: col, Hub: hub, Stats: stats}).Mount(mux)
+	opsapi.New(opsapi.Config{Collector: col, Hub: hub}).Mount(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://"), col, hub, mu

@@ -9,7 +9,8 @@
 // It is the one store of reports and events: the daemon, the benchmark and
 // the in-process deployment (core.Deploy, with an unbounded window) all hold
 // them here. The analyzer package is its mirror clusterer, and the batch
-// reference that tests hold it to.
+// reference that tests hold it to. It counts each fact once, in its Stats:
+// Status reads the handles a telemetry registry exports.
 //
 // Concurrency model: the mutators Add*, Stamp, Poll and Drain are
 // single-writer and take no lock — one owner goroutine calls them, as the
@@ -41,6 +42,7 @@ import (
 	"umon/internal/mbuf"
 	"umon/internal/pcapio"
 	"umon/internal/report"
+	"umon/internal/telemetry"
 	"umon/internal/uevent"
 )
 
@@ -50,8 +52,8 @@ import (
 const pollEvery = 256
 
 // Config parameterizes a Collector. The zero value is usable: an
-// unbounded window, the default clustering gap, no decode budget, no
-// telemetry, no online event callback.
+// unbounded window, the default clustering gap, no decode budget, counts on
+// a private registry, no online event callback.
 type Config struct {
 	// WindowEpochs bounds how many distinct epochs stay resident; admitting
 	// a newer epoch past the bound evicts the oldest. 0 means unbounded.
@@ -70,7 +72,9 @@ type Config struct {
 	// runs after the snapshot that holds the event is published, so a
 	// reader it wakes finds the event in Snapshot().EventLog().
 	OnEvent func(analyzer.Event)
-	// Stats is optional collector telemetry.
+	// Stats, when set, is where the collector counts, so a registry that
+	// NewStats registered it on exports the counts Status reports; nil
+	// counts on a private registry. A Stats belongs to one collector.
 	Stats *Stats
 	// Now is the wall clock used for admit/detect lifecycle stamps (unix
 	// ns); nil means time.Now. Tests inject a fake clock here.
@@ -89,7 +93,7 @@ const EventLogCap = 1 << 16
 type Collector struct {
 	cfg   Config
 	an    *analyzer.Analyzer
-	stats Stats
+	stats *Stats // the one store of the collector's counts
 
 	// ingestMu serializes the mutator calls of the feed loops (IngestStream,
 	// IngestMirrorPcap) with each other.
@@ -122,14 +126,6 @@ type Collector struct {
 	traceMu sync.Mutex
 	traces  *traceRing
 	now     func() int64
-
-	// Plain ingest accounting (telemetry-independent, for Status).
-	reportsIn atomic.Int64
-	mirrorsIn atomic.Int64
-	// Routing selectivity: reports visited vs skipped by the routing index
-	// across all queries, including queries against held snapshots.
-	routeVisited atomic.Int64
-	routeSkipped atomic.Int64
 }
 
 // New builds a collector.
@@ -140,9 +136,13 @@ func New(cfg Config) *Collector {
 	if cfg.GapNs <= 0 {
 		cfg.GapNs = 50_000
 	}
+	if cfg.Stats == nil {
+		cfg.Stats = NewStats(telemetry.NewRegistry())
+	}
 	c := &Collector{
 		cfg:      cfg,
 		an:       analyzer.NewWithGap(cfg.GapNs),
+		stats:    cfg.Stats,
 		now:      cfg.Now,
 		eventCap: EventLogCap,
 		wm:       math.MinInt64,
@@ -152,16 +152,16 @@ func New(cfg Config) *Collector {
 	if c.now == nil {
 		c.now = func() int64 { return time.Now().UnixNano() }
 	}
-	if cfg.Stats != nil {
-		c.stats = *cfg.Stats
-	}
 	// Publish the empty window so readers never see a nil snapshot. The
 	// initial version is 0 with no wall stamp; the first mutation publishes
 	// version 1.
-	s0 := &Snapshot{visited: &c.routeVisited, skipped: &c.routeSkipped, stats: c.stats}
-	c.snap.Store(s0)
+	c.snap.Store(&Snapshot{stats: c.stats})
 	return c
 }
+
+// Stats returns the counters the collector counts on: Config.Stats, or the
+// ones New registered privately. Status reads the same handles.
+func (c *Collector) Stats() *Stats { return c.stats }
 
 // publish stamps and stores ns, with the retained events, as the live
 // snapshot. Mutator-only; nowNs is the wall stamp already taken by the
@@ -174,8 +174,6 @@ func (c *Collector) publish(ns *Snapshot, nowNs int64) {
 	// the log's array past what it was handed.
 	ns.events = c.events[max(0, len(c.events)-c.eventCap):len(c.events):len(c.events)]
 	ns.emitted = c.emitted
-	ns.visited = &c.routeVisited
-	ns.skipped = &c.routeSkipped
 	ns.stats = c.stats
 	c.stats.SnapshotVersion.Set(ns.version)
 	c.stats.SnapshotPublishNs.Set(ns.publishNs)
@@ -242,7 +240,6 @@ func (c *Collector) AddStamped(epoch uint64, rep *report.HostReport, st report.E
 		ns.resident++
 		c.stats.EpochsIngested.Inc()
 	}
-	c.reportsIn.Add(1)
 	c.stats.ReportsIngested.Inc()
 	admitNs := c.now()
 	c.noteAdmit(rep.Host, epoch, st, admitNs)
@@ -285,7 +282,8 @@ func (c *Collector) evictOldest(ns *Snapshot) {
 }
 
 // IngestStream drains one epoch-rotated report stream into the window,
-// returning the number of reports admitted and of frames skipped as bad:
+// returning the number of reports admitted (a report dropped as late counts
+// in Stats().LateReports instead) and of frames skipped as bad:
 // undecodable, or damaged (a CRC mismatch leaves the reader framed at the
 // next frame, so one flipped byte costs one frame, not the feed). It reads
 // to EOF — for a growing file, hand it a reader that blocks at the end until
@@ -317,9 +315,10 @@ func (c *Collector) IngestStream(r io.Reader) (reports, bad int, err error) {
 				c.Stamp(fr.Host, fr.Epoch, st)
 			}
 		case report.FrameReport:
+			late := c.stats.LateReports.Value()
 			if err := c.AddEncoded(fr.Epoch, fr.Payload); err != nil {
 				bad++
-			} else {
+			} else if c.stats.LateReports.Value() == late {
 				reports++
 			}
 		}
@@ -383,7 +382,6 @@ func (c *Collector) fold(m uevent.MirrorRecord) {
 // note makes the mirrors folded since the last call visible to readers.
 func (c *Collector) note() {
 	if c.folded > 0 {
-		c.mirrorsIn.Add(c.folded)
 		c.stats.MirrorsIngested.Add(c.folded)
 		c.watermark.Store(c.wm)
 		c.folded = 0
@@ -542,6 +540,11 @@ type Status struct {
 	MirrorsIngested int64 `json:"mirrors_ingested"`
 	EventsEmitted   int   `json:"events_emitted"`
 	TracedEpochs    int   `json:"traced_epochs"`
+	// Dropped input: reports for epochs already evicted, mirrors below the
+	// trim horizon, and reports the sliding window evicted.
+	LateReports    int64 `json:"late_reports"`
+	LateMirrors    int64 `json:"late_mirrors"`
+	EvictedReports int64 `json:"evicted_reports"`
 
 	// Query plane: publication counter and wall stamp of the live snapshot
 	// (version 0 = nothing ingested yet), and the routing index's
@@ -552,8 +555,9 @@ type Status struct {
 	ReportsRouteSkipped int64 `json:"reports_route_skipped"`
 }
 
-// Status snapshots the window, watermark and ingest counters. Lock-free
-// and safe to call concurrently with ingest.
+// Status snapshots the window, watermark and ingest counters; every count
+// is read from Stats(). Lock-free and safe to call concurrently with
+// ingest.
 func (c *Collector) Status() Status {
 	s := c.snap.Load()
 	st := Status{
@@ -565,13 +569,16 @@ func (c *Collector) Status() Status {
 		ResidentReports:     s.resident,
 		ResidentCurves:      s.ResidentCurves(),
 		EvictionFloor:       s.floor,
-		ReportsIngested:     c.reportsIn.Load(),
-		MirrorsIngested:     c.mirrorsIn.Load(),
+		ReportsIngested:     c.stats.ReportsIngested.Value(),
+		MirrorsIngested:     c.stats.MirrorsIngested.Value(),
 		EventsEmitted:       s.emitted,
+		LateReports:         c.stats.LateReports.Value(),
+		LateMirrors:         c.stats.LateMirrors.Value(),
+		EvictedReports:      c.stats.Evictions.Value(),
 		SnapshotVersion:     s.version,
 		SnapshotPublishNs:   s.publishNs,
-		ReportsRouted:       c.routeVisited.Load(),
-		ReportsRouteSkipped: c.routeSkipped.Load(),
+		ReportsRouted:       c.stats.RouteVisited.Value(),
+		ReportsRouteSkipped: c.stats.RouteSkipped.Value(),
 	}
 	st.WindowSpan[0], st.WindowSpan[1] = s.Span()
 	if wm := c.watermark.Load(); wm != math.MinInt64 {

@@ -150,7 +150,7 @@ func TestAddMirrorPacketsMatchesPerPacket(t *testing.T) {
 		fed := 0
 		var c *Collector
 		c = New(Config{Stats: NewStats(reg), OnEvent: func(ev analyzer.Event) {
-			out = append(out, emission{c.mirrorsIn.Load(), ev})
+			out = append(out, emission{c.Stats().MirrorsIngested.Value(), ev})
 		}})
 		var pkts []pcapio.Packet
 		for i, m := range feed {

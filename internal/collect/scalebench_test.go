@@ -173,8 +173,8 @@ func scaleSelectivity(t *testing.T, build func(testing.TB) *scaleFixture) float6
 	if _, resident := snap.Window(); resident != scaleReports {
 		t.Fatalf("resident = %d, want %d", resident, scaleReports)
 	}
-	before := fx.col.routeVisited.Load()
-	beforeSkip := fx.col.routeSkipped.Load()
+	before := fx.col.Stats().RouteVisited.Value()
+	beforeSkip := fx.col.Stats().RouteSkipped.Value()
 	const queries = 500
 	answered := 0
 	for i := 0; i < queries; i++ {
@@ -191,8 +191,8 @@ func scaleSelectivity(t *testing.T, build func(testing.TB) *scaleFixture) float6
 			}
 		}
 	}
-	visited := fx.col.routeVisited.Load() - before
-	skipped := fx.col.routeSkipped.Load() - beforeSkip
+	visited := fx.col.Stats().RouteVisited.Value() - before
+	skipped := fx.col.Stats().RouteSkipped.Value() - beforeSkip
 	if visited+skipped != queries*scaleReports {
 		t.Fatalf("visited+skipped = %d, want %d", visited+skipped, queries*scaleReports)
 	}
@@ -234,7 +234,7 @@ func TestScaleCurveReadsPerQuery(t *testing.T) {
 		snap.QueryFlow(scaleKey(id), from, to)
 	}
 	reads := reg.Value("umon_decode_cold_total") + reg.Value("umon_decode_cache_hits_total")
-	visited := col.routeVisited.Load()
+	visited := col.Stats().RouteVisited.Value()
 	t.Logf("%.2f curves read and %.3f reports visited a query", float64(reads)/queries, float64(visited)/queries)
 	if visited != 2117 {
 		t.Errorf("%d reports visited over %d queries, want 2117", visited, queries)

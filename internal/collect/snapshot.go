@@ -25,7 +25,6 @@ package collect
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"umon/internal/analyzer"
 	"umon/internal/flowkey"
@@ -82,11 +81,9 @@ type Snapshot struct {
 	eps       []*epochIndex
 	events    []analyzer.Event // retained, emission order
 	emitted   int              // events ever emitted, retained or not
-
-	// Routing selectivity accounting, shared with the owning collector so
-	// queries against held snapshots keep counting.
-	visited, skipped *atomic.Int64
-	stats            Stats
+	// stats is the owning collector's, so queries against held snapshots
+	// keep counting routing selectivity.
+	stats *Stats
 }
 
 // Window describes the snapshot's window: admitted epochs (ascending) and
@@ -154,10 +151,6 @@ func (s *Snapshot) QueryFlow(f flowkey.Key, from, to int64) []float64 {
 		visited += ei.set.MergeFlow(out, fq)
 	}
 	fq.Release()
-	if s.visited != nil {
-		s.visited.Add(int64(visited))
-		s.skipped.Add(int64(s.resident - visited))
-	}
 	s.stats.RouteVisited.Add(int64(visited))
 	s.stats.RouteSkipped.Add(int64(s.resident - visited))
 	return out

@@ -5,9 +5,10 @@ import (
 	"umon/internal/telemetry"
 )
 
-// Stats is the collector daemon's telemetry plane. Every handle no-ops
-// when nil; the zero value is the disabled configuration, so uninstrumented
-// collectors pay one nil check per event.
+// Stats is where a collector counts: each fact it counts — reports and
+// mirrors admitted or dropped, evictions, routing selectivity, lifecycle
+// latencies — has one handle here, which a registry exports and Status
+// reads back. Build it with NewStats; a Stats belongs to one collector.
 type Stats struct {
 	// ReportsIngested counts decoded host reports admitted to the window.
 	ReportsIngested *telemetry.Counter
@@ -59,8 +60,8 @@ type Stats struct {
 	Decode *report.QueryStats
 }
 
-// NewStats registers the collector metric set on reg (nil reg yields nil,
-// the disabled configuration).
+// NewStats registers the collector metric set on reg. A nil reg yields nil,
+// and a collector given nil Stats counts on a private registry.
 func NewStats(reg *telemetry.Registry) *Stats {
 	if reg == nil {
 		return nil

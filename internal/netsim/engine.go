@@ -129,7 +129,7 @@ const (
 	numEventKinds = int(evRTO) + 1
 )
 
-// eventKindNames labels the scheduled-events-by-kind telemetry cells.
+// eventKindNames labels the scheduled-events-by-kind telemetry series.
 var eventKindNames = [numEventKinds]string{
 	"func", "finish_tx", "arrive", "inject", "start",
 	"dcqcn_alpha", "dcqcn_rate", "rto",
@@ -592,12 +592,10 @@ func (e *Engine) flushStats() {
 	}
 	st.WheelDepth.SetMax(int64(e.cal.n + e.wheelCount))
 	st.OverflowDepth.SetMax(int64(len(e.overflow)))
-	if v := st.EventsByKind; v != nil {
-		for k := range e.schedByKind {
-			if d := e.schedByKind[k] - e.flushedByKind[k]; d != 0 {
-				v.At(k).Add(d)
-				e.flushedByKind[k] = e.schedByKind[k]
-			}
+	for k, c := range st.EventsByKind {
+		if d := e.schedByKind[k] - e.flushedByKind[k]; d != 0 {
+			c.Add(d)
+			e.flushedByKind[k] = e.schedByKind[k]
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package netsim
 
-import "umon/internal/telemetry"
+import (
+	"fmt"
+
+	"umon/internal/telemetry"
+)
 
 // SimStats is the simulator's operational telemetry: datapath counters a
 // running simulation exposes through internal/telemetry. All fields no-op
@@ -14,10 +18,10 @@ type SimStats struct {
 	Events *telemetry.Counter
 	// EventsByKind counts events *scheduled* per event kind (indexed by
 	// the engine's eventKind: func, finish_tx, arrive, inject, start,
-	// dcqcn_alpha, dcqcn_rate, rto), flushed on the same cadence as Events
-	// from plain per-engine accumulators — the scheduling hot path never
-	// touches an atomic.
-	EventsByKind *telemetry.CounterVec
+	// dcqcn_alpha, dcqcn_rate, rto; one kind="…" series each), flushed on
+	// the same cadence as Events from plain per-engine accumulators — the
+	// scheduling hot path never touches an atomic.
+	EventsByKind [numEventKinds]*telemetry.Counter
 	// WheelDepth is the high-water mark of timing-wheel occupancy (the
 	// current-tick dispatch heap plus all in-span buckets).
 	WheelDepth *telemetry.Gauge
@@ -43,10 +47,8 @@ func NewSimStats(reg *telemetry.Registry) *SimStats {
 	if reg == nil {
 		return nil
 	}
-	return &SimStats{
+	st := &SimStats{
 		Events: reg.Counter("umon_netsim_events_total", "discrete events executed by the simulation engine"),
-		EventsByKind: reg.CounterVecL("umon_netsim_events_scheduled_total",
-			"events scheduled on the engine by event kind", "kind", eventKindNames[:]),
 		WheelDepth: reg.Gauge("umon_netsim_wheel_depth_high_water",
 			"maximum timing-wheel occupancy observed (current-tick heap + in-span buckets)"),
 		OverflowDepth: reg.Gauge("umon_netsim_overflow_depth_high_water",
@@ -57,4 +59,9 @@ func NewSimStats(reg *telemetry.Registry) *SimStats {
 		Drops:    reg.Counter("umon_netsim_drops_total", "packets tail-dropped at egress queues"),
 		QueueHWM: reg.Gauge("umon_netsim_queue_high_water_bytes", "maximum switch egress queue depth observed"),
 	}
+	for k, name := range eventKindNames {
+		st.EventsByKind[k] = reg.CounterL("umon_netsim_events_scheduled_total",
+			"events scheduled on the engine by event kind", fmt.Sprintf("kind=%q", name))
+	}
+	return st
 }

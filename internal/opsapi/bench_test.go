@@ -56,7 +56,7 @@ func benchFixture(b *testing.B) (*httptest.Server, []flowkey.Key) {
 	}
 
 	mux := http.NewServeMux()
-	New(Config{Collector: col, Stats: stats}).Mount(mux)
+	New(Config{Collector: col}).Mount(mux)
 	srv := httptest.NewServer(mux)
 	b.Cleanup(srv.Close)
 	return srv, flows

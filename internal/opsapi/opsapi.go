@@ -15,7 +15,9 @@
 // its read methods (Status, QueryFlow, Replay, Events, Traces) load it
 // without taking the ingest lock. Handlers therefore never serialize with
 // the daemon's ingest loop — a slow client cannot stall admission, and
-// concurrent API load scales across cores.
+// concurrent API load scales across cores. The counts and stage latencies
+// they report are the collector's Stats, the series /metrics exports when
+// the daemon registers them.
 package opsapi
 
 import (
@@ -35,13 +37,11 @@ import (
 
 // API serves the introspection routes for one Collector.
 type API struct {
-	col   *collect.Collector
-	hub   *Hub
-	stats *collect.Stats
+	col *collect.Collector
+	hub *Hub
 }
 
-// Config parameterizes New. Collector is required; everything else is
-// optional.
+// Config parameterizes New. Collector is required; Hub is optional.
 type Config struct {
 	// Collector is the live window the API answers from. Its read plane is
 	// lock-free, so the API needs no serialization with the ingest loop.
@@ -52,9 +52,6 @@ type Config struct {
 	// collector's retained events, sorted by (start, port), and ?follow= is
 	// rejected.
 	Hub *Hub
-	// Stats, when set, adds per-stage latency summaries to
-	// /api/trace/epochs.
-	Stats *collect.Stats
 }
 
 // New builds the API. It panics on a nil Collector — that is a wiring bug,
@@ -63,7 +60,7 @@ func New(cfg Config) *API {
 	if cfg.Collector == nil {
 		panic("opsapi: nil Collector")
 	}
-	return &API{col: cfg.Collector, hub: cfg.Hub, stats: cfg.Stats}
+	return &API{col: cfg.Collector, hub: cfg.Hub}
 }
 
 // Mount registers the /api/ routes on mux (typically telemetry.NewMux's).
@@ -356,24 +353,23 @@ func summarize(h *telemetry.Histogram) StageSummary {
 	}
 }
 
-// TraceResponse answers /api/trace/epochs: the raw lifecycle ring plus,
-// when the daemon exports stats, the per-stage latency summaries whose
-// sums reconcile (seal→ship + ship→admit + admit→detect == seal→detect
-// over fully-stamped traces).
+// TraceResponse answers /api/trace/epochs: the raw lifecycle ring plus the
+// collector's per-stage latency summaries, whose sums reconcile (seal→ship
+// + ship→admit + admit→detect == seal→detect over fully-stamped traces).
 type TraceResponse struct {
 	Traces []collect.EpochTrace    `json:"traces"`
-	Stages map[string]StageSummary `json:"stages,omitempty"`
+	Stages map[string]StageSummary `json:"stages"`
 }
 
 func (a *API) handleTrace(w http.ResponseWriter, r *http.Request) {
-	resp := TraceResponse{Traces: a.col.Traces()}
-	if a.stats != nil {
-		resp.Stages = map[string]StageSummary{
-			"seal_ship":    summarize(a.stats.SealShipNs),
-			"ship_admit":   summarize(a.stats.ShipAdmitNs),
-			"admit_detect": summarize(a.stats.AdmitDetectNs),
-			"seal_detect":  summarize(a.stats.SealDetectNs),
-		}
-	}
-	writeJSON(w, resp)
+	st := a.col.Stats()
+	writeJSON(w, TraceResponse{
+		Traces: a.col.Traces(),
+		Stages: map[string]StageSummary{
+			"seal_ship":    summarize(st.SealShipNs),
+			"ship_admit":   summarize(st.ShipAdmitNs),
+			"admit_detect": summarize(st.AdmitDetectNs),
+			"seal_detect":  summarize(st.SealDetectNs),
+		},
+	})
 }

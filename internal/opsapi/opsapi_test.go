@@ -98,7 +98,7 @@ func newFixture(t testing.TB) *fixture {
 	// mutators are single-writer); the API itself reads lock-free.
 	mu := &sync.Mutex{}
 	mux := telemetry.NewMux(reg)
-	New(Config{Collector: col, Hub: hub, Stats: stats}).Mount(mux)
+	New(Config{Collector: col, Hub: hub}).Mount(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return &fixture{col: col, stats: stats, hub: hub, mu: mu, srv: srv}
@@ -238,6 +238,25 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	if detected != 2 {
 		t.Errorf("detected traces = %d, want 2", detected)
+	}
+}
+
+// TestTraceStagesFromCollector serves an API built with only a Collector,
+// itself built without Stats: /api/trace/epochs still carries the stage
+// summaries, read from the counts the collector keeps.
+func TestTraceStagesFromCollector(t *testing.T) {
+	clock := int64(10_000)
+	col := collect.New(collect.Config{Now: func() int64 { clock += 100; return clock }})
+	col.AddStamped(0, mkReport(0, key(0), 10, 100), report.EpochStamp{SealNs: 1_000, ShipNs: 2_000})
+	mux := http.NewServeMux()
+	New(Config{Collector: col}).Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	fx := &fixture{srv: srv}
+	var got TraceResponse
+	fx.getJSON(t, "/api/trace/epochs", &got)
+	if len(got.Traces) != 1 || got.Stages["seal_ship"].Count != 1 || got.Stages["ship_admit"].SumNs != 10_100-2_000 {
+		t.Errorf("traces %+v, stages %+v; want one trace and its seal→ship and ship→admit stages", got.Traces, got.Stages)
 	}
 }
 

@@ -32,14 +32,6 @@ func BenchmarkTelemetryNoopHistogram(b *testing.B) {
 	}
 }
 
-func BenchmarkTelemetryNoopVecAt(b *testing.B) {
-	var v *CounterVec
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v.At(i & 7).Inc()
-	}
-}
-
 func BenchmarkTelemetryNoopSpan(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()

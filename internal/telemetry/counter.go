@@ -3,13 +3,13 @@ package telemetry
 import "sync/atomic"
 
 // cacheLine is the assumed cache-line size; counters are padded to it so
-// adjacent cells in a CounterVec (one per shard worker) never false-share.
+// two series written by different goroutines never false-share.
 const cacheLine = 64
 
 // Counter is a monotonic event counter. All methods are lock-free and
 // no-ops on a nil receiver, so an uninstrumented call site costs one nil
-// check and nothing else. The struct occupies a full cache line so slabs
-// of Counters (CounterVec) place each writer on its own line.
+// check and nothing else. The struct occupies a full cache line, so each
+// series sits on its own line whatever the allocator puts beside it.
 type Counter struct {
 	n atomic.Int64
 	_ [cacheLine - 8]byte
@@ -80,27 +80,3 @@ func (g *Gauge) Value() int64 {
 }
 
 func (g *Gauge) snap() Snapshot { return Snapshot{Value: g.Value()} }
-
-// CounterVec is a sharded counter: one padded cell per shard so concurrent
-// writers (e.g. one ingest worker per shard) increment without cache-line
-// contention. Exposed as one labeled series per cell plus Sum for totals.
-// A nil *CounterVec yields nil *Counters, composing the disabled path.
-type CounterVec struct {
-	cells []Counter
-}
-
-// At returns shard i's counter, nil when the vec is nil or i out of range.
-func (v *CounterVec) At(i int) *Counter {
-	if v == nil || i < 0 || i >= len(v.cells) {
-		return nil
-	}
-	return &v.cells[i]
-}
-
-// Len reports the shard count (0 on nil).
-func (v *CounterVec) Len() int {
-	if v == nil {
-		return 0
-	}
-	return len(v.cells)
-}

@@ -1,6 +1,6 @@
 // Package telemetry is the repository's operational-metrics layer: what
-// the pipeline is *doing* at runtime — shard balance, ring back-pressure,
-// cache hit rates, per-stage latency — as opposed to how *accurate* its
+// the pipeline is *doing* at runtime — event rates, buffer reuse, cache
+// hit rates, per-stage latency — as opposed to how *accurate* its
 // answers are. The accuracy math of the paper's Appendix E (ARE, cosine
 // similarity, recall, …) lives in internal/metrics and grades estimates
 // against ground truth offline; this package counts events on the live
@@ -149,58 +149,6 @@ func (r *Registry) HistogramL(family, help, labels string) *Histogram {
 	}
 	return r.register(family, labels, help, KindHistogram, func() metric { return new(Histogram) }).(*Histogram)
 }
-
-// CounterVec registers a counter family with n shards, one padded cell per
-// shard, exposed as n series labeled label="0"…label="n-1". Writers
-// increment their own shard (At(i)) and never contend; readers Sum.
-func (r *Registry) CounterVec(family, help, label string, n int) *CounterVec {
-	if r == nil || n <= 0 {
-		return nil
-	}
-	values := make([]string, n)
-	for i := range values {
-		values[i] = fmt.Sprint(i)
-	}
-	return r.CounterVecL(family, help, label, values)
-}
-
-// CounterVecL registers a counter family with one padded cell per label
-// value, exposed as series label=values[i]. Cells are addressed by index
-// (At(i) maps to values[i]), so callers with a natural enumeration — event
-// kinds, shard names — get human-readable series at the same cost as
-// CounterVec.
-func (r *Registry) CounterVecL(family, help, label string, values []string) *CounterVec {
-	if r == nil || len(values) == 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.byName[family+"[vec]"]; ok {
-		return e.m.(*vecHandle).vec
-	}
-	v := &CounterVec{cells: make([]Counter, len(values))}
-	// Register the vec under a synthetic key for idempotence, plus one
-	// entry per shard series for exposition.
-	r.byName[family+"[vec]"] = &entry{family: family, m: &vecHandle{vec: v}}
-	for i, val := range values {
-		e := &entry{
-			family: family,
-			labels: fmt.Sprintf("%s=%q", label, val),
-			help:   help,
-			kind:   KindCounter,
-			m:      &v.cells[i],
-		}
-		r.entries = append(r.entries, e)
-		r.byName[e.series()] = e
-	}
-	return v
-}
-
-// vecHandle lets CounterVec registration be idempotent without exposing
-// the vec as a series itself.
-type vecHandle struct{ vec *CounterVec }
-
-func (h *vecHandle) snap() Snapshot { return Snapshot{} }
 
 // BucketCount is one histogram bucket in a snapshot: Count observations
 // with value ≤ Le (upper bound inclusive, power-of-two boundaries).

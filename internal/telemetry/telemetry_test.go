@@ -22,8 +22,8 @@ func TestNilRegistryYieldsNilMetrics(t *testing.T) {
 	if h := r.Histogram("x", ""); h != nil {
 		t.Error("nil registry must return nil histogram")
 	}
-	if v := r.CounterVec("x", "", "shard", 4); v != nil {
-		t.Error("nil registry must return nil vec")
+	if c := r.CounterL("x", "", `k="v"`); c != nil {
+		t.Error("nil registry must return nil labeled counter")
 	}
 	if tr := NewTracer(nil); tr != nil {
 		t.Error("nil registry must return nil tracer")
@@ -56,10 +56,6 @@ func TestNilMetricsNoop(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram must stay empty")
 	}
-	var v *CounterVec
-	if v.At(0) != nil || v.Sum() != 0 || v.Len() != 0 {
-		t.Error("nil vec must yield nil cells")
-	}
 	var tr *Tracer
 	sp := tr.Start("x")
 	sp.End() // must not panic
@@ -71,7 +67,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var v *CounterVec
 	var tr *Tracer
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
@@ -79,7 +74,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 		g.Set(1)
 		g.SetMax(2)
 		h.Observe(7)
-		v.At(2).Add(1)
 		sp := tr.Start("stage")
 		sp.End()
 	}); n != 0 {
@@ -114,27 +108,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Value("no_such_series") != 0 {
 		t.Error("unknown series must read 0")
 	}
-}
-
-func TestCounterVecShardsAndSum(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("umon_vec_total", "", "shard", 3)
-	if v.Len() != 3 {
-		t.Fatalf("len = %d", v.Len())
-	}
-	v.At(0).Add(1)
-	v.At(2).Add(10)
-	if v.At(5) != nil || v.At(-1) != nil {
-		t.Error("out-of-range cells must be nil")
-	}
-	if v.Sum() != 11 {
-		t.Errorf("sum = %d, want 11", v.Sum())
-	}
-	if again := r.CounterVec("umon_vec_total", "", "shard", 3); again != v {
-		t.Error("vec registration must be idempotent")
-	}
-	if r.Value(`umon_vec_total{shard="2"}`) != 10 {
-		t.Error("per-shard series not exposed")
+	l := r.CounterL("umon_test_total", "", `k="a"`)
+	l.Add(2)
+	if r.CounterL("umon_test_total", "", `k="a"`) != l || l == c || r.Value(`umon_test_total{k="a"}`) != 2 {
+		t.Error("a labeled series must be its own idempotent counter")
 	}
 }
 
@@ -180,23 +157,20 @@ func TestConcurrentWrites(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("umon_conc_total", "")
 	h := r.Histogram("umon_conc_ns", "")
-	v := r.CounterVec("umon_conc_vec_total", "", "shard", 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			cell := v.At(w)
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(int64(i))
-				cell.Inc()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if c.Value() != 4000 || h.Count() != 4000 || v.Sum() != 4000 {
-		t.Errorf("lost updates: c=%d h=%d v=%d", c.Value(), h.Count(), v.Sum())
+	if c.Value() != 4000 || h.Count() != 4000 {
+		t.Errorf("lost updates: c=%d h=%d", c.Value(), h.Count())
 	}
 }
 
@@ -260,8 +234,8 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Gauge("umon_b_bytes", "").Set(9)
 	h := r.Histogram("umon_c_ns", "c help")
 	h.Observe(5)
-	v := r.CounterVec("umon_d_total", "", "shard", 2)
-	v.At(1).Inc()
+	r.CounterL("umon_d_total", "", `shard="0"`)
+	r.CounterL("umon_d_total", "", `shard="1"`).Inc()
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
 	out := buf.String()

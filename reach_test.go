@@ -39,7 +39,7 @@ var reachAllow = map[string]string{
 // exported structs under internal/ whose names end in Config or Options.
 // The test fails when the count rises above it, and when it sits above
 // the count: a change that removes a field lowers it.
-const configFields = 43
+const configFields = 42
 
 // stdlibCalled are the method names only the standard library calls,
 // through interfaces of its own: fmt.Stringer, error, io.Reader, io.Writer,
